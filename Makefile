@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify2 race vet bench bench-scale chaos
+.PHONY: build test verify verify2 race vet vet-bench bench bench-scale bench-suite bench-pair chaos
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,23 @@ bench-certscheme:
 bench-scale:
 	$(GO) run ./cmd/iccbench -exp scaleout -json
 
+# The repository benchmark (BENCHMARK.json, bench/README.md): every
+# workload untraced then traced, with trace.overhead_pct.
+bench-suite:
+	$(GO) run -C bench . --workload all
+
+# Parent commit against the working tree on one workload: >= 10 alternating
+# pairs, then the bench's -compare of the two sets of records and the count
+# of pairs won. PARENT (default HEAD) and PAIRS (default 10) override.
+#   make bench-pair WORKLOAD=steady-n4
+bench-pair:
+	scripts/bench-pair.sh $(WORKLOAD) $(PAIRS)
+
+# bench/ is a module of its own, which the root build, vet and test do not
+# see: an internal rename would break it unnoticed.
+vet-bench:
+	$(GO) vet -C bench . && $(GO) test -C bench .
+
 # Adversary campaign under the race detector: the matrix sweep plus the
 # threshold-boundary withholding tests. A failing cell prints the path of
 # a replayable JSONL trace; re-run it with
@@ -48,4 +65,4 @@ chaos:
 # Tier-2 verify: static analysis plus race detection on the layers where
 # goroutines, channels, and sockets actually interleave — and the seeded
 # adversary campaign (safety + liveness across the behavior matrix).
-verify2: vet race chaos
+verify2: vet vet-bench race chaos

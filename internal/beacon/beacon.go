@@ -41,10 +41,10 @@ type Beacon struct {
 	values map[types.Round]*thresig.Signature
 	// digests[k] caches H(R_k).
 	digests map[types.Round]hash.Digest
-	// shares[k][p] holds received shares for round k — verified lazily,
-	// because verification needs R_{k−1}, which a lagging party may not
-	// yet have.
-	shares map[types.Round]map[types.PartyID]*thresig.SigShare
+	// shares holds received shares per round — verified lazily, because
+	// verification needs R_{k−1}, which a lagging party may not yet have —
+	// and each share's verdict once it has one.
+	shares *shareLedger[*thresig.SigShare]
 	// perms caches round permutations.
 	perms map[types.Round][]types.PartyID
 
@@ -67,7 +67,7 @@ func New(pub *thresig.PublicInfo, sk thresig.SecretShare, self types.PartyID, ge
 		self:    self,
 		values:  make(map[types.Round]*thresig.Signature),
 		digests: make(map[types.Round]hash.Digest),
-		shares:  make(map[types.Round]map[types.PartyID]*thresig.SigShare),
+		shares:  newShareLedger[*thresig.SigShare](),
 		perms:   make(map[types.Round][]types.PartyID),
 		own:     newShareCache(0),
 		genesis: hash.Sum(hash.DomainBeacon, genesisSeed),
@@ -122,7 +122,7 @@ func (b *Beacon) ShareForRound(k types.Round) (*types.BeaconShare, error) {
 	}
 	// Sign outside the lock: the scalar multiplication takes milliseconds
 	// and must not stall concurrent beacon readers (the engine loop).
-	share, err := thresig.Sign(rand.Reader, b.sk, msg)
+	share, err := b.pub.Sign(rand.Reader, b.sk, msg)
 	if err != nil {
 		return nil, fmt.Errorf("beacon: signing share: %w", err)
 	}
@@ -149,9 +149,11 @@ func (b *Beacon) CachedShareForRound(k types.Round) (*types.BeaconShare, bool) {
 }
 
 // AddShare records a received share. Verification is deferred to Reveal
-// if R_{k−1} is still unknown; conspicuously malformed shares are
-// rejected immediately. The bool reports whether the share was newly
-// admitted (false for duplicates).
+// (R_{k−1} may still be unknown); conspicuously malformed shares, and any
+// share of a signer whose earlier share for the round failed verification,
+// are rejected immediately. This party's own share, byte-identical to the
+// one it signed, is trusted and never verified. The bool reports whether
+// the share was newly admitted (false for duplicates).
 func (b *Beacon) AddShare(s *types.BeaconShare) (bool, error) {
 	if s.Signer < 0 || int(s.Signer) >= b.pub.N {
 		return false, fmt.Errorf("beacon: signer %d out of range", s.Signer)
@@ -165,24 +167,15 @@ func (b *Beacon) AddShare(s *types.BeaconShare) (bool, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	m := b.shares[s.Round]
-	if m == nil {
-		m = make(map[types.PartyID]*thresig.SigShare)
-		b.shares[s.Round] = m
-	}
-	if _, dup := m[s.Signer]; dup {
-		return false, nil
-	}
-	m[s.Signer] = decoded
-	return true, nil
+	return b.shares.add(s.Round, s.Signer, decoded, b.own.holds(s))
 }
 
-// ShareCount returns the number of (not yet verified) shares held for a
-// round.
+// ShareCount returns the number of shares held for a round, verified or
+// not; shares that failed verification are not held.
 func (b *Beacon) ShareCount(k types.Round) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.shares[k])
+	return b.shares.count(k)
 }
 
 // Have reports whether R_k is known.
@@ -194,8 +187,10 @@ func (b *Beacon) Have(k types.Round) bool {
 }
 
 // Reveal attempts to compute R_k from the shares held. It returns the
-// digest H(R_k) and true on success. Invalid shares are discarded in the
-// process (combining verifies each share against the public material).
+// digest H(R_k) and true on success. Shares not yet verified are checked
+// against the public material, only as many as the threshold still needs;
+// one that fails is evicted for good (see shareLedger), so a failed Reveal
+// is not repeated at full price on the next call.
 func (b *Beacon) Reveal(k types.Round) (hash.Digest, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -206,18 +201,13 @@ func (b *Beacon) Reveal(k types.Round) (hash.Digest, bool) {
 	if !ok {
 		return hash.Digest{}, false
 	}
-	m := b.shares[k]
-	if len(m) < b.pub.Threshold {
+	valid := b.shares.collect(k, b.pub.N, b.pub.Threshold, func(s *thresig.SigShare) error {
+		return b.pub.VerifyShare(msg, s)
+	})
+	if valid == nil {
 		return hash.Digest{}, false
 	}
-	// Deterministic order: ascending party index.
-	list := make([]*thresig.SigShare, 0, len(m))
-	for p := 0; p < b.pub.N; p++ {
-		if s, ok := m[types.PartyID(p)]; ok {
-			list = append(list, s)
-		}
-	}
-	sigv, err := b.pub.Combine(msg, list)
+	sigv, err := b.pub.CombineVerified(valid)
 	if err != nil {
 		return hash.Digest{}, false
 	}
@@ -291,11 +281,7 @@ func (b *Beacon) Leader(k types.Round) (types.PartyID, bool) {
 func (b *Beacon) Prune(before types.Round) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for k := range b.shares {
-		if k < before {
-			delete(b.shares, k)
-		}
-	}
+	b.shares.pruneBefore(before)
 	for k := range b.perms {
 		if k < before {
 			delete(b.perms, k)

@@ -25,7 +25,7 @@ type BLS struct {
 
 	values       map[types.Round]*bls.Signature
 	digests      map[types.Round]hash.Digest
-	shares       map[types.Round]map[types.PartyID]*bls.SigShare
+	shares       *shareLedger[*bls.SigShare]
 	perms        map[types.Round][]types.PartyID
 	own          *shareCache
 	prunedBefore types.Round
@@ -41,7 +41,7 @@ func NewBLS(pub *bls.ThresholdPublic, sk bls.ThresholdShareKey, self types.Party
 		n:       pub.N,
 		values:  make(map[types.Round]*bls.Signature),
 		digests: make(map[types.Round]hash.Digest),
-		shares:  make(map[types.Round]map[types.PartyID]*bls.SigShare),
+		shares:  newShareLedger[*bls.SigShare](),
 		perms:   make(map[types.Round][]types.PartyID),
 		own:     newShareCache(0),
 		genesis: hash.Sum(hash.DomainBeacon, genesisSeed),
@@ -94,7 +94,7 @@ func (b *BLS) CachedShareForRound(k types.Round) (*types.BeaconShare, bool) {
 
 // AddShare implements Source; shares are structurally validated here and
 // cryptographically verified at Reveal (which may happen later, once
-// R_{k−1} is known).
+// R_{k−1} is known), each at most once — see shareLedger.
 func (b *BLS) AddShare(s *types.BeaconShare) (bool, error) {
 	if s.Signer < 0 || int(s.Signer) >= b.n {
 		return false, fmt.Errorf("beacon: signer %d out of range", s.Signer)
@@ -106,20 +106,12 @@ func (b *BLS) AddShare(s *types.BeaconShare) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("beacon: malformed BLS share: %w", err)
 	}
-	m := b.shares[s.Round]
-	if m == nil {
-		m = make(map[types.PartyID]*bls.SigShare)
-		b.shares[s.Round] = m
-	}
-	if _, dup := m[s.Signer]; dup {
-		return false, nil
-	}
-	m[s.Signer] = &bls.SigShare{Index: int(s.Signer), Sig: bls.SignatureFromPoint(pt)}
-	return true, nil
+	share := &bls.SigShare{Index: int(s.Signer), Sig: bls.SignatureFromPoint(pt)}
+	return b.shares.add(s.Round, s.Signer, share, b.own.holds(s))
 }
 
 // ShareCount implements Source.
-func (b *BLS) ShareCount(k types.Round) int { return len(b.shares[k]) }
+func (b *BLS) ShareCount(k types.Round) int { return b.shares.count(k) }
 
 // Have implements Source.
 func (b *BLS) Have(k types.Round) bool {
@@ -136,17 +128,13 @@ func (b *BLS) Reveal(k types.Round) (hash.Digest, bool) {
 	if !ok {
 		return hash.Digest{}, false
 	}
-	m := b.shares[k]
-	if len(m) < b.pub.Threshold {
+	valid := b.shares.collect(k, b.n, b.pub.Threshold, func(s *bls.SigShare) error {
+		return b.pub.VerifyShare(msg, s)
+	})
+	if valid == nil {
 		return hash.Digest{}, false
 	}
-	list := make([]*bls.SigShare, 0, len(m))
-	for p := 0; p < b.n; p++ {
-		if s, ok := m[types.PartyID(p)]; ok {
-			list = append(list, s)
-		}
-	}
-	sig, err := b.pub.Combine(msg, list)
+	sig, err := b.pub.CombineVerified(valid)
 	if err != nil {
 		return hash.Digest{}, false
 	}
@@ -207,11 +195,7 @@ func (b *BLS) Leader(k types.Round) (types.PartyID, bool) {
 
 // Prune implements Source.
 func (b *BLS) Prune(before types.Round) {
-	for k := range b.shares {
-		if k < before {
-			delete(b.shares, k)
-		}
-	}
+	b.shares.pruneBefore(before)
 	for k := range b.perms {
 		if k < before {
 			delete(b.perms, k)

@@ -108,11 +108,12 @@ func TestBLSBeaconQuorumEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bs[3].AddShare(s1); err != nil {
-		t.Fatal(err)
+	// The forged share was evicted by the failed Reveal and signer 1 is
+	// ignored for the round, so its real share is refused; supply signer
+	// 2's honest share instead.
+	if added, err := bs[3].AddShare(s1); added || err == nil {
+		t.Fatalf("share of a rejected signer: added=%v err=%v", added, err)
 	}
-	// Forged share for signer 1 occupies the slot... the real one is
-	// deduplicated away, so supply signer 2's honest share instead.
 	s2, err := bs[2].ShareForRound(1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package beacon
 
 import (
+	"bytes"
+
 	"icc/internal/types"
 )
 
@@ -56,6 +58,14 @@ func (c *shareCache) get(k types.Round) (*types.BeaconShare, bool) {
 	c.moveToFront(e)
 	cp := *e.share
 	return &cp, true
+}
+
+// holds reports whether sh is byte-identical to the cached share of its
+// round: the beacon trusts such a share as its own work and skips
+// verifying it. Recency is left alone.
+func (c *shareCache) holds(sh *types.BeaconShare) bool {
+	e, ok := c.entries[sh.Round]
+	return ok && e.share.Signer == sh.Signer && bytes.Equal(e.share.Share, sh.Share)
 }
 
 // put inserts (or refreshes) the share for round k, evicting the least

@@ -72,7 +72,11 @@ type Hooks struct {
 	OnEnterRound func(k types.Round, now time.Duration)
 	// OnBeaconRecovered fires immediately before OnEnterRound with how
 	// long the party waited for round k's beacon to become computable
-	// (from finishing round k−1, or from Init for round 1).
+	// (from finishing round k−1, or from Init for round 1). The wait is
+	// measured on the engine's clock between events, so it reads 0
+	// whenever R_k was already combined during round k−1
+	// (precomputeBeacon), which is the normal case; a positive value now
+	// means the shares themselves arrived late.
 	OnBeaconRecovered func(k types.Round, waited, now time.Duration)
 	// OnPropose fires when the party broadcasts its own block proposal.
 	OnPropose func(k types.Round, now time.Duration)

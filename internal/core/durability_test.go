@@ -73,6 +73,12 @@ type durableOptions struct {
 	// paths exist for. The simulated beacon derives digests from shares
 	// alone, so simulated laggards can always jump-commit back in.
 	realBeacon bool
+	// delay overrides the default fixed 10 ms message delay.
+	delay simnet.DelayModel
+	// wrapBeacon, if set, decorates each simulated beacon before the
+	// engine gets it; a wrapper with an attach(*Engine) method is handed
+	// the engine built over it.
+	wrapBeacon func(beacon.Source) beacon.Source
 }
 
 func newDurableHarness(t testing.TB, opts durableOptions) *durableHarness {
@@ -88,7 +94,10 @@ func newDurableHarness(t testing.TB, opts durableOptions) *durableHarness {
 		committed: make([][]*types.Block, opts.n),
 		stateAt:   make([]map[types.Round][]byte, opts.n),
 	}
-	h.net = simnet.New(simnet.Options{Seed: opts.seed, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
+	if opts.delay == nil {
+		opts.delay = simnet.Fixed{D: 10 * time.Millisecond}
+	}
+	h.net = simnet.New(simnet.Options{Seed: opts.seed, Delay: opts.delay})
 	base := t.TempDir()
 	for i := 0; i < opts.n; i++ {
 		h.dirs = append(h.dirs, filepath.Join(base, "party", string(rune('0'+i))))
@@ -134,6 +143,9 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 	var src beacon.Source
 	if !h.opts.realBeacon {
 		src = beacon.NewSimulated(h.opts.n, types.PartyID(i), h.pub.GenesisSeed)
+		if h.opts.wrapBeacon != nil {
+			src = h.opts.wrapBeacon(src)
+		}
 	}
 	eng := NewEngine(Config{
 		Self:               types.PartyID(i),
@@ -156,6 +168,9 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 			},
 		},
 	})
+	if a, ok := src.(interface{ attach(*Engine) }); ok {
+		a.attach(eng)
+	}
 	return eng, w, store
 }
 

@@ -268,7 +268,8 @@ func (e *Engine) reject(from types.PartyID, err error) {
 	}
 }
 
-// progress runs every protocol clause to quiescence.
+// progress runs every protocol clause to quiescence, then uses a lull to
+// get ahead on the next round's beacon.
 func (e *Engine) progress(now time.Duration) {
 	for {
 		moved := false
@@ -285,8 +286,51 @@ func (e *Engine) progress(now time.Duration) {
 		}
 		moved = e.runFinalizer(now) || moved
 		if !moved {
-			return
+			break
 		}
+	}
+	e.precomputeBeacon()
+}
+
+// precomputeBeacon takes the next round's beacon arithmetic off the
+// critical path. Parties broadcast their share of R_{k+1} on entering
+// round k (Fig. 1) precisely so that R_{k+1} is ready when round k ends,
+// so the quorum is normally here long before the round's notarization.
+// Once round k has nothing left to do, nothing waiting to be sent and
+// round k−1 committed, combine R_{k+1} now, and sign this party's share
+// of R_{k+2} into the beacon's own-share cache: tryEnterRound(k+1) then
+// finds both done and costs two lookups, where it used to hold the queued
+// notarization and finalization share back behind a combine and a
+// signature.
+//
+// Only the timing of local arithmetic changes. R_{k+1} is fixed, and
+// computable by anyone, once t+1 of its shares are public, so combining it
+// early reveals nothing; the pre-signed share is local state that nothing
+// sends before broadcastBeaconShare(k+2) on entering round k+1 — the
+// paper's release point — because every sending path (stall bundle,
+// catch-up reply, backfill) stops at shares for round e.round+1. If the
+// shares come late, tryEnterRound does the work as before.
+func (e *Engine) precomputeBeacon() {
+	if !e.inRound || e.replaying || len(e.out) > 0 {
+		return
+	}
+	if e.kmax+1 < e.round {
+		// Round k−1 is not committed yet: its finalization shares are in
+		// flight right now, and everything computed here would stand
+		// between their arrival and the commit (measured: commit spread
+		// 5 → 13 ms without this test). Wait for the commit; should it not
+		// come this round, tryEnterRound does the work as it always did.
+		return
+	}
+	next := e.round + 1
+	b := e.cfg.Beacon
+	if b.Have(next) || b.ShareCount(next) < types.BeaconQuorum(e.cfg.Keys.N) {
+		return
+	}
+	if _, ok := b.Reveal(next); ok {
+		// The error (round pruned) would recur in tryEnterRound, which
+		// reports nothing either: a share we cannot sign is not sent.
+		_, _ = b.ShareForRound(next + 1)
 	}
 }
 
@@ -316,7 +360,10 @@ func (e *Engine) broadcastBeaconShare(k types.Round) {
 
 // tryEnterRound implements the preliminary step of each round: wait for
 // t+1 shares of the round-k beacon, compute it, broadcast a share of the
-// round-(k+1) beacon (pipelining), and set up round state.
+// round-(k+1) beacon (pipelining), and set up round state. When the
+// shares were in hand during round k−1, precomputeBeacon has done both
+// computations already and this is two cache lookups; otherwise — late
+// shares — the arithmetic happens here.
 func (e *Engine) tryEnterRound(now time.Duration) bool {
 	k := e.round
 	if _, ok := e.cfg.Beacon.Reveal(k); !ok {

@@ -227,9 +227,19 @@ func (tp *ThresholdPublic) Combine(msg []byte, shares []*SigShare) (*Signature, 
 		seen[s.Index] = struct{}{}
 		valid = append(valid, s)
 	}
+	return tp.CombineVerified(valid)
+}
+
+// CombineVerified interpolates the first Threshold of the given shares
+// without verifying them: each must already have passed VerifyShare for
+// the message, and their indices must be distinct. The BLS beacon uses
+// it to pay each share's pairing check once however often it tries to
+// combine.
+func (tp *ThresholdPublic) CombineVerified(valid []*SigShare) (*Signature, error) {
 	if len(valid) < tp.Threshold {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNotEnoughShares, len(valid), tp.Threshold)
 	}
+	valid = valid[:tp.Threshold]
 	// Lagrange interpolation at 0 in the exponent.
 	acc := G1Infinity()
 	for i, si := range valid {

@@ -64,8 +64,9 @@ func Verify(p *Proof, base2, pub1, pub2 *ec.Point, context []byte) error {
 		return fmt.Errorf("%w: nil fields", ErrInvalidProof)
 	}
 	// Recompute commitments: a1 = z·G + c·pub1, a2 = z·base2 + c·pub2.
-	a1 := ec.BaseMul(p.Z).Add(pub1.Mul(p.C))
-	a2 := base2.Mul(p.Z).Add(pub2.Mul(p.C))
+	zc := []*ec.Scalar{p.Z, p.C}
+	a1 := ec.MultiMul(zc, []*ec.Point{ec.Generator(), pub1})
+	a2 := ec.MultiMul(zc, []*ec.Point{base2, pub2})
 	c := challenge(base2, pub1, pub2, a1, a2, context)
 	if !c.Equal(p.C) {
 		return ErrInvalidProof

@@ -8,8 +8,13 @@
 // The implementation favours clarity over speed: field elements are
 // *big.Int values reduced mod p, and point arithmetic uses Jacobian
 // projective coordinates to avoid a modular inversion per addition.
-// It is nonetheless fast enough to run thousands of simulated consensus
-// rounds per second.
+// It is not fast: a scalar multiplication is 256 doublings of nine
+// big.Int reductions each and takes milliseconds, not microseconds, which
+// makes the beacon the largest consumer of processor time in a small
+// cluster (bench/README.md). MultiMul exists so that the sums the beacon
+// needs — two-term DLEQ commitments, Lagrange combination — pay that
+// doubling chain once; sweeps that need thousands of rounds per second
+// run on beacon.Simulated instead.
 package ec
 
 import (
@@ -97,9 +102,13 @@ type jacobian struct {
 	x, y, z *big.Int // z == 0 encodes infinity
 }
 
+func jacobianInfinity() *jacobian {
+	return &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
+}
+
 func toJacobian(p *Point) *jacobian {
 	if p.IsInfinity() {
-		return &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
+		return jacobianInfinity()
 	}
 	return &jacobian{x: new(big.Int).Set(p.x), y: new(big.Int).Set(p.y), z: big.NewInt(1)}
 }
@@ -126,7 +135,7 @@ func (j *jacobian) toAffine() *Point {
 // a = 0 curves (dbl-2009-l).
 func (j *jacobian) double() *jacobian {
 	if j.isInfinity() || j.y.Sign() == 0 {
-		return &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
+		return jacobianInfinity()
 	}
 	a := new(big.Int).Mul(j.x, j.x) // A = X^2
 	a.Mod(a, P)
@@ -190,7 +199,7 @@ func (j *jacobian) add(q *jacobian) *jacobian {
 	if u1.Cmp(u2) == 0 {
 		if s1.Cmp(s2) != 0 {
 			// P + (-P) = infinity
-			return &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
+			return jacobianInfinity()
 		}
 		return j.double()
 	}
@@ -247,21 +256,74 @@ func (p *Point) Neg() *Point {
 // Sub returns p - q.
 func (p *Point) Sub(q *Point) *Point { return p.Add(q.Neg()) }
 
-// Mul returns k*p using a simple left-to-right double-and-add.
-// The scalar is reduced mod N first.
+// Mul returns k*p (a one-term MultiMul).
 func (p *Point) Mul(k *Scalar) *Point {
-	if p.IsInfinity() || k.v.Sign() == 0 {
-		return Infinity()
+	return MultiMul([]*Scalar{k}, []*Point{p})
+}
+
+// MultiMul returns Σ ks[i]·ps[i] by Straus's interleaved method: every
+// term gets a table of its point's multiples 1..15, the scalars are read
+// in 4-bit windows from the top, and all terms share one chain of 256
+// doublings and one conversion back to affine coordinates. A term costs
+// at most 14 table operations plus 64 additions, where an independent Mul
+// pays the whole doubling chain again and Add a modular inversion each.
+// It panics if the slices differ in length (a programming error).
+func MultiMul(ks []*Scalar, ps []*Point) *Point {
+	if len(ks) != len(ps) {
+		panic("ec: MultiMul with mismatched slice lengths")
 	}
-	acc := &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-	base := toJacobian(p)
-	for i := k.v.BitLen() - 1; i >= 0; i-- {
-		acc = acc.double()
-		if k.v.Bit(i) == 1 {
-			acc = acc.add(base)
+	tables := make([]*[16]*jacobian, 0, len(ps))
+	digits := make([][ScalarLen]byte, 0, len(ps))
+	for i, p := range ps {
+		if p.IsInfinity() || ks[i].v.Sign() == 0 {
+			continue
+		}
+		tables = append(tables, windowTable(p))
+		var kb [ScalarLen]byte
+		ks[i].v.FillBytes(kb[:])
+		digits = append(digits, kb)
+	}
+	acc := jacobianInfinity()
+	for w := 63; w >= 0; w-- {
+		for i := 0; i < 4; i++ {
+			acc = acc.double()
+		}
+		for i, t := range tables {
+			if d := nibble(&digits[i], w); d != 0 {
+				acc = acc.add(t[d])
+			}
 		}
 	}
 	return acc.toAffine()
+}
+
+// windowTable returns t with t[d] = d·p for d in 1..15 (t[0] is unused).
+// The generator's table is the first row of the BaseMul table, built once.
+func windowTable(p *Point) *[16]*jacobian {
+	if p.x.Cmp(gX) == 0 && p.y.Cmp(gY) == 0 {
+		baseTableOnce.Do(buildBaseTable)
+		return &baseTable[0]
+	}
+	var t [16]*jacobian
+	t[1] = toJacobian(p)
+	for d := 2; d < 16; d++ {
+		if d%2 == 0 {
+			t[d] = t[d/2].double()
+		} else {
+			t[d] = t[d-1].add(t[1])
+		}
+	}
+	return &t
+}
+
+// nibble returns the w-th 4-bit window of a big-endian scalar, window 0
+// being the least significant.
+func nibble(kb *[ScalarLen]byte, w int) byte {
+	b := kb[ScalarLen-1-w/2]
+	if w%2 == 0 {
+		return b & 0x0f
+	}
+	return b >> 4
 }
 
 // baseTable caches multiples of G for faster base-point multiplication
@@ -274,8 +336,7 @@ var (
 func buildBaseTable() {
 	g := toJacobian(Generator())
 	for w := 0; w < 64; w++ {
-		inf := &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-		baseTable[w][0] = inf
+		baseTable[w][0] = jacobianInfinity()
 		baseTable[w][1] = g
 		for d := 2; d < 16; d++ {
 			baseTable[w][d] = baseTable[w][d-1].add(g)
@@ -293,21 +354,12 @@ func BaseMul(k *Scalar) *Point {
 	if k.v.Sign() == 0 {
 		return Infinity()
 	}
-	acc := &jacobian{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-	// Process the scalar in 4-bit windows, little-endian window order.
-	var kb [32]byte
+	acc := jacobianInfinity()
+	var kb [ScalarLen]byte
 	k.v.FillBytes(kb[:])
 	for w := 0; w < 64; w++ {
-		// window w covers bits [4w, 4w+4); byte index from the right
-		byteIdx := 31 - w/2
-		var nib byte
-		if w%2 == 0 {
-			nib = kb[byteIdx] & 0x0f
-		} else {
-			nib = kb[byteIdx] >> 4
-		}
-		if nib != 0 {
-			acc = acc.add(baseTable[w][nib])
+		if d := nibble(&kb, w); d != 0 {
+			acc = acc.add(baseTable[w][d])
 		}
 	}
 	return acc.toAffine()

@@ -211,6 +211,110 @@ func TestInvZeroPanics(t *testing.T) {
 	ZeroScalar().Inv()
 }
 
+// naiveMul is the reference k*p for the MultiMul tests: bit-by-bit
+// double-and-add, sharing nothing with the windowed code but the group law.
+func naiveMul(p *Point, k *Scalar) *Point {
+	acc := Infinity()
+	for i := k.v.BitLen() - 1; i >= 0; i-- {
+		acc = acc.Add(acc)
+		if k.v.Bit(i) == 1 {
+			acc = acc.Add(p)
+		}
+	}
+	return acc
+}
+
+func naiveMultiMul(ks []*Scalar, ps []*Point) *Point {
+	acc := Infinity()
+	for i := range ks {
+		acc = acc.Add(naiveMul(ps[i], ks[i]))
+	}
+	return acc
+}
+
+func TestMultiMulMatchesNaiveOnRandomInputs(t *testing.T) {
+	for terms := 1; terms <= 6; terms++ {
+		ks := make([]*Scalar, terms)
+		ps := make([]*Point, terms)
+		for i := range ks {
+			ks[i], _ = RandomScalar(rand.Reader)
+			_, ps[i], _ = RandomPoint(rand.Reader)
+		}
+		got := MultiMul(ks, ps)
+		if !got.Equal(naiveMultiMul(ks, ps)) {
+			t.Fatalf("%d terms: MultiMul differs from the naive sum", terms)
+		}
+		if !got.IsOnCurve() {
+			t.Fatalf("%d terms: result off curve", terms)
+		}
+	}
+}
+
+func TestMultiMulEdgeCases(t *testing.T) {
+	k1, _ := RandomScalar(rand.Reader)
+	k2, _ := RandomScalar(rand.Reader)
+	_, p, _ := RandomPoint(rand.Reader)
+	_, q, _ := RandomPoint(rand.Reader)
+	nMinus1 := NewScalar(new(big.Int).Sub(N, big.NewInt(1)))
+	g := Generator()
+	cases := []struct {
+		name string
+		ks   []*Scalar
+		ps   []*Point
+	}{
+		{"no terms", nil, nil},
+		{"single term", []*Scalar{k1}, []*Point{p}},
+		{"single generator term", []*Scalar{k1}, []*Point{g}},
+		{"zero scalar", []*Scalar{ZeroScalar(), k2}, []*Point{p, q}},
+		{"all scalars zero", []*Scalar{ZeroScalar(), ZeroScalar()}, []*Point{p, q}},
+		{"infinity point", []*Scalar{k1, k2}, []*Point{Infinity(), q}},
+		{"repeated point", []*Scalar{k1, k2}, []*Point{p, p}},
+		{"repeated point and scalar", []*Scalar{k1, k1}, []*Point{p, p}},
+		{"point with its negation", []*Scalar{k1, k1}, []*Point{p, p.Neg()}},
+		{"negation with other scalar", []*Scalar{k1, k2}, []*Point{p, p.Neg()}},
+		{"scalar N-1", []*Scalar{nMinus1, k2}, []*Point{p, q}},
+		{"scalar N-1 alone", []*Scalar{nMinus1}, []*Point{p}},
+		{"scalar one", []*Scalar{OneScalar(), OneScalar()}, []*Point{p, q}},
+		{"generator beside a point", []*Scalar{k1, k2}, []*Point{g, p}},
+	}
+	for _, c := range cases {
+		got := MultiMul(c.ks, c.ps)
+		if want := naiveMultiMul(c.ks, c.ps); !got.Equal(want) {
+			t.Errorf("%s: MultiMul differs from the naive sum", c.name)
+		}
+	}
+	if !MultiMul([]*Scalar{k1, k1}, []*Point{p, p.Neg()}).IsInfinity() {
+		t.Error("k·P + k·(−P) is not the identity")
+	}
+	if !MultiMul([]*Scalar{nMinus1}, []*Point{p}).Equal(p.Neg()) {
+		t.Error("(N−1)·P != −P")
+	}
+}
+
+func TestMultiMulLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on mismatched lengths")
+		}
+	}()
+	MultiMul([]*Scalar{OneScalar()}, nil)
+}
+
+// sinkPoint keeps benchmarked results alive.
+var sinkPoint *Point
+
+func BenchmarkMultiMul2(b *testing.B) {
+	k1, _ := RandomScalar(rand.Reader)
+	k2, _ := RandomScalar(rand.Reader)
+	ks := []*Scalar{k1, k2}
+	ps := []*Point{HashToPoint([]byte("bench-1")), HashToPoint([]byte("bench-2"))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPoint = MultiMul(ks, ps)
+	}
+}
+
 func BenchmarkBaseMul(b *testing.B) {
 	k, _ := RandomScalar(rand.Reader)
 	b.ResetTimer()

@@ -53,7 +53,7 @@ func TestKeysAreUsable(t *testing.T) {
 	// Beacon: all four shares sign, any 2 combine to same signature.
 	shares := make([]*thresig.SigShare, 4)
 	for i := range shares {
-		shares[i], err = thresig.Sign(rand.Reader, privs[i].Beacon, msg)
+		shares[i], err = pub.Beacon.Sign(rand.Reader, privs[i].Beacon, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,14 +180,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	// a beacon share signed with the decoded secret must verify under the
 	// original public info, and vice versa.
 	msg := []byte("round trip")
-	share, err := thresig.Sign(rand.Reader, priv2.Beacon, msg)
+	share, err := pub2.Beacon.Sign(rand.Reader, priv2.Beacon, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Beacon.VerifyShare(msg, share); err != nil {
 		t.Fatalf("decoded private key unusable: %v", err)
 	}
-	origShare, err := thresig.Sign(rand.Reader, privs[0].Beacon, msg)
+	origShare, err := pub.Beacon.Sign(rand.Reader, privs[0].Beacon, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

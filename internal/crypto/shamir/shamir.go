@@ -140,11 +140,11 @@ func RecoverPoint(threshold int, shares []PointShare) (*ec.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc := ec.Infinity()
+	values := make([]*ec.Point, threshold)
 	for i, s := range use {
-		acc = acc.Add(s.Value.Mul(lam[i]))
+		values[i] = s.Value
 	}
-	return acc, nil
+	return ec.MultiMul(lam, values), nil
 }
 
 // PublicShares derives the per-party public keys g^{f(x_i)} and the global

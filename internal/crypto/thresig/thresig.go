@@ -91,11 +91,16 @@ func messagePoint(msg []byte) *ec.Point {
 	return ec.HashToPoint(d[:])
 }
 
-// Sign produces this party's signature share on msg.
-func Sign(rng io.Reader, sk SecretShare, msg []byte) (*SigShare, error) {
+// Sign produces the signature share of sk's party on msg. The proof is
+// bound to the party's dealt public share p.Shares[sk.Index], which saves
+// recomputing sk.Key·G on every call.
+func (p *PublicInfo) Sign(rng io.Reader, sk SecretShare, msg []byte) (*SigShare, error) {
+	if sk.Index < 0 || sk.Index >= p.N {
+		return nil, ErrBadIndex
+	}
 	h := messagePoint(msg)
 	pt := h.Mul(sk.Key)
-	proof, err := dleq.Prove(rng, sk.Key, h, ec.BaseMul(sk.Key), pt, msg)
+	proof, err := dleq.Prove(rng, sk.Key, h, p.Shares[sk.Index], pt, msg)
 	if err != nil {
 		return nil, fmt.Errorf("thresig: proving share: %w", err)
 	}
@@ -123,7 +128,7 @@ func (p *PublicInfo) VerifyShare(msg []byte, s *SigShare) error {
 // rather than failing the combination, matching the protocol's tolerance
 // of corrupt contributions.
 func (p *PublicInfo) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
-	valid := make([]shamir.PointShare, 0, p.Threshold)
+	valid := make([]*SigShare, 0, p.Threshold)
 	seen := make(map[int]struct{}, len(shares))
 	for _, s := range shares {
 		if len(valid) == p.Threshold {
@@ -139,12 +144,24 @@ func (p *PublicInfo) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 			continue
 		}
 		seen[s.Index] = struct{}{}
-		valid = append(valid, shamir.PointShare{Index: s.Index, Value: s.Point})
+		valid = append(valid, s)
 	}
-	if len(valid) < p.Threshold {
-		return nil, fmt.Errorf("%w: %d valid of %d needed", ErrNotEnoughShares, len(valid), p.Threshold)
+	return p.CombineVerified(valid)
+}
+
+// CombineVerified combines the first Threshold of the given shares
+// without verifying them: every one must already have passed VerifyShare
+// for the message, and their indices must be distinct. The beacon uses it
+// to verify each share once however often combination is attempted.
+func (p *PublicInfo) CombineVerified(shares []*SigShare) (*Signature, error) {
+	if len(shares) < p.Threshold {
+		return nil, fmt.Errorf("%w: %d valid of %d needed", ErrNotEnoughShares, len(shares), p.Threshold)
 	}
-	pt, err := shamir.RecoverPoint(p.Threshold, valid)
+	points := make([]shamir.PointShare, p.Threshold)
+	for i, s := range shares[:p.Threshold] {
+		points[i] = shamir.PointShare{Index: s.Index, Value: s.Point}
+	}
+	pt, err := shamir.RecoverPoint(p.Threshold, points)
 	if err != nil {
 		return nil, fmt.Errorf("thresig: combining: %w", err)
 	}

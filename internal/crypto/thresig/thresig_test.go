@@ -16,11 +16,11 @@ func deal(t testing.TB, threshold, n int) (*PublicInfo, []SecretShare) {
 	return pub, secrets
 }
 
-func signAll(t testing.TB, secrets []SecretShare, msg []byte) []*SigShare {
+func signAll(t testing.TB, pub *PublicInfo, secrets []SecretShare, msg []byte) []*SigShare {
 	t.Helper()
 	shares := make([]*SigShare, len(secrets))
 	for i, sk := range secrets {
-		s, err := Sign(rand.Reader, sk, msg)
+		s, err := pub.Sign(rand.Reader, sk, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func signAll(t testing.TB, secrets []SecretShare, msg []byte) []*SigShare {
 func TestSignVerifyCombine(t *testing.T) {
 	pub, secrets := deal(t, 3, 7)
 	msg := []byte("beacon round 1")
-	shares := signAll(t, secrets, msg)
+	shares := signAll(t, pub, secrets, msg)
 	for _, s := range shares {
 		if err := pub.VerifyShare(msg, s); err != nil {
 			t.Fatalf("share %d rejected: %v", s.Index, err)
@@ -52,7 +52,7 @@ func TestSignVerifyCombine(t *testing.T) {
 func TestUniquenessAcrossSubsets(t *testing.T) {
 	pub, secrets := deal(t, 4, 9)
 	msg := []byte("round 42")
-	shares := signAll(t, secrets, msg)
+	shares := signAll(t, pub, secrets, msg)
 	sig1, err := pub.Combine(msg, shares[0:4])
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +75,11 @@ func TestUniquenessAcrossSubsets(t *testing.T) {
 
 func TestDistinctMessagesDistinctSignatures(t *testing.T) {
 	pub, secrets := deal(t, 2, 4)
-	s1, err := pub.Combine([]byte("m1"), signAll(t, secrets, []byte("m1")))
+	s1, err := pub.Combine([]byte("m1"), signAll(t, pub, secrets, []byte("m1")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := pub.Combine([]byte("m2"), signAll(t, secrets, []byte("m2")))
+	s2, err := pub.Combine([]byte("m2"), signAll(t, pub, secrets, []byte("m2")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestVerifyShareRejectsForgery(t *testing.T) {
 	msg := []byte("target")
 	// A share computed with the wrong key (another party's) but claiming
 	// index 0 must be rejected.
-	forged, err := Sign(rand.Reader, SecretShare{Index: 0, Key: secrets[1].Key}, msg)
+	forged, err := pub.Sign(rand.Reader, SecretShare{Index: 0, Key: secrets[1].Key}, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestVerifyShareRejectsForgery(t *testing.T) {
 		t.Fatal("forged share accepted")
 	}
 	// A share for a different message must be rejected for this message.
-	other, err := Sign(rand.Reader, secrets[0], []byte("other"))
+	other, err := pub.Sign(rand.Reader, secrets[0], []byte("other"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestVerifyShareRejectsForgery(t *testing.T) {
 func TestCombineSkipsInvalidAndDuplicateShares(t *testing.T) {
 	pub, secrets := deal(t, 3, 6)
 	msg := []byte("m")
-	shares := signAll(t, secrets, msg)
+	shares := signAll(t, pub, secrets, msg)
 	// Corrupt one share, duplicate another, include a nil: Combine must
 	// still succeed using the remaining valid distinct shares.
 	corrupted := &SigShare{Index: shares[0].Index, Point: ec.Generator(), Proof: shares[0].Proof}
@@ -139,7 +139,7 @@ func TestCombineSkipsInvalidAndDuplicateShares(t *testing.T) {
 func TestCombineFailsBelowThreshold(t *testing.T) {
 	pub, secrets := deal(t, 4, 6)
 	msg := []byte("m")
-	shares := signAll(t, secrets, msg)
+	shares := signAll(t, pub, secrets, msg)
 	if _, err := pub.Combine(msg, shares[:3]); err == nil {
 		t.Fatal("combined below threshold")
 	}
@@ -148,7 +148,7 @@ func TestCombineFailsBelowThreshold(t *testing.T) {
 func TestShareEncodeDecode(t *testing.T) {
 	pub, secrets := deal(t, 2, 3)
 	msg := []byte("wire")
-	s, err := Sign(rand.Reader, secrets[1], msg)
+	s, err := pub.Sign(rand.Reader, secrets[1], msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShareEncodeDecode(t *testing.T) {
 func TestSignatureEncodeDecode(t *testing.T) {
 	pub, secrets := deal(t, 2, 3)
 	msg := []byte("wire")
-	sig, err := pub.Combine(msg, signAll(t, secrets, msg))
+	sig, err := pub.Combine(msg, signAll(t, pub, secrets, msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestSignatureEncodeDecode(t *testing.T) {
 }
 
 func BenchmarkSignShare(b *testing.B) {
-	_, secrets, err := Deal(rand.Reader, 5, 13)
+	pub, secrets, err := Deal(rand.Reader, 5, 13)
 	if err != nil {
 		b.Fatal(err)
 	}
 	msg := []byte("beacon")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sign(rand.Reader, secrets[0], msg); err != nil {
+		if _, err := pub.Sign(rand.Reader, secrets[0], msg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func BenchmarkVerifyShare(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := []byte("beacon")
-	s, _ := Sign(rand.Reader, secrets[0], msg)
+	s, _ := pub.Sign(rand.Reader, secrets[0], msg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pub.VerifyShare(msg, s); err != nil {
@@ -221,7 +221,7 @@ func BenchmarkCombine13of5(b *testing.B) {
 	msg := []byte("beacon")
 	shares := make([]*SigShare, 5)
 	for i := range shares {
-		shares[i], _ = Sign(rand.Reader, secrets[i], msg)
+		shares[i], _ = pub.Sign(rand.Reader, secrets[i], msg)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
