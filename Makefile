@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify2 race vet vet-bench bench bench-scale bench-suite bench-pair chaos
+.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-scale bench-suite bench-pair chaos
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,7 @@ vet:
 
 # Race-test the concurrency-heavy layers (real goroutines + sockets).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/transport/... ./internal/runtime/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/...
+	$(GO) test -race ./internal/obs/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/...
 
 # Regenerate the evaluation tables and record a machine-readable
 # BENCH_<timestamp>.json snapshot in the repo root. The first leg prints
@@ -54,6 +54,14 @@ bench-pair:
 vet-bench:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
+# One node assembly: internal/node wires the live stack, internal/harness
+# the simnet one, and bench/ mirrors the former on purpose. An engine or
+# a runner constructed anywhere else is a hand copy growing back.
+assembly-check:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'core\.NewEngine\(|runtime\.NewRunner\(' . \
+		| grep -vE '^\./(internal/node|internal/harness|bench)/'; then \
+		echo 'assembly-check: build nodes with internal/node.New, not by hand' >&2; exit 1; fi
+
 # Adversary campaign under the race detector: the matrix sweep plus the
 # threshold-boundary withholding tests. A failing cell prints the path of
 # a replayable JSONL trace; re-run it with
@@ -62,7 +70,8 @@ vet-bench:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers' ./internal/harness
 
-# Tier-2 verify: static analysis plus race detection on the layers where
-# goroutines, channels, and sockets actually interleave — and the seeded
-# adversary campaign (safety + liveness across the behavior matrix).
-verify2: vet vet-bench race chaos
+# Tier-2 verify: static analysis, the one-assembly check, race detection
+# on the layers where goroutines, channels, and sockets actually
+# interleave — and the seeded adversary campaign (safety + liveness
+# across the behavior matrix).
+verify2: vet vet-bench assembly-check race chaos

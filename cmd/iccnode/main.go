@@ -26,23 +26,16 @@ import (
 	"syscall"
 	"time"
 
-	"icc/internal/backfill"
-	"icc/internal/beacon"
-	"icc/internal/checkpoint"
-	"icc/internal/clock"
 	"icc/internal/core"
 	"icc/internal/crypto/aggsig"
 	"icc/internal/crypto/keys"
 	"icc/internal/gateway"
 	"icc/internal/metrics"
+	"icc/internal/node"
 	"icc/internal/obs"
-	"icc/internal/pool"
-	"icc/internal/runtime"
 	"icc/internal/statemachine"
 	"icc/internal/transport"
 	"icc/internal/types"
-	"icc/internal/verify"
-	"icc/internal/wal"
 )
 
 func main() {
@@ -59,13 +52,10 @@ func main() {
 		// Verification pipeline: inbound signatures are checked on a
 		// worker pool so the sequential engine handles pre-verified input.
 		verifyWorkers = flag.Int("verify-workers", 0, "verification worker pool size (0 = GOMAXPROCS, negative = verify inline on the engine loop)")
-		verifyCache   = flag.Int("verify-cache", 0, "verified-digest cache capacity (0 = default 8192, negative = disabled)")
-		resyncWindow  = flag.Int("resync-window", 0, "behind-shedding window in rounds: while lagging the peer frontier by more, live artifacts beyond it are shed at admission (0 = default 64, negative = never shed)")
 
 		// Catch-up backfill: beacon shares for lagging peers that miss the
 		// own-share cache are signed off the engine loop.
-		backfillWorkers = flag.Int("backfill-workers", 0, "catch-up share signing worker count (0 = 1 worker, negative = sign inline on the engine loop)")
-		shareCache      = flag.Int("share-cache", 0, "beacon own-share cache capacity (0 = default 1024, negative = disabled)")
+		shareCache = flag.Int("share-cache", 0, "beacon own-share cache capacity (0 = default 1024, negative = disabled)")
 
 		// Durability: a crash-consistent write-ahead log plus periodic
 		// signed checkpoints. Restarting with the same -wal-dir resumes
@@ -107,9 +97,6 @@ func main() {
 		stallAfter:    *stallAfter,
 		traceCap:      *traceCap,
 		verifyWorkers: *verifyWorkers,
-		verifyCache:   *verifyCache,
-		resyncWindow:  *resyncWindow,
-		bfillWorkers:  *backfillWorkers,
 		shareCache:    *shareCache,
 		walDir:        *walDir,
 		ckptInterval:  *ckptInterval,
@@ -143,9 +130,6 @@ type nodeConfig struct {
 	stallAfter    time.Duration
 	traceCap      int
 	verifyWorkers int
-	verifyCache   int
-	resyncWindow  int
-	bfillWorkers  int
 	shareCache    int
 	walDir        string
 	ckptInterval  uint64
@@ -192,7 +176,7 @@ func run(cfg nodeConfig) error {
 	// loop, and transport all land in the same exposition.
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(cfg.traceCap)
-	ob := obs.NewObserver(obs.ObserverConfig{Registry: reg, Tracer: tracer, Party: self})
+	health := obs.NewHealthTracker()
 	stats := metrics.NewTransportStatsOn(reg, tracer)
 	tcp, err := transport.NewTCPWithOptions(types.PartyID(self), addrMap, transport.TCPOptions{Stats: stats})
 	if err != nil {
@@ -207,7 +191,7 @@ func run(cfg nodeConfig) error {
 		fmt.Printf("chaos enabled: drop=%.2f dup=%.2f delay=%.2f (max %v, until %v, seed %d)\n",
 			plan.DropRate, plan.DupRate, plan.DelayRate, plan.MaxDelay, plan.FaultsUntil, plan.Seed)
 	}
-	defer ep.Close()
+	defer ep.Close() // the node closes it on Stop; this covers the error paths before there is one
 
 	// Print a transport-health line on the way out, so operators can see
 	// queue evictions, redials, write failures, and inbox overflows.
@@ -220,125 +204,62 @@ func run(cfg nodeConfig) error {
 		}
 	}()
 
-	queue := statemachine.NewQueue()
-	kv := statemachine.NewKV()
-	// The gateway is this node's client surface: typed-error admission
-	// over the queue, finality receipts, token-gated local reads. The
-	// /v1 HTTP API fronts it on the metrics listener.
-	gw := gateway.New(queue, kv, gateway.Options{Party: self, MaxBacklog: cfg.gwBacklog, Registry: reg})
+	// The replica's gateway is this node's client surface: typed-error
+	// admission over the queue, finality receipts, token-gated local
+	// reads. The /v1 HTTP API fronts it on the metrics listener.
+	rep := node.NewReplica(gateway.Options{Party: self, MaxBacklog: cfg.gwBacklog, Registry: reg})
+	gw, kv := rep.Gateway, rep.KV
 	committed := 0
-	// With the pipeline active (the default) the engine's pool admits
-	// pre-verified input; disabling it restores inline verification.
-	policy := pool.VerifyPreVerified
-	if cfg.verifyWorkers < 0 {
-		policy = pool.VerifyFull
-	}
-	// Explicit beacon so the engine and the backfill worker share one
-	// concurrency-safe instance. The worker sends through ep — the chaos
-	// wrapper when enabled — so injected faults hit backfill traffic too.
-	bcn := beacon.New(pub.Beacon, priv.Beacon, types.PartyID(self), pub.GenesisSeed)
-	if cfg.shareCache != 0 {
-		bcn.SetShareCacheSize(cfg.shareCache)
-	}
-	// Durability: WAL plus signed checkpoints under -wal-dir. Opened
-	// before the engine so crash recovery replays into a fresh engine,
-	// and closed after the runner stops so the final flush captures
-	// everything the loop appended (defer ordering below).
-	var (
-		nodeWAL   *wal.Log
-		ckptStore *checkpoint.Store
-	)
-	if cfg.walDir != "" {
-		nodeWAL, err = wal.Open(filepath.Join(cfg.walDir, "wal"), wal.Options{Registry: reg})
-		if err != nil {
-			return fmt.Errorf("opening WAL: %w", err)
-		}
-		defer func() { _ = nodeWAL.Close() }()
-		ckptStore, err = checkpoint.OpenStore(filepath.Join(cfg.walDir, "checkpoints"), checkpoint.StoreOptions{Registry: reg})
-		if err != nil {
-			return fmt.Errorf("opening checkpoint store: %w", err)
-		}
-		defer ckptStore.Close()
-	} else if cfg.ckptInterval > 0 {
-		// Checkpoints certify durable state; without a directory there is
-		// nothing durable to certify. Run in-memory, as before this flag.
-		cfg.ckptInterval = 0
-	}
-	var bfw *backfill.Worker
-	var provider core.CatchupProvider
-	if cfg.bfillWorkers >= 0 {
-		bfw = backfill.New(bcn, ep, backfill.Options{Workers: cfg.bfillWorkers, Registry: reg, Checkpoints: ckptStore})
-		provider = bfw
-	}
-	eng := core.NewEngine(core.Config{
+	nd, err := node.New(node.Config{
 		Self:               types.PartyID(self),
 		Keys:               pub,
 		Priv:               *priv,
-		Beacon:             bcn,
-		Catchup:            provider,
+		Endpoint:           ep,
 		DeltaBound:         cfg.bound,
 		Epsilon:            cfg.epsilon,
-		Payload:            queue,
-		PruneDepth:         core.DefaultPruneDepth,
-		WAL:                nodeWAL,
-		Checkpoints:        ckptStore,
+		ShareCacheSize:     cfg.shareCache,
+		Replica:            rep,
+		Dir:                cfg.walDir,
 		CheckpointInterval: types.Round(cfg.ckptInterval),
-		StateSnapshot:      kv.Snapshot,
-		StateRestore:       kv.Restore,
-		Pool:               pool.Options{Policy: policy},
-		Hooks: core.ObservedHooks(ob, core.Hooks{
+		PruneDepth:         core.DefaultPruneDepth,
+		VerifyWorkers:      cfg.verifyWorkers,
+		Registry:           reg,
+		Tracer:             tracer,
+		Health:             health,
+		Stats:              stats,
+		Hooks: core.Hooks{
 			OnCommit: func(b *types.Block, now time.Duration) {
-				_ = kv.Apply(b.Payload)
-				queue.MarkCommitted(b.Payload)
-				gw.ObserveCommit(uint64(b.Round), b.Payload)
 				committed++
 				if !cfg.quiet {
 					fmt.Printf("committed round %d: %d payload bytes (proposer P%d, total %d blocks, state %s)\n",
 						b.Round, len(b.Payload), b.Proposer, committed, kv.StateHash().Short())
 				}
 			},
-		}),
+		},
 	})
-	if nodeWAL != nil {
-		resumed, err := eng.Recover()
-		if err != nil {
-			return fmt.Errorf("crash recovery: %w", err)
-		}
-		if resumed > 1 && !cfg.quiet {
-			fmt.Printf("recovered durable state: resuming at round %d\n", resumed)
-		}
+	if err != nil {
+		return err
 	}
-	// Runs after runner.Stop (LIFO): if this node fell behind the prune
+	if resumed := nd.Engine.CurrentRound(); resumed > 1 && !cfg.quiet {
+		fmt.Printf("recovered durable state: resuming at round %d\n", resumed)
+	}
+	// Runs after nd.Stop (LIFO): if this node fell behind the prune
 	// horizon with no checkpoint path, say so on the way out instead of
 	// leaving a silently stalled process in the logs.
 	defer func() {
-		if err := eng.ResyncLost(); err != nil {
+		if err := nd.Engine.ResyncLost(); err != nil {
 			fmt.Printf("warning: %v\n", err)
 		}
 	}()
-	runner := runtime.NewRunner(eng, ep, clock.NewWall(), pub.N)
-	runner.SetTransportStats(stats)
-	runner.SetObserver(ob)
-	runner.SetBackfillWorker(bfw)
-	if cfg.verifyWorkers >= 0 {
-		runner.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{
-			Workers:      cfg.verifyWorkers,
-			CacheSize:    cfg.verifyCache,
-			BehindWindow: cfg.resyncWindow,
-			Registry:     reg,
-		}))
-	}
-	gw.Start()
-	defer gw.Stop()
-	runner.Start()
-	defer runner.Stop()
+	nd.Start()
+	defer nd.Stop()
 	fmt.Printf("party %d of %d listening on %s (t=%d tolerated faults)\n", self, pub.N, tcp.Addr(), pub.T)
 
 	if cfg.metricsAddr != "" {
 		srv, err := obs.Serve(cfg.metricsAddr, obs.HandlerOptions{
 			Registry: reg,
 			Tracer:   tracer,
-			Health:   ob.HealthFunc(cfg.stallAfter),
+			Health:   func() obs.Health { return health.Health(cfg.stallAfter) },
 			Ingress:  gateway.NewHandler([]*gateway.Gateway{gw}, 0),
 		})
 		if err != nil {

@@ -18,7 +18,8 @@ import (
 	"icc/internal/clock"
 	"icc/internal/core"
 	"icc/internal/crypto/keys"
-	"icc/internal/runtime"
+	"icc/internal/gateway"
+	"icc/internal/node"
 	"icc/internal/statemachine"
 	"icc/internal/transport"
 	"icc/internal/types"
@@ -43,9 +44,8 @@ func main() {
 		committed = make([]int, n)
 	)
 	clk := clock.NewWall()
-	queues := make([]*statemachine.Queue, n)
-	kvs := make([]*statemachine.KV, n)
-	runners := make([]*runtime.Runner, n)
+	reps := make([]*node.Replica, n)
+	nodes := make([]*node.Node, n)
 	endpoints := make([]*transport.TCP, n)
 
 	for i := 0; i < n; i++ {
@@ -55,40 +55,40 @@ func main() {
 			log.Fatalf("node %d: %v", i, err)
 		}
 		endpoints[i] = ep
-		queues[i] = statemachine.NewQueue()
-		kvs[i] = statemachine.NewKV()
-		eng := core.NewEngine(core.Config{
+		reps[i] = node.NewReplica(gateway.Options{Party: i})
+		nodes[i], err = node.New(node.Config{
 			Self:       types.PartyID(i),
 			Keys:       pub,
 			Priv:       privs[i],
+			Endpoint:   ep,
+			Clock:      clk,
 			DeltaBound: 50 * time.Millisecond,
-			Payload:    queues[i],
+			Replica:    reps[i],
 			Hooks: core.Hooks{
-				OnCommit: func(b *types.Block, _ time.Duration) {
-					_ = kvs[i].Apply(b.Payload)
-					queues[i].MarkCommitted(b.Payload)
+				OnCommit: func(*types.Block, time.Duration) {
 					mu.Lock()
 					committed[i]++
 					mu.Unlock()
 				},
 			},
 		})
-		runners[i] = runtime.NewRunner(eng, ep, clk, n)
+		if err != nil {
+			log.Fatalf("node %d: %v", i, err)
+		}
 	}
-	for i, r := range runners {
-		r.Start()
+	for i, nd := range nodes {
+		nd.Start()
 		fmt.Printf("node %d listening on %s\n", i, endpoints[i].Addr())
 	}
 	defer func() {
-		for i, r := range runners {
-			r.Stop()
-			_ = endpoints[i].Close()
+		for _, nd := range nodes {
+			nd.Stop()
 		}
 	}()
 
 	fmt.Println("\nsubmitting one command per node...")
 	for i := 0; i < n; i++ {
-		err := queues[i].TrySubmit(statemachine.Command{
+		err := reps[i].Queue.TrySubmit(statemachine.Command{
 			Client: uint64(i + 1),
 			Seq:    1,
 			Op:     statemachine.OpSet,
@@ -104,7 +104,7 @@ func main() {
 	for time.Now().Before(deadline) {
 		allApplied := true
 		for i := 0; i < n; i++ {
-			if kvs[i].AppliedOps() < n {
+			if reps[i].KV.AppliedOps() < n {
 				allApplied = false
 				break
 			}
@@ -116,15 +116,15 @@ func main() {
 	}
 
 	fmt.Println("\nfinal replica states:")
-	ref := kvs[0].StateHash()
+	ref := reps[0].KV.StateHash()
 	for i := 0; i < n; i++ {
 		mu.Lock()
 		blocks := committed[i]
 		mu.Unlock()
 		fmt.Printf("  node %d: %d blocks committed, %d keys, state %s (match=%v)\n",
-			i, blocks, kvs[i].Len(), kvs[i].StateHash().Short(), kvs[i].StateHash() == ref)
+			i, blocks, reps[i].KV.Len(), reps[i].KV.StateHash().Short(), reps[i].KV.StateHash() == ref)
 	}
-	if kvs[n-1].StateHash() != ref {
+	if reps[n-1].KV.StateHash() != ref {
 		log.Fatal("states diverged")
 	}
 	fmt.Println("\n4 TCP nodes reached identical states — BFT state machine replication over sockets")

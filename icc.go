@@ -22,43 +22,38 @@ package icc
 import (
 	"context"
 	"crypto/rand"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"icc/internal/adversary"
-	"icc/internal/backfill"
-	"icc/internal/beacon"
-	"icc/internal/checkpoint"
 	"icc/internal/clock"
 	"icc/internal/core"
 	"icc/internal/crypto/aggsig"
 	"icc/internal/crypto/keys"
 	"icc/internal/engine"
 	"icc/internal/gateway"
-	"icc/internal/gossip"
 	"icc/internal/harness"
 	"icc/internal/metrics"
+	"icc/internal/node"
 	"icc/internal/obs"
-	"icc/internal/pool"
-	"icc/internal/rbc"
-	"icc/internal/runtime"
 	"icc/internal/statemachine"
 	"icc/internal/transport"
 	"icc/internal/types"
-	"icc/internal/verify"
-	"icc/internal/wal"
 )
 
 // Mode selects the protocol variant.
-type Mode int
+type Mode = node.Mode
 
 // Protocol variants.
 const (
-	ICC0 Mode = iota // blocks broadcast directly (paper §3)
-	ICC1             // blocks disseminated via the gossip sub-layer
-	ICC2             // blocks disseminated via erasure-coded reliable broadcast
+	ICC0 = node.ICC0 // blocks broadcast directly (paper §3)
+	ICC1 = node.ICC1 // blocks disseminated via the gossip sub-layer
+	ICC2 = node.ICC2 // blocks disseminated via erasure-coded reliable broadcast
 )
 
 // Behavior configures a party's (mis)behaviour in a LocalCluster.
@@ -160,43 +155,20 @@ type Options struct {
 	// pipeline entirely (the engine verifies signatures inline on its
 	// event loop — the pre-pipeline behaviour).
 	VerifyWorkers int
-	// VerifyCacheSize bounds each party's verified-digest cache
-	// (default 8192 artifacts; negative disables caching). Re-gossiped
-	// and resync'd artifacts whose digests are cached skip signature
-	// re-verification.
-	VerifyCacheSize int
-	// BackfillWorkers sizes each party's async catch-up signer: beacon
-	// shares a laggard needs that miss the own-share cache are signed on
-	// these worker goroutines instead of the engine loop. 0 (default)
-	// uses one worker; a negative value disables the async path (the
-	// engine signs inline in handleStatus — the pre-refactor behaviour).
-	BackfillWorkers int
-	// ShareCacheSize bounds each party's beacon own-share cache
-	// (default beacon.DefaultShareCacheSize = 1024 shares; negative
-	// disables caching, forcing every catch-up share onto the backfill
-	// workers or, with those disabled too, back inline).
-	ShareCacheSize int
-	// ResyncWindow is the verify pipeline's behind-shedding window: when
-	// a party's engine round lags the verified peer frontier by more
-	// than this many rounds, live artifacts beyond frontier-window are
-	// shed at admission and re-learned via catch-up. 0 (default) uses
-	// verify.DefaultBehindWindow (64); negative disables shedding.
-	ResyncWindow int
 	// WALDir, when non-empty, makes every party durable: each gets a
 	// crash-consistent write-ahead log and checkpoint store under
 	// WALDir/party-<i>/, replayed by NewLocalCluster so a restarted
-	// cluster (same directory) resumes from its persisted state.
+	// cluster (same directory, same size and CertScheme) resumes from
+	// its persisted state. The cluster's key material is kept there too,
+	// in WALDir/keys.json: persisted state can only be extended by the
+	// keys that signed it.
 	WALDir string
 	// CheckpointInterval, when positive, makes parties certify a signed
 	// state checkpoint every so many finalized rounds (and enables the
-	// checkpoint-transfer path for peers behind the prune horizon). Only
-	// meaningful together with WALDir.
+	// checkpoint-transfer path for peers behind the prune horizon, with
+	// pool and beacon state pruned core.DefaultPruneDepth rounds behind
+	// the finalized one). Only meaningful together with WALDir.
 	CheckpointInterval uint64
-	// PruneDepth bounds pool/beacon retention behind the finalized
-	// frontier. 0 keeps the historical facade behaviour (no pruning)
-	// unless CheckpointInterval is set, in which case it defaults to
-	// core.DefaultPruneDepth; negative values are invalid.
-	PruneDepth uint64
 	// GatewayBacklog bounds each replica's admitted-but-unfinalized
 	// command backlog; Client.Submit returns ErrBacklogFull at the
 	// bound (0 = gateway.DefaultMaxBacklog; negative = unbounded).
@@ -232,13 +204,11 @@ func WithBehavior(party int, b Behavior) Option {
 	}
 }
 
-// WithGossipFanout bounds the ICC1 overlay degree.
-func WithGossipFanout(f int) Option { return func(o *Options) { o.GossipFanout = f } }
-
 // WithGossipTopology pins the ICC1 overlay shape: fanout bounds each
 // party's degree (validated against the cluster size at construction —
 // out-of-range values make NewLocalCluster fail rather than silently
-// clamp), seed selects the deterministic chord permutation.
+// clamp), seed selects the deterministic chord permutation. Zero keeps
+// the default of either.
 func WithGossipTopology(fanout int, seed int64) Option {
 	return func(o *Options) {
 		o.GossipFanout = fanout
@@ -260,24 +230,6 @@ func WithStallAfter(d time.Duration) Option { return func(o *Options) { o.StallA
 // (0 = GOMAXPROCS; negative = verify inline on the engine loop).
 func WithVerifyWorkers(n int) Option { return func(o *Options) { o.VerifyWorkers = n } }
 
-// WithVerifyCacheSize bounds the per-party verified-digest cache
-// (0 = default 8192; negative = no cache).
-func WithVerifyCacheSize(n int) Option { return func(o *Options) { o.VerifyCacheSize = n } }
-
-// WithBackfillWorkers sizes the per-party async catch-up signer
-// (0 = one worker; negative = sign catch-up shares inline on the engine
-// loop).
-func WithBackfillWorkers(n int) Option { return func(o *Options) { o.BackfillWorkers = n } }
-
-// WithShareCacheSize bounds the per-party beacon own-share cache
-// (0 = default 1024; negative = no cache).
-func WithShareCacheSize(n int) Option { return func(o *Options) { o.ShareCacheSize = n } }
-
-// WithResyncWindow sets the verify pipeline's behind-shedding window in
-// rounds (0 = default verify.DefaultBehindWindow; negative = never shed
-// live traffic while behind).
-func WithResyncWindow(n int) Option { return func(o *Options) { o.ResyncWindow = n } }
-
 // WithWALDir makes every party durable under dir (one subdirectory per
 // party): artifacts are WAL-logged with group-commit fsync before any
 // signature leaves the process, and a cluster rebuilt on the same
@@ -289,11 +241,6 @@ func WithWALDir(dir string) Option { return func(o *Options) { o.WALDir = dir } 
 func WithCheckpointInterval(n uint64) Option {
 	return func(o *Options) { o.CheckpointInterval = n }
 }
-
-// WithPruneDepth bounds pool/beacon retention behind the finalized
-// frontier (0 = no pruning, or core.DefaultPruneDepth when
-// checkpointing is enabled).
-func WithPruneDepth(n uint64) Option { return func(o *Options) { o.PruneDepth = n } }
 
 // WithGatewayBacklog bounds each replica's admission backlog
 // (0 = default 4096; negative = unbounded).
@@ -349,17 +296,12 @@ func (o Options) validate(n int) error {
 // behaviour is observable through Metrics(), Trace(), and — with
 // WithMetricsAddr — the HTTP endpoints every real node exposes.
 type LocalCluster struct {
-	n    int
-	opts Options
-	pub  *keys.Public
-	hub  *transport.Inproc
-	rnrs []*runtime.Runner
-
-	queues []*statemachine.Queue
-	kvs    []*statemachine.KV
-	gws    []*gateway.Gateway
-	wals   []*wal.Log
-	stores []*checkpoint.Store
+	n     int
+	opts  Options
+	pub   *keys.Public
+	hub   *transport.Inproc
+	nodes []*node.Node    // nil for a CrashFromBirth party
+	reps  []*node.Replica // every party, crashed ones included
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -395,9 +337,9 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		o.StallAfter = 30 * time.Second
 	}
 	scheme, _ := aggsig.ParseSchemeID(o.CertScheme) // validated above
-	pub, privs, err := keys.DealScheme(rand.Reader, n, scheme)
+	pub, privs, err := clusterKeys(o.WALDir, n, scheme)
 	if err != nil {
-		return nil, fmt.Errorf("icc: dealing keys: %w", err)
+		return nil, fmt.Errorf("icc: %w", err)
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(o.TraceCap)
@@ -406,11 +348,8 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		opts:         o,
 		pub:          pub,
 		hub:          transport.NewInproc(n),
-		queues:       make([]*statemachine.Queue, n),
-		kvs:          make([]*statemachine.KV, n),
-		gws:          make([]*gateway.Gateway, n),
-		wals:         make([]*wal.Log, n),
-		stores:       make([]*checkpoint.Store, n),
+		nodes:        make([]*node.Node, n),
+		reps:         make([]*node.Replica, n),
 		committed:    make([]int, n),
 		commitSignal: make(chan struct{}),
 		reg:          reg,
@@ -419,200 +358,113 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		stats:        metrics.NewTransportStatsOn(reg, tracer),
 	}
 	c.hub.SetStats(c.stats)
+	// Checkpoints are what let a peer behind the prune horizon catch up,
+	// so retention is bounded exactly when they are on.
+	var pruneDepth types.Round
+	if o.CheckpointInterval > 0 {
+		pruneDepth = core.DefaultPruneDepth
+	}
 	clk := clock.NewWall()
 	for i := 0; i < n; i++ {
 		i := i
-		c.queues[i] = statemachine.NewQueue()
+		c.reps[i] = node.NewReplica(gateway.Options{Party: i, MaxBacklog: o.GatewayBacklog, Registry: reg})
 		if o.MaxBatch > 0 {
-			c.queues[i].MaxBatch = o.MaxBatch
+			c.reps[i].Queue.MaxBatch = o.MaxBatch
 		}
-		c.kvs[i] = statemachine.NewKV()
-		// Each replica gets its own ingress gateway: admission control
-		// over its queue, finality receipts resolved by its commits,
-		// token-gated reads from its KV.
-		c.gws[i] = gateway.New(c.queues[i], c.kvs[i], gateway.Options{
-			Party:      i,
-			MaxBacklog: o.GatewayBacklog,
-			Registry:   reg,
-		})
-		behavior := o.Behaviors[i]
-		if behavior == CrashFromBirth {
-			// A crashed party simply runs no engine — and its gateway is
-			// never started, so clients get ErrNotRunning instead of
-			// commands silently rotting in a dead queue.
-			c.rnrs = append(c.rnrs, nil)
-			continue
+		if o.Behaviors[i] == CrashFromBirth {
+			continue // no node: the replica's gateway never starts
 		}
-		// Every party reports into the shared registry/tracer: families
-		// register idempotently and counters aggregate cluster-wide.
-		ob := obs.NewObserver(obs.ObserverConfig{
-			Registry: reg, Tracer: tracer, Party: i, Health: c.health,
-		})
-		// With the parallel verification pipeline (the default), the
-		// engine's pool trusts its input: every signed artifact already
-		// passed a pipeline worker before reaching the event loop.
-		policy := pool.VerifyPreVerified
-		if o.VerifyWorkers < 0 {
-			policy = pool.VerifyFull
-		}
-		// The beacon is built here rather than inside core.Config so the
-		// engine loop and the backfill worker share one instance (it is
-		// safe for concurrent use); the own-share cache makes catch-up
-		// shares for normally-traversed rounds free.
-		bcn := beacon.New(pub.Beacon, privs[i].Beacon, types.PartyID(i), pub.GenesisSeed)
-		if o.ShareCacheSize != 0 {
-			bcn.SetShareCacheSize(o.ShareCacheSize)
-		}
-		ep := c.hub.Endpoint(types.PartyID(i))
-		// Durability: WAL and checkpoint store live under one per-party
-		// directory, so a cluster rebuilt on the same WALDir resumes each
-		// party from its own persisted frontier.
-		pruneDepth := types.Round(o.PruneDepth)
-		if pruneDepth == 0 && o.CheckpointInterval > 0 {
-			pruneDepth = core.DefaultPruneDepth
-		}
-		var partyWAL *wal.Log
-		var partyStore *checkpoint.Store
-		if o.WALDir != "" {
-			base := filepath.Join(o.WALDir, fmt.Sprintf("party-%d", i))
-			var err error
-			partyWAL, err = wal.Open(filepath.Join(base, "wal"), wal.Options{Registry: reg})
-			if err != nil {
-				return nil, fmt.Errorf("icc: party %d wal: %w", i, err)
-			}
-			partyStore, err = checkpoint.OpenStore(filepath.Join(base, "checkpoints"), checkpoint.StoreOptions{Registry: reg})
-			if err != nil {
-				return nil, fmt.Errorf("icc: party %d checkpoint store: %w", i, err)
-			}
-			c.wals[i] = partyWAL
-			c.stores[i] = partyStore
-		}
-		var bfw *backfill.Worker
-		if o.BackfillWorkers >= 0 {
-			bfw = backfill.New(bcn, ep, backfill.Options{
-				Workers:     o.BackfillWorkers,
-				Registry:    reg,
-				Checkpoints: partyStore,
-			})
-		}
-		kv := c.kvs[i]
-		inner := core.NewEngine(core.Config{
+		cfg := node.Config{
 			Self:               types.PartyID(i),
 			Keys:               pub,
 			Priv:               privs[i],
-			Beacon:             bcn,
-			Catchup:            asProvider(bfw),
+			Endpoint:           c.hub.Endpoint(types.PartyID(i)),
+			Clock:              clk,
+			Mode:               o.Mode,
 			DeltaBound:         o.DeltaBound,
 			Epsilon:            o.Epsilon,
-			Payload:            c.queues[i],
-			Pool:               pool.Options{Policy: policy},
-			PruneDepth:         pruneDepth,
-			WAL:                partyWAL,
-			Checkpoints:        partyStore,
+			Replica:            c.reps[i],
+			Hooks:              core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) { c.commit(i, b) }},
 			CheckpointInterval: types.Round(o.CheckpointInterval),
-			StateSnapshot:      kv.Snapshot,
-			StateRestore:       kv.Restore,
-			Hooks: core.ObservedHooks(ob, core.Hooks{
-				OnCommit: func(b *types.Block, _ time.Duration) { c.commit(i, b) },
-			}),
-		})
-		if partyWAL != nil {
-			// Replay the persisted rounds (rebuilding the KV through the
-			// OnCommit hook) before the runner starts delivering traffic.
-			if _, err := inner.Recover(); err != nil {
-				return nil, fmt.Errorf("icc: party %d recover: %w", i, err)
-			}
+			PruneDepth:         pruneDepth,
+			VerifyWorkers:      o.VerifyWorkers,
+			GossipFanout:       o.GossipFanout,
+			GossipSeed:         o.GossipSeed,
+			// Every party reports into the shared registry and tracer:
+			// families register idempotently, counters aggregate.
+			Registry: reg,
+			Tracer:   tracer,
+			Health:   c.health,
+			Stats:    c.stats,
 		}
-		var eng engine.Engine = inner
-		switch behavior {
+		if o.WALDir != "" {
+			cfg.Dir = filepath.Join(o.WALDir, fmt.Sprintf("party-%d", i))
+		}
+		switch o.Behaviors[i] {
 		case SilentLeader:
-			eng = adversary.NewSilentLeader(inner)
+			cfg.Wrap = func(e *core.Engine) engine.Engine { return adversary.NewSilentLeader(e) }
 		case EquivocatingLeader:
-			eng = adversary.NewEquivocator(inner, n, privs[i])
+			cfg.Wrap = func(e *core.Engine) engine.Engine { return adversary.NewEquivocator(e, n, privs[i]) }
 		}
-		switch o.Mode {
-		case ICC1:
-			fanout := o.GossipFanout
-			if fanout <= 0 {
-				fanout = defaultFanout(n)
-			}
-			seed := o.GossipSeed
-			if seed == 0 {
-				seed = 42
-			}
-			// Scale-out path: coalesce share gossip into ShareBundle frames
-			// and let relays forward an aggregated certificate once they
-			// hold a quorum of shares. With the verify pipeline in front
-			// (the default) every share reaching the overlay has already
-			// been signature-checked, so relays may combine without
-			// re-verifying (TrustShares). The batch window is adaptive:
-			// an isolated share relays immediately, so idle parties pay
-			// no flush latency and only bursts batch (DESIGN.md §15).
-			g, err := gossip.New(gossip.Config{
-				Self:             types.PartyID(i),
-				N:                n,
-				Fanout:           fanout,
-				Seed:             seed,
-				ShareBatchWindow: 2 * time.Millisecond,
-				AdaptiveBatch:    true,
-				Aggregate:        true,
-				TrustShares:      o.VerifyWorkers >= 0,
-				Keys:             pub,
-			}, eng)
-			if err != nil {
-				return nil, fmt.Errorf("icc: party %d gossip: %w", i, err)
-			}
-			eng = g
-		case ICC2:
-			eng = rbc.Wrap(rbc.Config{Self: types.PartyID(i), N: n}, eng)
+		if c.nodes[i], err = node.New(cfg); err != nil {
+			c.Stop() // release what parties < i already hold
+			return nil, fmt.Errorf("icc: %w", err)
 		}
-		r := runtime.NewRunner(eng, ep, clk, n)
-		r.SetTransportStats(c.stats)
-		r.SetObserver(ob)
-		r.SetBackfillWorker(bfw)
-		if o.VerifyWorkers >= 0 {
-			r.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{
-				Workers:      o.VerifyWorkers,
-				CacheSize:    o.VerifyCacheSize,
-				BehindWindow: o.ResyncWindow,
-				Registry:     reg,
-			}))
-		}
-		c.rnrs = append(c.rnrs, r)
 	}
 	return c, nil
 }
 
-// asProvider converts a possibly-nil worker into the engine's provider
-// field without smuggling a typed-nil interface (which would defeat the
-// engine's nil check and break the synchronous fallback).
-func asProvider(w *backfill.Worker) core.CatchupProvider {
-	if w == nil {
-		return nil
-	}
-	return w
+// keyFile is a durable cluster's key material, kept beside the state it
+// signed.
+type keyFile struct {
+	Public  *keys.Public   `json:"public"`
+	Parties []keys.Private `json:"parties"`
 }
 
-// defaultFanout mirrors the harness default: ≈ 2·log₂(n) + 2.
-func defaultFanout(n int) int {
-	f := 2
-	for v := n; v > 1; v >>= 1 {
-		f += 2
+// clusterKeys deals key material for n parties — or, for a durable
+// cluster, loads what the first run on the directory dealt: the WAL and
+// checkpoints there carry those keys' signatures and beacon shares, and
+// a cluster holding any others replays them but can never extend them.
+func clusterKeys(dir string, n int, scheme aggsig.SchemeID) (*keys.Public, []keys.Private, error) {
+	path := filepath.Join(dir, "keys.json")
+	if dir != "" {
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			var kf keyFile
+			if err := json.Unmarshal(raw, &kf); err != nil {
+				return nil, nil, fmt.Errorf("parsing %s: %w", path, err)
+			}
+			if kf.Public == nil || kf.Public.N != n || len(kf.Parties) != n || kf.Public.CertScheme() != scheme {
+				return nil, nil, fmt.Errorf("%s holds another cluster's keys, not %d parties on %s certificates", path, n, scheme)
+			}
+			return kf.Public, kf.Parties, nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, err
+		}
 	}
-	if f > n-1 {
-		f = n - 1
+	pub, privs, err := keys.DealScheme(rand.Reader, n, scheme)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dealing keys: %w", err)
 	}
-	return f
+	if dir != "" {
+		raw, err := json.Marshal(keyFile{Public: pub, Parties: privs})
+		if err != nil {
+			return nil, nil, fmt.Errorf("encoding keys: %w", err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, err
+		}
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			return nil, nil, err
+		}
+	}
+	return pub, privs, nil
 }
 
-// commit applies a committed block to party i's state machine, wakes
-// commit waiters, and fires the user callback. The gateway observes the
-// commit after the KV apply, so a reader released by the advancing
-// commit index always sees the write.
+// commit counts a block party i committed (its replica has applied it
+// by now), wakes commit waiters, and fires the user callback.
 func (c *LocalCluster) commit(i int, b *types.Block) {
-	_ = c.kvs[i].Apply(b.Payload)
-	c.queues[i].MarkCommitted(b.Payload)
-	c.gws[i].ObserveCommit(uint64(b.Round), b.Payload)
 	c.mu.Lock()
 	c.committed[i]++
 	h := c.onCommit
@@ -647,11 +499,15 @@ func (c *LocalCluster) Start() {
 	addr := c.opts.MetricsAddr
 	c.mu.Unlock()
 	if addr != "" {
+		gws := make([]*gateway.Gateway, c.n)
+		for i, r := range c.reps {
+			gws[i] = r.Gateway
+		}
 		srv, err := obs.Serve(addr, obs.HandlerOptions{
 			Registry: c.reg,
 			Tracer:   c.tracer,
 			Health:   func() obs.Health { return c.health.Health(c.opts.StallAfter) },
-			Ingress:  gateway.NewHandler(c.gws, 0),
+			Ingress:  gateway.NewHandler(gws, 0),
 		})
 		if err == nil {
 			c.mu.Lock()
@@ -659,10 +515,9 @@ func (c *LocalCluster) Start() {
 			c.mu.Unlock()
 		}
 	}
-	for i, r := range c.rnrs {
-		if r != nil {
-			c.gws[i].Start()
-			r.Start()
+	for _, nd := range c.nodes {
+		if nd != nil {
+			nd.Start()
 		}
 	}
 }
@@ -679,24 +534,10 @@ func (c *LocalCluster) Stop() {
 	srv := c.srv
 	c.srv = nil
 	c.mu.Unlock()
-	// Gateways stop first: in-flight receipts resolve with
-	// ErrNotRunning instead of hanging on a cluster that will never
-	// commit again.
-	for _, g := range c.gws {
-		g.Stop()
-	}
-	for _, r := range c.rnrs {
-		if r != nil {
-			r.Stop()
+	for _, nd := range c.nodes {
+		if nd != nil {
+			nd.Stop()
 		}
-	}
-	// Runners are quiesced: flush and close the durability layer so the
-	// last admitted artifacts are on disk and the gauges zero out.
-	for _, w := range c.wals {
-		_ = w.Close()
-	}
-	for _, s := range c.stores {
-		s.Close()
 	}
 	c.hub.Close()
 	_ = srv.Close()
@@ -727,10 +568,10 @@ func (c *LocalCluster) Trace() []TraceEvent { return c.tracer.Events() }
 // commit-index token. The client serves between Start and Stop
 // (ErrNotRunning otherwise); a CrashFromBirth party's client never
 // serves.
-func (c *LocalCluster) Client(party int) *Client { return c.gws[party] }
+func (c *LocalCluster) Client(party int) *Client { return c.reps[party].Gateway }
 
 // KV returns party p's replicated key-value store.
-func (c *LocalCluster) KV(party int) *KV { return c.kvs[party] }
+func (c *LocalCluster) KV(party int) *KV { return c.reps[party].KV }
 
 // CommittedBlocks returns how many blocks party p has committed.
 func (c *LocalCluster) CommittedBlocks(party int) int {
@@ -771,8 +612,8 @@ func (c *LocalCluster) WaitForCommits(min int, timeout time.Duration) bool {
 
 func (c *LocalCluster) minCommittedLocked() int {
 	minC := -1
-	for i, r := range c.rnrs {
-		if r == nil {
+	for i, nd := range c.nodes {
+		if nd == nil {
 			continue // crashed party
 		}
 		if minC < 0 || c.committed[i] < minC {

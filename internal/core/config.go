@@ -198,12 +198,6 @@ type Config struct {
 	// handleStatus — the deterministic choice for simnet and harness.
 	Catchup CatchupProvider
 
-	// ShareCacheSize bounds the beacon own-share cache when the default
-	// beacon is constructed here (Beacon == nil): 0 selects
-	// beacon.DefaultShareCacheSize, negative disables caching. Callers
-	// passing their own Beacon configure the cache on it directly.
-	ShareCacheSize int
-
 	// WAL, if non-nil, receives every artifact the engine admits or
 	// creates, and is flushed (group-commit fsync) before any output
 	// leaves the engine — the sync-before-send invariant that makes a
@@ -250,11 +244,7 @@ func (c Config) withDefaults() Config {
 		c.Payload = EmptyPayload{}
 	}
 	if c.Beacon == nil {
-		b := beacon.New(c.Keys.Beacon, c.Priv.Beacon, c.Self, c.Keys.GenesisSeed)
-		if c.ShareCacheSize != 0 {
-			b.SetShareCacheSize(c.ShareCacheSize)
-		}
-		c.Beacon = b
+		c.Beacon = beacon.New(c.Keys.Beacon, c.Priv.Beacon, c.Self, c.Keys.GenesisSeed)
 	}
 	if c.AdaptiveMax == 0 {
 		c.AdaptiveMax = 6

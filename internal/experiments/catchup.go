@@ -1,21 +1,12 @@
 package experiments
 
 import (
-	"crypto/rand"
 	"fmt"
-	"sync"
 	"time"
 
-	"icc/internal/backfill"
-	"icc/internal/beacon"
-	"icc/internal/clock"
 	"icc/internal/core"
-	"icc/internal/crypto/keys"
-	"icc/internal/pool"
-	rt "icc/internal/runtime"
-	"icc/internal/transport"
+	"icc/internal/node"
 	"icc/internal/types"
-	"icc/internal/verify"
 )
 
 // Catchup measures laggard rejoin end to end (E10, superseding E9's
@@ -23,22 +14,21 @@ import (
 // beacon runs ahead, then a laggard joins from round 1 with an empty
 // pool. Responders must serve it the gap — blocks, notarizations, and
 // one beacon share per round — while the laggard must digest it
-// against the live firehose. Three configurations per gap:
+// against the live firehose. Two configurations per gap:
 //
 //   - inline, no cache: the pre-refactor responder path. Every
 //     catch-up share is threshold-signed synchronously inside
 //     handleStatus, on the responder's engine loop (~4.5ms each; a
 //     128-round batch stalls the loop for over half a second).
-//   - async, flat pipeline: async backfill with warm share caches
-//     (responder side fixed), but the verify pipelines run Flat — one
-//     submission queue, per-artifact aggregate verification, no
-//     shedding. The pre-lanes laggard: at gap 500 its ingest livelocks
-//     (catch-up bundles queue behind live traffic it cannot use) and
-//     convergence DNFs.
-//   - async, lanes + chain (production defaults): catch-up bundles take
-//     a strict-priority resync lane, one verified head admits its
-//     hash-linked prefix, and live rounds beyond the behind-window are
-//     shed at admission.
+//   - async, lanes + chain (what every node runs): shares missing from
+//     the warm own-share cache are signed on the backfill worker;
+//     catch-up bundles take a strict-priority resync lane, one verified
+//     head admits its hash-linked prefix, and live rounds beyond the
+//     behind-window are shed at admission.
+//
+// A third arm — async backfill in front of the single-queue, pre-lane
+// verify pipeline — livelocked at gap 500 and was retired with the
+// pipeline option that selected it; EXPERIMENTS.md keeps its table.
 //
 // Reported per configuration: the slow responder's commit rate in the
 // measurement window before the join (steady) and after it (catch-up),
@@ -58,9 +48,8 @@ func Catchup(scale Scale) *Table {
 	}
 	gaps := []int{50, 200, 500}
 	modes := []catchupMode{
-		{name: "inline, no cache", shareCache: -1, async: false, flat: true},
-		{name: "async, flat pipeline", shareCache: 0, async: true, flat: true},
-		{name: "async, lanes + chain", shareCache: 0, async: true, flat: false},
+		{name: "inline, no cache", shareCache: -1, inline: true},
+		{name: "async, lanes + chain"},
 	}
 	for _, gap := range gaps {
 		g := scale.scaleInt(gap)
@@ -85,9 +74,8 @@ func Catchup(scale Scale) *Table {
 
 type catchupMode struct {
 	name       string
-	shareCache int // core.Config.ShareCacheSize semantics
-	async      bool
-	flat       bool // verify.Options.Flat: single-queue pre-lane pipeline
+	shareCache int  // node.Config.ShareCacheSize
+	inline     bool // node.Config.InlineBackfill
 }
 
 type catchupResult struct {
@@ -105,113 +93,45 @@ func catchupRun(gap int, mode catchupMode) catchupResult {
 		laggard = 3
 	)
 	window := 3 * time.Second
-	pub, privs, err := keys.Deal(rand.Reader, n)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	hub := transport.NewInproc(n)
-	clk := clock.NewWall()
-
-	var mu sync.Mutex
-	commitAt := make([][]time.Time, n)
-	maxRound := make([]types.Round, n)
-
-	runners := make([]*rt.Runner, n)
-	for i := 0; i < n; i++ {
-		i := i
-		pid := types.PartyID(i)
-		bcn := beacon.New(pub.Beacon, privs[i].Beacon, pid, pub.GenesisSeed)
-		if mode.shareCache != 0 {
-			bcn.SetShareCacheSize(mode.shareCache)
-		}
-		ep := hub.Endpoint(pid)
-		var bfw *backfill.Worker
-		var provider core.CatchupProvider
-		if mode.async {
-			bfw = backfill.New(bcn, ep, backfill.Options{})
-			provider = bfw
-		}
-		eng := core.NewEngine(core.Config{
-			Self:       pid,
-			Keys:       pub,
-			Priv:       privs[i],
-			Beacon:     bcn,
-			Catchup: provider,
-			// Well above the cluster's per-round crypto cost so steady
-			// state has CPU headroom: the responders form an exact 3-of-3
-			// finalization quorum, and if the tempo saturates the machine
-			// the laggard's crypto-heavy replay starves their delay
-			// windows and every mode collapses alike. With headroom the
-			// measurement isolates what the refactor changes — whether the
-			// serve burst blocks the engine loop — instead of raw CPU
-			// contention.
-			DeltaBound: 25 * time.Millisecond,
-			Pool:       pool.Options{Policy: pool.VerifyPreVerified},
-			Hooks: core.Hooks{
-				OnCommit: func(b *types.Block, _ time.Duration) {
-					mu.Lock()
-					commitAt[i] = append(commitAt[i], time.Now())
-					if b.Round > maxRound[i] {
-						maxRound[i] = b.Round
-					}
-					mu.Unlock()
-				},
-			},
-		})
-		r := rt.NewRunner(eng, ep, clk, n)
-		r.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{Flat: mode.flat}))
-		r.SetBackfillWorker(bfw)
-		runners[i] = r
-	}
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-		hub.Close()
-	}()
+	log := newCommitLog(n)
+	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
+		// Well above the cluster's per-round crypto cost so steady
+		// state has CPU headroom: the responders form an exact 3-of-3
+		// finalization quorum, and if the tempo saturates the machine
+		// the laggard's crypto-heavy replay starves their delay
+		// windows and every mode collapses alike. With headroom the
+		// measurement isolates what the refactor changes — whether the
+		// serve burst blocks the engine loop — instead of raw CPU
+		// contention.
+		cfg.DeltaBound = 25 * time.Millisecond
+		cfg.ShareCacheSize = mode.shareCache
+		cfg.InlineBackfill = mode.inline
+		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
+	})
+	defer cl.stop()
 
 	// Phase 1: responders build the gap.
-	for i := 0; i < n; i++ {
-		if i != laggard {
-			runners[i].Start()
-		}
-	}
-	frontier := func(i int) types.Round {
-		mu.Lock()
-		defer mu.Unlock()
-		return maxRound[i]
-	}
+	cl.startExcept(laggard)
 	buildDeadline := time.Now().Add(3 * time.Minute)
-	for frontier(0) < types.Round(gap) {
+	for log.frontier(0) < types.Round(gap) {
 		if time.Now().After(buildDeadline) {
 			return catchupResult{dnf: true}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Phase 2: the laggard joins cold — drop whatever its inbox buffered
-	// while it was "down", as a restarted process would have.
-	lagInbox := hub.Endpoint(types.PartyID(laggard)).Inbox()
-drain:
-	for {
-		select {
-		case <-lagInbox:
-		default:
-			break drain
-		}
-	}
+	// Phase 2: the laggard joins cold.
+	cl.dropInbox(laggard)
 	joinAt := time.Now()
-	joinRound := frontier(0)
-	runners[laggard].Start()
+	joinRound := log.frontier(0)
+	cl.nodes[laggard].Start()
 
 	// The acceptance budget: with the resync lane and chain-aware
-	// admission, even gap 500 on one core converges well inside 120 s;
-	// the flat configurations get the same deadline so their DNFs are
-	// comparable.
+	// admission, even gap 500 on one core converges well inside 120 s.
 	converge, dnf := time.Duration(0), true
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		if frontier(laggard) >= joinRound {
+		if log.frontier(laggard) >= joinRound {
 			converge, dnf = time.Since(joinAt), false
 			break
 		}
@@ -221,20 +141,9 @@ drain:
 	if rem := window - time.Since(joinAt); rem > 0 {
 		time.Sleep(rem)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	var before, during int
-	for _, at := range commitAt[0] {
-		switch {
-		case at.After(joinAt.Add(-window)) && at.Before(joinAt):
-			before++
-		case !at.Before(joinAt) && at.Before(joinAt.Add(window)):
-			during++
-		}
-	}
 	return catchupResult{
-		steady:   float64(before) / window.Seconds(),
-		during:   float64(during) / window.Seconds(),
+		steady:   float64(log.between(0, joinAt.Add(-window), joinAt)) / window.Seconds(),
+		during:   float64(log.between(0, joinAt, joinAt.Add(window))) / window.Seconds(),
 		converge: converge,
 		dnf:      dnf,
 	}

@@ -1,24 +1,16 @@
 package experiments
 
 import (
-	"crypto/rand"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"icc/internal/beacon"
-	"icc/internal/checkpoint"
-	"icc/internal/clock"
 	"icc/internal/core"
-	"icc/internal/crypto/keys"
-	"icc/internal/pool"
-	rt "icc/internal/runtime"
-	"icc/internal/transport"
+	"icc/internal/gateway"
+	"icc/internal/node"
 	"icc/internal/types"
-	"icc/internal/verify"
-	"icc/internal/wal"
 )
 
 // Durability measures restart-to-caught-up time against the rounds the
@@ -110,115 +102,31 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 		n      = 4
 		victim = 3
 	)
-	pub, privs, err := keys.Deal(rand.Reader, n)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
 	base, err := os.MkdirTemp("", "icc-e11-*")
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	defer os.RemoveAll(base)
-	hub := transport.NewInproc(n)
-	clk := clock.NewWall()
 
-	var mu sync.Mutex
-	frontier := make([]types.Round, n)
-	states := make([][]byte, n)
-
-	wals := make([]*wal.Log, n)
-	stores := make([]*checkpoint.Store, n)
-	engines := make([]*core.Engine, n)
-	build := func(i int) *rt.Runner {
-		pid := types.PartyID(i)
-		var w *wal.Log
-		var s *checkpoint.Store
-		var ival types.Round
+	log := newCommitLog(n)
+	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
+		cfg.Beacon = beacon.NewSimulated(n, cfg.Self, cfg.Keys.GenesisSeed)
+		cfg.DeltaBound = 25 * time.Millisecond
+		cfg.PruneDepth = e11PruneDepth
+		// The replica is what checkpoints snapshot and a checkpoint
+		// install restores; no client writes to it here.
+		cfg.Replica = node.NewReplica(gateway.Options{Party: i})
+		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
 		if mode.wal {
-			w, err = wal.Open(filepath.Join(base, fmt.Sprintf("party-%d", i), "wal"), wal.Options{})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
+			cfg.Dir = filepath.Join(base, fmt.Sprintf("party-%d", i))
 		}
 		if mode.ckpt {
-			s, err = checkpoint.OpenStore(filepath.Join(base, fmt.Sprintf("party-%d", i), "checkpoints"), checkpoint.StoreOptions{})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			ival = e11Interval
+			cfg.CheckpointInterval = e11Interval
 		}
-		wals[i], stores[i] = w, s
-		mu.Lock()
-		states[i] = nil
-		mu.Unlock()
-		eng := core.NewEngine(core.Config{
-			Self:               pid,
-			Keys:               pub,
-			Priv:               privs[i],
-			Beacon:             beacon.NewSimulated(n, pid, pub.GenesisSeed),
-			DeltaBound:         25 * time.Millisecond,
-			PruneDepth:         e11PruneDepth,
-			WAL:                w,
-			Checkpoints:        s,
-			CheckpointInterval: ival,
-			StateSnapshot: func() []byte {
-				mu.Lock()
-				defer mu.Unlock()
-				return append([]byte(nil), states[i]...)
-			},
-			StateRestore: func(st []byte) error {
-				mu.Lock()
-				defer mu.Unlock()
-				states[i] = append([]byte(nil), st...)
-				return nil
-			},
-			Pool: pool.Options{Policy: pool.VerifyPreVerified},
-			Hooks: core.Hooks{
-				OnCommit: func(b *types.Block, _ time.Duration) {
-					d := b.Hash()
-					mu.Lock()
-					states[i] = append(states[i], d[:]...)
-					if b.Round > frontier[i] {
-						frontier[i] = b.Round
-					}
-					mu.Unlock()
-				},
-			},
-		})
-		if _, err := eng.Recover(); err != nil {
-			panic(fmt.Sprintf("experiments: recover: %v", err))
-		}
-		engines[i] = eng
-		r := rt.NewRunner(eng, hub.Endpoint(pid), clk, n)
-		r.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{}))
-		return r
-	}
+	})
+	defer cl.stop()
+	cl.startExcept(-1)
 
-	runners := make([]*rt.Runner, n)
-	for i := 0; i < n; i++ {
-		runners[i] = build(i)
-	}
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-		for _, w := range wals {
-			_ = w.Close()
-		}
-		for _, s := range stores {
-			s.Close()
-		}
-		hub.Close()
-	}()
-	for _, r := range runners {
-		r.Start()
-	}
-
-	at := func(i int) types.Round {
-		mu.Lock()
-		defer mu.Unlock()
-		return frontier[i]
-	}
 	wait := func(deadline time.Time, cond func() bool) bool {
 		for time.Now().Before(deadline) {
 			if cond() {
@@ -231,59 +139,43 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 
 	// Phase 1: run past at least one checkpoint boundary, then kill -9.
 	warm := types.Round(2 * e11Interval)
-	if !wait(time.Now().Add(2*time.Minute), func() bool { return at(victim) >= warm }) {
+	if !wait(time.Now().Add(2*time.Minute), func() bool { return log.frontier(victim) >= warm }) {
 		return e11Result{dnf: true}
 	}
-	runners[victim].Stop()
-	if wals[victim] != nil {
-		wals[victim].Crash()
-	}
-	if stores[victim] != nil {
-		stores[victim].Close()
-	}
-	killedAt := at(victim)
+	cl.nodes[victim].Kill()
+	killedAt := log.frontier(victim)
 
 	// Phase 2: survivors advance the gap.
-	if !wait(time.Now().Add(3*time.Minute), func() bool { return at(0) >= killedAt+types.Round(gap) }) {
+	if !wait(time.Now().Add(3*time.Minute), func() bool { return log.frontier(0) >= killedAt+types.Round(gap) }) {
 		return e11Result{dnf: true}
 	}
 
-	// Phase 3: restart over the same directories. A dead process's
-	// inbox is gone with it.
-	inbox := hub.Endpoint(types.PartyID(victim)).Inbox()
-drain:
-	for {
-		select {
-		case <-inbox:
-		default:
-			break drain
-		}
-	}
-	mu.Lock()
-	frontier[victim] = 0
-	joinRound := frontier[0]
-	mu.Unlock()
+	// Phase 3: restart over the same directory.
+	cl.dropInbox(victim)
+	log.reset(victim)
+	joinRound := log.frontier(0)
 	recoverStart := time.Now()
-	runners[victim] = build(victim)
+	cl.build(victim)
+	restarted := cl.nodes[victim]
 	res := e11Result{
-		resume:  engines[victim].FinalizedRound(),
+		resume:  restarted.Engine.FinalizedRound(),
 		recover: time.Since(recoverStart),
 	}
 	if res.resume == 0 {
 		res.resume = 1 // cold start: round 1, nothing finalized
 	}
 	restartAt := time.Now()
-	runners[victim].Start()
+	restarted.Start()
 
 	// Phase 4: converge past the restart-time frontier, flag lost, or
 	// give up.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if at(victim) >= joinRound {
+		if log.frontier(victim) >= joinRound {
 			res.converge = time.Since(restartAt)
 			return res
 		}
-		if engines[victim].ResyncLost() != nil {
+		if restarted.Engine.ResyncLost() != nil {
 			res.lost = true
 			return res
 		}

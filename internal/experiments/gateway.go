@@ -2,22 +2,14 @@ package experiments
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"sync"
 	"time"
 
-	"icc/internal/beacon"
-	"icc/internal/clock"
 	"icc/internal/core"
-	"icc/internal/crypto/keys"
 	"icc/internal/gateway"
-	"icc/internal/pool"
-	rt "icc/internal/runtime"
+	"icc/internal/node"
 	"icc/internal/statemachine"
-	"icc/internal/transport"
-	"icc/internal/types"
-	"icc/internal/verify"
 )
 
 // Gateway measures the client-facing ingress end to end (E12): an
@@ -98,76 +90,26 @@ func scaleFactor(s Scale) float64 {
 }
 
 // gatewayCluster is a live 4-party cluster with a gateway per replica,
-// assembled from the internals the facade uses (the experiment measures
-// the gateway layer itself, without facade indirection).
+// built from node.Node like the facade's (the experiment measures the
+// gateway layer itself, without facade indirection).
 type gatewayCluster struct {
-	n       int
-	hub     *transport.Inproc
-	runners []*rt.Runner
-	queues  []*statemachine.Queue
-	kvs     []*statemachine.KV
-	gws     []*gateway.Gateway
+	*liveCluster
+	n   int
+	kvs []*statemachine.KV
+	gws []*gateway.Gateway
 }
 
 func newGatewayCluster() *gatewayCluster {
 	const n = 4
-	pub, privs, err := keys.Deal(rand.Reader, n)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	cl := &gatewayCluster{
-		n:       n,
-		hub:     transport.NewInproc(n),
-		runners: make([]*rt.Runner, n),
-		queues:  make([]*statemachine.Queue, n),
-		kvs:     make([]*statemachine.KV, n),
-		gws:     make([]*gateway.Gateway, n),
-	}
-	clk := clock.NewWall()
-	for i := 0; i < n; i++ {
-		i := i
-		pid := types.PartyID(i)
-		cl.queues[i] = statemachine.NewQueue()
-		cl.kvs[i] = statemachine.NewKV()
-		cl.gws[i] = gateway.New(cl.queues[i], cl.kvs[i], gateway.Options{Party: i})
-		eng := core.NewEngine(core.Config{
-			Self:       pid,
-			Keys:       pub,
-			Priv:       privs[i],
-			Beacon:     beacon.New(pub.Beacon, privs[i].Beacon, pid, pub.GenesisSeed),
-			DeltaBound: 20 * time.Millisecond,
-			Payload:    cl.queues[i],
-			PruneDepth: core.DefaultPruneDepth,
-			Pool:       pool.Options{Policy: pool.VerifyPreVerified},
-			Hooks: core.Hooks{
-				OnCommit: func(b *types.Block, _ time.Duration) {
-					_ = cl.kvs[i].Apply(b.Payload)
-					cl.queues[i].MarkCommitted(b.Payload)
-					cl.gws[i].ObserveCommit(uint64(b.Round), b.Payload)
-				},
-			},
-		})
-		r := rt.NewRunner(eng, cl.hub.Endpoint(pid), clk, n)
-		r.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{}))
-		cl.runners[i] = r
-	}
-	for _, g := range cl.gws {
-		g.Start()
-	}
-	for _, r := range cl.runners {
-		r.Start()
-	}
+	cl := &gatewayCluster{n: n, kvs: make([]*statemachine.KV, n), gws: make([]*gateway.Gateway, n)}
+	cl.liveCluster = newLiveCluster(n, func(i int, cfg *node.Config) {
+		cfg.DeltaBound = 20 * time.Millisecond
+		cfg.PruneDepth = core.DefaultPruneDepth
+		cfg.Replica = node.NewReplica(gateway.Options{Party: i})
+		cl.kvs[i], cl.gws[i] = cfg.Replica.KV, cfg.Replica.Gateway
+	})
+	cl.startExcept(-1)
 	return cl
-}
-
-func (cl *gatewayCluster) stop() {
-	for _, g := range cl.gws {
-		g.Stop()
-	}
-	for _, r := range cl.runners {
-		r.Stop()
-	}
-	cl.hub.Close()
 }
 
 // run performs one load window followed by the correctness probes.

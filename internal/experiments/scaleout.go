@@ -1,19 +1,15 @@
 package experiments
 
 import (
-	"crypto/rand"
 	"fmt"
-	"sync"
 	"time"
 
 	"icc/internal/beacon"
 	"icc/internal/clock"
 	"icc/internal/core"
-	"icc/internal/crypto/keys"
-	"icc/internal/gossip"
 	"icc/internal/harness"
+	"icc/internal/node"
 	"icc/internal/pool"
-	"icc/internal/runtime"
 	"icc/internal/simnet"
 	"icc/internal/transport"
 	"icc/internal/types"
@@ -40,8 +36,8 @@ import (
 // land in the Metrics map for trend tooling (relay aggregation on vs
 // off is the A/B the BENCH json records).
 //
-// A second leg runs n=31 over real TCP loopback with batching and
-// aggregation enabled — same code path the LocalCluster facade ships —
+// A second leg runs n=31 over real TCP loopback on node.New's ICC1
+// stack — the code path the LocalCluster facade and iccnode ship —
 // proving the flush timers and relay aggregation hold up under real
 // sockets and concurrent event loops, not just the discrete-event net.
 func Scaleout(scale Scale) *Table {
@@ -140,15 +136,13 @@ func Scaleout(scale Scale) *Table {
 	return t
 }
 
-// runTCPCluster assembles an n-party real-TCP loopback cluster with the
-// scale-out gossip configuration, waits for every node to commit `want`
-// blocks (or a generous wall deadline), and returns the slowest node's
-// commit count and the elapsed wall seconds.
+// runTCPCluster assembles an n-party real-TCP loopback cluster of ICC1
+// nodes as every deployment runs them (adaptive share batching, relay
+// aggregation, verify pipeline in front), waits for every node to
+// commit `want` blocks (or a generous wall deadline), and returns the
+// slowest node's commit count and the elapsed wall seconds.
 func runTCPCluster(n, want int) (commits int, seconds float64) {
-	pub, privs, err := keys.Deal(rand.Reader, n)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: dealing keys: %v", err))
-	}
+	pub, privs := dealKeys(n)
 	addrs := make(map[types.PartyID]string, n)
 	for i := 0; i < n; i++ {
 		addrs[types.PartyID(i)] = "127.0.0.1:0"
@@ -169,66 +163,36 @@ func runTCPCluster(n, want int) (commits int, seconds float64) {
 			}
 		}
 	}
-	var mu sync.Mutex
-	counts := make([]int, n)
+	log := newCommitLog(n)
 	clk := clock.NewWall()
-	runners := make([]*runtime.Runner, n)
+	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
-		i := i
 		pid := types.PartyID(i)
-		inner := core.NewEngine(core.Config{
-			Self:       pid,
-			Keys:       pub,
-			Priv:       privs[i],
-			Beacon:     beacon.NewSimulated(n, pid, pub.GenesisSeed),
-			DeltaBound: 100 * time.Millisecond,
-			// Honest-only measurement run: trust shares like the simnet
-			// sweeps so the aggregating relays exercise CombineVerified.
-			Pool: pool.Options{Policy: pool.VerifySharesOnly},
-			Hooks: core.Hooks{
-				OnCommit: func(*types.Block, time.Duration) {
-					mu.Lock()
-					counts[i]++
-					mu.Unlock()
-				},
-			},
+		nodes[i] = mustNode(node.Config{
+			Self: pid, Keys: pub, Priv: privs[i], Endpoint: tcps[i], Clock: clk,
+			Mode:         node.ICC1,
+			DeltaBound:   100 * time.Millisecond,
+			Beacon:       beacon.NewSimulated(n, pid, pub.GenesisSeed),
+			GossipFanout: 8,
+			GossipSeed:   1313,
+			Hooks:        core.Hooks{OnCommit: log.hook(i)},
 		})
-		g, err := gossip.New(gossip.Config{
-			Self: pid, N: n, Fanout: 8, Seed: 1313,
-			ShareBatchWindow: 2 * time.Millisecond,
-			Aggregate:        true,
-			TrustShares:      true,
-			Keys:             pub,
-		}, inner)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: gossip: %v", err))
-		}
-		runners[i] = runtime.NewRunner(g, tcps[i], clk, n)
 	}
 	start := time.Now()
-	for _, r := range runners {
-		r.Start()
+	for _, nd := range nodes {
+		nd.Start()
 	}
 	deadline := start.Add(2 * time.Minute)
 	for {
-		mu.Lock()
-		minC := counts[0]
-		for _, c := range counts {
-			if c < minC {
-				minC = c
-			}
-		}
-		mu.Unlock()
-		if minC >= want || time.Now().After(deadline) {
-			commits = minC
+		commits = log.minCommits()
+		if commits >= want || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	seconds = time.Since(start).Seconds()
-	for i := range runners {
-		runners[i].Stop()
-		_ = tcps[i].Close()
+	for _, nd := range nodes {
+		nd.Stop()
 	}
 	if seconds == 0 {
 		seconds = 1

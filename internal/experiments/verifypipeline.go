@@ -1,19 +1,16 @@
 package experiments
 
 import (
-	"crypto/rand"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"icc/internal/beacon"
-	"icc/internal/clock"
 	"icc/internal/core"
 	"icc/internal/crypto/hash"
-	"icc/internal/crypto/keys"
+	"icc/internal/node"
 	"icc/internal/pool"
-	rt "icc/internal/runtime"
 	"icc/internal/transport"
 	"icc/internal/types"
 	"icc/internal/verify"
@@ -39,10 +36,7 @@ func VerifyPipeline(scale Scale) *Table {
 		},
 	}
 
-	pub, privs, err := keys.Deal(rand.Reader, 7)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
+	pub, privs := dealKeys(7)
 	// Pre-sign a batch of distinct notarization shares: the dominant
 	// artifact class on the wire (n−t per round per party).
 	count := scale.scaleInt(3000)
@@ -92,7 +86,7 @@ func VerifyPipeline(scale Scale) *Table {
 
 	// Live cluster: 4 parties over the in-process hub for a fixed
 	// wall-clock window, inline verification vs pipelined admission.
-	window := time.Duration(float64(4*time.Second) * clampScale(scale))
+	window := time.Duration(float64(4*time.Second) * scaleFactor(scale))
 	inline := commitsInWindow(false, window)
 	piped := commitsInWindow(true, window)
 	t.AddRow("live commits", fmt.Sprintf("inline verify, %v window", window), fmt.Sprintf("%.1f blocks/s", inline))
@@ -100,69 +94,23 @@ func VerifyPipeline(scale Scale) *Table {
 	return t
 }
 
-func clampScale(s Scale) float64 {
-	if s <= 0 || s >= 1 {
-		return 1
-	}
-	return float64(s)
-}
-
 // commitsInWindow runs a live 4-party cluster for the window and
 // returns the committed-blocks rate of the slowest party.
 func commitsInWindow(pipelined bool, window time.Duration) float64 {
 	const n = 4
-	pub, privs, err := keys.Deal(rand.Reader, n)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	workers := 0
+	if !pipelined {
+		workers = -1
 	}
-	hub := transport.NewInproc(n)
-	clk := clock.NewWall()
-	var mu sync.Mutex
-	committed := make([]int, n)
-	runners := make([]*rt.Runner, n)
-	for i := 0; i < n; i++ {
-		i := i
-		pid := types.PartyID(i)
-		policy := pool.VerifyFull
-		if pipelined {
-			policy = pool.VerifyPreVerified
-		}
-		eng := core.NewEngine(core.Config{
-			Self:       pid,
-			Keys:       pub,
-			Priv:       privs[i],
-			Beacon:     beacon.NewSimulated(n, pid, pub.GenesisSeed),
-			DeltaBound: 20 * time.Millisecond,
-			Pool:       pool.Options{Policy: policy},
-			Hooks: core.Hooks{
-				OnCommit: func(*types.Block, time.Duration) {
-					mu.Lock()
-					committed[i]++
-					mu.Unlock()
-				},
-			},
-		})
-		r := rt.NewRunner(eng, hub.Endpoint(pid), clk, n)
-		if pipelined {
-			r.SetVerifyPipeline(verify.New(pool.NewVerifier(pub, pool.VerifyFull), verify.Options{}))
-		}
-		runners[i] = r
-	}
-	for _, r := range runners {
-		r.Start()
-	}
+	log := newCommitLog(n)
+	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
+		cfg.Beacon = beacon.NewSimulated(n, cfg.Self, cfg.Keys.GenesisSeed)
+		cfg.DeltaBound = 20 * time.Millisecond
+		cfg.VerifyWorkers = workers
+		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
+	})
+	cl.startExcept(-1)
 	time.Sleep(window)
-	for _, r := range runners {
-		r.Stop()
-	}
-	hub.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	minC := committed[0]
-	for _, c := range committed[1:] {
-		if c < minC {
-			minC = c
-		}
-	}
-	return float64(minC) / window.Seconds()
+	cl.stop()
+	return float64(log.minCommits()) / window.Seconds()
 }

@@ -63,7 +63,7 @@ func TestBeaconOutputInstalledAndRelayed(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
 
 	out := recoveredOutput(t, 7, 1, seed)
 	outs := g.HandleMessage(g.Peers()[0], &types.BeaconOutput{Round: 1, Output: out}, 0)
@@ -97,7 +97,7 @@ func TestBeaconOutputForgedRejectedThenRetried(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
 
 	forged := make([]byte, 32)
 	if outs := g.HandleMessage(g.Peers()[0], &types.BeaconOutput{Round: 1, Output: forged}, 0); len(outs) != 0 {
@@ -125,7 +125,7 @@ func TestBeaconOutputEmittedOnLocalRecovery(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
 
 	q := types.BeaconQuorum(7)
 	var emitted int
@@ -149,7 +149,7 @@ func TestBeaconOutputEmittedOnLocalRecovery(t *testing.T) {
 func TestAdaptiveBatchWindow(t *testing.T) {
 	const window = 10 * time.Millisecond
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: window, AdaptiveBatch: true}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: window, AdaptiveBatch: true}, inner)
 	relayed := func(outs []engine.Output) int {
 		return countKind[*types.BeaconShare](outs) + countKind[*types.ShareBundle](outs)
 	}
@@ -190,7 +190,7 @@ func TestFixedBatchWindowStillDelays(t *testing.T) {
 	// Without AdaptiveBatch the first share waits for the window — the
 	// pre-existing behaviour the adaptive mode improves on.
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: 10 * time.Millisecond}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: 10 * time.Millisecond}, inner)
 	outs := g.HandleMessage(g.Peers()[0], beaconShare(1, 2), 0)
 	if got := countKind[*types.BeaconShare](outs); got != 0 {
 		t.Fatalf("fixed-window share relayed immediately (%d frames)", got)

@@ -133,6 +133,20 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// DefaultFanout is the overlay degree of a cluster that names none:
+// ≈ 2·log₂(n) + 2, clamped to n−1, which keeps the ring-plus-chords
+// graph connected with overwhelming probability.
+func DefaultFanout(n int) int {
+	f := 2
+	for v := n; v > 1; v >>= 1 {
+		f += 2
+	}
+	if f > n-1 {
+		f = n - 1
+	}
+	return f
+}
+
 // Validate checks the configuration. Fanout bounds are enforced, not
 // clamped: a fanout the operator chose that cannot take effect is a
 // deployment mistake worth surfacing.
@@ -309,26 +323,6 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 		// immediately instead of waiting out a full window.
 		lastShareAt: -cfg.ShareBatchWindow,
 	}, nil
-}
-
-// Wrap builds the wrapper, silently clamping an out-of-range fanout.
-//
-// Deprecated: use New, which reports configuration mistakes instead of
-// papering over them.
-func Wrap(cfg Config, inner engine.Engine) *Engine {
-	if cfg.Fanout < 2 {
-		cfg.Fanout = 2
-	}
-	if cfg.Fanout > cfg.N-1 {
-		cfg.Fanout = cfg.N - 1
-	}
-	g, err := New(cfg, inner)
-	if err != nil {
-		// The clamp above removed every fanout-range failure; anything
-		// left is a programming error at the call site.
-		panic(err)
-	}
-	return g
 }
 
 // Peers returns this party's neighbour list.

@@ -112,7 +112,7 @@ func bigMsg() types.Message {
 
 func TestSmallArtifactsEagerPush(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	outs := g.HandleMessage(g.Peers()[0], smallMsg(), 0)
 	// Delivered to inner once.
 	if len(inner.received) != 1 {
@@ -143,7 +143,7 @@ func TestSmallArtifactsEagerPush(t *testing.T) {
 
 func TestLargeArtifactsAdvertised(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	outs := g.HandleMessage(g.Peers()[0], bigMsg(), 0)
 	if len(inner.received) != 1 {
 		t.Fatalf("inner received %d", len(inner.received))
@@ -164,7 +164,7 @@ func TestLargeArtifactsAdvertised(t *testing.T) {
 
 func TestAdvertRequestServe(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	big := bigMsg()
 	g.HandleMessage(g.Peers()[0], big, 0) // now stored
 
@@ -186,7 +186,7 @@ func TestAdvertRequestServe(t *testing.T) {
 
 func TestAdvertSingleFlightWithRetry(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1, RequestRetry: 100 * time.Millisecond}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, RequestRetry: 100 * time.Millisecond}, inner)
 	ref := types.RefOf(bigMsg())
 	adv := &types.Advert{Refs: []types.Ref{ref}}
 	outs := g.HandleMessage(g.Peers()[0], adv, 0)
@@ -233,7 +233,7 @@ func TestAdvertSingleFlightWithRetry(t *testing.T) {
 
 func TestCertificateStatementDedup(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	stmt := func(agg []byte) *types.Notarization {
 		return &types.Notarization{Round: 3, Proposer: 1, BlockHash: [32]byte{7}, Agg: agg}
 	}
@@ -260,7 +260,7 @@ func TestInnerBroadcastsSplitAndGossiped(t *testing.T) {
 	inner := &sink{id: 0, initOut: []engine.Output{
 		engine.Broadcast(&types.Bundle{Messages: []types.Message{big, small}}),
 	}}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	outs := g.Init(0)
 	var adverts, pushes int
 	for _, o := range outs {
@@ -281,7 +281,7 @@ func TestInnerBroadcastsSplitAndGossiped(t *testing.T) {
 
 func TestStoreEviction(t *testing.T) {
 	inner := &sink{id: 0}
-	g := Wrap(Config{Self: 0, N: 4, Fanout: 2, Seed: 1, MaxStore: 4}, inner)
+	g := mustNew(t, Config{Self: 0, N: 4, Fanout: 2, Seed: 1, MaxStore: 4}, inner)
 	var refs []types.Ref
 	for i := 0; i < 8; i++ {
 		m := &types.BeaconShare{Round: types.Round(i + 1), Signer: 1, Share: []byte{byte(i)}}
@@ -301,7 +301,7 @@ func TestUnicastPassThrough(t *testing.T) {
 	inner := &sink{id: 0, initOut: []engine.Output{
 		engine.Unicast(3, smallMsg()),
 	}}
-	g := Wrap(Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 	outs := g.Init(0)
 	if len(outs) != 1 || outs[0].To != 3 || outs[0].Broadcast {
 		t.Fatalf("unicast not passed through: %v", outs)

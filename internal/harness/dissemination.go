@@ -19,7 +19,7 @@ func (c *Cluster) wrapDissemination(pid types.PartyID, inner engine.Engine) (eng
 	case ICC1:
 		fanout := c.Opts.GossipFanout
 		if fanout <= 0 {
-			fanout = defaultFanout(c.Opts.N)
+			fanout = gossip.DefaultFanout(c.Opts.N)
 		}
 		cfg := gossip.Config{
 			Self:             pid,
@@ -51,17 +51,4 @@ func (c *Cluster) wrapDissemination(pid types.PartyID, inner engine.Engine) (eng
 	default:
 		return inner, nil
 	}
-}
-
-// defaultFanout chooses a gossip fanout that keeps the overlay connected
-// with overwhelming probability: ≈ 2·log2(n) + 2, clamped to n−1.
-func defaultFanout(n int) int {
-	f := 2
-	for v := n; v > 1; v >>= 1 {
-		f += 2
-	}
-	if f > n-1 {
-		f = n - 1
-	}
-	return f
 }

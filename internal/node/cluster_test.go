@@ -1,0 +1,242 @@
+package node
+
+import (
+	"crypto/rand"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"icc/internal/beacon"
+	"icc/internal/clock"
+	"icc/internal/core"
+	"icc/internal/crypto/hash"
+	"icc/internal/crypto/keys"
+	"icc/internal/metrics"
+	"icc/internal/obs"
+	"icc/internal/transport"
+	"icc/internal/types"
+)
+
+// testCluster is n parties assembled with New, on the in-process hub or
+// on TCP loopback, with every commit logged from outside. A party the
+// test never builds keeps its endpoint free for the test to drive.
+type testCluster struct {
+	t     *testing.T
+	n     int
+	pub   *keys.Public
+	privs []keys.Private
+	hub   *transport.Inproc // nil on TCP
+	tcps  []*transport.TCP  // nil in process
+	stats []*metrics.TransportStats
+	clk   clock.Clock
+	reg   *obs.Registry
+	nodes []*Node
+	eps   []transport.Endpoint // what each node was built on: endpoint(i), or a fault layer over it
+
+	mu       sync.Mutex
+	commits  []map[types.Round]hash.Digest
+	at       [][]time.Time
+	frontier []types.Round
+}
+
+func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
+	t.Helper()
+	pub, privs, err := keys.Deal(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &testCluster{
+		t: t, n: n, pub: pub, privs: privs,
+		clk:      clock.NewWall(),
+		reg:      obs.NewRegistry(),
+		nodes:    make([]*Node, n),
+		eps:      make([]transport.Endpoint, n),
+		stats:    make([]*metrics.TransportStats, n),
+		commits:  make([]map[types.Round]hash.Digest, n),
+		at:       make([][]time.Time, n),
+		frontier: make([]types.Round, n),
+	}
+	for i := range c.commits {
+		c.commits[i] = make(map[types.Round]hash.Digest)
+		c.stats[i] = metrics.NewTransportStats()
+	}
+	if !tcp {
+		c.hub = transport.NewInproc(n)
+	} else {
+		// Every endpoint listens on a port the kernel picks; only then can
+		// each be told where its peers landed.
+		addrs := make(map[types.PartyID]string, n)
+		for i := 0; i < n; i++ {
+			addrs[types.PartyID(i)] = "127.0.0.1:0"
+		}
+		c.tcps = make([]*transport.TCP, n)
+		for i := range c.tcps {
+			c.tcps[i], err = transport.NewTCPWithOptions(types.PartyID(i), addrs,
+				transport.TCPOptions{Stats: c.stats[i], RedialMax: 500 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ep := range c.tcps {
+			for j, peer := range c.tcps {
+				if i != j {
+					ep.SetPeerAddr(types.PartyID(j), peer.Addr())
+				}
+			}
+		}
+	}
+	t.Cleanup(func() {
+		for _, nd := range c.nodes {
+			if nd != nil {
+				nd.Stop()
+			}
+		}
+		if c.hub != nil {
+			c.hub.Close()
+		}
+		for _, ep := range c.tcps {
+			_ = ep.Close() // a party that never got a node still holds its socket
+		}
+	})
+	return c
+}
+
+// endpoint is party i's raw attachment to the cluster's transport.
+func (c *testCluster) endpoint(i int) transport.Endpoint {
+	if c.hub != nil {
+		return c.hub.Endpoint(types.PartyID(i))
+	}
+	return c.tcps[i]
+}
+
+// build assembles party i (again, for a restart): a simulated beacon,
+// the shared registry, two verify workers, the commit log — and whatever
+// conf changes on top.
+func (c *testCluster) build(i int, conf func(cfg *Config)) *Node {
+	c.t.Helper()
+	pid := types.PartyID(i)
+	cfg := Config{
+		Self: pid, Keys: c.pub, Priv: c.privs[i],
+		Endpoint:      c.endpoint(i),
+		Clock:         c.clk,
+		Beacon:        beacon.NewSimulated(c.n, pid, c.pub.GenesisSeed),
+		DeltaBound:    50 * time.Millisecond,
+		VerifyWorkers: 2,
+		Registry:      c.reg,
+		Stats:         c.stats[i],
+		Hooks: core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) {
+			c.mu.Lock()
+			c.commits[i][b.Round] = b.Hash()
+			c.at[i] = append(c.at[i], time.Now())
+			if b.Round > c.frontier[i] {
+				c.frontier[i] = b.Round
+			}
+			c.mu.Unlock()
+		}},
+	}
+	if conf != nil {
+		conf(&cfg)
+	}
+	nd, err := New(cfg)
+	if err != nil {
+		c.t.Fatalf("party %d: %v", i, err)
+	}
+	c.nodes[i], c.eps[i] = nd, cfg.Endpoint
+	return nd
+}
+
+// buildAll assembles and starts parties 0..live−1.
+func (c *testCluster) buildAll(live int, conf func(i int, cfg *Config)) {
+	c.t.Helper()
+	for i := 0; i < live; i++ {
+		i := i
+		c.build(i, func(cfg *Config) {
+			if conf != nil {
+				conf(i, cfg)
+			}
+		})
+	}
+	for _, nd := range c.nodes[:live] {
+		nd.Start()
+	}
+}
+
+func (c *testCluster) committed(i int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.at[i])
+}
+
+func (c *testCluster) round(i int) types.Round {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.frontier[i]
+}
+
+// dropInbox discards what party i's inbox buffered while it was down.
+func (c *testCluster) dropInbox(i int) {
+	inbox := c.eps[i].Inbox()
+	for {
+		select {
+		case _, ok := <-inbox:
+			if !ok {
+				return
+			}
+		default:
+			return
+		}
+	}
+}
+
+// waitCommits waits until each of parties has committed want blocks.
+func (c *testCluster) waitCommits(parties []int, want int, timeout time.Duration) {
+	c.t.Helper()
+	waitFor(c.t, timeout, fmt.Sprintf("no %d commits on every party of %v", want, parties), func() bool {
+		for _, i := range parties {
+			if c.committed(i) < want {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// checkAgreement asserts safety: any two parties that committed a round
+// committed the same block in it.
+func (c *testCluster) checkAgreement() {
+	c.t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := make(map[types.Round]hash.Digest)
+	for i, log := range c.commits {
+		for k, h := range log {
+			if first, ok := seen[k]; !ok {
+				seen[k] = h
+			} else if first != h {
+				c.t.Fatalf("SAFETY VIOLATION: party %d committed %s in round %d, another party %s", i, h.Short(), k, first.Short())
+			}
+		}
+	}
+}
+
+func all(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// waitFor polls cond until it holds or the timeout elapses.
+func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatal(msg)
+}

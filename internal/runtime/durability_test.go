@@ -7,7 +7,10 @@ package runtime
 // + WAL replay, rejoin over the real transport, and converge back to
 // the live frontier with a state identical to its peers' — while a
 // second node runs the whole time on a WAL whose fsync fails, proving
-// an I/O-degraded log never blocks consensus.
+// an I/O-degraded log never blocks consensus. Wired by hand rather than
+// through internal/node (whose TestKillRestartResumes covers the plain
+// restart): the fsync fault goes in through wal.Options.Fault, a seam
+// only a test wants.
 
 import (
 	"bytes"
@@ -113,8 +116,7 @@ func TestKillNineRestartResumesFromDurableState(t *testing.T) {
 			},
 			// Production configuration: a verify pipeline per party with
 			// the pool admitting pre-verified input — inline VerifyFull
-			// under -race cannot keep the round cadence (see
-			// rejoin_test.go for the same reasoning).
+			// under -race cannot keep the round cadence.
 			Pool: pool.Options{Policy: pool.VerifyPreVerified},
 			Hooks: core.Hooks{
 				OnCommit: func(b *types.Block, _ time.Duration) {
@@ -241,4 +243,17 @@ drain:
 	if compared == 0 {
 		t.Fatal("no common committed rounds between restarted node and survivors")
 	}
+}
+
+// waitFor polls cond until it holds or the timeout elapses.
+func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatal(msg)
 }

@@ -85,11 +85,6 @@ type Options struct {
 	// never shed). Shed artifacts count as
 	// icc_verify_rejects_total{reason="behind"}.
 	BehindWindow int
-	// Flat disables the lane split, chain-aware resync verification,
-	// and behind-shedding, restoring the single-queue pre-lane
-	// behaviour. Exists for A/B measurement (experiment E10) and as an
-	// escape hatch; production keeps it false.
-	Flat bool
 	// Registry receives the pipeline's instruments (nil → none).
 	Registry *obs.Registry
 	// OnReject, if set, observes every artifact the pipeline drops,
@@ -121,7 +116,6 @@ type Pipeline struct {
 	cache *digestCache
 	stmts *digestCache // verified aggregate statements (kind, round, proposer, blockHash)
 
-	flat   bool
 	window uint64 // behind-shedding window in rounds
 	shed   bool   // shedding enabled
 
@@ -177,9 +171,8 @@ func New(v pool.Verifier, opts Options) *Pipeline {
 		done:     make(chan struct{}),
 		cache:    newDigestCache(opts.CacheSize),
 		stmts:    newDigestCache(opts.CacheSize),
-		flat:     opts.Flat,
 		window:   uint64(max(window, 0)),
-		shed:     window > 0 && !opts.Flat,
+		shed:     window > 0,
 		onReject: opts.OnReject,
 	}
 	if reg := opts.Registry; reg != nil {
@@ -236,9 +229,6 @@ func (p *Pipeline) behind() (uint64, bool) {
 // whose aggregates sit well below the observed frontier (catch-up
 // content from a sender predating the marker). Everything else is live.
 func (p *Pipeline) classify(m types.Message) lane {
-	if p.flat {
-		return laneLive
-	}
 	b, ok := m.(*types.Bundle)
 	if !ok {
 		return laneLive
@@ -524,7 +514,7 @@ func (p *Pipeline) handle(env transport.Envelope, ln lane) bool {
 func (p *Pipeline) process(from types.PartyID, m types.Message) (types.Message, bool) {
 	switch v := m.(type) {
 	case *types.Bundle:
-		if v.Resync && !p.flat {
+		if v.Resync {
 			return p.processResync(from, v)
 		}
 		kept := make([]types.Message, 0, len(v.Messages))

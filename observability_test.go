@@ -22,7 +22,7 @@ func TestOptionValidation(t *testing.T) {
 		{"negative delta bound", []Option{WithDeltaBound(-time.Second)}},
 		{"negative epsilon", []Option{WithEpsilon(-time.Second)}},
 		{"negative max batch", []Option{WithMaxBatch(-1)}},
-		{"negative fanout", []Option{WithGossipFanout(-2)}},
+		{"negative fanout", []Option{WithGossipTopology(-2, 0)}},
 		{"negative stall after", []Option{WithStallAfter(-time.Second)}},
 		{"behavior party too high", []Option{WithBehavior(4, SilentLeader)}},
 		{"behavior party negative", []Option{WithBehavior(-1, SilentLeader)}},
@@ -35,7 +35,7 @@ func TestOptionValidation(t *testing.T) {
 		})
 	}
 	// Zero values select defaults rather than erroring.
-	if _, err := NewLocalCluster(4, WithMaxBatch(0), WithGossipFanout(0), WithStallAfter(0)); err != nil {
+	if _, err := NewLocalCluster(4, WithMaxBatch(0), WithGossipTopology(0, 0), WithStallAfter(0)); err != nil {
 		t.Fatalf("zero-valued options rejected: %v", err)
 	}
 }
