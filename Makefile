@@ -42,10 +42,12 @@ bench-scale:
 bench-suite:
 	$(GO) run -C bench . --workload all
 
-# Parent commit against the working tree on one workload: >= 10 alternating
-# pairs, then the bench's -compare of the two sets of records and the count
-# of pairs won. PARENT (default HEAD) and PAIRS (default 10) override.
+# Parent commit against the working tree on one workload, or on the four of
+# BENCHMARK.json in turn with WORKLOAD=all (~35 min): >= 10 alternating
+# pairs each, the count of pairs won, then one bench -compare table of the
+# two sets of records. PARENT (default HEAD) and PAIRS (default 10) override.
 #   make bench-pair WORKLOAD=steady-n4
+#   make bench-pair WORKLOAD=all
 bench-pair:
 	scripts/bench-pair.sh $(WORKLOAD) $(PAIRS)
 
@@ -62,13 +64,14 @@ assembly-check:
 		| grep -vE '^\./(internal/node|internal/harness|bench)/'; then \
 		echo 'assembly-check: build nodes with internal/node.New, not by hand' >&2; exit 1; fi
 
-# Adversary campaign under the race detector: the matrix sweep plus the
-# threshold-boundary withholding tests. A failing cell prints the path of
-# a replayable JSONL trace; re-run it with
+# Adversary campaign under the race detector: the matrix sweep, the
+# threshold-boundary withholding tests, and the delegated-payload ordering
+# test (forked rounds, offers cut against the block that lost). A failing
+# cell prints the path of a replayable JSONL trace; re-run it with
 #   go test ./internal/harness -run TestCampaignFailureReplaysByteIdentical
 # or feed the path to harness.ReplayTrace / harness.Shrink directly.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers' ./internal/harness
+	$(GO) test -race -count=1 -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds' ./internal/harness
 
 # Tier-2 verify: static analysis, the one-assembly check, race detection
 # on the layers where goroutines, channels, and sockets actually

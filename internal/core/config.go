@@ -40,6 +40,36 @@ type PayloadSource interface {
 	GetPayload(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte
 }
 
+// DelegatedPayloadSource is a PayloadSource that can also carry other
+// parties' commands. The engine asks GetPayload what this party would
+// propose on a block it has just notarization-shared and hands the answer
+// to the next round's leader (types.PayloadOffer); the leader passes the
+// offers cut against the very parent it builds on to GetPayloadWith, in
+// the order they should be drawn on (it rotates with the round, so no
+// sender is always last when a block fills up). A source without this
+// method neither offers nor merges: its commands wait for their own
+// party's turn to lead, as before.
+//
+// GetPayloadWith with no delegated payloads must equal GetPayload, the
+// result must respect the same size bounds, and a delegated payload is
+// untrusted input from another party.
+type DelegatedPayloadSource interface {
+	PayloadSource
+	GetPayloadWith(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, delegated [][]byte) []byte
+}
+
+// Outcomes of a payload offer, as OnPayloadOffer reports them: one
+// OfferSent on the sending side, at most one of the others per offer
+// received (none for an offer its sender superseded, or addressed to a
+// round this party did not propose in).
+const (
+	OfferSent           = "sent"            // handed to the next round's leader
+	OfferMerged         = "merged"          // passed to GetPayloadWith for this party's proposal
+	OfferLate           = "late"            // arrived after this party proposed, or for a past round
+	OfferParentMismatch = "parent_mismatch" // cut against a block other than the one proposed on
+	OfferRefused        = "refused"         // above MaxPayload, or from no party of this cluster
+)
+
 // EmptyPayload proposes empty payloads (useful for protocol-only tests
 // and the "without load" scenario of Table 1).
 type EmptyPayload struct{}
@@ -122,6 +152,13 @@ type Hooks struct {
 	// OnCheckpointServed fires when the party answers a behind-horizon
 	// peer's Status with its latest certified checkpoint (round k).
 	OnCheckpointServed func(peer types.PartyID, k types.Round, now time.Duration)
+	// OnPayloadOffer fires once for every payload offer this party sends
+	// (outcome OfferSent, peer the next round's leader) and once for every
+	// offer it receives (peer the sender), with the round the offer is for,
+	// its payload size and one of the Offer* outcomes. The ratio of
+	// OfferLate to OfferMerged is how often an offer loses the race
+	// against the leader's n−t-th notarization share.
+	OnPayloadOffer func(peer types.PartyID, k types.Round, payloadBytes int, outcome string, now time.Duration)
 	// OnResyncLost fires once when the party detects that its gap to the
 	// cluster's finalization frontier exceeds PruneDepth with no
 	// checkpoint path configured: peers have pruned the artifacts it
@@ -162,8 +199,9 @@ type Config struct {
 	// Payload builds block payloads; defaults to EmptyPayload.
 	Payload PayloadSource
 
-	// MaxPayload rejects oversized incoming block payloads (0 = no
-	// limit); an application-specific validity condition (§3.4).
+	// MaxPayload rejects oversized incoming block payloads, and payload
+	// offers likewise (0 = no limit); an application-specific validity
+	// condition (§3.4).
 	MaxPayload int
 
 	Hooks Hooks

@@ -33,6 +33,12 @@ type choreography struct {
 }
 
 func newChoreography(t *testing.T, n int, underTestRank int, deltaBound time.Duration) *choreography {
+	return newChoreographyWith(t, n, underTestRank, deltaBound, nil)
+}
+
+// newChoreographyWith lets a test set further fields of the engine's
+// config (payload source, hooks, limits) before the engine is built.
+func newChoreographyWith(t *testing.T, n int, underTestRank int, deltaBound time.Duration, conf func(*Config)) *choreography {
 	t.Helper()
 	pub, privs, err := keys.Deal(rand.Reader, n)
 	if err != nil {
@@ -61,12 +67,16 @@ func newChoreography(t *testing.T, n int, underTestRank int, deltaBound time.Dur
 
 	// Build the engine for the party of the requested rank.
 	self := perm[underTestRank]
-	c.eng = NewEngine(Config{
+	cfg := Config{
 		Self:       self,
 		Keys:       pub,
 		Priv:       privs[self],
 		DeltaBound: deltaBound,
-	})
+	}
+	if conf != nil {
+		conf(&cfg)
+	}
+	c.eng = NewEngine(cfg)
 	return c
 }
 
@@ -74,6 +84,12 @@ func newChoreography(t *testing.T, n int, underTestRank int, deltaBound time.Dur
 // enters round 1 at time 0.
 func (c *choreography) start() {
 	c.outs = append(c.outs, c.eng.Init(0)...)
+	c.enterRound1()
+}
+
+// enterRound1 is the second half of start, for tests that have something
+// to deliver between Init and the round.
+func (c *choreography) enterRound1() {
 	for i := 0; i < c.n; i++ {
 		pid := types.PartyID(i)
 		if pid == c.eng.ID() {

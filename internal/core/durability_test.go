@@ -79,6 +79,9 @@ type durableOptions struct {
 	// engine gets it; a wrapper with an attach(*Engine) method is handed
 	// the engine built over it.
 	wrapBeacon func(beacon.Source) beacon.Source
+	// conf, if set, gets the last word on party i's engine config, every
+	// time an engine is built for it.
+	conf func(i int, cfg *Config)
 }
 
 func newDurableHarness(t testing.TB, opts durableOptions) *durableHarness {
@@ -147,7 +150,7 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 			src = h.opts.wrapBeacon(src)
 		}
 	}
-	eng := NewEngine(Config{
+	cfg := Config{
 		Self:               types.PartyID(i),
 		Keys:               h.pub,
 		Priv:               h.privs[i],
@@ -167,7 +170,11 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 				h.stateAt[i][b.Round] = st.snapshot()
 			},
 		},
-	})
+	}
+	if h.opts.conf != nil {
+		h.opts.conf(i, &cfg)
+	}
+	eng := NewEngine(cfg)
 	if a, ok := src.(interface{ attach(*Engine) }); ok {
 		a.attach(eng)
 	}

@@ -61,6 +61,11 @@ type Engine struct {
 	ckpts     map[types.Round]*pendingCheckpoint
 	ckptPub   aggsig.Scheme // S_final keys at t+1 under DomainCheckpoint
 
+	// Delegated payloads (delegate.go): the payload source's merging half,
+	// nil when it has none, and the latest offer held per sender.
+	delegate DelegatedPayloadSource
+	offers   []*types.PayloadOffer
+
 	out []engine.Output
 }
 
@@ -77,7 +82,9 @@ func NewEngine(cfg Config) *Engine {
 		catchup: newCatchup(cfg),
 		ckpts:   make(map[types.Round]*pendingCheckpoint),
 		ckptPub: checkpoint.PublicInfo(cfg.Keys),
+		offers:  make([]*types.PayloadOffer, cfg.Keys.N),
 	}
+	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)
 	e.resetRoundState()
 	return e
 }
@@ -255,6 +262,8 @@ func (e *Engine) ingest(from types.PartyID, m types.Message, now time.Duration) 
 		e.handleCheckpointMsg(from, v, now)
 	case *types.Status:
 		e.handleStatus(from, v, now)
+	case *types.PayloadOffer:
+		e.acceptOffer(from, v, now)
 	default:
 		// Gossip and RBC messages are handled by wrapper engines; a bare
 		// ICC0 engine ignores them.
@@ -455,6 +464,7 @@ func (e *Engine) tryFinishRound(now time.Duration) bool {
 		e.cfg.Hooks.OnFinishRound(k, now)
 	}
 	e.adaptDelays()
+	e.dropOffers(k)
 	e.round = k + 1
 	e.resetRoundState()
 	e.waitSince = now
@@ -497,7 +507,12 @@ func (e *Engine) tryPropose(now time.Duration) bool {
 		return false // cannot happen: round k−1 finished with one
 	}
 	parent := e.pool.Block(parentHash)
-	payload := e.cfg.Payload.GetPayload(k, parent, e.pool.Block)
+	var payload []byte
+	if e.delegate != nil {
+		payload = e.delegate.GetPayloadWith(k, parent, e.pool.Block, e.delegatedFor(k, parentHash, now))
+	} else {
+		payload = e.cfg.Payload.GetPayload(k, parent, e.pool.Block)
+	}
 	b := &types.Block{Round: k, Proposer: e.cfg.Self, ParentHash: parentHash, Payload: payload}
 	h := b.Hash()
 	auth := &types.Authenticator{
@@ -603,7 +618,9 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			if nz := e.pool.Notarization(b.ParentHash); nz != nil {
 				bundle.Messages = append(bundle.Messages, nz)
 			}
-			e.emit(bundle)
+			// The echo exists so that every honest party gets the block;
+			// its proposer has it.
+			e.out = append(e.out, engine.BroadcastExcept(b.Proposer, bundle))
 		}
 		if e.rankShared[c.rank] {
 			// Second distinct block of this rank: the proposer
@@ -623,6 +640,9 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			if added, _ := e.pool.AddNotarizationShare(ns); added {
 				e.logArtifact(ns)
 			}
+			// Ahead of the share: the share may be the one that lets the
+			// next leader finish this round and propose.
+			e.offerPayload(b, c.h, now)
 			e.emit(ns)
 			if e.cfg.Hooks.OnNotarizationShare != nil {
 				e.cfg.Hooks.OnNotarizationShare(e.round, now)

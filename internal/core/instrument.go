@@ -101,6 +101,12 @@ func ObservedHooks(ob *obs.Observer, base Hooks) Hooks {
 				base.OnCheckpointServed(peer, k, now)
 			}
 		},
+		OnPayloadOffer: func(peer types.PartyID, k types.Round, payloadBytes int, outcome string, now time.Duration) {
+			ob.PayloadOffer(int(peer), uint64(k), payloadBytes, outcome)
+			if base.OnPayloadOffer != nil {
+				base.OnPayloadOffer(peer, k, payloadBytes, outcome, now)
+			}
+		},
 		OnResyncLost: func(gap types.Round, now time.Duration) {
 			ob.ResyncLost(uint64(gap), now)
 			if base.OnResyncLost != nil {

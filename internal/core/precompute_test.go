@@ -311,6 +311,7 @@ type observingSource struct {
 	behindOutput int
 	beforeCommit int
 	inReplay     int
+	leaderAsks   int // Leader(round+1): the payload-offer path's one call
 }
 
 func (o *observingSource) attach(e *Engine) { o.eng = e }
@@ -334,6 +335,13 @@ func (o *observingSource) note(ahead bool) {
 func (o *observingSource) Reveal(k types.Round) (hash.Digest, bool) {
 	o.note(k == o.eng.round+1)
 	return o.Source.Reveal(k)
+}
+
+func (o *observingSource) Leader(k types.Round) (types.PartyID, bool) {
+	if k == o.eng.round+1 {
+		o.leaderAsks++
+	}
+	return o.Source.Leader(k)
 }
 
 func (o *observingSource) ShareForRound(k types.Round) (*types.BeaconShare, error) {

@@ -18,13 +18,29 @@ import (
 
 // Output is one transmission requested by an engine.
 type Output struct {
-	To        types.PartyID // destination when Broadcast is false
+	// To is the destination when Broadcast is false, and the one party
+	// left out when Broadcast and Except are both set.
+	To        types.PartyID
 	Broadcast bool
-	Msg       types.Message
+	// Except narrows a broadcast to every other party but To. It is a
+	// flag of its own because the zero PartyID is a real party.
+	Except bool
+	Msg    types.Message
 }
 
 // Broadcast wraps a message for transmission to all other parties.
 func Broadcast(m types.Message) Output { return Output{Broadcast: true, Msg: m} }
+
+// BroadcastExcept wraps a message for transmission to all other parties
+// but one, which is known to hold it already. Hosts that send to each
+// party directly honour the exception; a dissemination layer that turns
+// broadcasts into something else may treat it as a plain broadcast.
+func BroadcastExcept(skip types.PartyID, m types.Message) Output {
+	return Output{To: skip, Broadcast: true, Except: true, Msg: m}
+}
+
+// Skips reports whether a broadcast output leaves party p out.
+func (o Output) Skips(p types.PartyID) bool { return o.Except && o.To == p }
 
 // Unicast wraps a message for transmission to a single party. The core
 // ICC0/ICC1 protocols only ever broadcast (paper §3.1); unicast exists

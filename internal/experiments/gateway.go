@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"icc/internal/gateway"
 	"icc/internal/node"
 	"icc/internal/statemachine"
+	"icc/internal/types"
 )
 
 // Gateway measures the client-facing ingress end to end (E12): an
@@ -30,9 +32,11 @@ func Gateway(scale Scale) *Table {
 	t := &Table{
 		ID:      "E12",
 		Title:   "client gateway: open-loop submit→finalize latency, backpressure, read-your-writes",
-		Columns: []string{"rate", "skew", "submitted", "acked", "rejected", "p50", "p99", "ryw", "ack<final"},
+		Columns: []string{"rate", "skew", "submitted", "acked", "rejected", "p50", "p99", "wait", "order", "ack", "offers", "ryw", "ack<final"},
 		Notes: []string{
 			"4 parties, in-process transport, Δbnd 20ms, open-loop load for the configured window",
+			"wait / order / ack: the three stages of the p50, as medians — admitted → the block that committed the command is proposed; that proposal → the admitting party commits it; that commit → the client's waiter wakes",
+			"offers: payload offers merged : late (all parties), the rounds in which a command could ride another party's block",
 			"ryw: read-your-writes probes (write via one party, read with token on every party) — violations/probes",
 			"ack<final: acked commands not present in finalized local state at ack time (must be 0)",
 			"rejected: ErrBacklogFull admission rejections (lost open-loop ticks, never queued)",
@@ -54,7 +58,9 @@ func Gateway(scale Scale) *Table {
 	cl := newGatewayCluster()
 	defer cl.stop()
 	for i, cfg := range configs {
+		cl.stages.reset()
 		rep, probes, rywViol, ackViol := cl.run(cfg.rate, cfg.skew, window, uint64(1000*(i+1)))
+		st := cl.stages.report()
 		skew := "uniform"
 		if cfg.skew > 0 {
 			skew = fmt.Sprintf("zipf %.1f", cfg.skew)
@@ -67,12 +73,21 @@ func Gateway(scale Scale) *Table {
 			fmt.Sprintf("%d", rep.Rejected),
 			fmt.Sprintf("%.1fms", rep.P50.Seconds()*1000),
 			fmt.Sprintf("%.1fms", rep.P99.Seconds()*1000),
+			fmt.Sprintf("%.1fms", st.wait.Seconds()*1000),
+			fmt.Sprintf("%.1fms", st.order.Seconds()*1000),
+			fmt.Sprintf("%.1fms", st.ack.Seconds()*1000),
+			fmt.Sprintf("%d:%d", st.merged, st.late),
 			fmt.Sprintf("%d/%d", rywViol, probes),
 			fmt.Sprintf("%d", ackViol),
 		)
 		prefix := fmt.Sprintf("rate%d_%s", cfg.rate, map[bool]string{true: "zipf", false: "uniform"}[cfg.skew > 0])
 		t.SetMetric(prefix+"_p50_ms", rep.P50.Seconds()*1000)
 		t.SetMetric(prefix+"_p99_ms", rep.P99.Seconds()*1000)
+		t.SetMetric(prefix+"_stage_wait_p50_ms", st.wait.Seconds()*1000)
+		t.SetMetric(prefix+"_stage_order_p50_ms", st.order.Seconds()*1000)
+		t.SetMetric(prefix+"_stage_ack_p50_ms", st.ack.Seconds()*1000)
+		t.SetMetric(prefix+"_offers_merged", float64(st.merged))
+		t.SetMetric(prefix+"_offers_late", float64(st.late))
 		t.SetMetric(prefix+"_acked", float64(rep.Acked))
 		t.SetMetric(prefix+"_rejected", float64(rep.Rejected))
 		t.SetMetric(prefix+"_ryw_violations", float64(rywViol))
@@ -94,22 +109,123 @@ func scaleFactor(s Scale) float64 {
 // gateway layer itself, without facade indirection).
 type gatewayCluster struct {
 	*liveCluster
-	n   int
-	kvs []*statemachine.KV
-	gws []*gateway.Gateway
+	n      int
+	kvs    []*statemachine.KV
+	gws    []*gateway.Gateway
+	stages *stageLog
 }
 
 func newGatewayCluster() *gatewayCluster {
 	const n = 4
-	cl := &gatewayCluster{n: n, kvs: make([]*statemachine.KV, n), gws: make([]*gateway.Gateway, n)}
+	cl := &gatewayCluster{n: n, kvs: make([]*statemachine.KV, n), gws: make([]*gateway.Gateway, n), stages: newStageLog(n)}
 	cl.liveCluster = newLiveCluster(n, func(i int, cfg *node.Config) {
 		cfg.DeltaBound = 20 * time.Millisecond
 		cfg.PruneDepth = core.DefaultPruneDepth
 		cfg.Replica = node.NewReplica(gateway.Options{Party: i})
+		cfg.Hooks = cl.stages.hooks(i)
 		cl.kvs[i], cl.gws[i] = cfg.Replica.KV, cfg.Replica.Gateway
 	})
 	cl.startExcept(-1)
 	return cl
+}
+
+// stageLog splits a command's submit→ack latency at the two points the
+// cluster can see from inside: the proposal of the block that committed
+// it (whoever proposed it) and its commit on the party that admitted it.
+// The commit stamp is taken as the party's commit hook ends, with the
+// block applied and the receipts resolved, so the last stage is the
+// waiter's wake-up alone.
+type stageLog struct {
+	mu       sync.Mutex
+	proposed map[types.Round][]time.Time // round → per party, when it proposed
+	commits  []map[types.Round]commitStamp
+	wait     []time.Duration // admitted → proposed
+	order    []time.Duration // proposed → committed
+	ack      []time.Duration // committed → acked
+	offers   map[string]int
+}
+
+type commitStamp struct {
+	at       time.Time
+	proposer types.PartyID
+}
+
+func newStageLog(n int) *stageLog {
+	l := &stageLog{proposed: make(map[types.Round][]time.Time), commits: make([]map[types.Round]commitStamp, n)}
+	for i := range l.commits {
+		l.commits[i] = make(map[types.Round]commitStamp)
+	}
+	l.reset()
+	return l
+}
+
+// reset starts a new load window; proposals and commits are kept, a
+// command of this window is never committed in an earlier round.
+func (l *stageLog) reset() {
+	l.mu.Lock()
+	l.wait, l.order, l.ack, l.offers = nil, nil, nil, make(map[string]int)
+	l.mu.Unlock()
+}
+
+func (l *stageLog) hooks(i int) core.Hooks {
+	return core.Hooks{
+		OnPropose: func(k types.Round, _ time.Duration) {
+			now := time.Now()
+			l.mu.Lock()
+			if l.proposed[k] == nil {
+				l.proposed[k] = make([]time.Time, len(l.commits))
+			}
+			l.proposed[k][i] = now
+			l.mu.Unlock()
+		},
+		OnCommit: func(b *types.Block, _ time.Duration) {
+			now := time.Now()
+			l.mu.Lock()
+			l.commits[i][b.Round] = commitStamp{at: now, proposer: b.Proposer}
+			l.mu.Unlock()
+		},
+		OnPayloadOffer: func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+			l.mu.Lock()
+			l.offers[outcome]++
+			l.mu.Unlock()
+		},
+	}
+}
+
+// onAck is the load generator's per-command callback.
+func (l *stageLog) onAck(gw int, admitted time.Time, ack gateway.Ack, acked time.Time) {
+	k := types.Round(ack.CommitIndex)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	commit, ok := l.commits[gw][k]
+	if !ok || l.proposed[k] == nil || l.proposed[k][commit.proposer].IsZero() {
+		return
+	}
+	proposed := l.proposed[k][commit.proposer]
+	l.wait = append(l.wait, proposed.Sub(admitted))
+	l.order = append(l.order, commit.at.Sub(proposed))
+	l.ack = append(l.ack, acked.Sub(commit.at))
+}
+
+type stageReport struct {
+	wait, order, ack time.Duration // medians
+	merged, late     int
+}
+
+func (l *stageLog) report() stageReport {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	median := func(d []time.Duration) time.Duration {
+		if len(d) == 0 {
+			return 0
+		}
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	return stageReport{
+		wait: median(l.wait), order: median(l.order), ack: median(l.ack),
+		merged: l.offers[core.OfferMerged], late: l.offers[core.OfferLate],
+	}
 }
 
 // run performs one load window followed by the correctness probes.
@@ -124,6 +240,7 @@ func (cl *gatewayCluster) run(rate int, skew float64, window time.Duration, clie
 		Skew:       skew,
 		ValueBytes: 64,
 		Seed:       int64(clientBase),
+		OnAck:      cl.stages.onAck,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: load: %v", err))

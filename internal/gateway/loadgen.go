@@ -44,6 +44,11 @@ type LoadOptions struct {
 	// silently remapped to 1, so "seed 0" runs were unknowingly "seed 1"
 	// runs).
 	Seed int64
+	// OnAck, if set, sees every acknowledged command, from the goroutine
+	// that waited for it: the index of the gateway that took it, when its
+	// Submit returned, the ack, and when the waiter woke. A caller that
+	// logs proposals and commits can split the latency into stages.
+	OnAck func(gw int, admitted time.Time, ack Ack, acked time.Time)
 }
 
 // LoadReport summarises one load run.
@@ -129,7 +134,8 @@ func RunLoad(ctx context.Context, gws []*Gateway, o LoadOptions) (*LoadReport, e
 		}
 		client := i % o.Clients
 		seqs[client]++
-		gw := gws[client%len(gws)]
+		home := client % len(gws)
+		gw := gws[home]
 		cmd := statemachine.Command{
 			Client: o.ClientBase + uint64(client),
 			Seq:    seqs[client],
@@ -154,13 +160,18 @@ func RunLoad(ctx context.Context, gws []*Gateway, o LoadOptions) (*LoadReport, e
 		wg.Add(1)
 		go func(r *Receipt, start time.Time) {
 			defer wg.Done()
-			if _, err := r.Wait(drainCtx); err != nil {
+			ack, err := r.Wait(drainCtx)
+			if err != nil {
 				timedout.Add(1)
 				return
 			}
+			acked := time.Now()
 			mu.Lock()
-			latencies = append(latencies, time.Since(start))
+			latencies = append(latencies, acked.Sub(start))
 			mu.Unlock()
+			if o.OnAck != nil {
+				o.OnAck(home, start, ack, acked)
+			}
 		}(receipt, time.Now())
 	}
 	wg.Wait()

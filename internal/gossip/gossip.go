@@ -387,6 +387,10 @@ func (g *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 		g.handleAdvert(from, v, now)
 	case *types.Request:
 		g.handleRequest(from, v)
+	case *types.PayloadOffer:
+		// Point-to-point and meant for this party's next proposal only:
+		// straight to the engine, never stored, relayed or deduplicated.
+		g.disseminate(g.inner.HandleMessage(from, v, now), -1, now)
 	default:
 		g.handleArtifact(from, m, now)
 	}
@@ -409,14 +413,17 @@ func (g *Engine) send(to types.PartyID, m types.Message) {
 func (g *Engine) disseminate(outs []engine.Output, skip types.PartyID, now time.Duration) {
 	for _, o := range outs {
 		if !o.Broadcast {
-			// Unicasts (resync bundles, Byzantine wrappers) pass through
-			// unchanged.
+			// Unicasts (resync bundles, payload offers, Byzantine wrappers)
+			// pass through unchanged.
 			g.out = append(g.out, o)
 			continue
 		}
 		// Bundles are split so each artifact gossips under its own ref
 		// (a bundle's block should go lazy while its signatures go
-		// eager).
+		// eager). A broadcast that leaves one party out
+		// (engine.BroadcastExcept) is gossiped like any other: the
+		// overlay dedups by ref, so the party that already holds the
+		// artifact never fetches it.
 		if b, ok := o.Msg.(*types.Bundle); ok {
 			for _, sub := range b.Messages {
 				g.gossipArtifact(sub, skip, now)

@@ -307,3 +307,47 @@ func TestUnicastPassThrough(t *testing.T) {
 		t.Fatalf("unicast not passed through: %v", outs)
 	}
 }
+
+// A payload offer is point-to-point traffic for the inner engine: it is
+// delivered, and neither stored for serving, relayed, nor deduplicated
+// (a sender may repeat itself; the engine keeps the latest).
+func TestPayloadOfferGoesStraightToTheEngine(t *testing.T) {
+	inner := &sink{id: 0}
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	offer := &types.PayloadOffer{Round: 2, Payload: []byte("commands")}
+	for i := 0; i < 2; i++ {
+		if outs := g.HandleMessage(g.Peers()[0], offer, 0); len(outs) != 0 {
+			t.Fatalf("delivery %d produced %d outputs: an offer must not be relayed", i, len(outs))
+		}
+	}
+	if len(inner.received) != 2 {
+		t.Fatalf("inner engine received %d messages, want both deliveries", len(inner.received))
+	}
+	if len(g.store) != 0 || len(g.seen) != 0 {
+		t.Fatalf("gossip state holds the offer: %d stored, %d seen", len(g.store), len(g.seen))
+	}
+}
+
+// The inner engine's own offer is a unicast and leaves as one; an echo
+// that leaves the block's proposer out is gossiped like any broadcast.
+func TestOfferPassesThroughAndExceptBroadcastIsGossiped(t *testing.T) {
+	offer := &types.PayloadOffer{Round: 2, Payload: []byte("commands")}
+	share := &types.NotarizationShare{Round: 1, Proposer: 1, Signer: 0, Sig: []byte{1}}
+	inner := &sink{id: 0, initOut: []engine.Output{
+		engine.Unicast(5, offer),
+		engine.BroadcastExcept(1, share),
+	}}
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
+	outs := g.Init(0)
+	if len(outs) != 1+len(g.Peers()) {
+		t.Fatalf("%d outputs, want the offer and one share per peer (%d)", len(outs), len(g.Peers()))
+	}
+	if o := outs[0]; o.Broadcast || o.To != 5 || o.Msg != types.Message(offer) {
+		t.Fatalf("the offer left as %+v", o)
+	}
+	for _, o := range outs[1:] {
+		if o.Broadcast || o.Msg != types.Message(share) {
+			t.Fatalf("the share left as %+v, want a unicast to a peer", o)
+		}
+	}
+}

@@ -106,6 +106,7 @@ type Observer struct {
 	ticks          *Counter
 	ranksDisq      *Counter
 	rejects        *CounterVec
+	payloadOffers  *CounterVec
 	ckptCreated    *Counter
 	ckptInstalled  *Counter
 	ckptServed     *Counter
@@ -164,6 +165,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		ticks:          reg.Counter("icc_runtime_ticks_total", "Timer ticks delivered to the engine event loop."),
 		ranksDisq:      reg.Counter("icc_ranks_disqualified_total", "Proposer ranks disqualified for equivocation (Fig. 1 clause (c))."),
 		rejects:        reg.CounterVec("icc_verify_rejects_total", "Inbound artifacts rejected at admission, by reason.", "reason"),
+		payloadOffers:  reg.CounterVec("icc_core_payload_offers_total", "Payload offers to and from the next round's leader, by outcome (sent, merged, late, parent_mismatch, refused).", "outcome"),
 		ckptCreated:    reg.Counter("icc_checkpoint_created_total", "Certified checkpoints this node assembled (own share plus t matching peer shares)."),
 		ckptInstalled:  reg.Counter("icc_checkpoint_installed_total", "Certified checkpoints installed from peers (behind-horizon restores)."),
 		ckptServed:     reg.Counter("icc_checkpoint_served_total", "Checkpoint transfers offered to peers stuck behind the prune horizon."),
@@ -365,6 +367,17 @@ func (o *Observer) RejectedMessage(reason string) {
 		return
 	}
 	o.rejects.With(reason).Inc()
+}
+
+// PayloadOffer records one delegated-payload offer: sent by this node to
+// the round's leader (peer), or received from peer and merged into this
+// node's proposal, late, cut against another parent, or refused.
+func (o *Observer) PayloadOffer(peer int, k uint64, payloadBytes int, outcome string) {
+	if o == nil {
+		return
+	}
+	o.payloadOffers.With(outcome).Inc()
+	o.trace(KindPayloadOffer, k, outcome+": peer "+strconv.Itoa(peer)+", "+strconv.Itoa(payloadBytes)+" command bytes")
 }
 
 // MessageReceived records one message delivered to the event loop.

@@ -16,29 +16,34 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 	o.FinalizationShare(1, 160*time.Millisecond)
 	o.Commit(1, 64, 200*time.Millisecond)
 	o.Resync(2, 300*time.Millisecond)
+	o.PayloadOffer(2, 2, 120, "sent")
+	o.PayloadOffer(1, 2, 80, "late")
+	o.PayloadOffer(0, 2, 90, "late")
 	o.MessageReceived()
 	o.MessageReceived()
 	o.TickFired()
 
 	snap := o.Snapshot()
 	for key, want := range map[string]float64{
-		"icc_rounds_entered_total":                   1,
-		"icc_proposals_total":                        1,
-		"icc_notarization_shares_total":              1,
-		"icc_finalization_shares_total":              1,
-		"icc_rounds_notarized_total":                 1,
-		"icc_blocks_committed_total":                 1,
-		"icc_committed_payload_bytes_total":          64,
-		"icc_resyncs_total":                          1,
-		"icc_runtime_messages_received_total":        2,
-		"icc_runtime_ticks_total":                    1,
-		"icc_current_round":                          1,
-		"icc_finalized_round":                        1,
-		"icc_beacon_wait_seconds_count":              1,
-		"icc_round_duration_seconds_count":           1,
-		"icc_commit_latency_seconds_count":           1,
-		"icc_notarization_share_delay_seconds_count": 1,
-		"icc_finalization_share_delay_seconds_count": 1,
+		"icc_rounds_entered_total":                      1,
+		"icc_proposals_total":                           1,
+		"icc_notarization_shares_total":                 1,
+		"icc_finalization_shares_total":                 1,
+		"icc_rounds_notarized_total":                    1,
+		"icc_blocks_committed_total":                    1,
+		"icc_committed_payload_bytes_total":             64,
+		"icc_resyncs_total":                             1,
+		`icc_core_payload_offers_total{outcome="sent"}`: 1,
+		`icc_core_payload_offers_total{outcome="late"}`: 2,
+		"icc_runtime_messages_received_total":           2,
+		"icc_runtime_ticks_total":                       1,
+		"icc_current_round":                             1,
+		"icc_finalized_round":                           1,
+		"icc_beacon_wait_seconds_count":                 1,
+		"icc_round_duration_seconds_count":              1,
+		"icc_commit_latency_seconds_count":              1,
+		"icc_notarization_share_delay_seconds_count":    1,
+		"icc_finalization_share_delay_seconds_count":    1,
 	} {
 		if got := snap.Get(key); got != want {
 			t.Fatalf("%s = %v, want %v", key, got, want)
@@ -67,6 +72,15 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 			t.Fatalf("trace kind %q count = %d, want 1 (all: %v)", k, kinds[k], kinds)
 		}
 	}
+	if kinds[KindPayloadOffer] != 3 {
+		t.Fatalf("%d payload-offer events traced, want 3", kinds[KindPayloadOffer])
+	}
+	for _, e := range events {
+		if e.Kind == KindPayloadOffer && e.Round == 2 && e.Detail == "sent: peer 2, 120 command bytes" {
+			return
+		}
+	}
+	t.Fatalf("no trace event names the sent offer's peer, round and size: %+v", events)
 }
 
 func TestObserverSharedRegistryAggregates(t *testing.T) {
@@ -90,6 +104,7 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	o.FinishRound(1, 0)
 	o.Commit(1, 10, 0)
 	o.Resync(1, 0)
+	o.PayloadOffer(1, 1, 10, "sent")
 	o.MessageReceived()
 	o.TickFired()
 	if len(o.Snapshot()) != 0 {

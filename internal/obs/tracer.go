@@ -23,6 +23,7 @@ const (
 	KindCheckpoint     = "checkpoint"
 	KindResyncLost     = "resync_lost"
 	KindRankDisq       = "rank_disqualified"
+	KindPayloadOffer   = "payload_offer"
 	// KindSimDeliver and KindSimTick are the simulator's scheduler-level
 	// events (one per engine-visible message delivery / timer tick): the
 	// deterministic execution record campaign replay compares against.

@@ -157,7 +157,10 @@ func (r *Engine) transform(outs []engine.Output) {
 			// block would reintroduce the n·S cost ICC2 removes.
 		}
 		if len(rest) > 0 {
-			r.out = append(r.out, engine.Broadcast(&types.Bundle{Messages: rest}))
+			// Same recipients as the bundle it came from: an echo still
+			// leaves out the block's proposer.
+			o.Msg = &types.Bundle{Messages: rest}
+			r.out = append(r.out, o)
 		}
 	}
 }

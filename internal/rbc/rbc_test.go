@@ -253,3 +253,38 @@ func TestSessionCapEviction(t *testing.T) {
 		t.Fatalf("%d sessions tracked, cap is 2", len(r.sessions))
 	}
 }
+
+// An echoed bundle keeps its recipients when the block body is stripped:
+// what is left still skips the block's proposer. A payload offer is
+// neither a fragment nor a bundle and passes both ways untouched.
+func TestEchoKeepsItsExceptionAndOffersPassThrough(t *testing.T) {
+	const n = 4
+	b := &types.Block{Round: 1, Proposer: 2, Payload: []byte("theirs")}
+	auth := &types.Authenticator{Round: 1, Proposer: 2, BlockHash: b.Hash(), Sig: []byte{1}}
+	offer := &types.PayloadOffer{Round: 2, ParentHash: b.Hash(), Payload: []byte("commands")}
+	inner := &sink{id: 0, initOut: []engine.Output{
+		engine.BroadcastExcept(2, &types.Bundle{Messages: []types.Message{&types.BlockMsg{Block: b}, auth}}),
+		engine.Unicast(3, offer),
+	}}
+	r := Wrap(Config{Self: 0, N: n}, inner)
+	outs := r.Init(0)
+	if len(outs) != 2 {
+		t.Fatalf("%d outputs, want the stripped echo and the offer", len(outs))
+	}
+	echo := outs[0]
+	if !echo.Broadcast || !echo.Skips(2) || echo.Skips(0) {
+		t.Fatalf("the stripped echo lost its recipients: %+v", echo)
+	}
+	if bundle, ok := echo.Msg.(*types.Bundle); !ok || len(bundle.Messages) != 1 || bundle.Messages[0] != types.Message(auth) {
+		t.Fatalf("the stripped echo carries %#v, want the authenticator alone", echo.Msg)
+	}
+	if o := outs[1]; o.Broadcast || o.To != 3 || o.Msg != types.Message(offer) {
+		t.Fatalf("the offer left as %+v", o)
+	}
+	if outs := r.HandleMessage(1, offer, 0); len(outs) != 0 {
+		t.Fatalf("a received offer produced %d outputs", len(outs))
+	}
+	if len(inner.received) != 1 || inner.received[0] != types.Message(offer) {
+		t.Fatalf("inner engine received %v, want the offer", inner.received)
+	}
+}

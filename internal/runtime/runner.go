@@ -201,7 +201,7 @@ func (r *Runner) send(outs []engine.Output) {
 		if o.Broadcast {
 			for p := 0; p < r.n; p++ {
 				pid := types.PartyID(p)
-				if pid == r.eng.ID() {
+				if pid == r.eng.ID() || o.Skips(pid) {
 					continue
 				}
 				if err := r.ep.Send(pid, o.Msg); err != nil {

@@ -204,3 +204,52 @@ func TestRunnerExitsWhenInboxCloses(t *testing.T) {
 		t.Fatal("runner did not exit on closed inbox")
 	}
 }
+
+// exceptEngine broadcasts to everyone but party 0 at Init: the zero
+// PartyID, which an Output without an explicit flag could not leave out.
+type exceptEngine struct{ pingEngine }
+
+func (p *exceptEngine) Init(time.Duration) []engine.Output {
+	return []engine.Output{engine.BroadcastExcept(0, &types.BeaconShare{Round: 1, Signer: p.id})}
+}
+
+func TestRunnerHonoursBroadcastExcept(t *testing.T) {
+	const n = 4
+	hub := transport.NewInproc(n)
+	defer hub.Close()
+	clk := clock.NewWall()
+	engines := make([]*exceptEngine, n)
+	runners := make([]*Runner, n)
+	for i := 0; i < n; i++ {
+		engines[i] = &exceptEngine{pingEngine{id: types.PartyID(i), wakeAt: time.Hour}}
+		runners[i] = NewRunner(engines[i], hub.Endpoint(types.PartyID(i)), clk, n)
+		runners[i].Start()
+	}
+	defer func() {
+		for _, r := range runners {
+			r.Stop()
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		done := true
+		for _, e := range engines[1:] {
+			if recv, _ := e.snapshot(); recv != n-1 {
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i, e := range engines {
+		want := n - 1
+		if i == 0 {
+			want = 0 // left out by the other three
+		}
+		if recv, _ := e.snapshot(); recv != want {
+			t.Errorf("engine %d received %d messages, want %d", i, recv, want)
+		}
+	}
+}

@@ -193,7 +193,7 @@ func (nw *Network) dispatch(nd *node, outs []engine.Output) {
 		if out.Broadcast {
 			recipients := 0
 			for _, other := range nw.nodes {
-				if other == nd {
+				if other == nd || out.Skips(other.eng.ID()) {
 					continue
 				}
 				recipients++

@@ -263,3 +263,37 @@ func TestPartitionEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// exceptEngine broadcasts to everyone but party 0 at Init: the zero
+// PartyID, which an Output without an explicit flag could not leave out.
+type exceptEngine struct{ echoEngine }
+
+func (e *exceptEngine) Init(time.Duration) []engine.Output {
+	return []engine.Output{engine.BroadcastExcept(0, &types.BeaconShare{Round: 1, Signer: e.id})}
+}
+
+func TestBroadcastExceptLeavesOneOut(t *testing.T) {
+	rec := metrics.NewRecorder(4)
+	nw := New(Options{Seed: 1, Delay: Fixed{D: 10 * time.Millisecond}, Recorder: rec})
+	engines := make([]*exceptEngine, 4)
+	for i := range engines {
+		engines[i] = &exceptEngine{echoEngine{id: types.PartyID(i)}}
+		nw.AddNode(engines[i], true)
+	}
+	nw.Start()
+	nw.Run(time.Second)
+	// Party 0 is skipped by the other three; everyone else hears the
+	// three others (party 0's own broadcast skips only itself).
+	for i, e := range engines {
+		want := 3
+		if i == 0 {
+			want = 0
+		}
+		if e.received != want {
+			t.Errorf("engine %d received %d messages, want %d", i, e.received, want)
+		}
+	}
+	if got := rec.Summarize().TotalMsgs; got != 3+3*2 {
+		t.Errorf("recorder counted %d messages sent, want %d", got, 3+3*2)
+	}
+}

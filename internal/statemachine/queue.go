@@ -21,15 +21,26 @@ var (
 )
 
 // Queue is a thread-safe pending-command queue implementing the
-// consensus engine's PayloadSource. GetPayload batches pending commands,
-// skipping any command already present in the chain being extended
-// (within DedupDepth ancestor blocks).
+// consensus engine's PayloadSource and DelegatedPayloadSource. GetPayload
+// batches pending commands, skipping any command already present in the
+// chain being extended (within DedupDepth ancestor blocks);
+// GetPayloadWith appends what other parties offered for the same block.
+// Only this party's own submissions are ever stored.
 type Queue struct {
 	mu      sync.Mutex
 	pending []Command
 	// inFlight tracks identities currently pending, to reject duplicate
 	// submissions.
 	inFlight map[ident]struct{}
+	// chain memoizes, per block hash, the identities that block's payload
+	// carries: every party cuts a payload every round, and each cut walks
+	// DedupDepth ancestors of which all but the newest were walked the
+	// round before. Entries leave once they are DedupDepth rounds behind
+	// the newest block walked.
+	chain map[hash.Digest]blockIdents
+	// chainSize is how many identities the last walk collected, the size
+	// hint for the next walk's set.
+	chainSize int
 
 	// MaxBatch bounds commands per payload (default 1024).
 	MaxBatch int
@@ -46,10 +57,18 @@ type Queue struct {
 	DedupDepth int
 }
 
+// blockIdents is one memoized block: its round, for eviction, and the
+// identities of its commands (none for a payload that does not decode).
+type blockIdents struct {
+	round types.Round
+	ids   []ident
+}
+
 // NewQueue creates a Queue with default limits.
 func NewQueue() *Queue {
 	return &Queue{
 		inFlight:   make(map[ident]struct{}),
+		chain:      make(map[hash.Digest]blockIdents),
 		MaxBatch:   1024,
 		MaxBytes:   MaxPayloadBytes,
 		DedupDepth: 64,
@@ -115,24 +134,50 @@ func (q *Queue) MarkCommitted(payload []byte) {
 // MaxBatch and MaxBytes exactly: building stops before the first
 // command that would push the encoded payload past the byte bound
 // (stopping, not skipping, preserves per-client Seq order).
-func (q *Queue) GetPayload(_ types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte {
-	inChain := q.chainIdents(parent, lookup)
+func (q *Queue) GetPayload(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte {
+	return q.GetPayloadWith(round, parent, lookup, nil)
+}
+
+// GetPayloadWith implements core.DelegatedPayloadSource: GetPayload, then
+// the commands of each delegated payload in the order given, each
+// sender's commands in its own order. A command already in the chain or
+// in the batch is skipped; a sender's first command that does not fit
+// ends that sender's contribution (stopping, not skipping, as for the
+// party's own commands); a payload that does not decode contributes
+// nothing. Nothing delegated is stored: MaxPending, Len and the duplicate
+// check see this party's submissions only.
+func (q *Queue) GetPayloadWith(_ types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, delegated [][]byte) []byte {
+	// taken starts as the identities in the chain and grows with the batch.
+	taken := q.chainIdents(parent, lookup)
+	var (
+		batch              []Command
+		size               = payloadHeaderSize
+		maxBatch, maxBytes int
+	)
+	// draw appends cmds in order, skipping what is taken and stopping at
+	// the first command that does not fit.
+	draw := func(cmds []Command) {
+		for _, c := range cmds {
+			id := ident{c.Client, c.Seq}
+			if _, dup := taken[id]; dup {
+				continue
+			}
+			if len(batch) >= maxBatch || size+c.WireSize() > maxBytes {
+				return
+			}
+			batch = append(batch, c)
+			size += c.WireSize()
+			taken[id] = struct{}{}
+		}
+	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	var batch []Command
-	bytes := payloadHeaderSize
-	for _, c := range q.pending {
-		if len(batch) >= q.MaxBatch {
-			break
+	maxBatch, maxBytes = q.MaxBatch, q.MaxBytes
+	draw(q.pending)
+	q.mu.Unlock()
+	for _, payload := range delegated {
+		if cmds, err := DecodePayload(payload); err == nil {
+			draw(cmds)
 		}
-		if _, dup := inChain[ident{c.Client, c.Seq}]; dup {
-			continue
-		}
-		if bytes+c.WireSize() > q.MaxBytes {
-			break
-		}
-		batch = append(batch, c)
-		bytes += c.WireSize()
 	}
 	if len(batch) == 0 {
 		return nil
@@ -141,20 +186,55 @@ func (q *Queue) GetPayload(_ types.Round, parent *types.Block, lookup func(hash.
 }
 
 // chainIdents collects the command identities of up to DedupDepth
-// ancestors ending at parent.
+// ancestors ending at parent. lookup is called without the queue's lock.
 func (q *Queue) chainIdents(parent *types.Block, lookup func(hash.Digest) *types.Block) map[ident]struct{} {
-	out := make(map[ident]struct{})
-	cur := parent
+	q.mu.Lock()
+	hint := q.chainSize
+	q.mu.Unlock()
+	out := make(map[ident]struct{}, hint)
+	if parent == nil || parent.IsRoot() {
+		return out
+	}
+	cur, h := parent, parent.Hash()
 	for depth := 0; cur != nil && !cur.IsRoot() && depth < q.DedupDepth; depth++ {
-		if cmds, err := DecodePayload(cur.Payload); err == nil {
-			for _, c := range cmds {
-				out[ident{c.Client, c.Seq}] = struct{}{}
-			}
+		for _, id := range q.identsOf(h, cur) {
+			out[id] = struct{}{}
 		}
 		if lookup == nil {
 			break
 		}
-		cur = lookup(cur.ParentHash)
+		h = cur.ParentHash
+		cur = lookup(h)
 	}
+	q.mu.Lock()
+	q.chainSize = len(out)
+	for bh, e := range q.chain {
+		if e.round+types.Round(q.DedupDepth) <= parent.Round {
+			delete(q.chain, bh)
+		}
+	}
+	q.mu.Unlock()
 	return out
+}
+
+// identsOf returns the identities block b (hash h) carries, decoding its
+// payload the first time the block is seen.
+func (q *Queue) identsOf(h hash.Digest, b *types.Block) []ident {
+	q.mu.Lock()
+	e, ok := q.chain[h]
+	q.mu.Unlock()
+	if ok {
+		return e.ids
+	}
+	e = blockIdents{round: b.Round}
+	if cmds, err := DecodePayload(b.Payload); err == nil {
+		e.ids = make([]ident, len(cmds))
+		for i, c := range cmds {
+			e.ids[i] = ident{c.Client, c.Seq}
+		}
+	}
+	q.mu.Lock()
+	q.chain[h] = e
+	q.mu.Unlock()
+	return e.ids
 }

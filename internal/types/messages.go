@@ -15,7 +15,8 @@ type Kind uint8
 // (ICC1); 11 to the erasure-coded reliable broadcast (ICC2); 14–15 to
 // the durability layer (signed finalized-state checkpoints); 16 is the
 // gossip relay's coalesced share batch (sharebundle.go); 17 is a
-// recovered beacon output relayed in place of t+1 beacon shares.
+// recovered beacon output relayed in place of t+1 beacon shares; 18 is a
+// party's would-be payload handed to the next round's leader.
 const (
 	KindBlock Kind = iota + 1
 	KindAuthenticator
@@ -34,6 +35,7 @@ const (
 	KindCheckpoint
 	KindShareBundle
 	KindBeaconOutput
+	KindPayloadOffer
 )
 
 // String implements fmt.Stringer.
@@ -73,6 +75,8 @@ func (k Kind) String() string {
 		return "share-bundle"
 	case KindBeaconOutput:
 		return "beacon-output"
+	case KindPayloadOffer:
+		return "payload-offer"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -156,6 +160,19 @@ type BeaconShare struct {
 type BeaconOutput struct {
 	Round  Round
 	Output []byte // encoded combined beacon signature
+}
+
+// PayloadOffer hands the next round's leader the payload its sender would
+// propose for Round on top of the block ParentHash names: getPayload(B_p)
+// of Fig. 1, evaluated by a party that is not the proposer. It travels
+// point to point, carries no signature (a leader may put anything in its
+// payload already; an offer only suggests content) and is never stored,
+// relayed or logged. The leader may use it only when it proposes on that
+// very parent: the payload was cut against that chain and no other.
+type PayloadOffer struct {
+	Round      Round
+	ParentHash hash.Digest
+	Payload    []byte
 }
 
 // Bundle groups several messages into one transmission, as when a party
@@ -272,6 +289,7 @@ func (*Status) Kind() Kind            { return KindStatus }
 func (*CheckpointShare) Kind() Kind   { return KindCheckpointShare }
 func (*CheckpointMsg) Kind() Kind     { return KindCheckpoint }
 func (*BeaconOutput) Kind() Kind      { return KindBeaconOutput }
+func (*PayloadOffer) Kind() Kind      { return KindPayloadOffer }
 
 // Compile-time interface checks.
 var (
@@ -291,6 +309,7 @@ var (
 	_ Message = (*CheckpointShare)(nil)
 	_ Message = (*CheckpointMsg)(nil)
 	_ Message = (*BeaconOutput)(nil)
+	_ Message = (*PayloadOffer)(nil)
 )
 
 func (m *BlockMsg) encodeBody(e *Encoder) { m.Block.encode(e) }
@@ -442,6 +461,12 @@ func (m *BeaconOutput) encodeBody(e *Encoder) {
 	e.VarBytes(m.Output)
 }
 
+func (m *PayloadOffer) encodeBody(e *Encoder) {
+	e.U64(uint64(m.Round))
+	e.Bytes32(m.ParentHash)
+	e.VarBytes(m.Payload)
+}
+
 // ErrUnknownKind is returned when decoding an unrecognised message kind.
 var ErrUnknownKind = errors.New("types: unknown message kind")
 
@@ -581,6 +606,12 @@ func decodeBody(k Kind, d *Decoder) (Message, error) {
 		o := &BeaconOutput{}
 		o.Round = Round(d.U64())
 		o.Output = d.VarBytes()
+		m = o
+	case KindPayloadOffer:
+		o := &PayloadOffer{}
+		o.Round = Round(d.U64())
+		o.ParentHash = d.Bytes32()
+		o.Payload = d.VarBytes()
 		m = o
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(k))

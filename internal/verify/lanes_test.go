@@ -192,6 +192,17 @@ func TestPipelineShedsLiveWhileBehind(t *testing.T) {
 	if snap := reg.Snapshot(); snap[`icc_verify_rejects_total{reason="behind"}`] != 1 {
 		t.Fatalf("behind rejects = %v, want 1", snap[`icc_verify_rejects_total{reason="behind"}`])
 	}
+	// A payload offer for a round this party is nowhere near is shed like
+	// any live artifact; one within the window passes through unverified.
+	p.Submit(transport.Envelope{From: 2, Msg: &types.PayloadOffer{Round: 60, Payload: []byte("x")}})
+	p.Submit(transport.Envelope{From: 2, Msg: &types.PayloadOffer{Round: 3, Payload: []byte("x")}})
+	got = drain(t, p, 1, 5*time.Second)
+	if o, ok := got[0].Msg.(*types.PayloadOffer); !ok || o.Round != 3 {
+		t.Fatalf("delivered %#v, want the round-3 offer (round-60 shed)", got[0].Msg)
+	}
+	if snap := reg.Snapshot(); snap[`icc_verify_rejects_total{reason="behind"}`] != 2 {
+		t.Fatalf("behind rejects = %v, want 2", snap[`icc_verify_rejects_total{reason="behind"}`])
+	}
 	// Resync-marked traffic is never shed, whatever its rounds.
 	deep := &types.Bundle{Messages: []types.Message{
 		f.nshare(50, 0, 2, hash.SumUint64(hash.DomainBlock, 50)),

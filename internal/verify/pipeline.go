@@ -278,6 +278,8 @@ func roundOf(m types.Message) uint64 {
 		return uint64(v.Round)
 	case *types.BeaconShare:
 		return uint64(v.Round)
+	case *types.PayloadOffer:
+		return uint64(v.Round)
 	}
 	return 0
 }
