@@ -12,6 +12,12 @@
 // (the paper: "the logic of the protocol can be easily understood
 // independent of this sub-layer").
 //
+// The wrapper remembers, for each neighbour, what that neighbour is
+// known to hold — what it sent us and what we sent it — and a frame is
+// withheld from a neighbour only when the frames already exchanged with
+// it contain bytes from which its own wrapper derives the same artifact
+// (DESIGN.md §14 has the rules and the argument).
+//
 // Two scale-out mechanisms, both off by default, keep per-party traffic
 // sublinear as the cluster grows (§1.1 argues per-party communication
 // need not grow with n once signatures aggregate):
@@ -23,14 +29,16 @@
 //
 //   - Eager relay-side aggregation (Aggregate): a relay that has seen a
 //     threshold of notarization or finalization shares for one statement
-//     combines them into the certificate itself and gossips that, then
-//     stops relaying (and delivering) further shares for the statement —
-//     downstream parties receive one O(threshold) certificate instead of
-//     n separate shares.
+//     combines them into the certificate itself, then stops relaying
+//     (and delivering) further shares for the statement. The certificate
+//     goes to the neighbours that cannot combine it themselves: one known
+//     to hold a quorum of verified shares gets neither the certificate
+//     nor any further share.
 package gossip
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -39,6 +47,7 @@ import (
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/engine"
+	"icc/internal/obs"
 	"icc/internal/types"
 )
 
@@ -57,7 +66,8 @@ type Config struct {
 	Seed int64
 	// EagerThreshold is the encoded-size boundary between eager push
 	// (small artifacts: shares, notarizations) and lazy advert/pull
-	// (blocks). Default 1024 bytes.
+	// (blocks, and multisig certificates from n ≈ 20 up). Default 1024
+	// bytes.
 	EagerThreshold int
 	// RequestRetry is how long a lazy fetch waits for the requested
 	// artifact before asking the next advertiser. One request is in
@@ -66,7 +76,9 @@ type Config struct {
 	// within one delay bound) triggers one full download per advertiser.
 	// Default 150ms.
 	RequestRetry time.Duration
-	// MaxStore caps the artifact store (FIFO eviction). Default 65536.
+	// MaxStore caps the artifact store (FIFO eviction). The store is also
+	// the deduplication set and holds what is known about which neighbour
+	// has which artifact, so both are bounded with it. Default 65536.
 	MaxStore int
 
 	// ShareBatchWindow enables share batching: signature shares queue for
@@ -87,15 +99,19 @@ type Config struct {
 	MaxBatchShares int
 
 	// Aggregate enables eager relay-side aggregation of notarization and
-	// finalization shares. Requires Keys.
+	// finalization shares, and with it the per-neighbour quorum rule: a
+	// neighbour known to hold a quorum of a statement's shares is sent
+	// neither more of them nor the certificate. Requires Keys.
 	Aggregate bool
 	// TrustShares asserts that every share reaching this wrapper has
 	// already been signature-verified (a verification pipeline fronts the
 	// gossip layer, or the deployment is an honest-only simulation).
 	// Aggregation then combines without re-verifying, and beacon-share
 	// relaying for a round stops once a reconstruction quorum (t+1) has
-	// been forwarded. Never set this for raw network input: a forged
-	// share would poison aggregates and the beacon cut-off.
+	// been forwarded. What a neighbour holds is then counted per signer,
+	// so that a quorum of them can be recognised; without it a share is
+	// only an opaque ref. Never set this for raw network input: a forged
+	// share would poison aggregates, the beacon cut-off and those counts.
 	TrustShares bool
 	// Keys is the cluster's public key material, needed by Aggregate for
 	// thresholds and share verification.
@@ -111,6 +127,10 @@ type Config struct {
 	// capability (see beacon.OutputSource); the engine's beacon source
 	// and this field must be the same object.
 	Outputs beacon.OutputSource
+
+	// Registry receives the wrapper's instruments (nil → none):
+	// icc_gossip_frames_total and icc_gossip_fetch_total.
+	Registry *obs.Registry
 }
 
 // withDefaults fills the zero-value knobs.
@@ -234,11 +254,42 @@ func buildTopology(n, fanout int, seed int64) [][]types.PartyID {
 	return out
 }
 
-// pendingShare is one share awaiting a batch flush, with the peer it
-// arrived from (excluded from its relay), or −1 for our own shares.
-type pendingShare struct {
-	msg  types.Message
-	skip types.PartyID
+// bitset is a set of indices below a size its owner fixes: signers of a
+// statement, or positions in the neighbour list. Nil is the empty set.
+type bitset []uint64
+
+// words is the length of a bitset of the given size.
+func words(size int) int { return (size + 63) >> 6 }
+
+func newBitset(size int) bitset { return make(bitset, words(size)) }
+
+// add inserts i and reports whether it was already there.
+func (b bitset) add(i int) bool {
+	had := b.has(i)
+	b[i>>6] |= 1 << (i & 63)
+	return had
+}
+
+func (b bitset) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// held is one artifact in the store, with the neighbours (positions in
+// Engine.peers) known to hold it too: they sent it, advertised it, were
+// sent it or were served it. Shares counted per signer and certificates
+// keep that knowledge in their statement instead (peerKnow).
+type held struct {
+	msg   types.Message
+	peers bitset
 }
 
 // fetchState is one outstanding advert-driven fetch: the peers already
@@ -260,44 +311,119 @@ type aggKey struct {
 	blockHash hash.Digest
 }
 
-// aggEntry accumulates observed shares for a statement until a
-// certificate exists (done), after which further shares are dead weight.
+// peerKnow is what one neighbour is known to hold of one statement: the
+// signers whose share it sent us or we sent it, and the certificate.
+// Signers are recorded under TrustShares only, so every one of them
+// stands for a share that verified.
+type peerKnow struct {
+	signers bitset
+	cert    bool
+}
+
+// aggEntry is everything known about one statement: the shares observed
+// until a certificate exists (done) — further ones are dead weight, the
+// ones held may still complete a neighbour's quorum — and each
+// neighbour's part of it (parallel to Engine.peers).
 type aggEntry struct {
-	sigs map[types.PartyID][]byte
-	done bool
+	key aggKey
+	// quorum is the statement's signature threshold, or 0 without
+	// Aggregate: no neighbour is then ever taken to hold a quorum.
+	quorum int
+	sigs   map[types.PartyID][]byte
+	done   bool
+	// verified: the certificate is known to be valid — TrustShares, or
+	// our own verifying Combine produced it. Sending a neighbour anything
+	// else proves nothing about what it can use.
+	verified bool
+	peers    []peerKnow
+}
+
+// item is one artifact on its way through the wrapper: the message, its
+// ref and store entry, and for a share or certificate its statement.
+type item struct {
+	msg types.Message
+	ref types.Ref
+	h   *held
+	// e is the statement of a notarization/finalization share (signer,
+	// sig) or certificate (cert); nil for everything else.
+	e      *aggEntry
+	cert   bool
+	signer types.PartyID
+	sig    []byte
+	// advert stands in for a certificate too large to push.
+	advert *types.Advert
 }
 
 // aggRetainRounds bounds how long aggregation and beacon-relay state for
 // old rounds is kept before Tick garbage-collects it.
 const aggRetainRounds = 64
 
+// decision is what became of one artifact for one neighbour (pushed,
+// advertised, peerHas, peerQuorum) or for all of them at once (certified,
+// beaconCut): the label of icc_gossip_frames_total.
+type decision int
+
+const (
+	pushed decision = iota
+	advertised
+	// peerHas: the neighbour is known to hold this very artifact.
+	peerHas
+	// peerQuorum: the neighbour is known to hold the statement's
+	// certificate or a quorum of its verified shares, and so derives the
+	// certificate itself.
+	peerQuorum
+	// certified: a relayed share whose statement already has a
+	// certificate here.
+	certified
+	// beaconCut: a relayed beacon share past the round's output or quota.
+	beaconCut
+)
+
+var decisionNames = [...]string{"pushed", "advertised", "peer_has", "peer_quorum", "certified", "beacon_cut"}
+
+type frameKey struct {
+	kind types.Kind
+	d    decision
+}
+
 // Engine is the gossip wrapper.
 type Engine struct {
 	cfg   Config
 	inner engine.Engine
 	peers []types.PartyID
+	// peerAt maps a party to its position in peers, −1 for the rest.
+	peerAt []int
 
-	seen  map[types.Ref]struct{}
-	store map[types.Ref]types.Message
-	order []types.Ref // FIFO for eviction
+	// store holds every artifact seen, for deduplication and for serving
+	// requests, FIFO-capped at MaxStore.
+	store map[types.Ref]*held
+	order []types.Ref
 	// fetch tracks outstanding advert-driven downloads, one request in
 	// flight per ref with further advertisers held in reserve.
 	fetch map[types.Ref]*fetchState
 
-	// Share batching state: queued shares, the deadline set when the
-	// first one arrived, and (for AdaptiveBatch) when the last share was
-	// seen — the idle detector.
-	pending     []pendingShare
+	// Share batching state: queued shares and certificates, the deadline
+	// set when the first one arrived, and (for AdaptiveBatch) when the
+	// last one was seen — the idle detector.
+	pending     []item
+	scratch     []types.Message // flush's per-neighbour share list, reused
 	flushAt     time.Duration
 	lastShareAt time.Duration
 
-	// Aggregation state per statement, and the count of beacon shares
-	// relayed per round (for the TrustShares t+1 cut-off).
+	// Per-statement state, and the count of beacon shares relayed per
+	// round (for the TrustShares t+1 cut-off).
 	agg         map[aggKey]*aggEntry
 	beaconRelay map[types.Round]int
 	// outputDone marks rounds whose beacon output has been gossiped or
 	// installed: their share flood stops here.
 	outputDone map[types.Round]struct{}
+
+	framesVec *obs.CounterVec
+	frames    map[frameKey]*obs.Counter
+	// Fetch outcomes: a request sent for a first advert, an advertiser
+	// held in reserve, a reserve asked after a retry, a request served
+	// and one for an artifact no longer (or never) held.
+	requested, reserved, retried, served, missed *obs.Counter
 
 	out []engine.Output
 }
@@ -309,12 +435,12 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	g := &Engine{
 		cfg:         cfg,
 		inner:       inner,
 		peers:       buildTopology(cfg.N, cfg.Fanout, cfg.Seed)[cfg.Self],
-		seen:        make(map[types.Ref]struct{}),
-		store:       make(map[types.Ref]types.Message),
+		peerAt:      make([]int, cfg.N),
+		store:       make(map[types.Ref]*held),
 		fetch:       make(map[types.Ref]*fetchState),
 		agg:         make(map[aggKey]*aggEntry),
 		beaconRelay: make(map[types.Round]int),
@@ -322,7 +448,25 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 		// Start idle: under AdaptiveBatch the very first share relays
 		// immediately instead of waiting out a full window.
 		lastShareAt: -cfg.ShareBatchWindow,
-	}, nil
+	}
+	for i := range g.peerAt {
+		g.peerAt[i] = -1
+	}
+	for i, p := range g.peers {
+		g.peerAt[p] = i
+	}
+	if reg := cfg.Registry; reg != nil {
+		g.framesVec = reg.CounterVec("icc_gossip_frames_total",
+			"Artifacts by kind and what became of them: pushed, advertised, peer_has and peer_quorum count one neighbour each, certified and beacon_cut one artifact.",
+			"kind", "decision")
+		g.frames = make(map[frameKey]*obs.Counter)
+		fetch := reg.CounterVec("icc_gossip_fetch_total",
+			"Advert-driven fetches: requests sent, advertisers held in reserve, reserves asked after a retry, requests served and requests for an artifact not held.",
+			"outcome")
+		g.requested, g.reserved, g.retried = fetch.With("requested"), fetch.With("reserved"), fetch.With("retried")
+		g.served, g.missed = fetch.With("served"), fetch.With("missed")
+	}
+	return g, nil
 }
 
 // Peers returns this party's neighbour list.
@@ -364,14 +508,14 @@ func (g *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 
 // Init implements engine.Engine.
 func (g *Engine) Init(now time.Duration) []engine.Output {
-	g.disseminate(g.inner.Init(now), -1, now)
+	g.disseminate(g.inner.Init(now), now)
 	g.maybeFlush(now)
 	return g.drain()
 }
 
 // Tick implements engine.Engine.
 func (g *Engine) Tick(now time.Duration) []engine.Output {
-	g.disseminate(g.inner.Tick(now), -1, now)
+	g.disseminate(g.inner.Tick(now), now)
 	g.maybeFlush(now)
 	g.retryFetches(now)
 	g.gcRounds()
@@ -390,7 +534,7 @@ func (g *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 	case *types.PayloadOffer:
 		// Point-to-point and meant for this party's next proposal only:
 		// straight to the engine, never stored, relayed or deduplicated.
-		g.disseminate(g.inner.HandleMessage(from, v, now), -1, now)
+		g.disseminate(g.inner.HandleMessage(from, v, now), now)
 	default:
 		g.handleArtifact(from, m, now)
 	}
@@ -408,9 +552,34 @@ func (g *Engine) send(to types.PartyID, m types.Message) {
 	g.out = append(g.out, engine.Unicast(to, m))
 }
 
+// count records one decision on icc_gossip_frames_total.
+func (g *Engine) count(kind types.Kind, d decision) { g.countN(kind, d, 1) }
+
+func (g *Engine) countN(kind types.Kind, d decision, n int) {
+	if g.framesVec == nil {
+		return
+	}
+	k := frameKey{kind, d}
+	c := g.frames[k]
+	if c == nil {
+		c = g.framesVec.With(k.kind.String(), decisionNames[d])
+		g.frames[k] = c
+	}
+	c.Add(int64(n))
+}
+
+// peerIndex is the position of p among the neighbours, or −1: artifacts
+// also arrive from parties outside the overlay (resync unicasts), about
+// which nothing is recorded.
+func (g *Engine) peerIndex(p types.PartyID) int {
+	if p < 0 || int(p) >= len(g.peerAt) {
+		return -1
+	}
+	return g.peerAt[p]
+}
+
 // disseminate converts the inner engine's outputs into gossip traffic.
-// skip is a peer to exclude (the artifact's source), or -1.
-func (g *Engine) disseminate(outs []engine.Output, skip types.PartyID, now time.Duration) {
+func (g *Engine) disseminate(outs []engine.Output, now time.Duration) {
 	for _, o := range outs {
 		if !o.Broadcast {
 			// Unicasts (resync bundles, payload offers, Byzantine wrappers)
@@ -426,123 +595,201 @@ func (g *Engine) disseminate(outs []engine.Output, skip types.PartyID, now time.
 		// artifact never fetches it.
 		if b, ok := o.Msg.(*types.Bundle); ok {
 			for _, sub := range b.Messages {
-				g.gossipArtifact(sub, skip, now)
+				g.gossipArtifact(sub, now)
 			}
 			continue
 		}
-		g.gossipArtifact(o.Msg, skip, now)
+		g.gossipArtifact(o.Msg, now)
 	}
 }
 
-// shareDisposition is routeShare's verdict on one artifact.
-type shareDisposition int
+// entry returns the state of one statement, creating it on first use.
+func (g *Engine) entry(key aggKey) *aggEntry {
+	e := g.agg[key]
+	if e == nil {
+		e = &aggEntry{key: key, peers: make([]peerKnow, len(g.peers))}
+		if g.cfg.TrustShares {
+			// One slab for every neighbour's signer set.
+			w := words(g.cfg.N)
+			slab := make(bitset, w*len(e.peers))
+			for i := range e.peers {
+				e.peers[i].signers = slab[i*w : (i+1)*w]
+			}
+		}
+		if g.cfg.Aggregate {
+			e.quorum = g.cfg.Keys.Notary.Quorum()
+			if key.final {
+				e.quorum = g.cfg.Keys.Final.Quorum()
+			}
+		}
+		g.agg[key] = e
+	}
+	return e
+}
 
-const (
-	// shareNone: not a signature share — take the generic relay path.
-	shareNone shareDisposition = iota
-	// shareRelay: a share, but batching is off — generic eager relay.
-	shareRelay
-	// shareBatched: queued into the pending ShareBundle; no frame now.
-	shareBatched
-	// shareCertified: the statement already has a certificate (created
-	// here or observed in transit) — relaying or delivering more shares
-	// for it is pure waste.
-	shareCertified
-	// shareDeliverOnly: don't relay, but still deliver to the inner
-	// engine (a beacon share past the relay quota: the flood stops here,
-	// yet the local beacon still wants every share it can get).
-	shareDeliverOnly
-)
+// file describes an artifact, storing it if it is new; for a duplicate
+// the item points at the first copy's store entry. Whoever advertised a
+// new artifact is known to hold it.
+func (g *Engine) file(m types.Message) (it item, fresh bool) {
+	ref := types.RefOf(m)
+	h := g.store[ref]
+	if fresh = h == nil; fresh {
+		h = g.put(ref, m)
+	}
+	it = g.describe(m, ref, h)
+	if f := g.fetch[ref]; f != nil {
+		for p := range f.asked {
+			g.learn(g.peerIndex(p), it, false)
+		}
+		for _, p := range f.reserve {
+			g.learn(g.peerIndex(p), it, false)
+		}
+		delete(g.fetch, ref)
+	}
+	return it, fresh
+}
 
-// routeShare classifies an artifact and runs the share-path side effects:
-// aggregation bookkeeping, the beacon relay cut-off, and batch queueing.
-// skip is the source peer, or −1 for our own artifacts (which are never
-// suppressed — only relayed traffic is).
-func (g *Engine) routeShare(m types.Message, skip types.PartyID, now time.Duration) shareDisposition {
+// describe finds the statement of a stored share or certificate.
+func (g *Engine) describe(m types.Message, ref types.Ref, h *held) item {
+	it := item{msg: m, ref: ref, h: h}
 	switch v := m.(type) {
 	case *types.NotarizationShare:
-		if g.observeShare(false, v.Round, v.Proposer, v.BlockHash, v.Signer, v.Sig, now) && skip >= 0 {
-			return shareCertified
-		}
+		it.e, it.signer, it.sig = g.entry(aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), v.Signer, v.Sig
 	case *types.FinalizationShare:
-		if g.observeShare(true, v.Round, v.Proposer, v.BlockHash, v.Signer, v.Sig, now) && skip >= 0 {
-			return shareCertified
+		it.e, it.signer, it.sig = g.entry(aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), v.Signer, v.Sig
+	case *types.Notarization:
+		it.e, it.cert = g.entry(aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), true
+	case *types.Finalization:
+		it.e, it.cert = g.entry(aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), true
+	}
+	return it
+}
+
+// learn records that neighbour pi holds the artifact — it sent it to us,
+// or (sent) we are sending it now — and reports whether that was known.
+// It is called for every copy received, duplicates included: a second
+// copy delivers nothing, but it still says who has it.
+func (g *Engine) learn(pi int, it item, sent bool) (known bool) {
+	switch {
+	case pi < 0:
+		return false
+	case it.cert:
+		pk := &it.e.peers[pi]
+		known = pk.cert
+		// A certificate relayed unverified may be a forgery its receiver
+		// throws away; only the neighbour's own word, or a certificate
+		// known to verify, says that it holds one.
+		if !sent || it.e.verified {
+			pk.cert = true
 		}
-	case *types.BeaconShare:
-		// Once the round's beacon output is known (recovered here or
-		// received as a BeaconOutput), the one relayed output supersedes
-		// the whole share flood. The output was verified before the mark
-		// was set, so this cut-off is safe even for unverified input.
-		if skip >= 0 && g.cfg.Outputs != nil {
-			if _, done := g.outputDone[v.Round]; done {
-				return shareDeliverOnly
-			}
-		}
-		// Under TrustShares, t+1 relayed shares already let every party
-		// reconstruct the round's beacon; the rest of the O(n) flood adds
-		// nothing. Without it an adversary could spend the quota with
-		// garbage shares, so the cut-off stays off for unverified input.
-		if skip >= 0 && g.cfg.TrustShares {
-			if g.beaconRelay[v.Round] >= types.BeaconQuorum(g.cfg.N) {
-				return shareDeliverOnly
-			}
-			g.beaconRelay[v.Round]++
-		}
+		return known
+	case it.e != nil && g.cfg.TrustShares && it.signer >= 0 && int(it.signer) < g.cfg.N:
+		return it.e.peers[pi].signers.add(int(it.signer))
 	default:
-		return shareNone
+		return g.holds(it.h, pi)
 	}
-	if g.cfg.ShareBatchWindow <= 0 {
-		return shareRelay
+}
+
+// owed decides, when the frame for neighbour pi is built, whether the
+// artifact still has to go into it, and records that it did: nothing
+// goes to a neighbour known to hold it (rule 1), and nothing of a
+// statement to one that holds its certificate. A certificate that is
+// owed comes back as pushed without being recorded: in what form it goes
+// is flush's call (complete).
+func (g *Engine) owed(pi int, it item) decision {
+	if it.e != nil {
+		switch pk := &it.e.peers[pi]; {
+		case pk.cert && it.cert:
+			return peerHas
+		case pk.cert:
+			return peerQuorum
+		case it.cert:
+			return pushed
+		}
 	}
-	// Adaptive mode: an isolated share on an otherwise idle party goes
-	// out immediately — batching only kicks in when shares actually
-	// arrive close together, so light load pays no window latency.
-	if g.cfg.AdaptiveBatch && len(g.pending) == 0 && now >= g.lastShareAt+g.cfg.ShareBatchWindow {
-		g.lastShareAt = now
-		return shareRelay
+	if g.learn(pi, it, true) {
+		return peerHas
 	}
-	g.lastShareAt = now
-	if len(g.pending) == 0 {
-		g.flushAt = now + g.cfg.ShareBatchWindow
+	return pushed
+}
+
+// complete settles a certificate owed to neighbour pi without sending
+// it, if it can: a neighbour known to hold a quorum of the statement's
+// verified shares combines the certificate itself (rules 2 and 3), and
+// one short of a quorum is brought there with shares held here when
+// those encode smaller than the certificate — with multisig
+// certificates, which are their shares side by side, nearly always; with
+// a constant-size BLS certificate never. Either way the neighbour
+// derives the certificate from bytes this edge has carried, and gets no
+// share beyond its quorum.
+func (g *Engine) complete(pi int, it item, b *types.ShareBundle) bool {
+	e := it.e
+	if !g.cfg.TrustShares || e.quorum == 0 {
+		return false
 	}
-	g.pending = append(g.pending, pendingShare{msg: m, skip: skip})
-	if len(g.pending) >= g.cfg.MaxBatchShares {
-		g.flushShares()
+	pk := &e.peers[pi]
+	need := e.quorum - pk.signers.count()
+	if need <= 0 {
+		return true
 	}
-	return shareBatched
+	grp := types.ShareGroup{Round: e.key.round, Proposer: e.key.proposer, BlockHash: e.key.blockHash,
+		Signers: make([]types.PartyID, 0, need), Sigs: make([][]byte, 0, need)}
+	// In signer order, not map order: simulated runs replay byte for byte.
+	for s := 0; s < g.cfg.N && len(grp.Signers) < need; s++ {
+		if sig, ok := e.sigs[types.PartyID(s)]; ok && !pk.signers.has(s) {
+			grp.Signers = append(grp.Signers, types.PartyID(s))
+			grp.Sigs = append(grp.Sigs, sig)
+		}
+	}
+	cert, sized := it.msg.(interface{ WireSize() int })
+	if len(grp.Signers) < need || !sized || grp.WireSize() >= cert.WireSize() {
+		return false
+	}
+	for _, s := range grp.Signers {
+		pk.signers.add(int(s))
+	}
+	// The statement has no group in the bundle yet: flush drops the
+	// queued shares of a certified statement before it gets here.
+	if e.key.final {
+		b.Final = append(b.Final, grp)
+		g.countN(types.KindFinalizationShare, pushed, need)
+	} else {
+		b.Notar = append(b.Notar, grp)
+		g.countN(types.KindNotarizationShare, pushed, need)
+	}
+	return true
 }
 
 // observeShare feeds one notarization/finalization share into the
 // aggregation state and reports whether the statement is already
 // certified. Crossing the threshold combines the shares into the
 // certificate, gossips it, and delivers it to the inner engine.
-func (g *Engine) observeShare(final bool, k types.Round, prop types.PartyID, h hash.Digest, signer types.PartyID, sg []byte, now time.Duration) bool {
+func (g *Engine) observeShare(it item, now time.Duration) bool {
+	e := it.e
 	if !g.cfg.Aggregate {
 		return false
-	}
-	key := aggKey{final: final, round: k, proposer: prop, blockHash: h}
-	e := g.agg[key]
-	if e == nil {
-		e = &aggEntry{sigs: make(map[types.PartyID][]byte)}
-		g.agg[key] = e
 	}
 	if e.done {
 		return true
 	}
-	if _, dup := e.sigs[signer]; !dup {
-		e.sigs[signer] = sg
+	if e.sigs == nil {
+		e.sigs = make(map[types.PartyID][]byte)
+	}
+	if _, dup := e.sigs[it.signer]; !dup {
+		e.sigs[it.signer] = it.sig
+	}
+	if len(e.sigs) < e.quorum {
+		return false
 	}
 	info, domain := g.cfg.Keys.Notary, types.DomainNotarization
-	if final {
+	if e.key.final {
 		info, domain = g.cfg.Keys.Final, types.DomainFinalization
-	}
-	if len(e.sigs) < info.Quorum() {
-		return false
 	}
 	shares := make([]*aggsig.Share, 0, len(e.sigs))
 	for s, sgn := range e.sigs {
 		shares = append(shares, &aggsig.Share{Signer: int(s), Signature: sgn})
 	}
+	k, prop, h := e.key.round, e.key.proposer, e.key.blockHash
 	var agg aggsig.Certificate
 	var err error
 	if g.cfg.TrustShares {
@@ -556,98 +803,176 @@ func (g *Engine) observeShare(final bool, k types.Round, prop types.PartyID, h h
 		// honest threshold is still reachable.
 		return false
 	}
-	e.done = true
-	e.sigs = nil
+	e.verified = true
 	var cert types.Message
-	if final {
+	if e.key.final {
 		cert = &types.Finalization{Round: k, Proposer: prop, BlockHash: h, Agg: agg.Encode()}
 	} else {
 		cert = &types.Notarization{Round: k, Proposer: prop, BlockHash: h, Agg: agg.Encode()}
 	}
-	// The certificate is our own new artifact: gossip it everywhere and
-	// let the inner engine admit it (which may finish the round).
-	g.gossipArtifact(cert, -1, now)
-	g.disseminate(g.inner.HandleMessage(g.cfg.Self, cert, now), -1, now)
+	// The certificate is our own new artifact: gossip it to whoever still
+	// needs it and let the inner engine admit it (which may finish the
+	// round).
+	g.gossipArtifact(cert, now)
+	g.disseminate(g.inner.HandleMessage(g.cfg.Self, cert, now), now)
 	return true
 }
 
-// noteCertificate marks a statement done when its certificate transits,
-// so shares arriving after the certificate stop propagating.
-func (g *Engine) noteCertificate(m types.Message) {
-	if !g.cfg.Aggregate {
-		return
+// gossipArtifact spreads one artifact of our own.
+func (g *Engine) gossipArtifact(m types.Message, now time.Duration) {
+	if it, fresh := g.file(m); fresh {
+		g.relay(it, true, now)
 	}
-	var key aggKey
-	switch v := m.(type) {
-	case *types.Notarization:
-		key = aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}
-	case *types.Finalization:
-		key = aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}
+}
+
+// relay routes one new artifact and reports whether the inner engine
+// should still see it. Whatever belongs
+// to a signing statement, and beacon shares with it, is queued for the
+// batch flush, where the frame for each neighbour is built from what
+// that neighbour is known to lack; the rest leaves now. own marks our
+// own artifacts, which the relay cut-offs spare.
+func (g *Engine) relay(it item, own bool, now time.Duration) (deliver bool) {
+	switch v := it.msg.(type) {
+	case *types.NotarizationShare, *types.FinalizationShare:
+		if g.observeShare(it, now) && !own {
+			// The certificate supersedes the share for the relay AND for
+			// the inner engine: it was delivered the moment it was created
+			// or first transited, so this share would only burn a pool
+			// verification.
+			g.count(it.msg.Kind(), certified)
+			return false
+		}
+	case *types.Notarization, *types.Finalization:
+		// Shares arriving after the certificate stop propagating. Those
+		// held stay: they may complete a neighbour's quorum (complete).
+		if g.cfg.Aggregate {
+			it.e.done = true
+		}
+		if g.cfg.TrustShares {
+			it.e.verified = true
+		}
+		if g.lazy(it.msg) {
+			it.advert = &types.Advert{Refs: []types.Ref{it.ref}}
+		}
+	case *types.BeaconShare:
+		if !own && g.beaconCutOff(v.Round) {
+			// The flood stops here, yet the local beacon still wants every
+			// share it can get.
+			g.count(it.msg.Kind(), beaconCut)
+			return true
+		}
 	default:
-		return
+		g.relayNow(it)
+		return true
 	}
-	e := g.agg[key]
-	if e == nil {
-		e = &aggEntry{}
-		g.agg[key] = e
-	}
-	e.done = true
-	e.sigs = nil
+	g.enqueue(it, now)
+	return true
 }
 
-// gossipArtifact spreads one artifact we now hold.
-func (g *Engine) gossipArtifact(m types.Message, skip types.PartyID, now time.Duration) {
-	ref := types.RefOf(m)
-	if _, dup := g.seen[ref]; dup {
-		return
-	}
-	g.seen[ref] = struct{}{}
-	g.put(ref, m)
-	g.noteCertificate(m)
-	switch g.routeShare(m, skip, now) {
-	case shareBatched, shareCertified, shareDeliverOnly:
-		return
-	}
-	g.relayRaw(m, ref, skip)
-}
-
-// relayRaw sends the artifact (eager) or its advert (lazy) to every peer
-// except skip.
-func (g *Engine) relayRaw(m types.Message, ref types.Ref, skip types.PartyID) {
-	if len(types.Marshal(m)) <= g.cfg.EagerThreshold {
-		for _, p := range g.peers {
-			if p != skip {
-				g.send(p, m)
-			}
-		}
-		return
-	}
-	adv := &types.Advert{Refs: []types.Ref{ref}}
-	for _, p := range g.peers {
-		if p != skip {
-			g.send(p, adv)
+// beaconCutOff reports whether round k's relayed beacon shares stop
+// here, and counts one against the quota otherwise.
+func (g *Engine) beaconCutOff(k types.Round) bool {
+	// Once the round's beacon output is known (recovered here or received
+	// as a BeaconOutput), the one relayed output supersedes the whole
+	// share flood. The output was verified before the mark was set, so
+	// this cut-off is safe even for unverified input.
+	if g.cfg.Outputs != nil {
+		if _, done := g.outputDone[k]; done {
+			return true
 		}
 	}
+	// Under TrustShares, t+1 relayed shares already let every party
+	// reconstruct the round's beacon; the rest of the O(n) flood adds
+	// nothing. Without it an adversary could spend the quota with garbage
+	// shares, so the cut-off stays off for unverified input.
+	if g.cfg.TrustShares {
+		if g.beaconRelay[k] >= types.BeaconQuorum(g.cfg.N) {
+			return true
+		}
+		g.beaconRelay[k]++
+	}
+	return false
 }
 
-// put stores an artifact for serving, with FIFO eviction.
-func (g *Engine) put(ref types.Ref, m types.Message) {
-	if _, ok := g.store[ref]; ok {
-		return
+// enqueue adds one share or certificate to the pending batch. Without a
+// window, or under AdaptiveBatch with the queue empty and nothing seen
+// within the last window, the batch is due at once — an idle or
+// lightly-loaded party pays no batching latency and arms no flush timer —
+// while what arrives in bursts waits for the window to close.
+func (g *Engine) enqueue(it item, now time.Duration) {
+	if len(g.pending) == 0 {
+		g.flushAt = now + g.cfg.ShareBatchWindow
+		if g.cfg.AdaptiveBatch && now >= g.lastShareAt+g.cfg.ShareBatchWindow {
+			g.flushAt = now
+		}
 	}
-	g.store[ref] = m
+	g.lastShareAt = now
+	g.pending = append(g.pending, it)
+	if len(g.pending) >= g.cfg.MaxBatchShares {
+		g.flush()
+	}
+}
+
+// lazy reports whether an artifact is too large to push: it travels as an
+// advert, and whoever lacks it asks for it.
+func (g *Engine) lazy(m types.Message) bool {
+	if sized, ok := m.(interface{ WireSize() int }); ok {
+		return sized.WireSize() > g.cfg.EagerThreshold
+	}
+	return len(types.Marshal(m)) > g.cfg.EagerThreshold
+}
+
+// relayNow sends an artifact outside any signing statement (eager) or its
+// advert (lazy) to every neighbour not known to hold it.
+func (g *Engine) relayNow(it item) {
+	frame, d := it.msg, pushed
+	if g.lazy(it.msg) {
+		frame, d = &types.Advert{Refs: []types.Ref{it.ref}}, advertised
+	}
+	for pi, p := range g.peers {
+		if it.h.peers.has(pi) {
+			g.count(it.msg.Kind(), peerHas)
+			continue
+		}
+		if d == pushed {
+			g.holds(it.h, pi)
+		}
+		g.send(p, frame)
+		g.count(it.msg.Kind(), d)
+	}
+}
+
+// put stores an artifact for deduplication and serving, with FIFO
+// eviction.
+func (g *Engine) put(ref types.Ref, m types.Message) *held {
+	h := &held{msg: m}
+	g.store[ref] = h
 	g.order = append(g.order, ref)
 	for len(g.order) > g.cfg.MaxStore {
 		old := g.order[0]
 		g.order = g.order[1:]
 		delete(g.store, old)
 	}
+	return h
+}
+
+// holds records that neighbour pi (−1: not a neighbour) has the stored
+// artifact, and reports whether that was known.
+func (g *Engine) holds(h *held, pi int) bool {
+	if pi < 0 {
+		return false
+	}
+	if h.peers == nil {
+		h.peers = newBitset(len(g.peers))
+	}
+	return h.peers.add(pi)
 }
 
 func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Duration) {
 	var want []types.Ref
 	for _, ref := range adv.Refs {
-		if _, have := g.store[ref]; have {
+		if h := g.store[ref]; h != nil {
+			g.learn(g.peerIndex(from), g.describe(h.msg, ref, h), false)
 			continue
 		}
 		f := g.fetch[ref]
@@ -663,12 +988,14 @@ func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Du
 			// reserve instead of downloading a copy per advertiser.
 			if !containsParty(f.reserve, from) {
 				f.reserve = append(f.reserve, from)
+				g.reserved.Inc()
 			}
 			continue
 		}
 		f.asked[from] = struct{}{}
 		f.retryAt = now + g.cfg.RequestRetry
 		want = append(want, ref)
+		g.requested.Inc()
 	}
 	if len(want) > 0 {
 		g.send(from, &types.Request{Refs: want})
@@ -676,10 +1003,12 @@ func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Du
 }
 
 // retryFetches re-requests stalled fetches from the next advertiser in
-// reserve once the in-flight request's retry deadline passes.
+// reserve once the in-flight request's retry deadline passes, and
+// forgets a fetch with nobody left to ask (the advertisers evicted the
+// artifact, or lied): a later advert starts it over.
 func (g *Engine) retryFetches(now time.Duration) {
 	for ref, f := range g.fetch {
-		if len(f.reserve) == 0 || now < f.retryAt {
+		if now < f.retryAt {
 			continue
 		}
 		next := types.PartyID(-1)
@@ -692,11 +1021,13 @@ func (g *Engine) retryFetches(now time.Duration) {
 			}
 		}
 		if next < 0 {
+			delete(g.fetch, ref)
 			continue
 		}
 		f.asked[next] = struct{}{}
 		f.retryAt = now + g.cfg.RequestRetry
 		g.send(next, &types.Request{Refs: []types.Ref{ref}})
+		g.retried.Inc()
 	}
 }
 
@@ -709,11 +1040,18 @@ func containsParty(list []types.PartyID, p types.PartyID) bool {
 	return false
 }
 
+// handleRequest serves what the store still has. A request is answered
+// whatever the requester is believed to hold: it knows better.
 func (g *Engine) handleRequest(from types.PartyID, req *types.Request) {
 	for _, ref := range req.Refs {
-		if m, ok := g.store[ref]; ok {
-			g.send(from, m)
+		h := g.store[ref]
+		if h == nil {
+			g.missed.Inc()
+			continue
 		}
+		g.send(from, h.msg)
+		g.learn(g.peerIndex(from), g.describe(h.msg, ref, h), true)
+		g.served.Inc()
 	}
 }
 
@@ -734,30 +1072,18 @@ func (g *Engine) handleArtifact(from types.PartyID, m types.Message, now time.Du
 		g.handleBeaconOutput(from, o, now)
 		return
 	}
-	ref := types.RefOf(m)
-	if _, dup := g.seen[ref]; dup {
+	it, fresh := g.file(m)
+	g.learn(g.peerIndex(from), it, false)
+	if !fresh {
 		return
 	}
-	g.seen[ref] = struct{}{}
-	g.put(ref, m)
-	delete(g.fetch, ref)
-	g.noteCertificate(m)
 	// Relay onward before delivering (delivery may produce more output).
-	switch g.routeShare(m, from, now) {
-	case shareCertified:
-		// The certificate supersedes the share for the relay AND for the
-		// inner engine: it was delivered the moment it was created or
-		// first transited, so this share would only burn a pool
-		// verification.
+	if !g.relay(it, false, now) {
 		return
-	case shareNone, shareRelay:
-		g.relayRaw(m, ref, from)
-	case shareBatched, shareDeliverOnly:
-		// Queued for the bundle flush, or relay-capped: delivery proceeds.
 	}
 	// The inner engine's reactions are new artifacts of our own: gossip
 	// them to all peers (including the artifact's source).
-	g.disseminate(g.inner.HandleMessage(from, m, now), -1, now)
+	g.disseminate(g.inner.HandleMessage(from, m, now), now)
 	// A delivered beacon share may have completed the round's quorum:
 	// if the beacon is now recoverable, gossip the one verifiable output
 	// so downstream relays stop flooding the remaining shares.
@@ -780,20 +1106,20 @@ func (g *Engine) handleBeaconOutput(from types.PartyID, o *types.BeaconOutput, n
 		return
 	}
 	ref := types.RefOf(o)
-	if _, dup := g.seen[ref]; dup {
+	if h := g.store[ref]; h != nil {
+		g.holds(h, g.peerIndex(from))
 		return
 	}
 	if _, done := g.outputDone[o.Round]; done || src.Have(o.Round) {
 		// Known round: nothing to install or relay (our own output
-		// already made the rounds), but remember the dedup ref.
-		g.seen[ref] = struct{}{}
+		// already made the rounds).
 		g.outputDone[o.Round] = struct{}{}
 		return
 	}
 	if !g.cfg.TrustShares {
 		if err := src.VerifyOutput(o.Round, o.Output); err != nil {
 			// Forged — or ahead of us: verification needs R_{k−1}, which
-			// we may not have yet. Not marking it seen lets a later copy
+			// we may not have yet. Not storing it lets a later copy
 			// succeed once we catch up.
 			return
 		}
@@ -801,14 +1127,14 @@ func (g *Engine) handleBeaconOutput(from types.PartyID, o *types.BeaconOutput, n
 	if err := src.InstallOutput(o.Round, o.Output); err != nil {
 		return
 	}
-	g.seen[ref] = struct{}{}
 	g.outputDone[o.Round] = struct{}{}
-	g.put(ref, o)
-	g.relayRaw(o, ref, from)
+	it, _ := g.file(o)
+	g.holds(it.h, g.peerIndex(from))
+	g.relayNow(it)
 	// The beacon for this round just became known without any share
 	// crossing the engine: poke it so a waiting round can proceed now
 	// rather than at its next timer.
-	g.disseminate(g.inner.Tick(now), -1, now)
+	g.disseminate(g.inner.Tick(now), now)
 }
 
 // maybeEmitOutput gossips round k's recovered beacon output once, if the
@@ -829,66 +1155,75 @@ func (g *Engine) maybeEmitOutput(k types.Round, now time.Duration) {
 		return
 	}
 	g.outputDone[k] = struct{}{}
-	g.gossipArtifact(&types.BeaconOutput{Round: k, Output: out}, -1, now)
+	g.gossipArtifact(&types.BeaconOutput{Round: k, Output: out}, now)
 }
 
-// maybeFlush sends the pending ShareBundle batch once its window closed.
+// maybeFlush sends the pending batch once its window closed.
 func (g *Engine) maybeFlush(now time.Duration) {
 	if len(g.pending) > 0 && now >= g.flushAt {
-		g.flushShares()
+		g.flush()
 	}
 }
 
-// flushShares turns the pending shares into one ShareBundle per
-// neighbour, excluding from each bundle the shares that neighbour sent
-// us. Shares whose statement gained a certificate while they waited in
-// the batch are dropped — downstream parties get (or already got) the
-// certificate, so relaying the shares now would be pure dead weight. A
-// batch that collapses to a single share for some peer goes out as the
-// bare share — bundle framing would only add bytes.
-func (g *Engine) flushShares() {
+// flush builds each neighbour's frames from the pending batch and what
+// that neighbour is known to hold: its shares leave as one ShareBundle, a
+// certificate it still needs as a frame of its own — or as the few shares
+// that complete its quorum. A certificate queued behind the open window
+// has by now let the neighbour's own bundle arrive, which may show that
+// it can combine the certificate itself. Shares whose statement gained a
+// certificate while they waited are dropped for everyone — whoever still
+// needs it is served through the certificate. A batch that collapses to a
+// single share for some peer goes out as the bare share — bundle framing
+// would only add bytes.
+func (g *Engine) flush() {
 	pending := g.pending[:0]
-	for _, ps := range g.pending {
-		if !g.certified(ps.msg) {
-			pending = append(pending, ps)
+	for _, it := range g.pending {
+		if it.e != nil && !it.cert && it.e.done {
+			g.count(it.msg.Kind(), certified)
+			continue
 		}
+		pending = append(pending, it)
 	}
-	g.pending = nil
-	for _, p := range g.peers {
-		b := &types.ShareBundle{}
-		for _, ps := range pending {
-			if ps.skip == p {
-				continue
+	g.pending = g.pending[:0]
+	for pi, p := range g.peers {
+		var b types.ShareBundle
+		shares := g.scratch[:0]
+		for _, it := range pending {
+			d := g.owed(pi, it)
+			switch {
+			case d != pushed:
+			case !it.cert:
+				shares = append(shares, it.msg)
+			case it.advert != nil:
+				g.send(p, it.advert)
+				d = advertised
+			case g.complete(pi, it, &b):
+				d = peerQuorum
+			default:
+				g.learn(pi, it, true)
+				g.send(p, it.msg)
 			}
-			appendToBundle(b, ps.msg)
+			g.count(it.msg.Kind(), d)
+		}
+		g.scratch = shares[:0]
+		if len(shares) == 1 && b.Shares() == 0 {
+			g.send(p, shares[0])
+			continue
+		}
+		for _, m := range shares {
+			appendToBundle(&b, m)
 		}
 		switch b.Shares() {
 		case 0:
 		case 1:
 			g.send(p, b.Expand()[0])
 		default:
-			g.send(p, b)
+			frame := b
+			g.send(p, &frame)
 		}
 	}
-}
-
-// certified reports whether a queued share's statement already holds a
-// certificate (combined here or observed in transit).
-func (g *Engine) certified(m types.Message) bool {
-	if !g.cfg.Aggregate {
-		return false
-	}
-	var key aggKey
-	switch v := m.(type) {
-	case *types.NotarizationShare:
-		key = aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}
-	case *types.FinalizationShare:
-		key = aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}
-	default:
-		return false
-	}
-	e := g.agg[key]
-	return e != nil && e.done
+	// The next batch reuses the queue; let go of what this one pointed at.
+	clear(g.pending[:cap(g.pending)])
 }
 
 // appendToBundle files one share into the bundle, grouping notarization
@@ -919,8 +1254,9 @@ func addToGroups(groups []types.ShareGroup, k types.Round, prop types.PartyID, h
 	})
 }
 
-// gcRounds drops aggregation and beacon-relay state for rounds far
-// behind the inner engine's progress.
+// gcRounds drops per-statement state (each neighbour's part of it
+// included) and beacon-relay state for rounds far behind the inner
+// engine's progress.
 func (g *Engine) gcRounds() {
 	cur := g.inner.CurrentRound()
 	if cur <= aggRetainRounds {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"icc/internal/engine"
+	"icc/internal/obs"
 	"icc/internal/types"
 )
 
@@ -186,7 +187,8 @@ func TestAdvertRequestServe(t *testing.T) {
 
 func TestAdvertSingleFlightWithRetry(t *testing.T) {
 	inner := &sink{id: 0}
-	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, RequestRetry: 100 * time.Millisecond}, inner)
+	reg := obs.NewRegistry()
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, RequestRetry: 100 * time.Millisecond, Registry: reg}, inner)
 	ref := types.RefOf(bigMsg())
 	adv := &types.Advert{Refs: []types.Ref{ref}}
 	outs := g.HandleMessage(g.Peers()[0], adv, 0)
@@ -228,6 +230,12 @@ func TestAdvertSingleFlightWithRetry(t *testing.T) {
 	g.HandleMessage(g.Peers()[2], bigMsg(), 100*time.Millisecond)
 	if outs := g.HandleMessage(g.Peers()[0], adv, 200*time.Millisecond); len(outs) != 0 {
 		t.Fatal("requested an artifact we already hold")
+	}
+	snap := reg.Snapshot()
+	for _, outcome := range []string{"requested", "reserved", "retried"} {
+		if got := snap[`icc_gossip_fetch_total{outcome="`+outcome+`"}`]; got != 1 {
+			t.Errorf("icc_gossip_fetch_total{outcome=%q} = %v, want 1", outcome, got)
+		}
 	}
 }
 
@@ -323,8 +331,8 @@ func TestPayloadOfferGoesStraightToTheEngine(t *testing.T) {
 	if len(inner.received) != 2 {
 		t.Fatalf("inner engine received %d messages, want both deliveries", len(inner.received))
 	}
-	if len(g.store) != 0 || len(g.seen) != 0 {
-		t.Fatalf("gossip state holds the offer: %d stored, %d seen", len(g.store), len(g.seen))
+	if len(g.store) != 0 {
+		t.Fatalf("gossip state holds the offer: %d stored", len(g.store))
 	}
 }
 
@@ -346,7 +354,7 @@ func TestOfferPassesThroughAndExceptBroadcastIsGossiped(t *testing.T) {
 		t.Fatalf("the offer left as %+v", o)
 	}
 	for _, o := range outs[1:] {
-		if o.Broadcast || o.Msg != types.Message(share) {
+		if o.Broadcast || types.RefOf(o.Msg) != types.RefOf(share) {
 			t.Fatalf("the share left as %+v, want a unicast to a peer", o)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"icc/internal/obs"
+	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -25,6 +26,19 @@ type Profile struct {
 	N         int
 	Behaviors map[types.PartyID]Behavior
 	Tuning    map[types.PartyID]BehaviorTuning
+
+	// Mode is the dissemination sub-layer under the engines (zero: ICC0).
+	// ICC1 cells run the overlay as node.New ships it: 2 ms adaptive batch
+	// window, relay aggregation, default fanout. Verify is the pool's
+	// admission policy, and with it whether the gossip relays trust their
+	// input: under pool.VerifyFull they do not (a share is an opaque ref,
+	// and a neighbour counts as holding a certificate only on its own
+	// word), under pool.VerifySharesOnly they do (what each neighbour
+	// holds is counted per signer, and one at a quorum is sent neither
+	// shares nor certificate) — sound here because no behaviour of the
+	// matrix forges a signature.
+	Mode   Mode
+	Verify pool.VerifyPolicy
 
 	// ExpectStall marks profiles whose adversary provably exceeds the
 	// finalization fault threshold (more than t withheld finalization
@@ -160,7 +174,7 @@ func (p Profile) maxStall(o CampaignOptions) time.Duration {
 // runProfile executes one (profile, seed) cell, recording the execution
 // into tr when non-nil, and returns (min honest commits, failure).
 func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, string, error) {
-	c, err := New(Options{
+	opts := Options{
 		N:          p.N,
 		Seed:       seed,
 		Delay:      simnet.Uniform{Min: o.DelayMin, Max: o.DelayMax},
@@ -170,7 +184,16 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 		Tuning:     p.Tuning,
 		KeyRand:    newDetReader(seed),
 		Trace:      tr,
-	})
+		Mode:       p.Mode,
+		Verify:     p.Verify,
+	}
+	if p.Mode == ICC1 {
+		// node.gossipConfig's overlay; the fanout stays at its default.
+		opts.GossipBatchWindow = 2 * time.Millisecond
+		opts.GossipAdaptiveBatch = true
+		opts.GossipAggregate = true
+	}
+	c, err := New(opts)
 	if err != nil {
 		return 0, "", err
 	}
@@ -201,6 +224,23 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 		}
 	}
 	return commits, "", nil
+}
+
+// parseDissemination inverts Mode.String and pool.VerifyPolicy.String. A
+// trace recorded before the campaign had the axis carries neither key:
+// it ran ICC0 under full verification, the zero values.
+func parseDissemination(mode, verify string) (m Mode, v pool.VerifyPolicy, err error) {
+	for m = ICC0; mode != "" && m.String() != mode; m++ {
+		if m == ICC2 {
+			return 0, 0, fmt.Errorf("harness: unknown mode %q", mode)
+		}
+	}
+	for v = pool.VerifyFull; verify != "" && v.String() != verify; v++ {
+		if v == pool.VerifyPreVerified {
+			return 0, 0, fmt.Errorf("harness: unknown verify policy %q", verify)
+		}
+	}
+	return m, v, nil
 }
 
 // maxCommitGap returns the largest interval without a commit across the
@@ -284,6 +324,8 @@ func campaignMeta(p Profile, seed int64, o CampaignOptions) map[string]string {
 		"n":            strconv.Itoa(p.N),
 		"seed":         strconv.FormatInt(seed, 10),
 		"behaviors":    encodeBehaviors(p),
+		"mode":         p.Mode.String(),
+		"verify":       p.Verify.String(),
 		"expect_stall": strconv.FormatBool(p.ExpectStall),
 		"min_commits":  strconv.Itoa(p.minCommits(o)),
 		"max_stall":    p.maxStall(o).String(),
@@ -462,6 +504,9 @@ func cellFromMeta(meta map[string]string) (Profile, int64, CampaignOptions, erro
 	p.Name = meta["profile"]
 	p.ExpectStall = meta["expect_stall"] == "true"
 	if p.Behaviors, p.Tuning, err = decodeBehaviors(meta["behaviors"]); err != nil {
+		return p, 0, o, err
+	}
+	if p.Mode, p.Verify, err = parseDissemination(meta["mode"], meta["verify"]); err != nil {
 		return p, 0, o, err
 	}
 	if p.MinCommits, err = strconv.Atoi(meta["min_commits"]); err != nil {

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -59,6 +61,68 @@ func TestChaosCampaign(t *testing.T) {
 		},
 	}
 	rep, err := RunCampaign(profiles, chaosOptions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		if r.Failure != "" {
+			t.Errorf("%s seed %d: %s (replay: go test -run TestReplay, trace %s)", r.Profile, r.Seed, r.Failure, r.TracePath)
+		}
+	}
+}
+
+// icc1Profiles is the ICC1 corner of the matrix: each adversary that
+// bears on what a gossip relay may withhold from a neighbour, at n = 7
+// (t = 2) and n = 13 (t = 4), once with relays that trust nothing
+// (pool.VerifyFull) and once with relays that count what each neighbour
+// holds (pool.VerifySharesOnly).
+func icc1Profiles() []Profile {
+	var out []Profile
+	for _, n := range []int{7, 13} {
+		t := types.MaxFaults(n)
+		assign := func(roles ...Behavior) map[types.PartyID]Behavior {
+			m := make(map[types.PartyID]Behavior)
+			for i := 0; i < t; i++ {
+				m[types.PartyID(i)] = roles[i%len(roles)]
+			}
+			return m
+		}
+		cells := []Profile{
+			// t withholders pin a quorum at exactly n−t: every party needs
+			// precisely the shares that exist, so one share or certificate
+			// withheld from a neighbour that could not derive it stalls it.
+			{Name: "withhold-notar", Behaviors: assign(WithholdNotar)},
+			{Name: "withhold-final", Behaviors: assign(WithholdFinal)},
+			// Twin blocks and twin notarization shares to the two halves:
+			// two statements of one round, tracked apart per neighbour.
+			{Name: "equivocator", Behaviors: map[types.PartyID]Behavior{0: Equivocator}},
+			// Silent parties and parties that never sign, t in all: relays
+			// keep neighbours that say nothing and shares that never come.
+			{Name: "crash-lazy", Behaviors: assign(Crash, LazyVoter)},
+		}
+		for _, verify := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifySharesOnly} {
+			for _, p := range cells {
+				p.Name = fmt.Sprintf("icc1-n%d-%s-%s", n, p.Name, verify)
+				p.N, p.Mode, p.Verify = n, ICC1, verify
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// TestChaosCampaignICC1 sweeps the ICC1 cells under the ICC0 cells' pass
+// conditions, on one seed and half the virtual time: sixteen cells of up
+// to thirteen parties are what `make chaos` can afford under -race. The
+// commit-gap bound sits below the engines' resync interval (8 Δbnd =
+// 800 ms; the longest honest gap in these cells is 460 ms, a round whose
+// first two ranks are silent): the simnet loses nothing, so a stall that
+// resync had to heal is an artifact wrongly withheld from a neighbour,
+// and fails the cell instead of hiding in the recovery.
+func TestChaosCampaignICC1(t *testing.T) {
+	o := chaosOptions(t)
+	o.Seeds, o.SimTime, o.MaxStall = []int64{1}, 3*time.Second, 700*time.Millisecond
+	rep, err := RunCampaign(icc1Profiles(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,30 +212,37 @@ func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
 		// ExpectStall deliberately left false: the stall becomes a
 		// liveness failure, which is the artifact under test.
 	}
-	o := chaosOptions(t)
-	o.Seeds = []int64{42}
-	o.SimTime = 4 * time.Second
+	// The same failure under gossip: the trace header must carry the
+	// dissemination axis, and the overlay — batch timers, per-neighbour
+	// frames, completing shares — must replay event for event.
+	gossiped := failing
+	gossiped.Name, gossiped.Mode, gossiped.Verify = "injected-liveness-failure-icc1", ICC1, pool.VerifySharesOnly
+	for _, failing := range []Profile{failing, gossiped} {
+		o := chaosOptions(t)
+		o.Seeds = []int64{42}
+		o.SimTime = 4 * time.Second
 
-	rep, err := RunCampaign([]Profile{failing}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failures != 1 || rep.Runs[0].TracePath == "" {
-		t.Fatalf("expected exactly one failing run with a trace, got %+v", rep.Runs)
-	}
-	if !strings.HasPrefix(rep.Runs[0].Failure, "liveness:") {
-		t.Fatalf("unexpected failure class: %s", rep.Runs[0].Failure)
-	}
+		rep, err := RunCampaign([]Profile{failing}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failures != 1 || rep.Runs[0].TracePath == "" {
+			t.Fatalf("%s: expected exactly one failing run with a trace, got %+v", failing.Name, rep.Runs)
+		}
+		if !strings.HasPrefix(rep.Runs[0].Failure, "liveness:") {
+			t.Fatalf("%s: unexpected failure class: %s", failing.Name, rep.Runs[0].Failure)
+		}
 
-	replay, err := ReplayTrace(rep.Runs[0].TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replay.Reproduced {
-		t.Fatalf("failure did not reproduce: recorded %q, replay %q", replay.RecordedFailure, replay.ReplayFailure)
-	}
-	if !replay.ByteIdentical {
-		t.Fatalf("replay diverged from recorded trace at line %d", replay.DivergeLine)
+		replay, err := ReplayTrace(rep.Runs[0].TracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !replay.Reproduced {
+			t.Fatalf("%s: failure did not reproduce: recorded %q, replay %q", failing.Name, replay.RecordedFailure, replay.ReplayFailure)
+		}
+		if !replay.ByteIdentical {
+			t.Fatalf("%s: replay diverged from recorded trace at line %d", failing.Name, replay.DivergeLine)
+		}
 	}
 }
 

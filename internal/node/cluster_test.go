@@ -110,6 +110,29 @@ func (c *testCluster) endpoint(i int) transport.Endpoint {
 	return c.tcps[i]
 }
 
+// reopen gives party i of a TCP cluster a fresh socket, as a restarted
+// process would get one (Stop closed the old), and tells its peers where
+// to redial.
+func (c *testCluster) reopen(i int) {
+	c.t.Helper()
+	addrs := make(map[types.PartyID]string, c.n)
+	for j, ep := range c.tcps {
+		addrs[types.PartyID(j)] = ep.Addr()
+	}
+	addrs[types.PartyID(i)] = "127.0.0.1:0"
+	ep, err := transport.NewTCPWithOptions(types.PartyID(i), addrs,
+		transport.TCPOptions{Stats: c.stats[i], RedialMax: 500 * time.Millisecond})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.tcps[i] = ep
+	for j, peer := range c.tcps {
+		if j != i {
+			peer.SetPeerAddr(types.PartyID(i), ep.Addr())
+		}
+	}
+}
+
 // build assembles party i (again, for a restart): a simulated beacon,
 // the shared registry, two verify workers, the commit log — and whatever
 // conf changes on top.

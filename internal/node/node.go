@@ -302,6 +302,7 @@ func gossipConfig(cfg Config) gossip.Config {
 		Aggregate:        true,
 		TrustShares:      cfg.pipelined(),
 		Keys:             cfg.Keys,
+		Registry:         cfg.Registry,
 	}
 }
 

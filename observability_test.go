@@ -238,3 +238,49 @@ func TestLiveClusterScrape(t *testing.T) {
 		t.Fatal("metrics server still reachable after Stop")
 	}
 }
+
+// TestGossipDecisionsOnMetrics: the ICC1 overlay counts, per artifact kind,
+// what it did for each neighbour — pushed, advertised, or withheld and by
+// which rule — so the share of certificates the per-neighbour table saves
+// is a number on /metrics. (The fetch counters need an artifact above the
+// eager threshold: internal/gossip's tests read them.)
+func TestGossipDecisionsOnMetrics(t *testing.T) {
+	c, err := NewLocalCluster(13, WithMode(ICC1), WithDeltaBound(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	if !c.WaitForCommits(10, 120*time.Second) {
+		t.Fatal("cluster made no progress")
+	}
+	snap := c.Metrics()
+	frames := func(kind, decision string) float64 {
+		return snap.Get(fmt.Sprintf("icc_gossip_frames_total{kind=%q,decision=%q}", kind, decision))
+	}
+	for _, want := range [][2]string{
+		{"block", "pushed"}, {"authenticator", "pushed"},
+		{"notarization-share", "pushed"}, {"finalization-share", "pushed"},
+		{"notarization", "peer_quorum"}, {"finalization", "peer_quorum"},
+	} {
+		if frames(want[0], want[1]) == 0 {
+			t.Errorf("icc_gossip_frames_total{kind=%q,decision=%q} is zero (gossip metrics: %v)", want[0], want[1], gossipMetrics(snap))
+		}
+	}
+	if frames("notarization", "advertised")+frames("finalization", "advertised") != 0 {
+		t.Error("a certificate was advertised")
+	}
+	saved := frames("notarization", "peer_quorum") + frames("finalization", "peer_quorum")
+	sent := frames("notarization", "pushed") + frames("finalization", "pushed")
+	t.Logf("certificates: %.0f withheld by the quorum rule, %.0f pushed (%.1f %% withheld)", saved, sent, 100*saved/(saved+sent))
+}
+
+func gossipMetrics(snap MetricsSnapshot) []string {
+	var out []string
+	for _, k := range snap.Keys() {
+		if strings.HasPrefix(k, "icc_gossip_") {
+			out = append(out, fmt.Sprintf("%s=%v", k, snap[k]))
+		}
+	}
+	return out
+}
