@@ -48,6 +48,7 @@ bench-suite:
 # two sets of records. PARENT (default HEAD) and PAIRS (default 10) override.
 #   make bench-pair WORKLOAD=steady-n4
 #   make bench-pair WORKLOAD=all
+#   make bench-pair WORKLOAD=tcp-gossip-n13 TRACED=1   (+ a traced run a side: bytes by kind)
 bench-pair:
 	scripts/bench-pair.sh $(WORKLOAD) $(PAIRS)
 

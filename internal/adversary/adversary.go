@@ -141,6 +141,55 @@ func NewLazyVoter(inner *core.Engine) engine.Engine {
 	}
 }
 
+// NewMuteRelay wraps a party's gossip wrapper — the outermost engine, not
+// the consensus engine inside it — so that the party takes every frame
+// and sends what it signed or proposed itself, but relays nothing
+// second-hand: no other party's share, block or authenticator, no
+// certificate, and no advert (so a block of its own above the overlay's
+// eager threshold is never fetched from it either). Its own shares leave
+// bare, one frame each. To an overlay that gives every edge one speaker
+// it is the speaker that never speaks, on every edge where that is its
+// turn. Unicasts that are not gossip — resync traffic, requests, payload
+// offers — pass.
+func NewMuteRelay(outer engine.Engine) engine.Engine {
+	self := outer.ID()
+	own := func(m types.Message) bool {
+		switch v := m.(type) {
+		case *types.NotarizationShare:
+			return v.Signer == self
+		case *types.FinalizationShare:
+			return v.Signer == self
+		case *types.BeaconShare:
+			return v.Signer == self
+		case *types.BlockMsg:
+			return v.Block != nil && v.Block.Proposer == self
+		case *types.Authenticator:
+			return v.Proposer == self
+		case *types.Notarization, *types.Finalization, *types.BeaconOutput, *types.Advert:
+			return false
+		}
+		return true
+	}
+	return &Filter{
+		Inner: outer,
+		Transform: func(o engine.Output) []engine.Output {
+			if b, ok := o.Msg.(*types.ShareBundle); ok {
+				var kept []engine.Output
+				for _, sub := range b.Expand() {
+					if own(sub) {
+						kept = append(kept, engine.Unicast(o.To, sub))
+					}
+				}
+				return kept
+			}
+			if !own(o.Msg) {
+				return nil
+			}
+			return []engine.Output{o}
+		},
+	}
+}
+
 // NewEquivocator wraps an honest engine so that whenever it proposes a
 // block, it creates a second, conflicting block for the same round and
 // sends one to the first half of the parties and the other to the second

@@ -220,3 +220,61 @@ func TestEquivocatorForksNotarizationShares(t *testing.T) {
 		}
 	}
 }
+
+// scripted is an outer engine that emits a prepared list on Init.
+type scripted struct {
+	Silent
+	outs []engine.Output
+}
+
+func (s *scripted) Init(time.Duration) []engine.Output { return s.outs }
+
+// The mute relay lets through what party 2 signed or proposed itself and
+// what is not gossip; everything second-hand stops, a bundle's foreign
+// shares included.
+func TestMuteRelaySendsOnlyItsOwn(t *testing.T) {
+	own := &types.NotarizationShare{Round: 1, Signer: 2, Sig: []byte{1}}
+	foreign := &types.NotarizationShare{Round: 1, Signer: 3, Sig: []byte{2}}
+	bundle := &types.ShareBundle{
+		Notar:  []types.ShareGroup{{Round: 1, Signers: []types.PartyID{2, 3}, Sigs: [][]byte{{1}, {2}}}},
+		Beacon: []*types.BeaconShare{{Round: 2, Signer: 2}, {Round: 2, Signer: 4}},
+	}
+	m := NewMuteRelay(&scripted{Silent: Silent{Self: 2}, outs: []engine.Output{
+		engine.Unicast(0, own),
+		engine.Unicast(0, foreign),
+		engine.Unicast(0, bundle),
+		engine.Unicast(0, &types.BlockMsg{Block: &types.Block{Round: 1, Proposer: 2}}),
+		engine.Unicast(0, &types.BlockMsg{Block: &types.Block{Round: 1, Proposer: 3}}),
+		engine.Unicast(0, &types.Authenticator{Round: 1, Proposer: 3}),
+		engine.Unicast(0, &types.Notarization{Round: 1}),
+		engine.Unicast(0, &types.Advert{}),
+		engine.Unicast(0, &types.Request{}),
+	}})
+	var kinds []types.Kind
+	for _, o := range m.Init(0) {
+		switch v := o.Msg.(type) {
+		case *types.NotarizationShare:
+			if v.Signer != 2 {
+				t.Fatalf("relayed the share of signer %d", v.Signer)
+			}
+		case *types.BeaconShare:
+			if v.Signer != 2 {
+				t.Fatalf("relayed the beacon share of signer %d", v.Signer)
+			}
+		case *types.BlockMsg:
+			if v.Block.Proposer != 2 {
+				t.Fatalf("relayed the block of proposer %d", v.Block.Proposer)
+			}
+		}
+		kinds = append(kinds, o.Msg.Kind())
+	}
+	want := []types.Kind{types.KindNotarizationShare, types.KindNotarizationShare, types.KindBeaconShare, types.KindBlock, types.KindRequest}
+	if len(kinds) != len(want) {
+		t.Fatalf("sent %v, want %v", kinds, want)
+	}
+	for i := range want {
+		if kinds[i] != want[i] {
+			t.Fatalf("sent %v, want %v", kinds, want)
+		}
+	}
+}

@@ -150,14 +150,35 @@ func TestAdaptiveBatchWindow(t *testing.T) {
 	const window = 10 * time.Millisecond
 	inner := &sink{id: 0}
 	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: window, AdaptiveBatch: true}, inner)
-	relayed := func(outs []engine.Output) int {
-		return countKind[*types.BeaconShare](outs) + countKind[*types.ShareBundle](outs)
+	// relayed counts the share copies sent, bare or bundled.
+	relayed := func(outs []engine.Output) (n int) {
+		for _, o := range outs {
+			switch v := o.Msg.(type) {
+			case *types.BeaconShare:
+				n++
+			case *types.ShareBundle:
+				n += v.Shares()
+			}
+		}
+		return n
+	}
+	// The neighbours this party speaks to about a share get it with the
+	// flush; the rest after the listening time, unless they spoke first.
+	speaksTo := func(s *types.BeaconShare) (n int) {
+		for pi := range g.Peers() {
+			if pi > 0 && g.speaks(pi, g.describe(s, types.RefOf(s), nil)) {
+				n++
+			}
+		}
+		return n
 	}
 
 	// An isolated share on an idle party goes out immediately — no
 	// window latency.
-	if got := relayed(g.HandleMessage(g.Peers()[0], beaconShare(1, 2), 0)); got != len(g.Peers())-1 {
-		t.Fatalf("idle share relayed to %d peers, want immediate fanout %d", got, len(g.Peers())-1)
+	first := beaconShare(1, 2)
+	sentShares := relayed(g.HandleMessage(g.Peers()[0], first, 0))
+	if want := speaksTo(first); sentShares != want || want == 0 {
+		t.Fatalf("idle share relayed to %d peers, want immediate fanout %d", sentShares, want)
 	}
 	// A share close on its heels sees the party busy: batched.
 	if got := relayed(g.HandleMessage(g.Peers()[0], beaconShare(1, 3), time.Millisecond)); got != 0 {
@@ -171,18 +192,26 @@ func TestAdaptiveBatchWindow(t *testing.T) {
 	if !ok || wake != time.Millisecond+window {
 		t.Fatalf("NextWake = %v, %v; want flush at %v", wake, ok, time.Millisecond+window)
 	}
-	// The window close flushes the batch as bundles.
-	if got := countKind[*types.ShareBundle](g.Tick(wake)); got == 0 {
-		t.Fatal("window close flushed no bundles")
+	// The window close flushes the batch.
+	got := relayed(g.Tick(wake))
+	if got == 0 {
+		t.Fatal("window close flushed nothing")
 	}
-	// No pending shares: no timer armed (the adaptive mode's whole
-	// point — an idle party wakes for nothing).
-	if _, ok := g.NextWake(wake); ok {
-		t.Fatal("timer armed with empty batch queue")
+	sentShares += got
+	// What was held back for silent speakers follows; every neighbour but
+	// the source has then been sent all three shares, and with nothing
+	// pending no timer is armed (the adaptive mode's whole point — an idle
+	// party wakes for nothing).
+	for wake, ok = g.NextWake(wake); ok; wake, ok = g.NextWake(wake) {
+		sentShares += relayed(g.Tick(wake))
+	}
+	if want := 3 * (len(g.Peers()) - 1); sentShares != want {
+		t.Fatalf("%d share copies sent once the listening time had passed, want %d", sentShares, want)
 	}
 	// After a long idle stretch the next share is immediate again.
-	if got := relayed(g.HandleMessage(g.Peers()[0], beaconShare(2, 2), 100*time.Millisecond)); got != len(g.Peers())-1 {
-		t.Fatalf("post-idle share relayed to %d peers, want immediate fanout", got)
+	next := beaconShare(2, 2)
+	if got, want := relayed(g.HandleMessage(g.Peers()[0], next, 100*time.Millisecond)), speaksTo(next); got != want || want == 0 {
+		t.Fatalf("post-idle share relayed to %d peers, want immediate fanout %d", got, want)
 	}
 }
 

@@ -15,8 +15,11 @@
 // The wrapper remembers, for each neighbour, what that neighbour is
 // known to hold — what it sent us and what we sent it — and a frame is
 // withheld from a neighbour only when the frames already exchanged with
-// it contain bytes from which its own wrapper derives the same artifact
-// (DESIGN.md §14 has the rules and the argument).
+// it contain bytes from which its own wrapper derives the same artifact.
+// Every edge has one speaker per artifact, the same at both ends: the
+// other end holds its copy back for two batch windows and then sends only
+// what the speaker's frame left necessary (DESIGN.md §14 has the rules
+// and the argument).
 //
 // Two scale-out mechanisms, both off by default, keep per-party traffic
 // sublinear as the cluster grows (§1.1 argues per-party communication
@@ -82,8 +85,10 @@ type Config struct {
 	MaxStore int
 
 	// ShareBatchWindow enables share batching: signature shares queue for
-	// up to this long and leave as one ShareBundle per neighbour. Zero
-	// disables batching (every share relays as its own frame).
+	// up to this long and leave as one ShareBundle per neighbour. The
+	// listening end of an edge holds an item back for the speaking end's
+	// frame for twice as long. Zero disables both (every share relays as
+	// its own frame, to every neighbour at once).
 	ShareBatchWindow time.Duration
 	// AdaptiveBatch makes the batch window load-adaptive: a share that
 	// arrives with the queue empty and no other share seen within the
@@ -129,7 +134,8 @@ type Config struct {
 	Outputs beacon.OutputSource
 
 	// Registry receives the wrapper's instruments (nil → none):
-	// icc_gossip_frames_total and icc_gossip_fetch_total.
+	// icc_gossip_frames_total, icc_gossip_fetch_total and
+	// icc_gossip_bundle_shares.
 	Registry *obs.Registry
 }
 
@@ -254,6 +260,44 @@ func buildTopology(n, fanout int, seed int64) [][]types.PartyID {
 	return out
 }
 
+// edgeSides says, for each neighbour of self and each party s, which end
+// of that edge is nearer s in overlay hops: −1 self, +1 the neighbour, 0
+// neither. Every party computes the same topology, so both ends of an
+// edge read the same answer from opposite sides.
+func edgeSides(topo [][]types.PartyID, self types.PartyID) [][]int8 {
+	hops := func(src types.PartyID) []int {
+		dist := make([]int, len(topo))
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		for queue := []types.PartyID{src}; len(queue) > 0; queue = queue[1:] {
+			for _, p := range topo[queue[0]] {
+				if dist[p] < 0 {
+					dist[p] = dist[queue[0]] + 1
+					queue = append(queue, p)
+				}
+			}
+		}
+		return dist
+	}
+	mine := hops(self)
+	sides := make([][]int8, len(topo[self]))
+	for pi, p := range topo[self] {
+		theirs := hops(p)
+		sides[pi] = make([]int8, len(topo))
+		for s := range sides[pi] {
+			switch {
+			case mine[s] < theirs[s]:
+				sides[pi][s] = -1
+			case mine[s] > theirs[s]:
+				sides[pi][s] = 1
+			}
+		}
+	}
+	return sides
+}
+
 // bitset is a set of indices below a size its owner fixes: signers of a
 // statement, or positions in the neighbour list. Nil is the empty set.
 type bitset []uint64
@@ -263,12 +307,7 @@ func words(size int) int { return (size + 63) >> 6 }
 
 func newBitset(size int) bitset { return make(bitset, words(size)) }
 
-// add inserts i and reports whether it was already there.
-func (b bitset) add(i int) bool {
-	had := b.has(i)
-	b[i>>6] |= 1 << (i & 63)
-	return had
-}
+func (b bitset) add(i int) { b[i>>6] |= 1 << (i & 63) }
 
 func (b bitset) has(i int) bool {
 	w := i >> 6
@@ -312,12 +351,15 @@ type aggKey struct {
 }
 
 // peerKnow is what one neighbour is known to hold of one statement: the
-// signers whose share it sent us or we sent it, and the certificate.
-// Signers are recorded under TrustShares only, so every one of them
-// stands for a share that verified.
+// signers whose share it sent us or we sent it, the certificate, and our
+// advert for a certificate too large to push (told: it knows where to ask,
+// which withholds a second advert and nothing else). Signers are recorded
+// under TrustShares only, so every one of them stands for a share that
+// verified.
 type peerKnow struct {
 	signers bitset
 	cert    bool
+	told    bool
 }
 
 // aggEntry is everything known about one statement: the shares observed
@@ -344,29 +386,45 @@ type item struct {
 	msg types.Message
 	ref types.Ref
 	h   *held
-	// e is the statement of a notarization/finalization share (signer,
-	// sig) or certificate (cert); nil for everything else.
-	e      *aggEntry
-	cert   bool
+	// e is the statement of a notarization/finalization share (sig) or
+	// certificate (cert); nil for everything else.
+	e    *aggEntry
+	cert bool
+	sig  []byte
+	// signer is who signed a share, −1 for everything else; tie is the
+	// statement's bit of the speaker tie-break (speaks).
 	signer types.PartyID
-	sig    []byte
+	tie    bool
 	// advert stands in for a certificate too large to push.
 	advert *types.Advert
+	// wait is the set of neighbours the item is held back from until due,
+	// because on their edge the other end speaks; nil before the item's
+	// first flush. One slab per batch backs every item's set.
+	wait bitset
+	due  time.Duration
 }
 
 // aggRetainRounds bounds how long aggregation and beacon-relay state for
 // old rounds is kept before Tick garbage-collects it.
 const aggRetainRounds = 64
 
+// listenWindows is how many batch windows the listening end of an edge
+// holds an item back: one in which the speaker's own batch, opened when
+// ours was, closes, and one for its frame to cross the edge. With one
+// alone the speaker's frame came too late for every second item on
+// tcp-gossip-n13 (DESIGN.md §14, rule 4).
+const listenWindows = 2
+
 // decision is what became of one artifact for one neighbour (pushed,
-// advertised, peerHas, peerQuorum) or for all of them at once (certified,
-// beaconCut): the label of icc_gossip_frames_total.
+// advertised, peerHas, peerQuorum, listened) or for all of them at once
+// (certified, beaconCut): the label of icc_gossip_frames_total.
 type decision int
 
 const (
 	pushed decision = iota
 	advertised
-	// peerHas: the neighbour is known to hold this very artifact.
+	// peerHas: the neighbour is known to hold this very artifact, or our
+	// advert for it.
 	peerHas
 	// peerQuorum: the neighbour is known to hold the statement's
 	// certificate or a quorum of its verified shares, and so derives the
@@ -377,9 +435,12 @@ const (
 	certified
 	// beaconCut: a relayed beacon share past the round's output or quota.
 	beaconCut
+	// listened: held back because the neighbour speaks on this edge; what
+	// becomes of it then is counted as one of the above.
+	listened
 )
 
-var decisionNames = [...]string{"pushed", "advertised", "peer_has", "peer_quorum", "certified", "beacon_cut"}
+var decisionNames = [...]string{"pushed", "advertised", "peer_has", "peer_quorum", "certified", "beacon_cut", "listened"}
 
 type frameKey struct {
 	kind types.Kind
@@ -393,14 +454,20 @@ type Engine struct {
 	peers []types.PartyID
 	// peerAt maps a party to its position in peers, −1 for the rest.
 	peerAt []int
+	// sides[i][s] is which end of the edge to neighbour i is nearer
+	// party s (edgeSides).
+	sides [][]int8
 
 	// store holds every artifact seen, for deduplication and for serving
 	// requests, FIFO-capped at MaxStore.
 	store map[types.Ref]*held
 	order []types.Ref
 	// fetch tracks outstanding advert-driven downloads, one request in
-	// flight per ref with further advertisers held in reserve.
-	fetch map[types.Ref]*fetchState
+	// flight per ref with further advertisers held in reserve. fetchWake
+	// is never later than the earliest retryAt among them: the scheduler
+	// wakes for it and retryFetches walks the map only once it has passed.
+	fetch     map[types.Ref]*fetchState
+	fetchWake time.Duration
 
 	// Share batching state: queued shares and certificates, the deadline
 	// set when the first one arrived, and (for AdaptiveBatch) when the
@@ -409,6 +476,11 @@ type Engine struct {
 	scratch     []types.Message // flush's per-neighbour share list, reused
 	flushAt     time.Duration
 	lastShareAt time.Duration
+	// listening holds the flushed items still held back from the
+	// neighbours that speak on their edge (item.wait), in the order they
+	// come due; batch is flush's working copy, reused.
+	listening []item
+	batch     []item
 
 	// Per-statement state, and the count of beacon shares relayed per
 	// round (for the TrustShares t+1 cut-off).
@@ -417,6 +489,8 @@ type Engine struct {
 	// outputDone marks rounds whose beacon output has been gossiped or
 	// installed: their share flood stops here.
 	outputDone map[types.Round]struct{}
+	// collected is the inner engine's round when gcRounds last ran.
+	collected types.Round
 
 	framesVec *obs.CounterVec
 	frames    map[frameKey]*obs.Counter
@@ -424,6 +498,7 @@ type Engine struct {
 	// held in reserve, a reserve asked after a retry, a request served
 	// and one for an artifact no longer (or never) held.
 	requested, reserved, retried, served, missed *obs.Counter
+	bundleShares                                 *obs.Histogram
 
 	out []engine.Output
 }
@@ -435,11 +510,14 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	topo := buildTopology(cfg.N, cfg.Fanout, cfg.Seed)
 	g := &Engine{
 		cfg:         cfg,
 		inner:       inner,
-		peers:       buildTopology(cfg.N, cfg.Fanout, cfg.Seed)[cfg.Self],
+		peers:       topo[cfg.Self],
 		peerAt:      make([]int, cfg.N),
+		sides:       edgeSides(topo, cfg.Self),
+		fetchWake:   noFetch,
 		store:       make(map[types.Ref]*held),
 		fetch:       make(map[types.Ref]*fetchState),
 		agg:         make(map[aggKey]*aggEntry),
@@ -457,7 +535,7 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 	}
 	if reg := cfg.Registry; reg != nil {
 		g.framesVec = reg.CounterVec("icc_gossip_frames_total",
-			"Artifacts by kind and what became of them: pushed, advertised, peer_has and peer_quorum count one neighbour each, certified and beacon_cut one artifact.",
+			"Artifacts by kind and what became of them: pushed, advertised, peer_has, peer_quorum and listened (held back for the neighbour to speak, then counted again as what it became) count one neighbour each, certified and beacon_cut one artifact.",
 			"kind", "decision")
 		g.frames = make(map[frameKey]*obs.Counter)
 		fetch := reg.CounterVec("icc_gossip_fetch_total",
@@ -465,6 +543,8 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 			"outcome")
 		g.requested, g.reserved, g.retried = fetch.With("requested"), fetch.With("reserved"), fetch.With("retried")
 		g.served, g.missed = fetch.With("served"), fetch.With("missed")
+		g.bundleShares = reg.Histogram("icc_gossip_bundle_shares",
+			"Shares per ShareBundle sent.", []float64{2, 3, 4, 6, 8, 12, 16, 24, 32, 64})
 	}
 	return g, nil
 }
@@ -478,30 +558,28 @@ func (g *Engine) ID() types.PartyID { return g.inner.ID() }
 // CurrentRound implements engine.Engine.
 func (g *Engine) CurrentRound() types.Round { return g.inner.CurrentRound() }
 
-// NextWake implements engine.Engine: the inner engine's deadline, or the
-// pending batch's flush deadline if that comes first.
+// NextWake implements engine.Engine: the inner engine's deadline, or
+// whichever comes first of the pending batch's flush, the moment the
+// oldest held-back item has listened long enough, and the next fetch
+// retry.
 func (g *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 	t, ok := g.inner.NextWake(now)
-	if len(g.pending) > 0 {
-		f := g.flushAt
-		if f <= now {
-			f = now + 1
+	wake := func(at time.Duration) {
+		if at <= now {
+			at = now + 1
 		}
-		if !ok || f < t {
-			t, ok = f, true
+		if !ok || at < t {
+			t, ok = at, true
 		}
 	}
-	for _, f := range g.fetch {
-		if len(f.reserve) == 0 {
-			continue
-		}
-		r := f.retryAt
-		if r <= now {
-			r = now + 1
-		}
-		if !ok || r < t {
-			t, ok = r, true
-		}
+	if len(g.pending) > 0 {
+		wake(g.flushAt)
+	}
+	if len(g.listening) > 0 {
+		wake(g.listening[0].due)
+	}
+	if len(g.fetch) > 0 {
+		wake(g.fetchWake)
 	}
 	return t, ok
 }
@@ -517,8 +595,13 @@ func (g *Engine) Init(now time.Duration) []engine.Output {
 func (g *Engine) Tick(now time.Duration) []engine.Output {
 	g.disseminate(g.inner.Tick(now), now)
 	g.maybeFlush(now)
-	g.retryFetches(now)
-	g.gcRounds()
+	if now >= g.fetchWake {
+		g.retryFetches(now)
+	}
+	if cur := g.inner.CurrentRound(); cur != g.collected {
+		g.collected = cur
+		g.gcRounds(cur)
+	}
 	return g.drain()
 }
 
@@ -649,53 +732,65 @@ func (g *Engine) file(m types.Message) (it item, fresh bool) {
 	return it, fresh
 }
 
-// describe finds the statement of a stored share or certificate.
+// describe finds the statement of a stored share or certificate, the
+// signer of a share, and the bit that breaks a speaker tie: one both ends
+// of an edge read off the artifact, and that no party can count on.
 func (g *Engine) describe(m types.Message, ref types.Ref, h *held) item {
-	it := item{msg: m, ref: ref, h: h}
+	it := item{msg: m, ref: ref, h: h, signer: -1}
+	var key aggKey
 	switch v := m.(type) {
 	case *types.NotarizationShare:
-		it.e, it.signer, it.sig = g.entry(aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), v.Signer, v.Sig
+		key, it.signer, it.sig = aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}, v.Signer, v.Sig
 	case *types.FinalizationShare:
-		it.e, it.signer, it.sig = g.entry(aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), v.Signer, v.Sig
+		key, it.signer, it.sig = aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}, v.Signer, v.Sig
 	case *types.Notarization:
-		it.e, it.cert = g.entry(aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), true
+		key, it.cert = aggKey{round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}, true
 	case *types.Finalization:
-		it.e, it.cert = g.entry(aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}), true
+		key, it.cert = aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}, true
+	case *types.BeaconShare:
+		it.signer, it.tie = v.Signer, v.Round&1 == 1
+		return it
+	default:
+		return it
 	}
+	it.e = g.entry(key)
+	it.tie = (key.blockHash[0]^byte(key.round))&1 == 1 != key.final
 	return it
 }
 
+// bySigner reports whether what neighbours hold of the item is counted
+// per signer: a share of a statement, where shares arrive verified.
+func (g *Engine) bySigner(it item) bool {
+	return it.e != nil && g.cfg.TrustShares && it.signer >= 0 && int(it.signer) < g.cfg.N
+}
+
 // learn records that neighbour pi holds the artifact — it sent it to us,
-// or (sent) we are sending it now — and reports whether that was known.
-// It is called for every copy received, duplicates included: a second
-// copy delivers nothing, but it still says who has it.
-func (g *Engine) learn(pi int, it item, sent bool) (known bool) {
+// or (sent) we are sending it now. It is called for every copy received,
+// duplicates included: a second copy delivers nothing, but it still says
+// who has it.
+func (g *Engine) learn(pi int, it item, sent bool) {
 	switch {
 	case pi < 0:
-		return false
 	case it.cert:
-		pk := &it.e.peers[pi]
-		known = pk.cert
 		// A certificate relayed unverified may be a forgery its receiver
 		// throws away; only the neighbour's own word, or a certificate
 		// known to verify, says that it holds one.
 		if !sent || it.e.verified {
-			pk.cert = true
+			it.e.peers[pi].cert = true
 		}
-		return known
-	case it.e != nil && g.cfg.TrustShares && it.signer >= 0 && int(it.signer) < g.cfg.N:
-		return it.e.peers[pi].signers.add(int(it.signer))
+	case g.bySigner(it):
+		it.e.peers[pi].signers.add(int(it.signer))
 	default:
-		return g.holds(it.h, pi)
+		g.holds(it.h, pi)
 	}
 }
 
 // owed decides, when the frame for neighbour pi is built, whether the
-// artifact still has to go into it, and records that it did: nothing
-// goes to a neighbour known to hold it (rule 1), and nothing of a
-// statement to one that holds its certificate. A certificate that is
-// owed comes back as pushed without being recorded: in what form it goes
-// is flush's call (complete).
+// artifact still has to go into it: nothing goes to a neighbour known to
+// hold it (rule 1), and nothing of a statement to one that holds its
+// certificate. It records nothing — what is owed may yet be held back for
+// the neighbour to speak first (rule 4), and in what form a certificate
+// goes is flush's call (complete).
 func (g *Engine) owed(pi int, it item) decision {
 	if it.e != nil {
 		switch pk := &it.e.peers[pi]; {
@@ -703,25 +798,50 @@ func (g *Engine) owed(pi int, it item) decision {
 			return peerHas
 		case pk.cert:
 			return peerQuorum
+		case it.cert && g.cfg.TrustShares && it.e.quorum > 0 && pk.signers.count() >= it.e.quorum:
+			// It combines the certificate itself (rules 2 and 3).
+			return peerQuorum
+		case it.cert && it.advert != nil && pk.told:
+			return peerHas
 		case it.cert:
 			return pushed
 		}
 	}
-	if g.learn(pi, it, true) {
+	known := it.h.peers.has(pi)
+	if g.bySigner(it) {
+		known = it.e.peers[pi].signers.has(int(it.signer))
+	}
+	if known {
 		return peerHas
 	}
 	return pushed
 }
 
+// speaks reports whether this end of the edge to neighbour pi is the
+// item's speaker (rule 4). For a share it is the end nearer the signer in
+// overlay hops — the signer itself at distance 0, so a party's own shares
+// are never held back, and shares flow away from their signer as fast as
+// ever. At equal distance, and for a certificate (with the shares complete
+// sends in its place), the lower id speaks or the higher, by the
+// artifact's tie bit. The other end computes the opposite answer from the
+// same topology and the same bytes.
+func (g *Engine) speaks(pi int, it item) bool {
+	if it.signer >= 0 && int(it.signer) < g.cfg.N {
+		if side := g.sides[pi][it.signer]; side != 0 {
+			return side < 0
+		}
+	}
+	return (g.cfg.Self < g.peers[pi]) != it.tie
+}
+
 // complete settles a certificate owed to neighbour pi without sending
-// it, if it can: a neighbour known to hold a quorum of the statement's
-// verified shares combines the certificate itself (rules 2 and 3), and
-// one short of a quorum is brought there with shares held here when
-// those encode smaller than the certificate — with multisig
-// certificates, which are their shares side by side, nearly always; with
-// a constant-size BLS certificate never. Either way the neighbour
-// derives the certificate from bytes this edge has carried, and gets no
-// share beyond its quorum.
+// it, if it can: a neighbour short of a quorum of the statement's
+// verified shares is brought there with shares held here when those
+// encode smaller than the certificate — with multisig certificates, which
+// are their shares side by side, nearly always; with a constant-size BLS
+// certificate never. The neighbour then derives the certificate from
+// bytes this edge has carried, and gets no share beyond its quorum (owed
+// has already settled the neighbour that holds one).
 func (g *Engine) complete(pi int, it item, b *types.ShareBundle) bool {
 	e := it.e
 	if !g.cfg.TrustShares || e.quorum == 0 {
@@ -729,9 +849,6 @@ func (g *Engine) complete(pi int, it item, b *types.ShareBundle) bool {
 	}
 	pk := &e.peers[pi]
 	need := e.quorum - pk.signers.count()
-	if need <= 0 {
-		return true
-	}
 	grp := types.ShareGroup{Round: e.key.round, Proposer: e.key.proposer, BlockHash: e.key.blockHash,
 		Signers: make([]types.PartyID, 0, need), Sigs: make([][]byte, 0, need)}
 	// In signer order, not map order: simulated runs replay byte for byte.
@@ -909,7 +1026,7 @@ func (g *Engine) enqueue(it item, now time.Duration) {
 	g.lastShareAt = now
 	g.pending = append(g.pending, it)
 	if len(g.pending) >= g.cfg.MaxBatchShares {
-		g.flush()
+		g.flush(now, true)
 	}
 }
 
@@ -957,15 +1074,15 @@ func (g *Engine) put(ref types.Ref, m types.Message) *held {
 }
 
 // holds records that neighbour pi (−1: not a neighbour) has the stored
-// artifact, and reports whether that was known.
-func (g *Engine) holds(h *held, pi int) bool {
+// artifact.
+func (g *Engine) holds(h *held, pi int) {
 	if pi < 0 {
-		return false
+		return
 	}
 	if h.peers == nil {
 		h.peers = newBitset(len(g.peers))
 	}
-	return h.peers.add(pi)
+	h.peers.add(pi)
 }
 
 func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Duration) {
@@ -993,7 +1110,7 @@ func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Du
 			continue
 		}
 		f.asked[from] = struct{}{}
-		f.retryAt = now + g.cfg.RequestRetry
+		g.armRetry(f, now)
 		want = append(want, ref)
 		g.requested.Inc()
 	}
@@ -1002,13 +1119,30 @@ func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Du
 	}
 }
 
+// noFetch is fetchWake with no fetch outstanding.
+const noFetch = time.Duration(1<<63 - 1)
+
+// armRetry starts the retry clock of a fetch whose request just left,
+// and keeps fetchWake no later than it.
+func (g *Engine) armRetry(f *fetchState, now time.Duration) {
+	f.retryAt = now + g.cfg.RequestRetry
+	if f.retryAt < g.fetchWake {
+		g.fetchWake = f.retryAt
+	}
+}
+
 // retryFetches re-requests stalled fetches from the next advertiser in
 // reserve once the in-flight request's retry deadline passes, and
 // forgets a fetch with nobody left to ask (the advertisers evicted the
-// artifact, or lied): a later advert starts it over.
+// artifact, or lied): a later advert starts it over. The walk leaves
+// fetchWake at the earliest deadline still outstanding.
 func (g *Engine) retryFetches(now time.Duration) {
+	g.fetchWake = noFetch
 	for ref, f := range g.fetch {
 		if now < f.retryAt {
+			if f.retryAt < g.fetchWake {
+				g.fetchWake = f.retryAt
+			}
 			continue
 		}
 		next := types.PartyID(-1)
@@ -1025,7 +1159,7 @@ func (g *Engine) retryFetches(now time.Duration) {
 			continue
 		}
 		f.asked[next] = struct{}{}
-		f.retryAt = now + g.cfg.RequestRetry
+		g.armRetry(f, now)
 		g.send(next, &types.Request{Refs: []types.Ref{ref}})
 		g.retried.Inc()
 	}
@@ -1158,49 +1292,90 @@ func (g *Engine) maybeEmitOutput(k types.Round, now time.Duration) {
 	g.gossipArtifact(&types.BeaconOutput{Round: k, Output: out}, now)
 }
 
-// maybeFlush sends the pending batch once its window closed.
+// maybeFlush sends the pending batch once its window closed, and what is
+// still owed of the held-back items that have listened long enough.
 func (g *Engine) maybeFlush(now time.Duration) {
-	if len(g.pending) > 0 && now >= g.flushAt {
-		g.flush()
+	first := len(g.pending) > 0 && now >= g.flushAt
+	if first || (len(g.listening) > 0 && now >= g.listening[0].due) {
+		g.flush(now, first)
 	}
 }
 
-// flush builds each neighbour's frames from the pending batch and what
-// that neighbour is known to hold: its shares leave as one ShareBundle, a
+// flush builds each neighbour's frames from what that neighbour is known
+// to hold and two sets of items: the held-back ones now due, and (first)
+// the pending batch. A neighbour's shares leave as one ShareBundle, a
 // certificate it still needs as a frame of its own — or as the few shares
-// that complete its quorum. A certificate queued behind the open window
-// has by now let the neighbour's own bundle arrive, which may show that
-// it can combine the certificate itself. Shares whose statement gained a
-// certificate while they waited are dropped for everyone — whoever still
-// needs it is served through the certificate. A batch that collapses to a
-// single share for some peer goes out as the bare share — bundle framing
-// would only add bytes.
-func (g *Engine) flush() {
-	pending := g.pending[:0]
-	for _, it := range g.pending {
-		if it.e != nil && !it.cert && it.e.done {
-			g.count(it.msg.Kind(), certified)
-			continue
-		}
-		pending = append(pending, it)
+// that complete its quorum. An item of the pending batch that is owed to
+// a neighbour which speaks on that edge (speaks) is held back from it for
+// listenWindows more windows; when they have passed, the same rules are
+// read against the table again, and whatever the neighbour's own frame
+// has made unnecessary by then is never sent. A silent speaker so costs
+// that wait, never a stall, and nothing is withheld on a guess: only
+// deferred, and decided on bytes this edge carried. Shares whose statement
+// gained a certificate while they waited are dropped for everyone —
+// whoever still needs it is served through the certificate. A batch that
+// collapses to a single share for some peer goes out as the bare share —
+// bundle framing would only add bytes.
+func (g *Engine) flush(now time.Duration, first bool) {
+	due := 0
+	for due < len(g.listening) && g.listening[due].due <= now {
+		due++
 	}
-	g.pending = g.pending[:0]
+	batch := g.batch[:0]
+	keep := func(items []item) {
+		for _, it := range items {
+			if it.e != nil && !it.cert && it.e.done {
+				g.count(it.msg.Kind(), certified)
+				continue
+			}
+			batch = append(batch, it)
+		}
+	}
+	keep(g.listening[:due])
+	rest := copy(g.listening, g.listening[due:])
+	clear(g.listening[rest:])
+	g.listening = g.listening[:rest]
+	// batch[:second] are on their second pass, the rest on their first.
+	second := len(batch)
+	if first {
+		keep(g.pending)
+		clear(g.pending)
+		g.pending = g.pending[:0]
+	}
+	var slab bitset
+	w := words(len(g.peers))
 	for pi, p := range g.peers {
 		var b types.ShareBundle
 		shares := g.scratch[:0]
-		for _, it := range pending {
-			d := g.owed(pi, it)
+		for i := range batch {
+			it := &batch[i]
+			if i < second && !it.wait.has(pi) {
+				continue
+			}
+			d := g.owed(pi, *it)
 			switch {
 			case d != pushed:
+			case i >= second && g.cfg.ShareBatchWindow > 0 && !g.speaks(pi, *it):
+				if slab == nil {
+					// One allocation for the batch, not one per item.
+					slab = make(bitset, w*(len(batch)-second))
+				}
+				if it.wait == nil {
+					it.wait = slab[(i-second)*w : (i-second+1)*w]
+				}
+				it.wait.add(pi)
+				d = listened
 			case !it.cert:
+				g.learn(pi, *it, true)
 				shares = append(shares, it.msg)
 			case it.advert != nil:
+				it.e.peers[pi].told = true
 				g.send(p, it.advert)
 				d = advertised
-			case g.complete(pi, it, &b):
+			case g.complete(pi, *it, &b):
 				d = peerQuorum
 			default:
-				g.learn(pi, it, true)
+				g.learn(pi, *it, true)
 				g.send(p, it.msg)
 			}
 			g.count(it.msg.Kind(), d)
@@ -1213,17 +1388,25 @@ func (g *Engine) flush() {
 		for _, m := range shares {
 			appendToBundle(&b, m)
 		}
-		switch b.Shares() {
+		switch n := b.Shares(); n {
 		case 0:
 		case 1:
 			g.send(p, b.Expand()[0])
 		default:
 			frame := b
 			g.send(p, &frame)
+			g.bundleShares.Observe(float64(n))
 		}
 	}
-	// The next batch reuses the queue; let go of what this one pointed at.
-	clear(g.pending[:cap(g.pending)])
+	for _, it := range batch[second:] {
+		if it.wait != nil {
+			it.due = now + listenWindows*g.cfg.ShareBatchWindow
+			g.listening = append(g.listening, it)
+		}
+	}
+	// The next flush reuses the buffer; let go of what this one pointed at.
+	clear(batch)
+	g.batch = batch[:0]
 }
 
 // appendToBundle files one share into the bundle, grouping notarization
@@ -1256,9 +1439,9 @@ func addToGroups(groups []types.ShareGroup, k types.Round, prop types.PartyID, h
 
 // gcRounds drops per-statement state (each neighbour's part of it
 // included) and beacon-relay state for rounds far behind the inner
-// engine's progress.
-func (g *Engine) gcRounds() {
-	cur := g.inner.CurrentRound()
+// engine's progress. Tick calls it when that round has moved: between two
+// rounds there is nothing new to collect.
+func (g *Engine) gcRounds(cur types.Round) {
 	if cur <= aggRetainRounds {
 		return
 	}

@@ -50,6 +50,13 @@ func sent(outs []engine.Output) map[types.PartyID]*sentTo {
 	return got
 }
 
+// flushed is everything a batch due at now sends: with the flush to the
+// neighbours this party speaks to, and once the listening time has passed
+// to the rest, none of which speaks in these tests.
+func flushed(g *Engine, now time.Duration) []engine.Output {
+	return append(g.Tick(now), g.Tick(now+listenWindows*g.cfg.ShareBatchWindow)...)
+}
+
 // Rule 1: a share that also arrives from P while it waits in the batch is
 // dropped from P's bundle — by signer where shares are verified, by exact
 // bytes where they are not.
@@ -65,7 +72,7 @@ func TestShareArrivingFromPeerLeavesItsBundle(t *testing.T) {
 		if outs := g.HandleMessage(b, share, 0); len(outs) != 0 {
 			t.Fatalf("trust=%v: duplicate produced %d frames", trust, len(outs))
 		}
-		got := sent(g.Tick(window))
+		got := sent(flushed(g, window))
 		if got[a] != nil {
 			t.Fatalf("trust=%v: shares went back to their source: %+v", trust, got[a])
 		}
@@ -109,7 +116,7 @@ func TestNeighbourAtQuorumGetsNeitherShareNorCertificate(t *testing.T) {
 	g, f, a, b, c := quorumFixture(t, true)
 	// A tenth share, our own, joins the batch after the certificate.
 	g.disseminate([]engine.Output{engine.Broadcast(f.nshare(0))}, 0)
-	got := sent(g.Tick(window))
+	got := sent(flushed(g, window))
 	if s := got[a]; s != nil {
 		t.Fatalf("a holds a quorum and was sent %+v", s)
 	}
@@ -120,7 +127,7 @@ func TestNeighbourAtQuorumGetsNeitherShareNorCertificate(t *testing.T) {
 		t.Fatalf("c holds nothing and was sent %+v, want the certificate alone", s)
 	}
 	// b now counts as holding a quorum: a late share from it changes nothing.
-	if outs := g.HandleMessage(b, f.nshare(10), window); len(outs) != 0 {
+	if outs := g.HandleMessage(b, f.nshare(10), 4*window); len(outs) != 0 {
 		t.Fatalf("a share after the certificate produced %d frames", len(outs))
 	}
 }
@@ -131,7 +138,7 @@ func TestNeighbourAtQuorumGetsNeitherShareNorCertificate(t *testing.T) {
 // so the certificate goes to it all the same.
 func TestUnverifiedSharesDoNotSuppressTheCertificate(t *testing.T) {
 	g, _, a, b, c := quorumFixture(t, false)
-	got := sent(g.Tick(window))
+	got := sent(flushed(g, window))
 	for _, p := range []types.PartyID{a, b, c} {
 		if s := got[p]; s == nil || s.certs != 1 || len(s.notar) != 0 {
 			t.Fatalf("peer %d was sent %+v, want the certificate", p, s)
@@ -150,7 +157,7 @@ func TestUnverifiedShareIsKnownByItsBytes(t *testing.T) {
 	forged.Sig = make([]byte, len(forged.Sig))
 	g.HandleMessage(a, forged, 0)
 	g.HandleMessage(c, f.nshare(9), 0)
-	got := sent(g.Tick(window))
+	got := sent(flushed(g, window))
 	if s := got[a]; s == nil || len(s.notar) != 1 {
 		t.Fatalf("a sent a forgery of signer 9's share and was sent %+v, want the real one", s)
 	}
@@ -169,7 +176,7 @@ func TestCertificateFromPeerIsNotSentBack(t *testing.T) {
 		if outs := g.HandleMessage(c, f.notarization(t, signers...), 0); len(outs) != 0 {
 			t.Fatalf("trust=%v: duplicate certificate produced %d frames", trust, len(outs))
 		}
-		if s := sent(g.Tick(window))[c]; s != nil {
+		if s := sent(flushed(g, window))[c]; s != nil {
 			t.Fatalf("trust=%v: c sent us the certificate and was sent %+v", trust, s)
 		}
 	}
@@ -187,7 +194,7 @@ func TestLargeCertificateIsAdvertisedToThoseWhoLackIt(t *testing.T) {
 	g.HandleMessage(a, cert, 0)
 	g.HandleMessage(b, &types.Advert{Refs: []types.Ref{types.RefOf(cert)}}, 0)
 	adverts := make(map[types.PartyID]int)
-	for _, o := range g.Tick(window) {
+	for _, o := range flushed(g, window) {
 		if _, ok := o.Msg.(*types.Advert); !ok {
 			t.Fatalf("flush sent %T, want adverts only", o.Msg)
 		}
@@ -197,11 +204,11 @@ func TestLargeCertificateIsAdvertisedToThoseWhoLackIt(t *testing.T) {
 		t.Fatalf("adverts went to %v, want every neighbour but %d and %d", adverts, a, b)
 	}
 	// Served on request, and then known to be held.
-	outs := g.HandleMessage(g.Peers()[2], &types.Request{Refs: []types.Ref{types.RefOf(cert)}}, window)
+	outs := g.HandleMessage(g.Peers()[2], &types.Request{Refs: []types.Ref{types.RefOf(cert)}}, 4*window)
 	if len(outs) != 1 || outs[0].Msg != types.Message(cert) {
 		t.Fatalf("request answered with %v", outs)
 	}
-	g.HandleMessage(g.Peers()[2], &types.Request{Refs: []types.Ref{{Kind: types.KindBlock}}}, window)
+	g.HandleMessage(g.Peers()[2], &types.Request{Refs: []types.Ref{{Kind: types.KindBlock}}}, 4*window)
 	// Each decision was counted where it was made.
 	snap := reg.Snapshot()
 	for key, want := range map[string]float64{
@@ -237,7 +244,7 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 	peers := g.Peers()
 	sig := make([]byte, 64)
 	sizes := func() [7]int {
-		return [7]int{len(g.store), len(g.order), len(g.fetch), len(g.agg), len(g.beaconRelay), len(g.outputDone), len(g.pending)}
+		return [7]int{len(g.store), len(g.order), len(g.fetch), len(g.agg), len(g.beaconRelay), len(g.outputDone), len(g.pending) + len(g.listening)}
 	}
 	var at1000 [7]int
 	now := time.Duration(0)
@@ -269,5 +276,326 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 	}
 	if at1000[0] > 4096 || at1000[2] > 4 || at1000[3] > 2*(aggRetainRounds+2) {
 		t.Fatalf("map sizes %v exceed their bounds (store, order, fetch, agg, beaconRelay, outputDone, pending)", at1000)
+	}
+}
+
+// Rule 4: one speaker per edge and artifact. Each test below was checked
+// against the mutation it names (DESIGN.md §14 lists them).
+
+// pair is two adjacent wrappers of the overlay node.New builds at n = 13
+// (eight or more neighbours each), wired back to back: what one sends the
+// other arrives half a window later, what it sends anybody else is
+// dropped.
+type pair struct {
+	t      *testing.T
+	a, b   *Engine
+	flight []frame
+	// ab and ba are the signers of the notarization shares that crossed
+	// the edge in each direction.
+	ab, ba []types.PartyID
+}
+
+type frame struct {
+	at   time.Duration
+	from *Engine
+	msg  types.Message
+}
+
+// newPair picks the first edge and signer for which want holds: side is
+// −1, 0 or +1 as a is nearer the signer, neither is, or b is.
+func newPair(t *testing.T, cfg Config, want func(side int8) bool) (*pair, types.PartyID) {
+	t.Helper()
+	cfg.N, cfg.Fanout, cfg.Seed, cfg.ShareBatchWindow = 13, DefaultFanout(13), 42, window
+	for a := types.PartyID(0); a < 13; a++ {
+		cfg.Self = a
+		ga := mustNew(t, cfg, &sink{id: a})
+		for bi, b := range ga.Peers() {
+			for s := types.PartyID(0); s < 13; s++ {
+				if s == a || s == b || !want(ga.sides[bi][s]) {
+					continue
+				}
+				cfg.Self = b
+				return &pair{t: t, a: ga, b: mustNew(t, cfg, &sink{id: b})}, s
+			}
+		}
+	}
+	t.Fatal("the overlay has no such edge")
+	return nil, 0
+}
+
+// outsider is a neighbour of g other than the pair's other end.
+func (p *pair) outsider(g *Engine) types.PartyID {
+	for _, q := range g.Peers() {
+		if q != p.a.cfg.Self && q != p.b.cfg.Self {
+			return q
+		}
+	}
+	p.t.Fatal("no third neighbour")
+	return 0
+}
+
+// other is the end of the edge that g is not.
+func (p *pair) other(g *Engine) *Engine {
+	if g == p.a {
+		return p.b
+	}
+	return p.a
+}
+
+// hand gives g a message from one of its other neighbours.
+func (p *pair) hand(g *Engine, m types.Message, now time.Duration) {
+	p.post(g, g.HandleMessage(p.outsider(g), m, now), now)
+}
+
+// post puts what from sent to the other end on the wire.
+func (p *pair) post(from *Engine, outs []engine.Output, now time.Duration) {
+	for _, o := range outs {
+		if o.To == p.other(from).cfg.Self {
+			p.flight = append(p.flight, frame{at: now + window/2, from: from, msg: o.Msg})
+		}
+	}
+}
+
+// run delivers frames and fires both ends' timers in the order they come
+// due until the edge is quiet, and returns the time it then is.
+func (p *pair) run(now time.Duration) time.Duration {
+	for {
+		next, fire := time.Duration(-1), func() {}
+		soonest := func(at time.Duration, f func()) {
+			if next < 0 || at < next {
+				next, fire = at, f
+			}
+		}
+		if len(p.flight) > 0 {
+			fr := p.flight[0]
+			soonest(fr.at, func() {
+				p.flight = p.flight[1:]
+				crossed := &p.ab
+				if fr.from == p.b {
+					crossed = &p.ba
+				}
+				to := p.other(fr.from)
+				*crossed = append(*crossed, sent([]engine.Output{{To: to.cfg.Self, Msg: fr.msg}})[to.cfg.Self].notar...)
+				p.post(to, to.HandleMessage(fr.from.cfg.Self, fr.msg, fr.at), fr.at)
+			})
+		}
+		for _, g := range []*Engine{p.a, p.b} {
+			if wake, ok := g.NextWake(now); ok {
+				soonest(wake, func() { p.post(g, g.Tick(wake), wake) })
+			}
+		}
+		if next < 0 {
+			return now
+		}
+		now = next
+		fire()
+	}
+}
+
+// Two neighbours equally far from a share's signer learn it in the same
+// window, each from somebody else. Before rule 4 each sent it to the
+// other; now exactly one copy crosses their edge, whichever end the tie
+// bit names. (Mutation: speaks always true.)
+func TestCrossingShareTravelsOneWay(t *testing.T) {
+	for _, trust := range []bool{true, false} {
+		p, signer := newPair(t, Config{TrustShares: trust}, func(side int8) bool { return side == 0 })
+		now := time.Duration(0)
+		for round := types.Round(1); round <= 8; round++ {
+			share := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: hash.SumUint64(hash.DomainBlock, uint64(round)), Signer: signer, Sig: []byte{byte(round)}}
+			p.ab, p.ba = nil, nil
+			now += time.Second
+			p.hand(p.a, share, now)
+			p.hand(p.b, share, now)
+			now = p.run(now)
+			if len(p.ab)+len(p.ba) != 1 {
+				t.Fatalf("trust=%v round %d: %d copies crossed one way and %d the other, want one in all", trust, round, len(p.ab), len(p.ba))
+			}
+		}
+	}
+}
+
+// The end nearer the signer relays in the window it always did, and a
+// party's own share leaves with the flush to every neighbour, also to one
+// that the tie bit would let speak: distance 0 beats every tie. (Mutation:
+// speaks without the distance table.)
+func TestSharesFlowAwayFromTheirSignerWithoutDelay(t *testing.T) {
+	p, signer := newPair(t, Config{TrustShares: true}, func(side int8) bool { return side < 0 })
+	for round := types.Round(1); round <= 8; round++ {
+		h := hash.SumUint64(hash.DomainBlock, uint64(round))
+		share := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: signer, Sig: []byte{1}}
+		now := time.Duration(round) * time.Second
+		p.a.HandleMessage(p.outsider(p.a), share, now)
+		if s := sent(p.a.Tick(now + window))[p.b.cfg.Self]; s == nil || len(s.notar) != 1 {
+			t.Fatalf("round %d: the farther neighbour was sent %+v when the window closed, want the share", round, s)
+		}
+		own := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: p.a.cfg.Self, Sig: []byte{2}}
+		p.a.disseminate([]engine.Output{engine.Broadcast(own)}, now+window)
+		got := sent(p.a.Tick(now + 2*window))
+		for _, q := range p.a.Peers() {
+			if s := got[q]; s == nil || len(s.notar) != 1 || s.notar[0] != p.a.cfg.Self {
+				t.Fatalf("round %d: neighbour %d was sent %+v with the flush, want this party's own share", round, q, s)
+			}
+		}
+		p.a.Tick(now + 10*window)
+	}
+}
+
+// The listening end sends nothing while the speaker may still speak,
+// NextWake names the moment its patience ends, and at that moment — not
+// a tick later — the share goes out if the speaker stayed silent, and
+// does not if the speaker's copy came in meanwhile. The item is delivered
+// to the engine once and settled once per neighbour. (Mutations: due
+// never reached — the listener waits for the speaker's frame; listening
+// not surfaced by NextWake.)
+func TestListenerSpeaksAfterTheListeningTimeWhenTheSpeakerIsSilent(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, signer := newPair(t, Config{TrustShares: true, Registry: reg}, func(side int8) bool { return side > 0 })
+	g, speaker := p.a, p.b.cfg.Self
+	silent := &types.NotarizationShare{Round: 1, Proposer: 1, BlockHash: hash.Digest{1}, Signer: signer, Sig: []byte{1}}
+	spoken := &types.NotarizationShare{Round: 2, Proposer: 1, BlockHash: hash.Digest{2}, Signer: signer, Sig: []byte{2}}
+	g.HandleMessage(p.outsider(g), silent, 0)
+	g.HandleMessage(p.outsider(g), spoken, 0)
+	if s := sent(g.Tick(window))[speaker]; s != nil {
+		t.Fatalf("the nearer neighbour was sent %+v before it had a chance to speak", s)
+	}
+	due := window + listenWindows*window
+	if wake, ok := g.NextWake(window); !ok || wake != due {
+		t.Fatalf("NextWake = %v, %v; want the end of the listening time %v", wake, ok, due)
+	}
+	if outs := g.HandleMessage(speaker, spoken, due-2); len(outs) != 0 {
+		t.Fatalf("the speaker's copy produced %d frames", len(outs))
+	}
+	if outs := g.Tick(due - 1); len(outs) != 0 {
+		t.Fatalf("%d frames left before the listening time had passed", len(outs))
+	}
+	if s := sent(g.Tick(due))[speaker]; s == nil || len(s.notar) != 1 {
+		t.Fatalf("when the listening time had passed, the speaker was sent %+v, want the one share it did not send", s)
+	}
+	if _, ok := g.NextWake(due); ok {
+		t.Fatal("a timer is armed with nothing pending and nothing held back")
+	}
+	if n := len(g.inner.(*sink).received); n != 2 {
+		t.Fatalf("the engine was handed %d shares, want each of the two once", n)
+	}
+	snap := reg.Snapshot()
+	count := func(d string) float64 {
+		return snap[`icc_gossip_frames_total{kind="notarization-share",decision="`+d+`"}`]
+	}
+	if settled := count("pushed") + count("peer_has"); settled != float64(2*len(g.Peers())) || count("listened") == 0 {
+		t.Fatalf("two shares were settled %v times for %d neighbours (listened %v): %v", settled, len(g.Peers()), count("listened"), snap)
+	}
+}
+
+// Both ends of every edge of the overlays node.New builds at n = 13 and
+// n = 100 name the same speaker for every kind of item, signer and
+// statement, and no party is the listener on much more or less than half
+// of the items its id and the tie bit decide. (Mutations: the tie bit
+// dropped, so that the lower id always speaks; sides not negated between
+// the ends.)
+func TestBothEndsAgreeOnTheSpeaker(t *testing.T) {
+	for _, n := range []int{13, 100} {
+		engines := make([]*Engine, n)
+		for i := range engines {
+			engines[i] = mustNew(t, Config{Self: types.PartyID(i), N: n, Fanout: DefaultFanout(n), Seed: 42,
+				ShareBatchWindow: window, TrustShares: true}, &sink{id: types.PartyID(i)})
+		}
+		var msgs []types.Message
+		for round := types.Round(1); round <= 16; round++ {
+			h := hash.SumUint64(hash.DomainBlock, uint64(round))
+			msgs = append(msgs, &types.Notarization{Round: round, Proposer: 1, BlockHash: h}, &types.Finalization{Round: round, Proposer: 1, BlockHash: h})
+			for s := types.PartyID(0); int(s) < n; s++ {
+				msgs = append(msgs, &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: s},
+					&types.FinalizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: s},
+					&types.BeaconShare{Round: round, Signer: s})
+			}
+		}
+		ties, listens := make([]int, n), make([]int, n)
+		for _, m := range msgs {
+			ref := types.RefOf(m)
+			for a, ga := range engines {
+				ita := ga.describe(m, ref, nil)
+				for bi, b := range ga.Peers() {
+					gb := engines[b]
+					speaks := ga.speaks(bi, ita)
+					if int(b) > a && speaks == gb.speaks(gb.peerAt[a], gb.describe(m, ref, nil)) {
+						t.Fatalf("n=%d: parties %d and %d both say speaks=%v for %T %+v", n, a, b, speaks, m, m)
+					}
+					if ita.signer == types.PartyID(a) && !speaks {
+						t.Fatalf("n=%d: party %d holds back its own %T", n, a, m)
+					}
+					if ita.signer < 0 || ga.sides[bi][ita.signer] == 0 {
+						ties[a]++
+						if !speaks {
+							listens[a]++
+						}
+					}
+				}
+			}
+		}
+		for a := range engines {
+			if share := float64(listens[a]) / float64(ties[a]); share < 0.4 || share > 0.6 {
+				t.Errorf("n=%d: party %d listens on %.0f %% of its %d tie-broken items, want 40–60 %%", n, a, 100*share, ties[a])
+			}
+		}
+	}
+}
+
+// Two neighbours that reach a statement's quorum in the same window owe
+// each other the certificate, and each would serve it as the shares the
+// other is not known to hold. With one speaker, quorum − known shares
+// cross in all, not in each direction, and the listener finds that what
+// the speaker sent has settled its own debt. (Mutation: speaks always
+// true.)
+func TestCompletionIsOneWay(t *testing.T) {
+	f := newAggFixture(t, 13)
+	p, _ := newPair(t, Config{Aggregate: true, TrustShares: true, Keys: f.pub}, func(int8) bool { return true })
+	quorum := f.pub.Notary.Quorum()
+	// Three shares cross the edge first, so that each end knows the other
+	// to hold them.
+	for signer := types.PartyID(0); signer < 3; signer++ {
+		p.hand(p.a, f.nshare(signer), 0)
+	}
+	now := p.run(0)
+	if known := len(p.ab) + len(p.ba); known != 3 {
+		t.Fatalf("%d shares crossed the edge, want each of the three once", known)
+	}
+	// The rest of a quorum reaches both ends at once, from elsewhere.
+	p.ab, p.ba = nil, nil
+	now += time.Second
+	for signer := types.PartyID(3); int(signer) < quorum; signer++ {
+		p.hand(p.a, f.nshare(signer), now)
+		p.hand(p.b, f.nshare(signer), now)
+	}
+	for _, g := range []*Engine{p.a, p.b} {
+		if !g.agg[aggKey{round: 1, blockHash: f.h}].done {
+			t.Fatalf("party %d did not certify the statement", g.cfg.Self)
+		}
+	}
+	p.run(now)
+	if len(p.ab) != 0 && len(p.ba) != 0 || len(p.ab)+len(p.ba) != quorum-3 {
+		t.Fatalf("%d shares crossed one way and %d the other, want %d one way and none the other", len(p.ab), len(p.ba), quorum-3)
+	}
+}
+
+// An advert sent is recorded as sent: when the store has evicted a large
+// certificate and a neighbour sends it again, the neighbours already told
+// where to ask are not told again. (Mutation: told never set.)
+func TestAdvertIsRecordedAsSent(t *testing.T) {
+	g := mustNew(t, Config{Self: 0, N: 13, Fanout: 4, Seed: 1, ShareBatchWindow: window, TrustShares: true, MaxStore: 1}, &sink{id: 0})
+	a := g.Peers()[0]
+	cert := &types.Finalization{Round: 3, Proposer: 1, BlockHash: hash.Digest{7}, Agg: make([]byte, 4096)}
+	g.HandleMessage(a, cert, 0)
+	if outs := flushed(g, window); len(outs) != len(g.Peers())-1 {
+		t.Fatalf("%d adverts, want one for every neighbour but the source", len(outs))
+	}
+	g.HandleMessage(a, &types.Authenticator{Round: 3, Proposer: 1, BlockHash: hash.Digest{7}, Sig: []byte{1}}, time.Second)
+	if g.store[types.RefOf(cert)] != nil {
+		t.Fatal("the certificate is still in a store of one")
+	}
+	g.HandleMessage(a, cert, time.Second)
+	for _, o := range flushed(g, time.Second+window) {
+		if _, ok := o.Msg.(*types.Advert); ok {
+			t.Fatalf("neighbour %d was told of the certificate twice", o.To)
+		}
 	}
 }

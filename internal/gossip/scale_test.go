@@ -160,31 +160,42 @@ func TestShareBatchingCoalesces(t *testing.T) {
 		t.Fatalf("NextWake = %v/%v, want flush deadline 2ms", wake, ok)
 	}
 
-	// Window closes: exactly one ShareBundle per peer except the source,
-	// with all four shares grouped (3 notar under one statement + beacon).
-	outs = g.Tick(2 * time.Millisecond)
-	if len(outs) != len(g.Peers())-1 {
-		t.Fatalf("%d frames after flush, want %d", len(outs), len(g.Peers())-1)
-	}
+	// Window closes: every peer except the source gets the shares this
+	// party speaks to it about in one frame, the notarization shares
+	// grouped under their one statement, and the rest — nobody else having
+	// spoken — in one more frame once the listening time has passed.
+	outs = flushed(g, 2*time.Millisecond)
+	got := make(map[types.PartyID]int)
+	frames := make(map[types.PartyID]int)
 	for _, o := range outs {
 		if o.To == src {
 			t.Fatal("batch relayed back to its only source")
 		}
-		b, ok := o.Msg.(*types.ShareBundle)
-		if !ok {
-			t.Fatalf("flushed %T, want *types.ShareBundle", o.Msg)
+		frames[o.To]++
+		got[o.To]++
+		if b, ok := o.Msg.(*types.ShareBundle); ok {
+			got[o.To] += b.Shares() - 1
+			if len(b.Notar) > 1 {
+				t.Fatalf("one statement's shares in %d groups", len(b.Notar))
+			}
 		}
-		if b.Shares() != 4 || len(b.Notar) != 1 || len(b.Notar[0].Signers) != 3 || len(b.Beacon) != 1 {
-			t.Fatalf("bundle shape wrong: %d shares, %d notar groups", b.Shares(), len(b.Notar))
+	}
+	for _, p := range g.Peers()[1:] {
+		if got[p] != 4 || frames[p] > 2 {
+			t.Fatalf("peer %d got %d shares in %d frames, want 4 in at most 2", p, got[p], frames[p])
 		}
 	}
 
-	// A receiving wrapper explodes the bundle, delivers each share, and
+	// A receiving wrapper explodes a bundle, delivers each share, and
 	// recognises one it already held.
+	bundle := &types.ShareBundle{}
+	for _, m := range shares {
+		appendToBundle(bundle, m)
+	}
 	inner2 := &sink{id: 1}
 	g2 := mustNew(t, Config{Self: 1, N: 7, Fanout: 3, Seed: 1, ShareBatchWindow: 2 * time.Millisecond}, inner2)
 	g2.HandleMessage(0, shares[0], 0) // pre-seed a duplicate
-	g2.HandleMessage(0, outs[0].Msg, 0)
+	g2.HandleMessage(0, bundle, 0)
 	if len(inner2.received) != len(shares) {
 		t.Fatalf("bundle receiver delivered %d shares, want %d (dedup across framings)", len(inner2.received), len(shares))
 	}
@@ -200,11 +211,16 @@ func TestShareBatchFlushesAtCap(t *testing.T) {
 		t.Fatal("first share flushed early")
 	}
 	outs := g.HandleMessage(src, &types.NotarizationShare{Round: 1, Proposer: 0, BlockHash: h, Signer: 2, Sig: []byte{2}}, 0)
-	if len(outs) != len(g.Peers())-1 {
-		t.Fatalf("cap flush produced %d frames, want %d", len(outs), len(g.Peers())-1)
+	if len(outs) == 0 || len(g.pending) != 0 {
+		t.Fatalf("cap flush produced %d frames and left %d shares pending", len(outs), len(g.pending))
 	}
-	if _, ok := outs[0].Msg.(*types.ShareBundle); !ok {
-		t.Fatalf("cap flush sent %T", outs[0].Msg)
+	// Each peer but the source has both shares once the listening time
+	// has passed, whichever end of its edge spoke.
+	got := sent(append(outs, g.Tick(listenWindows*time.Second)...))
+	for _, p := range g.Peers()[1:] {
+		if s := got[p]; s == nil || len(s.notar) != 2 {
+			t.Fatalf("peer %d was sent %+v, want both shares", p, s)
+		}
 	}
 }
 
@@ -214,12 +230,14 @@ func TestSingleShareFlushSkipsBundleFraming(t *testing.T) {
 	src := g.Peers()[0]
 	s := &types.BeaconShare{Round: 3, Signer: 2, Share: []byte{7}}
 	g.HandleMessage(src, s, 0)
-	outs := g.Tick(time.Millisecond)
+	outs := flushed(g, time.Millisecond)
 	if len(outs) != len(g.Peers())-1 {
 		t.Fatalf("%d frames, want %d", len(outs), len(g.Peers())-1)
 	}
-	if _, ok := outs[0].Msg.(*types.BeaconShare); !ok {
-		t.Fatalf("lone share framed as %T, want bare *types.BeaconShare", outs[0].Msg)
+	for _, o := range outs {
+		if _, ok := o.Msg.(*types.BeaconShare); !ok {
+			t.Fatalf("lone share framed as %T, want bare *types.BeaconShare", o.Msg)
+		}
 	}
 }
 

@@ -99,6 +99,11 @@ func icc1Profiles() []Profile {
 			// Silent parties and parties that never sign, t in all: relays
 			// keep neighbours that say nothing and shares that never come.
 			{Name: "crash-lazy", Behaviors: assign(Crash, LazyVoter)},
+			// Parties that sign, propose and take every frame but relay
+			// nothing: on each edge where it is their turn to speak, the
+			// honest end must stop listening in time. One alone, and t.
+			{Name: "mute-relay", Behaviors: map[types.PartyID]Behavior{0: MuteRelay}},
+			{Name: "mute-relay-t", Behaviors: assign(MuteRelay)},
 		}
 		for _, verify := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifySharesOnly} {
 			for _, p := range cells {
@@ -112,8 +117,8 @@ func icc1Profiles() []Profile {
 }
 
 // TestChaosCampaignICC1 sweeps the ICC1 cells under the ICC0 cells' pass
-// conditions, on one seed and half the virtual time: sixteen cells of up
-// to thirteen parties are what `make chaos` can afford under -race. The
+// conditions, on one seed and half the virtual time: twenty-four cells of
+// up to thirteen parties are what `make chaos` can afford under -race. The
 // commit-gap bound sits below the engines' resync interval (8 Δbnd =
 // 800 ms; the longest honest gap in these cells is 460 ms, a round whose
 // first two ranks are silent): the simnet loses nothing, so a stall that

@@ -39,6 +39,7 @@ const (
 	WithholdFinal          // honest except withholds its own finalization shares
 	ClockSkewed            // honest, but runs against a skewed local clock
 	RankAbuser             // colluding cartel member abusing the rank permutation
+	MuteRelay              // ICC1: sends its own artifacts, relays nothing second-hand
 )
 
 // behaviorNames is the canonical Behavior <-> string mapping, used by the
@@ -53,6 +54,7 @@ var behaviorNames = map[Behavior]string{
 	WithholdFinal: "withhold_final",
 	ClockSkewed:   "clock_skewed",
 	RankAbuser:    "rank_abuser",
+	MuteRelay:     "mute_relay",
 }
 
 // String implements fmt.Stringer.
@@ -319,6 +321,13 @@ func New(opts Options) (*Cluster, error) {
 		eng, err = c.wrapDissemination(pid, eng)
 		if err != nil {
 			return nil, fmt.Errorf("harness: party %d: %w", pid, err)
+		}
+		if behavior == MuteRelay {
+			// Outside the overlay: it is the relaying it withholds.
+			if opts.Mode != ICC1 {
+				return nil, fmt.Errorf("harness: party %d: %v needs the ICC1 overlay", pid, behavior)
+			}
+			eng = adversary.NewMuteRelay(eng)
 		}
 		if w, ok := opts.CrashRecoveries[pid]; ok {
 			eng = adversary.NewCrashRecover(eng, w.Down, w.Up)

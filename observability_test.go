@@ -240,9 +240,10 @@ func TestLiveClusterScrape(t *testing.T) {
 }
 
 // TestGossipDecisionsOnMetrics: the ICC1 overlay counts, per artifact kind,
-// what it did for each neighbour — pushed, advertised, or withheld and by
-// which rule — so the share of certificates the per-neighbour table saves
-// is a number on /metrics. (The fetch counters need an artifact above the
+// what it did for each neighbour — pushed, advertised, held back for the
+// neighbour to speak first, or withheld and by which rule — and how many
+// shares each bundle carried, so the share of certificates the
+// per-neighbour table saves is a number on /metrics. (The fetch counters need an artifact above the
 // eager threshold: internal/gossip's tests read them.)
 func TestGossipDecisionsOnMetrics(t *testing.T) {
 	c, err := NewLocalCluster(13, WithMode(ICC1), WithDeltaBound(50*time.Millisecond))
@@ -269,6 +270,17 @@ func TestGossipDecisionsOnMetrics(t *testing.T) {
 	}
 	if frames("notarization", "advertised")+frames("finalization", "advertised") != 0 {
 		t.Error("a certificate was advertised")
+	}
+	// One speaker per edge: the other end holds its copy back, and most of
+	// what it held back it never has to send.
+	for _, kind := range []string{"notarization-share", "finalization-share", "beacon-share"} {
+		if frames(kind, "listened") == 0 {
+			t.Errorf("icc_gossip_frames_total{kind=%q,decision=\"listened\"} is zero (gossip metrics: %v)", kind, gossipMetrics(snap))
+		}
+	}
+	bundles, bundled := snap.Get("icc_gossip_bundle_shares_count"), snap.Get("icc_gossip_bundle_shares_sum")
+	if bundles == 0 || bundled < 2*bundles {
+		t.Errorf("icc_gossip_bundle_shares: %.0f shares in %.0f bundles, want at least two a bundle", bundled, bundles)
 	}
 	saved := frames("notarization", "peer_quorum") + frames("finalization", "peer_quorum")
 	sent := frames("notarization", "pushed") + frames("finalization", "pushed")

@@ -17,6 +17,12 @@
 # the two record files (medians, quartile spread, verdict against each
 # metric's bound). Exit status is -compare's.
 #
+# TRACED=1 adds, after the pairs, one --trace 1 run per side and workload
+# (seed 1) and prints the two side by side: bytes sent per commit by
+# message kind, messages per commit, the gossip layer's busy share and
+# signature checks per commit — where the bytes went, which every change
+# to the overlay has to show.
+#
 # Everything is written under .bench_build/pair/ (git-ignored).
 set -euo pipefail
 
@@ -29,7 +35,7 @@ root=$(git rev-parse --show-toplevel)
 out=$root/.bench_build/pair
 tree=$out/parent-tree
 mkdir -p "$out"
-rm -f "$out"/parent.jsonl "$out"/change.jsonl
+rm -f "$out"/parent.jsonl "$out"/change.jsonl "$out"/parent-traced.jsonl "$out"/change-traced.jsonl
 
 workloads=$workload
 if [ "$workload" = all ]; then
@@ -44,12 +50,13 @@ git -C "$root" archive "$parent" | tar -x -C "$tree"
 go build -C "$tree/bench" -o "$out/bench-parent" .
 go build -C "$root/bench" -o "$out/bench-change" .
 
-run() { # side workload seed
-	local dir=$root/bench
+run() { # side workload seed [traced]
+	local dir=$root/bench records=$out/$1.jsonl log=$out/$1-$2-seed$3.log trace=0
 	[ "$1" = parent ] && dir=$tree/bench
-	(cd "$dir" && "$out/bench-$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 \
-		-out "$out/$1.jsonl" >"$out/$1-$2-seed$3.log") ||
-		echo "bench-pair: $1 run of $2 with seed $3 exited $? (see $out/$1-$2-seed$3.log)" >&2
+	[ -n "${4:-}" ] && records=$out/$1-traced.jsonl log=$out/$1-$2-traced.log trace=1
+	(cd "$dir" && "$out/bench-$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace "$trace" \
+		-out "$records" >"$log") ||
+		echo "bench-pair: $1 run of $2 with seed $3 exited $? (see $log)" >&2
 }
 
 for w in $workloads; do
@@ -76,6 +83,21 @@ for w in $workloads; do
 done
 grep -c '"correct":true,' "$out/parent.jsonl" "$out/change.jsonl" | sed 's/^/correct runs: /'
 grep -o '"failed":[0-9]*' "$out/change.jsonl" | sort | uniq -c | sed 's/^/change: runs with /'
+
+if [ "${TRACED:-0}" = 1 ]; then
+	layers() { # file workload -> "name value" per line, sorted by name
+		grep "\"workload\":\"$2\"" "$1" |
+			grep -oE '"(transport\.bytes_per_commit\.[a-z-]+|transport\.msgs_per_commit|gossip\.busy_share|verify\.checks_per_commit)":\{"value":[^,}]*' |
+			sed 's/^"\([^"]*\)":{"value":/\1 /' | sort
+	}
+	echo
+	echo "traced runs (--trace 1, seed 1), per party and commit: parent, change"
+	for w in $workloads; do
+		for side in parent change; do run "$side" "$w" 1 traced; done
+		join <(layers "$out/parent-traced.jsonl" "$w") <(layers "$out/change-traced.jsonl" "$w") |
+			awk -v w="$w" '$2 != 0 || $3 != 0 { printf "  %-16s %-44s %12.3f %12.3f\n", w, $1, $2, $3 }'
+	done
+fi
 echo
 # -compare lists every workload of BENCHMARK.json; keep the ones that ran.
 "$out/bench-change" -compare "$out/parent.jsonl" "$out/change.jsonl" |
