@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-scale bench-suite bench-pair chaos
+.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-certscheme bench-scale bench-suite bench-pair chaos
 
 build:
 	$(GO) build ./...
@@ -18,29 +18,23 @@ vet:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/...
 
-# Regenerate the evaluation tables and record a machine-readable
-# BENCH_<timestamp>.json snapshot in the repo root. The first leg prints
-# the certificate-scheme micro-benchmarks (multisig vs BLS
-# sign/combine/verify at quorum 9 of 13); 10 iterations keeps the
-# ~1 s/op BLS pairing verify affordable.
-bench:
-	$(GO) test -run '^$$' -bench 'Sign13|Combine13|VerifyAggregate13' -benchtime 10x ./internal/crypto/aggsig ./internal/crypto/multisig
-	$(GO) run ./cmd/iccbench -json
+# The repository benchmark (BENCHMARK.json, bench/README.md): every
+# workload untraced then traced, with trace.overhead_pct. It is the one
+# trajectory; the evaluation tables (`go run ./cmd/iccbench`) are recorded
+# in EXPERIMENTS.md.
+bench: bench-suite
+bench-suite:
+	$(GO) run -C bench . --workload all
 
 # The certificate-scheme chart alone (E14): bytes/party, commits/s, and
 # cert wire size for multisig vs BLS at n ∈ {16, 31, 64, 100}.
 bench-certscheme:
-	$(GO) run ./cmd/iccbench -exp certscheme -json
+	$(GO) run ./cmd/iccbench -exp certscheme
 
 # The scale-out chart alone (E13): commits/s and bytes/party for
-# n ∈ {16, 31, 64, 100}, with the relay-aggregation A/B in the json.
+# n ∈ {16, 31, 64, 100}, and the n = 31 TCP leg.
 bench-scale:
-	$(GO) run ./cmd/iccbench -exp scaleout -json
-
-# The repository benchmark (BENCHMARK.json, bench/README.md): every
-# workload untraced then traced, with trace.overhead_pct.
-bench-suite:
-	$(GO) run -C bench . --workload all
+	$(GO) run ./cmd/iccbench -exp scaleout
 
 # Parent commit against the working tree on one workload, or on the four of
 # BENCHMARK.json in turn with WORKLOAD=all (~35 min): >= 10 alternating
@@ -57,13 +51,15 @@ bench-pair:
 vet-bench:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
-# One node assembly: internal/node wires the live stack, internal/harness
-# the simnet one, and bench/ mirrors the former on purpose. An engine or
-# a runner constructed anywhere else is a hand copy growing back.
+# One node assembly: internal/node wires the stack — node.Stack from the
+# event loop down, for live and simulated parties alike, node.New the rest
+# of a live node — and bench/ mirrors it on purpose. An engine, a
+# dissemination layer or a runner constructed anywhere else is a hand copy
+# growing back.
 assembly-check:
-	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'core\.NewEngine\(|runtime\.NewRunner\(' . \
-		| grep -vE '^\./(internal/node|internal/harness|bench)/'; then \
-		echo 'assembly-check: build nodes with internal/node.New, not by hand' >&2; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'core\.NewEngine\(|gossip\.New\(|rbc\.Wrap\(|runtime\.NewRunner\(' . \
+		| grep -vE '^\./(internal/node|bench)/'; then \
+		echo 'assembly-check: build parties with internal/node (New or Stack), not by hand' >&2; exit 1; fi
 
 # Adversary campaign under the race detector: the matrix sweep (the ICC0
 # cells of TestChaosCampaign and the ICC1 cells of TestChaosCampaignICC1,

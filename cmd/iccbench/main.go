@@ -12,11 +12,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -45,29 +43,10 @@ var registry = map[string]func(experiments.Scale) *experiments.Table{
 	"adversary":      experiments.AdversaryCampaign,
 }
 
-// benchSummary is the machine-readable run record written by -json, so
-// the repo accumulates a bench trajectory across PRs.
-type benchSummary struct {
-	GeneratedAt string                 `json:"generated_at"`
-	Scale       float64                `json:"scale"`
-	Experiments map[string]benchResult `json:"experiments"`
-}
-
-type benchResult struct {
-	Table   *experiments.Table `json:"table"`
-	Seconds float64            `json:"seconds"`
-	// Metrics mirrors Table.Metrics at the top level of the record, so
-	// trend tooling reads headline scalars (e.g. gateway latency
-	// percentiles) without digging into rendered cells.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
 func main() {
 	exp := flag.String("exp", "", "experiment to run (default: all)")
 	scale := flag.Float64("scale", 1.0, "scale factor for simulated windows (0 < s <= 1)")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	jsonOut := flag.Bool("json", false, "also write a BENCH_<timestamp>.json summary")
-	jsonDir := flag.String("json-dir", ".", "directory for the -json summary file")
 	flag.Parse()
 
 	names := make([]string, 0, len(registry))
@@ -88,29 +67,10 @@ func main() {
 		}
 		run = []string{*exp}
 	}
-	summary := benchSummary{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       *scale,
-		Experiments: make(map[string]benchResult, len(run)),
-	}
 	for _, name := range run {
 		start := time.Now()
 		table := registry[name](experiments.Scale(*scale))
-		elapsed := time.Since(start)
 		fmt.Println(table.String())
-		fmt.Printf("(%s completed in %v)\n\n", name, elapsed.Round(time.Millisecond))
-		summary.Experiments[name] = benchResult{Table: table, Seconds: elapsed.Seconds(), Metrics: table.Metrics}
-	}
-	if *jsonOut {
-		path := filepath.Join(*jsonDir, time.Now().UTC().Format("BENCH_20060102T150405.json"))
-		raw, err := json.MarshalIndent(summary, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iccbench: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 }

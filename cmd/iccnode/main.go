@@ -11,6 +11,9 @@
 //	  iccnode -keys /tmp/keys -self $i \
 //	    -peers 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 &
 //	done
+//
+// Add -mode icc1 to every node to disseminate over the gossip overlay
+// (ICC1), or -mode icc2 for erasure-coded reliable broadcast (ICC2).
 package main
 
 import (
@@ -44,6 +47,7 @@ func main() {
 		certScheme = flag.String("cert-scheme", "", "expected certificate scheme of the key material (multisig or bls); empty accepts whatever the key files declare")
 		self       = flag.Int("self", -1, "this node's party index")
 		peers      = flag.String("peers", "", "comma-separated host:port list, one per party, in index order")
+		mode       = flag.String("mode", "icc0", "block dissemination: icc0 (direct broadcast), icc1 (gossip overlay) or icc2 (erasure-coded reliable broadcast); the same on every node")
 		bound      = flag.Duration("bound", 200*time.Millisecond, "partial-synchrony bound Δbnd")
 		epsilon    = flag.Duration("epsilon", 500*time.Millisecond, "ε governor (block-rate limiter)")
 		load       = flag.Int("load", 10, "synthetic commands submitted per second (0 = none)")
@@ -88,6 +92,7 @@ func main() {
 		certScheme:    *certScheme,
 		self:          *self,
 		peers:         *peers,
+		mode:          *mode,
 		bound:         *bound,
 		epsilon:       *epsilon,
 		load:          *load,
@@ -121,6 +126,7 @@ type nodeConfig struct {
 	certScheme    string
 	self          int
 	peers         string
+	mode          string
 	bound         time.Duration
 	epsilon       time.Duration
 	load          int
@@ -142,6 +148,10 @@ func chaosEnabled(p transport.FaultPlan) bool {
 }
 
 func run(cfg nodeConfig) error {
+	mode, err := node.ParseMode(cfg.mode)
+	if err != nil {
+		return fmt.Errorf("-mode: %w", err)
+	}
 	pub := &keys.Public{}
 	if err := readJSON(filepath.Join(cfg.keyDir, "public.json"), pub); err != nil {
 		return err
@@ -215,6 +225,7 @@ func run(cfg nodeConfig) error {
 		Keys:               pub,
 		Priv:               *priv,
 		Endpoint:           ep,
+		Mode:               mode,
 		DeltaBound:         cfg.bound,
 		Epsilon:            cfg.epsilon,
 		ShareCacheSize:     cfg.shareCache,

@@ -18,6 +18,7 @@ import (
 
 	"icc/internal/core"
 	"icc/internal/harness"
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -42,16 +43,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var m harness.Mode
-	switch *mode {
-	case "icc0":
-		m = harness.ICC0
-	case "icc1":
-		m = harness.ICC1
-	case "icc2":
-		m = harness.ICC2
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	m, err := node.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	behaviors := make(map[types.PartyID]harness.Behavior)
@@ -71,7 +65,7 @@ func main() {
 
 	verifyPolicy := pool.VerifyFull
 	if !*realCrypto {
-		verifyPolicy = pool.VerifySharesOnly
+		verifyPolicy = pool.VerifyPreVerified
 	}
 	opts := harness.Options{
 		N:          *n,

@@ -3,15 +3,19 @@
 // one binary on localhost loopback for a self-contained demonstration.
 // Each node has its own TCP listener, key material, command queue, and
 // state machine; all traffic crosses the network stack with
-// length-prefixed frames.
+// length-prefixed frames. The optional argument picks the dissemination
+// sub-layer, as iccnode's -mode does: icc0 (the default, direct
+// broadcast), icc1 (the gossip overlay) or icc2 (reliable broadcast).
 //
 //	go run ./examples/tcpcluster
+//	go run ./examples/tcpcluster icc1
 package main
 
 import (
 	"crypto/rand"
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -28,6 +32,13 @@ import (
 const n = 4
 
 func main() {
+	mode := node.ICC0
+	if len(os.Args) > 1 {
+		var err error
+		if mode, err = node.ParseMode(os.Args[1]); err != nil {
+			log.Fatal(err)
+		}
+	}
 	pub, privs, err := keys.Deal(rand.Reader, n)
 	if err != nil {
 		log.Fatalf("dealing keys: %v", err)
@@ -62,6 +73,7 @@ func main() {
 			Priv:       privs[i],
 			Endpoint:   ep,
 			Clock:      clk,
+			Mode:       mode,
 			DeltaBound: 50 * time.Millisecond,
 			Replica:    reps[i],
 			Hooks: core.Hooks{

@@ -131,7 +131,7 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 		Delay:      simnet.Fixed{D: delta},
 		DeltaBound: bound,
 		SimBeacon:  true,
-		Verify:     pool.VerifySharesOnly,
+		Verify:     pool.VerifyPreVerified,
 		PruneDepth: simPruneDepth,
 	}
 	var pubSeed []byte

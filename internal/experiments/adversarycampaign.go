@@ -142,8 +142,5 @@ func AdversaryCampaign(scale Scale) *Table {
 		}
 		t.AddRow(p.Name, fmt.Sprintf("%d", len(seeds)), verdict, fmt.Sprintf("%d", minCommits), expect)
 	}
-	t.SetMetric("profiles", float64(len(profiles)))
-	t.SetMetric("cells", float64(len(rep.Runs)))
-	t.SetMetric("failures", float64(rep.Failures))
 	return t
 }

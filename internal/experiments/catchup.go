@@ -9,7 +9,7 @@ import (
 	"icc/internal/types"
 )
 
-// Catchup measures laggard rejoin end to end (E10, superseding E9's
+// Catchup measures laggard rejoin end to end (E22, superseding E21's
 // responder-side measurement): a live cluster with the real threshold
 // beacon runs ahead, then a laggard joins from round 1 with an empty
 // pool. Responders must serve it the gap — blocks, notarizations, and
@@ -33,11 +33,11 @@ import (
 // Reported per configuration: the slow responder's commit rate in the
 // measurement window before the join (steady) and after it (catch-up),
 // and how long the laggard takes to converge past the frontier it saw
-// at join time. Wall-clock measurement, same caveats as E8; gap 500 is
+// at join time. Wall-clock measurement, same caveats as E20; gap 500 is
 // the headline row.
 func Catchup(scale Scale) *Table {
 	t := &Table{
-		ID:      "E10",
+		ID:      "E22",
 		Title:   "laggard rejoin: responder commit rate and laggard convergence, by admission path",
 		Columns: []string{"gap", "configuration", "steady", "catch-up", "ratio", "converge"},
 		Notes: []string{

@@ -7,15 +7,15 @@ import (
 	"icc/internal/crypto/aggsig"
 	"icc/internal/crypto/hash"
 	"icc/internal/harness"
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
 
 // CertScheme measures the certificate-scheme ablation (experiment E14):
-// for n ∈ {16, 31, 64, 100} under the full ICC1 overlay (ShareBundle
-// batching with the adaptive window, relay-side certificate
-// aggregation, single-output beacon relay), the commits/s, per-party
+// for n ∈ {16, 31, 64, 100} under the deployed ICC1 overlay plus
+// single-output beacon relay, the commits/s, per-party
 // bytes per round, and wire size of one notarization certificate under
 //
 //   - multisig: the default scheme — a certificate carries one ed25519
@@ -36,7 +36,7 @@ import (
 // durable block storage, and finality proofs handed to clients all
 // carry one certificate with no surrounding share flood.
 //
-// Runs use pre-verified admission (the honest-only sweep policy): BLS
+// Runs use pre-verified admission (nothing in the sweep forges): BLS
 // signing is real hash-to-curve work on every share, and relays combine
 // by G1 addition, but no per-block pairings run — one pairing costs ~1s
 // on the dependency-free big.Int stack, which would turn a 100-party
@@ -61,63 +61,30 @@ func CertScheme(scale Scale) *Table {
 	base := make(map[aggsig.SchemeID]float64)
 	for _, n := range sizes {
 		for _, scheme := range schemes {
-			c, err := harness.New(harness.Options{
-				N:                   n,
-				Seed:                int64(14000 + n),
-				Delay:               simnet.Fixed{D: 10 * time.Millisecond},
-				DeltaBound:          50 * time.Millisecond,
-				Mode:                harness.ICC1,
-				SimBeacon:           true,
-				Verify:              pool.VerifyPreVerified,
-				PruneDepth:          simPruneDepth,
-				CertScheme:          scheme,
-				GossipBatchWindow:   2 * time.Millisecond,
-				GossipAdaptiveBatch: true,
-				GossipAggregate:     true,
-				BeaconOutputs:       true,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			c.Start()
-			c.RunUntilCommitted(blocks, time.Hour)
-			s := c.Rec.Summarize()
-			rounds := float64(s.CommittedBlocks)
-			if rounds == 0 {
-				rounds = 1
-			}
-			elapsed := c.Net.Now().Seconds()
-			if elapsed == 0 {
-				elapsed = 1
-			}
-			perParty := float64(s.TotalBytes) / float64(n) / rounds
+			commitRate, perParty, c := runOverlayCell(harness.Options{
+				N:             n,
+				Seed:          int64(14000 + n),
+				Delay:         simnet.Fixed{D: 10 * time.Millisecond},
+				DeltaBound:    50 * time.Millisecond,
+				Mode:          node.ICC1,
+				SimBeacon:     true,
+				Verify:        pool.VerifyPreVerified,
+				PruneDepth:    simPruneDepth,
+				CertScheme:    scheme,
+				BeaconOutputs: true,
+			}, blocks)
 			if n == sizes[0] {
 				base[scheme] = perParty
 			}
 			certBytes := sampleCertSize(c)
-			commitRate := float64(s.CommittedBlocks) / elapsed
 			t.AddRow(fmt.Sprintf("%d", n), scheme.String(),
 				fmt.Sprintf("%.1f", commitRate),
 				fmt.Sprintf("%.1f", perParty/1024),
 				fmt.Sprintf("%d", certBytes),
 				fmt.Sprintf("%.2f", perParty/base[scheme]),
 				fmt.Sprintf("%.2f", float64(n)/float64(sizes[0])))
-			t.SetMetric(fmt.Sprintf("sim_bytes_per_party_round_n%d_%s", n, scheme), perParty)
-			t.SetMetric(fmt.Sprintf("sim_commits_per_s_n%d_%s", n, scheme), commitRate)
-			t.SetMetric(fmt.Sprintf("cert_bytes_n%d_%s", n, scheme), float64(certBytes))
 		}
 	}
-	last := sizes[len(sizes)-1]
-	for _, scheme := range schemes {
-		if b := t.Metrics[fmt.Sprintf("sim_bytes_per_party_round_n%d_%s", last, scheme)]; base[scheme] > 0 {
-			t.SetMetric(fmt.Sprintf("bytes_growth_%s", scheme), b/base[scheme])
-		}
-		first := t.Metrics[fmt.Sprintf("cert_bytes_n%d_%s", sizes[0], scheme)]
-		if lastCert := t.Metrics[fmt.Sprintf("cert_bytes_n%d_%s", last, scheme)]; first > 0 {
-			t.SetMetric(fmt.Sprintf("cert_growth_%s", scheme), lastCert/first)
-		}
-	}
-	t.SetMetric("bytes_growth_linear_ref", float64(last)/float64(sizes[0]))
 	return t
 }
 

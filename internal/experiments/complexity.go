@@ -55,7 +55,7 @@ func meanRoundMsgs(n int, behaviors map[types.PartyID]harness.Behavior, blocks i
 		DeltaBound: 50 * time.Millisecond,
 		Behaviors:  behaviors,
 		SimBeacon:  true,
-		Verify:     pool.VerifySharesOnly,
+		Verify:     pool.VerifyPreVerified,
 		PruneDepth: simPruneDepth,
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func RoundComplexity(scale Scale) *Table {
 		DeltaBound: 40 * time.Millisecond,
 		Behaviors:  behaviors,
 		SimBeacon:  true,
-		Verify:     pool.VerifySharesOnly,
+		Verify:     pool.VerifyPreVerified,
 		PruneDepth: 2 * simPruneDepth,
 	})
 	if err != nil {
@@ -178,7 +178,7 @@ func Robustness(scale Scale) *Table {
 				DeltaBound: 50 * time.Millisecond,
 				Behaviors:  behaviors,
 				SimBeacon:  true,
-				Verify:     pool.VerifySharesOnly,
+				Verify:     pool.VerifyPreVerified,
 				PruneDepth: simPruneDepth,
 			})
 			if err != nil {

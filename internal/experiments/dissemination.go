@@ -6,6 +6,7 @@ import (
 
 	"icc/internal/core"
 	"icc/internal/harness"
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -33,7 +34,7 @@ func Dissemination(scale Scale) *Table {
 	}
 	blocks := scale.scaleInt(20)
 	for _, size := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		for _, mode := range []harness.Mode{harness.ICC0, harness.ICC1, harness.ICC2} {
+		for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
 			c, err := harness.New(harness.Options{
 				N:          n,
 				Seed:       int64(7000 + size/1024),
@@ -42,7 +43,7 @@ func Dissemination(scale Scale) *Table {
 				Mode:       mode,
 				Payload:    core.SizedPayload{Size: size},
 				SimBeacon:  true,
-				Verify:     pool.VerifySharesOnly,
+				Verify:     pool.VerifyPreVerified,
 				PruneDepth: simPruneDepth / 2,
 			})
 			if err != nil {
@@ -105,7 +106,7 @@ func AblationDelays(scale Scale) *Table {
 			DeltaBound: 50 * time.Millisecond,
 			Epsilon:    eps,
 			SimBeacon:  true,
-			Verify:     pool.VerifySharesOnly,
+			Verify:     pool.VerifyPreVerified,
 			PruneDepth: simPruneDepth,
 		})
 		if err != nil {
@@ -133,7 +134,7 @@ func AblationDelays(scale Scale) *Table {
 			DeltaBound: 20 * time.Millisecond, // mis-configured: δ up to 20×Δbnd
 			Adaptive:   adaptive,
 			SimBeacon:  true,
-			Verify:     pool.VerifySharesOnly,
+			Verify:     pool.VerifyPreVerified,
 			PruneDepth: simPruneDepth,
 		})
 		if err != nil {

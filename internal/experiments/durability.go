@@ -14,7 +14,7 @@ import (
 )
 
 // Durability measures restart-to-caught-up time against the rounds the
-// cluster advanced while a node was down (E11): a live four-party
+// cluster advanced while a node was down (E23): a live four-party
 // cluster runs, one party is killed without warning (kill -9 — its WAL
 // loses the unsynced tail), the survivors advance `gap` rounds, and the
 // victim restarts. Three configurations:
@@ -37,7 +37,7 @@ import (
 // restart to committing past the frontier the cluster had at restart.
 func Durability(scale Scale) *Table {
 	t := &Table{
-		ID:      "E11",
+		ID:      "E23",
 		Title:   "restart-to-caught-up time vs downtime gap, by durability configuration",
 		Columns: []string{"gap", "configuration", "resume", "recover", "converge"},
 		Notes: []string{

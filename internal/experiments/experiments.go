@@ -29,18 +29,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// Metrics carries machine-readable headline scalars (e.g. latency
-	// percentiles) that BENCH json records and dashboards can consume
-	// without parsing rendered cells. Optional.
-	Metrics map[string]float64 `json:",omitempty"`
-}
-
-// SetMetric records one machine-readable scalar.
-func (t *Table) SetMetric(name string, v float64) {
-	if t.Metrics == nil {
-		t.Metrics = make(map[string]float64)
-	}
-	t.Metrics[name] = v
 }
 
 // AddRow appends a row.

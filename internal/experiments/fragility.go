@@ -73,7 +73,7 @@ func PBFTFragility(scale Scale) *Table {
 	iccRun := func(behavior harness.Behavior) int64 {
 		opts := harness.Options{
 			N: n, Seed: 11001, Delay: simnet.Fixed{D: delta},
-			DeltaBound: bound, SimBeacon: true, Verify: pool.VerifySharesOnly, PruneDepth: simPruneDepth,
+			DeltaBound: bound, SimBeacon: true, Verify: pool.VerifyPreVerified, PruneDepth: simPruneDepth,
 		}
 		if behavior != 0 {
 			opts.Behaviors = map[types.PartyID]harness.Behavior{0: behavior}

@@ -80,18 +80,6 @@ func Gateway(scale Scale) *Table {
 			fmt.Sprintf("%d/%d", rywViol, probes),
 			fmt.Sprintf("%d", ackViol),
 		)
-		prefix := fmt.Sprintf("rate%d_%s", cfg.rate, map[bool]string{true: "zipf", false: "uniform"}[cfg.skew > 0])
-		t.SetMetric(prefix+"_p50_ms", rep.P50.Seconds()*1000)
-		t.SetMetric(prefix+"_p99_ms", rep.P99.Seconds()*1000)
-		t.SetMetric(prefix+"_stage_wait_p50_ms", st.wait.Seconds()*1000)
-		t.SetMetric(prefix+"_stage_order_p50_ms", st.order.Seconds()*1000)
-		t.SetMetric(prefix+"_stage_ack_p50_ms", st.ack.Seconds()*1000)
-		t.SetMetric(prefix+"_offers_merged", float64(st.merged))
-		t.SetMetric(prefix+"_offers_late", float64(st.late))
-		t.SetMetric(prefix+"_acked", float64(rep.Acked))
-		t.SetMetric(prefix+"_rejected", float64(rep.Rejected))
-		t.SetMetric(prefix+"_ryw_violations", float64(rywViol))
-		t.SetMetric(prefix+"_ack_before_final", float64(ackViol))
 	}
 	return t
 }

@@ -8,13 +8,14 @@ import (
 	"icc/internal/baseline"
 	"icc/internal/harness"
 	"icc/internal/metrics"
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
 
 // runVariant runs one ICC cluster to a target block count and summarises.
-func runVariant(mode harness.Mode, n int, delta, bound, epsilon time.Duration, seed int64, blocks int) metrics.Summary {
+func runVariant(mode node.Mode, n int, delta, bound, epsilon time.Duration, seed int64, blocks int) metrics.Summary {
 	c, err := harness.New(harness.Options{
 		N:          n,
 		Seed:       seed,
@@ -23,7 +24,7 @@ func runVariant(mode harness.Mode, n int, delta, bound, epsilon time.Duration, s
 		Epsilon:    epsilon,
 		Mode:       mode,
 		SimBeacon:  true,
-		Verify:     pool.VerifySharesOnly,
+		Verify:     pool.VerifyPreVerified,
 		PruneDepth: simPruneDepth,
 	})
 	if err != nil {
@@ -43,15 +44,15 @@ func LatencyThroughput(scale Scale) *Table {
 		Title: "reciprocal throughput and latency vs network delay δ (paper: ICC0/1 = 2δ & 3δ, ICC2 = 3δ & 4δ)",
 		Columns: []string{"δ", "variant", "round time", "×δ", "latency", "×δ",
 			"paper round", "paper latency"},
-		Notes: []string{"ICC1 latency includes gossip-hop overhead; the paper's 2δ/3δ claim assumes direct broadcast timing"},
+		Notes: []string{"ICC1 runs the deployed overlay: a party casts its finalization share at the instant the round's notarization shares arrive as one burst, so it leaves with that burst's 2 ms batch — latency 3δ + 2 ms, round time unaffected; the paper's 3δ assumes direct broadcast timing"},
 	}
 	blocks := scale.scaleInt(200)
 	deltas := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond,
 		25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	for _, delta := range deltas {
-		for _, mode := range []harness.Mode{harness.ICC0, harness.ICC1, harness.ICC2} {
+		for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
 			paperRound, paperLatency := "2δ", "3δ"
-			if mode == harness.ICC2 {
+			if mode == node.ICC2 {
 				paperRound, paperLatency = "3δ", "4δ"
 			}
 			s := runVariant(mode, 7, delta, 10*delta, 0, 7000+int64(delta), blocks)
@@ -84,7 +85,7 @@ func Responsiveness(scale Scale) *Table {
 	blocks := scale.scaleInt(100)
 	for _, bound := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 		200 * time.Millisecond, 500 * time.Millisecond, 1000 * time.Millisecond} {
-		icc := runVariant(harness.ICC0, n, delta, bound, 0, 6000+int64(bound), blocks)
+		icc := runVariant(node.ICC0, n, delta, bound, 0, 6000+int64(bound), blocks)
 		tm := runTendermint(n, delta, bound, blocks)
 		t.AddRow(bound.String(),
 			icc.MeanRoundTime.Round(time.Millisecond/10).String(),
@@ -140,9 +141,9 @@ func Baselines(scale Scale) *Table {
 		Columns: []string{"protocol", "round/height time", "latency", "paper claim"},
 	}
 	blocks := scale.scaleInt(150)
-	for _, mode := range []harness.Mode{harness.ICC0, harness.ICC1, harness.ICC2} {
+	for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
 		claim := "2δ throughput, 3δ latency"
-		if mode == harness.ICC2 {
+		if mode == node.ICC2 {
 			claim = "3δ throughput, 4δ latency"
 		}
 		s := runVariant(mode, n, delta, bound, 0, 8000+int64(mode), blocks)

@@ -6,6 +6,7 @@ import (
 
 	"icc/internal/core"
 	"icc/internal/harness"
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -82,9 +83,9 @@ func runTable1Cell(n int, epsilon time.Duration, window time.Duration, load, fai
 		Delay:      m,
 		DeltaBound: 300 * time.Millisecond,
 		Epsilon:    epsilon,
-		Mode:       harness.ICC1, // production uses the gossip sub-layer
+		Mode:       node.ICC1, // production uses the gossip sub-layer
 		SimBeacon:  true,
-		Verify:     pool.VerifySharesOnly,
+		Verify:     pool.VerifyPreVerified,
 		PruneDepth: simPruneDepth,
 	}
 	if load {

@@ -16,7 +16,7 @@ import (
 	"icc/internal/verify"
 )
 
-// VerifyPipeline measures the parallel verification pipeline (E8):
+// VerifyPipeline measures the parallel verification pipeline (E20):
 // raw signature-verification throughput of the worker pool at one vs
 // GOMAXPROCS workers (plus the verified-digest cache replay), and
 // end-to-end commit throughput of a live 4-party runtime cluster with
@@ -28,7 +28,7 @@ import (
 func VerifyPipeline(scale Scale) *Table {
 	procs := runtime.GOMAXPROCS(0)
 	t := &Table{
-		ID:      "E8",
+		ID:      "E20",
 		Title:   "parallel verification pipeline: worker scaling, digest cache, live commit throughput",
 		Columns: []string{"benchmark", "configuration", "value"},
 		Notes: []string{

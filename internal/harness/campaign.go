@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"icc/internal/node"
 	"icc/internal/obs"
 	"icc/internal/pool"
 	"icc/internal/simnet"
@@ -27,17 +28,17 @@ type Profile struct {
 	Behaviors map[types.PartyID]Behavior
 	Tuning    map[types.PartyID]BehaviorTuning
 
-	// Mode is the dissemination sub-layer under the engines (zero: ICC0).
-	// ICC1 cells run the overlay as node.New ships it: 2 ms adaptive batch
-	// window, relay aggregation, default fanout. Verify is the pool's
-	// admission policy, and with it whether the gossip relays trust their
-	// input: under pool.VerifyFull they do not (a share is an opaque ref,
-	// and a neighbour counts as holding a certificate only on its own
-	// word), under pool.VerifySharesOnly they do (what each neighbour
-	// holds is counted per signer, and one at a quorum is sent neither
-	// shares nor certificate) — sound here because no behaviour of the
-	// matrix forges a signature.
-	Mode   Mode
+	// Mode is the dissemination sub-layer under the engines (zero: ICC0);
+	// ICC1 cells run the overlay node.Stack builds for every live node, at
+	// its default fanout. Verify says where signatures are checked, and
+	// with it whether the gossip relays trust their input: under
+	// pool.VerifyFull they do not (a share is an opaque ref, and a
+	// neighbour counts as holding a certificate only on its own word),
+	// under pool.VerifyPreVerified they do (what each neighbour holds is
+	// counted per signer, and one at a quorum is sent neither shares nor
+	// certificate) — sound here because no behaviour of the matrix forges
+	// a signature.
+	Mode   node.Mode
 	Verify pool.VerifyPolicy
 
 	// ExpectStall marks profiles whose adversary provably exceeds the
@@ -187,12 +188,6 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 		Mode:       p.Mode,
 		Verify:     p.Verify,
 	}
-	if p.Mode == ICC1 {
-		// node.gossipConfig's overlay; the fanout stays at its default.
-		opts.GossipBatchWindow = 2 * time.Millisecond
-		opts.GossipAdaptiveBatch = true
-		opts.GossipAggregate = true
-	}
 	c, err := New(opts)
 	if err != nil {
 		return 0, "", err
@@ -226,19 +221,24 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 	return commits, "", nil
 }
 
-// parseDissemination inverts Mode.String and pool.VerifyPolicy.String. A
-// trace recorded before the campaign had the axis carries neither key:
-// it ran ICC0 under full verification, the zero values.
-func parseDissemination(mode, verify string) (m Mode, v pool.VerifyPolicy, err error) {
-	for m = ICC0; mode != "" && m.String() != mode; m++ {
-		if m == ICC2 {
-			return 0, 0, fmt.Errorf("harness: unknown mode %q", mode)
+// parseDissemination inverts node.Mode.String and
+// pool.VerifyPolicy.String. A trace recorded before the campaign had the
+// axis carries neither key: it ran ICC0 under full verification, the zero
+// values.
+func parseDissemination(mode, verify string) (m node.Mode, v pool.VerifyPolicy, err error) {
+	if mode != "" {
+		if m, err = node.ParseMode(mode); err != nil {
+			return 0, 0, fmt.Errorf("harness: %w", err)
 		}
 	}
-	for v = pool.VerifyFull; verify != "" && v.String() != verify; v++ {
-		if v == pool.VerifyPreVerified {
-			return 0, 0, fmt.Errorf("harness: unknown verify policy %q", verify)
-		}
+	switch verify {
+	case "", pool.VerifyFull.String():
+	case pool.VerifyPreVerified.String():
+		v = pool.VerifyPreVerified
+	case "shares-only":
+		return 0, 0, fmt.Errorf("harness: verify policy %q is retired: the trace was recorded on a stack that no longer exists and cannot be replayed (such cells now run %q)", verify, pool.VerifyPreVerified)
+	default:
+		return 0, 0, fmt.Errorf("harness: unknown verify policy %q", verify)
 	}
 	return m, v, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/node"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -75,7 +76,7 @@ func TestChaosCampaign(t *testing.T) {
 // bears on what a gossip relay may withhold from a neighbour, at n = 7
 // (t = 2) and n = 13 (t = 4), once with relays that trust nothing
 // (pool.VerifyFull) and once with relays that count what each neighbour
-// holds (pool.VerifySharesOnly).
+// holds (pool.VerifyPreVerified).
 func icc1Profiles() []Profile {
 	var out []Profile
 	for _, n := range []int{7, 13} {
@@ -105,10 +106,10 @@ func icc1Profiles() []Profile {
 			{Name: "mute-relay", Behaviors: map[types.PartyID]Behavior{0: MuteRelay}},
 			{Name: "mute-relay-t", Behaviors: assign(MuteRelay)},
 		}
-		for _, verify := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifySharesOnly} {
+		for _, verify := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifyPreVerified} {
 			for _, p := range cells {
 				p.Name = fmt.Sprintf("icc1-n%d-%s-%s", n, p.Name, verify)
-				p.N, p.Mode, p.Verify = n, ICC1, verify
+				p.N, p.Mode, p.Verify = n, node.ICC1, verify
 				out = append(out, p)
 			}
 		}
@@ -221,7 +222,7 @@ func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
 	// dissemination axis, and the overlay — batch timers, per-neighbour
 	// frames, completing shares — must replay event for event.
 	gossiped := failing
-	gossiped.Name, gossiped.Mode, gossiped.Verify = "injected-liveness-failure-icc1", ICC1, pool.VerifySharesOnly
+	gossiped.Name, gossiped.Mode, gossiped.Verify = "injected-liveness-failure-icc1", node.ICC1, pool.VerifyPreVerified
 	for _, failing := range []Profile{failing, gossiped} {
 		o := chaosOptions(t)
 		o.Seeds = []int64{42}
@@ -338,6 +339,33 @@ func TestBehaviorRoundTrip(t *testing.T) {
 	for pid, tu := range p.Tuning {
 		if tuning[pid] != tu {
 			t.Fatalf("party %d tuning: %+v != %+v", pid, tuning[pid], tu)
+		}
+	}
+}
+
+// TestDisseminationAxisParses pins the other half of the header: every
+// (mode, policy) a cell can carry survives the round trip, a header from
+// before the axis existed is an ICC0 cell under full verification, and a
+// trace recorded under the retired shares-only policy is refused by
+// name — it ran on a stack that is gone, so it cannot replay.
+func TestDisseminationAxisParses(t *testing.T) {
+	for _, m := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
+		for _, v := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifyPreVerified} {
+			gotM, gotV, err := parseDissemination(m.String(), v.String())
+			if err != nil || gotM != m || gotV != v {
+				t.Fatalf("(%v, %v) parsed as (%v, %v), err %v", m, v, gotM, gotV, err)
+			}
+		}
+	}
+	if m, v, err := parseDissemination("", ""); err != nil || m != node.ICC0 || v != pool.VerifyFull {
+		t.Fatalf("empty axis parsed as (%v, %v), err %v", m, v, err)
+	}
+	if _, _, err := parseDissemination("ICC1", "shares-only"); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("retired policy: err = %v", err)
+	}
+	for _, bad := range [][2]string{{"ICC3", "full"}, {"ICC1", "some"}} {
+		if _, _, err := parseDissemination(bad[0], bad[1]); err == nil {
+			t.Fatalf("%v accepted", bad)
 		}
 	}
 }

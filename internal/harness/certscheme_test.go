@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"icc/internal/crypto/aggsig"
+	"icc/internal/node"
 	"icc/internal/pool"
 )
 
@@ -24,17 +25,14 @@ func TestBLSCertSchemeICC0(t *testing.T) {
 }
 
 func TestBLSCertSchemeICC1(t *testing.T) {
-	// The full ICC1 relay feature set on top of BLS: relay-side
-	// aggregation (constant-size certs out of the gossip layer),
-	// adaptive share batching, and single-output beacon relay.
+	// The deployed overlay on top of BLS — relay-side aggregation
+	// (constant-size certs out of the gossip layer), adaptive share
+	// batching — plus single-output beacon relay.
 	run(t, Options{
-		N: 7, Seed: 42, Mode: ICC1, SimBeacon: true,
-		Verify:              pool.VerifyPreVerified,
-		CertScheme:          aggsig.SchemeBLS,
-		GossipAggregate:     true,
-		GossipBatchWindow:   2 * time.Millisecond,
-		GossipAdaptiveBatch: true,
-		BeaconOutputs:       true,
+		N: 7, Seed: 42, Mode: node.ICC1, SimBeacon: true,
+		Verify:        pool.VerifyPreVerified,
+		CertScheme:    aggsig.SchemeBLS,
+		BeaconOutputs: true,
 	}, 5, 2*time.Minute)
 }
 
@@ -42,17 +40,8 @@ func TestBeaconOutputsICC1Multisig(t *testing.T) {
 	// Beacon-output relaying is scheme-independent; exercise it under
 	// the default multisig certificates too.
 	run(t, Options{
-		N: 7, Seed: 43, Mode: ICC1, SimBeacon: true,
+		N: 7, Seed: 43, Mode: node.ICC1, SimBeacon: true,
 		Verify:        pool.VerifyPreVerified,
 		BeaconOutputs: true,
-	}, 8, 2*time.Minute)
-}
-
-func TestAdaptiveBatchICC1(t *testing.T) {
-	run(t, Options{
-		N: 7, Seed: 44, Mode: ICC1, SimBeacon: true,
-		Verify:              pool.VerifySharesOnly,
-		GossipBatchWindow:   2 * time.Millisecond,
-		GossipAdaptiveBatch: true,
 	}, 8, 2*time.Minute)
 }

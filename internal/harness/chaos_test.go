@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/node"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -134,7 +135,7 @@ func TestCrashRecoverPartyRejoins(t *testing.T) {
 func TestCrashRecoverPartyRejoinsICC1(t *testing.T) {
 	// The same outage under gossip dissemination: resync traffic is
 	// unicast precisely so the gossip seen-set cannot deduplicate it.
-	c, err := New(Options{N: 4, Seed: 25, SimBeacon: true, Mode: ICC1,
+	c, err := New(Options{N: 4, Seed: 25, SimBeacon: true, Mode: node.ICC1,
 		CrashRecoveries: map[types.PartyID]CrashWindow{3: {Down: 2 * time.Second, Up: 6 * time.Second}}})
 	if err != nil {
 		t.Fatal(err)

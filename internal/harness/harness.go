@@ -19,6 +19,7 @@ import (
 	"icc/internal/crypto/keys"
 	"icc/internal/engine"
 	"icc/internal/metrics"
+	"icc/internal/node"
 	"icc/internal/obs"
 	"icc/internal/pool"
 	"icc/internal/simnet"
@@ -89,30 +90,6 @@ type BehaviorTuning struct {
 	ShareDelay time.Duration
 }
 
-// Mode selects the dissemination variant.
-type Mode int
-
-// Protocol variants (paper §1).
-const (
-	ICC0 Mode = iota // direct broadcast of blocks
-	ICC1             // gossip sub-layer dissemination
-	ICC2             // erasure-coded reliable broadcast dissemination
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ICC0:
-		return "ICC0"
-	case ICC1:
-		return "ICC1"
-	case ICC2:
-		return "ICC2"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Options configures a cluster.
 type Options struct {
 	N          int
@@ -130,10 +107,12 @@ type Options struct {
 	// SimBeacon swaps the threshold-cryptography beacon for the fast
 	// hash-chain simulation (same message pattern; see beacon.Simulated).
 	SimBeacon bool
-	// Verify selects the pool admission policy. The zero value is
-	// pool.VerifyFull; large honest-only sweeps use pool.VerifySharesOnly
-	// to admit locally combined aggregates without re-checking n−t
-	// signatures (the former SkipAggVerify knob).
+	// Verify says where signatures are checked. The zero value,
+	// pool.VerifyFull, checks them in every party's pool and gossip relay,
+	// as a live node without a verify pipeline does. pool.VerifyPreVerified
+	// checks none — the stack a live node runs behind its pipeline, without
+	// the pipeline — and is sound exactly while no behaviour of the run
+	// forges a signature; honest-only sweeps use it for speed.
 	Verify pool.VerifyPolicy
 
 	Payload    core.PayloadSource
@@ -157,22 +136,12 @@ type Options struct {
 	// driver byte-compares these streams to validate failure replay.
 	Trace *obs.Tracer
 
-	Mode Mode
-	// GossipFanout bounds each party's gossip neighbourhood (ICC1).
+	// Mode is the dissemination sub-layer. ICC1 parties run the overlay
+	// every live node runs (node.Stack), seeded with Seed.
+	Mode node.Mode
+	// GossipFanout bounds each party's gossip neighbourhood (ICC1;
+	// 0 = gossip.DefaultFanout(N)).
 	GossipFanout int
-	// GossipBatchWindow coalesces share gossip into ShareBundle frames
-	// flushed after this delay (ICC1 only; 0 keeps per-share relaying).
-	GossipBatchWindow time.Duration
-	// GossipAggregate lets ICC1 relays forward one aggregated
-	// certificate instead of n−t individual shares once they hold a
-	// quorum for a statement. Under pool.VerifySharesOnly the relays
-	// combine without re-checking signatures (the sweep already trusts
-	// locally combined aggregates); under pool.VerifyFull they verify
-	// while combining.
-	GossipAggregate bool
-	// GossipAdaptiveBatch makes the batch window load-adaptive: isolated
-	// shares relay immediately, bursts batch (requires GossipBatchWindow).
-	GossipAdaptiveBatch bool
 	// BeaconOutputs lets ICC1 relays gossip one recovered, verifiable
 	// beacon output per round instead of t+1 shares. Requires a beacon
 	// backend with third-party-verifiable outputs (SimBeacon here).
@@ -184,7 +153,7 @@ type Options struct {
 	// CrashRecoveries schedules engine-level crash/recovery outages:
 	// the party goes dark during [Down, Up) and must rejoin via
 	// protocol-level catch-up. Applied outside the dissemination
-	// wrapper, so the gossip/RBC layer goes dark with the engine.
+	// sub-layer, so the gossip/RBC layer goes dark with the engine.
 	// Unlike the Crash behaviour, these parties count as honest and the
 	// liveness helpers wait for them to commit.
 	CrashRecoveries map[types.PartyID]CrashWindow
@@ -207,11 +176,6 @@ type Cluster struct {
 	Net     *simnet.Network
 	Rec     *metrics.Recorder
 	Engines []*core.Engine // inner ICC engines, indexed by party
-
-	// beacons holds each party's beacon source when the harness created
-	// one explicitly (SimBeacon), so the dissemination wrapper can share
-	// the exact object for beacon-output relaying.
-	beacons []beacon.Source
 
 	mu          sync.Mutex
 	committed   [][]*types.Block
@@ -246,7 +210,6 @@ func New(opts Options) (*Cluster, error) {
 		Pub:         pub,
 		Privs:       privs,
 		Rec:         metrics.NewRecorder(opts.N),
-		beacons:     make([]beacon.Source, opts.N),
 		committed:   make([][]*types.Block, opts.N),
 		committedAt: make([][]time.Duration, opts.N),
 	}
@@ -287,44 +250,24 @@ func New(opts Options) (*Cluster, error) {
 			c.Net.AddNode(adversary.NewSilent(pid), false)
 			continue
 		}
-		inner := core.NewEngine(c.engineConfig(pid))
-		c.Engines = append(c.Engines, inner)
-		var eng engine.Engine = inner
-		switch behavior {
-		case SilentLeader:
-			eng = adversary.NewSilentLeader(inner)
-		case LazyVoter:
-			eng = adversary.NewLazyVoter(inner)
-		case Equivocator:
-			eng = adversary.NewEquivocator(inner, opts.N, privs[i])
-		case WithholdNotar:
-			eng = adversary.NewShareWithholder(inner, adversary.WithholdOptions{
-				Notar: true, Until: opts.Tuning[pid].Until,
-			})
-		case WithholdFinal:
-			eng = adversary.NewShareWithholder(inner, adversary.WithholdOptions{
-				Final: true, Until: opts.Tuning[pid].Until,
-			})
-		case ClockSkewed:
-			skew := opts.Tuning[pid].Skew
-			if skew == 0 {
-				skew = 2 * opts.DeltaBound
+		ecfg := c.engineConfig(pid)
+		overlay := node.Overlay{Fanout: opts.GossipFanout, Seed: opts.Seed}
+		if opts.BeaconOutputs && opts.Mode == node.ICC1 {
+			src, ok := ecfg.Beacon.(beacon.OutputSource)
+			if !ok {
+				return nil, fmt.Errorf("harness: party %d: beacon backend has no verifiable outputs (enable SimBeacon)", pid)
 			}
-			eng = adversary.NewClockSkew(inner, skew)
-		case RankAbuser:
-			delay := opts.Tuning[pid].ShareDelay
-			if delay == 0 {
-				delay = opts.DeltaBound
-			}
-			eng = adversary.NewRankAbuser(inner, cartel, delay)
+			overlay.Outputs = src
 		}
-		eng, err = c.wrapDissemination(pid, eng)
+		inner, eng, err := node.Stack(ecfg, c.byzantine(pid, behavior, cartel), opts.Mode, overlay,
+			opts.Verify == pool.VerifyPreVerified)
 		if err != nil {
 			return nil, fmt.Errorf("harness: party %d: %w", pid, err)
 		}
+		c.Engines = append(c.Engines, inner)
 		if behavior == MuteRelay {
 			// Outside the overlay: it is the relaying it withholds.
-			if opts.Mode != ICC1 {
+			if opts.Mode != node.ICC1 {
 				return nil, fmt.Errorf("harness: party %d: %v needs the ICC1 overlay", pid, behavior)
 			}
 			eng = adversary.NewMuteRelay(eng)
@@ -340,6 +283,40 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
+// byzantine is what a behaviour interposes between the engine and the
+// dissemination sub-layer: nothing for Honest, and for MuteRelay, which
+// sits outside the overlay.
+func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *adversary.Collusion) func(*core.Engine) engine.Engine {
+	opts, tuning := c.Opts, c.Opts.Tuning[pid]
+	return func(inner *core.Engine) engine.Engine {
+		switch behavior {
+		case SilentLeader:
+			return adversary.NewSilentLeader(inner)
+		case LazyVoter:
+			return adversary.NewLazyVoter(inner)
+		case Equivocator:
+			return adversary.NewEquivocator(inner, opts.N, c.Privs[pid])
+		case WithholdNotar:
+			return adversary.NewShareWithholder(inner, adversary.WithholdOptions{Notar: true, Until: tuning.Until})
+		case WithholdFinal:
+			return adversary.NewShareWithholder(inner, adversary.WithholdOptions{Final: true, Until: tuning.Until})
+		case ClockSkewed:
+			skew := tuning.Skew
+			if skew == 0 {
+				skew = 2 * opts.DeltaBound
+			}
+			return adversary.NewClockSkew(inner, skew)
+		case RankAbuser:
+			delay := tuning.ShareDelay
+			if delay == 0 {
+				delay = opts.DeltaBound
+			}
+			return adversary.NewRankAbuser(inner, cartel, delay)
+		}
+		return inner
+	}
+}
+
 // engineConfig builds one party's core config with metric hooks wired.
 func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 	cfg := core.Config{
@@ -352,7 +329,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 		MaxPayload: c.Opts.MaxPayload,
 		Adaptive:   c.Opts.Adaptive,
 		PruneDepth: c.Opts.PruneDepth,
-		Pool:       pool.Options{Policy: c.Opts.Verify},
 		// No CatchupProvider: under the discrete-event simnet the engine
 		// signs catch-up beacon shares synchronously inside handleStatus.
 		// An async backfill worker would inject wall-clock goroutine
@@ -389,7 +365,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 	}
 	if c.Opts.SimBeacon {
 		cfg.Beacon = beacon.NewSimulated(c.Opts.N, pid, c.Pub.GenesisSeed)
-		c.beacons[pid] = cfg.Beacon
 	}
 	return cfg
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"icc/internal/core"
+	"icc/internal/node"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -32,11 +33,11 @@ func TestICC0Honest(t *testing.T) {
 }
 
 func TestICC1Honest(t *testing.T) {
-	run(t, Options{N: 7, Seed: 2, Mode: ICC1, SimBeacon: true}, 10, 2*time.Minute)
+	run(t, Options{N: 7, Seed: 2, Mode: node.ICC1, SimBeacon: true}, 10, 2*time.Minute)
 }
 
 func TestICC2Honest(t *testing.T) {
-	run(t, Options{N: 7, Seed: 3, Mode: ICC2, SimBeacon: true}, 10, 2*time.Minute)
+	run(t, Options{N: 7, Seed: 3, Mode: node.ICC2, SimBeacon: true}, 10, 2*time.Minute)
 }
 
 func TestICC0RealCrypto(t *testing.T) {
@@ -143,7 +144,7 @@ func TestICC1WithCrashes(t *testing.T) {
 	// Gossip dissemination with crashed parties: the overlay must route
 	// around them (fanout ≈ 2 log n keeps the honest subgraph connected).
 	run(t, Options{
-		N: 10, Seed: 13, Mode: ICC1, SimBeacon: true,
+		N: 10, Seed: 13, Mode: node.ICC1, SimBeacon: true,
 		Behaviors: map[types.PartyID]Behavior{4: Crash, 8: Crash},
 	}, 8, 3*time.Minute)
 }
@@ -152,7 +153,7 @@ func TestICC2WithCrashes(t *testing.T) {
 	// RBC dissemination with t crashed parties: reconstruction threshold
 	// n−2t is still reachable from the live parties' echoes.
 	run(t, Options{
-		N: 7, Seed: 14, Mode: ICC2, SimBeacon: true,
+		N: 7, Seed: 14, Mode: node.ICC2, SimBeacon: true,
 		Behaviors: map[types.PartyID]Behavior{1: Crash, 5: Crash},
 	}, 8, 3*time.Minute)
 }
@@ -160,7 +161,7 @@ func TestICC2WithCrashes(t *testing.T) {
 func TestICC2LargeBlocks(t *testing.T) {
 	// 256 KiB payloads through the erasure-coded path.
 	run(t, Options{
-		N: 7, Seed: 15, Mode: ICC2, SimBeacon: true,
+		N: 7, Seed: 15, Mode: node.ICC2, SimBeacon: true,
 		Payload: core.SizedPayload{Size: 256 << 10},
 	}, 5, 3*time.Minute)
 }

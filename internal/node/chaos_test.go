@@ -1,4 +1,4 @@
-package node
+package node_test
 
 // Chaos suite: the stack every deployment runs — engine, verify
 // pipeline, event loop, TCP transport with real sockets — under peer
@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/node"
 	"icc/internal/transport"
 	"icc/internal/types"
 )
@@ -24,7 +25,7 @@ func startChaosCluster(t *testing.T, plan func(p types.PartyID) transport.FaultP
 	t.Helper()
 	c := newTestCluster(t, 4, true)
 	var faulties []*transport.Faulty
-	c.buildAll(4, func(_ int, cfg *Config) {
+	c.buildAll(4, func(_ int, cfg *node.Config) {
 		f := transport.NewFaulty(cfg.Endpoint, cfg.Self, plan(cfg.Self))
 		faulties = append(faulties, f)
 		cfg.Endpoint = f

@@ -1,4 +1,4 @@
-package node
+package node_test
 
 import (
 	"crypto/rand"
@@ -13,6 +13,7 @@ import (
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/metrics"
+	"icc/internal/node"
 	"icc/internal/obs"
 	"icc/internal/transport"
 	"icc/internal/types"
@@ -31,7 +32,7 @@ type testCluster struct {
 	stats []*metrics.TransportStats
 	clk   clock.Clock
 	reg   *obs.Registry
-	nodes []*Node
+	nodes []*node.Node
 	eps   []transport.Endpoint // what each node was built on: endpoint(i), or a fault layer over it
 
 	mu       sync.Mutex
@@ -50,7 +51,7 @@ func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
 		t: t, n: n, pub: pub, privs: privs,
 		clk:      clock.NewWall(),
 		reg:      obs.NewRegistry(),
-		nodes:    make([]*Node, n),
+		nodes:    make([]*node.Node, n),
 		eps:      make([]transport.Endpoint, n),
 		stats:    make([]*metrics.TransportStats, n),
 		commits:  make([]map[types.Round]hash.Digest, n),
@@ -136,10 +137,10 @@ func (c *testCluster) reopen(i int) {
 // build assembles party i (again, for a restart): a simulated beacon,
 // the shared registry, two verify workers, the commit log — and whatever
 // conf changes on top.
-func (c *testCluster) build(i int, conf func(cfg *Config)) *Node {
+func (c *testCluster) build(i int, conf func(cfg *node.Config)) *node.Node {
 	c.t.Helper()
 	pid := types.PartyID(i)
-	cfg := Config{
+	cfg := node.Config{
 		Self: pid, Keys: c.pub, Priv: c.privs[i],
 		Endpoint:      c.endpoint(i),
 		Clock:         c.clk,
@@ -161,7 +162,7 @@ func (c *testCluster) build(i int, conf func(cfg *Config)) *Node {
 	if conf != nil {
 		conf(&cfg)
 	}
-	nd, err := New(cfg)
+	nd, err := node.New(cfg)
 	if err != nil {
 		c.t.Fatalf("party %d: %v", i, err)
 	}
@@ -170,11 +171,11 @@ func (c *testCluster) build(i int, conf func(cfg *Config)) *Node {
 }
 
 // buildAll assembles and starts parties 0..live−1.
-func (c *testCluster) buildAll(live int, conf func(i int, cfg *Config)) {
+func (c *testCluster) buildAll(live int, conf func(i int, cfg *node.Config)) {
 	c.t.Helper()
 	for i := 0; i < live; i++ {
 		i := i
-		c.build(i, func(cfg *Config) {
+		c.build(i, func(cfg *node.Config) {
 			if conf != nil {
 				conf(i, cfg)
 			}

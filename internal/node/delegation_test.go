@@ -1,4 +1,4 @@
-package node
+package node_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 
 	"icc/internal/core"
 	"icc/internal/gateway"
+	"icc/internal/node"
 	"icc/internal/statemachine"
 	"icc/internal/types"
 )
@@ -21,8 +22,8 @@ import (
 func TestCommandsRideOtherPartiesBlocks(t *testing.T) {
 	for _, mode := range []struct {
 		name string
-		mode Mode
-	}{{"icc0", ICC0}, {"icc1", ICC1}, {"icc2", ICC2}} {
+		mode node.Mode
+	}{{"icc0", node.ICC0}, {"icc1", node.ICC1}, {"icc2", node.ICC2}} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			const n, home, client, commands = 4, 2, 9, 40
@@ -56,11 +57,11 @@ func TestCommandsRideOtherPartiesBlocks(t *testing.T) {
 					}
 				}
 			)
-			c.buildAll(n, func(i int, cfg *Config) {
+			c.buildAll(n, func(i int, cfg *node.Config) {
 				carried[i] = make(map[cmdID]types.Round)
 				cfg.Mode = mode.mode
 				cfg.Epsilon = 30 * time.Millisecond // the next leader is known when shares are cast
-				cfg.Replica = NewReplica(gateway.Options{Party: i})
+				cfg.Replica = node.NewReplica(gateway.Options{Party: i})
 				gws[i], kvs[i] = cfg.Replica.Gateway, cfg.Replica.KV
 				logCommit := cfg.Hooks.OnCommit
 				cfg.Hooks.OnCommit = func(b *types.Block, now time.Duration) {

@@ -1,9 +1,10 @@
-package node
+package node_test
 
 import (
 	"testing"
 	"time"
 
+	"icc/internal/node"
 	"icc/internal/transport"
 )
 
@@ -29,8 +30,8 @@ func TestICC1HealsLostFramesAndARestartedNeighbour(t *testing.T) {
 	)
 	c := newTestCluster(t, n, true)
 	var dropped []*transport.Faulty
-	conf := func(i int, cfg *Config) {
-		cfg.Mode = ICC1
+	conf := func(i int, cfg *node.Config) {
+		cfg.Mode = node.ICC1
 		cfg.GossipFanout = 3
 		f := transport.NewFaulty(cfg.Endpoint, cfg.Self, transport.FaultPlan{
 			Seed: int64(31 + i), DropRate: 0.05, FaultsUntil: faults,
@@ -59,7 +60,7 @@ func TestICC1HealsLostFramesAndARestartedNeighbour(t *testing.T) {
 	c.mu.Unlock()
 	c.reopen(victim)
 	target := c.round(0)
-	c.build(victim, func(cfg *Config) { conf(victim, cfg) }).Start()
+	c.build(victim, func(cfg *node.Config) { conf(victim, cfg) }).Start()
 	waitFor(t, 120*time.Second, "restarted party did not catch up", func() bool {
 		return c.round(victim) >= target
 	})

@@ -6,15 +6,17 @@
 // verification pipeline, the write-ahead log and checkpoint store, the
 // client gateway — is the same, and is wired here once. The icc facade,
 // cmd/iccnode, the examples and the live experiments are callers;
-// bench/cluster.go is the one deliberate hand-mirror, and `make
-// assembly-check` keeps further copies from growing back. DESIGN.md
-// "Node assembly" lists the invariants New keeps and where each
-// constant came from.
+// the simulation harness builds its parties with Stack, the half of New
+// below the event loop; bench/cluster.go is the one deliberate
+// hand-mirror, and `make assembly-check` keeps further copies from
+// growing back. DESIGN.md "Node assembly" lists the invariants New
+// keeps and where each constant came from.
 package node
 
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,13 +51,93 @@ const (
 	ICC2             // blocks disseminated via erasure-coded reliable broadcast
 )
 
-// The ICC1 overlay every live node runs, as E13/E14 settled it: shares
-// coalesce into ShareBundle frames on a 2 ms window that an idle party
-// skips, and a relay holding a quorum forwards the certificate instead.
-const (
-	gossipSeed       = 42
-	shareBatchWindow = 2 * time.Millisecond
-)
+var modeNames = [...]string{ICC0: "ICC0", ICC1: "ICC1", ICC2: "ICC2"}
+
+// String is the variant's name as tables and trace headers spell it.
+func (m Mode) String() string {
+	if m < 0 || int(m) >= len(modeNames) {
+		return fmt.Sprintf("Mode(%d)", int(m))
+	}
+	return modeNames[m]
+}
+
+// ParseMode inverts String, ignoring case (flags say icc1).
+func ParseMode(s string) (Mode, error) {
+	for m, name := range modeNames {
+		if strings.EqualFold(s, name) {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want icc0, icc1 or icc2)", s)
+}
+
+// The ICC1 overlay every party runs, live or simulated, as E13/E14
+// settled it: shares coalesce into ShareBundle frames on a 2 ms window
+// that an idle party skips, and a relay holding a quorum forwards the
+// certificate instead.
+const shareBatchWindow = 2 * time.Millisecond
+
+// Overlay is what may differ between two clusters' ICC1 overlays; all
+// parties of one cluster must agree on Fanout and Seed.
+type Overlay struct {
+	Fanout int // 0 = gossip.DefaultFanout(n)
+	Seed   int64
+	// Outputs, when set, lets relays gossip one recovered beacon output a
+	// round in place of t+1 shares; the beacon must be the engine's own.
+	Outputs  beacon.OutputSource
+	Registry *obs.Registry
+}
+
+// Stack builds a party from the event loop down: the engine, the
+// Byzantine behaviour wrap interposes (nil for none), and the mode's
+// dissemination sub-layer around both. It returns the engine itself and
+// the outermost layer, the one to drive. verified says whether
+// signatures were checked before a message reaches the stack (a verify
+// pipeline in front, or a simulation in which nothing forges): then the
+// pool admits its input unchecked and gossip relays count and combine
+// shares on trust; otherwise both verify for themselves. Where the
+// checks live is this one decision, made here and nowhere else.
+func Stack(ecfg core.Config, wrap func(*core.Engine) engine.Engine, mode Mode, ov Overlay, verified bool) (*core.Engine, engine.Engine, error) {
+	ecfg.Pool.Policy = pool.VerifyFull
+	if verified {
+		ecfg.Pool.Policy = pool.VerifyPreVerified
+	}
+	inner := core.NewEngine(ecfg)
+	var eng engine.Engine = inner
+	if wrap != nil {
+		eng = wrap(inner)
+	}
+	n := ecfg.Keys.N
+	switch mode {
+	case ICC0:
+	case ICC1:
+		if ov.Fanout <= 0 {
+			ov.Fanout = gossip.DefaultFanout(n)
+		}
+		g, err := gossip.New(gossip.Config{
+			Self:             ecfg.Self,
+			N:                n,
+			Fanout:           ov.Fanout,
+			Seed:             ov.Seed,
+			ShareBatchWindow: shareBatchWindow,
+			AdaptiveBatch:    true,
+			Aggregate:        true,
+			TrustShares:      verified,
+			Keys:             ecfg.Keys,
+			Outputs:          ov.Outputs,
+			Registry:         ov.Registry,
+		}, eng)
+		if err != nil {
+			return nil, nil, err
+		}
+		eng = g
+	case ICC2:
+		eng = rbc.Wrap(rbc.Config{Self: ecfg.Self, N: n}, eng)
+	default:
+		return nil, nil, fmt.Errorf("unknown mode %d", mode)
+	}
+	return inner, eng, nil
+}
 
 // Config is everything that differs between two live nodes. A value has
 // a field here only because two callers at the commit that introduced
@@ -108,10 +190,10 @@ type Config struct {
 
 	// VerifyWorkers sizes the verification pipeline in front of the
 	// engine (0 = GOMAXPROCS); negative runs without one, the engine
-	// checking signatures on its own loop (E8's baseline arm).
+	// checking signatures on its own loop (E20's baseline arm).
 	VerifyWorkers int
 	// InlineBackfill signs catch-up beacon shares on the engine loop
-	// instead of on the backfill worker (E10's baseline arm).
+	// instead of on the backfill worker (E22's baseline arm).
 	InlineBackfill bool
 	// GossipFanout and GossipSeed pin the ICC1 overlay (0 =
 	// gossip.DefaultFanout(n) and seed 42). All parties of a cluster
@@ -135,6 +217,7 @@ type Node struct {
 	// event loop once the node has started.
 	Engine *core.Engine
 
+	peers   []types.PartyID
 	runner  *runtime.Runner
 	bfw     *backfill.Worker
 	wal     *wal.Log
@@ -200,11 +283,6 @@ func New(cfg Config) (_ *Node, err error) {
 		})
 	}
 
-	policy := pool.VerifyFull
-	if cfg.pipelined() {
-		policy = pool.VerifyPreVerified
-	}
-
 	ecfg := core.Config{
 		Self:               self,
 		Keys:               cfg.Keys,
@@ -213,7 +291,6 @@ func New(cfg Config) (_ *Node, err error) {
 		Catchup:            catchup,
 		DeltaBound:         cfg.DeltaBound,
 		Epsilon:            cfg.Epsilon,
-		Pool:               pool.Options{Policy: policy},
 		PruneDepth:         cfg.PruneDepth,
 		WAL:                nd.wal,
 		Checkpoints:        nd.store,
@@ -233,31 +310,26 @@ func New(cfg Config) (_ *Node, err error) {
 		}
 	}
 	ecfg.Hooks = core.ObservedHooks(ob, hooks)
-	nd.Engine = core.NewEngine(ecfg)
+	overlay := Overlay{Fanout: cfg.GossipFanout, Seed: cfg.GossipSeed, Registry: cfg.Registry}
+	if overlay.Seed == 0 {
+		overlay.Seed = 42
+	}
+	// With a pipeline in front, the stack's input arrives verified.
+	pipelined := cfg.VerifyWorkers >= 0
+	var eng engine.Engine
+	nd.Engine, eng, err = Stack(ecfg, cfg.Wrap, cfg.Mode, overlay, pipelined)
+	if err != nil {
+		return nil, fmt.Errorf("node: party %d: %w", self, err)
+	}
+	if g, ok := eng.(*gossip.Engine); ok {
+		nd.peers = g.Peers()
+	}
 	if nd.wal != nil {
 		// Replay the persisted rounds (rebuilding the replica through the
 		// commit hook) before the runner delivers any traffic.
 		if _, err = nd.Engine.Recover(); err != nil {
 			return nil, fmt.Errorf("node: party %d recover: %w", self, err)
 		}
-	}
-
-	var eng engine.Engine = nd.Engine
-	if cfg.Wrap != nil {
-		eng = cfg.Wrap(nd.Engine)
-	}
-	switch cfg.Mode {
-	case ICC0:
-	case ICC1:
-		g, err := gossip.New(gossipConfig(cfg), eng)
-		if err != nil {
-			return nil, fmt.Errorf("node: party %d: %w", self, err)
-		}
-		eng = g
-	case ICC2:
-		eng = rbc.Wrap(rbc.Config{Self: self, N: n}, eng)
-	default:
-		return nil, fmt.Errorf("node: unknown mode %d", cfg.Mode)
 	}
 
 	clk := cfg.Clock
@@ -268,7 +340,7 @@ func New(cfg Config) (_ *Node, err error) {
 	nd.runner.SetTransportStats(cfg.Stats)
 	nd.runner.SetObserver(ob)
 	nd.runner.SetBackfillWorker(nd.bfw)
-	if cfg.pipelined() {
+	if pipelined {
 		// Last, because nothing after it can fail: the pipeline's workers
 		// start in its constructor.
 		nd.runner.SetVerifyPipeline(verify.New(pool.NewVerifier(cfg.Keys, pool.VerifyFull),
@@ -277,34 +349,10 @@ func New(cfg Config) (_ *Node, err error) {
 	return nd, nil
 }
 
-// pipelined reports whether a verify pipeline fronts the engine. Where
-// signatures are checked is one decision with three consequences: with a
-// pipeline, the pool trusts its input and gossip relays may combine
-// shares without re-verifying; without one, both verify for themselves.
-func (cfg Config) pipelined() bool { return cfg.VerifyWorkers >= 0 }
-
-// gossipConfig is the ICC1 overlay every live node runs.
-func gossipConfig(cfg Config) gossip.Config {
-	fanout, seed := cfg.GossipFanout, cfg.GossipSeed
-	if fanout <= 0 {
-		fanout = gossip.DefaultFanout(cfg.Keys.N)
-	}
-	if seed == 0 {
-		seed = gossipSeed
-	}
-	return gossip.Config{
-		Self:             cfg.Self,
-		N:                cfg.Keys.N,
-		Fanout:           fanout,
-		Seed:             seed,
-		ShareBatchWindow: shareBatchWindow,
-		AdaptiveBatch:    true,
-		Aggregate:        true,
-		TrustShares:      cfg.pipelined(),
-		Keys:             cfg.Keys,
-		Registry:         cfg.Registry,
-	}
-}
+// Peers returns the party's overlay neighbours under ICC1, nil otherwise.
+// It is diagnostic: nothing in the node reads it, and a test compares it
+// with the neighbours of the simulated party built from the same keys.
+func (nd *Node) Peers() []types.PartyID { return nd.peers }
 
 // Start opens the gateway and launches the event loop.
 func (nd *Node) Start() {

@@ -1,15 +1,22 @@
-package node
+package node_test
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"icc/internal/core"
 	"icc/internal/crypto/hash"
+	"icc/internal/engine"
 	"icc/internal/gateway"
+	"icc/internal/gossip"
+	"icc/internal/harness"
+	"icc/internal/node"
+	"icc/internal/pool"
 	"icc/internal/types"
 )
 
@@ -26,6 +33,21 @@ func forgedShare(i uint64, signer types.PartyID) *types.NotarizationShare {
 
 const badShare = `icc_verify_rejects_total{reason="bad_share"}`
 
+// certSpy sits where a Byzantine wrapper would, between the engine and
+// the dissemination layer, and notes a notarization handed down to the
+// engine: in these tests only a relay that combined one can be the source.
+type certSpy struct {
+	engine.Engine
+	seen *bool
+}
+
+func (s certSpy) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	if _, ok := m.(*types.Notarization); ok {
+		*s.seen = true
+	}
+	return s.Engine.HandleMessage(from, m, now)
+}
+
 // TestModesCommitAndAgree runs every dissemination mode with and
 // without the verify pipeline. Each cell must commit, agree round by
 // round, and reject a forged share exactly where its signature checks
@@ -33,29 +55,69 @@ const badShare = `icc_verify_rejects_total{reason="bad_share"}`
 // gossip relays trust their input), in the pool when there is not (and
 // then the relays verify while combining). Seven parties on a
 // three-neighbour overlay, so ICC1 really relays.
+//
+// Each cell also builds the simulated cluster of the same mode and
+// verification policy, and runs the live one on its keys: the two are
+// one stack (Stack), so a simulated party has its live twin's overlay
+// neighbours, and meets the forgery as the twin's stack would — its pool
+// rejects it when input arrives unverified, and admits it when input is
+// declared verified, because a simulated party has no pipeline in front:
+// such a cell is sound only while none of its behaviours forges.
+//
+// The gossip relay is the other half of that one decision. A third stack
+// on the same keys is handed a quorum of forged shares of one statement:
+// the ICC1 relay combines them into a certificate exactly when its input
+// is declared verified, and otherwise verifies while combining and makes
+// none — a relay that trusted shares nobody had checked would pass every
+// check above, since the pool under it still rejects.
 func TestModesCommitAndAgree(t *testing.T) {
 	const (
-		n    = 7
-		live = 6 // party 6 runs no node: its endpoint sends the forgeries
+		n      = 7
+		live   = 6 // party 6 runs no node: its endpoint sends the forgeries
+		fanout = 3
+		seed   = 7
 	)
-	for _, mode := range []Mode{ICC0, ICC1, ICC2} {
+	for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
 		for _, workers := range []int{2, -1} {
 			mode, workers := mode, workers
 			pipelined := workers >= 0
-			t.Run(fmt.Sprintf("icc%d/pipelined=%v", mode, pipelined), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/pipelined=%v", mode, pipelined), func(t *testing.T) {
+				policy := pool.VerifyFull
+				if pipelined {
+					policy = pool.VerifyPreVerified
+				}
+				outer := make([]engine.Engine, n)
+				sim, err := harness.New(harness.Options{
+					N: n, Seed: seed, SimBeacon: true, Mode: mode, Verify: policy, GossipFanout: fanout,
+					WrapEngine: func(p types.PartyID, e engine.Engine) engine.Engine {
+						outer[p] = e
+						return e
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				c := newTestCluster(t, n, false)
-				c.buildAll(live, func(_ int, cfg *Config) {
+				c.pub, c.privs = sim.Pub, sim.Privs
+				c.buildAll(live, func(_ int, cfg *node.Config) {
 					cfg.Mode = mode
 					cfg.VerifyWorkers = workers
-					cfg.GossipFanout = 3
-					if got := gossipConfig(*cfg).TrustShares; got != pipelined {
-						t.Fatalf("TrustShares = %v with pipelined = %v", got, pipelined)
-					}
+					cfg.GossipFanout, cfg.GossipSeed = fanout, seed
 				})
+				for i, nd := range c.nodes[:live] {
+					var want []types.PartyID
+					if g, ok := outer[i].(*gossip.Engine); ok {
+						want = g.Peers()
+					}
+					if got := nd.Peers(); (mode == node.ICC1) != (len(want) == fanout) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("party %d: live neighbours %v, simulated %v", i, got, want)
+					}
+				}
 				c.waitCommits(all(live), 4, 60*time.Second)
 
+				const forgeries = 8
 				forger := c.endpoint(live)
-				for i := uint64(0); i < 8; i++ {
+				for i := uint64(0); i < forgeries; i++ {
 					for p := 0; p < live; p++ {
 						_ = forger.Send(types.PartyID(p), forgedShare(i, live)) // the hub drops when an inbox is full; eight tries are plenty
 					}
@@ -73,6 +135,38 @@ func TestModesCommitAndAgree(t *testing.T) {
 				}
 				if !pipelined && verified != 0 {
 					t.Fatalf("a pipeline verified %v artifacts in a node built without one", verified)
+				}
+				for p, nd := range c.nodes[:live] {
+					nd.Stop() // the pool is the event loop's until then
+					for i := uint64(0); i < forgeries; i++ {
+						if nd.Engine.Pool().NotarShareCount(forgedShare(i, live).BlockHash) != 0 {
+							t.Fatalf("party %d admitted forged share %d", p, i)
+						}
+					}
+				}
+
+				sim.Start()
+				if !sim.RunUntilCommitted(2, time.Minute) {
+					t.Fatal("the simulated cluster does not commit")
+				}
+				forged := forgedShare(30, live) // a round the run has not reached
+				outer[0].HandleMessage(live, forged, sim.Net.Now())
+				if admitted := sim.Engines[0].Pool().NotarShareCount(forged.BlockHash) != 0; admitted != pipelined {
+					t.Fatalf("simulated party admitted the forged share: %v, with input declared verified: %v", admitted, pipelined)
+				}
+
+				combined := false
+				_, relay, err := node.Stack(core.Config{Self: 0, Keys: sim.Pub, Priv: sim.Privs[0]},
+					func(e *core.Engine) engine.Engine { return certSpy{e, &combined} },
+					mode, node.Overlay{Fanout: fanout, Seed: seed}, pipelined)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 1; s <= sim.Pub.Notary.Quorum(); s++ {
+					relay.HandleMessage(types.PartyID(s), forgedShare(30, types.PartyID(s)), 0)
+				}
+				if want := mode == node.ICC1 && pipelined; combined != want {
+					t.Fatalf("relay combined a quorum of forged shares on trust: %v, with input declared verified: %v", combined, pipelined)
 				}
 			})
 		}
@@ -143,12 +237,12 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 	c := newTestCluster(t, 4, false)
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
-	for _, cfg := range []Config{
-		{Mode: ICC1, GossipFanout: 99, Dir: filepath.Join(dir, "a")},
-		{Mode: Mode(42), Dir: filepath.Join(dir, "b")},
+	for _, cfg := range []node.Config{
+		{Mode: node.ICC1, GossipFanout: 99, Dir: filepath.Join(dir, "a")},
+		{Mode: node.Mode(42), Dir: filepath.Join(dir, "b")},
 	} {
 		cfg.Keys, cfg.Priv, cfg.Endpoint = c.pub, c.privs[0], c.endpoint(0)
-		if _, err := New(cfg); err == nil {
+		if _, err := node.New(cfg); err == nil {
 			t.Fatalf("mode %d fanout %d accepted", cfg.Mode, cfg.GossipFanout)
 		}
 	}
@@ -156,7 +250,7 @@ func TestNewClosesWhatItOpenedOnError(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Keys: c.pub, Priv: c.privs[0], Endpoint: c.endpoint(0), Dir: file}); err == nil {
+	if _, err := node.New(node.Config{Keys: c.pub, Priv: c.privs[0], Endpoint: c.endpoint(0), Dir: file}); err == nil {
 		t.Fatal("a regular file accepted as the durability directory")
 	}
 	waitGoroutines(t, base)
@@ -173,12 +267,12 @@ func TestKillRestartResumes(t *testing.T) {
 	)
 	c := newTestCluster(t, n, false)
 	base := t.TempDir()
-	durable := func(i int, cfg *Config) {
+	durable := func(i int, cfg *node.Config) {
 		cfg.DeltaBound = 20 * time.Millisecond
 		cfg.Dir = filepath.Join(base, fmt.Sprintf("party-%d", i))
 		cfg.CheckpointInterval = 8
 		cfg.PruneDepth = 128
-		cfg.Replica = NewReplica(gateway.Options{Party: i})
+		cfg.Replica = node.NewReplica(gateway.Options{Party: i})
 	}
 	c.buildAll(n, durable)
 	waitFor(t, 120*time.Second, "cluster made no progress", func() bool {
@@ -201,7 +295,7 @@ func TestKillRestartResumes(t *testing.T) {
 	c.frontier[victim] = 0
 	c.mu.Unlock()
 	target := c.round(0)
-	restarted := c.build(victim, func(cfg *Config) { durable(victim, cfg) })
+	restarted := c.build(victim, func(cfg *node.Config) { durable(victim, cfg) })
 	resumed := restarted.Engine.FinalizedRound()
 	if resumed == 0 {
 		t.Fatal("restart recovered nothing: durable state was lost")
@@ -229,8 +323,8 @@ func TestLiveTCPGossipWithBatchingAndAggregation(t *testing.T) {
 	}
 	const n = 7
 	c := newTestCluster(t, n, true)
-	c.buildAll(n, func(_ int, cfg *Config) {
-		cfg.Mode = ICC1
+	c.buildAll(n, func(_ int, cfg *node.Config) {
+		cfg.Mode = node.ICC1
 		cfg.VerifyWorkers = -1
 		cfg.GossipFanout, cfg.GossipSeed = 3, 99
 	})

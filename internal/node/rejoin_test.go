@@ -1,4 +1,4 @@
-package node
+package node_test
 
 // Rejoin convergence under the async catch-up service: a party starts
 // hundreds of rounds behind a live cluster and must converge — while
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"icc/internal/beacon"
+	"icc/internal/node"
 	"icc/internal/transport"
 	"icc/internal/types"
 )
@@ -55,7 +56,7 @@ func TestRejoinConvergesWithoutCollapsingResponders(t *testing.T) {
 	c := newTestCluster(t, n, false)
 	for i := 0; i < n; i++ {
 		i := i
-		c.build(i, func(cfg *Config) {
+		c.build(i, func(cfg *node.Config) {
 			cfg.DeltaBound = 20 * time.Millisecond
 			if i != laggard {
 				cfg.Beacon.(*beacon.Simulated).SetShareCacheSize(16)
@@ -121,7 +122,7 @@ func TestRejoinConvergesWithoutCollapsingResponders(t *testing.T) {
 
 // TestRejoinLargeGapConverges is the laggard-ingest livelock
 // regression: a party joining 500 rounds behind a live cluster must
-// converge within the experiment budget (E10: 120 s on one core).
+// converge within the experiment budget (E22: 120 s on one core).
 // Before the two-lane pipeline, catch-up batches queued behind the
 // live firehose and the laggard's backlog only grew — every
 // configuration DNF'd at five minutes. The test also checks the fix is
@@ -138,11 +139,11 @@ func TestRejoinLargeGapConverges(t *testing.T) {
 	)
 	c := newTestCluster(t, n, false)
 	for i := 0; i < n; i++ {
-		c.build(i, func(cfg *Config) { cfg.DeltaBound = 10 * time.Millisecond })
+		c.build(i, func(cfg *node.Config) { cfg.DeltaBound = 10 * time.Millisecond })
 	}
 	joinRound, _ := rejoin(c, laggard, gap, 240*time.Second)
 
-	// The E10 budget: convergence past the join-time frontier within
+	// The E22 budget: convergence past the join-time frontier within
 	// 120 s (the seed DNF'd at 5 min on every configuration).
 	waitFor(t, 120*time.Second, "laggard did not converge past the join frontier", func() bool {
 		return c.round(laggard) >= joinRound

@@ -72,9 +72,8 @@ type Options struct {
 	// a CryptoVerifier over the pool's key material with Policy.
 	Verifier Verifier
 	// Policy tunes the default verifier when Verifier is nil: VerifyFull
-	// for raw network input, VerifySharesOnly for honest-only simulation
-	// sweeps, VerifyPreVerified when a verification pipeline upstream
-	// has already checked every inbound artifact.
+	// for raw network input, VerifyPreVerified when a verification
+	// pipeline upstream has already checked every inbound artifact.
 	Policy VerifyPolicy
 }
 

@@ -325,20 +325,17 @@ func TestVerifyPolicies(t *testing.T) {
 	junkNz := func() *types.Notarization {
 		return &types.Notarization{Round: 1, Proposer: 0, BlockHash: hash.SumUint64(hash.DomainBlock, 1), Agg: []byte{0}}
 	}
-	// SharesOnly admits a cryptographically garbage aggregate (the former
-	// SkipAggregateVerify behaviour for honest-only simulations).
-	p := New(pub, 0, Options{Policy: VerifySharesOnly})
-	if !added(p.AddNotarization(junkNz())) {
-		t.Fatal("shares-only pool rejected aggregate")
-	}
-	// Full rejects the same aggregate.
-	p = New(pub, 0, Options{Policy: VerifyFull})
+	// Full rejects a cryptographically garbage aggregate.
+	p := New(pub, 0, Options{Policy: VerifyFull})
 	if _, err := p.AddNotarization(junkNz()); !errors.Is(err, crypto.ErrBadAggregate) {
 		t.Fatalf("full-verify pool admitted garbage aggregate: err = %v", err)
 	}
-	// PreVerified admits unsigned shares too, but still rejects
+	// PreVerified admits it, and unsigned shares too, but still rejects
 	// structurally malformed input.
 	p = New(pub, 0, Options{Policy: VerifyPreVerified})
+	if !added(p.AddNotarization(junkNz())) {
+		t.Fatal("pre-verified pool rejected aggregate")
+	}
 	if !added(p.AddNotarizationShare(&types.NotarizationShare{Round: 1, Signer: 2})) {
 		t.Fatal("pre-verified pool rejected unsigned share")
 	}

@@ -19,17 +19,13 @@ const (
 	// the n−t signatures inside combined aggregates. The production
 	// default for a pool fed raw network input.
 	VerifyFull VerifyPolicy = iota
-	// VerifySharesOnly checks authenticators and shares but admits
-	// combined aggregates unverified. Used by large honest-only
-	// simulation sweeps where aggregates are always locally combined
-	// from already-verified shares (the former SkipAggregateVerify).
-	VerifySharesOnly
 	// VerifyPreVerified admits everything without cryptographic checks:
 	// the input was already verified upstream (the parallel verification
-	// pipeline), and re-checking on the sequential engine path would
-	// undo the pipelining. Structural checks (duplicate suppression,
-	// round/proposer consistency against stored blocks) still apply —
-	// they are pool-state-dependent and cannot move upstream.
+	// pipeline; in a simulation, nothing forges), and re-checking on the
+	// sequential engine path would undo the pipelining. Structural checks
+	// (duplicate suppression, round/proposer consistency against stored
+	// blocks) still apply — they are pool-state-dependent and cannot move
+	// upstream.
 	VerifyPreVerified
 )
 
@@ -38,8 +34,6 @@ func (p VerifyPolicy) String() string {
 	switch p {
 	case VerifyFull:
 		return "full"
-	case VerifySharesOnly:
-		return "shares-only"
 	case VerifyPreVerified:
 		return "pre-verified"
 	default:
@@ -113,7 +107,7 @@ func (v *CryptoVerifier) Notarization(nz *types.Notarization) error {
 	if nz == nil || nz.Round == 0 {
 		return fmt.Errorf("%w: malformed notarization", crypto.ErrBadAggregate)
 	}
-	if v.policy != VerifyFull {
+	if v.policy == VerifyPreVerified {
 		return nil
 	}
 	agg, err := v.pub.Notary.Decode(nz.Agg)
@@ -141,7 +135,7 @@ func (v *CryptoVerifier) Finalization(f *types.Finalization) error {
 	if f == nil || f.Round == 0 {
 		return fmt.Errorf("%w: malformed finalization", crypto.ErrBadAggregate)
 	}
-	if v.policy != VerifyFull {
+	if v.policy == VerifyPreVerified {
 		return nil
 	}
 	agg, err := v.pub.Final.Decode(f.Agg)

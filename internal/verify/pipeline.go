@@ -12,7 +12,7 @@
 // types.Bundle Resync marker, or recognisably stale aggregates) is
 // dequeued with strict priority over the live firehose, so a rejoining
 // party's catch-up can never be starved by tip-of-chain traffic (the
-// laggard-ingest livelock documented after E9). Resync bundles are
+// laggard-ingest livelock documented after E21). Resync bundles are
 // additionally verified chain-aware: one full check of the highest
 // aggregate admits the whole hash-linked prefix (chain.go). While the
 // party is far behind the observed frontier, live artifacts beyond a
