@@ -623,8 +623,8 @@ func (c *LocalCluster) minCommittedLocked() int {
 	return minC
 }
 
-// MetricsSnapshot is the common map view every instrumented component
-// exports: metric name (optionally "{label=\"value\"}"-suffixed) to
+// MetricsSnapshot is the map view of the cluster's metrics registry:
+// metric name (optionally "{label=\"value\"}"-suffixed) to
 // value. Histograms appear as name_count and name_sum entries.
 type MetricsSnapshot = obs.Snapshot
 

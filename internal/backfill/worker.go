@@ -53,8 +53,8 @@ type Options struct {
 	// so more workers help when several laggards request at once.
 	Workers int
 	// QueueSize bounds pending requests (0 → 64). One request covers up
-	// to ResyncBatch rounds, so even the default absorbs far more
-	// laggards than a cluster has peers.
+	// to 128 rounds (core's resyncBatch), so even the default absorbs far
+	// more laggards than a cluster has peers.
 	QueueSize int
 	// Registry receives the worker's instruments (nil → none).
 	Registry *obs.Registry

@@ -22,61 +22,6 @@ func blsCluster(t testing.TB, n int) []*BLS {
 	return out
 }
 
-func TestBLSBeaconAgreesAcrossParties(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pairings are slow; skipped with -short")
-	}
-	bs := blsCluster(t, 4)
-	for k := types.Round(1); k <= 2; k++ {
-		shares := make([]*types.BeaconShare, len(bs))
-		for i, b := range bs {
-			s, err := b.ShareForRound(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shares[i] = s
-		}
-		var ref [32]byte
-		for i, b := range bs {
-			for _, s := range shares {
-				if _, err := b.AddShare(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, ok := b.Reveal(k)
-			if !ok {
-				t.Fatalf("party %d failed to reveal round %d", i, k)
-			}
-			if i == 0 {
-				ref = d
-			} else if d != ref {
-				t.Fatalf("party %d disagrees on R_%d", i, k)
-			}
-		}
-	}
-	// Permutations agree too.
-	p0, _ := bs[0].Permutation(1)
-	p1, _ := bs[1].Permutation(1)
-	for i := range p0 {
-		if p0[i] != p1[i] {
-			t.Fatal("permutation mismatch")
-		}
-	}
-}
-
-func TestBLSBeaconRejectsGarbageShares(t *testing.T) {
-	bs := blsCluster(t, 4)
-	if _, err := bs[0].AddShare(&types.BeaconShare{Round: 1, Signer: 1, Share: []byte{1, 2, 3}}); err == nil {
-		t.Fatal("malformed share accepted")
-	}
-	if _, err := bs[0].AddShare(&types.BeaconShare{Round: 0, Signer: 1, Share: make([]byte, 96)}); err == nil {
-		t.Fatal("genesis-round share accepted")
-	}
-	if _, err := bs[0].AddShare(&types.BeaconShare{Round: 1, Signer: 9, Share: make([]byte, 96)}); err == nil {
-		t.Fatal("out-of-range signer accepted")
-	}
-}
-
 func TestBLSBeaconQuorumEnforced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pairings are slow; skipped with -short")

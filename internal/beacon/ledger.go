@@ -116,12 +116,3 @@ func (l *shareLedger[S]) collect(k types.Round, n, threshold int, verify func(S)
 	}
 	return valid
 }
-
-// pruneBefore drops every round below the watermark.
-func (l *shareLedger[S]) pruneBefore(before types.Round) {
-	for k := range l.rounds {
-		if k < before {
-			delete(l.rounds, k)
-		}
-	}
-}

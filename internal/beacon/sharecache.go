@@ -8,8 +8,8 @@ import (
 
 // DefaultShareCacheSize bounds the own-share cache when the owner does
 // not choose a size. Sized to cover a deep catch-up window (several
-// ResyncBatch batches) with room to spare; one cached share is a round
-// number plus ~100 bytes of encoded share material.
+// batches of 128 rounds, core's resyncBatch) with room to spare; one
+// cached share is a round number plus ~100 bytes of encoded share material.
 const DefaultShareCacheSize = 1024
 
 // shareCache is a bounded LRU of this party's own beacon shares, keyed

@@ -1,20 +1,14 @@
 package beacon
 
 import (
-	"fmt"
-	"sync"
-
 	"icc/internal/crypto/hash"
-	"icc/internal/crypto/thresig"
 	"icc/internal/types"
 )
 
 // Source is the interface the consensus engines use to interact with the
-// random beacon. The production implementation is *Beacon (threshold
-// cryptography); *Simulated replaces the cryptography with a hash chain
-// while preserving the quorum-waiting semantics and wire sizes, so that
-// large simulation sweeps keep the exact message pattern at a fraction
-// of the CPU cost (see DESIGN.md §5).
+// random beacon. Its three implementations are one chain (chain.go) under
+// three signature schemes (scheme.go): *Beacon, the default, *BLS, and
+// *Simulated, which has no cryptography in it.
 type Source interface {
 	// ShareForRound produces this party's round-k beacon share. Fails if
 	// R_{k−1} is unknown, and with ErrPruned below the prune watermark.
@@ -51,9 +45,7 @@ type Source interface {
 	InstallDigest(k types.Round, d hash.Digest)
 }
 
-var _ Source = (*Beacon)(nil)
-
-// OutputSource is an optional capability of a beacon Source: a backend
+// OutputSource is an optional capability of a beacon Source: a scheme
 // whose recovered round value is third-party verifiable can export it
 // as one compact wire blob, verify a blob received from the network
 // against the beacon's global key, and install a verified blob directly
@@ -62,7 +54,7 @@ var _ Source = (*Beacon)(nil)
 // which is what keeps per-party beacon traffic constant as n grows
 // (paper §1.1's sublinear-communication argument).
 //
-// The default DLEQ backend (*Beacon) deliberately does NOT implement
+// The default DLEQ scheme (*Beacon) deliberately does NOT implement
 // this interface: its combined signature is checked share-by-share
 // against per-party DLEQ proofs, so a third party holding only the
 // combined value has nothing to verify it against. *Simulated (hash
@@ -82,291 +74,8 @@ type OutputSource interface {
 	InstallOutput(k types.Round, out []byte) error
 }
 
-// Simulated is a Source that derives R_k = H(k, R_{k−1}) directly and
-// carries placeholder share bytes sized like real threshold shares. It
-// keeps the protocol's observable behaviour — parties still wait for t+1
-// distinct shares before revealing a round's beacon, and beacon messages
-// have production sizes — but skips the elliptic-curve work. Like
-// *Beacon it is safe for concurrent use, so runtime tests can drive the
-// async backfill worker against it.
-//
-// It is NOT cryptographically secure (any party can predict every
-// future beacon value); it exists purely to scale honest-majority
-// simulation experiments.
-type Simulated struct {
-	n, threshold int
-	self         types.PartyID
-
-	mu         sync.Mutex
-	digests    map[types.Round]hash.Digest
-	sharesSeen map[types.Round]map[types.PartyID]struct{}
-	perms      map[types.Round][]types.PartyID
-	own        *shareCache
-	minRound   types.Round
-}
-
-// NewSimulated creates a simulated beacon for an n-party cluster.
-func NewSimulated(n int, self types.PartyID, genesisSeed []byte) *Simulated {
-	s := &Simulated{
-		n:          n,
-		threshold:  types.BeaconQuorum(n),
-		self:       self,
-		digests:    make(map[types.Round]hash.Digest),
-		sharesSeen: make(map[types.Round]map[types.PartyID]struct{}),
-		perms:      make(map[types.Round][]types.PartyID),
-		own:        newShareCache(0),
-	}
-	s.digests[0] = hash.Sum(hash.DomainBeacon, genesisSeed)
-	return s
-}
-
-// SetShareCacheSize resizes the own-share cache (0 = default, negative =
-// disabled), discarding existing entries. Tests use tiny sizes to force
-// cache misses onto the async backfill path.
-func (s *Simulated) SetShareCacheSize(n int) {
-	s.mu.Lock()
-	s.own = newShareCache(n)
-	s.mu.Unlock()
-}
-
-// ShareForRound implements Source. The share bytes are a deterministic
-// filler of the same length as a real threshold share.
-func (s *Simulated) ShareForRound(k types.Round) (*types.BeaconShare, error) {
-	if k == 0 {
-		return nil, fmt.Errorf("beacon: share for genesis round")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k < s.minRound {
-		return nil, fmt.Errorf("beacon: share for round %d: %w", k, ErrPruned)
-	}
-	if sh, ok := s.own.get(k); ok {
-		return sh, nil
-	}
-	if _, ok := s.digests[k-1]; !ok {
-		return nil, fmt.Errorf("beacon: R_%d not yet known, cannot sign R_%d", k-1, k)
-	}
-	sh := &types.BeaconShare{Round: k, Signer: s.self, Share: make([]byte, thresig.SigShareLen)}
-	s.own.put(k, sh)
-	return sh, nil
-}
-
-// CachedShareForRound implements Source.
-func (s *Simulated) CachedShareForRound(k types.Round) (*types.BeaconShare, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k < s.minRound {
-		return nil, false
-	}
-	return s.own.get(k)
-}
-
-// AddShare implements Source.
-func (s *Simulated) AddShare(sh *types.BeaconShare) (bool, error) {
-	if sh.Signer < 0 || int(sh.Signer) >= s.n {
-		return false, fmt.Errorf("beacon: signer %d out of range", sh.Signer)
-	}
-	if sh.Round == 0 {
-		return false, fmt.Errorf("beacon: share for genesis round")
-	}
-	if len(sh.Share) != thresig.SigShareLen {
-		return false, fmt.Errorf("beacon: malformed share")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.sharesSeen[sh.Round]
-	if m == nil {
-		m = make(map[types.PartyID]struct{})
-		s.sharesSeen[sh.Round] = m
-	}
-	if _, dup := m[sh.Signer]; dup {
-		return false, nil
-	}
-	m[sh.Signer] = struct{}{}
-	return true, nil
-}
-
-// ShareCount implements Source.
-func (s *Simulated) ShareCount(k types.Round) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sharesSeen[k])
-}
-
-// Reveal implements Source: it succeeds once t+1 distinct shares were
-// seen and R_{k−1} is known, exactly like the real beacon.
-func (s *Simulated) Reveal(k types.Round) (hash.Digest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.digests[k]; ok {
-		return d, true
-	}
-	prev, ok := s.digests[k-1]
-	if !ok {
-		return hash.Digest{}, false
-	}
-	if len(s.sharesSeen[k]) < s.threshold {
-		return hash.Digest{}, false
-	}
-	d := hash.SumUint64(hash.DomainBeacon, uint64(k))
-	d = hash.Sum(hash.DomainBeacon, d[:], prev[:])
-	s.digests[k] = d
-	return d, true
-}
-
-// Have implements Source.
-func (s *Simulated) Have(k types.Round) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.digests[k]
-	return ok
-}
-
-// Digest implements Source.
-func (s *Simulated) Digest(k types.Round) (hash.Digest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.digests[k]
-	return d, ok
-}
-
-// Permutation implements Source.
-func (s *Simulated) Permutation(k types.Round) ([]types.PartyID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.permutationLocked(k)
-}
-
-func (s *Simulated) permutationLocked(k types.Round) ([]types.PartyID, bool) {
-	if p, ok := s.perms[k]; ok {
-		return p, true
-	}
-	d, ok := s.digests[k]
-	if !ok {
-		return nil, false
-	}
-	p := PermutationFromDigest(d, s.n)
-	s.perms[k] = p
-	return p, true
-}
-
-// RankOf implements Source.
-func (s *Simulated) RankOf(k types.Round, p types.PartyID) (types.Rank, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	perm, ok := s.permutationLocked(k)
-	if !ok {
-		return 0, false
-	}
-	for r, q := range perm {
-		if q == p {
-			return types.Rank(r), true
-		}
-	}
-	return 0, false
-}
-
-// Leader implements Source.
-func (s *Simulated) Leader(k types.Round) (types.PartyID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	perm, ok := s.permutationLocked(k)
-	if !ok {
-		return 0, false
-	}
-	return perm[0], true
-}
-
-// Prune implements Source.
-func (s *Simulated) Prune(before types.Round) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.sharesSeen {
-		if k < before {
-			delete(s.sharesSeen, k)
-		}
-	}
-	for k := range s.perms {
-		if k < before {
-			delete(s.perms, k)
-		}
-	}
-	s.own.pruneBefore(before)
-	if before > s.minRound {
-		s.minRound = before
-	}
-}
-
-// InstallDigest implements Source.
-func (s *Simulated) InstallDigest(k types.Round, d hash.Digest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.digests[k]; !ok {
-		s.digests[k] = d
-	}
-}
-
-// simOutput computes the round-k value from its predecessor — the same
-// derivation Reveal uses.
-func simOutput(k types.Round, prev hash.Digest) hash.Digest {
-	d := hash.SumUint64(hash.DomainBeacon, uint64(k))
-	return hash.Sum(hash.DomainBeacon, d[:], prev[:])
-}
-
-// EncodeOutput implements OutputSource: the simulated round value is its
-// digest (anyone can recompute it — the backend is not secure, it only
-// preserves message patterns).
-func (s *Simulated) EncodeOutput(k types.Round) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.digests[k]
-	if !ok || k == 0 {
-		return nil, false
-	}
-	return d[:], true
-}
-
-// VerifyOutput implements OutputSource by recomputing the hash-chain
-// link from R_{k−1}.
-func (s *Simulated) VerifyOutput(k types.Round, out []byte) error {
-	if k == 0 {
-		return fmt.Errorf("beacon: output for genesis round")
-	}
-	if len(out) != hash.Size {
-		return fmt.Errorf("beacon: malformed output (%d bytes)", len(out))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, ok := s.digests[k-1]
-	if !ok {
-		return fmt.Errorf("beacon: R_%d not yet known, cannot verify R_%d", k-1, k)
-	}
-	if want := simOutput(k, prev); string(out) != string(want[:]) {
-		return fmt.Errorf("beacon: round %d output mismatch", k)
-	}
-	return nil
-}
-
-// InstallOutput implements OutputSource.
-func (s *Simulated) InstallOutput(k types.Round, out []byte) error {
-	if k == 0 {
-		return fmt.Errorf("beacon: output for genesis round")
-	}
-	if len(out) != hash.Size {
-		return fmt.Errorf("beacon: malformed output (%d bytes)", len(out))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k < s.minRound {
-		return nil
-	}
-	if _, ok := s.digests[k]; !ok {
-		s.digests[k] = hash.Digest(out)
-	}
-	return nil
-}
-
 var (
-	_ Source       = (*Simulated)(nil)
+	_ Source       = (*Beacon)(nil)
+	_ OutputSource = (*BLS)(nil)
 	_ OutputSource = (*Simulated)(nil)
 )

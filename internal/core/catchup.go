@@ -37,7 +37,6 @@ type CatchupProvider interface {
 type Catchup struct {
 	beacon   beacon.Source
 	interval time.Duration
-	batch    int
 	provider CatchupProvider
 	hook     func(peer types.PartyID, inline, deferred int, now time.Duration)
 
@@ -52,7 +51,6 @@ func newCatchup(cfg Config) *Catchup {
 	return &Catchup{
 		beacon:    cfg.Beacon,
 		interval:  cfg.ResyncInterval,
-		batch:     cfg.ResyncBatch,
 		provider:  cfg.Catchup,
 		hook:      cfg.Hooks.OnBackfill,
 		repliedAt: make(map[types.PartyID]time.Duration),
@@ -92,7 +90,7 @@ func (c *Catchup) Respond(p *pool.Pool, from types.PartyID, st *types.Status, ro
 	}
 
 	end := round
-	if limit := st.Round + types.Round(c.batch); end > limit {
+	if limit := st.Round + resyncBatch; end > limit {
 		end = limit
 	}
 	var msgs []types.Message

@@ -176,25 +176,19 @@ type Config struct {
 	// threshold-signature beacon is constructed from the key material.
 	Beacon beacon.Source
 
-	// DProp and DNtry are the Δprop and Δntry delay functions of Fig. 1.
-	// If nil, the recommended functions of eq. (2) are used with
-	// DeltaBound and Epsilon.
-	DProp, DNtry types.DelayFunc
-
 	// DeltaBound is Δbnd, the assumed network-delay bound of the partial
-	// synchrony assumption; Epsilon is the ε governor of eq. (2). Used
-	// only when DProp/DNtry are nil.
+	// synchrony assumption; Epsilon is the ε governor. The Δprop and Δntry
+	// delay functions of Fig. 1 are the recommended ones of eq. (2) over
+	// these two.
 	DeltaBound time.Duration
 	Epsilon    time.Duration
 
 	// Adaptive enables the adaptive delay variant discussed in §1: when
 	// consecutive rounds pass without any finalization, the engine
-	// doubles its working Δbnd (up to AdaptiveMax doublings), and resets
+	// doubles its working Δbnd (up to adaptiveMax doublings), and resets
 	// it after a finalized round. Safety is unaffected — the delay
 	// functions only influence liveness.
-	Adaptive     bool
-	AdaptiveMax  int
-	adaptiveBase time.Duration
+	Adaptive bool
 
 	// Payload builds block payloads; defaults to EmptyPayload.
 	Payload PayloadSource
@@ -223,12 +217,6 @@ type Config struct {
 	// value disables resynchronisation entirely (the paper's pure
 	// protocol).
 	ResyncInterval time.Duration
-
-	// ResyncBatch caps how many rounds of notarized blocks a single
-	// catch-up response carries to a lagging peer (default 128). The
-	// lagging party repeats its Status as long as it stays behind, so a
-	// deep gap is closed batch by batch.
-	ResyncBatch int
 
 	// Catchup, if non-nil, signs catch-up beacon shares missing from the
 	// own-share cache off the engine loop (internal/backfill provides
@@ -264,19 +252,19 @@ type Config struct {
 	StateRestore func(state []byte) error
 }
 
+// adaptiveMax caps the doublings of the working Δbnd under Config.Adaptive.
+const adaptiveMax = 6
+
+// resyncBatch caps how many rounds of notarized blocks a single catch-up
+// response carries to a lagging peer. The lagging party repeats its
+// Status as long as it stays behind, so a deep gap is closed batch by
+// batch.
+const resyncBatch = 128
+
 // withDefaults fills in derived fields.
 func (c Config) withDefaults() Config {
 	if c.DeltaBound == 0 {
 		c.DeltaBound = 100 * time.Millisecond
-	}
-	if c.DProp == nil || c.DNtry == nil {
-		dprop, dntry := types.StandardDelays(c.DeltaBound, c.Epsilon)
-		if c.DProp == nil {
-			c.DProp = dprop
-		}
-		if c.DNtry == nil {
-			c.DNtry = dntry
-		}
 	}
 	if c.Payload == nil {
 		c.Payload = EmptyPayload{}
@@ -284,18 +272,11 @@ func (c Config) withDefaults() Config {
 	if c.Beacon == nil {
 		c.Beacon = beacon.New(c.Keys.Beacon, c.Priv.Beacon, c.Self, c.Keys.GenesisSeed)
 	}
-	if c.AdaptiveMax == 0 {
-		c.AdaptiveMax = 6
-	}
 	if c.ResyncInterval == 0 {
 		c.ResyncInterval = 8 * c.DeltaBound
 	}
 	if c.ResyncInterval < 0 {
 		c.ResyncInterval = 0 // normalised: 0 = disabled from here on
 	}
-	if c.ResyncBatch == 0 {
-		c.ResyncBatch = 128
-	}
-	c.adaptiveBase = c.DeltaBound
 	return c
 }

@@ -39,6 +39,9 @@ type Engine struct {
 	kmax    types.Round // highest finalized round output so far
 	pending map[types.Round]struct{}
 
+	// Δprop and Δntry of Fig. 1: eq. (2) over cfg.DeltaBound and cfg.Epsilon.
+	delayProp, delayNtry types.DelayFunc
+
 	// Adaptive-delay state.
 	adaptPow    int
 	lastFinal   types.Round // kmax at the last adaptation check
@@ -84,6 +87,7 @@ func NewEngine(cfg Config) *Engine {
 		ckptPub: checkpoint.PublicInfo(cfg.Keys),
 		offers:  make([]*types.PayloadOffer, cfg.Keys.N),
 	}
+	e.delayProp, e.delayNtry = types.StandardDelays(cfg.DeltaBound, cfg.Epsilon)
 	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)
 	e.resetRoundState()
 	return e
@@ -114,11 +118,11 @@ func (e *Engine) resetRoundState() {
 
 // dprop and dntry apply the adaptive multiplier, if enabled.
 func (e *Engine) dprop(r types.Rank) time.Duration {
-	return e.cfg.DProp(r) << uint(e.adaptPow)
+	return e.delayProp(r) << uint(e.adaptPow)
 }
 
 func (e *Engine) dntry(r types.Rank) time.Duration {
-	return e.cfg.DNtry(r) << uint(e.adaptPow)
+	return e.delayNtry(r) << uint(e.adaptPow)
 }
 
 // Init implements engine.Engine: "broadcast a share of the round-1
@@ -487,7 +491,7 @@ func (e *Engine) adaptDelays() {
 		return
 	}
 	e.unfinalized++
-	if e.unfinalized >= 2 && e.adaptPow < e.cfg.AdaptiveMax {
+	if e.unfinalized >= 2 && e.adaptPow < adaptiveMax {
 		e.adaptPow++
 		e.unfinalized = 0
 	}

@@ -32,7 +32,7 @@ import (
 //     each other this way within one interval.
 //
 //   - Catch-up: a party receiving a Status from a peer that is more than
-//     one round behind answers with a batch of up to ResyncBatch rounds
+//     one round behind answers with a batch of up to resyncBatch (128) rounds
 //     of notarized blocks (block + notarization + this party's own
 //     beacon share per round) plus its latest finalization. The laggard
 //     replays these through the ordinary clauses — a notarization in the

@@ -14,23 +14,19 @@ import (
 // beacon runs ahead, then a laggard joins from round 1 with an empty
 // pool. Responders must serve it the gap — blocks, notarizations, and
 // one beacon share per round — while the laggard must digest it
-// against the live firehose. Two configurations per gap:
+// against the live firehose. One configuration per gap, the one every
+// node runs: shares missing from the warm own-share cache are signed on
+// the backfill worker; catch-up bundles take a strict-priority resync
+// lane, one verified head admits its hash-linked prefix, and live rounds
+// beyond the behind-window are shed at admission.
 //
-//   - inline, no cache: the pre-refactor responder path. Every
-//     catch-up share is threshold-signed synchronously inside
-//     handleStatus, on the responder's engine loop (~4.5ms each; a
-//     128-round batch stalls the loop for over half a second).
-//   - async, lanes + chain (what every node runs): shares missing from
-//     the warm own-share cache are signed on the backfill worker;
-//     catch-up bundles take a strict-priority resync lane, one verified
-//     head admits its hash-linked prefix, and live rounds beyond the
-//     behind-window are shed at admission.
+// Two losing arms are retired with the options that selected them, and
+// EXPERIMENTS.md keeps their rows: every catch-up share signed inside
+// handleStatus on the responder's engine loop with no own-share cache
+// (10× slower to converge at gap 500), and async backfill in front of the
+// single-queue, pre-lane verify pipeline (livelocked at gap 500).
 //
-// A third arm — async backfill in front of the single-queue, pre-lane
-// verify pipeline — livelocked at gap 500 and was retired with the
-// pipeline option that selected it; EXPERIMENTS.md keeps its table.
-//
-// Reported per configuration: the slow responder's commit rate in the
+// Reported per gap: the slow responder's commit rate in the
 // measurement window before the join (steady) and after it (catch-up),
 // and how long the laggard takes to converge past the frontier it saw
 // at join time. Wall-clock measurement, same caveats as E20; gap 500 is
@@ -38,44 +34,31 @@ import (
 func Catchup(scale Scale) *Table {
 	t := &Table{
 		ID:      "E22",
-		Title:   "laggard rejoin: responder commit rate and laggard convergence, by admission path",
-		Columns: []string{"gap", "configuration", "steady", "catch-up", "ratio", "converge"},
+		Title:   "laggard rejoin: responder commit rate and laggard convergence",
+		Columns: []string{"gap", "steady", "catch-up", "ratio", "converge"},
 		Notes: []string{
 			"real threshold beacon (a catch-up share costs one BLS-free threshold sign, ~ms); 4 parties, in-process transport",
 			"steady/catch-up: responder commits/s in the window before/after the laggard joins; ratio = steady/catch-up",
 			"converge: laggard commits past the join-time frontier; DNF = not within 120 s",
 		},
 	}
-	gaps := []int{50, 200, 500}
-	modes := []catchupMode{
-		{name: "inline, no cache", shareCache: -1, inline: true},
-		{name: "async, lanes + chain"},
-	}
-	for _, gap := range gaps {
+	for _, gap := range []int{50, 200, 500} {
 		g := scale.scaleInt(gap)
-		for _, m := range modes {
-			r := catchupRun(g, m)
-			converge := "DNF"
-			if !r.dnf {
-				converge = fmt.Sprintf("%.2fs", r.converge.Seconds())
-			}
-			ratio := "—"
-			if r.during > 0 {
-				ratio = fmt.Sprintf("%.1fx", r.steady/r.during)
-			}
-			t.AddRow(fmt.Sprintf("%d", g), m.name,
-				fmt.Sprintf("%.1f blk/s", r.steady),
-				fmt.Sprintf("%.1f blk/s", r.during),
-				ratio, converge)
+		r := catchupRun(g)
+		converge := "DNF"
+		if !r.dnf {
+			converge = fmt.Sprintf("%.2fs", r.converge.Seconds())
 		}
+		ratio := "—"
+		if r.during > 0 {
+			ratio = fmt.Sprintf("%.1fx", r.steady/r.during)
+		}
+		t.AddRow(fmt.Sprintf("%d", g),
+			fmt.Sprintf("%.1f blk/s", r.steady),
+			fmt.Sprintf("%.1f blk/s", r.during),
+			ratio, converge)
 	}
 	return t
-}
-
-type catchupMode struct {
-	name       string
-	shareCache int  // node.Config.ShareCacheSize
-	inline     bool // node.Config.InlineBackfill
 }
 
 type catchupResult struct {
@@ -87,7 +70,7 @@ type catchupResult struct {
 
 // catchupRun boots n−1 responders, lets them run `gap` rounds ahead,
 // then starts the last party cold and measures the rejoin.
-func catchupRun(gap int, mode catchupMode) catchupResult {
+func catchupRun(gap int) catchupResult {
 	const (
 		n       = 4
 		laggard = 3
@@ -99,13 +82,10 @@ func catchupRun(gap int, mode catchupMode) catchupResult {
 		// state has CPU headroom: the responders form an exact 3-of-3
 		// finalization quorum, and if the tempo saturates the machine
 		// the laggard's crypto-heavy replay starves their delay
-		// windows and every mode collapses alike. With headroom the
-		// measurement isolates what the refactor changes — whether the
-		// serve burst blocks the engine loop — instead of raw CPU
+		// windows. With headroom the measurement isolates whether the
+		// serve burst blocks the engine loop, instead of raw CPU
 		// contention.
 		cfg.DeltaBound = 25 * time.Millisecond
-		cfg.ShareCacheSize = mode.shareCache
-		cfg.InlineBackfill = mode.inline
 		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
 	})
 	defer cl.stop()

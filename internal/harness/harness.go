@@ -372,10 +372,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 // Start initialises all engines.
 func (c *Cluster) Start() { c.Net.Start() }
 
-// Snapshot exports the run's recorded metrics in the common map view
-// shared with the obs registry and the transport counters.
-func (c *Cluster) Snapshot() obs.Snapshot { return c.Rec.Snapshot() }
-
 // Committed returns a snapshot of party p's committed block sequence.
 func (c *Cluster) Committed(p types.PartyID) []*types.Block {
 	c.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"icc/internal/obs"
 	"icc/internal/types"
 )
 
@@ -128,57 +127,6 @@ type Summary struct {
 	// MeanRoundTime is the mean gap between consecutive round
 	// completions — the reciprocal throughput (paper: 2δ for ICC0).
 	MeanRoundTime time.Duration
-}
-
-// Snapshot exports the run's aggregates in the common map view shared
-// with the obs registry and TransportStats, so every renderer works on
-// simulation results too.
-func (r *Recorder) Snapshot() obs.Snapshot { return r.Summarize().Snapshot() }
-
-// Snapshot flattens the summary into the common map view.
-func (s Summary) Snapshot() obs.Snapshot {
-	return obs.Snapshot{
-		"parties":                 float64(s.Parties),
-		"total_bytes":             float64(s.TotalBytes),
-		"total_msgs":              float64(s.TotalMsgs),
-		"max_party_bytes":         float64(s.MaxPartyBytes),
-		"max_party_msgs":          float64(s.MaxPartyMsgs),
-		"committed_blocks":        float64(s.CommittedBlocks),
-		"committed_bytes":         float64(s.CommittedBytes),
-		"mean_round_msgs":         s.MeanRoundMsgs,
-		"max_round_msgs":          float64(s.MaxRoundMsgs),
-		"mean_latency_seconds":    s.MeanLatency.Seconds(),
-		"p50_latency_seconds":     s.P50Latency.Seconds(),
-		"p99_latency_seconds":     s.P99Latency.Seconds(),
-		"mean_round_time_seconds": s.MeanRoundTime.Seconds(),
-	}
-}
-
-// PartyBytes returns bytes sent by party p.
-func (r *Recorder) PartyBytes(p types.PartyID) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bytesSent[p]
-}
-
-// PartyMsgs returns messages sent by party p.
-func (r *Recorder) PartyMsgs(p types.PartyID) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.msgsSent[p]
-}
-
-// CommitLatency returns the proposal→commit latency of a round, if both
-// endpoints were observed.
-func (r *Recorder) CommitLatency(round types.Round) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok1 := r.proposeTime[round]
-	c, ok2 := r.commitTime[round]
-	if !ok1 || !ok2 || c < p {
-		return 0, false
-	}
-	return c - p, true
 }
 
 // RoundMsgs returns the message complexity of one round.

@@ -109,40 +109,6 @@ func (s *TransportStats) SendError() {
 	s.fault("send_error")
 }
 
-// Snapshot exports the common map view (the same shape Registry and
-// Recorder export): aggregate totals under short keys plus per-peer
-// series. Safe on a nil receiver (empty snapshot).
-func (s *TransportStats) Snapshot() obs.Snapshot {
-	snap := obs.Snapshot{}
-	if s == nil {
-		return snap
-	}
-	d := s.Detail()
-	snap["queue_dropped"] = float64(d.TotalQueueDropped)
-	snap["redials"] = float64(d.TotalRedials)
-	snap["write_errors"] = float64(d.TotalWriteErrors)
-	snap["inbox_overflow"] = float64(d.InboxOverflow)
-	snap["send_errors"] = float64(d.SendErrors)
-	var maxDepth int64
-	for p, v := range d.QueueDropped {
-		snap[fmt.Sprintf("queue_dropped{peer=%q}", peerLabel(p))] = float64(v)
-	}
-	for p, v := range d.Redials {
-		snap[fmt.Sprintf("redials{peer=%q}", peerLabel(p))] = float64(v)
-	}
-	for p, v := range d.WriteErrors {
-		snap[fmt.Sprintf("write_errors{peer=%q}", peerLabel(p))] = float64(v)
-	}
-	for p, v := range d.MaxQueueDepth {
-		snap[fmt.Sprintf("max_queue_depth{peer=%q}", peerLabel(p))] = float64(v)
-		if v > maxDepth {
-			maxDepth = v
-		}
-	}
-	snap["max_queue_depth"] = float64(maxDepth)
-	return snap
-}
-
 // TransportSnapshot is a structured point-in-time copy of the counters.
 type TransportSnapshot struct {
 	QueueDropped  map[types.PartyID]int64

@@ -41,34 +41,6 @@ func TestTransportStatsCounts(t *testing.T) {
 	}
 }
 
-func TestTransportStatsCommonSnapshot(t *testing.T) {
-	s := NewTransportStats()
-	s.QueueDrop(7)
-	s.QueueDrop(7)
-	s.Redial(1)
-	s.ObserveQueueDepth(7, 9)
-	s.SendError()
-
-	snap := s.Snapshot()
-	for key, want := range map[string]float64{
-		"queue_dropped":             2,
-		`queue_dropped{peer="7"}`:   2,
-		"redials":                   1,
-		"send_errors":               1,
-		"max_queue_depth":           9,
-		`max_queue_depth{peer="7"}`: 9,
-		"write_errors":              0,
-		"inbox_overflow":            0,
-	} {
-		if got := snap.Get(key); got != want {
-			t.Fatalf("snapshot[%s] = %v, want %v (full: %s)", key, got, want, snap)
-		}
-	}
-	if !strings.Contains(snap.String(), "queue_dropped=2") {
-		t.Fatalf("snapshot line missing total: %s", snap)
-	}
-}
-
 func TestTransportStatsOnSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(8)
@@ -93,7 +65,7 @@ func TestTransportStatsOnSharedRegistry(t *testing.T) {
 
 func TestTransportStatsNilIsNoOp(t *testing.T) {
 	var s *TransportStats
-	// All recording methods and both snapshot forms must be safe on nil.
+	// All recording methods and the snapshot must be safe on nil.
 	s.QueueDrop(0)
 	s.Redial(0)
 	s.WriteError(0)
@@ -102,8 +74,5 @@ func TestTransportStatsNilIsNoOp(t *testing.T) {
 	s.SendError()
 	if snap := s.Detail(); snap.TotalQueueDropped != 0 || snap.SendErrors != 0 {
 		t.Fatalf("nil stats produced counts: %+v", snap)
-	}
-	if snap := s.Snapshot(); len(snap) != 0 {
-		t.Fatalf("nil stats produced snapshot: %v", snap)
 	}
 }

@@ -192,9 +192,6 @@ type Config struct {
 	// engine (0 = GOMAXPROCS); negative runs without one, the engine
 	// checking signatures on its own loop (E20's baseline arm).
 	VerifyWorkers int
-	// InlineBackfill signs catch-up beacon shares on the engine loop
-	// instead of on the backfill worker (E22's baseline arm).
-	InlineBackfill bool
 	// GossipFanout and GossipSeed pin the ICC1 overlay (0 =
 	// gossip.DefaultFanout(n) and seed 42). All parties of a cluster
 	// must agree on both.
@@ -267,14 +264,7 @@ func New(cfg Config) (_ *Node, err error) {
 		}
 		bcn = b
 	}
-	// catchup stays a nil interface when signing inline: a nil
-	// *backfill.Worker in it would pass the engine's nil check and break
-	// the synchronous fallback.
-	var catchup core.CatchupProvider
-	if !cfg.InlineBackfill {
-		nd.bfw = backfill.New(bcn, cfg.Endpoint, backfill.Options{Registry: cfg.Registry, Checkpoints: nd.store})
-		catchup = nd.bfw
-	}
+	nd.bfw = backfill.New(bcn, cfg.Endpoint, backfill.Options{Registry: cfg.Registry, Checkpoints: nd.store})
 
 	var ob *obs.Observer
 	if cfg.Registry != nil {
@@ -288,7 +278,7 @@ func New(cfg Config) (_ *Node, err error) {
 		Keys:               cfg.Keys,
 		Priv:               cfg.Priv,
 		Beacon:             bcn,
-		Catchup:            catchup,
+		Catchup:            nd.bfw,
 		DeltaBound:         cfg.DeltaBound,
 		Epsilon:            cfg.Epsilon,
 		PruneDepth:         cfg.PruneDepth,

@@ -8,9 +8,9 @@
 // Every layer of the live path records here: the core engine via
 // per-phase Hooks (see core.ObservedHooks), the runtime event loop, and
 // the transport (metrics.TransportStats registers its counters on an
-// obs.Registry). The simulation Recorder, TransportStats, and the
-// registry all export the same Snapshot map view, so benchmarks, nodes,
-// and tests render health with one code path.
+// obs.Registry). The registry and the Observer export the Snapshot map
+// view, which nodes and tests read; the simulation's metrics.Recorder has
+// its own Summary.
 //
 // The package deliberately imports nothing outside the standard library
 // so that any layer — including the deepest protocol code — can depend
@@ -24,11 +24,9 @@ import (
 	"strings"
 )
 
-// Snapshot is the common point-in-time view every instrumented component
-// exports: metric name (optionally with a {label="value"} suffix) to
-// value. metrics.TransportStats, metrics.Recorder, and Registry all
-// produce one, so a single rendering path serves iccbench, iccnode, and
-// tests.
+// Snapshot is a point-in-time view of a Registry (or of an Observer's
+// counters): metric name (optionally with a {label="value"} suffix) to
+// value.
 type Snapshot map[string]float64
 
 // Keys returns the snapshot's keys in sorted order.

@@ -49,7 +49,7 @@ import (
 
 // DefaultBehindWindow is how many rounds past the engine's own round
 // live artifacts are still admitted while the party lags the observed
-// peer frontier. Half a default catch-up batch (core.Config.ResyncBatch
+// peer frontier. Half a catch-up batch (core's resyncBatch
 // = 128): wide enough that normal jitter never sheds, narrow enough
 // that a 500-round rejoin is not drowned by tip traffic it cannot use.
 const DefaultBehindWindow = 64
