@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-certscheme bench-scale bench-suite bench-pair chaos
+.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-certscheme bench-scale bench-suite bench-pair bench-crypto fuzz-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,25 @@ bench-scale:
 bench-pair:
 	scripts/bench-pair.sh $(WORKLOAD) $(PAIRS)
 
+# The micro-benchmarks under the DLEQ beacon, bottom up: field and group
+# (ec), proofs (dleq), shares (thresig), Lagrange combination (shamir), and
+# the Reveal that makes a round known (beacon). EXPERIMENTS.md E24 is this
+# table at the parent commit and after it.
+bench-crypto:
+	$(GO) test -run '^$$' -bench 'PointMul|MultiMul2|BaseMul|HashToPoint|Prove|Verify|SignShare|VerifyShare|RecoverPoint|Reveal' -benchmem \
+		./internal/crypto/ec ./internal/crypto/dleq ./internal/crypto/thresig ./internal/crypto/shamir ./internal/beacon
+
+# Every Fuzz* target of the root module for ten seconds each, from its
+# seed corpus on: the decoders that read bytes off the wire or the disk,
+# and the limb arithmetic against its big.Int reference. go test -fuzz
+# takes one package and one target at a time.
+fuzz-smoke:
+	@grep -rHoE --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]+' . | \
+	while IFS=: read -r file decl; do \
+		echo "fuzz-smoke: $${decl#func } in $$(dirname $$file)"; \
+		$(GO) test -run '^$$' -fuzz "^$${decl#func }$$" -fuzztime 10s $$(dirname $$file) || exit 1; \
+	done
+
 # bench/ is a module of its own, which the root build, vet and test do not
 # see: an internal rename would break it unnoticed.
 vet-bench:
@@ -74,6 +93,6 @@ chaos:
 
 # Tier-2 verify: static analysis, the one-assembly check, race detection
 # on the layers where goroutines, channels, and sockets actually
-# interleave — and the seeded adversary campaign (safety + liveness
-# across the behavior matrix).
-verify2: vet vet-bench assembly-check race chaos
+# interleave — the fuzz targets for ten seconds each, and the seeded
+# adversary campaign (safety + liveness across the behavior matrix).
+verify2: vet vet-bench assembly-check race fuzz-smoke chaos

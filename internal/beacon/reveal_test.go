@@ -2,8 +2,11 @@ package beacon
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
+	"icc/internal/crypto"
+	"icc/internal/crypto/ec"
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/types"
@@ -71,6 +74,33 @@ func TestRevealJudgesEachShareOnce(t *testing.T) {
 	advance(t, bs[:3], 1)
 	if want, _ := bs[0].Digest(1); d != want {
 		t.Fatal("forged share changed the beacon value")
+	}
+}
+
+// TestAddShareDropsIdentityShare: a share whose point is the group
+// identity is malformed, not a candidate — it never enters the ledger, so
+// no Reveal spends a verification on it and its signer is not barred from
+// sending a real share afterwards.
+func TestAddShareDropsIdentityShare(t *testing.T) {
+	bs := cluster(t, 4)
+	b := bs[3]
+	honest, err := bs[0].ShareForRound(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := &types.BeaconShare{Round: 1, Signer: 0, Share: append([]byte(nil), honest.Share...)}
+	copy(hostile.Share, make([]byte, ec.PointLen))
+	if added, err := b.AddShare(hostile); added || !errors.Is(err, crypto.ErrBadShare) {
+		t.Fatalf("identity share: added=%v err=%v, want a malformed-share error", added, err)
+	}
+	if got := b.ShareCount(1); got != 0 {
+		t.Fatalf("ShareCount = %d after an identity share, want 0", got)
+	}
+	if _, ok := b.Reveal(1); ok || b.shares.verifies != 0 {
+		t.Fatalf("Reveal ok=%v after %d verifications, want none of either", ok, b.shares.verifies)
+	}
+	if added, err := b.AddShare(honest); !added || err != nil {
+		t.Fatalf("honest share after the hostile one: added=%v err=%v", added, err)
 	}
 }
 

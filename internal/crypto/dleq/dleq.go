@@ -31,10 +31,13 @@ const ProofLen = 2 * ec.ScalarLen
 // ErrInvalidProof is returned when a proof fails verification or decoding.
 var ErrInvalidProof = errors.New("dleq: invalid proof")
 
+// generatorEncoding is G as every challenge hashes it.
+var generatorEncoding = ec.Generator().Encode()
+
 // challenge derives the Fiat–Shamir challenge binding every public value.
 func challenge(base2, pub1, pub2, a1, a2 *ec.Point, context []byte) *ec.Scalar {
 	d := hash.Sum(hash.DomainDLEQ,
-		ec.Generator().Encode(), base2.Encode(),
+		generatorEncoding, base2.Encode(),
 		pub1.Encode(), pub2.Encode(),
 		a1.Encode(), a2.Encode(),
 		context,

@@ -6,6 +6,16 @@ import (
 	"math/big"
 )
 
+// The two moduli as integers. Scalars are reduced by N here; the field
+// arithmetic (field.go) has p built into its limbs and does not read P,
+// which stays exported for callers that want the prime as a number.
+var (
+	// P is the field prime 2^256 - 2^32 - 977.
+	P, _ = new(big.Int).SetString("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f", 16)
+	// N is the (prime) group order.
+	N, _ = new(big.Int).SetString("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141", 16)
+)
+
 // Scalar is an element of Z_N, the scalar field of the group.
 // Scalars are immutable once created.
 type Scalar struct {
@@ -101,9 +111,15 @@ func (s *Scalar) Inv() *Scalar {
 
 // Encode returns the 32-byte big-endian encoding.
 func (s *Scalar) Encode() []byte {
-	out := make([]byte, ScalarLen)
-	s.v.FillBytes(out)
-	return out
+	out := s.bytes()
+	return out[:]
+}
+
+// bytes is Encode into an array, which the window readers of curve.go
+// index without allocating.
+func (s *Scalar) bytes() (kb [ScalarLen]byte) {
+	s.v.FillBytes(kb[:])
+	return kb
 }
 
 // DecodeScalar parses a 32-byte big-endian scalar; values >= N are

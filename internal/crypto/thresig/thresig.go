@@ -198,7 +198,10 @@ func (s *SigShare) Encode() []byte {
 	return out
 }
 
-// DecodeSigShare parses an encoded share for the given party index.
+// DecodeSigShare parses an encoded share for the given party index. The
+// identity decodes as a point but is no party's share — sk_i·H2C(m) is the
+// identity only for a zero key — and is refused here, where it costs a
+// comparison, not at the proof check a Reveal would spend on it.
 func DecodeSigShare(index int, b []byte) (*SigShare, error) {
 	if len(b) != SigShareLen {
 		return nil, fmt.Errorf("%w: length %d", ErrBadShare, len(b))
@@ -206,6 +209,9 @@ func DecodeSigShare(index int, b []byte) (*SigShare, error) {
 	pt, err := ec.DecodePoint(b[:ec.PointLen])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadShare, err)
+	}
+	if pt.IsInfinity() {
+		return nil, fmt.Errorf("%w: identity point", ErrBadShare)
 	}
 	proof, err := dleq.Decode(b[ec.PointLen:])
 	if err != nil {

@@ -2,6 +2,7 @@ package thresig
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"icc/internal/crypto/ec"
@@ -165,6 +166,22 @@ func TestShareEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeSigShare(1, enc[:4]); err == nil {
 		t.Fatal("short encoding accepted")
+	}
+}
+
+// TestDecodeRejectsIdentityShare: 33 zero bytes decode as the group
+// identity, which lies "on the curve" and would otherwise wait in a ledger
+// for a full proof verification to refuse it.
+func TestDecodeRejectsIdentityShare(t *testing.T) {
+	pub, secrets := deal(t, 2, 3)
+	s, err := pub.Sign(rand.Reader, secrets[1], []byte("wire"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := s.Encode()
+	copy(enc, make([]byte, ec.PointLen)) // the identity beside a well-formed proof
+	if _, err := DecodeSigShare(1, enc); !errors.Is(err, ErrBadShare) {
+		t.Fatalf("identity share point: err = %v, want ErrBadShare", err)
 	}
 }
 
