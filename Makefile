@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify2 race vet vet-bench assembly-check bench bench-certscheme bench-scale bench-suite bench-pair bench-crypto fuzz-smoke chaos
+.PHONY: build test verify verify2 race vet vet-bench fmt-check assembly-check bench bench-certscheme bench-scale bench-suite bench-pair bench-crypto fuzz-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,7 @@ vet:
 
 # Race-test the concurrency-heavy layers (real goroutines + sockets).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/...
+	$(GO) test -race ./internal/obs/... ./internal/oracle/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/...
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): every
 # workload untraced then traced, with trace.overhead_pct. It is the one
@@ -65,6 +65,12 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${decl#func }$$" -fuzztime 10s $$(dirname $$file) || exit 1; \
 	done
 
+# Every Go file gofmt would rewrite, the bench's scratch tree aside; the
+# target fails if there is one.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; fi
+
 # bench/ is a module of its own, which the root build, vet and test do not
 # see: an internal rename would break it unnoticed.
 vet-bench:
@@ -91,8 +97,8 @@ assembly-check:
 chaos:
 	$(GO) test -race -count=1 -timeout 30m -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds' ./internal/harness
 
-# Tier-2 verify: static analysis, the one-assembly check, race detection
+# Tier-2 verify: static analysis and formatting, the one-assembly check, race detection
 # on the layers where goroutines, channels, and sockets actually
 # interleave — the fuzz targets for ten seconds each, and the seeded
 # adversary campaign (safety + liveness across the behavior matrix).
-verify2: vet vet-bench assembly-check race fuzz-smoke chaos
+verify2: vet vet-bench fmt-check assembly-check race fuzz-smoke chaos

@@ -19,6 +19,7 @@ import (
 	"icc/internal/core"
 	"icc/internal/harness"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -102,7 +103,7 @@ func main() {
 	c.Net.Run(*duration)
 	wall := time.Since(start)
 
-	if err := c.CheckSafety(); err != nil {
+	if err := c.Judge(oracle.Safety); err != nil {
 		fmt.Fprintf(os.Stderr, "SAFETY VIOLATION: %v\n", err)
 		os.Exit(1)
 	}

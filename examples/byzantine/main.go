@@ -16,6 +16,7 @@ import (
 
 	"icc"
 	"icc/internal/harness"
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -48,7 +49,7 @@ func main() {
 	sim.Start()
 	sim.Net.Run(20 * time.Second)
 
-	if err := sim.CheckSafety(); err != nil {
+	if err := sim.Judge(oracle.Safety); err != nil {
 		log.Fatalf("SAFETY VIOLATION: %v", err)
 	}
 	s := sim.Rec.Summarize()
@@ -58,8 +59,8 @@ func main() {
 
 	// Forensics: whose blocks made it into the chain?
 	perProposer := map[types.PartyID]int{}
-	for _, b := range sim.Committed(0) {
-		perProposer[b.Proposer]++
+	for _, c := range sim.Log.Commits(0) {
+		perProposer[sim.Engines[0].Pool().Block(c.Hash).Proposer]++
 	}
 	fmt.Println("\ncommitted blocks by proposer:")
 	for p := 0; p < 10; p++ {

@@ -141,20 +141,14 @@ type Options struct {
 	// MaxBatch bounds commands per block (default 1024).
 	MaxBatch int
 	// MetricsAddr, when non-empty, serves the observability endpoints
-	// (/metrics, /healthz, /trace, /debug/pprof) on this address while
-	// the cluster runs. Use ":0" for an ephemeral port and MetricsAddr()
-	// for the bound address.
+	// (/metrics, /healthz, /trace, /debug/pprof) on this address from
+	// construction until Stop; NewLocalCluster fails if it cannot listen
+	// there. Use ":0" for an ephemeral port and MetricsAddr() for the
+	// bound address.
 	MetricsAddr string
-	// TraceCap bounds the protocol event ring (default obs.DefaultTraceCap).
-	TraceCap int
 	// StallAfter is the /healthz stall threshold: the cluster reports
 	// unhealthy when no party has committed for this long (default 30 s).
 	StallAfter time.Duration
-	// VerifyWorkers sizes each party's parallel verification pipeline:
-	// 0 (default) uses GOMAXPROCS workers, a negative value disables the
-	// pipeline entirely (the engine verifies signatures inline on its
-	// event loop — the pre-pipeline behaviour).
-	VerifyWorkers int
 	// WALDir, when non-empty, makes every party durable: each gets a
 	// crash-consistent write-ahead log and checkpoint store under
 	// WALDir/party-<i>/, replayed by NewLocalCluster so a restarted
@@ -219,16 +213,11 @@ func WithGossipTopology(fanout int, seed int64) Option {
 // WithMaxBatch bounds the commands batched into one block proposal.
 func WithMaxBatch(n int) Option { return func(o *Options) { o.MaxBatch = n } }
 
-// WithMetricsAddr serves the observability endpoints on addr while the
-// cluster runs.
+// WithMetricsAddr serves the observability endpoints on addr until Stop.
 func WithMetricsAddr(addr string) Option { return func(o *Options) { o.MetricsAddr = addr } }
 
 // WithStallAfter sets the /healthz stall threshold.
 func WithStallAfter(d time.Duration) Option { return func(o *Options) { o.StallAfter = d } }
-
-// WithVerifyWorkers sizes the per-party verification worker pool
-// (0 = GOMAXPROCS; negative = verify inline on the engine loop).
-func WithVerifyWorkers(n int) Option { return func(o *Options) { o.VerifyWorkers = n } }
 
 // WithWALDir makes every party durable under dir (one subdirectory per
 // party): artifacts are WAL-logged with group-commit fsync before any
@@ -270,9 +259,6 @@ func (o Options) validate(n int) error {
 	if o.GossipFanout < 0 {
 		return fmt.Errorf("icc: negative GossipFanout %d", o.GossipFanout)
 	}
-	if o.TraceCap < 0 {
-		return fmt.Errorf("icc: negative TraceCap %d", o.TraceCap)
-	}
 	if o.StallAfter < 0 {
 		return fmt.Errorf("icc: negative StallAfter %v", o.StallAfter)
 	}
@@ -296,9 +282,6 @@ func (o Options) validate(n int) error {
 // behaviour is observable through Metrics(), Trace(), and — with
 // WithMetricsAddr — the HTTP endpoints every real node exposes.
 type LocalCluster struct {
-	n     int
-	opts  Options
-	pub   *keys.Public
 	hub   *transport.Inproc
 	nodes []*node.Node    // nil for a CrashFromBirth party
 	reps  []*node.Replica // every party, crashed ones included
@@ -342,11 +325,8 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		return nil, fmt.Errorf("icc: %w", err)
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(o.TraceCap)
+	tracer := obs.NewTracer(0)
 	c := &LocalCluster{
-		n:            n,
-		opts:         o,
-		pub:          pub,
 		hub:          transport.NewInproc(n),
 		nodes:        make([]*node.Node, n),
 		reps:         make([]*node.Replica, n),
@@ -387,7 +367,6 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 			Hooks:              core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) { c.commit(i, b) }},
 			CheckpointInterval: types.Round(o.CheckpointInterval),
 			PruneDepth:         pruneDepth,
-			VerifyWorkers:      o.VerifyWorkers,
 			GossipFanout:       o.GossipFanout,
 			GossipSeed:         o.GossipSeed,
 			// Every party reports into the shared registry and tracer:
@@ -409,6 +388,21 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		if c.nodes[i], err = node.New(cfg); err != nil {
 			c.Stop() // release what parties < i already hold
 			return nil, fmt.Errorf("icc: %w", err)
+		}
+	}
+	if o.MetricsAddr != "" {
+		gws := make([]*gateway.Gateway, n)
+		for i, r := range c.reps {
+			gws[i] = r.Gateway
+		}
+		if c.srv, err = obs.Serve(o.MetricsAddr, obs.HandlerOptions{
+			Registry: reg,
+			Tracer:   tracer,
+			Health:   func() obs.Health { return c.health.Health(o.StallAfter) },
+			Ingress:  gateway.NewHandler(gws, 0),
+		}); err != nil {
+			c.Stop()
+			return nil, fmt.Errorf("icc: metrics server: %w", err) // the listen error names the address
 		}
 	}
 	return c, nil
@@ -487,8 +481,7 @@ func (c *LocalCluster) OnCommit(h func(CommitEvent)) {
 	c.onCommit = h
 }
 
-// Start launches all parties (and the observability server, when
-// configured). Idempotent; a no-op after Stop.
+// Start launches all parties. Idempotent; a no-op after Stop.
 func (c *LocalCluster) Start() {
 	c.mu.Lock()
 	if c.started || c.stopped {
@@ -496,25 +489,7 @@ func (c *LocalCluster) Start() {
 		return
 	}
 	c.started = true
-	addr := c.opts.MetricsAddr
 	c.mu.Unlock()
-	if addr != "" {
-		gws := make([]*gateway.Gateway, c.n)
-		for i, r := range c.reps {
-			gws[i] = r.Gateway
-		}
-		srv, err := obs.Serve(addr, obs.HandlerOptions{
-			Registry: c.reg,
-			Tracer:   c.tracer,
-			Health:   func() obs.Health { return c.health.Health(c.opts.StallAfter) },
-			Ingress:  gateway.NewHandler(gws, 0),
-		})
-		if err == nil {
-			c.mu.Lock()
-			c.srv = srv
-			c.mu.Unlock()
-		}
-	}
 	for _, nd := range c.nodes {
 		if nd != nil {
 			nd.Start()
@@ -543,8 +518,8 @@ func (c *LocalCluster) Stop() {
 	_ = srv.Close()
 }
 
-// MetricsAddr returns the bound observability address ("" unless the
-// cluster was built WithMetricsAddr and is running).
+// MetricsAddr returns the bound observability address: "" unless the
+// cluster was built WithMetricsAddr; "" again after Stop.
 func (c *LocalCluster) MetricsAddr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"icc/internal/oracle"
 )
 
 func TestLocalClusterCommitsCommands(t *testing.T) {
@@ -116,7 +118,7 @@ func TestSimFacade(t *testing.T) {
 	if !s.RunUntilCommitted(5, time.Minute) {
 		t.Fatal("sim made no progress")
 	}
-	if err := s.CheckSafety(); err != nil {
+	if err := s.Judge(oracle.Safety); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -272,10 +272,3 @@ func NewEquivocator(inner *core.Engine, n int, priv keys.Private) engine.Engine 
 		},
 	}
 }
-
-// NewEmptyProposer wraps an honest engine so that its proposals carry an
-// empty payload — the "useless but not invalid" leader behaviour the
-// paper notes cannot be prevented, only reconfigured away. It is built
-// by giving the inner engine an EmptyPayload source, so this constructor
-// exists only for symmetry and documentation.
-func NewEmptyProposer(inner *core.Engine) engine.Engine { return inner }

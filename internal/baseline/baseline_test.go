@@ -1,126 +1,105 @@
 package baseline
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"icc/internal/engine"
-	"icc/internal/metrics"
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
 
-// commitLog records commits across a cluster.
-type commitLog struct {
-	mu   sync.Mutex
-	seqs [][]uint64 // per party: committed view/height numbers
-	at   []time.Duration
-}
-
-func newCommitLog(n int) *commitLog { return &commitLog{seqs: make([][]uint64, n)} }
-
-func (l *commitLog) record(p int) func(uint64, []byte, time.Duration) {
-	return func(v uint64, _ []byte, now time.Duration) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		l.seqs[p] = append(l.seqs[p], v)
-		l.at = append(l.at, now)
-	}
-}
-
-func (l *commitLog) min() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// shortest is how many commits the party with fewest has, among all but
+// skip.
+func shortest(l *oracle.Log, n int, skip ...types.PartyID) int {
 	m := -1
-	for _, s := range l.seqs {
-		if m < 0 || len(s) < m {
-			m = len(s)
+	for p := types.PartyID(0); int(p) < n; p++ {
+		if c := l.Len(p); !slices.Contains(skip, p) && (m < 0 || c < m) {
+			m = c
 		}
 	}
 	return m
 }
 
-func (l *commitLog) checkConsistent(t *testing.T) {
-	t.Helper()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var longest []uint64
-	for _, s := range l.seqs {
-		if len(s) > len(longest) {
-			longest = s
-		}
-	}
-	for p, s := range l.seqs {
-		for i, v := range s {
-			if v != longest[i] {
-				t.Fatalf("party %d commit %d is %d, others saw %d", p, i, v, longest[i])
+// firstCommit is when some party first committed each view or sequence.
+func firstCommit(l *oracle.Log, n int) map[types.Round]time.Duration {
+	at := make(map[types.Round]time.Duration)
+	for p := types.PartyID(0); int(p) < n; p++ {
+		for _, c := range l.Commits(p) {
+			if t, ok := at[c.Round]; !ok || c.At < t {
+				at[c.Round] = c.At
 			}
 		}
 	}
+	return at
 }
 
-func runHotStuff(t *testing.T, n int, delta time.Duration, minCommits int) (*commitLog, *metrics.Recorder) {
+// safe fails the test unless the run kept agreement and chain.
+func safe(t *testing.T, l *oracle.Log) {
 	t.Helper()
-	rec := metrics.NewRecorder(n)
-	nw := simnet.New(simnet.Options{Seed: 1, Delay: simnet.Fixed{D: delta}, Recorder: rec})
-	log := newCommitLog(n)
+	if err := oracle.Judge(l, oracle.Expect{Holds: oracle.Safety}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func runHotStuff(t *testing.T, n int, delta time.Duration, minCommits int) *oracle.Log {
+	t.Helper()
+	nw := simnet.New(simnet.Options{Seed: 1, Delay: simnet.Fixed{D: delta}})
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		h := NewHotStuff(HotStuffConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: 100 * time.Millisecond,
-			OnCommit:   log.record(i),
+			OnCommit:   log.Decided(types.PartyID(i)),
 		})
 		nw.AddNode(h, true)
 	}
 	nw.Start()
-	if !nw.RunUntil(func() bool { return log.min() >= minCommits }, 5*time.Minute) {
-		t.Fatalf("hotstuff made no progress: min commits %d", log.min())
+	if !nw.RunUntil(func() bool { return shortest(log, n) >= minCommits }, 5*time.Minute) {
+		t.Fatalf("hotstuff made no progress: min commits %d", shortest(log, n))
 	}
-	return log, rec
+	safe(t, log)
+	return log
 }
 
 func TestHotStuffCommits(t *testing.T) {
-	log, _ := runHotStuff(t, 4, 10*time.Millisecond, 10)
-	log.checkConsistent(t)
+	runHotStuff(t, 4, 10*time.Millisecond, 10)
 }
 
 func TestHotStuffThroughputIs2Delta(t *testing.T) {
 	const delta = 10 * time.Millisecond
-	log, _ := runHotStuff(t, 4, delta, 30)
-	log.mu.Lock()
-	defer log.mu.Unlock()
 	// Gap between consecutive commits at one party ≈ 2δ.
-	seq := log.seqs[0]
+	seq := runHotStuff(t, 4, delta, 30).Commits(0)
 	if len(seq) < 10 {
 		t.Fatal("too few commits")
 	}
 	// Views must be consecutive in the steady state (pipelined commits).
 	for i := 1; i < len(seq); i++ {
-		if seq[i] != seq[i-1]+1 {
-			t.Fatalf("non-consecutive committed views %d -> %d", seq[i-1], seq[i])
+		if seq[i].Round != seq[i-1].Round+1 {
+			t.Fatalf("non-consecutive committed views %d -> %d", seq[i-1].Round, seq[i].Round)
 		}
 	}
 }
 
 func TestTendermintCommits(t *testing.T) {
 	const n = 4
-	rec := metrics.NewRecorder(n)
-	nw := simnet.New(simnet.Options{Seed: 2, Delay: simnet.Fixed{D: 10 * time.Millisecond}, Recorder: rec})
-	log := newCommitLog(n)
+	nw := simnet.New(simnet.Options{Seed: 2, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		tm := NewTendermint(TendermintConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: 100 * time.Millisecond,
-			OnCommit:   log.record(i),
+			OnCommit:   log.Decided(types.PartyID(i)),
 		})
 		nw.AddNode(tm, true)
 	}
 	nw.Start()
-	if !nw.RunUntil(func() bool { return log.min() >= 10 }, 5*time.Minute) {
-		t.Fatalf("tendermint made no progress: min commits %d", log.min())
+	if !nw.RunUntil(func() bool { return shortest(log, n) >= 10 }, 5*time.Minute) {
+		t.Fatalf("tendermint made no progress: min commits %d", shortest(log, n))
 	}
-	log.checkConsistent(t)
+	safe(t, log)
 }
 
 // TestTendermintNotResponsive: with δ = 1 ms and Δbnd = 200 ms, the
@@ -130,19 +109,19 @@ func TestTendermintNotResponsive(t *testing.T) {
 	const delta = time.Millisecond
 	const bound = 200 * time.Millisecond
 	nw := simnet.New(simnet.Options{Seed: 3, Delay: simnet.Fixed{D: delta}})
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		tm := NewTendermint(TendermintConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: bound,
-			OnCommit:   log.record(i),
+			OnCommit:   log.Decided(types.PartyID(i)),
 		})
 		nw.AddNode(tm, true)
 	}
 	nw.Start()
 	deadline := 5 * time.Second
 	nw.Run(deadline)
-	got := log.min()
+	got := shortest(log, n)
 	// Height duration ≈ 3δ + Δbnd ≈ 203 ms ⇒ ~24 heights in 5 s.
 	// Were it responsive (≈3δ), we would see >1000.
 	if got > 40 {
@@ -160,46 +139,30 @@ func TestHotStuffLatencyVsICC(t *testing.T) {
 	const delta = 10 * time.Millisecond
 	const n = 4
 	nw := simnet.New(simnet.Options{Seed: 4, Delay: simnet.Fixed{D: delta}})
-	log := newCommitLog(n)
-	var mu sync.Mutex
-	proposeAt := map[uint64]time.Duration{}
-	commitAt := map[uint64]time.Duration{}
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
-		i := i
-		h := NewHotStuff(HotStuffConfig{
+		nw.AddNode(NewHotStuff(HotStuffConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: 100 * time.Millisecond,
-			OnCommit: func(v uint64, p []byte, now time.Duration) {
-				mu.Lock()
-				if _, ok := commitAt[v]; !ok {
-					commitAt[v] = now
-				}
-				mu.Unlock()
-				log.record(i)(v, p, now)
-			},
-		})
-		// Track proposal times via payloads? Simpler: view v is proposed
-		// roughly at viewStart; with Fixed delay and round-robin leaders,
-		// view v starts at (v−1)·2δ.
-		nw.AddNode(h, true)
+			OnCommit:   log.Decided(types.PartyID(i)),
+		}), true)
 	}
 	nw.Start()
-	if !nw.RunUntil(func() bool { return log.min() >= 20 }, time.Minute) {
+	if !nw.RunUntil(func() bool { return shortest(log, n) >= 20 }, time.Minute) {
 		t.Fatal("no progress")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	// Steady state: view v proposed at ≈ (v−1)·2δ; committed at
-	// commitAt[v]. Expect latency ≈ 6δ (3 views of 2δ).
+	safe(t, log)
+	// Steady state: with Fixed delay and round-robin leaders view v is
+	// proposed at ≈ (v−1)·2δ, and committed when a party first commits
+	// it. Expect latency ≈ 6δ (3 views of 2δ).
+	commitAt := firstCommit(log, n)
 	var total time.Duration
 	var count int
 	for v, c := range commitAt {
 		if v < 3 || v > 20 {
 			continue
 		}
-		proposed := time.Duration(v-1) * 2 * delta
-		proposeAt[v] = proposed
-		total += c - proposed
+		total += c - time.Duration(v-1)*2*delta
 		count++
 	}
 	if count == 0 {
@@ -224,33 +187,21 @@ func TestHotStuffLatencyVsICC(t *testing.T) {
 func TestHotStuffSurvivesCrashedLeader(t *testing.T) {
 	const n = 7
 	nw := simnet.New(simnet.Options{Seed: 5, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		h := NewHotStuff(HotStuffConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: 50 * time.Millisecond,
-			OnCommit:   log.record(i),
+			OnCommit:   log.Decided(types.PartyID(i)),
 		})
 		nw.AddNode(h, true)
 	}
 	nw.Crash(2) // crashes before Init: a permanently silent leader
 	nw.Start()
-	if !nw.RunUntil(func() bool {
-		log.mu.Lock()
-		defer log.mu.Unlock()
-		for p, s := range log.seqs {
-			if p == 2 {
-				continue
-			}
-			if len(s) < 8 {
-				return false
-			}
-		}
-		return true
-	}, 5*time.Minute) {
+	if !nw.RunUntil(func() bool { return shortest(log, n, 2) >= 8 }, 5*time.Minute) {
 		t.Fatal("hotstuff stalled with one crashed party")
 	}
-	log.checkConsistent(t)
+	safe(t, log)
 }
 
 var _ engine.Engine = (*HotStuff)(nil)

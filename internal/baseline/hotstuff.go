@@ -113,9 +113,6 @@ func (h *HotStuff) ID() types.PartyID { return h.cfg.Self }
 // CurrentRound implements engine.Engine.
 func (h *HotStuff) CurrentRound() types.Round { return types.Round(h.view) }
 
-// CommittedView returns the highest committed view.
-func (h *HotStuff) CommittedView() uint64 { return h.committed }
-
 // Init implements engine.Engine.
 func (h *HotStuff) Init(now time.Duration) []engine.Output {
 	h.viewStart = now

@@ -101,9 +101,6 @@ func (p *PBFT) ID() types.PartyID { return p.cfg.Self }
 // CurrentRound implements engine.Engine (sequence number ≈ round).
 func (p *PBFT) CurrentRound() types.Round { return types.Round(p.committed + 1) }
 
-// CommittedSeq returns the highest executed sequence.
-func (p *PBFT) CommittedSeq() uint64 { return p.committed }
-
 // Init implements engine.Engine.
 func (p *PBFT) Init(now time.Duration) []engine.Output {
 	p.lastProgress = now

@@ -1,23 +1,23 @@
 package baseline
 
 import (
-	"sync"
 	"testing"
 	"time"
 
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
 
-func runPBFT(t *testing.T, n int, delta, bound time.Duration, cfg func(i int, c *PBFTConfig), crash []types.PartyID, until time.Duration) *commitLog {
+func runPBFT(t *testing.T, n int, delta, bound time.Duration, cfg func(i int, c *PBFTConfig), crash []types.PartyID, until time.Duration) *oracle.Log {
 	t.Helper()
 	nw := simnet.New(simnet.Options{Seed: 9, Delay: simnet.Fixed{D: delta}})
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		c := PBFTConfig{
 			Self: types.PartyID(i), N: n,
 			DeltaBound: bound,
-			OnCommit:   log.record(i),
+			OnCommit:   log.Decided(types.PartyID(i)),
 		}
 		if cfg != nil {
 			cfg(i, &c)
@@ -29,21 +29,19 @@ func runPBFT(t *testing.T, n int, delta, bound time.Duration, cfg func(i int, c 
 	}
 	nw.Start()
 	nw.Run(until)
+	safe(t, log)
 	return log
 }
 
 func TestPBFTCommitsInOrder(t *testing.T) {
 	log := runPBFT(t, 4, 10*time.Millisecond, 100*time.Millisecond, nil, nil, 3*time.Second)
-	log.checkConsistent(t)
-	if log.min() < 20 {
-		t.Fatalf("only %d commits in 3s", log.min())
+	if got := shortest(log, 4); got < 20 {
+		t.Fatalf("only %d commits in 3s", got)
 	}
 	// Sequences strictly increasing by one.
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	for i, v := range log.seqs[0] {
-		if v != uint64(i+1) {
-			t.Fatalf("sequence %d at position %d", v, i)
+	for i, c := range log.Commits(0) {
+		if c.Round != types.Round(i+1) {
+			t.Fatalf("sequence %d at position %d", c.Round, i)
 		}
 	}
 }
@@ -54,12 +52,8 @@ func TestPBFTViewChangeOnCrashedLeader(t *testing.T) {
 	log := runPBFT(t, 4, 10*time.Millisecond, 50*time.Millisecond, nil,
 		[]types.PartyID{0}, 5*time.Second)
 	// Party 0 is crashed; the others must have committed.
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	for p := 1; p < 4; p++ {
-		if len(log.seqs[p]) < 10 {
-			t.Fatalf("party %d committed only %d after leader crash", p, len(log.seqs[p]))
-		}
+	if got := shortest(log, 4, 0); got < 10 {
+		t.Fatalf("a live party committed only %d after the leader crash", got)
 	}
 }
 
@@ -77,7 +71,7 @@ func TestPBFTSlowLeaderAttack(t *testing.T) {
 			c.ProposeDelay = 150 * time.Millisecond // just under the 200ms timeout
 		}
 	}, nil, 5*time.Second)
-	h, s := honest.min(), slow.min()
+	h, s := shortest(honest, 4), shortest(slow, 4)
 	if s == 0 {
 		t.Fatal("slow leader triggered view change — attack should stay under the timeout")
 	}
@@ -89,29 +83,9 @@ func TestPBFTSlowLeaderAttack(t *testing.T) {
 
 func TestPBFTLatencyIs3Delta(t *testing.T) {
 	const delta = 10 * time.Millisecond
-	nw := simnet.New(simnet.Options{Seed: 10, Delay: simnet.Fixed{D: delta}})
-	var mu sync.Mutex
-	commitAt := map[uint64]time.Duration{}
 	const n = 4
-	log := newCommitLog(n)
-	for i := 0; i < n; i++ {
-		i := i
-		nw.AddNode(NewPBFT(PBFTConfig{
-			Self: types.PartyID(i), N: n, DeltaBound: 100 * time.Millisecond,
-			OnCommit: func(seq uint64, pl []byte, now time.Duration) {
-				mu.Lock()
-				if _, ok := commitAt[seq]; !ok {
-					commitAt[seq] = now
-				}
-				mu.Unlock()
-				log.record(i)(seq, pl, now)
-			},
-		}), true)
-	}
-	nw.Start()
-	nw.Run(2 * time.Second)
-	mu.Lock()
-	defer mu.Unlock()
+	log := runPBFT(t, n, delta, 100*time.Millisecond, nil, nil, 2*time.Second)
+	commitAt := firstCommit(log, n)
 	if len(commitAt) < 10 {
 		t.Fatalf("%d commits", len(commitAt))
 	}

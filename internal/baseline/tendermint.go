@@ -45,7 +45,6 @@ type Tendermint struct {
 	precommits  map[hash.Digest]map[types.PartyID]struct{}
 	sentPrevote bool
 	sentPrecmt  bool
-	committed   uint64
 	proposed    bool
 
 	out []engine.Output
@@ -73,9 +72,6 @@ func (tm *Tendermint) ID() types.PartyID { return tm.cfg.Self }
 
 // CurrentRound implements engine.Engine.
 func (tm *Tendermint) CurrentRound() types.Round { return types.Round(tm.height) }
-
-// CommittedHeight returns the highest committed height.
-func (tm *Tendermint) CommittedHeight() uint64 { return tm.committed }
 
 // Init implements engine.Engine.
 func (tm *Tendermint) Init(now time.Duration) []engine.Output {
@@ -201,7 +197,6 @@ func (tm *Tendermint) step(now time.Duration) {
 		if tm.cfg.OnCommit != nil {
 			tm.cfg.OnCommit(tm.height, tm.proposal, now)
 		}
-		tm.committed = tm.height
 		tm.enterHeight(tm.height+1, now, tm.cfg.DeltaBound)
 	}
 }

@@ -105,6 +105,9 @@ func (e *Engine) Pool() *pool.Pool { return e.pool }
 // FinalizedRound returns the highest round this party has committed.
 func (e *Engine) FinalizedRound() types.Round { return e.kmax }
 
+// Ranking returns round k's rank permutation, once this party knows R_k.
+func (e *Engine) Ranking(k types.Round) ([]types.PartyID, bool) { return e.cfg.Beacon.Permutation(k) }
+
 func (e *Engine) resetRoundState() {
 	e.inRound = false
 	e.proposed = false

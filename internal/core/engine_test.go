@@ -8,6 +8,7 @@ import (
 	"icc/internal/beacon"
 	"icc/internal/crypto/keys"
 	"icc/internal/metrics"
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -19,8 +20,7 @@ type harness struct {
 	net     *simnet.Network
 	engines []*Engine
 	rec     *metrics.Recorder
-	// committed[p] is the ordered sequence of block hashes party p output.
-	committed [][]*types.Block
+	log     *oracle.Log
 }
 
 type harnessOptions struct {
@@ -47,10 +47,10 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{
-		pub:       pub,
-		privs:     privs,
-		rec:       metrics.NewRecorder(opts.n),
-		committed: make([][]*types.Block, opts.n),
+		pub:   pub,
+		privs: privs,
+		rec:   metrics.NewRecorder(opts.n),
+		log:   oracle.NewLog(opts.n),
 	}
 	h.net = simnet.New(simnet.Options{Seed: opts.seed, Delay: opts.delay, Recorder: h.rec})
 	for i := 0; i < opts.n; i++ {
@@ -65,14 +65,11 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 			Adaptive:   opts.adaptive,
 			Hooks: Hooks{
 				OnCommit: func(b *types.Block, now time.Duration) {
-					h.committed[i] = append(h.committed[i], b)
+					h.log.Commit(types.PartyID(i), b, now)
 					h.rec.Commit(b.Round, len(b.Payload), now)
 				},
 				OnPropose: func(k types.Round, now time.Duration) {
 					h.rec.Propose(k, now)
-				},
-				OnEnterRound: func(k types.Round, now time.Duration) {
-					h.rec.EnterRound(k, now)
 				},
 				OnFinishRound: func(k types.Round, now time.Duration) {
 					h.rec.FinishRound(k, now)
@@ -89,62 +86,43 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 	return h
 }
 
-// checkSafety verifies the atomic-broadcast safety property: every
-// party's committed sequence is a prefix of every longer one, block by
-// block, and rounds are strictly increasing along each sequence.
-func (h *harness) checkSafety(t testing.TB) {
-	t.Helper()
-	var longest []*types.Block
-	for _, seq := range h.committed {
-		if len(seq) > len(longest) {
-			longest = seq
-		}
-	}
-	for p, seq := range h.committed {
-		for i, b := range seq {
-			if b.Hash() != longest[i].Hash() {
-				t.Fatalf("safety violation: party %d position %d diverges", p, i)
-			}
-			if i > 0 && b.Round <= seq[i-1].Round {
-				t.Fatalf("party %d: rounds not increasing at position %d", p, i)
-			}
-		}
-	}
-}
-
+// TestFourPartiesCommit: four honest parties commit, agree, and each
+// commits one chain.
 func TestFourPartiesCommit(t *testing.T) {
 	h := newHarness(t, harnessOptions{n: 4, seed: 1})
 	h.net.Start()
 	ok := h.net.RunUntil(func() bool {
-		for _, seq := range h.committed {
-			if len(seq) < 5 {
+		for p := range h.engines {
+			if h.log.Len(types.PartyID(p)) < 5 {
 				return false
 			}
 		}
 		return true
 	}, 30*time.Second)
 	if !ok {
-		for p, seq := range h.committed {
-			t.Logf("party %d committed %d blocks, round %d", p, len(seq), h.engines[p].CurrentRound())
+		for p, e := range h.engines {
+			t.Logf("party %d committed %d blocks, round %d", p, h.log.Len(types.PartyID(p)), e.CurrentRound())
 		}
 		t.Fatal("parties did not commit 5 blocks within 30s of simulated time")
 	}
-	h.checkSafety(t)
+	if err := oracle.Judge(h.log, oracle.Expect{Holds: oracle.Safety}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCommittedBlocksFormChain(t *testing.T) {
 	h := newHarness(t, harnessOptions{n: 4, seed: 2})
 	h.net.Start()
-	if !h.net.RunUntil(func() bool { return len(h.committed[0]) >= 4 }, 30*time.Second) {
+	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 4 }, 30*time.Second) {
 		t.Fatal("no progress")
 	}
-	seq := h.committed[0]
+	seq := h.log.Commits(0)
 	for i := 1; i < len(seq); i++ {
-		if seq[i].ParentHash != seq[i-1].Hash() {
+		if seq[i].Parent != seq[i-1].Hash {
 			t.Fatalf("committed block %d does not extend block %d", i, i-1)
 		}
 	}
-	if seq[0].ParentHash != h.engines[0].Pool().RootHash() {
+	if seq[0].Parent != h.engines[0].Pool().RootHash() {
 		t.Fatal("first committed block does not extend the root")
 	}
 }

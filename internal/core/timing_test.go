@@ -21,7 +21,7 @@ func TestSteadyStateTiming(t *testing.T) {
 		simBeacon:  true, // timing shape, not crypto, is under test
 	})
 	h.net.Start()
-	if !h.net.RunUntil(func() bool { return len(h.committed[0]) >= 50 }, 60*time.Second) {
+	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 50 }, 60*time.Second) {
 		t.Fatal("no progress")
 	}
 	s := h.rec.Summarize()
@@ -52,7 +52,7 @@ func TestOptimisticResponsiveness(t *testing.T) {
 		simBeacon:  true,
 	})
 	h.net.Start()
-	if !h.net.RunUntil(func() bool { return len(h.committed[0]) >= 20 }, 120*time.Second) {
+	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 20 }, 120*time.Second) {
 		t.Fatal("no progress")
 	}
 	s := h.rec.Summarize()
@@ -74,7 +74,7 @@ func TestMessageComplexitySynchronous(t *testing.T) {
 		simBeacon: true,
 	})
 	h.net.Start()
-	if !h.net.RunUntil(func() bool { return len(h.committed[0]) >= 20 }, 60*time.Second) {
+	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 20 }, 60*time.Second) {
 		t.Fatal("no progress")
 	}
 	s := h.rec.Summarize()

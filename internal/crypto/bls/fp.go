@@ -129,9 +129,6 @@ func (x fp2) inv() fp2 {
 	return fp2{fpMul(x.a0, ni), fpMul(fpNeg(x.a1), ni)}
 }
 
-// conj returns a0 − a1·u.
-func (x fp2) conj() fp2 { return fp2{new(big.Int).Set(x.a0), fpNeg(x.a1)} }
-
 // xi is the Fp6 non-residue ξ = 1 + u.
 func xi() fp2 { return fp2FromInts(1, 1) }
 

@@ -135,8 +135,5 @@ func DecodeScalar(b []byte) (*Scalar, error) {
 	return &Scalar{v: v}, nil
 }
 
-// Big returns a copy of the underlying integer.
-func (s *Scalar) Big() *big.Int { return new(big.Int).Set(s.v) }
-
 // String returns a short debug form.
 func (s *Scalar) String() string { return s.v.Text(16) }

@@ -62,9 +62,6 @@ func NewCode(dataShards, totalShards int) (*Code, error) {
 // DataShards returns k.
 func (c *Code) DataShards() int { return c.k }
 
-// TotalShards returns n.
-func (c *Code) TotalShards() int { return c.n }
-
 // ShardSize returns the per-shard byte length for a payload of origLen.
 func (c *Code) ShardSize(origLen int) int {
 	if origLen == 0 {

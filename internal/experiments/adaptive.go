@@ -9,6 +9,7 @@ import (
 	"icc/internal/beacon"
 	"icc/internal/engine"
 	"icc/internal/harness"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -122,8 +123,8 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 	// still compute the schedule explicitly to keep the model honest.
 	leaders := make(map[types.Round]types.PartyID)
 	var mu sync.Mutex
-	var oracle *beacon.Simulated
-	var oracleRound types.Round
+	var schedule *beacon.Simulated
+	var scheduled types.Round
 
 	opts := harness.Options{
 		N:          n,
@@ -144,22 +145,22 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 			defer mu.Unlock()
 			// Lazily extend the leader schedule by advancing a private
 			// copy of the deterministic simulated beacon chain.
-			if oracle == nil {
-				oracle = beacon.NewSimulated(n, 0, pubSeed)
+			if schedule == nil {
+				schedule = beacon.NewSimulated(n, 0, pubSeed)
 			}
-			for oracleRound < r {
-				k := oracleRound + 1
+			for scheduled < r {
+				k := scheduled + 1
 				for i := 0; i < n; i++ {
 					share := &types.BeaconShare{Round: k, Signer: types.PartyID(i), Share: make([]byte, 97)}
-					_, _ = oracle.AddShare(share)
+					_, _ = schedule.AddShare(share)
 				}
-				if _, ok := oracle.Reveal(k); !ok {
+				if _, ok := schedule.Reveal(k); !ok {
 					return false
 				}
-				if l, ok := oracle.Leader(k); ok {
+				if l, ok := schedule.Leader(k); ok {
 					leaders[k] = l
 				}
-				oracleRound = k
+				scheduled = k
 			}
 			// Corruption of leader(r), ordered in round r−1, is active
 			// during rounds [r−1+κ, r+κ): it mutes round r iff κ == 1.
@@ -173,9 +174,7 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 	pubSeed = c.Pub.GenesisSeed
 	c.Start()
 	c.Net.Run(window)
-	if err := c.CheckSafety(); err != nil {
-		panic(fmt.Sprintf("weak-adaptive run violated safety: %v", err))
-	}
+	safe("weak-adaptive", c.Judge(oracle.Safety))
 	return c.Rec.Summarize().CommittedBlocks
 }
 
@@ -183,16 +182,11 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 // view's (publicly known) leader during its view.
 func hotstuffMutedRun(n int, delta, bound, window time.Duration, mute bool) int64 {
 	nw := simnet.New(simnet.Options{Seed: 10200, Delay: simnet.Fixed{D: delta}})
-	var mu sync.Mutex
-	var commits int64
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
 		h := baseline.NewHotStuff(baseline.HotStuffConfig{
 			Self: types.PartyID(i), N: n, DeltaBound: bound,
-			OnCommit: func(uint64, []byte, time.Duration) {
-				mu.Lock()
-				commits++
-				mu.Unlock()
-			},
+			OnCommit: log.Decided(types.PartyID(i)),
 		})
 		var eng engine.Engine = h
 		if mute {
@@ -206,7 +200,10 @@ func hotstuffMutedRun(n int, delta, bound, window time.Duration, mute bool) int6
 	}
 	nw.Start()
 	nw.Run(window)
-	mu.Lock()
-	defer mu.Unlock()
+	safe("hotstuff", oracle.Judge(log, oracle.Expect{Holds: oracle.Safety}))
+	var commits int64
+	for p := 0; p < n; p++ {
+		commits += int64(log.Len(types.PartyID(p)))
+	}
 	return commits / int64(n)
 }

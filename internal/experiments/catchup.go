@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"icc/internal/core"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/types"
 )
 
@@ -76,7 +76,7 @@ func catchupRun(gap int) catchupResult {
 		laggard = 3
 	)
 	window := 3 * time.Second
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
 		// Well above the cluster's per-round crypto cost so steady
 		// state has CPU headroom: the responders form an exact 3-of-3
@@ -86,44 +86,42 @@ func catchupRun(gap int) catchupResult {
 		// serve burst blocks the engine loop, instead of raw CPU
 		// contention.
 		cfg.DeltaBound = 25 * time.Millisecond
-		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
+		cfg.Hooks = logged(log, i)
 	})
 	defer cl.stop()
 
 	// Phase 1: responders build the gap.
 	cl.startExcept(laggard)
-	buildDeadline := time.Now().Add(3 * time.Minute)
-	for log.frontier(0) < types.Round(gap) {
-		if time.Now().After(buildDeadline) {
-			return catchupResult{dnf: true}
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !waitFor(time.Now().Add(3*time.Minute), func() bool { return log.Last(0).Round >= types.Round(gap) }) {
+		return catchupResult{dnf: true}
 	}
 
 	// Phase 2: the laggard joins cold.
 	cl.dropInbox(laggard)
-	joinAt := time.Now()
-	joinRound := log.frontier(0)
+	joinAt := cl.clk.Now()
+	joinRound := log.Last(0).Round
 	cl.nodes[laggard].Start()
 
 	// The acceptance budget: with the resync lane and chain-aware
 	// admission, even gap 500 on one core converges well inside 120 s.
-	converge, dnf := time.Duration(0), true
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		if log.frontier(laggard) >= joinRound {
-			converge, dnf = time.Since(joinAt), false
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	dnf := !waitFor(time.Now().Add(2*time.Minute), func() bool { return log.Last(laggard).Round >= joinRound })
+	converge := cl.clk.Now() - joinAt
 	// Let the post-join measurement window complete.
-	if rem := window - time.Since(joinAt); rem > 0 {
+	if rem := window - (cl.clk.Now() - joinAt); rem > 0 {
 		time.Sleep(rem)
 	}
+	var steady, during int
+	for _, c := range log.Commits(0) {
+		switch {
+		case c.At >= joinAt-window && c.At < joinAt:
+			steady++
+		case c.At >= joinAt && c.At < joinAt+window:
+			during++
+		}
+	}
 	return catchupResult{
-		steady:   float64(log.between(0, joinAt.Add(-window), joinAt)) / window.Seconds(),
-		during:   float64(log.between(0, joinAt, joinAt.Add(window))) / window.Seconds(),
+		steady:   float64(steady) / window.Seconds(),
+		during:   float64(during) / window.Seconds(),
 		converge: converge,
 		dnf:      dnf,
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"icc/internal/harness"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -108,26 +109,9 @@ func RoundComplexity(scale Scale) *Table {
 	rounds := scale.scaleInt(2000)
 	c.Start()
 	c.RunUntilCommitted(rounds, 10*time.Hour)
-	// Derive gaps from one honest party's commit log: blocks sharing a
-	// commit timestamp were output by one finalization (Fig. 2), and the
-	// highest round in the batch is the finalizing round. The gap of
-	// round k is (finalizing round − k).
-	honest := c.HonestParties()
-	seq := c.Committed(honest[0])
-	at := c.CommittedAt(honest[0])
-	gapCount := map[int]int{}
-	total := 0
-	for i := 0; i < len(seq); {
-		j := i
-		for j+1 < len(seq) && at[j+1] == at[i] {
-			j++
-		}
-		finalRound := seq[j].Round
-		for k := i; k <= j; k++ {
-			gapCount[int(finalRound-seq[k].Round)]++
-			total++
-		}
-		i = j + 1
+	all, gapCount := finalizationGaps(c), map[int]int{}
+	for _, g := range all {
+		gapCount[g]++
 	}
 	gaps := make([]int, 0, len(gapCount))
 	for g := range gapCount {
@@ -141,7 +125,7 @@ func RoundComplexity(scale Scale) *Table {
 			ref *= 1 - p
 		}
 		t.AddRow(fmt.Sprintf("%d", g), fmt.Sprintf("%d", gapCount[g]),
-			fmt.Sprintf("%.3f", float64(gapCount[g])/float64(total)),
+			fmt.Sprintf("%.3f", float64(gapCount[g])/float64(len(all))),
 			fmt.Sprintf("%.3f", ref))
 	}
 	return t
@@ -186,9 +170,7 @@ func Robustness(scale Scale) *Table {
 			}
 			c.Start()
 			c.RunUntilCommitted(blocks, time.Hour)
-			if err := c.CheckSafety(); err != nil {
-				panic(fmt.Sprintf("robustness run violated safety: %v", err))
-			}
+			safe("robustness", c.Judge(oracle.Safety))
 			s := c.Rec.Summarize()
 			elapsed := c.Net.Now().Seconds()
 			rate := float64(s.CommittedBlocks) / elapsed

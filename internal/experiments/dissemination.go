@@ -161,26 +161,15 @@ func AblationDelays(scale Scale) *Table {
 // own round (gap 0) and the P99 commit latency, from the first honest
 // party's commit log.
 func finalizationStats(c *harness.Cluster) (gap0 float64, p99 time.Duration) {
-	honest := c.HonestParties()
-	seq := c.Committed(honest[0])
-	at := c.CommittedAt(honest[0])
-	total, g0 := 0, 0
-	for i := 0; i < len(seq); {
-		j := i
-		for j+1 < len(seq) && at[j+1] == at[i] {
-			j++
-		}
-		finalRound := seq[j].Round
-		for k := i; k <= j; k++ {
-			if finalRound == seq[k].Round {
-				g0++
-			}
-			total++
-		}
-		i = j + 1
-	}
-	if total == 0 {
+	gaps := finalizationGaps(c)
+	if len(gaps) == 0 {
 		return 0, 0
 	}
-	return float64(g0) / float64(total), c.Rec.Summarize().P99Latency
+	g0 := 0
+	for _, g := range gaps {
+		if g == 0 {
+			g0++
+		}
+	}
+	return float64(g0) / float64(len(gaps)), c.Rec.Summarize().P99Latency
 }

@@ -10,6 +10,7 @@ import (
 	"icc/internal/core"
 	"icc/internal/gateway"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/types"
 )
 
@@ -108,7 +109,7 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 	}
 	defer os.RemoveAll(base)
 
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
 		cfg.Beacon = beacon.NewSimulated(n, cfg.Self, cfg.Keys.GenesisSeed)
 		cfg.DeltaBound = 25 * time.Millisecond
@@ -116,7 +117,7 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 		// The replica is what checkpoints snapshot and a checkpoint
 		// install restores; no client writes to it here.
 		cfg.Replica = node.NewReplica(gateway.Options{Party: i})
-		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
+		cfg.Hooks = logged(log, i)
 		if mode.wal {
 			cfg.Dir = filepath.Join(base, fmt.Sprintf("party-%d", i))
 		}
@@ -127,33 +128,22 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 	defer cl.stop()
 	cl.startExcept(-1)
 
-	wait := func(deadline time.Time, cond func() bool) bool {
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return false
-	}
-
 	// Phase 1: run past at least one checkpoint boundary, then kill -9.
 	warm := types.Round(2 * e11Interval)
-	if !wait(time.Now().Add(2*time.Minute), func() bool { return log.frontier(victim) >= warm }) {
+	if !waitFor(time.Now().Add(2*time.Minute), func() bool { return log.Last(victim).Round >= warm }) {
 		return e11Result{dnf: true}
 	}
 	cl.nodes[victim].Kill()
-	killedAt := log.frontier(victim)
+	killedAt := log.Last(victim).Round
 
 	// Phase 2: survivors advance the gap.
-	if !wait(time.Now().Add(3*time.Minute), func() bool { return log.frontier(0) >= killedAt+types.Round(gap) }) {
+	if !waitFor(time.Now().Add(3*time.Minute), func() bool { return log.Last(0).Round >= killedAt+types.Round(gap) }) {
 		return e11Result{dnf: true}
 	}
 
 	// Phase 3: restart over the same directory.
 	cl.dropInbox(victim)
-	log.reset(victim)
-	joinRound := log.frontier(0)
+	joinRound := log.Last(0).Round
 	recoverStart := time.Now()
 	cl.build(victim)
 	restarted := cl.nodes[victim]
@@ -171,7 +161,7 @@ func durabilityRun(gap int, mode e11Mode) e11Result {
 	// give up.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if log.frontier(victim) >= joinRound {
+		if log.Last(victim).Round >= joinRound {
 			res.converge = time.Since(restartAt)
 			return res
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"icc/internal/core"
+	"icc/internal/harness"
 )
 
 // simPruneDepth is the retention horizon simulation experiments run
@@ -21,6 +22,29 @@ import (
 // value (2× for the deep-retention runs, ½ for the smallest
 // dissemination grids) instead of inventing fresh literals.
 const simPruneDepth = core.DefaultPruneDepth / 4
+
+// safe panics on a judge's verdict: a table measured on a run that broke
+// agreement or chain would report nothing.
+func safe(what string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s run violated safety: %v", what, err))
+	}
+}
+
+// finalizationGaps is, for each block the cluster's first honest party
+// committed, how many rounds later the round whose finalization output it
+// came: blocks output at one instant were output by one finalization, of
+// the highest round among them (Fig. 2).
+func finalizationGaps(c *harness.Cluster) []int {
+	seq := c.Log.Commits(c.HonestParties()[0])
+	gaps := make([]int, len(seq))
+	for i := len(seq) - 2; i >= 0; i-- {
+		if seq[i+1].At == seq[i].At {
+			gaps[i] = gaps[i+1] + int(seq[i+1].Round-seq[i].Round)
+		}
+	}
+	return gaps
+}
 
 // Table is a rendered experiment result.
 type Table struct {

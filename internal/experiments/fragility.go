@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"icc/internal/baseline"
 	"icc/internal/harness"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -42,17 +42,11 @@ func PBFTFragility(scale Scale) *Table {
 
 	pbftRun := func(slow bool, crash bool) int64 {
 		nw := simnet.New(simnet.Options{Seed: 11000, Delay: simnet.Fixed{D: delta}})
-		var mu sync.Mutex
-		commits := make([]int64, n)
+		log := oracle.NewLog(n)
 		for i := 0; i < n; i++ {
-			i := i
 			cfg := baseline.PBFTConfig{
 				Self: types.PartyID(i), N: n, DeltaBound: bound,
-				OnCommit: func(uint64, []byte, time.Duration) {
-					mu.Lock()
-					commits[i]++
-					mu.Unlock()
-				},
+				OnCommit: log.Decided(types.PartyID(i)),
 			}
 			if slow && i == 0 {
 				cfg.ProposeDelay = 3 * bound // inside the 4·Δbnd timeout
@@ -64,10 +58,9 @@ func PBFTFragility(scale Scale) *Table {
 		}
 		nw.Start()
 		nw.Run(window)
-		mu.Lock()
-		defer mu.Unlock()
+		safe("pbft", oracle.Judge(log, oracle.Expect{Holds: oracle.Safety}))
 		// Use a non-faulty party's count.
-		return commits[1]
+		return int64(log.Len(1))
 	}
 
 	iccRun := func(behavior harness.Behavior) int64 {
@@ -84,9 +77,7 @@ func PBFTFragility(scale Scale) *Table {
 		}
 		c.Start()
 		c.Net.Run(window)
-		if err := c.CheckSafety(); err != nil {
-			panic(fmt.Sprintf("fragility run violated safety: %v", err))
-		}
+		safe("fragility", c.Judge(oracle.Safety))
 		return c.Rec.Summarize().CommittedBlocks
 	}
 

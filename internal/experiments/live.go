@@ -3,12 +3,13 @@ package experiments
 import (
 	"crypto/rand"
 	"fmt"
-	"sync"
 	"time"
 
 	"icc/internal/clock"
+	"icc/internal/core"
 	"icc/internal/crypto/keys"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/transport"
 	"icc/internal/types"
 )
@@ -97,65 +98,27 @@ func (c *liveCluster) dropInbox(i int) {
 	}
 }
 
-// commitLog records, per party, when each block committed and the
-// highest round reached.
-type commitLog struct {
-	mu  sync.Mutex
-	at  [][]time.Time
-	max []types.Round
-}
-
-func newCommitLog(n int) *commitLog {
-	return &commitLog{at: make([][]time.Time, n), max: make([]types.Round, n)}
-}
-
-// hook is party i's OnCommit.
-func (l *commitLog) hook(i int) func(*types.Block, time.Duration) {
-	return func(b *types.Block, _ time.Duration) {
-		l.mu.Lock()
-		l.at[i] = append(l.at[i], time.Now())
-		if b.Round > l.max[i] {
-			l.max[i] = b.Round
+// waitFor polls cond until it holds (true) or deadline passes (false).
+func waitFor(deadline time.Time, cond func() bool) bool {
+	for time.Now().Before(deadline) {
+		if cond() {
+			return true
 		}
-		l.mu.Unlock()
+		time.Sleep(5 * time.Millisecond)
 	}
+	return false
 }
 
-func (l *commitLog) frontier(i int) types.Round {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.max[i]
+// logged is party i's commit hook into log, stamped on the node's clock.
+func logged(log *oracle.Log, i int) core.Hooks {
+	return core.Hooks{OnCommit: func(b *types.Block, now time.Duration) { log.Commit(types.PartyID(i), b, now) }}
 }
 
-// reset forgets party i's progress (its process died).
-func (l *commitLog) reset(i int) {
-	l.mu.Lock()
-	l.max[i] = 0
-	l.mu.Unlock()
-}
-
-// minCommits is the commit count of the slowest party.
-func (l *commitLog) minCommits() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	least := len(l.at[0])
-	for _, at := range l.at[1:] {
-		if len(at) < least {
-			least = len(at)
-		}
+// fewest is the commit count of the slowest of n parties in log.
+func fewest(log *oracle.Log, n int) int {
+	least := log.Len(0)
+	for p := 1; p < n; p++ {
+		least = min(least, log.Len(types.PartyID(p)))
 	}
 	return least
-}
-
-// between counts party i's commits in [from, to).
-func (l *commitLog) between(i int, from, to time.Time) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	count := 0
-	for _, at := range l.at[i] {
-		if !at.Before(from) && at.Before(to) {
-			count++
-		}
-	}
-	return count
 }

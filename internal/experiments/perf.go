@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"icc/internal/baseline"
 	"icc/internal/harness"
 	"icc/internal/metrics"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -98,34 +98,20 @@ func Responsiveness(scale Scale) *Table {
 // baseline.
 func runTendermint(n int, delta, bound time.Duration, heights int) time.Duration {
 	nw := simnet.New(simnet.Options{Seed: 11, Delay: simnet.Fixed{D: delta}})
-	var mu sync.Mutex
-	var commitTimes []time.Duration
-	minCommits := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(commitTimes)
-	}
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
-		tm := baseline.NewTendermint(baseline.TendermintConfig{
-			Self: types.PartyID(i), N: n, DeltaBound: bound,
-			OnCommit: func(h uint64, _ []byte, now time.Duration) {
-				if i == 0 {
-					mu.Lock()
-					commitTimes = append(commitTimes, now)
-					mu.Unlock()
-				}
-			},
-		})
-		nw.AddNode(tm, true)
+		nw.AddNode(baseline.NewTendermint(baseline.TendermintConfig{
+			Self: types.PartyID(i), N: n, DeltaBound: bound, OnCommit: log.Decided(types.PartyID(i)),
+		}), true)
 	}
 	nw.Start()
-	nw.RunUntil(func() bool { return minCommits() >= heights }, time.Hour)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(commitTimes) < 2 {
+	nw.RunUntil(func() bool { return log.Len(0) >= heights }, time.Hour)
+	safe("tendermint", oracle.Judge(log, oracle.Expect{Holds: oracle.Safety}))
+	seq := log.Commits(0)
+	if len(seq) < 2 {
 		return 0
 	}
-	return (commitTimes[len(commitTimes)-1] - commitTimes[0]) / time.Duration(len(commitTimes)-1)
+	return (seq[len(seq)-1].At - seq[0].At) / time.Duration(len(seq)-1)
 }
 
 // Baselines reproduces the §1.1 comparison rows (experiment E8):
@@ -166,30 +152,33 @@ func Baselines(scale Scale) *Table {
 // state with fixed delays).
 func runHotStuffTimed(n int, delta, bound time.Duration, views int) (roundTime, latency time.Duration) {
 	nw := simnet.New(simnet.Options{Seed: 12, Delay: simnet.Fixed{D: delta}})
-	var mu sync.Mutex
-	commitAt := map[uint64]time.Duration{}
+	log := oracle.NewLog(n)
 	for i := 0; i < n; i++ {
-		h := baseline.NewHotStuff(baseline.HotStuffConfig{
-			Self: types.PartyID(i), N: n, DeltaBound: bound,
-			OnCommit: func(v uint64, _ []byte, now time.Duration) {
-				mu.Lock()
-				if _, ok := commitAt[v]; !ok {
-					commitAt[v] = now
-				}
-				mu.Unlock()
-			},
-		})
-		nw.AddNode(h, true)
+		nw.AddNode(baseline.NewHotStuff(baseline.HotStuffConfig{
+			Self: types.PartyID(i), N: n, DeltaBound: bound, OnCommit: log.Decided(types.PartyID(i)),
+		}), true)
 	}
 	nw.Start()
-	nw.RunUntil(func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(commitAt) >= views
-	}, time.Hour)
-	mu.Lock()
-	defer mu.Unlock()
-	var lo, hi uint64
+	// Every party's views are a prefix of the longest party's (Chain), so
+	// the longest is every view anyone committed.
+	longest := func() int {
+		most := 0
+		for p := 0; p < n; p++ {
+			most = max(most, log.Len(types.PartyID(p)))
+		}
+		return most
+	}
+	nw.RunUntil(func() bool { return longest() >= views }, time.Hour)
+	safe("hotstuff", oracle.Judge(log, oracle.Expect{Holds: oracle.Safety}))
+	commitAt := map[types.Round]time.Duration{} // first commit of each view anywhere
+	for p := 0; p < n; p++ {
+		for _, c := range log.Commits(types.PartyID(p)) {
+			if at, ok := commitAt[c.Round]; !ok || c.At < at {
+				commitAt[c.Round] = c.At
+			}
+		}
+	}
+	var lo, hi types.Round
 	var loT, hiT time.Duration
 	var latSum time.Duration
 	var latN int

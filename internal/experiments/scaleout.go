@@ -6,9 +6,9 @@ import (
 
 	"icc/internal/beacon"
 	"icc/internal/clock"
-	"icc/internal/core"
 	"icc/internal/harness"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/transport"
@@ -128,7 +128,7 @@ func runTCPCluster(n, want int) (commits int, seconds float64) {
 			}
 		}
 	}
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	clk := clock.NewWall()
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
@@ -140,7 +140,7 @@ func runTCPCluster(n, want int) (commits int, seconds float64) {
 			Beacon:       beacon.NewSimulated(n, pid, pub.GenesisSeed),
 			GossipFanout: 8,
 			GossipSeed:   1313,
-			Hooks:        core.Hooks{OnCommit: log.hook(i)},
+			Hooks:        logged(log, i),
 		})
 	}
 	start := time.Now()
@@ -149,7 +149,7 @@ func runTCPCluster(n, want int) (commits int, seconds float64) {
 	}
 	deadline := start.Add(2 * time.Minute)
 	for {
-		commits = log.minCommits()
+		commits = fewest(log, n)
 		if commits >= want || time.Now().After(deadline) {
 			break
 		}

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"icc/internal/beacon"
-	"icc/internal/core"
 	"icc/internal/crypto/hash"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/transport"
 	"icc/internal/types"
@@ -102,15 +102,15 @@ func commitsInWindow(pipelined bool, window time.Duration) float64 {
 	if !pipelined {
 		workers = -1
 	}
-	log := newCommitLog(n)
+	log := oracle.NewLog(n)
 	cl := newLiveCluster(n, func(i int, cfg *node.Config) {
 		cfg.Beacon = beacon.NewSimulated(n, cfg.Self, cfg.Keys.GenesisSeed)
 		cfg.DeltaBound = 20 * time.Millisecond
 		cfg.VerifyWorkers = workers
-		cfg.Hooks = core.Hooks{OnCommit: log.hook(i)}
+		cfg.Hooks = logged(log, i)
 	})
 	cl.startExcept(-1)
 	time.Sleep(window)
 	cl.stop()
-	return float64(log.minCommits()) / window.Seconds()
+	return float64(fewest(log, n)) / window.Seconds()
 }

@@ -82,11 +82,11 @@ type Gateway struct {
 	mu       sync.Mutex
 	running  bool
 	stopped  bool
-	applied  uint64               // commit index: highest finalized round applied here
-	appliedC chan struct{}        // closed + replaced whenever applied advances
-	pending  map[ident]*Receipt   // admitted, awaiting finality
-	resolved map[ident]uint64     // recently finalized identity → commit index
-	order    []ident              // FIFO eviction order for resolved
+	applied  uint64             // commit index: highest finalized round applied here
+	appliedC chan struct{}      // closed + replaced whenever applied advances
+	pending  map[ident]*Receipt // admitted, awaiting finality
+	resolved map[ident]uint64   // recently finalized identity → commit index
+	order    []ident            // FIFO eviction order for resolved
 
 	submitted  *obs.Counter
 	acked      *obs.Counter

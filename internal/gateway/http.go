@@ -44,7 +44,7 @@ type SubmitResponse struct {
 	Seq       uint64 `json:"seq"`
 	Committed bool   `json:"committed"`
 	// CommitIndex is the read-your-writes token, present when committed.
-	CommitIndex uint64 `json:"commit_index,omitempty"`
+	CommitIndex uint64  `json:"commit_index,omitempty"`
 	LatencyMS   float64 `json:"latency_ms,omitempty"`
 }
 

@@ -221,6 +221,50 @@ func (cfg Config) Topology() ([][]types.PartyID, error) {
 	return buildTopology(cfg.N, cfg.Fanout, cfg.Seed), nil
 }
 
+// Reach is the longest a frame takes between any two parties for which
+// relays holds, across only such parties, when no link takes longer than
+// link: the overlay's diameter over them times the longest hop — a lazy
+// fetch (advert, request, reply) behind a full batch window and the
+// listening end's hold. It fails if those parties are not connected.
+func (cfg Config) Reach(relays func(types.PartyID) bool, link time.Duration) (time.Duration, error) {
+	topo, err := cfg.Topology()
+	if err != nil {
+		return 0, err
+	}
+	diameter := 0
+	for src := range topo {
+		if !relays(types.PartyID(src)) {
+			continue
+		}
+		for p, d := range hops(topo, types.PartyID(src), relays) {
+			if d < 0 && relays(types.PartyID(p)) {
+				return 0, fmt.Errorf("gossip: relaying party %d cannot reach relaying party %d", src, p)
+			}
+			diameter = max(diameter, d)
+		}
+	}
+	return time.Duration(diameter) * (3*link + (1+listenWindows)*cfg.ShareBatchWindow), nil
+}
+
+// hops is every party's distance from src in overlay hops, passing only
+// through parties for which through holds (nil: all); −1 where unreachable.
+func hops(topo [][]types.PartyID, src types.PartyID, through func(types.PartyID) bool) []int {
+	dist := make([]int, len(topo))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	for queue := []types.PartyID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, p := range topo[queue[0]] {
+			if dist[p] < 0 && (through == nil || through(p)) {
+				dist[p] = dist[queue[0]] + 1
+				queue = append(queue, p)
+			}
+		}
+	}
+	return dist
+}
+
 func buildTopology(n, fanout int, seed int64) [][]types.PartyID {
 	adj := make([]map[types.PartyID]struct{}, n)
 	for i := range adj {
@@ -265,26 +309,10 @@ func buildTopology(n, fanout int, seed int64) [][]types.PartyID {
 // neither. Every party computes the same topology, so both ends of an
 // edge read the same answer from opposite sides.
 func edgeSides(topo [][]types.PartyID, self types.PartyID) [][]int8 {
-	hops := func(src types.PartyID) []int {
-		dist := make([]int, len(topo))
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		for queue := []types.PartyID{src}; len(queue) > 0; queue = queue[1:] {
-			for _, p := range topo[queue[0]] {
-				if dist[p] < 0 {
-					dist[p] = dist[queue[0]] + 1
-					queue = append(queue, p)
-				}
-			}
-		}
-		return dist
-	}
-	mine := hops(self)
+	mine := hops(topo, self, nil)
 	sides := make([][]int8, len(topo[self]))
 	for pi, p := range topo[self] {
-		theirs := hops(p)
+		theirs := hops(topo, p, nil)
 		sides[pi] = make([]int8, len(topo))
 		for s := range sides[pi] {
 			switch {

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -66,24 +67,8 @@ func TestTopologyConnectedAndSymmetric(t *testing.T) {
 				}
 			}
 		}
-		// Connectivity via BFS.
-		seen := make([]bool, n)
-		queue := []int{0}
-		seen[0] = true
-		count := 1
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, p := range adj[cur] {
-				if !seen[p] {
-					seen[p] = true
-					count++
-					queue = append(queue, int(p))
-				}
-			}
-		}
-		if count != n {
-			t.Fatalf("n=%d: topology disconnected (%d of %d reachable)", n, count, n)
+		if slices.Contains(hops(adj, 0, nil), -1) {
+			t.Fatalf("n=%d: topology disconnected", n)
 		}
 	}
 }

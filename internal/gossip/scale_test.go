@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"crypto/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,37 +50,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// bfsEccentricity returns the max BFS distance from src, or -1 if the
-// graph is disconnected from src.
-func bfsEccentricity(adj [][]types.PartyID, src int) int {
-	dist := make([]int, len(adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	max := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range adj[cur] {
-			if dist[p] < 0 {
-				dist[p] = dist[cur] + 1
-				if dist[p] > max {
-					max = dist[p]
-				}
-				queue = append(queue, int(p))
-			}
-		}
-	}
-	for _, d := range dist {
-		if d < 0 {
-			return -1
-		}
-	}
-	return max
-}
-
 func TestTopologyAt100(t *testing.T) {
 	const n = 100
 	for _, fanout := range []int{4, 6, 10} {
@@ -107,11 +77,11 @@ func TestTopologyAt100(t *testing.T) {
 			// n=100 must behave like a small-world graph, not a bare ring
 			// (whose diameter would be 50). The bound is deliberately
 			// loose; observed diameters are ≤ 6.
-			ecc := bfsEccentricity(adj, 0)
-			if ecc < 0 {
+			dist := hops(adj, 0, nil)
+			if slices.Contains(dist, -1) {
 				t.Fatalf("fanout=%d seed=%d: topology disconnected", fanout, seed)
 			}
-			if ecc > 12 {
+			if ecc := slices.Max(dist); ecc > 12 {
 				t.Fatalf("fanout=%d seed=%d: diameter %d exceeds small-world bound", fanout, seed, ecc)
 			}
 		}

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"icc/internal/node"
 	"icc/internal/obs"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -41,19 +44,12 @@ type Profile struct {
 	Mode   node.Mode
 	Verify pool.VerifyPolicy
 
-	// ExpectStall marks profiles whose adversary provably exceeds the
-	// finalization fault threshold (more than t withheld finalization
-	// quorum members, forever): the pass condition inverts — honest
-	// parties must NOT commit anything, and any commit is a failure of
-	// the experiment's threshold model.
-	ExpectStall bool
-
-	// MinCommits / MaxStall override the campaign-wide liveness floor
-	// and commit-gap bound for this profile (0 = inherit). Profiles with
-	// a scheduled rejoin (Tuning.Until) need a MaxStall larger than the
-	// engineered stall.
-	MinCommits int
-	MaxStall   time.Duration
+	// Holds is what the cell expects of the run (Cluster.Judge); the zero
+	// value is all four properties. A cell past the fault threshold — more
+	// than t finalization shares withheld for good — declares
+	// oracle.Stalled in place of oracle.Finality: then any honest commit
+	// fails the threshold model the experiment rests on.
+	Holds oracle.Property
 }
 
 // CampaignOptions configures a campaign sweep.
@@ -68,12 +64,6 @@ type CampaignOptions struct {
 	// (defaults 5–15ms); kept scalar so a trace header can reconstruct
 	// the exact delay model for replay.
 	DelayMin, DelayMax time.Duration
-	// MinCommits is the liveness floor: every honest party must commit
-	// at least this many blocks within SimTime (default 10).
-	MinCommits int
-	// MaxStall, if positive, bounds the largest gap between successive
-	// honest commits (including the run's leading and trailing gaps).
-	MaxStall time.Duration
 	// TraceDir receives the replayable JSONL trace of each failing run
 	// (default os.TempDir()).
 	TraceDir string
@@ -93,9 +83,6 @@ func (o CampaignOptions) withDefaults() CampaignOptions {
 	if o.DelayMin == 0 && o.DelayMax == 0 {
 		o.DelayMin, o.DelayMax = 5*time.Millisecond, 15*time.Millisecond
 	}
-	if o.MinCommits == 0 {
-		o.MinCommits = 10
-	}
 	if o.TraceDir == "" {
 		o.TraceDir = os.TempDir()
 	}
@@ -114,8 +101,8 @@ type RunRecord struct {
 	Seed    int64
 	// Commits is the minimum committed-chain length among honest parties.
 	Commits int
-	// Failure is empty for a passing run, else a one-line verdict
-	// ("safety: ...", "liveness: ...", "stall: ...").
+	// Failure is empty for a passing run, else the oracle's one-line
+	// verdict ("agreement: ...", "finality: ...", ...).
 	Failure string
 	// TracePath is where the failing run's replayable trace was written.
 	TracePath string
@@ -157,21 +144,6 @@ func (r *detReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// minCommits / maxStall resolve the per-profile overrides.
-func (p Profile) minCommits(o CampaignOptions) int {
-	if p.MinCommits > 0 {
-		return p.MinCommits
-	}
-	return o.MinCommits
-}
-
-func (p Profile) maxStall(o CampaignOptions) time.Duration {
-	if p.MaxStall > 0 {
-		return p.MaxStall
-	}
-	return o.MaxStall
-}
-
 // runProfile executes one (profile, seed) cell, recording the execution
 // into tr when non-nil, and returns (min honest commits, failure).
 func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, string, error) {
@@ -194,71 +166,27 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 	}
 	c.Start()
 	c.Net.Run(o.SimTime)
-
-	honest := c.HonestParties()
-	commits := c.MinCommitted(honest)
-
-	// Safety first: it binds unconditionally, whatever the adversary.
-	if err := c.CheckSafety(); err != nil {
-		return commits, "safety: " + err.Error(), nil
-	}
-	if p.ExpectStall {
-		if commits > 0 {
-			return commits, fmt.Sprintf("threshold: expected finalization stall but honest parties committed %d blocks", commits), nil
-		}
-		return commits, "", nil
-	}
-	if min := p.minCommits(o); commits < min {
-		return commits, fmt.Sprintf("liveness: honest parties committed %d < %d blocks in %v", commits, min, o.SimTime), nil
-	}
-	if ms := p.maxStall(o); ms > 0 {
-		for _, pid := range honest {
-			if gap := maxCommitGap(c.CommittedAt(pid), o.SimTime); gap > ms {
-				return commits, fmt.Sprintf("stall: party %d saw a %v commit gap > %v", pid, gap, ms), nil
-			}
-		}
+	commits := c.MinCommitted(c.HonestParties())
+	if err := c.Judge(p.Holds); err != nil {
+		return commits, err.Error(), nil
 	}
 	return commits, "", nil
 }
 
 // parseDissemination inverts node.Mode.String and
-// pool.VerifyPolicy.String. A trace recorded before the campaign had the
-// axis carries neither key: it ran ICC0 under full verification, the zero
-// values.
+// pool.VerifyPolicy.String.
 func parseDissemination(mode, verify string) (m node.Mode, v pool.VerifyPolicy, err error) {
-	if mode != "" {
-		if m, err = node.ParseMode(mode); err != nil {
-			return 0, 0, fmt.Errorf("harness: %w", err)
-		}
+	if m, err = node.ParseMode(mode); err != nil {
+		return 0, 0, fmt.Errorf("harness: %w", err)
 	}
 	switch verify {
-	case "", pool.VerifyFull.String():
+	case pool.VerifyFull.String():
 	case pool.VerifyPreVerified.String():
 		v = pool.VerifyPreVerified
-	case "shares-only":
-		return 0, 0, fmt.Errorf("harness: verify policy %q is retired: the trace was recorded on a stack that no longer exists and cannot be replayed (such cells now run %q)", verify, pool.VerifyPreVerified)
 	default:
 		return 0, 0, fmt.Errorf("harness: unknown verify policy %q", verify)
 	}
 	return m, v, nil
-}
-
-// maxCommitGap returns the largest interval without a commit across the
-// whole run window [0, end], including the leading and trailing gaps.
-func maxCommitGap(times []time.Duration, end time.Duration) time.Duration {
-	if len(times) == 0 {
-		return end
-	}
-	gap := times[0]
-	for i := 1; i < len(times); i++ {
-		if d := times[i] - times[i-1]; d > gap {
-			gap = d
-		}
-	}
-	if d := end - times[len(times)-1]; d > gap {
-		gap = d
-	}
-	return gap
 }
 
 // RunCampaign sweeps profiles × seeds. Every failing cell re-executes
@@ -295,123 +223,80 @@ func RunCampaign(profiles []Profile, o CampaignOptions) (*CampaignReport, error)
 // path.
 func WriteFailureTrace(p Profile, seed int64, o CampaignOptions) (string, error) {
 	o = o.withDefaults()
+	trace, _, err := recordCell(p, seed, o)
+	if err != nil {
+		return "", err
+	}
+	path := filepath.Join(o.TraceDir, fmt.Sprintf("icc-campaign-%s-seed%d.jsonl", p.Name, seed))
+	return path, os.WriteFile(path, trace, 0o644)
+}
+
+// recordCell runs one cell with tracing on and returns the serialised
+// trace — the cell and its verdict in the header, then the events — and
+// the verdict.
+func recordCell(p Profile, seed int64, o CampaignOptions) ([]byte, string, error) {
 	tr := obs.NewTracer(o.TraceCap)
 	tr.DisableWallStamp()
 	commits, failure, err := runProfile(p, seed, o, tr)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	meta := campaignMeta(p, seed, o)
-	meta["failure"] = failure
-	meta["commits"] = strconv.Itoa(commits)
-	path := filepath.Join(o.TraceDir, fmt.Sprintf("icc-campaign-%s-seed%d.jsonl", p.Name, seed))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	if err := tr.WriteJSONLMeta(f, meta); err != nil {
-		return "", err
-	}
-	return path, f.Close()
+	meta["failure"], meta["commits"] = failure, strconv.Itoa(commits)
+	var buf bytes.Buffer
+	err = tr.WriteJSONLMeta(&buf, meta)
+	return buf.Bytes(), failure, err
 }
 
 // campaignMeta flattens the cell configuration into the trace header.
 func campaignMeta(p Profile, seed int64, o CampaignOptions) map[string]string {
 	return map[string]string{
-		"campaign":     "icc-adversary",
-		"profile":      p.Name,
-		"n":            strconv.Itoa(p.N),
-		"seed":         strconv.FormatInt(seed, 10),
-		"behaviors":    encodeBehaviors(p),
-		"mode":         p.Mode.String(),
-		"verify":       p.Verify.String(),
-		"expect_stall": strconv.FormatBool(p.ExpectStall),
-		"min_commits":  strconv.Itoa(p.minCommits(o)),
-		"max_stall":    p.maxStall(o).String(),
-		"sim_time":     o.SimTime.String(),
-		"delta_bound":  o.DeltaBound.String(),
-		"delay_min":    o.DelayMin.String(),
-		"delay_max":    o.DelayMax.String(),
-		"trace_cap":    strconv.Itoa(o.TraceCap),
+		"campaign":    "icc-adversary",
+		"profile":     p.Name,
+		"n":           strconv.Itoa(p.N),
+		"seed":        strconv.FormatInt(seed, 10),
+		"behaviors":   encodeBehaviors(p),
+		"mode":        p.Mode.String(),
+		"verify":      p.Verify.String(),
+		"holds":       p.Holds.String(),
+		"sim_time":    o.SimTime.String(),
+		"delta_bound": o.DeltaBound.String(),
+		"delay_min":   o.DelayMin.String(),
+		"delay_max":   o.DelayMax.String(),
+		"trace_cap":   strconv.Itoa(o.TraceCap),
 	}
 }
 
-// encodeBehaviors serialises the role assignment (with tunings) as
-// "pid=behavior[;until=d][;skew=d][;delay=d]" clauses joined by ",",
-// sorted by party for determinism.
+// role is one party's entry in a trace header: its behaviour, by name,
+// and the behaviour's tuning.
+type role struct {
+	Behavior Behavior
+	BehaviorTuning
+}
+
+// encodeBehaviors serialises the role assignment with its tunings as a
+// JSON object keyed by party; encoding/json sorts the keys, so one cell
+// always encodes to the same bytes.
 func encodeBehaviors(p Profile) string {
-	ids := make([]int, 0, len(p.Behaviors))
-	for pid := range p.Behaviors {
-		ids = append(ids, int(pid))
+	cast := make(map[types.PartyID]role, len(p.Behaviors))
+	for pid, b := range p.Behaviors {
+		cast[pid] = role{b, p.Tuning[pid]}
 	}
-	sort.Ints(ids)
-	clauses := make([]string, 0, len(ids))
-	for _, id := range ids {
-		pid := types.PartyID(id)
-		clause := fmt.Sprintf("%d=%s", id, p.Behaviors[pid])
-		if t, ok := p.Tuning[pid]; ok {
-			if t.Until != 0 {
-				clause += ";until=" + t.Until.String()
-			}
-			if t.Skew != 0 {
-				clause += ";skew=" + t.Skew.String()
-			}
-			if t.ShareDelay != 0 {
-				clause += ";delay=" + t.ShareDelay.String()
-			}
-		}
-		clauses = append(clauses, clause)
-	}
-	return strings.Join(clauses, ",")
+	raw, _ := json.Marshal(cast) // a role has nothing that fails to marshal
+	return string(raw)
 }
 
 // decodeBehaviors inverts encodeBehaviors.
 func decodeBehaviors(s string) (map[types.PartyID]Behavior, map[types.PartyID]BehaviorTuning, error) {
-	behaviors := map[types.PartyID]Behavior{}
-	tuning := map[types.PartyID]BehaviorTuning{}
-	if s == "" {
-		return behaviors, tuning, nil
+	var cast map[types.PartyID]role
+	if err := json.Unmarshal([]byte(s), &cast); err != nil {
+		return nil, nil, fmt.Errorf("harness: bad behaviors %q: %w", s, err)
 	}
-	for _, clause := range strings.Split(s, ",") {
-		parts := strings.Split(clause, ";")
-		pidStr, name, ok := strings.Cut(parts[0], "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("harness: bad behavior clause %q", clause)
-		}
-		id, err := strconv.Atoi(pidStr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: bad party id in %q: %w", clause, err)
-		}
-		b, err := ParseBehavior(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		pid := types.PartyID(id)
-		behaviors[pid] = b
-		var t BehaviorTuning
-		for _, kv := range parts[1:] {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, nil, fmt.Errorf("harness: bad tuning clause %q", kv)
-			}
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, nil, fmt.Errorf("harness: bad tuning duration %q: %w", kv, err)
-			}
-			switch key {
-			case "until":
-				t.Until = d
-			case "skew":
-				t.Skew = d
-			case "delay":
-				t.ShareDelay = d
-			default:
-				return nil, nil, fmt.Errorf("harness: unknown tuning key %q", key)
-			}
-		}
-		if t != (BehaviorTuning{}) {
-			tuning[pid] = t
+	behaviors, tuning := map[types.PartyID]Behavior{}, map[types.PartyID]BehaviorTuning{}
+	for pid, r := range cast {
+		behaviors[pid] = r.Behavior
+		if r.BehaviorTuning != (BehaviorTuning{}) {
+			tuning[pid] = r.BehaviorTuning
 		}
 	}
 	return behaviors, tuning, nil
@@ -455,21 +340,10 @@ func ReplayTrace(path string) (*ReplayReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: trace %s: %w", path, err)
 	}
-
-	tr := obs.NewTracer(o.TraceCap)
-	tr.DisableWallStamp()
-	commits, failure, err := runProfile(p, seed, o, tr)
+	trace, failure, err := recordCell(p, seed, o)
 	if err != nil {
 		return nil, err
 	}
-	meta := campaignMeta(p, seed, o)
-	meta["failure"] = failure
-	meta["commits"] = strconv.Itoa(commits)
-	var buf bytes.Buffer
-	if err := tr.WriteJSONLMeta(&buf, meta); err != nil {
-		return nil, err
-	}
-
 	rep := &ReplayReport{
 		Profile:         p.Name,
 		Seed:            seed,
@@ -477,10 +351,10 @@ func ReplayTrace(path string) (*ReplayReport, error) {
 		ReplayFailure:   failure,
 	}
 	rep.Reproduced = failure != "" && failure == rep.RecordedFailure
-	if bytes.Equal(buf.Bytes(), raw) {
+	if bytes.Equal(trace, raw) {
 		rep.ByteIdentical = true
 	} else {
-		rep.DivergeLine = firstDivergingLine(raw, buf.Bytes())
+		rep.DivergeLine = firstDivergingLine(raw, trace)
 	}
 	return rep, nil
 }
@@ -493,62 +367,50 @@ func cellFromMeta(meta map[string]string) (Profile, int64, CampaignOptions, erro
 	if meta == nil {
 		return p, 0, o, fmt.Errorf("trace header has no campaign metadata")
 	}
-	var err error
-	if p.N, err = strconv.Atoi(meta["n"]); err != nil {
-		return p, 0, o, fmt.Errorf("bad n: %w", err)
-	}
 	seed, err := strconv.ParseInt(meta["seed"], 10, 64)
 	if err != nil {
 		return p, 0, o, fmt.Errorf("bad seed: %w", err)
 	}
 	p.Name = meta["profile"]
-	p.ExpectStall = meta["expect_stall"] == "true"
+	holds, ok := meta["holds"]
+	if !ok {
+		return p, 0, o, fmt.Errorf("trace has no holds key: recorded before PR 21, cannot replay")
+	}
+	if p.Holds, err = oracle.ParseProperty(holds); err != nil {
+		return p, 0, o, fmt.Errorf("bad holds: %w", err)
+	}
 	if p.Behaviors, p.Tuning, err = decodeBehaviors(meta["behaviors"]); err != nil {
 		return p, 0, o, err
 	}
 	if p.Mode, p.Verify, err = parseDissemination(meta["mode"], meta["verify"]); err != nil {
 		return p, 0, o, err
 	}
-	if p.MinCommits, err = strconv.Atoi(meta["min_commits"]); err != nil {
-		return p, 0, o, fmt.Errorf("bad min_commits: %w", err)
-	}
-	durs := map[string]*time.Duration{
-		"max_stall":   &p.MaxStall,
-		"sim_time":    &o.SimTime,
-		"delta_bound": &o.DeltaBound,
-		"delay_min":   &o.DelayMin,
-		"delay_max":   &o.DelayMax,
-	}
-	for key, dst := range durs {
+	for key, dst := range map[string]*time.Duration{
+		"sim_time": &o.SimTime, "delta_bound": &o.DeltaBound, "delay_min": &o.DelayMin, "delay_max": &o.DelayMax,
+	} {
 		if *dst, err = time.ParseDuration(meta[key]); err != nil {
 			return p, 0, o, fmt.Errorf("bad %s: %w", key, err)
 		}
 	}
-	if o.TraceCap, err = strconv.Atoi(meta["trace_cap"]); err != nil {
-		return p, 0, o, fmt.Errorf("bad trace_cap: %w", err)
+	for key, dst := range map[string]*int{"n": &p.N, "trace_cap": &o.TraceCap} {
+		if *dst, err = strconv.Atoi(meta[key]); err != nil {
+			return p, 0, o, fmt.Errorf("bad %s: %w", key, err)
+		}
 	}
-	o.MinCommits = p.MinCommits
-	o.MaxStall = p.MaxStall
 	o.Seeds = []int64{seed}
 	return p, seed, o, nil
 }
 
 // firstDivergingLine locates the first line where two JSONL dumps differ
-// (1-based; 0 if one is a strict prefix of the other with no differing
-// line — then the shorter stream's length+1 is reported).
+// (1-based; when one is a prefix of the other, the shorter stream's line
+// count + 1).
 func firstDivergingLine(a, b []byte) int {
-	la := strings.Split(string(a), "\n")
-	lb := strings.Split(string(b), "\n")
-	n := len(la)
-	if len(lb) < n {
-		n = len(lb)
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	i := 0
+	for i < len(la) && i < len(lb) && la[i] == lb[i] {
+		i++
 	}
-	for i := 0; i < n; i++ {
-		if la[i] != lb[i] {
-			return i + 1
-		}
-	}
-	return n + 1
+	return i + 1
 }
 
 // ShrinkResult is the outcome of minimising a failing cell.
@@ -584,16 +446,11 @@ func Shrink(p Profile, seed int64, o CampaignOptions) (*ShrinkResult, error) {
 	for {
 		shrunk := false
 		// Deterministic removal order: ascending party id.
-		ids := make([]int, 0, len(res.Profile.Behaviors))
-		for pid := range res.Profile.Behaviors {
-			ids = append(ids, int(pid))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			pid := types.PartyID(id)
+		for _, pid := range roles(res.Profile.Behaviors) {
 			candidate := res.Profile
-			candidate.Behaviors = cloneWithout(res.Profile.Behaviors, pid)
-			candidate.Tuning = cloneTuningWithout(res.Profile.Tuning, pid)
+			candidate.Behaviors, candidate.Tuning = maps.Clone(res.Profile.Behaviors), maps.Clone(res.Profile.Tuning)
+			delete(candidate.Behaviors, pid)
+			delete(candidate.Tuning, pid)
 			_, failure, err := runProfile(candidate, seed, o, nil)
 			res.Runs++
 			if err != nil {
@@ -612,22 +469,12 @@ func Shrink(p Profile, seed int64, o CampaignOptions) (*ShrinkResult, error) {
 	}
 }
 
-func cloneWithout(m map[types.PartyID]Behavior, drop types.PartyID) map[types.PartyID]Behavior {
-	out := make(map[types.PartyID]Behavior, len(m))
-	for k, v := range m {
-		if k != drop {
-			out[k] = v
-		}
+// roles lists the parties a behaviour map names, in ascending order.
+func roles(m map[types.PartyID]Behavior) []types.PartyID {
+	ids := make([]types.PartyID, 0, len(m))
+	for pid := range m {
+		ids = append(ids, pid)
 	}
-	return out
-}
-
-func cloneTuningWithout(m map[types.PartyID]BehaviorTuning, drop types.PartyID) map[types.PartyID]BehaviorTuning {
-	out := make(map[types.PartyID]BehaviorTuning, len(m))
-	for k, v := range m {
-		if k != drop {
-			out[k] = v
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return ids
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -17,18 +18,30 @@ import (
 func chaosOptions(t *testing.T) CampaignOptions {
 	t.Helper()
 	return CampaignOptions{
-		Seeds:      []int64{1, 2},
-		SimTime:    6 * time.Second,
-		MinCommits: 5,
-		MaxStall:   4 * time.Second,
-		TraceDir:   t.TempDir(),
+		Seeds:    []int64{1, 2},
+		SimTime:  6 * time.Second,
+		TraceDir: t.TempDir(),
+	}
+}
+
+// sweep runs a campaign and fails the test on every failing cell.
+func sweep(t *testing.T, profiles []Profile, o CampaignOptions) {
+	t.Helper()
+	rep, err := RunCampaign(profiles, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		if r.Failure != "" {
+			t.Errorf("%s seed %d: %s (replay: go test -run TestReplay, trace %s)", r.Profile, r.Seed, r.Failure, r.TracePath)
+		}
 	}
 }
 
 // TestChaosCampaign sweeps the adversary matrix at n = 4: every profile
-// with at most t Byzantine parties must preserve safety and liveness,
-// and the over-threshold control profile must stall finalization. This
-// is the `make chaos` entry point.
+// with at most t Byzantine parties must hold all four properties, and the
+// over-threshold control profile must stall finalization while the
+// notarized chain keeps growing. This is the `make chaos` entry point.
 func TestChaosCampaign(t *testing.T) {
 	profiles := []Profile{
 		{
@@ -57,19 +70,11 @@ func TestChaosCampaign(t *testing.T) {
 		},
 		{
 			Name: "withhold-final-t1-stall", N: 4,
-			Behaviors:   map[types.PartyID]Behavior{0: WithholdFinal, 1: WithholdFinal},
-			ExpectStall: true,
+			Behaviors: map[types.PartyID]Behavior{0: WithholdFinal, 1: WithholdFinal},
+			Holds:     oracle.Safety | oracle.Growth | oracle.Stalled,
 		},
 	}
-	rep, err := RunCampaign(profiles, chaosOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Runs {
-		if r.Failure != "" {
-			t.Errorf("%s seed %d: %s (replay: go test -run TestReplay, trace %s)", r.Profile, r.Seed, r.Failure, r.TracePath)
-		}
-	}
+	sweep(t, profiles, chaosOptions(t))
 }
 
 // icc1Profiles is the ICC1 corner of the matrix: each adversary that
@@ -120,23 +125,15 @@ func icc1Profiles() []Profile {
 // TestChaosCampaignICC1 sweeps the ICC1 cells under the ICC0 cells' pass
 // conditions, on one seed and half the virtual time: twenty-four cells of
 // up to thirteen parties are what `make chaos` can afford under -race. The
-// commit-gap bound sits below the engines' resync interval (8 Δbnd =
-// 800 ms; the longest honest gap in these cells is 460 ms, a round whose
-// first two ranks are silent): the simnet loses nothing, so a stall that
-// resync had to heal is an artifact wrongly withheld from a neighbour,
-// and fails the cell instead of hiding in the recovery.
+// finality bound the oracle derives for a round with an honest leader sits
+// below the engines' resync interval (8 Δbnd = 800 ms): the simnet loses
+// nothing, so a stall that resync had to heal is an artifact wrongly
+// withheld from a neighbour, and fails the cell instead of hiding in the
+// recovery.
 func TestChaosCampaignICC1(t *testing.T) {
 	o := chaosOptions(t)
-	o.Seeds, o.SimTime, o.MaxStall = []int64{1}, 3*time.Second, 700*time.Millisecond
-	rep, err := RunCampaign(icc1Profiles(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Runs {
-		if r.Failure != "" {
-			t.Errorf("%s seed %d: %s (replay: go test -run TestReplay, trace %s)", r.Profile, r.Seed, r.Failure, r.TracePath)
-		}
-	}
+	o.Seeds, o.SimTime = []int64{1}, 3*time.Second
+	sweep(t, icc1Profiles(), o)
 }
 
 // TestWithholdExactlyTStillFinalizes pins the finalization quorum at its
@@ -156,9 +153,7 @@ func TestWithholdExactlyTStillFinalizes(t *testing.T) {
 	if !c.RunUntilCommitted(8, 10*time.Second) {
 		t.Fatalf("t withholders must not break liveness: honest parties committed %d blocks", c.MinCommitted(c.HonestParties()))
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	judge(t, c, oracle.All)
 }
 
 // TestWithholdTPlusOneStallsThenRecovers crosses the boundary from
@@ -183,8 +178,8 @@ func TestWithholdTPlusOneStallsThenRecovers(t *testing.T) {
 	// Phase 1: while both withhold, finalization is impossible — only 2
 	// of the required 3 shares exist anywhere.
 	c.Net.Run(rejoin - 200*time.Millisecond)
-	if got := c.MinCommitted(honest); got != 0 {
-		t.Fatalf("with t+1 withholders, committed %d blocks before the rejoin", got)
+	if err := c.Judge(oracle.Safety | oracle.Stalled); err != nil {
+		t.Fatalf("with t+1 withholders, before the rejoin: %v", err)
 	}
 
 	// Phase 2: party 1 rejoins at 3s; commits must resume and recover
@@ -192,42 +187,42 @@ func TestWithholdTPlusOneStallsThenRecovers(t *testing.T) {
 	if !c.RunUntilCommitted(8, 12*time.Second) {
 		t.Fatalf("after rejoin, honest parties only committed %d blocks", c.MinCommitted(honest))
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
+	judge(t, c, oracle.All)
+	// The recovery commits the stalled prefix: round 1 onwards (Chain says
+	// without a gap), and nothing before the rejoin.
+	first := c.Log.Commits(honest[0])[0]
+	if first.At < rejoin {
+		t.Fatalf("first commit at %v, before the rejoin at %v", first.At, rejoin)
 	}
-	// The recovery must include rounds finalized-by-prefix: the first
-	// committed block predates the rejoin burst.
-	times := c.CommittedAt(honest[0])
-	blocks := c.Committed(honest[0])
-	if len(blocks) == 0 || times[0] < rejoin {
-		t.Fatalf("unexpected commit timeline: first commit at %v", times[0])
-	}
-	if blocks[0].Round >= blocks[len(blocks)-1].Round && len(blocks) > 1 {
-		t.Fatal("commit burst did not recover a chain prefix")
+	if first.Round != 1 {
+		t.Fatalf("first commit is round %d at %v: the stalled prefix was not recovered", first.Round, first.At)
 	}
 }
 
-// TestCampaignFailureReplaysByteIdentical is the replay acceptance
-// criterion: an injected failure (t+1 withholders against a liveness
-// expectation) records a trace that re-executes to a byte-identical
-// event stream with the same verdict.
-func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
-	failing := Profile{
+// injected is the failing cell the replay and shrink tests share: t+1
+// finalization withholders at n = 4 with Holds left at all four
+// properties, so the stall is a finality failure — the artifact under test.
+func injected(t *testing.T) (Profile, CampaignOptions) {
+	o := chaosOptions(t)
+	o.Seeds, o.SimTime = []int64{42}, 4*time.Second
+	return Profile{
 		Name: "injected-liveness-failure", N: 4,
 		Behaviors: map[types.PartyID]Behavior{0: WithholdFinal, 1: WithholdFinal},
-		// ExpectStall deliberately left false: the stall becomes a
-		// liveness failure, which is the artifact under test.
-	}
+	}, o
+}
+
+// TestCampaignFailureReplaysByteIdentical is the replay acceptance
+// criterion: an injected failure (t+1 withholders declared live) records
+// a trace that re-executes to a byte-identical event stream with the same
+// verdict.
+func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
+	failing, o := injected(t)
 	// The same failure under gossip: the trace header must carry the
 	// dissemination axis, and the overlay — batch timers, per-neighbour
 	// frames, completing shares — must replay event for event.
 	gossiped := failing
 	gossiped.Name, gossiped.Mode, gossiped.Verify = "injected-liveness-failure-icc1", node.ICC1, pool.VerifyPreVerified
 	for _, failing := range []Profile{failing, gossiped} {
-		o := chaosOptions(t)
-		o.Seeds = []int64{42}
-		o.SimTime = 4 * time.Second
-
 		rep, err := RunCampaign([]Profile{failing}, o)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +230,7 @@ func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
 		if rep.Failures != 1 || rep.Runs[0].TracePath == "" {
 			t.Fatalf("%s: expected exactly one failing run with a trace, got %+v", failing.Name, rep.Runs)
 		}
-		if !strings.HasPrefix(rep.Runs[0].Failure, "liveness:") {
+		if !strings.HasPrefix(rep.Runs[0].Failure, "finality:") {
 			t.Fatalf("%s: unexpected failure class: %s", failing.Name, rep.Runs[0].Failure)
 		}
 
@@ -256,13 +251,7 @@ func TestCampaignFailureReplaysByteIdentical(t *testing.T) {
 // whose ring dropped events must be refused loudly, not replayed from
 // partial history.
 func TestReplayRefusesTruncatedTrace(t *testing.T) {
-	failing := Profile{
-		Name: "truncated", N: 4,
-		Behaviors: map[types.PartyID]Behavior{0: WithholdFinal, 1: WithholdFinal},
-	}
-	o := chaosOptions(t)
-	o.Seeds = []int64{42}
-	o.SimTime = 4 * time.Second
+	failing, o := injected(t)
 	o.TraceCap = 64 // far below the run's event count: the ring wraps
 
 	path, err := WriteFailureTrace(failing, 42, o)
@@ -279,18 +268,9 @@ func TestReplayRefusesTruncatedTrace(t *testing.T) {
 // minimal set that still fails — the two finalization withholders that
 // form t+1 at n = 4.
 func TestShrinkerMinimizes(t *testing.T) {
-	bloated := Profile{
-		Name: "bloated", N: 4,
-		Behaviors: map[types.PartyID]Behavior{
-			0: WithholdFinal,
-			1: WithholdFinal,
-			2: ClockSkewed, // irrelevant to the failure
-		},
-		Tuning: map[types.PartyID]BehaviorTuning{2: {Skew: 200 * time.Millisecond}},
-	}
-	o := chaosOptions(t)
-	o.Seeds = []int64{42}
-	o.SimTime = 4 * time.Second
+	bloated, o := injected(t)
+	bloated.Behaviors[2] = ClockSkewed // irrelevant to the failure
+	bloated.Tuning = map[types.PartyID]BehaviorTuning{2: {Skew: 200 * time.Millisecond}}
 
 	res, err := Shrink(bloated, 42, o)
 	if err != nil {
@@ -344,10 +324,8 @@ func TestBehaviorRoundTrip(t *testing.T) {
 }
 
 // TestDisseminationAxisParses pins the other half of the header: every
-// (mode, policy) a cell can carry survives the round trip, a header from
-// before the axis existed is an ICC0 cell under full verification, and a
-// trace recorded under the retired shares-only policy is refused by
-// name — it ran on a stack that is gone, so it cannot replay.
+// (mode, policy) a cell can carry survives the round trip, and nothing
+// else parses — the retired shares-only policy included.
 func TestDisseminationAxisParses(t *testing.T) {
 	for _, m := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
 		for _, v := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifyPreVerified} {
@@ -357,13 +335,7 @@ func TestDisseminationAxisParses(t *testing.T) {
 			}
 		}
 	}
-	if m, v, err := parseDissemination("", ""); err != nil || m != node.ICC0 || v != pool.VerifyFull {
-		t.Fatalf("empty axis parsed as (%v, %v), err %v", m, v, err)
-	}
-	if _, _, err := parseDissemination("ICC1", "shares-only"); err == nil || !strings.Contains(err.Error(), "retired") {
-		t.Fatalf("retired policy: err = %v", err)
-	}
-	for _, bad := range [][2]string{{"ICC3", "full"}, {"ICC1", "some"}} {
+	for _, bad := range [][2]string{{"ICC3", "full"}, {"ICC1", "some"}, {"ICC1", "shares-only"}, {"", ""}} {
 		if _, _, err := parseDissemination(bad[0], bad[1]); err == nil {
 			t.Fatalf("%v accepted", bad)
 		}

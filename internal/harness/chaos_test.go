@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
@@ -51,23 +52,21 @@ func TestPartitionModelStallsThenRecovers(t *testing.T) {
 	}
 	c.Start()
 	c.Net.Run(time.Second)
-	before := len(c.Committed(0))
+	before := c.Log.Len(0)
 	if before == 0 {
 		t.Fatal("no commits before the partition")
 	}
 	c.Net.Run(4 * time.Second)
-	during := len(c.Committed(0))
+	during := c.Log.Len(0)
 	if during-before > 3 {
 		t.Fatalf("committed %d blocks across a quorum-less partition", during-before)
 	}
 	c.Net.Run(10 * time.Second)
-	after := len(c.Committed(0))
+	after := c.Log.Len(0)
 	if after-during < 20 {
 		t.Fatalf("liveness did not resume after heal: %d new blocks", after-during)
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	judge(t, c, oracle.Safety)
 }
 
 func TestLossyPartitionHealsViaResync(t *testing.T) {
@@ -86,9 +85,9 @@ func TestLossyPartitionHealsViaResync(t *testing.T) {
 	}
 	c.Start()
 	c.Net.Run(4 * time.Second)
-	during := len(c.Committed(0))
+	during := c.Log.Len(0)
 	c.Net.Run(14 * time.Second)
-	after := len(c.Committed(0))
+	after := c.Log.Len(0)
 	if after-during < 20 {
 		t.Fatalf("liveness did not resume after lossy heal: %d new blocks", after-during)
 	}
@@ -96,9 +95,7 @@ func TestLossyPartitionHealsViaResync(t *testing.T) {
 	if min := c.MinCommitted(c.HonestParties()); after-min > 10 {
 		t.Fatalf("parties diverged after heal: min %d vs %d", min, after)
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	judge(t, c, oracle.Safety)
 }
 
 func TestCrashRecoverPartyRejoins(t *testing.T) {
@@ -112,17 +109,15 @@ func TestCrashRecoverPartyRejoins(t *testing.T) {
 	}
 	c.Start()
 	c.Net.Run(6 * time.Second)
-	behind := len(c.Committed(3))
-	ahead := len(c.Committed(0))
+	behind := c.Log.Len(3)
+	ahead := c.Log.Len(0)
 	if ahead-behind < 20 {
 		t.Fatalf("outage had no effect: %d vs %d commits", behind, ahead)
 	}
 	c.Net.Run(12 * time.Second)
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
-	caughtUp := len(c.Committed(3))
-	nowAhead := len(c.Committed(0))
+	judge(t, c, oracle.Safety)
+	caughtUp := c.Log.Len(3)
+	nowAhead := c.Log.Len(0)
 	if nowAhead-caughtUp > 5 {
 		t.Fatalf("party 3 did not catch up: %d vs %d commits", caughtUp, nowAhead)
 	}
@@ -142,11 +137,9 @@ func TestCrashRecoverPartyRejoinsICC1(t *testing.T) {
 	}
 	c.Start()
 	c.Net.Run(18 * time.Second)
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
-	caughtUp := len(c.Committed(3))
-	nowAhead := len(c.Committed(0))
+	judge(t, c, oracle.Safety)
+	caughtUp := c.Log.Len(3)
+	nowAhead := c.Log.Len(0)
 	if nowAhead-caughtUp > 5 {
 		t.Fatalf("party 3 did not catch up under ICC1: %d vs %d commits", caughtUp, nowAhead)
 	}

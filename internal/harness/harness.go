@@ -1,7 +1,7 @@
 // Package harness assembles simulated ICC clusters — key material,
 // engines (honest or Byzantine), dissemination mode, delay model,
-// metrics — and provides the invariant checks every experiment and
-// integration test relies on. It is the shared chassis of the benchmark
+// metrics, the run log — and judges each run with internal/oracle from
+// the cluster's own inputs. It is the shared chassis of the benchmark
 // suite (DESIGN.md §3) and of cmd/iccsim.
 package harness
 
@@ -9,7 +9,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"icc/internal/adversary"
@@ -21,6 +20,7 @@ import (
 	"icc/internal/metrics"
 	"icc/internal/node"
 	"icc/internal/obs"
+	"icc/internal/oracle"
 	"icc/internal/pool"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -74,6 +74,14 @@ func ParseBehavior(s string) (Behavior, error) {
 		}
 	}
 	return 0, fmt.Errorf("harness: unknown behavior %q", s)
+}
+
+// MarshalText and UnmarshalText carry a behaviour by name (trace headers).
+func (b Behavior) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+func (b *Behavior) UnmarshalText(text []byte) (err error) {
+	*b, err = ParseBehavior(string(text))
+	return err
 }
 
 // BehaviorTuning carries the per-party knobs of the time-dependent
@@ -176,10 +184,9 @@ type Cluster struct {
 	Net     *simnet.Network
 	Rec     *metrics.Recorder
 	Engines []*core.Engine // inner ICC engines, indexed by party
-
-	mu          sync.Mutex
-	committed   [][]*types.Block
-	committedAt [][]time.Duration
+	// Log holds every engine's commits, round entries and notarized
+	// rounds, as Judge reads them.
+	Log *oracle.Log
 }
 
 // New builds a cluster.
@@ -206,12 +213,11 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("harness: dealing keys: %w", err)
 	}
 	c := &Cluster{
-		Opts:        opts,
-		Pub:         pub,
-		Privs:       privs,
-		Rec:         metrics.NewRecorder(opts.N),
-		committed:   make([][]*types.Block, opts.N),
-		committedAt: make([][]time.Duration, opts.N),
+		Opts:  opts,
+		Pub:   pub,
+		Privs: privs,
+		Rec:   metrics.NewRecorder(opts.N),
+		Log:   oracle.NewLog(opts.N),
 	}
 	simOpts := simnet.Options{Seed: opts.Seed, Delay: opts.Delay, Recorder: c.Rec}
 	if opts.Trace != nil {
@@ -337,10 +343,7 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 		// exercised by the runtime tests and the catchup experiment.
 		Hooks: core.Hooks{
 			OnCommit: func(b *types.Block, now time.Duration) {
-				c.mu.Lock()
-				c.committed[pid] = append(c.committed[pid], b)
-				c.committedAt[pid] = append(c.committedAt[pid], now)
-				c.mu.Unlock()
+				c.Log.Commit(pid, b, now)
 				c.Rec.Commit(b.Round, len(b.Payload), now)
 				if c.Opts.Trace != nil {
 					h := b.Hash()
@@ -358,9 +361,12 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 					})
 				}
 			},
-			OnPropose:     func(k types.Round, now time.Duration) { c.Rec.Propose(k, now) },
-			OnEnterRound:  func(k types.Round, now time.Duration) { c.Rec.EnterRound(k, now) },
-			OnFinishRound: func(k types.Round, now time.Duration) { c.Rec.FinishRound(k, now) },
+			OnPropose:    func(k types.Round, now time.Duration) { c.Rec.Propose(k, now) },
+			OnEnterRound: func(k types.Round, now time.Duration) { c.Log.Enter(pid, k, now) },
+			OnFinishRound: func(k types.Round, now time.Duration) {
+				c.Log.Notarized(pid, k, now)
+				c.Rec.FinishRound(k, now)
+			},
 		},
 	}
 	if c.Opts.SimBeacon {
@@ -372,35 +378,12 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 // Start initialises all engines.
 func (c *Cluster) Start() { c.Net.Start() }
 
-// Committed returns a snapshot of party p's committed block sequence.
-func (c *Cluster) Committed(p types.PartyID) []*types.Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*types.Block, len(c.committed[p]))
-	copy(out, c.committed[p])
-	return out
-}
-
-// CommittedAt returns a snapshot of the commit times parallel to
-// Committed(p): blocks sharing a timestamp were output by one
-// finalization batch (Fig. 2).
-func (c *Cluster) CommittedAt(p types.PartyID) []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]time.Duration, len(c.committedAt[p]))
-	copy(out, c.committedAt[p])
-	return out
-}
-
 // MinCommitted returns the shortest committed-sequence length among the
 // given parties.
 func (c *Cluster) MinCommitted(parties []types.PartyID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	minLen := -1
 	for _, p := range parties {
-		l := len(c.committed[p])
-		if minLen < 0 || l < minLen {
+		if l := c.Log.Len(p); minLen < 0 || l < minLen {
 			minLen = l
 		}
 	}
@@ -427,31 +410,47 @@ func (c *Cluster) RunUntilCommitted(minBlocks int, limit time.Duration) bool {
 	}, limit)
 }
 
-// CheckSafety verifies the atomic-broadcast safety property over all
-// parties' outputs: any two committed sequences are prefix-comparable,
-// each forms a chain, and rounds strictly increase.
-func (c *Cluster) CheckSafety() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var longest []*types.Block
-	for _, seq := range c.committed {
-		if len(seq) > len(longest) {
-			longest = seq
+// Judge rules on the run so far with oracle.Judge, for the properties in
+// holds (zero: all four), deriving the liveness bounds from the cluster's
+// own inputs: Δbnd, ε, the delay model's bound carried across the
+// dissemination mode, the beacon's rankings, and as GST the last
+// scheduled rejoin or recovery.
+func (c *Cluster) Judge(holds oracle.Property) error {
+	e := oracle.Expect{
+		Holds: holds, Honest: c.HonestParties(),
+		DeltaBound: c.Opts.DeltaBound, Epsilon: c.Opts.Epsilon, End: c.Net.Now(),
+		Ranking: c.ranking,
+	}
+	for _, t := range c.Opts.Tuning {
+		e.GST = max(e.GST, t.Until)
+	}
+	for _, w := range c.Opts.CrashRecoveries {
+		e.GST = max(e.GST, w.Up)
+	}
+	if holds == 0 || holds&(oracle.Growth|oracle.Finality) != 0 {
+		var link time.Duration // the longest the delay model delivers a message in
+		switch d := c.Opts.Delay.(type) {
+		case simnet.Fixed:
+			link = d.D
+		case simnet.Uniform:
+			link = max(d.Min, d.Max)
+		default:
+			return fmt.Errorf("harness: delay model %T has no bound to judge %v by", c.Opts.Delay, holds)
+		}
+		relays := func(p types.PartyID) bool { b := c.Opts.Behaviors[p]; return b != Crash && b != MuteRelay }
+		var err error
+		if e.Reach, err = node.Reach(c.Opts.Mode, c.Opts.N, node.Overlay{Fanout: c.Opts.GossipFanout, Seed: c.Opts.Seed}, relays, link); err != nil {
+			return fmt.Errorf("harness: %w", err)
 		}
 	}
-	for p, seq := range c.committed {
-		for i, b := range seq {
-			if b.Hash() != longest[i].Hash() {
-				return fmt.Errorf("safety violation: party %d diverges at position %d", p, i)
-			}
-			if i > 0 {
-				if b.ParentHash != seq[i-1].Hash() {
-					return fmt.Errorf("party %d: block %d does not extend block %d", p, i, i-1)
-				}
-				if b.Round <= seq[i-1].Round {
-					return fmt.Errorf("party %d: non-increasing rounds at position %d", p, i)
-				}
-			}
+	return oracle.Judge(c.Log, e)
+}
+
+// ranking is round k's rank permutation as an honest party's beacon has it.
+func (c *Cluster) ranking(k types.Round) []types.PartyID {
+	for _, p := range c.HonestParties() {
+		if perm, ok := c.Engines[p].Ranking(k); ok {
+			return perm
 		}
 	}
 	return nil

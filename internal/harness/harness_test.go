@@ -1,14 +1,24 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"icc/internal/core"
 	"icc/internal/node"
+	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
 )
+
+// judge fails the test on the cluster's first violation of holds.
+func judge(t *testing.T, c *Cluster, holds oracle.Property) {
+	t.Helper()
+	if err := c.Judge(holds); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func run(t *testing.T, opts Options, minBlocks int, limit time.Duration) *Cluster {
 	t.Helper()
@@ -22,9 +32,7 @@ func run(t *testing.T, opts Options, minBlocks int, limit time.Duration) *Cluste
 		t.Fatalf("%s n=%d: only %d blocks committed within %v (want %d)",
 			opts.Mode, opts.N, c.MinCommitted(honest), limit, minBlocks)
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	judge(t, c, oracle.Safety)
 	return c
 }
 
@@ -52,7 +60,7 @@ func TestCrashFaults(t *testing.T) {
 		Behaviors: map[types.PartyID]Behavior{2: Crash, 5: Crash},
 	}, 10, 2*time.Minute)
 	// Crashed parties committed nothing.
-	if len(c.Committed(2)) != 0 || len(c.Committed(5)) != 0 {
+	if c.Log.Len(2) != 0 || c.Log.Len(5) != 0 {
 		t.Fatal("crashed parties committed blocks")
 	}
 }
@@ -76,8 +84,8 @@ func TestSilentLeaders(t *testing.T) {
 	}, 10, 3*time.Minute)
 	// Every committed block was proposed by SOMEONE (possibly a silent
 	// leader's engine never proposed, so its blocks never appear).
-	for _, b := range c.Committed(1) {
-		if b.Proposer == 0 || b.Proposer == 3 {
+	for _, cm := range c.Log.Commits(1) {
+		if p := c.Engines[1].Pool().Block(cm.Hash).Proposer; p == 0 || p == 3 {
 			t.Fatal("silent leader's block was committed")
 		}
 	}
@@ -168,39 +176,17 @@ func TestICC2LargeBlocks(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	// Two clusters with identical seeds produce identical commit
-	// sequences (chain of block hashes).
-	mk := func() []string {
-		c, err := New(Options{N: 4, Seed: 77, SimBeacon: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Start()
-		if !c.RunUntilCommitted(10, time.Minute) {
-			t.Fatal("no progress")
-		}
-		var out []string
-		for _, b := range c.Committed(0) {
-			h := b.Hash()
-			out = append(out, h.String())
-		}
-		return out
+	// sequences: the same blocks at the same virtual times.
+	mk := func() []oracle.Commit {
+		return run(t, Options{N: 4, Seed: 77, SimBeacon: true}, 10, time.Minute).Log.Commits(0)
 	}
-	a, b := mk(), mk()
-	if len(a) != len(b) {
-		t.Fatalf("different lengths %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("chains diverge at %d", i)
-		}
+	if a, b := mk(), mk(); !slices.Equal(a, b) {
+		t.Fatalf("two runs of one seed committed %d and %d blocks, not the same ones", len(a), len(b))
 	}
 }
 
 func TestPruningKeepsRunning(t *testing.T) {
-	c := run(t, Options{N: 4, Seed: 16, SimBeacon: true, PruneDepth: 4}, 30, 2*time.Minute)
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, Options{N: 4, Seed: 16, SimBeacon: true, PruneDepth: 4}, 30, 2*time.Minute)
 }
 
 func TestRandomizedSeedSweep(t *testing.T) {
@@ -240,18 +226,16 @@ func TestPartitionedPartyCatchesUp(t *testing.T) {
 	c.Net.Run(500 * time.Millisecond)
 	c.Net.Partition(2)
 	c.Net.Run(5500 * time.Millisecond)
-	behind := len(c.Committed(2))
-	ahead := len(c.Committed(0))
+	behind := c.Log.Len(2)
+	ahead := c.Log.Len(0)
 	if ahead-behind < 50 {
 		t.Fatalf("partition had no effect: %d vs %d commits", behind, ahead)
 	}
 	c.Net.Heal(2)
 	c.Net.Run(7 * time.Second)
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
-	caughtUp := len(c.Committed(2))
-	nowAhead := len(c.Committed(0))
+	judge(t, c, oracle.Safety)
+	caughtUp := c.Log.Len(2)
+	nowAhead := c.Log.Len(0)
 	if nowAhead-caughtUp > 5 {
 		t.Fatalf("party 2 did not catch up: %d vs %d commits", caughtUp, nowAhead)
 	}
@@ -267,22 +251,20 @@ func TestPartitionOfQuorumStallsLiveness(t *testing.T) {
 	}
 	c.Start()
 	c.Net.Run(time.Second)
-	before := len(c.Committed(0))
+	before := c.Log.Len(0)
 	c.Net.Partition(2)
 	c.Net.Partition(3)
 	c.Net.Run(6 * time.Second)
-	during := len(c.Committed(0))
+	during := c.Log.Len(0)
 	if during-before > 3 {
 		t.Fatalf("committed %d blocks without a quorum", during-before)
 	}
 	c.Net.Heal(2)
 	c.Net.Heal(3)
 	c.Net.Run(12 * time.Second)
-	after := len(c.Committed(0))
+	after := c.Log.Len(0)
 	if after-during < 20 {
 		t.Fatalf("liveness did not resume after heal: %d new blocks", after-during)
 	}
-	if err := c.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
+	judge(t, c, oracle.Safety)
 }

@@ -73,9 +73,6 @@ func New(leaves [][]byte) (*Tree, error) {
 // Root returns the tree root.
 func (t *Tree) Root() hash.Digest { return t.levels[len(t.levels)-1][0] }
 
-// LeafCount returns the number of real (unpadded) leaves.
-func (t *Tree) LeafCount() int { return t.leafCount }
-
 // Proof returns the sibling path for leaf index i, bottom-up.
 func (t *Tree) Proof(i int) ([]hash.Digest, error) {
 	if i < 0 || i >= t.leafCount {

@@ -29,8 +29,6 @@ type Recorder struct {
 	// commitTime when the first party finalized the round's block.
 	proposeTime map[types.Round]time.Duration
 	commitTime  map[types.Round]time.Duration
-	// roundEnter records when the first party entered the round.
-	roundEnter map[types.Round]time.Duration
 	// roundDone records, per party, when it finished the round; used to
 	// derive reciprocal throughput.
 	roundDone map[types.Round]time.Duration
@@ -48,7 +46,6 @@ func NewRecorder(n int) *Recorder {
 		roundMsgs:   make(map[types.Round]int64),
 		proposeTime: make(map[types.Round]time.Duration),
 		commitTime:  make(map[types.Round]time.Duration),
-		roundEnter:  make(map[types.Round]time.Duration),
 		roundDone:   make(map[types.Round]time.Duration),
 	}
 }
@@ -69,15 +66,6 @@ func (r *Recorder) Propose(round types.Round, at time.Duration) {
 	defer r.mu.Unlock()
 	if cur, ok := r.proposeTime[round]; !ok || at < cur {
 		r.proposeTime[round] = at
-	}
-}
-
-// EnterRound records a party entering a round.
-func (r *Recorder) EnterRound(round types.Round, at time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur, ok := r.roundEnter[round]; !ok || at < cur {
-		r.roundEnter[round] = at
 	}
 }
 

@@ -54,16 +54,6 @@ func TestRoundTimeFromFinishes(t *testing.T) {
 	}
 }
 
-func TestEnterRoundKeepsEarliest(t *testing.T) {
-	r := NewRecorder(1)
-	r.EnterRound(5, 50*time.Millisecond)
-	r.EnterRound(5, 40*time.Millisecond)
-	r.EnterRound(5, 60*time.Millisecond)
-	// No direct getter; verified indirectly through no panic and the
-	// summary still computing.
-	_ = r.Summarize()
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRecorder(4)
 	var wg sync.WaitGroup

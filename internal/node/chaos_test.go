@@ -54,7 +54,7 @@ func TestTCPClusterSurvivesStoppedPeer(t *testing.T) {
 	c.nodes[3].Stop()
 	base := c.committed(0)
 	c.waitCommits([]int{0, 1, 2}, base+3, 20*time.Second)
-	c.checkAgreement()
+	c.agree()
 
 	// The survivors' queues to the dead peer saw redials and drops, not
 	// stalls: they kept committing, which the wait above already proved.
@@ -87,7 +87,7 @@ func TestChaosPartitionHealsAndFinalizes(t *testing.T) {
 
 	// Renewed finalization after healing, on every node.
 	c.waitCommits(all(4), during+5, 30*time.Second)
-	c.checkAgreement()
+	c.agree()
 	if injected().Cut == 0 {
 		t.Fatal("partition window injected no faults — test exercised nothing")
 	}
@@ -109,7 +109,7 @@ func TestChaosDropDupDelayCluster(t *testing.T) {
 	time.Sleep(3 * time.Second)
 	base := c.committed(0)
 	c.waitCommits(all(4), base+5, 30*time.Second)
-	c.checkAgreement()
+	c.agree()
 
 	if s := injected(); s.Dropped == 0 || s.Duplicated == 0 || s.Delayed == 0 {
 		t.Fatalf("fault plan injected too little: %+v", s)

@@ -3,25 +3,26 @@ package node_test
 import (
 	"crypto/rand"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"icc/internal/beacon"
 	"icc/internal/clock"
 	"icc/internal/core"
-	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/metrics"
 	"icc/internal/node"
 	"icc/internal/obs"
+	"icc/internal/oracle"
 	"icc/internal/transport"
 	"icc/internal/types"
 )
 
 // testCluster is n parties assembled with New, on the in-process hub or
-// on TCP loopback, with every commit logged from outside. A party the
-// test never builds keeps its endpoint free for the test to drive.
+// on TCP loopback, with every commit logged from outside on the shared
+// clock (a restarted party's log continues where the old one stopped). A
+// party the test never builds keeps its endpoint free for the test to
+// drive.
 type testCluster struct {
 	t     *testing.T
 	n     int
@@ -34,11 +35,7 @@ type testCluster struct {
 	reg   *obs.Registry
 	nodes []*node.Node
 	eps   []transport.Endpoint // what each node was built on: endpoint(i), or a fault layer over it
-
-	mu       sync.Mutex
-	commits  []map[types.Round]hash.Digest
-	at       [][]time.Time
-	frontier []types.Round
+	log   *oracle.Log
 }
 
 func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
@@ -49,17 +46,14 @@ func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
 	}
 	c := &testCluster{
 		t: t, n: n, pub: pub, privs: privs,
-		clk:      clock.NewWall(),
-		reg:      obs.NewRegistry(),
-		nodes:    make([]*node.Node, n),
-		eps:      make([]transport.Endpoint, n),
-		stats:    make([]*metrics.TransportStats, n),
-		commits:  make([]map[types.Round]hash.Digest, n),
-		at:       make([][]time.Time, n),
-		frontier: make([]types.Round, n),
+		clk:   clock.NewWall(),
+		reg:   obs.NewRegistry(),
+		nodes: make([]*node.Node, n),
+		eps:   make([]transport.Endpoint, n),
+		stats: make([]*metrics.TransportStats, n),
+		log:   oracle.NewLog(n),
 	}
-	for i := range c.commits {
-		c.commits[i] = make(map[types.Round]hash.Digest)
+	for i := range c.stats {
 		c.stats[i] = metrics.NewTransportStats()
 	}
 	if !tcp {
@@ -150,13 +144,7 @@ func (c *testCluster) build(i int, conf func(cfg *node.Config)) *node.Node {
 		Registry:      c.reg,
 		Stats:         c.stats[i],
 		Hooks: core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) {
-			c.mu.Lock()
-			c.commits[i][b.Round] = b.Hash()
-			c.at[i] = append(c.at[i], time.Now())
-			if b.Round > c.frontier[i] {
-				c.frontier[i] = b.Round
-			}
-			c.mu.Unlock()
+			c.log.Commit(pid, b, c.clk.Now())
 		}},
 	}
 	if conf != nil {
@@ -186,17 +174,11 @@ func (c *testCluster) buildAll(live int, conf func(i int, cfg *node.Config)) {
 	}
 }
 
-func (c *testCluster) committed(i int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.at[i])
-}
+func (c *testCluster) committed(i int) int { return c.log.Len(types.PartyID(i)) }
 
-func (c *testCluster) round(i int) types.Round {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frontier[i]
-}
+// round is the round of party i's latest commit: after a restart, of what
+// its replay or catch-up has reached.
+func (c *testCluster) round(i int) types.Round { return c.log.Last(types.PartyID(i)).Round }
 
 // dropInbox discards what party i's inbox buffered while it was down.
 func (c *testCluster) dropInbox(i int) {
@@ -226,21 +208,13 @@ func (c *testCluster) waitCommits(parties []int, want int, timeout time.Duration
 	})
 }
 
-// checkAgreement asserts safety: any two parties that committed a round
-// committed the same block in it.
-func (c *testCluster) checkAgreement() {
+// agree asserts that no two parties committed different blocks at one
+// round. Chain is not asked for: a restarted party's replay commits its
+// rounds a second time, and a checkpoint install skips some.
+func (c *testCluster) agree() {
 	c.t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make(map[types.Round]hash.Digest)
-	for i, log := range c.commits {
-		for k, h := range log {
-			if first, ok := seen[k]; !ok {
-				seen[k] = h
-			} else if first != h {
-				c.t.Fatalf("SAFETY VIOLATION: party %d committed %s in round %d, another party %s", i, h.Short(), k, first.Short())
-			}
-		}
+	if err := oracle.Judge(c.log, oracle.Expect{Holds: oracle.Agreement}); err != nil {
+		c.t.Fatal(err)
 	}
 }
 

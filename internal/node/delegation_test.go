@@ -136,7 +136,7 @@ func TestCommandsRideOtherPartiesBlocks(t *testing.T) {
 				t.Error(msg)
 			}
 			mu.Unlock()
-			c.checkAgreement()
+			c.agree()
 		})
 	}
 }

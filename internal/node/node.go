@@ -139,6 +139,24 @@ func Stack(ecfg core.Config, wrap func(*core.Engine) engine.Engine, mode Mode, o
 	return inner, eng, nil
 }
 
+// Reach is the longest a message takes under mode to reach every party
+// for which relays holds, no link taking longer than link: one link under
+// ICC0, two under ICC2 (fragment, then echo), gossip.Config.Reach under ICC1.
+func Reach(mode Mode, n int, ov Overlay, relays func(types.PartyID) bool, link time.Duration) (time.Duration, error) {
+	switch mode {
+	case ICC0:
+		return link, nil
+	case ICC1:
+		if ov.Fanout <= 0 {
+			ov.Fanout = gossip.DefaultFanout(n)
+		}
+		return gossip.Config{N: n, Fanout: ov.Fanout, Seed: ov.Seed, ShareBatchWindow: shareBatchWindow}.Reach(relays, link)
+	case ICC2:
+		return 2 * link, nil
+	}
+	return 0, fmt.Errorf("unknown mode %d", mode)
+}
+
 // Config is everything that differs between two live nodes. A value has
 // a field here only because two callers at the commit that introduced
 // this package passed different ones; the rest are constants in New.

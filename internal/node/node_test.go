@@ -127,7 +127,7 @@ func TestModesCommitAndAgree(t *testing.T) {
 				})
 				base := c.committed(0)
 				c.waitCommits(all(live), base+2, 60*time.Second)
-				c.checkAgreement()
+				c.agree()
 
 				verified := c.reg.Snapshot()["icc_verify_verified_total"]
 				if pipelined && verified == 0 {
@@ -209,7 +209,7 @@ func TestByzantineFloodLiveness(t *testing.T) {
 	}()
 
 	c.waitCommits(honest, 5, 30*time.Second)
-	c.checkAgreement()
+	c.agree()
 	rejects := c.reg.Snapshot()[badShare]
 	if rejects == 0 {
 		t.Fatal("flood produced no pipeline rejects")
@@ -291,9 +291,6 @@ func TestKillRestartResumes(t *testing.T) {
 	})
 
 	c.dropInbox(victim)
-	c.mu.Lock()
-	c.frontier[victim] = 0
-	c.mu.Unlock()
 	target := c.round(0)
 	restarted := c.build(victim, func(cfg *node.Config) { durable(victim, cfg) })
 	resumed := restarted.Engine.FinalizedRound()
@@ -307,7 +304,7 @@ func TestKillRestartResumes(t *testing.T) {
 	waitFor(t, 120*time.Second, "restarted node did not converge", func() bool {
 		return c.round(victim) >= target
 	})
-	c.checkAgreement()
+	c.agree()
 }
 
 // TestLiveTCPGossipWithBatchingAndAggregation runs the ICC1 overlay with
@@ -329,5 +326,5 @@ func TestLiveTCPGossipWithBatchingAndAggregation(t *testing.T) {
 		cfg.GossipFanout, cfg.GossipSeed = 3, 99
 	})
 	c.waitCommits(all(n), 4, 30*time.Second)
-	c.checkAgreement()
+	c.agree()
 }

@@ -18,8 +18,8 @@ import (
 
 // rejoin starts every party but the laggard, waits until party 0 is gap
 // rounds ahead, then starts the laggard cold and returns the round the
-// cluster had reached and the instant it joined.
-func rejoin(c *testCluster, laggard int, gap types.Round, timeout time.Duration) (types.Round, time.Time) {
+// cluster had reached and the instant it joined, on the cluster's clock.
+func rejoin(c *testCluster, laggard int, gap types.Round, timeout time.Duration) (types.Round, time.Duration) {
 	c.t.Helper()
 	for i, nd := range c.nodes {
 		if i != laggard {
@@ -32,7 +32,7 @@ func rejoin(c *testCluster, laggard int, gap types.Round, timeout time.Duration)
 	// would let the laggard replay history without ever touching the
 	// resync layer.
 	c.dropInbox(laggard)
-	joinRound, joinAt := c.round(0), time.Now()
+	joinRound, joinAt := c.round(0), c.clk.Now()
 	c.nodes[laggard].Start()
 	return joinRound, joinAt
 }
@@ -90,17 +90,15 @@ func TestRejoinConvergesWithoutCollapsingResponders(t *testing.T) {
 	// before. (On the pre-refactor seed a 200-round gap stalled every
 	// responder for the whole signing burst.)
 	time.Sleep(cadenceWindow) // let the post-join window complete
-	c.mu.Lock()
 	var before, during int
-	for _, at := range c.at[0] {
+	for _, cm := range c.log.Commits(0) {
 		switch {
-		case at.After(joinAt.Add(-cadenceWindow)) && at.Before(joinAt):
+		case cm.At > joinAt-cadenceWindow && cm.At < joinAt:
 			before++
-		case !at.Before(joinAt) && at.Before(joinAt.Add(cadenceWindow)):
+		case cm.At >= joinAt && cm.At < joinAt+cadenceWindow:
 			during++
 		}
 	}
-	c.mu.Unlock()
 	if before == 0 {
 		t.Fatal("no steady-state commits before the join — test setup broken")
 	}
@@ -108,7 +106,7 @@ func TestRejoinConvergesWithoutCollapsingResponders(t *testing.T) {
 		t.Fatalf("responder cadence collapsed during catch-up: %d commits in %v before join, %d after (bound: ≥ 1/%d)",
 			before, cadenceWindow, during, cadenceFactor)
 	}
-	c.checkAgreement()
+	c.agree()
 
 	// The async path must actually have run: with 16-entry caches and a
 	// 200-round gap, the workers — not the engine loops — signed the
@@ -155,5 +153,5 @@ func TestRejoinLargeGapConverges(t *testing.T) {
 	if c.reg.Snapshot()["icc_verify_chain_admitted_total"] == 0 {
 		t.Fatal("no chain-admitted artifacts — catch-up bundles did not take the resync fast path")
 	}
-	c.checkAgreement()
+	c.agree()
 }

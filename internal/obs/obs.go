@@ -56,13 +56,6 @@ func (s Snapshot) String() string {
 	return b.String()
 }
 
-// Merge copies every entry of other into s, prefixing keys.
-func (s Snapshot) Merge(prefix string, other Snapshot) {
-	for k, v := range other {
-		s[prefix+k] = v
-	}
-}
-
 // formatValue renders a float the way Prometheus text format expects:
 // integers without a decimal point, everything else in shortest form.
 func formatValue(v float64) string {

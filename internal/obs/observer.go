@@ -403,11 +403,3 @@ func (o *Observer) Snapshot() Snapshot {
 	}
 	return o.Registry.Snapshot()
 }
-
-// HealthFunc adapts the tracker for the HTTP handler.
-func (o *Observer) HealthFunc(stallAfter time.Duration) func() Health {
-	if o == nil {
-		return func() Health { return Health{} }
-	}
-	return func() Health { return o.HealthT.Health(stallAfter) }
-}

@@ -110,9 +110,6 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	if len(o.Snapshot()) != 0 {
 		t.Fatal("nil observer produced a snapshot")
 	}
-	if h := o.HealthFunc(time.Second)(); h.Stalled || h.Commits != 0 {
-		t.Fatalf("nil observer health: %+v", h)
-	}
 }
 
 func TestHealthTrackerStallDetection(t *testing.T) {

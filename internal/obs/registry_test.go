@@ -160,9 +160,4 @@ func TestSnapshotView(t *testing.T) {
 			t.Fatalf("keys not sorted: %v", keys)
 		}
 	}
-	merged := Snapshot{}
-	merged.Merge("p_", snap)
-	if merged.Get("p_a_total") != 2 {
-		t.Fatalf("merge lost values: %v", merged)
-	}
 }

@@ -340,30 +340,12 @@ func (p *Pool) NotarizedInRound(k types.Round) (hash.Digest, bool) {
 // are held for the block.
 func (p *Pool) NotarShareCount(h hash.Digest) int { return len(p.notarShares[h]) }
 
-// NotarShares returns the verified notarization shares for the block as
-// aggregate-scheme shares ready for combination.
-//
-// Deprecated: NotarShares materialises an O(n) slice per call, and its
-// callers invariably re-verified every share inside Combine.
-// Use NotarShareCount to poll and NotarAggregateIfReady to combine.
-func (p *Pool) NotarShares(h hash.Digest) []*aggsig.Share {
-	m := p.notarShares[h]
-	out := make([]*aggsig.Share, 0, len(m))
-	for pid := 0; pid < p.pub.N; pid++ {
-		if s, ok := m[types.PartyID(pid)]; ok {
-			out = append(out, &aggsig.Share{Signer: int(s.Signer), Signature: s.Sig})
-		}
-	}
-	return out
-}
-
 // NotarAggregateIfReady combines the held notarization shares for the
 // block into an aggregate, reporting false while fewer than threshold
 // distinct shares are held. Every share in the pool passed admission
 // verification (the verifier, or — under VerifyPreVerified — the
 // upstream pipeline that policy attests to), so combination skips the
-// per-share signature re-check the old NotarShares+Combine path paid on
-// every poll.
+// per-share signature re-check.
 func (p *Pool) NotarAggregateIfReady(h hash.Digest) (aggsig.Certificate, bool) {
 	return aggregateIfReady(p.pub.Notary, sharesOf(p.notarShares[h], func(s *types.NotarizationShare) (types.PartyID, []byte) {
 		return s.Signer, s.Sig
@@ -388,21 +370,6 @@ func (p *Pool) Notarization(h hash.Digest) *types.Notarization { return p.notari
 // FinalShareCount returns how many distinct verified finalization shares
 // are held for the block.
 func (p *Pool) FinalShareCount(h hash.Digest) int { return len(p.finalShares[h]) }
-
-// FinalShares returns the verified finalization shares for the block.
-//
-// Deprecated: FinalShares materialises an O(n) slice per call. Use
-// FinalShareCount to poll and FinalAggregateIfReady to combine.
-func (p *Pool) FinalShares(h hash.Digest) []*aggsig.Share {
-	m := p.finalShares[h]
-	out := make([]*aggsig.Share, 0, len(m))
-	for pid := 0; pid < p.pub.N; pid++ {
-		if s, ok := m[types.PartyID(pid)]; ok {
-			out = append(out, &aggsig.Share{Signer: int(s.Signer), Signature: s.Sig})
-		}
-	}
-	return out
-}
 
 // FinalAggregateIfReady combines the held finalization shares for the
 // block into an aggregate, reporting false while fewer than threshold

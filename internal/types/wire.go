@@ -68,9 +68,6 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.b) }
-
 // Finish returns an error if decoding failed or input remains.
 func (d *Decoder) Finish() error {
 	if d.err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -236,6 +237,26 @@ func TestLiveClusterScrape(t *testing.T) {
 	}
 	if _, err := client.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("metrics server still reachable after Stop")
+	}
+}
+
+// TestMetricsAddrInUseFailsConstruction: an address something else holds
+// fails NewLocalCluster, naming the address, instead of a cluster that
+// runs without /metrics and reports no MetricsAddr.
+func TestMetricsAddrInUseFailsConstruction(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	addr := lis.Addr().String()
+	c, err := NewLocalCluster(4, WithMetricsAddr(addr))
+	if err == nil {
+		c.Stop()
+		t.Fatalf("cluster built on metrics address %s, which is in use", addr)
+	}
+	if !strings.Contains(err.Error(), addr) {
+		t.Fatalf("error does not name the address %s: %v", addr, err)
 	}
 }
 
