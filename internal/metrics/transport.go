@@ -10,8 +10,9 @@ import (
 
 // TransportStats tracks transport-layer health: per-peer send-queue
 // evictions, redial attempts, write failures and high-water queue
-// depths, plus endpoint-wide inbox-overflow discards and runner-observed
-// send errors. The counters live on an obs.Registry (a private one by
+// depths, plus endpoint-wide inbox-overflow discards, runner-observed
+// send errors, and socket writes against the frames they carried. The
+// counters live on an obs.Registry (a private one by
 // default, or a shared node-wide registry via NewTransportStatsOn, in
 // which case they appear in the node's Prometheus exposition as the
 // icc_transport_* families). Faults are additionally traced onto an
@@ -24,6 +25,8 @@ type TransportStats struct {
 	maxQueueDepth *obs.GaugeVec
 	inboxOverflow *obs.Counter
 	sendErrors    *obs.Counter
+	socketWrites  *obs.Counter
+	framesWritten *obs.Counter
 	tracer        *obs.Tracer
 }
 
@@ -39,10 +42,12 @@ func NewTransportStatsOn(reg *obs.Registry, tr *obs.Tracer) *TransportStats {
 	return &TransportStats{
 		queueDropped:  reg.CounterVec("icc_transport_queue_dropped_total", "Frames evicted from a peer's send queue on overflow.", "peer"),
 		redials:       reg.CounterVec("icc_transport_redials_total", "Dial attempts per peer (the first dial counts too).", "peer"),
-		writeErrors:   reg.CounterVec("icc_transport_write_errors_total", "Failed frame writes per peer.", "peer"),
+		writeErrors:   reg.CounterVec("icc_transport_write_errors_total", "Failed burst writes per peer; the burst is retried whole on a fresh connection.", "peer"),
 		maxQueueDepth: reg.GaugeVec("icc_transport_max_queue_depth", "High-water send-queue depth per peer.", "peer"),
 		inboxOverflow: reg.Counter("icc_transport_inbox_overflow_total", "Received messages discarded because the inbox was full."),
 		sendErrors:    reg.Counter("icc_transport_send_errors_total", "Transport send failures observed by the runner."),
+		socketWrites:  reg.Counter("icc_transport_socket_writes_total", "Successful socket writes, one per burst of frames (handshakes not counted)."),
+		framesWritten: reg.Counter("icc_transport_frames_written_total", "Frames carried by those writes; over icc_transport_socket_writes_total, frames per syscall."),
 		tracer:        tr,
 	}
 }
@@ -72,13 +77,23 @@ func (s *TransportStats) Redial(p types.PartyID) {
 	s.redials.With(peerLabel(p)).Inc()
 }
 
-// WriteError records a failed frame write to peer p.
+// WriteError records a failed burst write to peer p.
 func (s *TransportStats) WriteError(p types.PartyID) {
 	if s == nil {
 		return
 	}
 	s.writeErrors.With(peerLabel(p)).Inc()
 	s.fault("write_error peer=" + peerLabel(p))
+}
+
+// BurstWritten records one successful socket write carrying frames
+// frames.
+func (s *TransportStats) BurstWritten(frames int) {
+	if s == nil {
+		return
+	}
+	s.socketWrites.Inc()
+	s.framesWritten.Add(int64(frames))
 }
 
 // ObserveQueueDepth records the current depth of peer p's send queue;
@@ -121,6 +136,8 @@ type TransportSnapshot struct {
 	TotalWriteErrors  int64
 	InboxOverflow     int64
 	SendErrors        int64
+	SocketWrites      int64
+	FramesWritten     int64
 }
 
 // Detail copies the counters into the structured per-peer form. Safe on
@@ -156,6 +173,8 @@ func (s *TransportStats) Detail() TransportSnapshot {
 	})
 	snap.InboxOverflow = s.inboxOverflow.Value()
 	snap.SendErrors = s.sendErrors.Value()
+	snap.SocketWrites = s.socketWrites.Value()
+	snap.FramesWritten = s.framesWritten.Value()
 	return snap
 }
 

@@ -19,6 +19,8 @@ func TestTransportStatsCounts(t *testing.T) {
 	s.InboxOverflow()
 	s.SendError()
 	s.SendError()
+	s.BurstWritten(5)
+	s.BurstWritten(1)
 
 	snap := s.Detail()
 	if snap.TotalQueueDropped != 3 || snap.QueueDropped[1] != 2 || snap.QueueDropped[2] != 1 {
@@ -32,6 +34,9 @@ func TestTransportStatsCounts(t *testing.T) {
 	}
 	if snap.InboxOverflow != 1 || snap.SendErrors != 2 {
 		t.Fatalf("overflow=%d send-errors=%d", snap.InboxOverflow, snap.SendErrors)
+	}
+	if snap.SocketWrites != 2 || snap.FramesWritten != 6 {
+		t.Fatalf("socket-writes=%d frames-written=%d, want 2 and 6", snap.SocketWrites, snap.FramesWritten)
 	}
 	line := snap.String()
 	for _, want := range []string{"queue-dropped=3", "redials=1", "write-errors=1", "max-queue=5", "inbox-overflow=1", "send-errors=2"} {
@@ -47,10 +52,14 @@ func TestTransportStatsOnSharedRegistry(t *testing.T) {
 	s := NewTransportStatsOn(reg, tr)
 	s.QueueDrop(3)
 	s.WriteError(3)
+	s.BurstWritten(4)
 
 	regSnap := reg.Snapshot()
 	if regSnap.Get(`icc_transport_queue_dropped_total{peer="3"}`) != 1 {
 		t.Fatalf("registry missing transport counter: %s", regSnap)
+	}
+	if regSnap.Get("icc_transport_socket_writes_total") != 1 || regSnap.Get("icc_transport_frames_written_total") != 4 {
+		t.Fatalf("registry missing socket-write counters: %s", regSnap)
 	}
 	events := tr.Events()
 	if len(events) != 2 {
@@ -72,6 +81,7 @@ func TestTransportStatsNilIsNoOp(t *testing.T) {
 	s.ObserveQueueDepth(0, 10)
 	s.InboxOverflow()
 	s.SendError()
+	s.BurstWritten(3)
 	if snap := s.Detail(); snap.TotalQueueDropped != 0 || snap.SendErrors != 0 {
 		t.Fatalf("nil stats produced counts: %+v", snap)
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,14 +25,18 @@ import (
 // loop in particular). The writer dials in the background and, on dial
 // or write failure, redials under exponential backoff with jitter;
 // writes carry a deadline so a stuck connection is detected and torn
-// down. When a queue overflows, the oldest frame is evicted — stale
-// consensus messages are exactly the ones worth losing, and the
-// protocol's echo/catch-up paths retransmit what still matters. Queue
-// evictions, redials, write failures, and inbox-overflow discards are
-// counted in an optional metrics.TransportStats.
+// down. The writer coalesces whatever is already queued into one burst
+// and one Write; the reader reads through a buffer, so a burst costs one
+// syscall on each side. When a queue overflows, the oldest frame is
+// evicted — stale consensus messages are exactly the ones worth losing,
+// and the protocol's echo/catch-up paths retransmit what still matters.
+// Queue evictions, redials, write failures, inbox-overflow discards, and
+// socket writes against the frames they carried are counted in an
+// optional metrics.TransportStats.
 //
 // Frames: u32 payload length, then the payload (a types.Marshal
-// encoding). The handshake frame carries the 8-byte party ID.
+// encoding). The handshake frame carries the 8-byte party ID; a
+// connection must send it within DialTimeout of being accepted.
 type TCP struct {
 	self types.PartyID
 	opts TCPOptions
@@ -54,9 +59,11 @@ type TCP struct {
 type TCPOptions struct {
 	// SendQueue is the per-peer send-queue capacity (default 1024).
 	SendQueue int
-	// DialTimeout bounds one dial attempt (default 3s).
+	// DialTimeout bounds one dial attempt, and how long an accepted
+	// connection may take to send its handshake (default 3s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s).
+	// WriteTimeout is the write deadline of one burst of frames
+	// (default 10s).
 	WriteTimeout time.Duration
 	// RedialMin/RedialMax bound the exponential redial backoff
 	// (defaults 50ms and 5s). Jitter in [1x, 2x) is added to each wait.
@@ -111,6 +118,15 @@ func (p *tcpPeer) closeConn() {
 
 // maxFrame bounds a frame in either direction (64 MiB).
 const maxFrame = 64 << 20
+
+// burstCap is how many bytes a writer gathers into one Write before it
+// stops draining its queue: it stops at the first frame that takes the
+// burst to burstCap or past it. readBufSize is each inbound
+// connection's read buffer.
+const (
+	burstCap    = 64 << 10
+	readBufSize = 64 << 10
+)
 
 // NewTCP starts a TCP endpoint with default options: it listens on
 // addrs[self] immediately and dials peers in the background as traffic
@@ -246,13 +262,17 @@ func (t *TCP) peer(to types.PartyID) (*tcpPeer, error) {
 }
 
 // writeLoop drains one peer's send queue, dialling and redialling in the
-// background. A frame that fails to write is retried on a fresh
-// connection; while the peer stays unreachable, the queue's drop-oldest
-// policy bounds memory and keeps the backlog fresh.
+// background. It waits for one frame, then takes without waiting every
+// frame already queued behind it, up to burstCap, and writes them as one
+// burst: no timer holds a frame back, so a lone frame leaves at once. A
+// burst that fails to write is retried whole on a fresh connection;
+// while the peer stays unreachable, the queue's drop-oldest policy
+// bounds memory and keeps the backlog fresh.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	defer p.closeConn()
 	var conn net.Conn
+	var burst []byte // reused across bursts
 	backoff := t.opts.RedialMin
 	// Jitter stream: seeded per link so concurrent writers never share
 	// rng state; determinism is not needed for backoff spacing.
@@ -263,6 +283,18 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 		case <-t.done:
 			return
 		case raw = <-p.queue:
+		}
+		burst = appendFrame(burst[:0], raw)
+		frames := 1
+	gather:
+		for len(burst) < burstCap {
+			select {
+			case raw = <-p.queue:
+				burst = appendFrame(burst, raw)
+				frames++
+			default:
+				break gather
+			}
 		}
 		for {
 			if conn == nil {
@@ -284,7 +316,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				backoff = t.opts.RedialMin
 			}
 			_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-			if err := writeFrame(conn, raw); err != nil {
+			if _, err := conn.Write(burst); err != nil {
 				t.stats.WriteError(p.id)
 				_ = conn.Close()
 				conn = nil
@@ -294,9 +326,13 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 					return
 				default:
 				}
-				continue // retry this frame on a fresh connection
+				continue // retry this burst on a fresh connection
 			}
+			t.stats.BurstWritten(frames)
 			break
+		}
+		if cap(burst) > 2*burstCap {
+			burst = nil // a large frame does not pin its buffer
 		}
 	}
 }
@@ -334,7 +370,7 @@ func (t *TCP) dial(to types.PartyID) (net.Conn, error) {
 	var hello [8]byte
 	binary.BigEndian.PutUint64(hello[:], uint64(int64(t.self)))
 	_ = c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if err := writeFrame(c, hello[:]); err != nil {
+	if _, err := c.Write(appendFrame(nil, hello[:])); err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("transport: handshake with %d: %w", to, err)
 	}
@@ -381,21 +417,22 @@ func (t *TCP) removeInbound(c net.Conn) {
 	t.mu.Unlock()
 }
 
-// readLoop consumes frames from an inbound connection.
+// readLoop consumes frames from an inbound connection. The handshake
+// must arrive within DialTimeout; after it the connection may stay
+// silent as long as it likes.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer t.removeInbound(c)
 	defer c.Close()
-	hello, err := readFrame(c)
-	if err != nil || len(hello) != 8 {
-		return
+	r := bufio.NewReaderSize(c, readBufSize)
+	_ = c.SetReadDeadline(time.Now().Add(t.opts.DialTimeout))
+	from, err := readHello(r)
+	if err != nil || !t.knownParty(from) {
+		return // silent, malformed, unknown or self-claiming: reject
 	}
-	from := types.PartyID(int64(binary.BigEndian.Uint64(hello)))
-	if !t.knownParty(from) {
-		return // unknown or self-claiming party: reject the connection
-	}
+	_ = c.SetReadDeadline(time.Time{})
 	for {
-		raw, err := readFrame(c)
+		raw, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -403,11 +440,10 @@ func (t *TCP) readLoop(c net.Conn) {
 		if err != nil {
 			continue // corrupt frame from a possibly-corrupt peer
 		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		select {
+		case <-t.done:
 			return
+		default:
 		}
 		select {
 		case t.inbox <- Envelope{From: from, Msg: m}:
@@ -418,16 +454,31 @@ func (t *TCP) readLoop(c net.Conn) {
 	}
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// appendFrame appends one frame — u32 length, then payload — to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
 
+// readHello reads the handshake frame and returns the party ID it
+// carries. A length other than 8 is refused before anything past the
+// header is read.
+func readHello(r io.Reader) (types.PartyID, error) {
+	var b [12]byte
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
+		return 0, err
+	}
+	if n := binary.BigEndian.Uint32(b[:4]); n != 8 {
+		return 0, fmt.Errorf("transport: %d-byte handshake, want 8", n)
+	}
+	if _, err := io.ReadFull(r, b[4:]); err != nil {
+		return 0, err
+	}
+	return types.PartyID(int64(binary.BigEndian.Uint64(b[4:]))), nil
+}
+
+// readFrame reads one frame. A length over maxFrame is refused before
+// the payload is allocated.
 func readFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

@@ -105,7 +105,10 @@ func TestFrameSizeLimits(t *testing.T) {
 	payload := make([]byte, maxFrame)
 	payload[0], payload[maxFrame-1] = 0xAB, 0xCD
 	errc := make(chan error, 1)
-	go func() { errc <- writeFrame(cw, payload) }()
+	go func() {
+		_, err := cw.Write(appendFrame(nil, payload))
+		errc <- err
+	}()
 	got, err := readFrame(cr)
 	if err != nil {
 		t.Fatalf("read of maxFrame-sized frame: %v", err)
@@ -172,16 +175,15 @@ func TestHandshakeRejectsUnknownParty(t *testing.T) {
 	defer c1.Close()
 	var hello [8]byte
 	binary.BigEndian.PutUint64(hello[:], 99)
-	if err := writeFrame(c1, hello[:]); err != nil {
+	if _, err := c1.Write(appendFrame(appendFrame(nil, hello[:]), types.Marshal(&types.Advert{}))); err != nil {
 		t.Fatal(err)
 	}
-	_ = writeFrame(c1, types.Marshal(&types.Advert{}))
 	expectClosed(c1)
 
 	// Garbage handshake (wrong length).
 	c2 := dialRaw()
 	defer c2.Close()
-	if err := writeFrame(c2, []byte{1, 2, 3}); err != nil {
+	if _, err := c2.Write(appendFrame(nil, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	expectClosed(c2)
@@ -190,7 +192,7 @@ func TestHandshakeRejectsUnknownParty(t *testing.T) {
 	c3 := dialRaw()
 	defer c3.Close()
 	binary.BigEndian.PutUint64(hello[:], 1) // b's own ID
-	if err := writeFrame(c3, hello[:]); err != nil {
+	if _, err := c3.Write(appendFrame(nil, hello[:])); err != nil {
 		t.Fatal(err)
 	}
 	expectClosed(c3)

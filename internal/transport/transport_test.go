@@ -57,7 +57,7 @@ func TestInprocClosedSendFails(t *testing.T) {
 	}
 }
 
-func tcpPair(t *testing.T) (*TCP, *TCP) {
+func tcpPair(t testing.TB) (*TCP, *TCP) {
 	t.Helper()
 	// Listen on ephemeral ports, then rebuild the address map.
 	bootstrap := map[types.PartyID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
