@@ -53,14 +53,6 @@ func main() {
 		load       = flag.Int("load", 10, "synthetic commands submitted per second (0 = none)")
 		quiet      = flag.Bool("quiet", false, "suppress per-block output")
 
-		// Verification pipeline: inbound signatures are checked on a
-		// worker pool so the sequential engine handles pre-verified input.
-		verifyWorkers = flag.Int("verify-workers", 0, "verification worker pool size (0 = GOMAXPROCS, negative = verify inline on the engine loop)")
-
-		// Catch-up backfill: beacon shares for lagging peers that miss the
-		// own-share cache are signed off the engine loop.
-		shareCache = flag.Int("share-cache", 0, "beacon own-share cache capacity (0 = default 1024, negative = disabled)")
-
 		// Durability: a crash-consistent write-ahead log plus periodic
 		// signed checkpoints. Restarting with the same -wal-dir resumes
 		// from the persisted rounds instead of round 1.
@@ -75,7 +67,6 @@ func main() {
 		// commit-recency health probe, the protocol event trace, and pprof.
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace, /debug/pprof and the /v1 client API on this address (empty = disabled)")
 		stallAfter  = flag.Duration("stall-after", 30*time.Second, "report unhealthy when no block committed for this long")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCap, "protocol event ring capacity (/trace)")
 
 		// Chaos flags: wrap the transport in a fault-injection layer, for
 		// exercising a live cluster's robustness from the command line.
@@ -88,23 +79,20 @@ func main() {
 	)
 	flag.Parse()
 	cfg := nodeConfig{
-		keyDir:        *keyDir,
-		certScheme:    *certScheme,
-		self:          *self,
-		peers:         *peers,
-		mode:          *mode,
-		bound:         *bound,
-		epsilon:       *epsilon,
-		load:          *load,
-		quiet:         *quiet,
-		gwBacklog:     *gatewayBacklog,
-		metricsAddr:   *metricsAddr,
-		stallAfter:    *stallAfter,
-		traceCap:      *traceCap,
-		verifyWorkers: *verifyWorkers,
-		shareCache:    *shareCache,
-		walDir:        *walDir,
-		ckptInterval:  *ckptInterval,
+		keyDir:       *keyDir,
+		certScheme:   *certScheme,
+		self:         *self,
+		peers:        *peers,
+		mode:         *mode,
+		bound:        *bound,
+		epsilon:      *epsilon,
+		load:         *load,
+		quiet:        *quiet,
+		gwBacklog:    *gatewayBacklog,
+		metricsAddr:  *metricsAddr,
+		stallAfter:   *stallAfter,
+		walDir:       *walDir,
+		ckptInterval: *ckptInterval,
 		plan: transport.FaultPlan{
 			Seed:        *chaosSeed,
 			DropRate:    *chaosDrop,
@@ -122,24 +110,21 @@ func main() {
 
 // nodeConfig carries the parsed command line.
 type nodeConfig struct {
-	keyDir        string
-	certScheme    string
-	self          int
-	peers         string
-	mode          string
-	bound         time.Duration
-	epsilon       time.Duration
-	load          int
-	quiet         bool
-	gwBacklog     int
-	metricsAddr   string
-	stallAfter    time.Duration
-	traceCap      int
-	verifyWorkers int
-	shareCache    int
-	walDir        string
-	ckptInterval  uint64
-	plan          transport.FaultPlan
+	keyDir       string
+	certScheme   string
+	self         int
+	peers        string
+	mode         string
+	bound        time.Duration
+	epsilon      time.Duration
+	load         int
+	quiet        bool
+	gwBacklog    int
+	metricsAddr  string
+	stallAfter   time.Duration
+	walDir       string
+	ckptInterval uint64
+	plan         transport.FaultPlan
 }
 
 // chaosEnabled reports whether the plan injects any fault at all.
@@ -191,7 +176,7 @@ func run(cfg nodeConfig) error {
 	// One registry + tracer for the whole node: engine phases, event
 	// loop, and transport all land in the same exposition.
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(cfg.traceCap)
+	tracer := obs.NewTracer(obs.DefaultTraceCap)
 	health := obs.NewHealthTracker()
 	stats := metrics.NewTransportStatsOn(reg, tracer)
 	tcp, err := transport.NewTCPWithOptions(types.PartyID(self), addrMap, transport.TCPOptions{Stats: stats})
@@ -234,12 +219,10 @@ func run(cfg nodeConfig) error {
 		Mode:               mode,
 		DeltaBound:         cfg.bound,
 		Epsilon:            cfg.epsilon,
-		ShareCacheSize:     cfg.shareCache,
 		Replica:            rep,
 		Dir:                cfg.walDir,
 		CheckpointInterval: types.Round(cfg.ckptInterval),
 		PruneDepth:         core.DefaultPruneDepth,
-		VerifyWorkers:      cfg.verifyWorkers,
 		Registry:           reg,
 		Tracer:             tracer,
 		Health:             health,

@@ -117,7 +117,7 @@ type Options struct {
 	SimBeacon bool
 	// Verify says where signatures are checked. The zero value,
 	// pool.VerifyFull, checks them in every party's pool and gossip relay,
-	// as a live node without a verify pipeline does. pool.VerifyPreVerified
+	// as a stack must whose input nobody has checked. pool.VerifyPreVerified
 	// checks none — the stack a live node runs behind its pipeline, without
 	// the pipeline — and is sound exactly while no behaviour of the run
 	// forges a signature; honest-only sweeps use it for speed.

@@ -129,20 +129,19 @@ func (c *testCluster) reopen(i int) {
 }
 
 // build assembles party i (again, for a restart): a simulated beacon,
-// the shared registry, two verify workers, the commit log — and whatever
-// conf changes on top.
+// the shared registry, the commit log — and whatever conf changes on
+// top.
 func (c *testCluster) build(i int, conf func(cfg *node.Config)) *node.Node {
 	c.t.Helper()
 	pid := types.PartyID(i)
 	cfg := node.Config{
 		Self: pid, Keys: c.pub, Priv: c.privs[i],
-		Endpoint:      c.endpoint(i),
-		Clock:         c.clk,
-		Beacon:        beacon.NewSimulated(c.n, pid, c.pub.GenesisSeed),
-		DeltaBound:    50 * time.Millisecond,
-		VerifyWorkers: 2,
-		Registry:      c.reg,
-		Stats:         c.stats[i],
+		Endpoint:   c.endpoint(i),
+		Clock:      c.clk,
+		Beacon:     beacon.NewSimulated(c.n, pid, c.pub.GenesisSeed),
+		DeltaBound: 50 * time.Millisecond,
+		Registry:   c.reg,
+		Stats:      c.stats[i],
 		Hooks: core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) {
 			c.log.Commit(pid, b, c.clk.Now())
 		}},

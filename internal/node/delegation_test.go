@@ -95,12 +95,16 @@ func TestCommandsRideOtherPartiesBlocks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("command %d was not acknowledged: %v", s+1, err)
 				}
-				mu.Lock()
-				by, ok := proposer[types.Round(ack.CommitIndex)]
-				mu.Unlock()
-				if !ok {
-					t.Fatalf("command %d acknowledged at round %d, which party %d has not committed", s+1, ack.CommitIndex, home)
-				}
+				// The replica acks inside the commit hook, before the
+				// caller's OnCommit has recorded the round's proposer.
+				var by types.PartyID
+				waitFor(t, 5*time.Second, fmt.Sprintf("command %d acknowledged at round %d, which party %d has not committed", s+1, ack.CommitIndex, home), func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					var ok bool
+					by, ok = proposer[types.Round(ack.CommitIndex)]
+					return ok
+				})
 				if by != home {
 					byOthers++
 				}

@@ -178,11 +178,9 @@ type Config struct {
 	Epsilon    time.Duration // ε governor of eq. (2)
 
 	// Beacon, when nil, is the DLEQ threshold beacon built from the key
-	// material, with ShareCacheSize bounding its own-share cache (0 =
-	// beacon.DefaultShareCacheSize, negative = no cache). A caller that
-	// passes a Beacon configures its cache itself.
-	Beacon         beacon.Source
-	ShareCacheSize int
+	// material, its own-share cache at beacon.DefaultShareCacheSize. A
+	// caller that passes a Beacon configures its cache itself.
+	Beacon beacon.Source
 
 	// Replica, when set, is the state machine on top: its queue feeds
 	// proposals, commits are applied to it before Hooks.OnCommit runs,
@@ -206,10 +204,6 @@ type Config struct {
 	// round (0 = keep everything).
 	PruneDepth types.Round
 
-	// VerifyWorkers sizes the verification pipeline in front of the
-	// engine (0 = GOMAXPROCS); negative runs without one, the engine
-	// checking signatures on its own loop (E20's baseline arm).
-	VerifyWorkers int
 	// GossipFanout and GossipSeed pin the ICC1 overlay (0 =
 	// gossip.DefaultFanout(n) and seed 42). All parties of a cluster
 	// must agree on both.
@@ -276,11 +270,7 @@ func New(cfg Config) (_ *Node, err error) {
 	// fills makes catch-up shares for normally-traversed rounds free.
 	bcn := cfg.Beacon
 	if bcn == nil {
-		b := beacon.New(cfg.Keys.Beacon, cfg.Priv.Beacon, self, cfg.Keys.GenesisSeed)
-		if cfg.ShareCacheSize != 0 {
-			b.SetShareCacheSize(cfg.ShareCacheSize)
-		}
-		bcn = b
+		bcn = beacon.New(cfg.Keys.Beacon, cfg.Priv.Beacon, self, cfg.Keys.GenesisSeed)
 	}
 	nd.bfw = backfill.New(bcn, cfg.Endpoint, backfill.Options{Registry: cfg.Registry, Checkpoints: nd.store})
 
@@ -322,10 +312,9 @@ func New(cfg Config) (_ *Node, err error) {
 	if overlay.Seed == 0 {
 		overlay.Seed = 42
 	}
-	// With a pipeline in front, the stack's input arrives verified.
-	pipelined := cfg.VerifyWorkers >= 0
+	// The verify pipeline in front delivers the stack's input verified.
 	var eng engine.Engine
-	nd.Engine, eng, err = Stack(ecfg, cfg.Wrap, cfg.Mode, overlay, pipelined)
+	nd.Engine, eng, err = Stack(ecfg, cfg.Wrap, cfg.Mode, overlay, true)
 	if err != nil {
 		return nil, fmt.Errorf("node: party %d: %w", self, err)
 	}
@@ -348,12 +337,10 @@ func New(cfg Config) (_ *Node, err error) {
 	nd.runner.SetTransportStats(cfg.Stats)
 	nd.runner.SetObserver(ob)
 	nd.runner.SetBackfillWorker(nd.bfw)
-	if pipelined {
-		// Last, because nothing after it can fail: the pipeline's workers
-		// start in its constructor.
-		nd.runner.SetVerifyPipeline(verify.New(pool.NewVerifier(cfg.Keys, pool.VerifyFull),
-			verify.Options{Workers: cfg.VerifyWorkers, Registry: cfg.Registry}))
-	}
+	// Last, because nothing after it can fail: the pipeline's workers
+	// start in its constructor.
+	nd.runner.SetVerifyPipeline(verify.New(pool.NewVerifier(cfg.Keys, pool.VerifyFull),
+		verify.Options{Registry: cfg.Registry}))
 	return nd, nil
 }
 

@@ -48,21 +48,23 @@ func (s certSpy) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 	return s.Engine.HandleMessage(from, m, now)
 }
 
-// TestModesCommitAndAgree runs every dissemination mode with and
-// without the verify pipeline. Each cell must commit, agree round by
-// round, and reject a forged share exactly where its signature checks
-// live: in the pipeline when there is one (and then the pool and the
-// gossip relays trust their input), in the pool when there is not (and
-// then the relays verify while combining). Seven parties on a
+// TestModesCommitAndAgree runs every dissemination mode, live and
+// simulated. The live cluster checks signatures where every live node
+// does, in its verify pipeline: it must commit, agree round by round,
+// and reject a forged share there, while the pool and the gossip relays
+// behind the pipeline trust their input. Seven parties on a
 // three-neighbour overlay, so ICC1 really relays.
 //
-// Each cell also builds the simulated cluster of the same mode and
-// verification policy, and runs the live one on its keys: the two are
-// one stack (Stack), so a simulated party has its live twin's overlay
-// neighbours, and meets the forgery as the twin's stack would — its pool
-// rejects it when input arrives unverified, and admits it when input is
-// declared verified, because a simulated party has no pipeline in front:
-// such a cell is sound only while none of its behaviours forges.
+// Each mode also builds the simulated cluster under both verification
+// policies: pipelined=true declares the stack's input verified, as it is
+// behind a live node's pipeline; pipelined=false leaves the checks to
+// the pool and the relays. The live cluster runs in the pipelined=true
+// cell, on that cell's keys: the two are one stack (Stack), so a
+// simulated party has its live twin's overlay neighbours. A simulated
+// party meets the forgery as its stack would — its pool rejects it when
+// input arrives unverified, and admits it when input is declared
+// verified, because a simulated party has no pipeline in front: such a
+// cell is sound only while none of its behaviours forges.
 //
 // The gossip relay is the other half of that one decision. A third stack
 // on the same keys is handed a quorum of forged shares of one statement:
@@ -78,9 +80,8 @@ func TestModesCommitAndAgree(t *testing.T) {
 		seed   = 7
 	)
 	for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
-		for _, workers := range []int{2, -1} {
-			mode, workers := mode, workers
-			pipelined := workers >= 0
+		for _, pipelined := range []bool{true, false} {
+			mode, pipelined := mode, pipelined
 			t.Run(fmt.Sprintf("%v/pipelined=%v", mode, pipelined), func(t *testing.T) {
 				policy := pool.VerifyFull
 				if pipelined {
@@ -97,50 +98,47 @@ func TestModesCommitAndAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := newTestCluster(t, n, false)
-				c.pub, c.privs = sim.Pub, sim.Privs
-				c.buildAll(live, func(_ int, cfg *node.Config) {
-					cfg.Mode = mode
-					cfg.VerifyWorkers = workers
-					cfg.GossipFanout, cfg.GossipSeed = fanout, seed
-				})
-				for i, nd := range c.nodes[:live] {
-					var want []types.PartyID
-					if g, ok := outer[i].(*gossip.Engine); ok {
-						want = g.Peers()
+				if pipelined {
+					c := newTestCluster(t, n, false)
+					c.pub, c.privs = sim.Pub, sim.Privs
+					c.buildAll(live, func(_ int, cfg *node.Config) {
+						cfg.Mode = mode
+						cfg.GossipFanout, cfg.GossipSeed = fanout, seed
+					})
+					for i, nd := range c.nodes[:live] {
+						var want []types.PartyID
+						if g, ok := outer[i].(*gossip.Engine); ok {
+							want = g.Peers()
+						}
+						if got := nd.Peers(); (mode == node.ICC1) != (len(want) == fanout) || !reflect.DeepEqual(got, want) {
+							t.Fatalf("party %d: live neighbours %v, simulated %v", i, got, want)
+						}
 					}
-					if got := nd.Peers(); (mode == node.ICC1) != (len(want) == fanout) || !reflect.DeepEqual(got, want) {
-						t.Fatalf("party %d: live neighbours %v, simulated %v", i, got, want)
-					}
-				}
-				c.waitCommits(all(live), 4, 60*time.Second)
+					c.waitCommits(all(live), 4, 60*time.Second)
 
-				const forgeries = 8
-				forger := c.endpoint(live)
-				for i := uint64(0); i < forgeries; i++ {
-					for p := 0; p < live; p++ {
-						_ = forger.Send(types.PartyID(p), forgedShare(i, live)) // the hub drops when an inbox is full; eight tries are plenty
-					}
-				}
-				waitFor(t, 30*time.Second, "a forged share was rejected nowhere", func() bool {
-					return c.reg.Snapshot()[badShare] > 0
-				})
-				base := c.committed(0)
-				c.waitCommits(all(live), base+2, 60*time.Second)
-				c.agree()
-
-				verified := c.reg.Snapshot()["icc_verify_verified_total"]
-				if pipelined && verified == 0 {
-					t.Fatal("pipeline verified nothing: artifacts bypassed it")
-				}
-				if !pipelined && verified != 0 {
-					t.Fatalf("a pipeline verified %v artifacts in a node built without one", verified)
-				}
-				for p, nd := range c.nodes[:live] {
-					nd.Stop() // the pool is the event loop's until then
+					const forgeries = 8
+					forger := c.endpoint(live)
 					for i := uint64(0); i < forgeries; i++ {
-						if nd.Engine.Pool().NotarShareCount(forgedShare(i, live).BlockHash) != 0 {
-							t.Fatalf("party %d admitted forged share %d", p, i)
+						for p := 0; p < live; p++ {
+							_ = forger.Send(types.PartyID(p), forgedShare(i, live)) // the hub drops when an inbox is full; eight tries are plenty
+						}
+					}
+					waitFor(t, 30*time.Second, "a forged share was rejected nowhere", func() bool {
+						return c.reg.Snapshot()[badShare] > 0
+					})
+					base := c.committed(0)
+					c.waitCommits(all(live), base+2, 60*time.Second)
+					c.agree()
+
+					if c.reg.Snapshot()["icc_verify_verified_total"] == 0 {
+						t.Fatal("pipeline verified nothing: artifacts bypassed it")
+					}
+					for p, nd := range c.nodes[:live] {
+						nd.Stop() // the pool is the event loop's until then
+						for i := uint64(0); i < forgeries; i++ {
+							if nd.Engine.Pool().NotarShareCount(forgedShare(i, live).BlockHash) != 0 {
+								t.Fatalf("party %d admitted forged share %d", p, i)
+							}
 						}
 					}
 				}
@@ -309,11 +307,13 @@ func TestKillRestartResumes(t *testing.T) {
 
 // TestLiveTCPGossipWithBatchingAndAggregation runs the ICC1 overlay with
 // share batching and relay-side aggregation over real TCP sockets and
-// concurrent event loops, on raw network input: no pipeline, so shares
-// are not pre-verified, TrustShares stays off and aggregation verifies
-// while combining. Under -race this exercises bundle coalescing,
-// flush-deadline timers and aggregation admission across genuinely
-// parallel parties, which gossip's single-threaded unit tests cannot.
+// concurrent event loops, each behind its verify pipeline, so the relays
+// count and combine the shares the pipeline passed on trust. Under -race
+// this exercises bundle coalescing, flush-deadline timers, aggregation
+// admission and the pipeline's workers across genuinely parallel
+// parties, which gossip's single-threaded unit tests cannot. A relay
+// that verifies while combining is covered by gossip's own tests and by
+// the VerifyFull cells of the ICC1 campaign.
 func TestLiveTCPGossipWithBatchingAndAggregation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster in -short mode")
@@ -322,7 +322,6 @@ func TestLiveTCPGossipWithBatchingAndAggregation(t *testing.T) {
 	c := newTestCluster(t, n, true)
 	c.buildAll(n, func(_ int, cfg *node.Config) {
 		cfg.Mode = node.ICC1
-		cfg.VerifyWorkers = -1
 		cfg.GossipFanout, cfg.GossipSeed = 3, 99
 	})
 	c.waitCommits(all(n), 4, 30*time.Second)

@@ -38,7 +38,7 @@ import (
 // resistance of H pins the chain), and self-limiting for the cluster:
 // any party re-gossiped such bytes verifies them in full and rejects.
 // DESIGN.md §11 carries the full argument.
-func (p *Pipeline) processResync(from types.PartyID, b *types.Bundle) (types.Message, bool) {
+func (p *Pipeline) processResync(b *types.Bundle) (types.Message, bool) {
 	// Index the batch: blocks by their computed hash (a hash per block,
 	// cheap), aggregates as (round, blockHash, message) triples.
 	blocks := make(map[hash.Digest]*types.Block)
@@ -98,7 +98,7 @@ func (p *Pipeline) processResync(from types.PartyID, b *types.Bundle) (types.Mes
 			continue
 		}
 		if err := p.checkCached(a.msg); err != nil {
-			p.reject(from, err)
+			p.reject(err)
 			verdict[a.msg] = false
 			continue
 		}
@@ -125,11 +125,11 @@ func (p *Pipeline) processResync(from types.PartyID, b *types.Bundle) (types.Mes
 				kept = append(kept, sub)
 				continue
 			}
-			if s, ok := p.process(from, sub); ok {
+			if s, ok := p.process(sub); ok {
 				kept = append(kept, s)
 			}
 		default:
-			if s, ok := p.process(from, sub); ok {
+			if s, ok := p.process(sub); ok {
 				kept = append(kept, s)
 			}
 		}

@@ -73,7 +73,7 @@ func TestPipelineResyncLaneNotStarved(t *testing.T) {
 	f := newFixture(t, 4)
 	reg := obs.NewRegistry()
 	gv := &gatedVerifier{Verifier: pool.NewVerifier(f.pub, pool.VerifyFull), gate: make(chan struct{})}
-	p := New(gv, Options{Workers: 1, QueueSize: 4, Registry: reg})
+	p := New(gv, Options{Workers: 1, Registry: reg})
 	defer p.Close()
 
 	live := func(k types.Round) transport.Envelope {
@@ -86,13 +86,13 @@ func TestPipelineResyncLaneNotStarved(t *testing.T) {
 		t.Fatal("first submit refused")
 	}
 	waitDepthZero(t, reg)
-	for k := types.Round(2); k <= 5; k++ {
+	for k := types.Round(2); k <= minQueue+1; k++ {
 		if !p.TrySubmit(live(k)) {
-			t.Fatalf("live lane full after %d submissions, capacity 4", k-1)
+			t.Fatalf("live lane full after %d submissions, capacity %d", k-2, minQueue)
 		}
 	}
-	if p.TrySubmit(live(6)) {
-		t.Fatal("live lane accepted a 5th envelope, want saturation")
+	if p.TrySubmit(live(minQueue + 2)) {
+		t.Fatalf("live lane accepted envelope %d, want saturation", minQueue+1)
 	}
 	// A saturated live lane must not refuse resync traffic...
 	bh := hash.SumUint64(hash.DomainBlock, 99)
@@ -101,8 +101,8 @@ func TestPipelineResyncLaneNotStarved(t *testing.T) {
 		t.Fatal("resync bundle refused while the live lane is saturated")
 	}
 	snap := reg.Snapshot()
-	if snap[`icc_verify_lane_depth{lane="live"}`] != 4 {
-		t.Fatalf("live lane depth = %v, want 4", snap[`icc_verify_lane_depth{lane="live"}`])
+	if snap[`icc_verify_lane_depth{lane="live"}`] != minQueue {
+		t.Fatalf("live lane depth = %v, want %d", snap[`icc_verify_lane_depth{lane="live"}`], minQueue)
 	}
 	if snap[`icc_verify_lane_depth{lane="resync"}`] != 1 {
 		t.Fatalf("resync lane depth = %v, want 1", snap[`icc_verify_lane_depth{lane="resync"}`])
@@ -110,12 +110,12 @@ func TestPipelineResyncLaneNotStarved(t *testing.T) {
 	// ...and the moment the worker frees up, the resync bundle jumps
 	// the entire live backlog.
 	close(gv.gate)
-	got := drain(t, p, 6, 5*time.Second)
+	got := drain(t, p, minQueue+2, 5*time.Second)
 	if _, ok := got[0].Msg.(*types.NotarizationShare); !ok {
 		t.Fatalf("first delivery %#v, want the in-flight live share", got[0].Msg)
 	}
 	if _, ok := got[1].Msg.(*types.Bundle); !ok {
-		t.Fatalf("second delivery %#v, want the resync bundle ahead of 4 queued live shares", got[1].Msg)
+		t.Fatalf("second delivery %#v, want the resync bundle ahead of %d queued live shares", got[1].Msg, minQueue)
 	}
 }
 
@@ -167,14 +167,14 @@ func TestPipelineChainAdmission(t *testing.T) {
 func TestPipelineShedsLiveWhileBehind(t *testing.T) {
 	f := newFixture(t, 4)
 	reg := obs.NewRegistry()
-	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 1, BehindWindow: 10, Registry: reg})
+	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 1, Registry: reg})
 	defer p.Close()
 
-	// Engine at round 1 with a verified frontier at 100: far behind, so
-	// live artifacts beyond round 1+10 are useless queue pressure.
+	// Engine at round 1 with a verified frontier at 200: far behind, so
+	// live artifacts beyond round 1+64 are useless queue pressure.
 	p.NoteEngineRound(1)
-	p.noteFrontier(100)
-	stale := f.nshare(50, 0, 1, hash.SumUint64(hash.DomainBlock, 50))
+	p.noteFrontier(200)
+	stale := f.nshare(100, 0, 1, hash.SumUint64(hash.DomainBlock, 100))
 	if !p.Submit(transport.Envelope{From: 2, Msg: stale}) {
 		t.Fatal("shed submit reported failure; the envelope was consumed")
 	}
@@ -182,7 +182,7 @@ func TestPipelineShedsLiveWhileBehind(t *testing.T) {
 	p.Submit(transport.Envelope{From: 2, Msg: near})
 	got := drain(t, p, 1, 5*time.Second)
 	if s, ok := got[0].Msg.(*types.NotarizationShare); !ok || s.Round != 5 {
-		t.Fatalf("delivered %#v, want the round-5 share (round-50 shed)", got[0].Msg)
+		t.Fatalf("delivered %#v, want the round-5 share (round-100 shed)", got[0].Msg)
 	}
 	select {
 	case env := <-p.Out():
@@ -194,18 +194,18 @@ func TestPipelineShedsLiveWhileBehind(t *testing.T) {
 	}
 	// A payload offer for a round this party is nowhere near is shed like
 	// any live artifact; one within the window passes through unverified.
-	p.Submit(transport.Envelope{From: 2, Msg: &types.PayloadOffer{Round: 60, Payload: []byte("x")}})
+	p.Submit(transport.Envelope{From: 2, Msg: &types.PayloadOffer{Round: 100, Payload: []byte("x")}})
 	p.Submit(transport.Envelope{From: 2, Msg: &types.PayloadOffer{Round: 3, Payload: []byte("x")}})
 	got = drain(t, p, 1, 5*time.Second)
 	if o, ok := got[0].Msg.(*types.PayloadOffer); !ok || o.Round != 3 {
-		t.Fatalf("delivered %#v, want the round-3 offer (round-60 shed)", got[0].Msg)
+		t.Fatalf("delivered %#v, want the round-3 offer (round-100 shed)", got[0].Msg)
 	}
 	if snap := reg.Snapshot(); snap[`icc_verify_rejects_total{reason="behind"}`] != 2 {
 		t.Fatalf("behind rejects = %v, want 2", snap[`icc_verify_rejects_total{reason="behind"}`])
 	}
 	// Resync-marked traffic is never shed, whatever its rounds.
 	deep := &types.Bundle{Messages: []types.Message{
-		f.nshare(50, 0, 2, hash.SumUint64(hash.DomainBlock, 50)),
+		f.nshare(100, 0, 2, hash.SumUint64(hash.DomainBlock, 100)),
 	}, Resync: true}
 	p.Submit(transport.Envelope{From: 3, Msg: deep})
 	got = drain(t, p, 1, 5*time.Second)
@@ -213,8 +213,8 @@ func TestPipelineShedsLiveWhileBehind(t *testing.T) {
 		t.Fatalf("resync bundle shed: %#v", got[0].Msg)
 	}
 	// Once caught up (round near frontier), nothing is shed.
-	p.NoteEngineRound(95)
-	p.Submit(transport.Envelope{From: 2, Msg: f.nshare(100, 0, 1, hash.SumUint64(hash.DomainBlock, 100))})
+	p.NoteEngineRound(195)
+	p.Submit(transport.Envelope{From: 2, Msg: f.nshare(200, 0, 1, hash.SumUint64(hash.DomainBlock, 200))})
 	drain(t, p, 1, 5*time.Second)
 }
 
@@ -222,7 +222,7 @@ func TestPipelineCloseZeroesDepthGauges(t *testing.T) {
 	f := newFixture(t, 4)
 	reg := obs.NewRegistry()
 	gv := &gatedVerifier{Verifier: pool.NewVerifier(f.pub, pool.VerifyFull), gate: make(chan struct{})}
-	p := New(gv, Options{Workers: 1, QueueSize: 4, Registry: reg})
+	p := New(gv, Options{Workers: 1, Registry: reg})
 
 	// One share in flight, four live and one resync queued, nobody
 	// draining Out: some envelopes are still in the lanes when the

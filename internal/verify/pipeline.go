@@ -16,8 +16,8 @@
 // additionally verified chain-aware: one full check of the highest
 // aggregate admits the whole hash-linked prefix (chain.go). While the
 // party is far behind the observed frontier, live artifacts beyond a
-// configured window are shed at admission — they would sit unusable in
-// the queue and are re-learned through catch-up anyway.
+// fixed window are shed at admission — they would sit unusable in the
+// queue and are re-learned through catch-up anyway.
 //
 // Ordering: workers complete out of order, so two messages from the
 // same peer may reach the engine reordered. The ICC protocols are
@@ -47,12 +47,24 @@ import (
 	"icc/internal/types"
 )
 
-// DefaultBehindWindow is how many rounds past the engine's own round
-// live artifacts are still admitted while the party lags the observed
-// peer frontier. Half a catch-up batch (core's resyncBatch
-// = 128): wide enough that normal jitter never sheds, narrow enough
-// that a 500-round rejoin is not drowned by tip traffic it cannot use.
-const DefaultBehindWindow = 64
+const (
+	// behindWindow is how many rounds past the engine's own round live
+	// artifacts are still admitted while the party lags the observed
+	// peer frontier; shed artifacts count as
+	// icc_verify_rejects_total{reason="behind"}. Half a catch-up batch
+	// (core's resyncBatch = 128): wide enough that normal jitter never
+	// sheds, narrow enough that a 500-round rejoin is not drowned by tip
+	// traffic it cannot use.
+	behindWindow = 64
+	// cacheSize bounds the verified-digest cache and the verified-
+	// statement cache alike.
+	cacheSize = 8192
+	// minQueue is the least capacity of each lane and of Out; a lane
+	// holds 4 × Workers otherwise. A full lane makes Submit block,
+	// applying backpressure to the transport reader rather than
+	// buffering without bound.
+	minQueue = 64
+)
 
 // Lane labels for the icc_verify_lane_depth gauge family.
 const (
@@ -65,31 +77,8 @@ type Options struct {
 	// Workers is the number of verification goroutines; 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// QueueSize bounds the live submission lane (0 → 4×Workers, min 64).
-	// A full lane makes Submit block, applying backpressure to the
-	// transport reader rather than buffering without bound.
-	QueueSize int
-	// ResyncQueueSize bounds the resync priority lane (0 → QueueSize).
-	ResyncQueueSize int
-	// CacheSize bounds the verified-digest cache (0 → 8192, negative →
-	// disabled). The cache makes re-gossiped and resync'd artifacts
-	// free: an artifact that verified once is admitted on digest match
-	// without re-running its signature checks. The same size (and the
-	// same negative-disables rule) governs the verified-statement cache
-	// that admits signer-subset variants of an already-verified quorum
-	// certificate (see processAggregate).
-	CacheSize int
-	// BehindWindow is how many rounds beyond the engine's own round
-	// live artifacts are admitted while the party is behind the
-	// observed peer frontier (0 → DefaultBehindWindow, negative →
-	// never shed). Shed artifacts count as
-	// icc_verify_rejects_total{reason="behind"}.
-	BehindWindow int
 	// Registry receives the pipeline's instruments (nil → none).
 	Registry *obs.Registry
-	// OnReject, if set, observes every artifact the pipeline drops,
-	// with the claimed sender and the internal/crypto reason label.
-	OnReject func(from types.PartyID, reason string)
 }
 
 // lane identifies a submission queue.
@@ -113,11 +102,13 @@ type Pipeline struct {
 	wg       sync.WaitGroup
 	once     sync.Once
 
+	// cache makes re-gossiped and resync'd artifacts free: one that
+	// verified once is admitted on digest match without re-running its
+	// signature checks. stmts holds verified aggregate statements (kind,
+	// round, proposer, blockHash), admitting signer-subset variants of an
+	// already-verified quorum certificate (see processAggregate).
 	cache *digestCache
-	stmts *digestCache // verified aggregate statements (kind, round, proposer, blockHash)
-
-	window uint64 // behind-shedding window in rounds
-	shed   bool   // shedding enabled
+	stmts *digestCache
 
 	// engineRound mirrors the hosted engine's working round (the runner
 	// refreshes it after every engine call); frontier is the highest
@@ -126,8 +117,6 @@ type Pipeline struct {
 	// shedding predicate.
 	engineRound atomic.Uint64
 	frontier    atomic.Uint64
-
-	onReject func(from types.PartyID, reason string)
 
 	queueDepth      *obs.Gauge
 	laneLiveDepth   *obs.Gauge
@@ -148,32 +137,15 @@ func New(v pool.Verifier, opts Options) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	queue := opts.QueueSize
-	if queue <= 0 {
-		queue = 4 * workers
-		if queue < 64 {
-			queue = 64
-		}
-	}
-	resyncQueue := opts.ResyncQueueSize
-	if resyncQueue <= 0 {
-		resyncQueue = queue
-	}
-	window := opts.BehindWindow
-	if window == 0 {
-		window = DefaultBehindWindow
-	}
+	queue := max(4*workers, minQueue)
 	p := &Pipeline{
 		verifier: v,
 		liveIn:   make(chan transport.Envelope, queue),
-		resyncIn: make(chan transport.Envelope, resyncQueue),
+		resyncIn: make(chan transport.Envelope, queue),
 		out:      make(chan transport.Envelope, queue),
 		done:     make(chan struct{}),
-		cache:    newDigestCache(opts.CacheSize),
-		stmts:    newDigestCache(opts.CacheSize),
-		window:   uint64(max(window, 0)),
-		shed:     window > 0,
-		onReject: opts.OnReject,
+		cache:    newDigestCache(cacheSize),
+		stmts:    newDigestCache(cacheSize),
 	}
 	if reg := opts.Registry; reg != nil {
 		p.queueDepth = reg.Gauge("icc_verify_queue_depth", "Envelopes waiting for a verification worker (all lanes).")
@@ -195,8 +167,8 @@ func New(v pool.Verifier, opts Options) *Pipeline {
 }
 
 // NoteEngineRound records the hosted engine's working round. The runner
-// calls it after every engine interaction; the shedding predicate and
-// the resync-content heuristic read it.
+// calls it after every engine interaction; the shedding predicate
+// reads it.
 func (p *Pipeline) NoteEngineRound(k types.Round) { p.engineRound.Store(uint64(k)) }
 
 // Frontier reports the highest round observed on a verified
@@ -217,42 +189,17 @@ func (p *Pipeline) noteFrontier(k types.Round) {
 // behind reports whether the engine lags the observed frontier by more
 // than the shedding window, and the highest round still admitted.
 func (p *Pipeline) behind() (uint64, bool) {
-	if !p.shed {
-		return 0, false
-	}
-	limit := p.engineRound.Load() + p.window
+	limit := p.engineRound.Load() + behindWindow
 	return limit, p.frontier.Load() > limit
 }
 
-// classify routes an envelope to a lane. Resync-marked bundles take the
-// priority lane; so — while the party is behind — do unmarked bundles
-// whose aggregates sit well below the observed frontier (catch-up
-// content from a sender predating the marker). Everything else is live.
-func (p *Pipeline) classify(m types.Message) lane {
-	b, ok := m.(*types.Bundle)
-	if !ok {
-		return laneLive
-	}
-	if b.Resync {
+// classify routes an envelope to a lane: resync-marked bundles take the
+// priority lane, everything else is live. Every producer of recovery
+// traffic (core's resync, catch-up and checkpoint transfer, and the
+// backfill worker) sets the marker.
+func classify(m types.Message) lane {
+	if b, ok := m.(*types.Bundle); ok && b.Resync {
 		return laneResync
-	}
-	if _, isBehind := p.behind(); isBehind {
-		// A live bundle's aggregates ride at the frontier (a proposal
-		// carries its parent's notarization); catch-up content is far
-		// below it. The margin keeps live proposals in the live lane.
-		f := p.frontier.Load()
-		for _, sub := range b.Messages {
-			switch v := sub.(type) {
-			case *types.Notarization:
-				if uint64(v.Round)+p.window < f {
-					return laneResync
-				}
-			case *types.Finalization:
-				if uint64(v.Round)+p.window < f {
-					return laneResync
-				}
-			}
-		}
 	}
 	return laneLive
 }
@@ -289,7 +236,7 @@ func roundOf(m types.Message) uint64 {
 // whether anything at all survives. Shed artifacts are counted as
 // rejects with reason "behind" — they are not errors, but the operator
 // watching a rejoin should see where the firehose went.
-func (p *Pipeline) shedLive(from types.PartyID, m types.Message) (types.Message, bool) {
+func (p *Pipeline) shedLive(m types.Message) (types.Message, bool) {
 	limit, isBehind := p.behind()
 	if !isBehind {
 		return m, true
@@ -299,7 +246,7 @@ func (p *Pipeline) shedLive(from types.PartyID, m types.Message) (types.Message,
 		kept := make([]types.Message, 0, len(b.Messages))
 		for _, sub := range b.Messages {
 			if drop(sub) {
-				p.rejectBehind(from)
+				p.rejectBehind()
 				continue
 			}
 			kept = append(kept, sub)
@@ -317,7 +264,7 @@ func (p *Pipeline) shedLive(from types.PartyID, m types.Message) (types.Message,
 			kept := make([]types.ShareGroup, 0, len(groups))
 			for i := range groups {
 				if uint64(groups[i].Round) > limit {
-					p.rejectBehind(from)
+					p.rejectBehind()
 					continue
 				}
 				kept = append(kept, groups[i])
@@ -328,7 +275,7 @@ func (p *Pipeline) shedLive(from types.PartyID, m types.Message) (types.Message,
 		beacon := make([]*types.BeaconShare, 0, len(sb.Beacon))
 		for _, s := range sb.Beacon {
 			if uint64(s.Round) > limit {
-				p.rejectBehind(from)
+				p.rejectBehind()
 				continue
 			}
 			beacon = append(beacon, s)
@@ -339,26 +286,21 @@ func (p *Pipeline) shedLive(from types.PartyID, m types.Message) (types.Message,
 		return &types.ShareBundle{Notar: notar, Final: final, Beacon: beacon}, true
 	}
 	if drop(m) {
-		p.rejectBehind(from)
+		p.rejectBehind()
 		return nil, false
 	}
 	return m, true
 }
 
-func (p *Pipeline) rejectBehind(from types.PartyID) {
-	p.rejects.With("behind").Inc()
-	if p.onReject != nil {
-		p.onReject(from, "behind")
-	}
-}
+func (p *Pipeline) rejectBehind() { p.rejects.With("behind").Inc() }
 
 // admit classifies and (for the live lane) sheds one envelope. ok=false
 // means the envelope was consumed entirely by the shedder and nothing
 // is to be queued.
 func (p *Pipeline) admit(env transport.Envelope) (transport.Envelope, lane, bool) {
-	ln := p.classify(env.Msg)
+	ln := classify(env.Msg)
 	if ln == laneLive {
-		msg, keep := p.shedLive(env.From, env.Msg)
+		msg, keep := p.shedLive(env.Msg)
 		if !keep {
 			return env, ln, false
 		}
@@ -498,7 +440,7 @@ func (p *Pipeline) worker() {
 func (p *Pipeline) handle(env transport.Envelope, ln lane) bool {
 	p.dequeued(ln)
 	start := time.Now()
-	msg, ok := p.process(env.From, env.Msg)
+	msg, ok := p.process(env.Msg)
 	p.latency.Observe(time.Since(start).Seconds())
 	if !ok {
 		return true
@@ -513,15 +455,15 @@ func (p *Pipeline) handle(env transport.Envelope, ln lane) bool {
 
 // process verifies one message, returning the (possibly filtered)
 // message to deliver and whether to deliver it at all.
-func (p *Pipeline) process(from types.PartyID, m types.Message) (types.Message, bool) {
+func (p *Pipeline) process(m types.Message) (types.Message, bool) {
 	switch v := m.(type) {
 	case *types.Bundle:
 		if v.Resync {
-			return p.processResync(from, v)
+			return p.processResync(v)
 		}
 		kept := make([]types.Message, 0, len(v.Messages))
 		for _, sub := range v.Messages {
-			if s, ok := p.process(from, sub); ok {
+			if s, ok := p.process(sub); ok {
 				kept = append(kept, s)
 			}
 		}
@@ -530,15 +472,15 @@ func (p *Pipeline) process(from types.PartyID, m types.Message) (types.Message, 
 		}
 		return &types.Bundle{Messages: kept, Resync: v.Resync}, true
 	case *types.ShareBundle:
-		return p.processShareBundle(from, v)
+		return p.processShareBundle(v)
 	case *types.Authenticator, *types.NotarizationShare, *types.FinalizationShare:
 		if err := p.checkCached(m); err != nil {
-			p.reject(from, err)
+			p.reject(err)
 			return nil, false
 		}
 		return m, true
 	case *types.Notarization, *types.Finalization:
-		return p.processAggregate(from, m)
+		return p.processAggregate(m)
 	default:
 		// Blocks carry no signature of their own (the authenticator
 		// does); beacon shares verify lazily in beacon.Combine; the
@@ -561,16 +503,16 @@ func (p *Pipeline) process(from types.PartyID, m types.Message) (types.Message, 
 // admission, the admitted bytes themselves are not attested: a party
 // re-serving spliced garbage Agg bytes is rejected by its receivers,
 // which full-verify. DESIGN.md §11 and §14 carry the argument.
-func (p *Pipeline) processAggregate(from types.PartyID, m types.Message) (types.Message, bool) {
+func (p *Pipeline) processAggregate(m types.Message) (types.Message, bool) {
 	round := types.Round(roundOf(m))
-	if stmt, ok := statementOf(m); ok && p.stmts != nil && p.stmts.contains(stmt) {
+	if stmt, ok := statementOf(m); ok && p.stmts.contains(stmt) {
 		p.chainAdmit.Inc()
 		p.cacheInsert(m)
 		p.noteFrontier(round)
 		return m, true
 	}
 	if err := p.checkCached(m); err != nil {
-		p.reject(from, err)
+		p.reject(err)
 		return nil, false
 	}
 	p.markStatement(m)
@@ -586,16 +528,16 @@ func (p *Pipeline) processAggregate(from types.PartyID, m types.Message) (types.
 // (beacon.Combine verifies lazily at threshold). Verified shares enter
 // the digest cache under their individual encoding, so the same share
 // re-arriving bare or differently grouped is admitted for free.
-func (p *Pipeline) processShareBundle(from types.PartyID, b *types.ShareBundle) (types.Message, bool) {
-	notar := p.filterShareGroups(from, b.Notar, false)
-	final := p.filterShareGroups(from, b.Final, true)
+func (p *Pipeline) processShareBundle(b *types.ShareBundle) (types.Message, bool) {
+	notar := p.filterShareGroups(b.Notar, false)
+	final := p.filterShareGroups(b.Final, true)
 	if len(notar)+len(final)+len(b.Beacon) == 0 {
 		return nil, false
 	}
 	return &types.ShareBundle{Notar: notar, Final: final, Beacon: b.Beacon}, true
 }
 
-func (p *Pipeline) filterShareGroups(from types.PartyID, groups []types.ShareGroup, final bool) []types.ShareGroup {
+func (p *Pipeline) filterShareGroups(groups []types.ShareGroup, final bool) []types.ShareGroup {
 	kept := make([]types.ShareGroup, 0, len(groups))
 	for i := range groups {
 		g := groups[i]
@@ -611,7 +553,7 @@ func (p *Pipeline) filterShareGroups(from types.PartyID, groups []types.ShareGro
 					BlockHash: g.BlockHash, Signer: signer, Sig: g.Sigs[j]}
 			}
 			if err := p.checkCached(m); err != nil {
-				p.reject(from, err)
+				p.reject(err)
 				continue
 			}
 			signers = append(signers, signer)
@@ -647,9 +589,6 @@ func statementKey(k types.Kind, round types.Round, proposer types.PartyID, bh ha
 // markStatement records an aggregate's statement as verified, enabling
 // statement-level admission of signer-subset variants.
 func (p *Pipeline) markStatement(m types.Message) {
-	if p.stmts == nil {
-		return
-	}
 	if stmt, ok := statementOf(m); ok {
 		p.stmts.insert(stmt)
 	}
@@ -660,24 +599,16 @@ func (p *Pipeline) markStatement(m types.Message) {
 // by the hash of the artifact's canonical encoding — a byte-identical
 // redelivery is admitted without touching the verifier.
 func (p *Pipeline) checkCached(m types.Message) error {
-	var key hash.Digest
-	if p.cache != nil {
-		key = hash.Sum(hash.DomainPayload, types.Marshal(m))
-		if p.cache.contains(key) {
-			p.cacheHits.Inc()
-			return nil
-		}
+	key := hash.Sum(hash.DomainPayload, types.Marshal(m))
+	if p.cache.contains(key) {
+		p.cacheHits.Inc()
+		return nil
 	}
+	p.cacheMiss.Inc()
 	if err := p.check(m); err != nil {
-		if p.cache != nil {
-			p.cacheMiss.Inc()
-		}
 		return err
 	}
-	if p.cache != nil {
-		p.cacheMiss.Inc()
-		p.cache.insert(key)
-	}
+	p.cache.insert(key)
 	p.verified.Inc()
 	return nil
 }
@@ -687,9 +618,7 @@ func (p *Pipeline) checkCached(m types.Message) error {
 // aggregate is the proof. A later byte-identical redelivery then hits
 // the cache like any other verified artifact.
 func (p *Pipeline) cacheInsert(m types.Message) {
-	if p.cache != nil {
-		p.cache.insert(hash.Sum(hash.DomainPayload, types.Marshal(m)))
-	}
+	p.cache.insert(hash.Sum(hash.DomainPayload, types.Marshal(m)))
 }
 
 func (p *Pipeline) check(m types.Message) error {
@@ -709,13 +638,7 @@ func (p *Pipeline) check(m types.Message) error {
 	}
 }
 
-func (p *Pipeline) reject(from types.PartyID, err error) {
-	reason := crypto.Reason(err)
-	p.rejects.With(reason).Inc()
-	if p.onReject != nil {
-		p.onReject(from, reason)
-	}
-}
+func (p *Pipeline) reject(err error) { p.rejects.With(crypto.Reason(err)).Inc() }
 
 // digestCache is a bounded FIFO set of verified artifact digests.
 // Sized so the working set (the last few rounds of shares and
@@ -729,12 +652,6 @@ type digestCache struct {
 }
 
 func newDigestCache(size int) *digestCache {
-	if size < 0 {
-		return nil
-	}
-	if size == 0 {
-		size = 8192
-	}
 	return &digestCache{
 		set:   make(map[hash.Digest]struct{}, size),
 		order: make([]hash.Digest, 0, size),

@@ -91,16 +91,8 @@ func TestPipelineVerifiesAndFilters(t *testing.T) {
 
 func TestPipelineBundleFiltering(t *testing.T) {
 	f := newFixture(t, 4)
-	var mu sync.Mutex
-	var rejectedFrom []types.PartyID
-	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{
-		Workers: 1,
-		OnReject: func(from types.PartyID, reason string) {
-			mu.Lock()
-			rejectedFrom = append(rejectedFrom, from)
-			mu.Unlock()
-		},
-	})
+	reg := obs.NewRegistry()
+	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 1, Registry: reg})
 	defer p.Close()
 
 	bh := hash.SumUint64(hash.DomainBlock, 1)
@@ -122,10 +114,8 @@ func TestPipelineBundleFiltering(t *testing.T) {
 		t.Fatalf("all-invalid bundle delivered: %#v", env.Msg)
 	case <-time.After(200 * time.Millisecond):
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(rejectedFrom) != 2 || rejectedFrom[0] != 2 {
-		t.Fatalf("rejects = %v, want two from party 2", rejectedFrom)
+	if got := reg.Snapshot()[`icc_verify_rejects_total{reason="bad_share"}`]; got != 2 {
+		t.Fatalf("bad_share rejects = %v, want 2", got)
 	}
 }
 
@@ -151,7 +141,7 @@ func TestPipelinePassThroughKinds(t *testing.T) {
 func TestPipelineConcurrentIngest(t *testing.T) {
 	f := newFixture(t, 4)
 	reg := obs.NewRegistry()
-	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 4, CacheSize: 64, Registry: reg})
+	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 4, Registry: reg})
 	defer p.Close()
 
 	const producers = 4
@@ -218,7 +208,7 @@ func TestPipelineCacheEviction(t *testing.T) {
 func TestPipelineShutdownDuringInFlight(t *testing.T) {
 	f := newFixture(t, 4)
 	for round := 0; round < 5; round++ {
-		p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 3, QueueSize: 8})
+		p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 3})
 		var wg sync.WaitGroup
 		wg.Add(2)
 		for g := 0; g < 2; g++ {
@@ -240,28 +230,5 @@ func TestPipelineShutdownDuringInFlight(t *testing.T) {
 		if !p.Closed() {
 			t.Fatal("pipeline not closed")
 		}
-	}
-}
-
-func TestPipelineDisabledCache(t *testing.T) {
-	f := newFixture(t, 4)
-	reg := obs.NewRegistry()
-	p := New(pool.NewVerifier(f.pub, pool.VerifyFull), Options{Workers: 1, CacheSize: -1, Registry: reg})
-	defer p.Close()
-	bh := hash.SumUint64(hash.DomainBlock, 1)
-	s := f.nshare(1, 0, 1, bh)
-	p.Submit(transport.Envelope{From: 1, Msg: s})
-	p.Submit(transport.Envelope{From: 1, Msg: s})
-	drain(t, p, 2, 5*time.Second)
-	snap := reg.Snapshot()
-	if snap["icc_verify_cache_hits_total"] != 0 {
-		t.Fatal("disabled cache recorded hits")
-	}
-	if snap["icc_verify_cache_misses_total"] != 0 {
-		t.Fatalf("misses = %v with the cache disabled, want 0 (nothing was consulted)",
-			snap["icc_verify_cache_misses_total"])
-	}
-	if snap["icc_verify_verified_total"] != 2 {
-		t.Fatalf("verified = %v, want 2 (no cache)", snap["icc_verify_verified_total"])
 	}
 }
