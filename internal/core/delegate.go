@@ -14,12 +14,15 @@ import (
 // Fig. 1 leaves the payload to the application, and a per-party command
 // queue answers it with "what this party holds", so a command admitted at
 // party P waits until the beacon ranks P first: n rounds on average. The
-// wait is not inherent. When P casts its notarization share for a round-k
-// block B it already knows, in the normal case, who leads round k+1
-// (precomputeBeacon), and that leader will most likely propose on B. So P
-// computes the payload it would itself propose on B and sends it to that
-// leader, ahead of the share; the leader merges what arrived in time into
-// its own payload. A command then rides the next block, whoever cuts it.
+// wait is not inherent. Once round k has a block B that P would share next
+// and a notarization share for B has reached P, P knows, in the normal
+// case, who leads round k+1 (precomputeBeacon), and that leader will most
+// likely propose on B as soon as B's notarization completes. So P computes
+// the payload it would itself propose on B and sends it to that leader:
+// on that first share from another party if P still waits out Δntry for B,
+// else just ahead of its own share. The leader merges what arrived in time
+// into its own payload. A command then rides the next block, whoever cuts
+// it.
 //
 // Two rules keep this to a change of payload content and nothing else:
 //
@@ -31,19 +34,26 @@ import (
 //     later command before the omitted one would skip the earlier one
 //     for good (per-client sequence watermark).
 //
+// Neither rule asks that P has shared B itself: an offer cut on another
+// party's share is still getPayload on B, and one on a block P ends up not
+// sharing is dropped by rule 2 at a leader that builds on another, while P
+// offers again on the block it does share.
+//
 // Notarization, finalization, the beacon and the WAL never see an offer:
 // it is unsigned, unlogged, kept only until its round has passed (one per
 // sender, at most MaxPayload bytes each) and never sent during replay. A
 // Byzantine sender can at most fill part of one block with commands of
 // its choosing, which a Byzantine leader can do with a whole block today.
 
-// offerPayload runs where the notarization share for b (hash h, current
-// round) is cast: rule 1 above. Nothing is sent when the next leader is
-// not known yet (never Reveal for it: that is precomputeBeacon's call, at
-// a time of its choosing), when it is this party, or when there is
-// nothing to propose.
+// offerPayload runs for the block b (hash h, current round) this party
+// shares next: when another party's notarization share for b reaches it
+// while it still waits out Δntry, or else where it casts its own. It is
+// rule 1 above, at most once per block. Nothing is sent when the next
+// leader is not known yet (never Reveal for it: that is precomputeBeacon's
+// call, at a time of its choosing), when it is this party, or when there
+// is nothing to propose; a later call tries again.
 func (e *Engine) offerPayload(b *types.Block, h hash.Digest, now time.Duration) {
-	if e.delegate == nil {
+	if e.delegate == nil || e.offered[h] {
 		return
 	}
 	next := e.round + 1
@@ -55,6 +65,7 @@ func (e *Engine) offerPayload(b *types.Block, h hash.Digest, now time.Duration) 
 	if len(payload) == 0 {
 		return
 	}
+	e.offered[h] = true
 	e.out = append(e.out, engine.Unicast(leader, &types.PayloadOffer{Round: next, ParentHash: h, Payload: payload}))
 	e.noteOffer(leader, next, len(payload), OfferSent, now)
 }

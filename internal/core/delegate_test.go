@@ -202,6 +202,159 @@ func (s *offeringSource) GetPayloadWith(k types.Round, parent *types.Block, look
 	return s.GetPayload(k, parent, lookup)
 }
 
+// offerRound builds a choreography around a delegating engine at rank 2
+// of round 1 that is not the leader of round 2, enters round 1 at time 0
+// and hands it every party's round-2 beacon share, so that it knows
+// Leader(2) — the addressee of its offers — from then on.
+func offerRound(t *testing.T, epsilon time.Duration) (*choreography, types.PartyID) {
+	t.Helper()
+	for try := 0; try < 32; try++ {
+		c := newChoreographyWith(t, 4, 2, 100*time.Millisecond, func(cfg *Config) {
+			cfg.Epsilon = epsilon
+			cfg.Payload = &offeringSource{}
+		})
+		c.start()
+		for i, b := range c.beacons {
+			// Each reference beacon signs round 2 over R_1.
+			for _, other := range c.beacons {
+				s, err := other.ShareForRound(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.AddShare(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, ok := b.Reveal(1); !ok {
+				t.Fatal("reveal of round 1 failed")
+			}
+			if pid := types.PartyID(i); pid != c.eng.ID() {
+				s, err := b.ShareForRound(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.deliver(pid, s, 0)
+			}
+		}
+		leader, ok := c.eng.cfg.Beacon.Leader(2)
+		if !ok {
+			t.Fatal("the engine does not know the leader of round 2")
+		}
+		if leader != c.eng.ID() {
+			return c, leader
+		}
+	}
+	t.Fatal("the party at rank 2 led round 2 for every key set dealt")
+	return nil, 0
+}
+
+// offersOut lists the payload offers the engine has sent so far.
+func (c *choreography) offersOut() []engine.Output {
+	var out []engine.Output
+	for _, o := range c.outs {
+		if _, ok := o.Msg.(*types.PayloadOffer); ok {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// checkOffer fails the test unless o is a round-2 offer to leader cut
+// against parent.
+func checkOffer(t *testing.T, o engine.Output, leader types.PartyID, parent *types.Block) {
+	t.Helper()
+	po := o.Msg.(*types.PayloadOffer)
+	if o.Broadcast || o.To != leader || po.Round != 2 || po.ParentHash != parent.Hash() {
+		t.Errorf("offer for round %d on %s sent to %d (broadcast %v), want round 2 on %s to the leader %d",
+			po.Round, po.ParentHash.Short(), o.To, o.Broadcast, parent.Hash().Short(), leader)
+	}
+}
+
+// TestOfferLeavesOnAnotherPartysShare: with ε > 0 a party still waiting
+// out Δntry(0) sends its offer when another party's share for the block
+// reaches it, and sends none when its own share follows.
+func TestOfferLeavesOnAnotherPartysShare(t *testing.T) {
+	c, leader := offerRound(t, 50*time.Millisecond) // Δntry(0) = 50 ms
+	b0, bundle := c.block(0, "b0")
+	c.deliver(c.perm[0], bundle, 10*time.Millisecond)
+	if n := len(c.offersOut()); n != 0 {
+		t.Fatalf("%d offers sent on the block alone, before any share for it", n)
+	}
+	c.deliver(c.perm[1], c.nshare(b0, c.perm[1]), 20*time.Millisecond)
+	offers := c.offersOut()
+	if len(offers) != 1 {
+		t.Fatalf("%d offers sent on the first share from another party, want 1", len(offers))
+	}
+	checkOffer(t, offers[0], leader, b0)
+	if n := len(c.sharesOf()); n != 0 {
+		t.Fatalf("%d notarization shares cast before Δntry(0) expired", n)
+	}
+	c.deliver(c.perm[3], c.nshare(b0, c.perm[3]), 30*time.Millisecond)
+	c.tick(50 * time.Millisecond)
+	if n := len(c.sharesOf()); n != 1 {
+		t.Fatalf("%d notarization shares cast once Δntry(0) expired, want 1", n)
+	}
+	if n := len(c.offersOut()); n != 1 {
+		t.Fatalf("%d offers sent after the party's own share, want the early one only", n)
+	}
+}
+
+// TestOfferLeavesWithTheShareAtZeroEpsilon: with ε = 0 the leader's block
+// is shared the moment it arrives, and the offer leaves just ahead of that
+// share, once.
+func TestOfferLeavesWithTheShareAtZeroEpsilon(t *testing.T) {
+	c, leader := offerRound(t, 0)
+	b0, bundle := c.block(0, "b0")
+	before := len(c.outs)
+	c.deliver(c.perm[0], bundle, 10*time.Millisecond)
+	offerAt, shareAt := -1, -1
+	for i, o := range c.outs[before:] {
+		switch m := o.Msg.(type) {
+		case *types.PayloadOffer:
+			offerAt = i
+			checkOffer(t, o, leader, b0)
+		case *types.NotarizationShare:
+			if m.Signer == c.eng.ID() {
+				shareAt = i
+			}
+		}
+	}
+	if offerAt < 0 || shareAt < 0 || offerAt > shareAt {
+		t.Fatalf("on the block's arrival: offer at output %d, own share at %d; want both, the offer first", offerAt, shareAt)
+	}
+	c.deliver(c.perm[1], c.nshare(b0, c.perm[1]), 20*time.Millisecond)
+	if n := len(c.offersOut()); n != 1 {
+		t.Fatalf("%d offers sent, want 1", n)
+	}
+}
+
+// TestOfferRepeatsOnTheBlockFinallyShared: an early offer on the rank-1
+// block, drawn out by another party's share, is followed by a second one
+// on the rank-0 block when that block arrives late and the party shares
+// it instead.
+func TestOfferRepeatsOnTheBlockFinallyShared(t *testing.T) {
+	c, leader := offerRound(t, 50*time.Millisecond) // Δntry(0) = 50 ms, Δntry(1) = 250 ms
+	b1, bundle1 := c.block(1, "b1")
+	c.deliver(c.perm[1], bundle1, 10*time.Millisecond)
+	c.deliver(c.perm[3], c.nshare(b1, c.perm[3]), 20*time.Millisecond)
+	if offers := c.offersOut(); len(offers) != 1 {
+		t.Fatalf("%d offers sent on the rank-1 block's first share, want 1", len(offers))
+	} else {
+		checkOffer(t, offers[0], leader, b1)
+	}
+	b0, bundle0 := c.block(0, "b0")
+	c.deliver(c.perm[0], bundle0, 100*time.Millisecond)
+	shares := c.sharesOf()
+	if len(shares) != 1 || shares[0].BlockHash != b0.Hash() {
+		t.Fatalf("own shares %v, want one, on the rank-0 block", shares)
+	}
+	offers := c.offersOut()
+	if len(offers) != 2 {
+		t.Fatalf("%d offers sent, want the early one on the rank-1 block and one on the rank-0 block", len(offers))
+	}
+	checkOffer(t, offers[1], leader, b0)
+}
+
 // TestNoPayloadOfferDuringReplay runs a WAL-backed cluster whose payload
 // sources delegate, checks that offers flowed and that none reached a
 // log, then replays one party's log into a fresh engine: the replay asks

@@ -34,6 +34,7 @@ type Engine struct {
 	rankShared map[types.Rank]bool  // ranks with a block in N
 	disq       map[types.Rank]bool  // D: disqualified ranks
 	echoed     map[hash.Digest]bool // blocks already echoed (idempotence)
+	offered    map[hash.Digest]bool // blocks a payload offer was sent on
 
 	// Finalization Subprotocol state.
 	kmax    types.Round // highest finalized round output so far
@@ -115,6 +116,7 @@ func (e *Engine) resetRoundState() {
 	e.rankShared = make(map[types.Rank]bool)
 	e.disq = make(map[types.Rank]bool)
 	e.echoed = make(map[hash.Digest]bool)
+	e.offered = make(map[hash.Digest]bool)
 	e.perm = nil
 	e.rankOf = nil
 }
@@ -596,9 +598,6 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 		if e.notarized[c.h] || e.disq[c.rank] {
 			continue
 		}
-		if now < e.t0+e.dntry(c.rank) {
-			continue
-		}
 		// "there is no valid round-k block B* of rank r* ∈ [r] \ D"
 		blocked := false
 		for _, other := range cs {
@@ -614,6 +613,15 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			continue
 		}
 		b := e.pool.Block(c.h)
+		if now < e.t0+e.dntry(c.rank) {
+			// Still waiting out Δntry for the block it would share next:
+			// another party's share for it is the first sign that the next
+			// leader's quorum is forming, so the offer leaves now.
+			if e.pool.NotarShareCount(c.h) > 0 {
+				e.offerPayload(b, c.h, now)
+			}
+			continue
+		}
 		// Echo the block (not our own proposal — we broadcast that when
 		// proposing).
 		if c.rank != e.myRank && !e.echoed[c.h] {
@@ -647,8 +655,9 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			if added, _ := e.pool.AddNotarizationShare(ns); added {
 				e.logArtifact(ns)
 			}
-			// Ahead of the share: the share may be the one that lets the
-			// next leader finish this round and propose.
+			// Ahead of the share, unless another party's share already
+			// drew it out: the share may be the one that lets the next
+			// leader finish this round and propose.
 			e.offerPayload(b, c.h, now)
 			e.emit(ns)
 			if e.cfg.Hooks.OnNotarizationShare != nil {

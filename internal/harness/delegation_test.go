@@ -13,6 +13,7 @@ import (
 	"icc/internal/adversary"
 	"icc/internal/beacon"
 	"icc/internal/core"
+	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/engine"
 	"icc/internal/simnet"
@@ -57,6 +58,61 @@ func (f *feeder) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 func (f *feeder) Tick(now time.Duration) []engine.Output {
 	f.feed(now)
 	return f.Engine.Tick(now)
+}
+
+// offerWatch records, from one party's outputs, the parents it sent
+// payload offers on and the blocks it notarization-shared, by round.
+type offerWatch struct {
+	engine.Engine
+	offeredOn map[types.Round][]hash.Digest        // round k → parents of its offers for k+1, in order
+	shared    map[types.Round]map[hash.Digest]bool // round k → blocks it shared
+}
+
+func newOfferWatch(inner engine.Engine) *offerWatch {
+	return &offerWatch{Engine: inner, offeredOn: make(map[types.Round][]hash.Digest), shared: make(map[types.Round]map[hash.Digest]bool)}
+}
+
+func (w *offerWatch) Init(now time.Duration) []engine.Output { return w.see(w.Engine.Init(now)) }
+
+func (w *offerWatch) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	return w.see(w.Engine.HandleMessage(from, m, now))
+}
+
+func (w *offerWatch) Tick(now time.Duration) []engine.Output { return w.see(w.Engine.Tick(now)) }
+
+func (w *offerWatch) see(outs []engine.Output) []engine.Output {
+	for _, o := range outs {
+		switch m := o.Msg.(type) {
+		case *types.PayloadOffer:
+			w.offeredOn[m.Round-1] = append(w.offeredOn[m.Round-1], m.ParentHash)
+		case *types.NotarizationShare:
+			if m.Signer == w.ID() {
+				if w.shared[m.Round] == nil {
+					w.shared[m.Round] = make(map[hash.Digest]bool)
+				}
+				w.shared[m.Round][m.BlockHash] = true
+			}
+		}
+	}
+	return outs
+}
+
+// reoffers counts the rounds in which the party offered early on a block
+// it never shared, then shared another block and offered on that one.
+func (w *offerWatch) reoffers() int {
+	count := 0
+	for k, parents := range w.offeredOn {
+		early := false
+		for _, p := range parents {
+			if !w.shared[k][p] {
+				early = true
+			} else if early {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }
 
 // delayOwnProposals holds a party's own block proposals back by d: with d
@@ -108,6 +164,7 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	outcomes := make(map[string]int)
 	kvs := make([]*statemachine.KV, n)
 	feeders := make([]*feeder, n)
+	watches := make([]*offerWatch, n)
 	for i := 0; i < n; i++ {
 		pid := types.PartyID(i)
 		q, kv := statemachine.NewQueue(), statemachine.NewKV()
@@ -132,10 +189,13 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 		var eng engine.Engine = inner
 		if i == slow {
 			// Δprop(1) = 200 ms, Δntry(1) = 250 ms: the leader's block lands
-			// between 231 and 260 ms after it was cut.
-			eng = delayOwnProposals(inner, 230*time.Millisecond)
+			// between 241 and 270 ms after it was cut, so that a party that
+			// entered the round late may see another party's share for the
+			// rank-1 block, offer on it early, and then share the leader's.
+			eng = delayOwnProposals(inner, 240*time.Millisecond)
 		}
-		feeders[i] = &feeder{Engine: eng, q: q, client: uint64(i + 1), every: every, stop: load}
+		watches[i] = newOfferWatch(eng)
+		feeders[i] = &feeder{Engine: watches[i], q: q, client: uint64(i + 1), every: every, stop: load}
 		net.AddNode(feeders[i], true)
 	}
 	net.Start()
@@ -158,7 +218,17 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	if outcomes[core.OfferMerged] == 0 || outcomes[core.OfferParentMismatch] == 0 {
 		t.Errorf("the run did not exercise both paths: offer outcomes %v", outcomes)
 	}
-	t.Logf("offer outcomes: %v", outcomes)
+	// A party that offered early on one block of a forked round and then
+	// shared the other re-offers on the other: the offer the next leader
+	// may merge is the one cut against the block it builds on.
+	reoffers := 0
+	for _, w := range watches {
+		reoffers += w.reoffers()
+	}
+	if reoffers == 0 {
+		t.Error("no party offered early on one block of a round and then shared, and re-offered on, another")
+	}
+	t.Logf("offer outcomes: %v; rounds with a re-offer: %d", outcomes, reoffers)
 	var total int
 	for _, f := range feeders {
 		total += int(f.sent)

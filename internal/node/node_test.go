@@ -263,8 +263,11 @@ func TestKillRestartResumes(t *testing.T) {
 		n      = 4
 		victim = 3
 	)
-	c := newTestCluster(t, n, false)
+	// Taken before the cluster, whose cleanup stops the nodes: cleanups run
+	// last-in first-out, so the directory is removed only once no party
+	// writes checkpoints into it any more.
 	base := t.TempDir()
+	c := newTestCluster(t, n, false)
 	durable := func(i int, cfg *node.Config) {
 		cfg.DeltaBound = 20 * time.Millisecond
 		cfg.Dir = filepath.Join(base, fmt.Sprintf("party-%d", i))
