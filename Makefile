@@ -42,8 +42,10 @@ bench-scale:
 # Parent commit against the working tree on one workload, or on the four of
 # BENCHMARK.json in turn with WORKLOAD=all (~35 min): >= 10 alternating
 # pairs each, the count of pairs won, then one bench -compare table of the
-# two sets of records. PARENT (default HEAD) and PAIRS (default 10) override.
+# two sets of records. PARENT (default HEAD), PAIRS (default 10) and SEED0
+# (the first pair's seed, default 1) override.
 #   make bench-pair WORKLOAD=steady-n4
+#   make bench-pair WORKLOAD=steady-n4 SEED0=11 PAIRS=2   (the unseen seeds)
 #   make bench-pair WORKLOAD=all
 #   make bench-pair WORKLOAD=tcp-gossip-n13 TRACED=1   (+ a traced run a side: bytes by kind)
 bench-pair:

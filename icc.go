@@ -185,7 +185,9 @@ func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
 // WithDeltaBound sets Δbnd.
 func WithDeltaBound(d time.Duration) Option { return func(o *Options) { o.DeltaBound = d } }
 
-// WithEpsilon sets the ε governor.
+// WithEpsilon sets the ε governor: a party shares the leader's block ε
+// after it enters the round, and the leader cuts that block ε/2 after it
+// enters, with the payload offers that reached it meanwhile.
 func WithEpsilon(d time.Duration) Option { return func(o *Options) { o.Epsilon = d } }
 
 // WithBehavior assigns a Byzantine role to a party.

@@ -111,8 +111,11 @@ type Hooks struct {
 	// OnPropose fires when the party broadcasts its own block proposal.
 	OnPropose func(k types.Round, now time.Duration)
 	// OnNotarizationShare fires when the party issues a notarization
-	// share for a round-k block.
-	OnNotarizationShare func(k types.Round, now time.Duration)
+	// share for a round-k block of rank r. late is how long after the
+	// party's own Δntry(r) the share was cast: 0 when the block was there
+	// before the timer expired and the timer gated the share, above 0 when
+	// the block itself arrived after Δntry(r).
+	OnNotarizationShare func(k types.Round, late, now time.Duration)
 	// OnFinalizationShare fires when the party issues a finalization
 	// share for a round-k block.
 	OnFinalizationShare func(k types.Round, now time.Duration)

@@ -155,6 +155,19 @@ func (c *choreography) sharesOf() []*types.NotarizationShare {
 	return out
 }
 
+// proposals counts the engine's own block proposals so far.
+func (c *choreography) proposals() int {
+	count := 0
+	for _, o := range c.outs {
+		if b, ok := o.Msg.(*types.Bundle); ok {
+			if bm, ok := b.Messages[0].(*types.BlockMsg); ok && bm.Block.Proposer == c.eng.ID() {
+				count++
+			}
+		}
+	}
+	return count
+}
+
 // TestClauseBLeaderProposesImmediately: Δprop(0) = 0, so the rank-0
 // engine proposes the moment it enters the round, extending the root.
 func TestClauseBLeaderProposesImmediately(t *testing.T) {
@@ -192,23 +205,12 @@ func TestClauseBRankedProposerWaits(t *testing.T) {
 	const bound = 100 * time.Millisecond
 	c := newChoreography(t, 4, 1, bound)
 	c.start()
-	countProposals := func() int {
-		count := 0
-		for _, o := range c.outs {
-			if bun, ok := o.Msg.(*types.Bundle); ok {
-				if bm, ok := bun.Messages[0].(*types.BlockMsg); ok && bm.Block.Proposer == c.eng.ID() {
-					count++
-				}
-			}
-		}
-		return count
-	}
 	c.tick(2*bound - time.Millisecond)
-	if countProposals() != 0 {
+	if c.proposals() != 0 {
 		t.Fatal("rank-1 party proposed before Δprop(1)")
 	}
 	c.tick(2 * bound)
-	if countProposals() != 1 {
+	if c.proposals() != 1 {
 		t.Fatal("rank-1 party did not propose at Δprop(1)")
 	}
 }
@@ -278,6 +280,70 @@ func TestClauseCPriorityBlocksHigherRank(t *testing.T) {
 	shares := c.sharesOf()
 	if len(shares) != 1 || shares[0].BlockHash != b1.Hash() {
 		t.Fatal("rank-1 block not shared")
+	}
+}
+
+// TestNextWakeKeepsPassedBoundariesDue: a Δprop or Δntry boundary that
+// passed without a tick — the caller re-asked after a message the engine
+// never saw — is reported as due now until its clause has run, while a
+// block that a lower-ranked one blocks asks for no wake at all.
+func TestNextWakeKeepsPassedBoundariesDue(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	noResync := func(cfg *Config) { cfg.ResyncInterval = -1 }
+	leader := newChoreographyWith(t, 4, 0, bound, func(cfg *Config) {
+		noResync(cfg)
+		cfg.Epsilon = 50 * time.Millisecond // Δprop(0) = 25 ms, Δntry(0) = 50 ms
+	})
+	leader.start()
+	if at, ok := leader.eng.NextWake(10 * time.Millisecond); !ok || at != 25*time.Millisecond {
+		t.Fatalf("next wake %v (%v), want Δprop(0) = 25ms", at, ok)
+	}
+	late := 30 * time.Millisecond
+	if at, ok := leader.eng.NextWake(late); !ok || at != late+1 {
+		t.Fatalf("next wake %v (%v) with Δprop(0) passed and nothing proposed, want %v", at, ok, late+1)
+	}
+	leader.tick(late + 1)
+	if at, ok := leader.eng.NextWake(late + 2); !ok || at != 50*time.Millisecond {
+		t.Fatalf("next wake %v (%v) after proposing, want Δntry(0) = 50ms for the own block", at, ok)
+	}
+
+	c := newChoreographyWith(t, 4, 3, bound, noResync)
+	c.start()
+	b1, bundle1 := c.block(1, "rank1")
+	b2, bundle2 := c.block(2, "rank2")
+	c.deliver(b1.Proposer, bundle1, time.Millisecond)
+	c.deliver(b2.Proposer, bundle2, 2*time.Millisecond)
+	if at, ok := c.eng.NextWake(3 * bound); !ok || at != 3*bound+1 {
+		t.Fatalf("next wake %v (%v) with Δntry(1) passed and the rank-1 block unshared, want %v", at, ok, 3*bound+1)
+	}
+	c.tick(3*bound + 1)
+	if len(c.sharesOf()) != 1 {
+		t.Fatal("rank-1 block not shared once ticked")
+	}
+	// Δntry(2) has passed too, but the rank-2 block is blocked: the next
+	// wake is this party's own Δprop(3).
+	if at, ok := c.eng.NextWake(5 * bound); !ok || at != 6*bound {
+		t.Fatalf("next wake %v (%v) with only a blocked block pending, want Δprop(3) = %v", at, ok, 6*bound)
+	}
+}
+
+// TestShareReportsHowLateItsBlockCame: OnNotarizationShare carries 0 for
+// a share the Δntry timer held back, and the time past Δntry(r) for a
+// block that arrived after it.
+func TestShareReportsHowLateItsBlockCame(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	var late []time.Duration
+	c := newChoreographyWith(t, 4, 3, bound, func(cfg *Config) {
+		cfg.Hooks.OnNotarizationShare = func(_ types.Round, l, _ time.Duration) { late = append(late, l) }
+	})
+	c.start()
+	_, bundle1 := c.block(1, "rank1")
+	c.deliver(c.perm[1], bundle1, time.Millisecond)
+	c.tick(2 * bound) // Δntry(1)
+	_, bundle0 := c.block(0, "rank0")
+	c.deliver(c.perm[0], bundle0, 2*bound+7*time.Millisecond) // Δntry(0) = 0
+	if len(late) != 2 || late[0] != 0 || late[1] != 2*bound+7*time.Millisecond {
+		t.Fatalf("shares reported late by %v, want [0s %v]", late, 2*bound+7*time.Millisecond)
 	}
 }
 

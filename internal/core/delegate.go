@@ -17,12 +17,14 @@ import (
 // wait is not inherent. Once round k has a block B that P would share next
 // and a notarization share for B has reached P, P knows, in the normal
 // case, who leads round k+1 (precomputeBeacon), and that leader will most
-// likely propose on B as soon as B's notarization completes. So P computes
-// the payload it would itself propose on B and sends it to that leader:
-// on that first share from another party if P still waits out Δntry for B,
-// else just ahead of its own share. The leader merges what arrived in time
-// into its own payload. A command then rides the next block, whoever cuts
-// it.
+// likely propose on B once B's notarization completes. So P computes the
+// payload it would itself propose on B and sends it to that leader: on
+// that first share from another party if P still waits out Δntry for B
+// (it may see B notarized, and leave the round, before its own timer
+// fires), else just ahead of its own share. The leader merges what arrived
+// by the time it cuts its block, Δprop(0) = ε/2 after it entered round k+1
+// (types.StandardDelays). A command then rides the next block, whoever
+// cuts it.
 //
 // Two rules keep this to a change of payload content and nothing else:
 //

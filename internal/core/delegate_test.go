@@ -355,6 +355,57 @@ func TestOfferRepeatsOnTheBlockFinallyShared(t *testing.T) {
 	checkOffer(t, offers[1], leader, b0)
 }
 
+// leaderWithOffer builds a choreography around the leader of round 1,
+// enters the round at time 0 and delivers an offer for round 1 from the
+// party ranked second at 10 ms. It returns the offer outcomes reported.
+func leaderWithOffer(t *testing.T, epsilon time.Duration) (*choreography, *offeringSource, map[string]int) {
+	t.Helper()
+	src, outcomes := &offeringSource{}, make(map[string]int)
+	c := newChoreographyWith(t, 4, 0, 100*time.Millisecond, func(cfg *Config) {
+		cfg.Epsilon = epsilon
+		cfg.Payload = src
+		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+			outcomes[outcome]++
+		}
+	})
+	c.start()
+	c.deliver(c.perm[1], &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: []byte("offered")}, 10*time.Millisecond)
+	return c, src, outcomes
+}
+
+// TestOfferAfterEntryIsMergedAtPositiveEpsilon: with ε = 50 ms the leader
+// cuts its block at Δprop(0) = 25 ms, not on entry, so an offer that
+// reaches it 10 ms into the round rides the block.
+func TestOfferAfterEntryIsMergedAtPositiveEpsilon(t *testing.T) {
+	c, src, outcomes := leaderWithOffer(t, 50*time.Millisecond)
+	if n := c.proposals(); n != 0 {
+		t.Fatalf("%d proposals before Δprop(0)", n)
+	}
+	if at, ok := c.eng.NextWake(10 * time.Millisecond); !ok || at != 25*time.Millisecond {
+		t.Fatalf("next wake %v (%v), want Δprop(0) = 25ms", at, ok)
+	}
+	c.tick(25 * time.Millisecond)
+	if n := c.proposals(); n != 1 {
+		t.Fatalf("%d proposals at Δprop(0), want 1", n)
+	}
+	if src.merged != 1 || outcomes[OfferMerged] != 1 || outcomes[OfferLate] != 0 {
+		t.Fatalf("%d offers merged by the source, outcomes %v; want the one offer merged", src.merged, outcomes)
+	}
+}
+
+// TestLeaderProposesOnEntryAtZeroEpsilon: with ε = 0 the delays are eq. (2)
+// exactly, so the leader proposes the moment it enters the round and the
+// same offer, 10 ms later, is late.
+func TestLeaderProposesOnEntryAtZeroEpsilon(t *testing.T) {
+	c, src, outcomes := leaderWithOffer(t, 0)
+	if n := c.proposals(); n != 1 {
+		t.Fatalf("%d proposals on entry, want 1", n)
+	}
+	if src.merged != 0 || outcomes[OfferLate] != 1 {
+		t.Fatalf("%d offers merged, outcomes %v; want the offer late", src.merged, outcomes)
+	}
+}
+
 // TestNoPayloadOfferDuringReplay runs a WAL-backed cluster whose payload
 // sources delegate, checks that offers flowed and that none reached a
 // log, then replays one party's log into a fresh engine: the replay asks

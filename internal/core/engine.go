@@ -35,6 +35,7 @@ type Engine struct {
 	disq       map[types.Rank]bool  // D: disqualified ranks
 	echoed     map[hash.Digest]bool // blocks already echoed (idempotence)
 	offered    map[hash.Digest]bool // blocks a payload offer was sent on
+	waited     map[hash.Digest]bool // blocks whose share Δntry held back
 
 	// Finalization Subprotocol state.
 	kmax    types.Round // highest finalized round output so far
@@ -117,6 +118,7 @@ func (e *Engine) resetRoundState() {
 	e.disq = make(map[types.Rank]bool)
 	e.echoed = make(map[hash.Digest]bool)
 	e.offered = make(map[hash.Digest]bool)
+	e.waited = make(map[hash.Digest]bool)
 	e.perm = nil
 	e.rankOf = nil
 }
@@ -582,6 +584,21 @@ func (e *Engine) candidates() []candidate {
 	return cs
 }
 
+// blocked reports whether a valid round-k block of lower rank, not
+// disqualified, keeps clause (c) from acting on c: "there is no valid
+// round-k block B* of rank r* ∈ [r] \ D". cs is sorted by rank.
+func (e *Engine) blocked(cs []candidate, c candidate) bool {
+	for _, other := range cs {
+		if other.rank >= c.rank {
+			return false
+		}
+		if !e.disq[other.rank] {
+			return true
+		}
+	}
+	return false
+}
+
 // tryEchoNotarize implements clause (c) of Fig. 1: echo qualifying
 // blocks and either notarization-share them or disqualify their rank.
 // Suppressed during replay: pre-crash shares re-enter from the WAL, and
@@ -598,25 +615,16 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 		if e.notarized[c.h] || e.disq[c.rank] {
 			continue
 		}
-		// "there is no valid round-k block B* of rank r* ∈ [r] \ D"
-		blocked := false
-		for _, other := range cs {
-			if other.rank >= c.rank {
-				break
-			}
-			if !e.disq[other.rank] {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
+		if e.blocked(cs, c) {
 			continue
 		}
+		due := e.t0 + e.dntry(c.rank)
 		b := e.pool.Block(c.h)
-		if now < e.t0+e.dntry(c.rank) {
+		if now < due {
 			// Still waiting out Δntry for the block it would share next:
-			// another party's share for it is the first sign that the next
-			// leader's quorum is forming, so the offer leaves now.
+			// another party's share for it says the round may finish
+			// before this party's timer fires, so the offer leaves now.
+			e.waited[c.h] = true
 			if e.pool.NotarShareCount(c.h) > 0 {
 				e.offerPayload(b, c.h, now)
 			}
@@ -661,7 +669,11 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			e.offerPayload(b, c.h, now)
 			e.emit(ns)
 			if e.cfg.Hooks.OnNotarizationShare != nil {
-				e.cfg.Hooks.OnNotarizationShare(e.round, now)
+				var late time.Duration // 0 when Δntry, not the block, gated the share
+				if !e.waited[c.h] {
+					late = now - due
+				}
+				e.cfg.Hooks.OnNotarizationShare(e.round, late, now)
 			}
 		}
 		moved = true
@@ -756,8 +768,11 @@ func (e *Engine) maybePrune() {
 	e.cfg.Beacon.Prune(cut)
 }
 
-// NextWake implements engine.Engine: the earliest future Δprop/Δntry
-// boundary that could newly enable clause (b) or (c).
+// NextWake implements engine.Engine: the earliest Δprop/Δntry boundary
+// that could newly enable clause (b) or (c). A boundary already passed
+// whose clause has not run is due now: the tick for it can lose the race
+// against a message that never reaches the engine (an overlay's adverts
+// and requests), and the caller then asks again with a later now.
 func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 	var earliest time.Duration
 	have := false
@@ -783,13 +798,14 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 		return earliest, have // otherwise waiting on messages only
 	}
 	if !e.proposed {
-		consider(e.t0 + e.dprop(e.myRank))
+		consider(max(e.t0+e.dprop(e.myRank), now+1))
 	}
-	for _, c := range e.candidates() {
-		if e.notarized[c.h] || e.disq[c.rank] {
+	cs := e.candidates()
+	for _, c := range cs {
+		if e.notarized[c.h] || e.disq[c.rank] || e.blocked(cs, c) {
 			continue
 		}
-		consider(e.t0 + e.dntry(c.rank))
+		consider(max(e.t0+e.dntry(c.rank), now+1))
 	}
 	return earliest, have
 }

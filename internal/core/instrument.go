@@ -35,10 +35,10 @@ func ObservedHooks(ob *obs.Observer, base Hooks) Hooks {
 				base.OnPropose(k, now)
 			}
 		},
-		OnNotarizationShare: func(k types.Round, now time.Duration) {
-			ob.NotarizationShare(uint64(k), now)
+		OnNotarizationShare: func(k types.Round, late, now time.Duration) {
+			ob.NotarizationShare(uint64(k), late, now)
 			if base.OnNotarizationShare != nil {
-				base.OnNotarizationShare(k, now)
+				base.OnNotarizationShare(k, late, now)
 			}
 		},
 		OnFinalizationShare: func(k types.Round, now time.Duration) {

@@ -188,11 +188,12 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 		})
 		var eng engine.Engine = inner
 		if i == slow {
-			// Δprop(1) = 200 ms, Δntry(1) = 250 ms: the leader's block lands
-			// between 241 and 270 ms after it was cut, so that a party that
-			// entered the round late may see another party's share for the
-			// rank-1 block, offer on it early, and then share the leader's.
-			eng = delayOwnProposals(inner, 240*time.Millisecond)
+			// Δprop(0) = ε/2 = 25 ms, Δntry(1) = 250 ms: the leader's block
+			// is cut 25 ms into the round and lands between 241 and 270 ms,
+			// so that a party that entered the round late may see another
+			// party's share for the rank-1 block, offer on it early, and
+			// then share the leader's.
+			eng = delayOwnProposals(inner, 215*time.Millisecond)
 		}
 		watches[i] = newOfferWatch(eng)
 		feeders[i] = &feeder{Engine: watches[i], q: q, client: uint64(i + 1), every: every, stop: load}

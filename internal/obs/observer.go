@@ -118,6 +118,7 @@ type Observer struct {
 	roundDuration   *Histogram
 	commitLatency   *Histogram
 	notarShareDelay *Histogram
+	shareAfterNtry  *Histogram
 	finalShareDelay *Histogram
 
 	mu      sync.Mutex
@@ -177,6 +178,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		roundDuration:   reg.Histogram("icc_round_duration_seconds", "Round entry to notarized completion.", nil),
 		commitLatency:   reg.Histogram("icc_commit_latency_seconds", "Round entry to commit of that round's block.", nil),
 		notarShareDelay: reg.Histogram("icc_notarization_share_delay_seconds", "Round entry to this node's notarization share.", nil),
+		shareAfterNtry:  reg.Histogram("icc_core_share_after_ntry_seconds", "How long after its own Δntry(r) this node cast a notarization share: 0 when the timer gated it, above 0 when the block arrived late.", append([]float64{0}, DefBuckets...)),
 		finalShareDelay: reg.Histogram("icc_finalization_share_delay_seconds", "Round entry to this node's finalization share.", nil),
 	}
 	return o
@@ -235,12 +237,14 @@ func (o *Observer) Propose(k uint64, now time.Duration) {
 	o.trace(KindProposed, k, "")
 }
 
-// NotarizationShare records this node issuing a notarization share.
-func (o *Observer) NotarizationShare(k uint64, now time.Duration) {
+// NotarizationShare records this node issuing a notarization share, late
+// after its Δntry timer for the block expired.
+func (o *Observer) NotarizationShare(k uint64, late, now time.Duration) {
 	if o == nil {
 		return
 	}
 	o.notarShares.Inc()
+	o.shareAfterNtry.Observe(late.Seconds())
 	if d, ok := o.sinceEnter(k, now); ok {
 		o.notarShareDelay.Observe(d.Seconds())
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 	o.BeaconRecovered(1, 40*time.Millisecond)
 	o.EnterRound(1, 100*time.Millisecond)
 	o.Propose(1, 110*time.Millisecond)
-	o.NotarizationShare(1, 130*time.Millisecond)
+	o.NotarizationShare(1, 0, 130*time.Millisecond)
 	o.FinishRound(1, 150*time.Millisecond)
 	o.FinalizationShare(1, 160*time.Millisecond)
 	o.Commit(1, 64, 200*time.Millisecond)
@@ -43,6 +44,7 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 		"icc_round_duration_seconds_count":              1,
 		"icc_commit_latency_seconds_count":              1,
 		"icc_notarization_share_delay_seconds_count":    1,
+		"icc_core_share_after_ntry_seconds_count":       1,
 		"icc_finalization_share_delay_seconds_count":    1,
 	} {
 		if got := snap.Get(key); got != want {
@@ -99,7 +101,7 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	o.BeaconRecovered(1, time.Millisecond)
 	o.EnterRound(1, 0)
 	o.Propose(1, 0)
-	o.NotarizationShare(1, 0)
+	o.NotarizationShare(1, 0, 0)
 	o.FinalizationShare(1, 0)
 	o.FinishRound(1, 0)
 	o.Commit(1, 10, 0)
@@ -139,5 +141,28 @@ func TestHealthTrackerStallDetection(t *testing.T) {
 	nilH.Touch()
 	if got := nilH.Health(time.Nanosecond); got.Stalled {
 		t.Fatalf("nil tracker stalled: %+v", got)
+	}
+}
+
+// TestShareAfterNtryCountsGatedSharesAtZero: a share the Δntry timer gated
+// lands in the le="0" bucket, one cast on a late block above it.
+func TestShareAfterNtryCountsGatedSharesAtZero(t *testing.T) {
+	o := NewObserver(ObserverConfig{})
+	o.NotarizationShare(1, 0, 0)
+	o.NotarizationShare(2, 0, 0)
+	o.NotarizationShare(3, 12*time.Millisecond, 0)
+	var b strings.Builder
+	if err := o.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`icc_core_share_after_ntry_seconds_bucket{le="0"} 2`,
+		`icc_core_share_after_ntry_seconds_bucket{le="0.01"} 2`,
+		`icc_core_share_after_ntry_seconds_bucket{le="0.025"} 3`,
+		`icc_core_share_after_ntry_seconds_count 3`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }

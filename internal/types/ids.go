@@ -54,14 +54,21 @@ func CheckpointQuorum(n int) int { return MaxFaults(n) + 1 }
 // Implementations must be non-decreasing in the rank.
 type DelayFunc func(r Rank) time.Duration
 
-// StandardDelays returns the recommended Δprop and Δntry of paper eq. (2):
+// StandardDelays returns the delay functions of paper eq. (2), with the
+// leader's proposal moved to the middle of the ε governor:
 //
-//	Δprop(r) = 2·Δbnd·r
+//	Δprop(r) = 2·Δbnd·r + ε/2
 //	Δntry(r) = 2·Δbnd·r + ε
 //
-// The ε "governor" keeps the protocol from running too fast; it may be 0.
+// The ε "governor" keeps the protocol from running too fast; it may be 0,
+// and then these are eq. (2) exactly. Liveness asks only that
+// 2·Δbnd + Δprop(0) ≤ Δntry(1) (§4), which holds for any ε/2 ≤ ε; and
+// Δprop(r) ≤ Δntry(r) keeps every block out no later than its rank's
+// share is due. The rank-0 leader, which would otherwise cut its block on
+// entry and idle out the ε the others wait, cuts it ε/2 later with the
+// payload offers that arrived meanwhile (DESIGN.md §2, §19).
 func StandardDelays(deltaBound, epsilon time.Duration) (dprop, dntry DelayFunc) {
-	dprop = func(r Rank) time.Duration { return 2 * deltaBound * time.Duration(r) }
+	dprop = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon/2 }
 	dntry = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon }
 	return dprop, dntry
 }

@@ -46,27 +46,36 @@ func TestQuorums(t *testing.T) {
 	}
 }
 
+// TestStandardDelays pins Δprop(r) = 2Δbnd·r + ε/2 and Δntry(r) =
+// 2Δbnd·r + ε, and over a grid of (Δbnd, ε) — ε = 0, where they are eq. (2)
+// exactly, up to ε well above 4Δbnd — the properties the engine and the
+// oracle lean on: a block is out no later than its rank's share is due,
+// ranks stay strictly ordered, and §4's 2Δbnd + Δprop(0) ≤ Δntry(1).
 func TestStandardDelays(t *testing.T) {
 	dprop, dntry := StandardDelays(100*time.Millisecond, 10*time.Millisecond)
-	if dprop(0) != 0 {
-		t.Fatal("Δprop(0) != 0")
+	if dprop(0) != 5*time.Millisecond || dprop(3) != 605*time.Millisecond {
+		t.Fatalf("Δprop(0) = %v, Δprop(3) = %v; want 5ms, 605ms", dprop(0), dprop(3))
 	}
-	if dprop(3) != 600*time.Millisecond {
-		t.Fatalf("Δprop(3) = %v", dprop(3))
+	if dntry(0) != 10*time.Millisecond || dntry(3) != 610*time.Millisecond {
+		t.Fatalf("Δntry(0) = %v, Δntry(3) = %v; want 10ms, 610ms", dntry(0), dntry(3))
 	}
-	if dntry(0) != 10*time.Millisecond {
-		t.Fatalf("Δntry(0) = %v", dntry(0))
-	}
-	// Liveness requirement of §4 lemma (v): 2δ + Δprop(0) <= Δntry(1)
-	// must hold whenever δ <= Δbnd.
-	delta := 100 * time.Millisecond
-	if 2*delta+dprop(0) > dntry(1) {
-		t.Fatal("standard delays violate the liveness requirement at δ = Δbnd")
-	}
-	// Non-decreasing.
-	for r := Rank(0); r < 10; r++ {
-		if dprop(r+1) < dprop(r) || dntry(r+1) < dntry(r) {
-			t.Fatal("delay functions must be non-decreasing")
+	for _, bnd := range []time.Duration{time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond, 300 * time.Millisecond} {
+		for _, eps := range []time.Duration{0, time.Nanosecond, 3 * time.Millisecond, 50 * time.Millisecond, 2 * bnd, 4*bnd + 1, 10 * bnd, 2300 * time.Millisecond} {
+			dprop, dntry := StandardDelays(bnd, eps)
+			if eps == 0 && dprop(0) != 0 {
+				t.Errorf("Δbnd %v, ε 0: Δprop(0) = %v, want eq. (2)'s 0", bnd, dprop(0))
+			}
+			if 2*bnd+dprop(0) > dntry(1) {
+				t.Errorf("Δbnd %v, ε %v: 2Δbnd + Δprop(0) = %v > Δntry(1) = %v", bnd, eps, 2*bnd+dprop(0), dntry(1))
+			}
+			for r := Rank(0); r < 40; r++ {
+				if dprop(r) > dntry(r) {
+					t.Errorf("Δbnd %v, ε %v: Δprop(%d) = %v > Δntry(%d) = %v", bnd, eps, r, dprop(r), r, dntry(r))
+				}
+				if dprop(r+1) <= dprop(r) || dntry(r+1) <= dntry(r) {
+					t.Errorf("Δbnd %v, ε %v: not strictly increasing at rank %d", bnd, eps, r)
+				}
+			}
 		}
 	}
 }

@@ -7,9 +7,10 @@
 # what the working tree holds on top of it; say PARENT=HEAD~1 once it is
 # committed), unpacked with git archive into a throw-away directory, and
 # once from the working tree, then runs PAIRS (default 10) pairs of
-# untraced runs, pair i with seed i on both sides and the side that goes
-# first alternating, so that drift in the host's speed falls on both sides
-# alike. `all` does this for the workloads of BENCHMARK.json in turn: a
+# untraced runs, pair i with seed SEED0+i-1 (SEED0 default 1) on both
+# sides and the side that goes first alternating, so that drift in the
+# host's speed falls on both sides alike. SEED0=11 PAIRS=2 gives the
+# unseen-seed pairs (seeds 11 and 12) a claimed gain must also win. `all` does this for the workloads of BENCHMARK.json in turn: a
 # change that claims a gain on one workload owes the other three their
 # rows too. Ends with, per workload and end-to-end metric, how many pairs
 # the change won — the count a claimed gain needs nine tenths of
@@ -18,7 +19,7 @@
 # metric's bound). Exit status is -compare's.
 #
 # TRACED=1 adds, after the pairs, one --trace 1 run per side and workload
-# (seed 1) and prints the two side by side: bytes sent per commit by
+# (seed SEED0) and prints the two side by side: bytes sent per commit by
 # message kind, messages per commit, the gossip layer's busy share and
 # signature checks per commit — where the bytes went, which every change
 # to the overlay has to show.
@@ -29,6 +30,7 @@ set -euo pipefail
 workload=${1:?usage: scripts/bench-pair.sh <workload|all> [pairs]}
 pairs=${2:-${PAIRS:-10}}
 parent=${PARENT:-HEAD}
+seed0=${SEED0:-1}
 seconds=${BENCH_SECONDS:-22} # BENCHMARK.json run_seconds
 
 root=$(git rev-parse --show-toplevel)
@@ -62,8 +64,8 @@ run() { # side workload seed [traced]
 for w in $workloads; do
 	for ((i = 1; i <= pairs; i++)); do
 		if ((i % 2)); then order="parent change"; else order="change parent"; fi
-		for side in $order; do run "$side" "$w" "$i"; done
-		echo "$w: pair $i/$pairs done ($order)"
+		for side in $order; do run "$side" "$w" $((seed0 + i - 1)); done
+		echo "$w: pair $i/$pairs (seed $((seed0 + i - 1))) done ($order)"
 	done
 done
 
@@ -91,9 +93,9 @@ if [ "${TRACED:-0}" = 1 ]; then
 			sed 's/^"\([^"]*\)":{"value":/\1 /' | sort
 	}
 	echo
-	echo "traced runs (--trace 1, seed 1), per party and commit: parent, change"
+	echo "traced runs (--trace 1, seed $seed0), per party and commit: parent, change"
 	for w in $workloads; do
-		for side in parent change; do run "$side" "$w" 1 traced; done
+		for side in parent change; do run "$side" "$w" "$seed0" traced; done
 		join <(layers "$out/parent-traced.jsonl" "$w") <(layers "$out/change-traced.jsonl" "$w") |
 			awk -v w="$w" '$2 != 0 || $3 != 0 { printf "  %-16s %-44s %12.3f %12.3f\n", w, $1, $2, $3 }'
 	done
