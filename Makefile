@@ -19,7 +19,7 @@ vet:
 
 # Race-test the concurrency-heavy layers (real goroutines + sockets).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/oracle/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/... ./internal/crypto/sig/...
+	$(GO) test -race ./internal/clock/... ./internal/metrics/... ./internal/obs/... ./internal/oracle/... ./internal/transport/... ./internal/runtime/... ./internal/node/... ./internal/simnet/... ./internal/gossip/... ./internal/pool/... ./internal/verify/... ./internal/backfill/... ./internal/beacon/... ./internal/wal/... ./internal/checkpoint/... ./internal/gateway/... ./internal/statemachine/... ./internal/crypto/aggsig/... ./internal/crypto/bls/... ./internal/crypto/sig/...
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): every
 # workload untraced then traced, with trace.overhead_pct. It is the one

@@ -35,7 +35,7 @@ func main() {
 		epsilon    = flag.Duration("epsilon", 0, "ε governor of eq. (2)")
 		duration   = flag.Duration("duration", 30*time.Second, "simulated duration")
 		seed       = flag.Int64("seed", 1, "simulation seed")
-		payload    = flag.Int("payload", 0, "block payload size in bytes")
+		payload    = flag.Int("payload", 0, "block payload size in bytes (at most types.MaxPayloadBytes, 4 MiB)")
 		crash      = flag.Int("crash", 0, "parties crashed from birth")
 		silent     = flag.Int("silent", 0, "parties that never propose")
 		equivocate = flag.Int("equivocate", 0, "parties that propose conflicting blocks")
@@ -47,6 +47,10 @@ func main() {
 	m, err := node.ParseMode(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if *payload > types.MaxPayloadBytes {
+		fmt.Fprintf(os.Stderr, "-payload %d exceeds the %d-byte block payload bound every party enforces\n", *payload, types.MaxPayloadBytes)
 		os.Exit(1)
 	}
 	behaviors := make(map[types.PartyID]harness.Behavior)

@@ -120,7 +120,10 @@ type CommitEvent struct {
 	Payload []byte
 }
 
-// Options configures a LocalCluster.
+// Options configures a LocalCluster. What it does not name is fixed: an
+// ICC1 overlay has gossip.DefaultFanout(n) neighbours per party and seed
+// 42, a block carries at most 1024 commands and types.MaxPayloadBytes of
+// payload, and /healthz reports a stall after 30 s without a commit.
 type Options struct {
 	// Mode selects ICC0 (default), ICC1, or ICC2.
 	Mode Mode
@@ -132,23 +135,12 @@ type Options struct {
 	Epsilon time.Duration
 	// Behaviors assigns Byzantine roles to parties (default all honest).
 	Behaviors map[int]Behavior
-	// GossipFanout bounds the ICC1 overlay degree (default ≈ 2·log₂ n).
-	GossipFanout int
-	// GossipSeed seeds the ICC1 overlay's chord permutation (default 42).
-	// Clusters only connect to themselves, so the seed matters solely
-	// for reproducing a specific topology across runs.
-	GossipSeed int64
-	// MaxBatch bounds commands per block (default 1024).
-	MaxBatch int
 	// MetricsAddr, when non-empty, serves the observability endpoints
 	// (/metrics, /healthz, /trace, /debug/pprof) on this address from
 	// construction until Stop; NewLocalCluster fails if it cannot listen
 	// there. Use ":0" for an ephemeral port and MetricsAddr() for the
 	// bound address.
 	MetricsAddr string
-	// StallAfter is the /healthz stall threshold: the cluster reports
-	// unhealthy when no party has committed for this long (default 30 s).
-	StallAfter time.Duration
 	// WALDir, when non-empty, makes every party durable: each gets a
 	// crash-consistent write-ahead log and checkpoint store under
 	// WALDir/party-<i>/, replayed by NewLocalCluster so a restarted
@@ -176,6 +168,10 @@ type Options struct {
 	CertScheme string
 }
 
+// stallAfter is the /healthz stall threshold: the cluster reports
+// unhealthy when no party has committed for this long.
+const stallAfter = 30 * time.Second
+
 // Option mutates Options.
 type Option func(*Options)
 
@@ -200,26 +196,8 @@ func WithBehavior(party int, b Behavior) Option {
 	}
 }
 
-// WithGossipTopology pins the ICC1 overlay shape: fanout bounds each
-// party's degree (validated against the cluster size at construction —
-// out-of-range values make NewLocalCluster fail rather than silently
-// clamp), seed selects the deterministic chord permutation. Zero keeps
-// the default of either.
-func WithGossipTopology(fanout int, seed int64) Option {
-	return func(o *Options) {
-		o.GossipFanout = fanout
-		o.GossipSeed = seed
-	}
-}
-
-// WithMaxBatch bounds the commands batched into one block proposal.
-func WithMaxBatch(n int) Option { return func(o *Options) { o.MaxBatch = n } }
-
 // WithMetricsAddr serves the observability endpoints on addr until Stop.
 func WithMetricsAddr(addr string) Option { return func(o *Options) { o.MetricsAddr = addr } }
-
-// WithStallAfter sets the /healthz stall threshold.
-func WithStallAfter(d time.Duration) Option { return func(o *Options) { o.StallAfter = d } }
 
 // WithWALDir makes every party durable under dir (one subdirectory per
 // party): artifacts are WAL-logged with group-commit fsync before any
@@ -254,15 +232,6 @@ func (o Options) validate(n int) error {
 	}
 	if o.Epsilon < 0 {
 		return fmt.Errorf("icc: negative Epsilon %v", o.Epsilon)
-	}
-	if o.MaxBatch < 0 {
-		return fmt.Errorf("icc: negative MaxBatch %d", o.MaxBatch)
-	}
-	if o.GossipFanout < 0 {
-		return fmt.Errorf("icc: negative GossipFanout %d", o.GossipFanout)
-	}
-	if o.StallAfter < 0 {
-		return fmt.Errorf("icc: negative StallAfter %v", o.StallAfter)
 	}
 	if o.CheckpointInterval > 0 && o.WALDir == "" {
 		return fmt.Errorf("icc: CheckpointInterval requires WALDir")
@@ -318,9 +287,6 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 	if o.DeltaBound == 0 {
 		o.DeltaBound = 100 * time.Millisecond
 	}
-	if o.StallAfter == 0 {
-		o.StallAfter = 30 * time.Second
-	}
 	scheme, _ := aggsig.ParseSchemeID(o.CertScheme) // validated above
 	pub, privs, err := clusterKeys(o.WALDir, n, scheme)
 	if err != nil {
@@ -350,9 +316,6 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		c.reps[i] = node.NewReplica(gateway.Options{Party: i, MaxBacklog: o.GatewayBacklog, Registry: reg})
-		if o.MaxBatch > 0 {
-			c.reps[i].Queue.MaxBatch = o.MaxBatch
-		}
 		if o.Behaviors[i] == CrashFromBirth {
 			continue // no node: the replica's gateway never starts
 		}
@@ -369,8 +332,6 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 			Hooks:              core.Hooks{OnCommit: func(b *types.Block, _ time.Duration) { c.commit(i, b) }},
 			CheckpointInterval: types.Round(o.CheckpointInterval),
 			PruneDepth:         pruneDepth,
-			GossipFanout:       o.GossipFanout,
-			GossipSeed:         o.GossipSeed,
 			// Every party reports into the shared registry and tracer:
 			// families register idempotently, counters aggregate.
 			Registry: reg,
@@ -400,7 +361,7 @@ func NewLocalCluster(n int, opts ...Option) (*LocalCluster, error) {
 		if c.srv, err = obs.Serve(o.MetricsAddr, obs.HandlerOptions{
 			Registry: reg,
 			Tracer:   tracer,
-			Health:   func() obs.Health { return c.health.Health(o.StallAfter) },
+			Health:   func() obs.Health { return c.health.Health(stallAfter) },
 			Ingress:  gateway.NewHandler(gws, 0),
 		}); err != nil {
 			c.Stop()

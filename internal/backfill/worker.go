@@ -48,14 +48,6 @@ type Sender interface {
 
 // Options tunes a Worker. The zero value selects sensible defaults.
 type Options struct {
-	// Workers is the number of signing goroutines (0 → 1). Signing is
-	// serialized per beacon anyway only by its short critical sections,
-	// so more workers help when several laggards request at once.
-	Workers int
-	// QueueSize bounds pending requests (0 → 64). One request covers up
-	// to 128 rounds (core's resyncBatch), so even the default absorbs far
-	// more laggards than a cluster has peers.
-	QueueSize int
 	// Registry receives the worker's instruments (nil → none).
 	Registry *obs.Registry
 	// Checkpoints, if non-nil, lets the worker serve checkpoint
@@ -63,6 +55,12 @@ type Options struct {
 	// prune horizon. The store is safe for concurrent use, so the blob
 	// read happens off the engine loop like everything else here.
 	Checkpoints *checkpoint.Store
+
+	// workers is the number of signing goroutines (0 → 1), and queueSize
+	// bounds pending requests (0 → 64): one request covers up to 128
+	// rounds (core's resyncBatch), so 64 absorbs far more laggards than a
+	// cluster has peers. Tests in this package set other values.
+	workers, queueSize int
 }
 
 // Worker signs queued catch-up beacon shares off the engine loop and
@@ -101,11 +99,11 @@ var (
 // New builds and starts a worker signing with signer and delivering
 // through sender.
 func New(signer ShareSigner, sender Sender, opts Options) *Worker {
-	workers := opts.Workers
+	workers := opts.workers
 	if workers <= 0 {
 		workers = 1
 	}
-	queue := opts.QueueSize
+	queue := opts.queueSize
 	if queue <= 0 {
 		queue = 64
 	}

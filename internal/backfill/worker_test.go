@@ -137,7 +137,7 @@ func TestWorkerDedupesPerPeer(t *testing.T) {
 func TestWorkerDropsWhenQueueFull(t *testing.T) {
 	hub := transport.NewInproc(8)
 	g := newGatedSigner(simBeacon(t, 5))
-	w := New(g, hub.Endpoint(0), Options{Workers: 1, QueueSize: 1})
+	w := New(g, hub.Endpoint(0), Options{workers: 1, queueSize: 1})
 	defer func() {
 		close(g.gate) // unblock everything for Close
 		w.Close()
@@ -160,7 +160,7 @@ func TestWorkerDropsWhenQueueFull(t *testing.T) {
 
 func TestWorkerCloseRefusesAndUnblocks(t *testing.T) {
 	hub := transport.NewInproc(2)
-	w := New(simBeacon(t, 5), hub.Endpoint(0), Options{Workers: 2})
+	w := New(simBeacon(t, 5), hub.Endpoint(0), Options{workers: 2})
 	w.Close()
 	w.Close() // idempotent
 	if w.EnqueueBackfill(core.BackfillRequest{Peer: 1, Rounds: []types.Round{1}}) {
@@ -170,7 +170,7 @@ func TestWorkerCloseRefusesAndUnblocks(t *testing.T) {
 
 func TestWorkerConcurrentEnqueue(t *testing.T) {
 	hub := transport.NewInproc(8)
-	w := New(simBeacon(t, 8), hub.Endpoint(0), Options{Workers: 2})
+	w := New(simBeacon(t, 8), hub.Endpoint(0), Options{workers: 2})
 	defer w.Close()
 
 	var wg sync.WaitGroup

@@ -184,6 +184,9 @@ func Decode(b []byte) (*Checkpoint, error) {
 	blockRaw := d.VarBytes()
 	nzRaw := d.VarBytes()
 	hasFz := d.U8()
+	if hasFz > 1 {
+		return nil, fmt.Errorf("checkpoint: decode: finalization flag %d, want 0 or 1", hasFz)
+	}
 	var fzRaw []byte
 	if hasFz == 1 {
 		fzRaw = d.VarBytes()

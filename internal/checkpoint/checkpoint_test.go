@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/rand"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestVerifyRejectsBelowQuorumCert(t *testing.T) {
 func TestStoreSaveLatestRetention(t *testing.T) {
 	_, _, c := buildCertified(t, 4)
 	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{Retain: 2})
+	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,4 +259,45 @@ func TestNilStoreIsNoOp(t *testing.T) {
 		t.Fatal("nil store round")
 	}
 	s.Close()
+}
+
+// FuzzCheckpointDecode feeds Decode what a disk or a peer can hand it
+// (Store files, CheckpointMsg blobs): it must never panic, and whatever it
+// accepts must re-encode to exactly the bytes it read, so that one
+// checkpoint has one encoding.
+func FuzzCheckpointDecode(f *testing.F) {
+	block := &types.Block{Round: 10, Proposer: 2, ParentHash: hash.SumUint64(hash.DomainBlock, 9), Payload: []byte("boundary payload")}
+	bh := block.Hash()
+	c := &Checkpoint{
+		Round:        block.Round,
+		BlockHash:    bh,
+		StateHash:    StateDigest([]byte("state")),
+		BeaconDigest: hash.SumUint64(hash.DomainBeacon, 10),
+		Block:        block,
+		Notarization: &types.Notarization{Round: block.Round, Proposer: block.Proposer, BlockHash: bh, Agg: []byte("notarization aggregate")},
+		Finalization: &types.Finalization{Round: block.Round, Proposer: block.Proposer, BlockHash: bh, Agg: []byte("finalization aggregate")},
+		State:        []byte("state"),
+		Agg:          []byte("checkpoint certificate"),
+	}
+	f.Add(c.Encode())
+	c.Finalization = nil
+	none := c.Encode()
+	f.Add(none)
+	// The same encoding with its finalization flag set to 2, which Decode
+	// once read as "none" and so re-encoded as 0.
+	tail := types.NewEncoder(0)
+	tail.VarBytes(c.State)
+	tail.VarBytes(c.Agg)
+	flag2 := bytes.Clone(none)
+	flag2[len(none)-len(tail.Bytes())-1] = 2
+	f.Add(flag2)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if enc := c.Encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted encoding re-encodes differently:\nread   %x\nencode %x", data, enc)
+		}
+	})
 }

@@ -11,16 +11,14 @@ import (
 	"icc/internal/types"
 )
 
-// DefaultRetain is the number of certified checkpoints a Store keeps on
-// disk. Older files are garbage-collected at Save; the newest one is
-// what peers and the local restart path actually use, the rest are
-// operator headroom.
-const DefaultRetain = 2
+// retain is the number of certified checkpoints a Store keeps on disk.
+// Older files are garbage-collected at Save; the newest one is what peers
+// and the local restart path actually use, the rest are operator
+// headroom.
+const retain = 2
 
 // StoreOptions tunes a Store.
 type StoreOptions struct {
-	// Retain bounds the number of checkpoint files kept (0 → DefaultRetain).
-	Retain int
 	// Registry receives the icc_checkpoint_store_* instruments (nil → none).
 	Registry *obs.Registry
 }
@@ -36,8 +34,7 @@ type StoreOptions struct {
 // All methods are safe for concurrent use (the engine saves while the
 // backfill worker serves LatestEncoded) and nil-safe on a nil *Store.
 type Store struct {
-	dir    string
-	retain int
+	dir string
 
 	mu        sync.Mutex
 	latest    *Checkpoint // cache, invalidated on Save
@@ -53,11 +50,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
-	retain := opts.Retain
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
-	s := &Store{dir: dir, retain: retain}
+	s := &Store{dir: dir}
 	if reg := opts.Registry; reg != nil {
 		s.saves = reg.Counter("icc_checkpoint_saves_total", "Certified checkpoints persisted to the local store.")
 		s.latestG = reg.Gauge("icc_checkpoint_latest_round", "Round of the newest certified checkpoint in the local store.")
@@ -140,7 +133,7 @@ func (s *Store) Save(c *Checkpoint) error {
 	s.latestG.Set(float64(c.Round))
 	s.sizeLast.Set(float64(len(raw)))
 	rounds := s.files()
-	for len(rounds) > s.retain {
+	for len(rounds) > retain {
 		os.Remove(s.path(rounds[0]))
 		rounds = rounds[1:]
 	}

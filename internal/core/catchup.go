@@ -46,11 +46,11 @@ type Catchup struct {
 }
 
 // newCatchup wires the component from an engine config (already
-// defaulted).
-func newCatchup(cfg Config) *Catchup {
+// defaulted), replying to one peer at most once per interval.
+func newCatchup(cfg Config, interval time.Duration) *Catchup {
 	return &Catchup{
 		beacon:    cfg.Beacon,
-		interval:  cfg.ResyncInterval,
+		interval:  interval,
 		provider:  cfg.Catchup,
 		hook:      cfg.Hooks.OnBackfill,
 		repliedAt: make(map[types.PartyID]time.Duration),
@@ -61,9 +61,6 @@ func newCatchup(cfg Config) *Catchup {
 // Respond's own accounting (the checkpoint-serving path). It returns
 // false when the peer already used its reply slot this interval.
 func (c *Catchup) allowReply(from types.PartyID, now time.Duration) bool {
-	if c.interval <= 0 {
-		return false
-	}
 	if last, ok := c.repliedAt[from]; ok && now < last+c.interval {
 		return false
 	}
@@ -74,12 +71,9 @@ func (c *Catchup) allowReply(from types.PartyID, now time.Duration) bool {
 // Respond builds the inline portion of a catch-up response for a peer
 // whose Status reports round st.Round while we are at `round`, reading
 // artifacts from p and deferring uncached beacon-share signing to the
-// provider. It returns nil when no reply is due (resync disabled, peer
-// close enough, rate-limited, or nothing to send).
+// provider. It returns nil when no reply is due (peer close enough,
+// rate-limited, or nothing to send).
 func (c *Catchup) Respond(p *pool.Pool, from types.PartyID, st *types.Status, round types.Round, lastFinal hash.Digest, now time.Duration) *types.Bundle {
-	if c.interval <= 0 {
-		return nil
-	}
 	// Peers at most one round behind are healed by ordinary traffic and
 	// by the stall bundle itself; only answer real gaps.
 	if st.Round+1 >= round {

@@ -55,14 +55,13 @@ func buildCatchup(t *testing.T, bcn beacon.Source, provider CatchupProvider, hoo
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Self:           0,
-		Keys:           pub,
-		Beacon:         bcn,
-		ResyncInterval: 100 * time.Millisecond,
-		Catchup:        provider,
-		Hooks:          Hooks{OnBackfill: hook},
+		Self:    0,
+		Keys:    pub,
+		Beacon:  bcn,
+		Catchup: provider,
+		Hooks:   Hooks{OnBackfill: hook},
 	}.withDefaults()
-	return newCatchup(cfg), pool.New(pub, 0, pool.Options{})
+	return newCatchup(cfg, 100*time.Millisecond), pool.New(pub, 0, pool.Options{})
 }
 
 func TestCatchupDefersUncachedShares(t *testing.T) {

@@ -67,7 +67,7 @@ const (
 	OfferMerged         = "merged"          // passed to GetPayloadWith for this party's proposal
 	OfferLate           = "late"            // arrived after this party proposed, or for a past round
 	OfferParentMismatch = "parent_mismatch" // cut against a block other than the one proposed on
-	OfferRefused        = "refused"         // above MaxPayload, or from no party of this cluster
+	OfferRefused        = "refused"         // above types.MaxPayloadBytes, or from no party of this cluster
 )
 
 // EmptyPayload proposes empty payloads (useful for protocol-only tests
@@ -196,11 +196,6 @@ type Config struct {
 	// Payload builds block payloads; defaults to EmptyPayload.
 	Payload PayloadSource
 
-	// MaxPayload rejects oversized incoming block payloads, and payload
-	// offers likewise (0 = no limit); an application-specific validity
-	// condition (§3.4).
-	MaxPayload int
-
 	Hooks Hooks
 
 	// Pool tunes the artifact pool.
@@ -209,17 +204,6 @@ type Config struct {
 	// PruneDepth, if positive, prunes pool and beacon state more than
 	// this many rounds behind the finalized watermark.
 	PruneDepth types.Round
-
-	// ResyncInterval bounds how long the engine tolerates a stalled
-	// round before re-broadcasting its protocol frontier (a Status plus
-	// the current round's artifacts) to every peer. The paper's protocol
-	// is quiescent — nothing is ever retransmitted — which is safe under
-	// the eventual-delivery assumption of §1 but deadlocks when the
-	// network genuinely loses messages (a TCP partition, a crashed and
-	// recovered process). 0 selects the default of 8×Δbnd; a negative
-	// value disables resynchronisation entirely (the paper's pure
-	// protocol).
-	ResyncInterval time.Duration
 
 	// Catchup, if non-nil, signs catch-up beacon shares missing from the
 	// own-share cache off the engine loop (internal/backfill provides
@@ -258,6 +242,15 @@ type Config struct {
 // adaptiveMax caps the doublings of the working Δbnd under Config.Adaptive.
 const adaptiveMax = 6
 
+// resyncDeltas is how many Δbnd a round may stall before the engine
+// re-broadcasts its protocol frontier (a Status plus the current round's
+// artifacts) to every peer, and the least time between two catch-up
+// replies to one peer. The paper's protocol is quiescent — nothing is
+// ever retransmitted — which is safe under the eventual-delivery
+// assumption of §1 but deadlocks when the network genuinely loses
+// messages (a TCP partition, a crashed and recovered process).
+const resyncDeltas = 8
+
 // resyncBatch caps how many rounds of notarized blocks a single catch-up
 // response carries to a lagging peer. The lagging party repeats its
 // Status as long as it stays behind, so a deep gap is closed batch by
@@ -274,12 +267,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Beacon == nil {
 		c.Beacon = beacon.New(c.Keys.Beacon, c.Priv.Beacon, c.Self, c.Keys.GenesisSeed)
-	}
-	if c.ResyncInterval == 0 {
-		c.ResyncInterval = 8 * c.DeltaBound
-	}
-	if c.ResyncInterval < 0 {
-		c.ResyncInterval = 0 // normalised: 0 = disabled from here on
 	}
 	return c
 }

@@ -289,9 +289,7 @@ func TestClauseCPriorityBlocksHigherRank(t *testing.T) {
 // block that a lower-ranked one blocks asks for no wake at all.
 func TestNextWakeKeepsPassedBoundariesDue(t *testing.T) {
 	const bound = 50 * time.Millisecond
-	noResync := func(cfg *Config) { cfg.ResyncInterval = -1 }
 	leader := newChoreographyWith(t, 4, 0, bound, func(cfg *Config) {
-		noResync(cfg)
 		cfg.Epsilon = 50 * time.Millisecond // Δprop(0) = 25 ms, Δntry(0) = 50 ms
 	})
 	leader.start()
@@ -307,7 +305,7 @@ func TestNextWakeKeepsPassedBoundariesDue(t *testing.T) {
 		t.Fatalf("next wake %v (%v) after proposing, want Δntry(0) = 50ms for the own block", at, ok)
 	}
 
-	c := newChoreographyWith(t, 4, 3, bound, noResync)
+	c := newChoreographyWith(t, 4, 3, bound, nil)
 	c.start()
 	b1, bundle1 := c.block(1, "rank1")
 	b2, bundle2 := c.block(2, "rank2")

@@ -43,7 +43,7 @@ import (
 //
 // Notarization, finalization, the beacon and the WAL never see an offer:
 // it is unsigned, unlogged, kept only until its round has passed (one per
-// sender, at most MaxPayload bytes each) and never sent during replay. A
+// sender, at most types.MaxPayloadBytes each) and never sent during replay. A
 // Byzantine sender can at most fill part of one block with commands of
 // its choosing, which a Byzantine leader can do with a whole block today.
 
@@ -81,7 +81,7 @@ func (e *Engine) acceptOffer(from types.PartyID, o *types.PayloadOffer, now time
 	}
 	switch {
 	case from < 0 || int(from) >= len(e.offers) || from == e.cfg.Self,
-		e.cfg.MaxPayload > 0 && len(o.Payload) > e.cfg.MaxPayload:
+		len(o.Payload) > e.maxPayload:
 		e.noteOffer(from, o.Round, len(o.Payload), OfferRefused, now)
 	case o.Round < e.round || (o.Round == e.round && e.proposed):
 		e.noteOffer(from, o.Round, len(o.Payload), OfferLate, now)

@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"icc/internal/simnet"
 	"icc/internal/statemachine"
 	"icc/internal/types"
+	"icc/internal/wal"
 )
 
 func kvCommand(client, seq uint64) statemachine.Command {
@@ -34,11 +36,11 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 	outcomes := make(map[string]int)
 	c := newChoreographyWith(t, n, 0, 100*time.Millisecond, func(cfg *Config) {
 		cfg.Payload = queue
-		cfg.MaxPayload = maxPayload
 		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
 			outcomes[outcome]++
 		}
 	})
+	c.eng.maxPayload = maxPayload
 	self := c.eng.ID()
 	peers := c.perm[1:] // the other parties, by rank
 	root := c.eng.Pool().RootHash()
@@ -60,7 +62,7 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 	c.deliver(flooder, offer(1, root, kvCommand(1, 1), kvCommand(1, 2)), 0)
 	// Bytes that are no payload at all, well under the size bound.
 	c.deliver(garbler, &types.PayloadOffer{Round: 1, ParentHash: root, Payload: []byte("\xff\xff\xff\xffnot commands")}, 0)
-	// Above MaxPayload: refused, and the sender's earlier offer survives.
+	// Above maxPayload: refused, and the sender's earlier offer survives.
 	c.deliver(bloater, offer(1, root, kvCommand(3, 1)), 0)
 	c.deliver(bloater, &types.PayloadOffer{Round: 1, ParentHash: root, Payload: make([]byte, maxPayload+1)}, 0)
 	// Cut against a block this party will not build on.
@@ -81,7 +83,7 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 		}
 		held++
 		if len(o.Payload) > maxPayload {
-			t.Errorf("an offer of %d bytes from party %d is held, MaxPayload is %d", len(o.Payload), from, maxPayload)
+			t.Errorf("an offer of %d bytes from party %d is held, maxPayload is %d", len(o.Payload), from, maxPayload)
 		}
 	}
 	if held > n-1 {
@@ -525,5 +527,73 @@ func TestEchoSkipsTheProposer(t *testing.T) {
 		if w.echoes == 0 {
 			t.Errorf("party %d received no echo at all", i)
 		}
+	}
+}
+
+// TestPayloadBoundOnDefaultEngine: an engine configured with no bound at
+// all enforces types.MaxPayloadBytes. A block one byte over it is
+// rejected through OnRejectedMessage and reaches neither the pool nor the
+// WAL, while a block exactly at the bound is admitted and logged; an
+// offer one byte over is refused, and one at the bound is held.
+func TestPayloadBoundOnDefaultEngine(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejects := 0
+	outcomes := make(map[string]int)
+	c := newChoreographyWith(t, 4, 1, 100*time.Millisecond, func(cfg *Config) {
+		cfg.Payload = statemachine.NewQueue()
+		cfg.WAL = log
+		cfg.Hooks.OnRejectedMessage = func(types.PartyID, string) { rejects++ }
+		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+			outcomes[outcome]++
+		}
+	})
+	c.start()
+
+	over, overBundle := c.block(0, strings.Repeat("x", types.MaxPayloadBytes+1))
+	c.deliver(over.Proposer, overBundle, time.Millisecond)
+	if rejects != 1 {
+		t.Fatalf("%d rejects for a block one byte over the payload bound, want 1", rejects)
+	}
+	if c.eng.Pool().Block(over.Hash()) != nil {
+		t.Fatal("a block one byte over the payload bound is in the pool")
+	}
+	at, atBundle := c.block(2, strings.Repeat("x", types.MaxPayloadBytes))
+	c.deliver(at.Proposer, atBundle, 2*time.Millisecond)
+	if rejects != 1 || c.eng.Pool().Block(at.Hash()) == nil {
+		t.Fatalf("a block at the payload bound was not admitted (%d rejects)", rejects)
+	}
+
+	sender := c.perm[3]
+	c.deliver(sender, &types.PayloadOffer{Round: 2, ParentHash: at.Hash(), Payload: make([]byte, types.MaxPayloadBytes+1)}, 3*time.Millisecond)
+	if outcomes[OfferRefused] != 1 || c.eng.offers[sender] != nil {
+		t.Fatalf("an offer one byte over the payload bound was not refused: outcomes %v", outcomes)
+	}
+	c.deliver(sender, &types.PayloadOffer{Round: 2, ParentHash: at.Hash(), Payload: make([]byte, types.MaxPayloadBytes)}, 4*time.Millisecond)
+	if outcomes[OfferRefused] != 1 || c.eng.offers[sender] == nil {
+		t.Fatalf("an offer at the payload bound was not held: outcomes %v", outcomes)
+	}
+
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	logged := make(map[hash.Digest]bool)
+	if err := reopened.Replay(func(m types.Message) {
+		if bm, ok := m.(*types.BlockMsg); ok {
+			logged[bm.Block.Hash()] = true
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if logged[over.Hash()] || !logged[at.Hash()] {
+		t.Fatalf("WAL holds the block over the bound: %v, the block at it: %v", logged[over.Hash()], logged[at.Hash()])
 	}
 }

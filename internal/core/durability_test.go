@@ -64,8 +64,8 @@ type durableOptions struct {
 	seed       int64
 	interval   types.Round // CheckpointInterval (0 = no checkpoints)
 	pruneDepth types.Round
-	resync     time.Duration
-	segBytes   int64 // WAL segment size (0 = default, i.e. one segment)
+	resync     time.Duration // stall interval (0 = resyncDeltas·Δbnd)
+	segBytes   int64         // WAL segment size (0 = default, i.e. one segment)
 	fault      map[int]wal.FaultHook
 	// realBeacon selects the production BLS beacon, whose digests chain:
 	// a laggard cannot verify rounds past its prune horizon, which is
@@ -156,7 +156,6 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 		Priv:               h.privs[i],
 		Beacon:             src,
 		DeltaBound:         100 * time.Millisecond,
-		ResyncInterval:     h.opts.resync,
 		PruneDepth:         h.opts.pruneDepth,
 		WAL:                w,
 		Checkpoints:        store,
@@ -175,6 +174,9 @@ func (h *durableHarness) buildEngine(t testing.TB, i int) (*Engine, *wal.Log, *c
 		h.opts.conf(i, &cfg)
 	}
 	eng := NewEngine(cfg)
+	if h.opts.resync != 0 {
+		eng.setResyncInterval(h.opts.resync)
+	}
 	if a, ok := src.(interface{ attach(*Engine) }); ok {
 		a.attach(eng)
 	}

@@ -54,11 +54,12 @@ type Engine struct {
 	waitSince time.Duration
 
 	// Resynchronisation state (resync.go, catchup.go).
-	resyncAt      time.Duration // next time a stalled round triggers a Status
-	statusSeq     uint64        // distinguishes successive Status emissions
-	finalSeen     types.Round   // highest round with a finalization in the pool
-	lastFinalHash hash.Digest   // block hash at kmax (zero until first commit)
-	catchup       *Catchup      // answers lagging peers' Status messages
+	resyncInterval time.Duration // resyncDeltas·Δbnd; tests in this package shorten it
+	resyncAt       time.Duration // next time a stalled round triggers a Status
+	statusSeq      uint64        // distinguishes successive Status emissions
+	finalSeen      types.Round   // highest round with a finalization in the pool
+	lastFinalHash  hash.Digest   // block hash at kmax (zero until first commit)
+	catchup        *Catchup      // answers lagging peers' Status messages
 
 	// Durability state (checkpointing.go, recover.go).
 	replaying bool // WAL replay in progress: suppress new signatures and sends
@@ -71,6 +72,11 @@ type Engine struct {
 	delegate DelegatedPayloadSource
 	offers   []*types.PayloadOffer
 
+	// maxPayload refuses larger block payloads and payload offers:
+	// types.MaxPayloadBytes, an application-specific validity condition
+	// (§3.4); tests in this package lower it.
+	maxPayload int
+
 	out []engine.Output
 }
 
@@ -79,15 +85,18 @@ var _ engine.Engine = (*Engine)(nil)
 // NewEngine builds an ICC0 engine from a config.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	resync := resyncDeltas * cfg.DeltaBound
 	e := &Engine{
-		cfg:     cfg,
-		pool:    pool.New(cfg.Keys, cfg.Self, cfg.Pool),
-		round:   1,
-		pending: make(map[types.Round]struct{}),
-		catchup: newCatchup(cfg),
-		ckpts:   make(map[types.Round]*pendingCheckpoint),
-		ckptPub: checkpoint.PublicInfo(cfg.Keys),
-		offers:  make([]*types.PayloadOffer, cfg.Keys.N),
+		cfg:            cfg,
+		pool:           pool.New(cfg.Keys, cfg.Self, cfg.Pool),
+		round:          1,
+		pending:        make(map[types.Round]struct{}),
+		maxPayload:     types.MaxPayloadBytes,
+		resyncInterval: resync,
+		catchup:        newCatchup(cfg, resync),
+		ckpts:          make(map[types.Round]*pendingCheckpoint),
+		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
+		offers:         make([]*types.PayloadOffer, cfg.Keys.N),
 	}
 	e.delayProp, e.delayNtry = types.StandardDelays(cfg.DeltaBound, cfg.Epsilon)
 	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)
@@ -221,7 +230,7 @@ func (e *Engine) ingest(from types.PartyID, m types.Message, now time.Duration) 
 		if v.Block == nil {
 			return
 		}
-		if e.cfg.MaxPayload > 0 && len(v.Block.Payload) > e.cfg.MaxPayload {
+		if len(v.Block.Payload) > e.maxPayload {
 			e.reject(from, crypto.Mismatch)
 			return
 		}
@@ -784,15 +793,13 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 			earliest, have = t, true
 		}
 	}
-	if e.cfg.ResyncInterval > 0 {
-		// The resync deadline applies even outside a round: a party
-		// stuck waiting for beacon shares that were lost in transit can
-		// only recover by speaking up.
-		if e.resyncAt <= now {
-			consider(now + 1)
-		} else {
-			consider(e.resyncAt)
-		}
+	// The resync deadline applies even outside a round: a party stuck
+	// waiting for beacon shares that were lost in transit can only
+	// recover by speaking up.
+	if e.resyncAt <= now {
+		consider(now + 1)
+	} else {
+		consider(e.resyncAt)
 	}
 	if !e.inRound {
 		return earliest, have // otherwise waiting on messages only

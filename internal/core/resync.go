@@ -24,7 +24,7 @@ import (
 // pools through the same verification paths):
 //
 //   - Stall detection: whenever the engine's round has not changed for
-//     ResyncInterval, it sends every peer a Status (its round and
+//     resyncDeltas·Δbnd, it sends every peer a Status (its round and
 //     finalization frontier) bundled with the artifacts of its current
 //     round — blocks, authenticators, notarization/finalization shares,
 //     its own beacon shares, the previous round's notarized block, and
@@ -38,7 +38,7 @@ import (
 //     replays these through the ordinary clauses — a notarization in the
 //     pool finishes a round instantly — and repeats its Status while it
 //     remains behind, closing any gap batch by batch. Responses are
-//     rate-limited per requesting peer to one per ResyncInterval.
+//     rate-limited per requesting peer to one per that interval.
 //     Assembly is split (catchup.go): pool artifacts and cached beacon
 //     shares go out inline; share rounds missing from the own-share
 //     cache are enqueued to a CatchupProvider that signs them off the
@@ -51,9 +51,7 @@ import (
 
 // touchResync records protocol progress: the stall timer restarts.
 func (e *Engine) touchResync(now time.Duration) {
-	if e.cfg.ResyncInterval > 0 {
-		e.resyncAt = now + e.cfg.ResyncInterval
-	}
+	e.resyncAt = now + e.resyncInterval
 }
 
 // ResyncLostError reports an unrecoverable lag: the gap to the
@@ -84,10 +82,10 @@ func (e *Engine) ResyncLost() error {
 // maybeResync fires the stall handler when the round has been stuck for
 // a full interval.
 func (e *Engine) maybeResync(now time.Duration) {
-	if e.cfg.ResyncInterval <= 0 || now < e.resyncAt {
+	if now < e.resyncAt {
 		return
 	}
-	e.resyncAt = now + e.cfg.ResyncInterval
+	e.resyncAt = now + e.resyncInterval
 	// Behind-prune-horizon detection: once the gap to the cluster's
 	// finalization frontier exceeds PruneDepth, every peer has pruned the
 	// artifacts we need, and without a checkpoint path the Status poll

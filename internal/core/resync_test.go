@@ -15,7 +15,8 @@ import (
 )
 
 // buildResyncEngine assembles an engine with a simulated beacon and a
-// short resync interval, plus per-party beacons to mint peers' shares.
+// short resync interval (0 keeps resyncDeltas·Δbnd), plus per-party
+// beacons to mint peers' shares.
 func buildResyncEngine(t *testing.T, n int, self types.PartyID, interval time.Duration) (*Engine, *keys.Public, []*beacon.Simulated) {
 	t.Helper()
 	pub, privs, err := keys.Deal(rand.Reader, n)
@@ -27,14 +28,22 @@ func buildResyncEngine(t *testing.T, n int, self types.PartyID, interval time.Du
 		beacons[i] = beacon.NewSimulated(n, types.PartyID(i), pub.GenesisSeed)
 	}
 	e := NewEngine(Config{
-		Self:           self,
-		Keys:           pub,
-		Priv:           privs[self],
-		Beacon:         beacons[self],
-		DeltaBound:     100 * time.Millisecond,
-		ResyncInterval: interval,
+		Self:       self,
+		Keys:       pub,
+		Priv:       privs[self],
+		Beacon:     beacons[self],
+		DeltaBound: 100 * time.Millisecond,
 	})
+	if interval != 0 {
+		e.setResyncInterval(interval)
+	}
 	return e, pub, beacons
+}
+
+// setResyncInterval replaces resyncDeltas·Δbnd, for the stall timer and
+// the catch-up rate limit alike. Call it before Init.
+func (e *Engine) setResyncInterval(d time.Duration) {
+	e.resyncInterval, e.catchup.interval = d, d
 }
 
 // statusesIn collects the Status messages inside the outputs' bundles.
@@ -80,6 +89,33 @@ func TestResyncEmitsStatusWhenStalled(t *testing.T) {
 	sts = statusesIn(e.Tick(1200 * time.Millisecond))
 	if len(sts) != 3 || sts[0].Seq != 2 {
 		t.Fatalf("second stall round wrong: %d statuses", len(sts))
+	}
+}
+
+// TestResyncDefaultIsEightDeltaBound: an engine configured with Δbnd
+// alone sends its stall bundle exactly 8·Δbnd after its last progress —
+// here entering round 1 at 50 ms — and not a nanosecond earlier.
+func TestResyncDefaultIsEightDeltaBound(t *testing.T) {
+	const bound, entered = 100 * time.Millisecond, 50 * time.Millisecond
+	e, _, beacons := buildResyncEngine(t, 4, 0, 0)
+	if len(statusesIn(e.Init(0))) != 0 {
+		t.Fatal("status emitted at init")
+	}
+	for i := 1; i < 4; i++ {
+		sh, err := beacons[i].ShareForRound(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.HandleMessage(types.PartyID(i), sh, entered)
+	}
+	if e.CurrentRound() != 1 || !e.inRound {
+		t.Fatal("the engine did not enter round 1")
+	}
+	if sts := statusesIn(e.Tick(entered + 8*bound - 1)); len(sts) != 0 {
+		t.Fatalf("%d statuses before 8·Δbnd had passed", len(sts))
+	}
+	if sts := statusesIn(e.Tick(entered + 8*bound)); len(sts) != 3 {
+		t.Fatalf("got %d statuses at 8·Δbnd after the last progress, want one per peer (3)", len(sts))
 	}
 }
 
@@ -130,12 +166,6 @@ func TestResyncNextWakeCoversStall(t *testing.T) {
 	at, ok := e.NextWake(100 * time.Millisecond)
 	if !ok || at != 500*time.Millisecond {
 		t.Fatalf("NextWake = %v, %v; want 500ms resync deadline", at, ok)
-	}
-
-	disabled, _, _ := buildResyncEngine(t, 4, 0, -1)
-	disabled.Init(0)
-	if _, ok := disabled.NextWake(100 * time.Millisecond); ok {
-		t.Fatal("resync disabled but a wake is armed outside a round")
 	}
 }
 

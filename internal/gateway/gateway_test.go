@@ -10,6 +10,7 @@ import (
 
 	"icc/internal/obs"
 	"icc/internal/statemachine"
+	"icc/internal/types"
 )
 
 // harness is a gateway over a real queue+KV, driven by hand: commit(r)
@@ -124,7 +125,7 @@ func TestSubmitTypedErrors(t *testing.T) {
 	}
 	// Oversized command can never fit a payload.
 	big := statemachine.Command{Client: 8, Seq: 1, Op: statemachine.OpSet, Key: "big",
-		Value: make([]byte, statemachine.MaxPayloadBytes)}
+		Value: make([]byte, types.MaxPayloadBytes)}
 	if _, err := h.gw.Submit(ctx, big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized submit = %v, want ErrTooLarge", err)
 	}

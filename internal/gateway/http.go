@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"icc/internal/statemachine"
+	"icc/internal/types"
 )
 
 // HTTP status mapping for the client API:
@@ -113,7 +114,7 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(statemachine.MaxPayloadBytes))).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(types.MaxPayloadBytes))).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}

@@ -67,22 +67,6 @@ type Config struct {
 	// of a cluster must agree on it, so it is an explicit field rather
 	// than a hidden default.
 	Seed int64
-	// EagerThreshold is the encoded-size boundary between eager push
-	// (small artifacts: shares, notarizations) and lazy advert/pull
-	// (blocks, and multisig certificates from n ≈ 20 up). Default 1024
-	// bytes.
-	EagerThreshold int
-	// RequestRetry is how long a lazy fetch waits for the requested
-	// artifact before asking the next advertiser. One request is in
-	// flight per ref at a time — without this, a burst of adverts for a
-	// popular artifact (every neighbour advertises a new certificate
-	// within one delay bound) triggers one full download per advertiser.
-	// Default 150ms.
-	RequestRetry time.Duration
-	// MaxStore caps the artifact store (FIFO eviction). The store is also
-	// the deduplication set and holds what is known about which neighbour
-	// has which artifact, so both are bounded with it. Default 65536.
-	MaxStore int
 
 	// ShareBatchWindow enables share batching: signature shares queue for
 	// up to this long and leave as one ShareBundle per neighbour. The
@@ -96,12 +80,6 @@ type Config struct {
 	// pays no batching latency and arms no flush timer — while shares
 	// arriving in bursts batch as usual. Requires ShareBatchWindow > 0.
 	AdaptiveBatch bool
-	// MaxBatchShares flushes a pending batch early once it holds this
-	// many shares, bounding latency and frame size under load. Default
-	// max(64, 2·N): at least one statement's full quorum of shares must
-	// fit in a batch, or a mid-round early flush relays the shares an
-	// instant before the aggregation cut-off would have suppressed them.
-	MaxBatchShares int
 
 	// Aggregate enables eager relay-side aggregation of notarization and
 	// finalization shares, and with it the per-neighbour quorum rule: a
@@ -139,25 +117,10 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// withDefaults fills the zero-value knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.EagerThreshold == 0 {
-		cfg.EagerThreshold = 1024
-	}
-	if cfg.MaxStore == 0 {
-		cfg.MaxStore = 65536
-	}
-	if cfg.MaxBatchShares == 0 {
-		cfg.MaxBatchShares = 64
-		if 2*cfg.N > cfg.MaxBatchShares {
-			cfg.MaxBatchShares = 2 * cfg.N
-		}
-	}
-	if cfg.RequestRetry == 0 {
-		cfg.RequestRetry = 150 * time.Millisecond
-	}
-	return cfg
-}
+// eagerThreshold is the encoded-size boundary, in bytes, between eager
+// push (small artifacts: shares, notarizations) and lazy advert/pull
+// (blocks, and multisig certificates from n ≈ 20 up).
+const eagerThreshold = 1024
 
 // DefaultFanout is the overlay degree of a cluster that names none:
 // ≈ 2·log₂(n) + 2, clamped to n−1, which keeps the ring-plus-chords
@@ -193,12 +156,6 @@ func (cfg Config) Validate() error {
 	if cfg.ShareBatchWindow < 0 {
 		return fmt.Errorf("gossip: negative share batch window %v", cfg.ShareBatchWindow)
 	}
-	if cfg.RequestRetry < 0 {
-		return fmt.Errorf("gossip: negative request retry %v", cfg.RequestRetry)
-	}
-	if cfg.MaxBatchShares < 0 {
-		return fmt.Errorf("gossip: negative max batch shares %d", cfg.MaxBatchShares)
-	}
 	if cfg.AdaptiveBatch && cfg.ShareBatchWindow <= 0 {
 		return fmt.Errorf("gossip: AdaptiveBatch requires ShareBatchWindow > 0")
 	}
@@ -215,7 +172,7 @@ func (cfg Config) Validate() error {
 // neighbour list in a ring-plus-random-chords graph. Symmetric:
 // j ∈ peers(i) iff i ∈ peers(j).
 func (cfg Config) Topology() ([][]types.PartyID, error) {
-	if err := cfg.withDefaults().Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return buildTopology(cfg.N, cfg.Fanout, cfg.Seed), nil
@@ -486,8 +443,26 @@ type Engine struct {
 	// party s (edgeSides).
 	sides [][]int8
 
+	// requestRetry is how long a lazy fetch waits for the requested
+	// artifact before asking the next advertiser (150 ms). One request is
+	// in flight per ref at a time — without this, a burst of adverts for
+	// a popular artifact (every neighbour advertises a new certificate
+	// within one delay bound) triggers one full download per advertiser.
+	// maxStore caps the artifact store (65 536, FIFO eviction); the store
+	// is also the deduplication set and holds what is known about which
+	// neighbour has which artifact, so both are bounded with it.
+	// maxBatchShares flushes a pending batch early once it holds that many
+	// shares (max(64, 2·N)), bounding latency and frame size under load:
+	// at least one statement's full quorum of shares must fit in a batch,
+	// or a mid-round early flush relays the shares an instant before the
+	// aggregation cut-off would have suppressed them. New sets all three;
+	// tests in this package lower them.
+	requestRetry   time.Duration
+	maxStore       int
+	maxBatchShares int
+
 	// store holds every artifact seen, for deduplication and for serving
-	// requests, FIFO-capped at MaxStore.
+	// requests, FIFO-capped at maxStore.
 	store map[types.Ref]*held
 	order []types.Ref
 	// fetch tracks outstanding advert-driven downloads, one request in
@@ -534,23 +509,25 @@ type Engine struct {
 // New builds the ICC1 dissemination wrapper around an engine, validating
 // the configuration.
 func New(cfg Config, inner engine.Engine) (*Engine, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	topo := buildTopology(cfg.N, cfg.Fanout, cfg.Seed)
 	g := &Engine{
-		cfg:         cfg,
-		inner:       inner,
-		peers:       topo[cfg.Self],
-		peerAt:      make([]int, cfg.N),
-		sides:       edgeSides(topo, cfg.Self),
-		fetchWake:   noFetch,
-		store:       make(map[types.Ref]*held),
-		fetch:       make(map[types.Ref]*fetchState),
-		agg:         make(map[aggKey]*aggEntry),
-		beaconRelay: make(map[types.Round]int),
-		outputDone:  make(map[types.Round]struct{}),
+		cfg:            cfg,
+		inner:          inner,
+		requestRetry:   150 * time.Millisecond,
+		maxStore:       65536,
+		maxBatchShares: max(64, 2*cfg.N),
+		peers:          topo[cfg.Self],
+		peerAt:         make([]int, cfg.N),
+		sides:          edgeSides(topo, cfg.Self),
+		fetchWake:      noFetch,
+		store:          make(map[types.Ref]*held),
+		fetch:          make(map[types.Ref]*fetchState),
+		agg:            make(map[aggKey]*aggEntry),
+		beaconRelay:    make(map[types.Round]int),
+		outputDone:     make(map[types.Round]struct{}),
 		// Start idle: under AdaptiveBatch the very first share relays
 		// immediately instead of waiting out a full window.
 		lastShareAt: -cfg.ShareBatchWindow,
@@ -1053,7 +1030,7 @@ func (g *Engine) enqueue(it item, now time.Duration) {
 	}
 	g.lastShareAt = now
 	g.pending = append(g.pending, it)
-	if len(g.pending) >= g.cfg.MaxBatchShares {
+	if len(g.pending) >= g.maxBatchShares {
 		g.flush(now, true)
 	}
 }
@@ -1062,9 +1039,9 @@ func (g *Engine) enqueue(it item, now time.Duration) {
 // advert, and whoever lacks it asks for it.
 func (g *Engine) lazy(m types.Message) bool {
 	if sized, ok := m.(interface{ WireSize() int }); ok {
-		return sized.WireSize() > g.cfg.EagerThreshold
+		return sized.WireSize() > eagerThreshold
 	}
-	return len(types.Marshal(m)) > g.cfg.EagerThreshold
+	return len(types.Marshal(m)) > eagerThreshold
 }
 
 // relayNow sends an artifact outside any signing statement (eager) or its
@@ -1093,7 +1070,7 @@ func (g *Engine) put(ref types.Ref, m types.Message) *held {
 	h := &held{msg: m}
 	g.store[ref] = h
 	g.order = append(g.order, ref)
-	for len(g.order) > g.cfg.MaxStore {
+	for len(g.order) > g.maxStore {
 		old := g.order[0]
 		g.order = g.order[1:]
 		delete(g.store, old)
@@ -1153,7 +1130,7 @@ const noFetch = time.Duration(1<<63 - 1)
 // armRetry starts the retry clock of a fetch whose request just left,
 // and keeps fetchWake no later than it.
 func (g *Engine) armRetry(f *fetchState, now time.Duration) {
-	f.retryAt = now + g.cfg.RequestRetry
+	f.retryAt = now + g.requestRetry
 	if f.retryAt < g.fetchWake {
 		g.fetchWake = f.retryAt
 	}

@@ -173,7 +173,8 @@ func TestAdvertRequestServe(t *testing.T) {
 func TestAdvertSingleFlightWithRetry(t *testing.T) {
 	inner := &sink{id: 0}
 	reg := obs.NewRegistry()
-	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, RequestRetry: 100 * time.Millisecond, Registry: reg}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Registry: reg}, inner)
+	g.requestRetry = 100 * time.Millisecond
 	ref := types.RefOf(bigMsg())
 	adv := &types.Advert{Refs: []types.Ref{ref}}
 	outs := g.HandleMessage(g.Peers()[0], adv, 0)
@@ -274,7 +275,8 @@ func TestInnerBroadcastsSplitAndGossiped(t *testing.T) {
 
 func TestStoreEviction(t *testing.T) {
 	inner := &sink{id: 0}
-	g := mustNew(t, Config{Self: 0, N: 4, Fanout: 2, Seed: 1, MaxStore: 4}, inner)
+	g := mustNew(t, Config{Self: 0, N: 4, Fanout: 2, Seed: 1}, inner)
+	g.maxStore = 4
 	var refs []types.Ref
 	for i := 0; i < 8; i++ {
 		m := &types.BeaconShare{Round: types.Round(i + 1), Signer: 1, Share: []byte{byte(i)}}

@@ -240,7 +240,8 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 	f := newAggFixture(t, 13)
 	inner := &roundSink{sink: sink{id: 0}}
 	g := mustNew(t, Config{Self: 0, N: 13, Fanout: 8, Seed: 42, ShareBatchWindow: window, AdaptiveBatch: true,
-		Aggregate: true, TrustShares: true, Keys: f.pub, MaxStore: 4096, RequestRetry: 10 * time.Millisecond}, inner)
+		Aggregate: true, TrustShares: true, Keys: f.pub}, inner)
+	g.maxStore, g.requestRetry = 4096, 10*time.Millisecond
 	peers := g.Peers()
 	sig := make([]byte, 64)
 	sizes := func() [7]int {
@@ -581,7 +582,8 @@ func TestCompletionIsOneWay(t *testing.T) {
 // certificate and a neighbour sends it again, the neighbours already told
 // where to ask are not told again. (Mutation: told never set.)
 func TestAdvertIsRecordedAsSent(t *testing.T) {
-	g := mustNew(t, Config{Self: 0, N: 13, Fanout: 4, Seed: 1, ShareBatchWindow: window, TrustShares: true, MaxStore: 1}, &sink{id: 0})
+	g := mustNew(t, Config{Self: 0, N: 13, Fanout: 4, Seed: 1, ShareBatchWindow: window, TrustShares: true}, &sink{id: 0})
+	g.maxStore = 1
 	a := g.Peers()[0]
 	cert := &types.Finalization{Round: 3, Proposer: 1, BlockHash: hash.Digest{7}, Agg: make([]byte, 4096)}
 	g.HandleMessage(a, cert, 0)

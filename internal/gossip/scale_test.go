@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{Self: 0, N: 7, Fanout: 1},                       // fanout below floor
 		{Self: 0, N: 7, Fanout: 7},                       // fanout above n-1
 		{Self: 0, N: 7, Fanout: 3, ShareBatchWindow: -1}, // negative window
-		{Self: 0, N: 7, Fanout: 3, MaxBatchShares: -1},   // negative batch cap
 		{Self: 0, N: 7, Fanout: 3, Aggregate: true},      // aggregation without keys
 		{Self: 0, N: 7, Fanout: 3, Keys: pub4},           // keys for the wrong n
 	}
@@ -174,7 +173,8 @@ func TestShareBatchingCoalesces(t *testing.T) {
 func TestShareBatchFlushesAtCap(t *testing.T) {
 	inner := &sink{id: 0}
 	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1,
-		ShareBatchWindow: time.Second, MaxBatchShares: 2}, inner)
+		ShareBatchWindow: time.Second}, inner)
+	g.maxBatchShares = 2
 	src := g.Peers()[0]
 	h := hash.Digest{2}
 	if outs := g.HandleMessage(src, &types.NotarizationShare{Round: 1, Proposer: 0, BlockHash: h, Signer: 1, Sig: []byte{1}}, 0); len(outs) != 0 {

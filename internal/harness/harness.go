@@ -123,8 +123,7 @@ type Options struct {
 	// forges a signature; honest-only sweeps use it for speed.
 	Verify pool.VerifyPolicy
 
-	Payload    core.PayloadSource
-	MaxPayload int
+	Payload core.PayloadSource
 
 	// Behaviors assigns non-honest roles; unlisted parties are honest.
 	Behaviors map[types.PartyID]Behavior
@@ -332,7 +331,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 		DeltaBound: c.Opts.DeltaBound,
 		Epsilon:    c.Opts.Epsilon,
 		Payload:    c.Opts.Payload,
-		MaxPayload: c.Opts.MaxPayload,
 		Adaptive:   c.Opts.Adaptive,
 		PruneDepth: c.Opts.PruneDepth,
 		// No CatchupProvider: under the discrete-event simnet the engine

@@ -206,7 +206,8 @@ type Config struct {
 
 	// GossipFanout and GossipSeed pin the ICC1 overlay (0 =
 	// gossip.DefaultFanout(n) and seed 42). All parties of a cluster
-	// must agree on both.
+	// must agree on both. Only E13 sets them (8 and 1313); the facade
+	// and iccnode run the defaults.
 	GossipFanout int
 	GossipSeed   int64
 

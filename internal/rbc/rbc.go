@@ -43,9 +43,6 @@ import (
 type Config struct {
 	Self types.PartyID
 	N    int
-	// MaxSessions caps concurrently tracked dissemination sessions to
-	// bound memory under spam. Default 1024.
-	MaxSessions int
 }
 
 // sessionKey identifies one dissemination instance.
@@ -73,25 +70,26 @@ type Engine struct {
 	code     *erasure.Code
 	sessions map[sessionKey]*session
 	order    []sessionKey
+	// maxSessions caps concurrently tracked dissemination sessions to
+	// bound memory under spam: 1024, which tests in this package lower.
+	maxSessions int
 
 	out []engine.Output
 }
 
 // Wrap builds the ICC2 dissemination wrapper around an engine.
 func Wrap(cfg Config, inner engine.Engine) *Engine {
-	if cfg.MaxSessions == 0 {
-		cfg.MaxSessions = 1024
-	}
 	k := cfg.N - 2*types.MaxFaults(cfg.N)
 	code, err := erasure.NewCode(k, cfg.N)
 	if err != nil {
 		panic(fmt.Sprintf("rbc: building code for n=%d: %v", cfg.N, err))
 	}
 	return &Engine{
-		cfg:      cfg,
-		inner:    inner,
-		code:     code,
-		sessions: make(map[sessionKey]*session),
+		cfg:         cfg,
+		inner:       inner,
+		code:        code,
+		sessions:    make(map[sessionKey]*session),
+		maxSessions: 1024,
 	}
 }
 
@@ -216,7 +214,7 @@ func (r *Engine) getSession(key sessionKey, blockLen, dataShards int) *session {
 	if s, ok := r.sessions[key]; ok {
 		return s
 	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
+	if len(r.sessions) >= r.maxSessions {
 		old := r.order[0]
 		r.order = r.order[1:]
 		delete(r.sessions, old)

@@ -243,7 +243,8 @@ func TestNonBlockTrafficPassesThrough(t *testing.T) {
 func TestSessionCapEviction(t *testing.T) {
 	const n = 7
 	inner := &sink{id: 3}
-	r := Wrap(Config{Self: 3, N: n, MaxSessions: 2}, inner)
+	r := Wrap(Config{Self: 3, N: n}, inner)
+	r.maxSessions = 2
 	// Spam three sessions; the first should be evicted.
 	for i := 0; i < 3; i++ {
 		frags := buildFragments(t, n, 0, []byte{byte(i)})

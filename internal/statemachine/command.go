@@ -50,12 +50,6 @@ type ident struct {
 // ErrBadPayload is returned when decoding a malformed payload.
 var ErrBadPayload = errors.New("statemachine: malformed payload")
 
-// MaxPayloadBytes bounds an encoded block payload (4 MiB). It is
-// enforced on both sides of the wire: Queue.GetPayload never builds a
-// batch that encodes past it, and DecodePayload rejects anything larger
-// before parsing a single command.
-const MaxPayloadBytes = 4 << 20
-
 // payloadHeaderSize is the fixed encoding overhead of a payload (the
 // u32 command count).
 const payloadHeaderSize = 4
@@ -98,8 +92,8 @@ func DecodePayload(payload []byte) ([]Command, error) {
 	if len(payload) == 0 {
 		return nil, nil
 	}
-	if len(payload) > MaxPayloadBytes {
-		return nil, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrBadPayload, len(payload), MaxPayloadBytes)
+	if len(payload) > types.MaxPayloadBytes {
+		return nil, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrBadPayload, len(payload), types.MaxPayloadBytes)
 	}
 	d := types.NewDecoder(payload)
 	count := int(d.U32())

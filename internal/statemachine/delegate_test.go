@@ -68,7 +68,7 @@ func TestGetPayloadWithMergesInOrder(t *testing.T) {
 // not fit: a later command of the same client must not overtake it.
 func TestGetPayloadWithStopsASenderAtTheBound(t *testing.T) {
 	q := NewQueue()
-	q.MaxBatch = 3
+	q.maxBatch = 3
 	_ = q.TrySubmit(cmd(1, 1))
 	delegated := [][]byte{
 		EncodePayload([]Command{cmd(2, 1), cmd(2, 2), cmd(2, 3)}),
@@ -76,22 +76,22 @@ func TestGetPayloadWithStopsASenderAtTheBound(t *testing.T) {
 	}
 	got := identsIn(t, q.GetPayloadWith(1, nil, nil, delegated))
 	if want := []ident{{1, 1}, {2, 1}, {2, 2}}; !slices.Equal(got, want) {
-		t.Fatalf("MaxBatch: batch %v, want %v", got, want)
+		t.Fatalf("maxBatch: batch %v, want %v", got, want)
 	}
 
 	q = NewQueue()
 	big := Command{Client: 2, Seq: 2, Op: OpSet, Key: "k", Value: make([]byte, 200)}
-	q.MaxBytes = payloadHeaderSize + cmd(2, 1).WireSize() + big.WireSize() - 1
+	q.maxBytes = payloadHeaderSize + cmd(2, 1).WireSize() + big.WireSize() - 1
 	delegated = [][]byte{
 		EncodePayload([]Command{cmd(2, 1), big, cmd(2, 3)}), // 2/3 would fit; it must wait for 2/2
 		EncodePayload([]Command{cmd(3, 1)}),
 	}
 	payload := q.GetPayloadWith(1, nil, nil, delegated)
-	if len(payload) > q.MaxBytes {
-		t.Fatalf("payload of %d bytes exceeds MaxBytes %d", len(payload), q.MaxBytes)
+	if len(payload) > q.maxBytes {
+		t.Fatalf("payload of %d bytes exceeds maxBytes %d", len(payload), q.maxBytes)
 	}
 	if got, want := identsIn(t, payload), []ident{{2, 1}, {3, 1}}; !slices.Equal(got, want) {
-		t.Fatalf("MaxBytes: batch %v, want %v", got, want)
+		t.Fatalf("maxBytes: batch %v, want %v", got, want)
 	}
 }
 
@@ -124,13 +124,13 @@ func TestChainIdentsMemoIsBoundedAndExact(t *testing.T) {
 	// Walk from every tip in turn, as a growing chain makes a party do.
 	for i := len(chain) - 1; i >= 0; i-- {
 		q.chainIdents(chain[i], lookup)
-		if len(q.chain) > q.DedupDepth {
-			t.Fatalf("memo holds %d blocks at round %d, bound is DedupDepth = %d", len(q.chain), chain[i].Round, q.DedupDepth)
+		if len(q.chain) > q.dedupDepth {
+			t.Fatalf("memo holds %d blocks at round %d, bound is dedupDepth = %d", len(q.chain), chain[i].Round, q.dedupDepth)
 		}
 	}
 	got, want := q.chainIdents(tip, lookup), NewQueue().chainIdents(tip, lookup)
-	if len(want) != q.DedupDepth*4 {
-		t.Fatalf("fresh walk found %d identities, want %d", len(want), q.DedupDepth*4)
+	if len(want) != q.dedupDepth*4 {
+		t.Fatalf("fresh walk found %d identities, want %d", len(want), q.dedupDepth*4)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("memoized walk found %d identities, fresh walk %d", len(got), len(want))
@@ -143,7 +143,7 @@ func TestChainIdentsMemoIsBoundedAndExact(t *testing.T) {
 }
 
 // BenchmarkGetPayloadDeepChain is one payload cut on a chain deeper than
-// DedupDepth, as every party now makes once per round: each cut walks
+// dedupDepth, as every party now makes once per round: each cut walks
 // one block further than the last.
 func BenchmarkGetPayloadDeepChain(b *testing.B) {
 	tip, lookup := deepChain(256, 10)

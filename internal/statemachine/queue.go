@@ -23,7 +23,7 @@ var (
 // Queue is a thread-safe pending-command queue implementing the
 // consensus engine's PayloadSource and DelegatedPayloadSource. GetPayload
 // batches pending commands, skipping any command already present in the
-// chain being extended (within DedupDepth ancestor blocks);
+// chain being extended (within dedupDepth ancestor blocks);
 // GetPayloadWith appends what other parties offered for the same block.
 // Only this party's own submissions are ever stored.
 type Queue struct {
@@ -34,27 +34,26 @@ type Queue struct {
 	inFlight map[ident]struct{}
 	// chain memoizes, per block hash, the identities that block's payload
 	// carries: every party cuts a payload every round, and each cut walks
-	// DedupDepth ancestors of which all but the newest were walked the
-	// round before. Entries leave once they are DedupDepth rounds behind
+	// dedupDepth ancestors of which all but the newest were walked the
+	// round before. Entries leave once they are dedupDepth rounds behind
 	// the newest block walked.
 	chain map[hash.Digest]blockIdents
 	// chainSize is how many identities the last walk collected, the size
 	// hint for the next walk's set.
 	chainSize int
 
-	// MaxBatch bounds commands per payload (default 1024).
-	MaxBatch int
-	// MaxBytes bounds the encoded payload size (default MaxPayloadBytes).
-	// GetPayload never builds a batch that encodes past it, and
-	// TrySubmit rejects any single command that could never fit.
-	MaxBytes int
 	// MaxPending bounds the pending backlog; TrySubmit returns
 	// ErrBacklogFull at the bound (0 = unbounded, the historical
 	// behaviour).
 	MaxPending int
-	// DedupDepth bounds how many ancestor blocks are consulted for
-	// duplicate suppression (default 64).
-	DedupDepth int
+
+	// maxBatch bounds commands per payload (1024) and maxBytes the
+	// encoded payload size (types.MaxPayloadBytes): GetPayload never
+	// builds a batch that encodes past it, and TrySubmit rejects any
+	// single command that could never fit. dedupDepth bounds how many
+	// ancestor blocks are consulted for duplicate suppression (64).
+	// NewQueue sets them; tests in this package shrink them.
+	maxBatch, maxBytes, dedupDepth int
 }
 
 // blockIdents is one memoized block: its round, for eviction, and the
@@ -69,9 +68,9 @@ func NewQueue() *Queue {
 	return &Queue{
 		inFlight:   make(map[ident]struct{}),
 		chain:      make(map[hash.Digest]blockIdents),
-		MaxBatch:   1024,
-		MaxBytes:   MaxPayloadBytes,
-		DedupDepth: 64,
+		maxBatch:   1024,
+		maxBytes:   types.MaxPayloadBytes,
+		dedupDepth: 64,
 	}
 }
 
@@ -83,7 +82,7 @@ func NewQueue() *Queue {
 func (q *Queue) TrySubmit(c Command) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if payloadHeaderSize+c.WireSize() > q.MaxBytes {
+	if payloadHeaderSize+c.WireSize() > q.maxBytes {
 		return ErrTooLarge
 	}
 	if q.MaxPending > 0 && len(q.pending) >= q.MaxPending {
@@ -131,7 +130,7 @@ func (q *Queue) MarkCommitted(payload []byte) {
 }
 
 // GetPayload implements core.PayloadSource. The batch respects both
-// MaxBatch and MaxBytes exactly: building stops before the first
+// maxBatch and maxBytes exactly: building stops before the first
 // command that would push the encoded payload past the byte bound
 // (stopping, not skipping, preserves per-client Seq order).
 func (q *Queue) GetPayload(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte {
@@ -150,9 +149,8 @@ func (q *Queue) GetPayloadWith(_ types.Round, parent *types.Block, lookup func(h
 	// taken starts as the identities in the chain and grows with the batch.
 	taken := q.chainIdents(parent, lookup)
 	var (
-		batch              []Command
-		size               = payloadHeaderSize
-		maxBatch, maxBytes int
+		batch []Command
+		size  = payloadHeaderSize
 	)
 	// draw appends cmds in order, skipping what is taken and stopping at
 	// the first command that does not fit.
@@ -162,7 +160,7 @@ func (q *Queue) GetPayloadWith(_ types.Round, parent *types.Block, lookup func(h
 			if _, dup := taken[id]; dup {
 				continue
 			}
-			if len(batch) >= maxBatch || size+c.WireSize() > maxBytes {
+			if len(batch) >= q.maxBatch || size+c.WireSize() > q.maxBytes {
 				return
 			}
 			batch = append(batch, c)
@@ -171,7 +169,6 @@ func (q *Queue) GetPayloadWith(_ types.Round, parent *types.Block, lookup func(h
 		}
 	}
 	q.mu.Lock()
-	maxBatch, maxBytes = q.MaxBatch, q.MaxBytes
 	draw(q.pending)
 	q.mu.Unlock()
 	for _, payload := range delegated {
@@ -185,7 +182,7 @@ func (q *Queue) GetPayloadWith(_ types.Round, parent *types.Block, lookup func(h
 	return EncodePayload(batch)
 }
 
-// chainIdents collects the command identities of up to DedupDepth
+// chainIdents collects the command identities of up to dedupDepth
 // ancestors ending at parent. lookup is called without the queue's lock.
 func (q *Queue) chainIdents(parent *types.Block, lookup func(hash.Digest) *types.Block) map[ident]struct{} {
 	q.mu.Lock()
@@ -196,7 +193,7 @@ func (q *Queue) chainIdents(parent *types.Block, lookup func(hash.Digest) *types
 		return out
 	}
 	cur, h := parent, parent.Hash()
-	for depth := 0; cur != nil && !cur.IsRoot() && depth < q.DedupDepth; depth++ {
+	for depth := 0; cur != nil && !cur.IsRoot() && depth < q.dedupDepth; depth++ {
 		for _, id := range q.identsOf(h, cur) {
 			out[id] = struct{}{}
 		}
@@ -209,7 +206,7 @@ func (q *Queue) chainIdents(parent *types.Block, lookup func(hash.Digest) *types
 	q.mu.Lock()
 	q.chainSize = len(out)
 	for bh, e := range q.chain {
-		if e.round+types.Round(q.DedupDepth) <= parent.Round {
+		if e.round+types.Round(q.dedupDepth) <= parent.Round {
 			delete(q.chain, bh)
 		}
 	}

@@ -22,7 +22,7 @@ func TestQueueTrySubmitTypedErrors(t *testing.T) {
 	}
 	// ErrTooLarge wins over ErrBacklogFull: the command could never be
 	// proposed no matter how empty the queue is.
-	big := Command{Client: 2, Seq: 1, Op: OpSet, Key: "k", Value: make([]byte, MaxPayloadBytes)}
+	big := Command{Client: 2, Seq: 1, Op: OpSet, Key: "k", Value: make([]byte, types.MaxPayloadBytes)}
 	if err := q.TrySubmit(big); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized = %v, want ErrTooLarge", err)
 	}
@@ -112,7 +112,7 @@ func TestPerClientSeqOrderPreserved(t *testing.T) {
 		return Command{Client: 9, Seq: seq, Op: OpAppend, Key: "log", Value: []byte(fmt.Sprintf("%03d.", seq))}
 	}
 	const total = 20
-	q.MaxBytes = payloadHeaderSize + 10*cmd(1).WireSize() + 1
+	q.maxBytes = payloadHeaderSize + 10*cmd(1).WireSize() + 1
 	for i := uint64(1); i <= total; i++ {
 		if err := q.TrySubmit(cmd(i)); err != nil {
 			t.Fatal(err)
@@ -126,8 +126,8 @@ func TestPerClientSeqOrderPreserved(t *testing.T) {
 			t.Fatal("queue never drained")
 		}
 		payload := q.GetPayload(0, nil, nil)
-		if len(payload) > q.MaxBytes {
-			t.Fatalf("payload %d bytes exceeds MaxBytes %d", len(payload), q.MaxBytes)
+		if len(payload) > q.maxBytes {
+			t.Fatalf("payload %d bytes exceeds maxBytes %d", len(payload), q.maxBytes)
 		}
 		cmds, err := DecodePayload(payload)
 		if err != nil {
@@ -199,7 +199,7 @@ func TestEncodePayloadExactSizing(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedPayload(t *testing.T) {
-	if _, err := DecodePayload(make([]byte, MaxPayloadBytes+1)); err == nil {
+	if _, err := DecodePayload(make([]byte, types.MaxPayloadBytes+1)); err == nil {
 		t.Fatal("payload over MaxPayloadBytes accepted")
 	}
 }

@@ -213,7 +213,7 @@ func TestQueueEmptyPayloadIsNil(t *testing.T) {
 
 func TestQueueMaxBatch(t *testing.T) {
 	q := NewQueue()
-	q.MaxBatch = 3
+	q.maxBatch = 3
 	for i := uint64(1); i <= 10; i++ {
 		if err := q.TrySubmit(Command{Client: 1, Seq: i, Op: OpSet, Key: "k"}); err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ import (
 //
 // Frames: u32 payload length, then the payload (a types.Marshal
 // encoding). The handshake frame carries the 8-byte party ID; a
-// connection must send it within DialTimeout of being accepted.
+// connection must send it within 3 s of being accepted.
 type TCP struct {
 	self types.PartyID
 	opts TCPOptions
@@ -57,34 +57,36 @@ type TCP struct {
 
 // TCPOptions tunes a TCP endpoint. Zero values select the defaults.
 type TCPOptions struct {
-	// SendQueue is the per-peer send-queue capacity (default 1024).
-	SendQueue int
-	// DialTimeout bounds one dial attempt, and how long an accepted
-	// connection may take to send its handshake (default 3s).
-	DialTimeout time.Duration
-	// WriteTimeout is the write deadline of one burst of frames
-	// (default 10s).
-	WriteTimeout time.Duration
-	// RedialMin/RedialMax bound the exponential redial backoff
-	// (defaults 50ms and 5s). Jitter in [1x, 2x) is added to each wait.
-	RedialMin time.Duration
+	// RedialMax caps the exponential redial backoff, which starts at
+	// 50 ms (default 5s). Jitter in [1x, 2x) is added to each wait.
 	RedialMax time.Duration
 	// Stats, if non-nil, receives transport-health counters.
 	Stats *metrics.TransportStats
+
+	// sendQueue is the per-peer send-queue capacity; dialTimeout bounds
+	// one dial attempt, and how long an accepted connection may take to
+	// send its handshake; writeTimeout is the write deadline of one burst
+	// of frames; redialMin is the first redial backoff. withDefaults sets
+	// them to 1024, 3 s, 10 s and 50 ms; tests in this package lower
+	// them.
+	sendQueue    int
+	dialTimeout  time.Duration
+	writeTimeout time.Duration
+	redialMin    time.Duration
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
-	if o.SendQueue <= 0 {
-		o.SendQueue = 1024
+	if o.sendQueue <= 0 {
+		o.sendQueue = 1024
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
+	if o.dialTimeout <= 0 {
+		o.dialTimeout = 3 * time.Second
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
+	if o.writeTimeout <= 0 {
+		o.writeTimeout = 10 * time.Second
 	}
-	if o.RedialMin <= 0 {
-		o.RedialMin = 50 * time.Millisecond
+	if o.redialMin <= 0 {
+		o.redialMin = 50 * time.Millisecond
 	}
 	if o.RedialMax <= 0 {
 		o.RedialMax = 5 * time.Second
@@ -254,7 +256,7 @@ func (t *TCP) peer(to types.PartyID) (*tcpPeer, error) {
 	if _, ok := t.addrs[to]; !ok {
 		return nil, fmt.Errorf("transport: no address for party %d", to)
 	}
-	p := &tcpPeer{id: to, queue: make(chan []byte, t.opts.SendQueue)}
+	p := &tcpPeer{id: to, queue: make(chan []byte, t.opts.sendQueue)}
 	t.peers[to] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
@@ -273,7 +275,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	defer p.closeConn()
 	var conn net.Conn
 	var burst []byte // reused across bursts
-	backoff := t.opts.RedialMin
+	backoff := t.opts.redialMin
 	// Jitter stream: seeded per link so concurrent writers never share
 	// rng state; determinism is not needed for backoff spacing.
 	rng := rand.New(rand.NewSource(int64(t.self)<<32 ^ int64(p.id)<<8 ^ time.Now().UnixNano()))
@@ -313,9 +315,9 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				}
 				conn = c
 				p.setConn(c)
-				backoff = t.opts.RedialMin
+				backoff = t.opts.redialMin
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(t.opts.writeTimeout))
 			if _, err := conn.Write(burst); err != nil {
 				t.stats.WriteError(p.id)
 				_ = conn.Close()
@@ -362,14 +364,14 @@ func (t *TCP) dial(to types.PartyID) (net.Conn, error) {
 		return nil, fmt.Errorf("transport: no address for party %d", to)
 	}
 	t.stats.Redial(to)
-	c, err := net.DialTimeout("tcp", addr, t.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, t.opts.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %d: %w", to, err)
 	}
 	// Handshake: identify ourselves.
 	var hello [8]byte
 	binary.BigEndian.PutUint64(hello[:], uint64(int64(t.self)))
-	_ = c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	_ = c.SetWriteDeadline(time.Now().Add(t.opts.writeTimeout))
 	if _, err := c.Write(appendFrame(nil, hello[:])); err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("transport: handshake with %d: %w", to, err)
@@ -418,14 +420,14 @@ func (t *TCP) removeInbound(c net.Conn) {
 }
 
 // readLoop consumes frames from an inbound connection. The handshake
-// must arrive within DialTimeout; after it the connection may stay
+// must arrive within the dial timeout; after it the connection may stay
 // silent as long as it likes.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer t.removeInbound(c)
 	defer c.Close()
 	r := bufio.NewReaderSize(c, readBufSize)
-	_ = c.SetReadDeadline(time.Now().Add(t.opts.DialTimeout))
+	_ = c.SetReadDeadline(time.Now().Add(t.opts.dialTimeout))
 	from, err := readHello(r)
 	if err != nil || !t.knownParty(from) {
 		return // silent, malformed, unknown or self-claiming: reject

@@ -43,7 +43,7 @@ func TestTCPBurstsArriveIntactAndInOrder(t *testing.T) {
 	stats := iccmetrics.NewTransportStats()
 	eps := make([]*TCP, 3)
 	for i := range eps {
-		ep, err := NewTCPWithOptions(types.PartyID(i), addrs, TCPOptions{SendQueue: count, Stats: stats})
+		ep, err := NewTCPWithOptions(types.PartyID(i), addrs, TCPOptions{sendQueue: count, Stats: stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestTCPBurstRetriedOnFreshConnection(t *testing.T) {
 	stats := iccmetrics.NewTransportStats()
 	a, err := NewTCPWithOptions(0, map[types.PartyID]string{0: "127.0.0.1:0", 1: addr}, TCPOptions{
 		Stats:     stats,
-		RedialMin: 10 * time.Millisecond,
+		redialMin: 10 * time.Millisecond,
 		RedialMax: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -330,7 +330,7 @@ func TestReadFrameShortReads(t *testing.T) {
 // connection that never speaks is closed when the deadline passes.
 func TestHandshakeBounded(t *testing.T) {
 	const deadline = 300 * time.Millisecond
-	b, err := NewTCPWithOptions(1, map[types.PartyID]string{0: "127.0.0.1:1", 1: "127.0.0.1:0"}, TCPOptions{DialTimeout: deadline})
+	b, err := NewTCPWithOptions(1, map[types.PartyID]string{0: "127.0.0.1:1", 1: "127.0.0.1:0"}, TCPOptions{dialTimeout: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ func TestSlowReaderDoesNotBlockOtherPeers(t *testing.T) {
 
 	bootstrap := map[types.PartyID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: slowLis.Addr().String()}
 	a, err := NewTCPWithOptions(0, bootstrap, TCPOptions{
-		SendQueue:    8,
-		WriteTimeout: 300 * time.Millisecond,
+		sendQueue:    8,
+		writeTimeout: 300 * time.Millisecond,
 		Stats:        stats,
 	})
 	if err != nil {

@@ -18,6 +18,13 @@ const (
 	DomainCheckpoint hash.Domain = "icc/sig/checkpoint"
 )
 
+// MaxPayloadBytes bounds a block payload, and a payload offer likewise
+// (4 MiB): an application-specific validity condition (§3.4) every party
+// enforces. The command queue never cuts a batch that encodes past it,
+// the engine refuses any block or offer above it, and the state machine
+// decodes nothing larger.
+const MaxPayloadBytes = 4 << 20
+
 // Block is a round-k block of the block-tree: the tuple
 // (block, k, α, phash, payload) of paper §3.4 eq. (1).
 type Block struct {

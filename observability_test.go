@@ -22,9 +22,6 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown mode", []Option{WithMode(Mode(42))}},
 		{"negative delta bound", []Option{WithDeltaBound(-time.Second)}},
 		{"negative epsilon", []Option{WithEpsilon(-time.Second)}},
-		{"negative max batch", []Option{WithMaxBatch(-1)}},
-		{"negative fanout", []Option{WithGossipTopology(-2, 0)}},
-		{"negative stall after", []Option{WithStallAfter(-time.Second)}},
 		{"behavior party too high", []Option{WithBehavior(4, SilentLeader)}},
 		{"behavior party negative", []Option{WithBehavior(-1, SilentLeader)}},
 	}
@@ -35,34 +32,6 @@ func TestOptionValidation(t *testing.T) {
 			}
 		})
 	}
-	// Zero values select defaults rather than erroring.
-	if _, err := NewLocalCluster(4, WithMaxBatch(0), WithGossipTopology(0, 0), WithStallAfter(0)); err != nil {
-		t.Fatalf("zero-valued options rejected: %v", err)
-	}
-}
-
-func TestWithMaxBatchBoundsBlocks(t *testing.T) {
-	c, err := NewLocalCluster(4, WithDeltaBound(20*time.Millisecond), WithMaxBatch(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	for i := uint64(1); i <= 3; i++ {
-		if _, err := c.Client(0).Submit(context.Background(), Command{Client: 1, Seq: i, Op: OpSet, Key: fmt.Sprintf("k%d", i), Value: []byte("v")}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	// With one command per block, draining three commands takes at least
-	// three non-empty blocks; convergence on k3 proves batching still works.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := c.KV(0).Get("k3"); ok {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("commands never committed with MaxBatch=1")
 }
 
 func TestStartStopIdempotentEitherOrder(t *testing.T) {
@@ -158,8 +127,7 @@ func TestClusterMetricsAndTrace(t *testing.T) {
 func TestLiveClusterScrape(t *testing.T) {
 	c, err := NewLocalCluster(4,
 		WithDeltaBound(20*time.Millisecond),
-		WithMetricsAddr("127.0.0.1:0"),
-		WithStallAfter(10*time.Minute))
+		WithMetricsAddr("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
