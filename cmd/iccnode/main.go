@@ -195,9 +195,16 @@ func run(cfg nodeConfig) error {
 	defer ep.Close() // the node closes it on Stop; this covers the error paths before there is one
 
 	// Print a transport-health line on the way out, so operators can see
-	// queue evictions, redials, write failures, and inbox overflows.
+	// queue evictions, redials, write failures, and inbox overflows: the
+	// registry's icc_transport_* keys.
 	defer func() {
-		fmt.Printf("transport health: %s\n", stats.Detail())
+		health := obs.Snapshot{}
+		for k, v := range reg.Snapshot() {
+			if strings.HasPrefix(k, "icc_transport_") {
+				health[k] = v
+			}
+		}
+		fmt.Printf("transport health: %s\n", health)
 		if faulty != nil {
 			fs := faulty.Stats()
 			fmt.Printf("chaos injected: dropped=%d duplicated=%d delayed=%d cut=%d\n",

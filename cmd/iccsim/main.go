@@ -111,7 +111,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "SAFETY VIOLATION: %v\n", err)
 		os.Exit(1)
 	}
-	s := c.Rec.Summarize()
+	s := c.Log.Summarize()
 	fmt.Printf("protocol          %s, n=%d (t=%d), %d corrupt\n", m, *n, types.MaxFaults(*n), next)
 	fmt.Printf("simulated         %v (wall clock %v)\n", *duration, wall.Round(time.Millisecond))
 	fmt.Printf("committed blocks  %d (%.2f blocks/s)\n", s.CommittedBlocks, float64(s.CommittedBlocks)/duration.Seconds())

@@ -52,7 +52,7 @@ func main() {
 	if err := sim.Judge(oracle.Safety); err != nil {
 		log.Fatalf("SAFETY VIOLATION: %v", err)
 	}
-	s := sim.Rec.Summarize()
+	s := sim.Log.Summarize()
 	fmt.Printf("\ncommitted blocks:   %d (%.1f blocks/s)\n", s.CommittedBlocks, float64(s.CommittedBlocks)/20)
 	fmt.Printf("commit latency:     p50 %v, p99 %v\n", s.P50Latency.Round(time.Millisecond), s.P99Latency.Round(time.Millisecond))
 	fmt.Println("safety:             OK — all honest parties committed one consistent chain")

@@ -7,7 +7,6 @@ import (
 
 	"icc/internal/beacon"
 	"icc/internal/crypto/keys"
-	"icc/internal/metrics"
 	"icc/internal/oracle"
 	"icc/internal/simnet"
 	"icc/internal/types"
@@ -19,7 +18,6 @@ type harness struct {
 	privs   []keys.Private
 	net     *simnet.Network
 	engines []*Engine
-	rec     *metrics.Recorder
 	log     *oracle.Log
 }
 
@@ -49,10 +47,9 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 	h := &harness{
 		pub:   pub,
 		privs: privs,
-		rec:   metrics.NewRecorder(opts.n),
 		log:   oracle.NewLog(opts.n),
 	}
-	h.net = simnet.New(simnet.Options{Seed: opts.seed, Delay: opts.delay, Recorder: h.rec})
+	h.net = simnet.New(simnet.Options{Seed: opts.seed, Delay: opts.delay, Log: h.log})
 	for i := 0; i < opts.n; i++ {
 		i := i
 		cfg := Config{
@@ -64,16 +61,9 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 			Payload:    opts.payload,
 			Adaptive:   opts.adaptive,
 			Hooks: Hooks{
-				OnCommit: func(b *types.Block, now time.Duration) {
-					h.log.Commit(types.PartyID(i), b, now)
-					h.rec.Commit(b.Round, len(b.Payload), now)
-				},
-				OnPropose: func(k types.Round, now time.Duration) {
-					h.rec.Propose(k, now)
-				},
-				OnFinishRound: func(k types.Round, now time.Duration) {
-					h.rec.FinishRound(k, now)
-				},
+				OnCommit:      func(b *types.Block, now time.Duration) { h.log.Commit(types.PartyID(i), b, now) },
+				OnPropose:     func(k types.Round, now time.Duration) { h.log.Propose(types.PartyID(i), k, now) },
+				OnFinishRound: func(k types.Round, now time.Duration) { h.log.Notarized(types.PartyID(i), k, now) },
 			},
 		}
 		if opts.simBeacon {

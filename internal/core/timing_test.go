@@ -24,7 +24,7 @@ func TestSteadyStateTiming(t *testing.T) {
 	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 50 }, 60*time.Second) {
 		t.Fatal("no progress")
 	}
-	s := h.rec.Summarize()
+	s := h.log.Summarize()
 
 	// Reciprocal throughput: expect ≈ 2δ. Allow [1.5δ, 3δ] to absorb
 	// startup effects.
@@ -55,7 +55,7 @@ func TestOptimisticResponsiveness(t *testing.T) {
 	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 20 }, 120*time.Second) {
 		t.Fatal("no progress")
 	}
-	s := h.rec.Summarize()
+	s := h.log.Summarize()
 	if s.MeanRoundTime > 10*delta {
 		t.Errorf("round time %v is not responsive (δ=%v, Δbnd=2s)", s.MeanRoundTime, delta)
 	}
@@ -77,7 +77,7 @@ func TestMessageComplexitySynchronous(t *testing.T) {
 	if !h.net.RunUntil(func() bool { return h.log.Len(0) >= 20 }, 60*time.Second) {
 		t.Fatal("no progress")
 	}
-	s := h.rec.Summarize()
+	s := h.log.Summarize()
 	// Each round: n beacon shares + 1 proposal bundle + n notarization
 	// shares + n notarizations + n finalization shares + n finalizations
 	// ≈ 5n broadcasts ⇒ ≈ 5n(n−1) messages. Anything over, say, 8n²

@@ -175,7 +175,7 @@ func iccAdaptiveRun(n int, delta, bound, window time.Duration, kappa int) int64 
 	c.Start()
 	c.Net.Run(window)
 	safe("weak-adaptive", c.Judge(oracle.Safety))
-	return c.Rec.Summarize().CommittedBlocks
+	return c.Log.Summarize().CommittedBlocks
 }
 
 // hotstuffMutedRun runs the HotStuff baseline, optionally muting every

@@ -64,7 +64,7 @@ func meanRoundMsgs(n int, behaviors map[types.PartyID]harness.Behavior, blocks i
 	}
 	c.Start()
 	c.RunUntilCommitted(blocks, time.Hour)
-	return c.Rec.Summarize().MeanRoundMsgs
+	return c.Log.Summarize().MeanRoundMsgs
 }
 
 // RoundComplexity reproduces the §1 round-complexity claim (experiment
@@ -171,7 +171,7 @@ func Robustness(scale Scale) *Table {
 			c.Start()
 			c.RunUntilCommitted(blocks, time.Hour)
 			safe("robustness", c.Judge(oracle.Safety))
-			s := c.Rec.Summarize()
+			s := c.Log.Summarize()
 			elapsed := c.Net.Now().Seconds()
 			rate := float64(s.CommittedBlocks) / elapsed
 			if bad == 0 {

@@ -2,8 +2,7 @@
 // and the quantitative analytical claims of §1/§1.1, each as a
 // parameterised sweep over the simulation harness. The experiment index
 // lives in DESIGN.md §3; EXPERIMENTS.md records paper-vs-measured
-// values. Each experiment returns a Table that cmd/iccbench prints and
-// the root benchmark suite reports as custom metrics.
+// values. Each experiment returns a Table that cmd/iccbench prints.
 package experiments
 
 import (

@@ -78,7 +78,7 @@ func PBFTFragility(scale Scale) *Table {
 		c.Start()
 		c.Net.Run(window)
 		safe("fragility", c.Judge(oracle.Safety))
-		return c.Rec.Summarize().CommittedBlocks
+		return c.Log.Summarize().CommittedBlocks
 	}
 
 	iccHonest := iccRun(0)

@@ -113,12 +113,3 @@ func waitFor(deadline time.Time, cond func() bool) bool {
 func logged(log *oracle.Log, i int) core.Hooks {
 	return core.Hooks{OnCommit: func(b *types.Block, now time.Duration) { log.Commit(types.PartyID(i), b, now) }}
 }
-
-// fewest is the commit count of the slowest of n parties in log.
-func fewest(log *oracle.Log, n int) int {
-	least := log.Len(0)
-	for p := 1; p < n; p++ {
-		least = min(least, log.Len(types.PartyID(p)))
-	}
-	return least
-}

@@ -6,7 +6,6 @@ import (
 
 	"icc/internal/baseline"
 	"icc/internal/harness"
-	"icc/internal/metrics"
 	"icc/internal/node"
 	"icc/internal/oracle"
 	"icc/internal/pool"
@@ -15,7 +14,7 @@ import (
 )
 
 // runVariant runs one ICC cluster to a target block count and summarises.
-func runVariant(mode node.Mode, n int, delta, bound, epsilon time.Duration, seed int64, blocks int) metrics.Summary {
+func runVariant(mode node.Mode, n int, delta, bound, epsilon time.Duration, seed int64, blocks int) oracle.Summary {
 	c, err := harness.New(harness.Options{
 		N:          n,
 		Seed:       seed,
@@ -32,7 +31,7 @@ func runVariant(mode node.Mode, n int, delta, bound, epsilon time.Duration, seed
 	}
 	c.Start()
 	c.RunUntilCommitted(blocks, 10*time.Minute)
-	return c.Rec.Summarize()
+	return c.Log.Summarize()
 }
 
 // LatencyThroughput reproduces the §1 performance claims (experiment
@@ -170,28 +169,20 @@ func runHotStuffTimed(n int, delta, bound time.Duration, views int) (roundTime, 
 	}
 	nw.RunUntil(func() bool { return longest() >= views }, time.Hour)
 	safe("hotstuff", oracle.Judge(log, oracle.Expect{Holds: oracle.Safety}))
-	commitAt := map[types.Round]time.Duration{} // first commit of each view anywhere
-	for p := 0; p < n; p++ {
-		for _, c := range log.Commits(types.PartyID(p)) {
-			if at, ok := commitAt[c.Round]; !ok || c.At < at {
-				commitAt[c.Round] = c.At
-			}
-		}
-	}
 	var lo, hi types.Round
 	var loT, hiT time.Duration
 	var latSum time.Duration
 	var latN int
-	for v, c := range commitAt {
+	for v, c := range log.FirstCommits() { // first commit of each view anywhere
 		if lo == 0 || v < lo {
-			lo, loT = v, c
+			lo, loT = v, c.At
 		}
 		if v > hi {
-			hi, hiT = v, c
+			hi, hiT = v, c.At
 		}
 		if v >= 3 {
 			proposed := time.Duration(v-1) * 2 * delta
-			latSum += c - proposed
+			latSum += c.At - proposed
 			latN++
 		}
 	}

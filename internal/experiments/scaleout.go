@@ -89,7 +89,7 @@ func runOverlayCell(opts harness.Options, blocks int) (commitRate, perParty floa
 	}
 	c.Start()
 	c.RunUntilCommitted(blocks, time.Hour)
-	s := c.Rec.Summarize()
+	s := c.Log.Summarize()
 	rounds := float64(s.CommittedBlocks)
 	if rounds == 0 {
 		rounds = 1
@@ -149,7 +149,7 @@ func runTCPCluster(n, want int) (commits int, seconds float64) {
 	}
 	deadline := start.Add(2 * time.Minute)
 	for {
-		commits = fewest(log, n)
+		commits = log.Fewest()
 		if commits >= want || time.Now().After(deadline) {
 			break
 		}

@@ -110,7 +110,7 @@ func runTable1Cell(n int, epsilon time.Duration, window time.Duration, load, fai
 	}
 	c.Start()
 	c.Net.Run(window)
-	s := c.Rec.Summarize()
+	s := c.Log.Summarize()
 	secs := window.Seconds()
 	blocksPerSec = float64(s.CommittedBlocks) / secs
 	live := n

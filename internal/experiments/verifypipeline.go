@@ -104,5 +104,5 @@ func commitsInWindow(window time.Duration) float64 {
 	cl.startExcept(-1)
 	time.Sleep(window)
 	cl.stop()
-	return float64(fewest(log, n)) / window.Seconds()
+	return float64(log.Fewest()) / window.Seconds()
 }

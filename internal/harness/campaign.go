@@ -166,7 +166,7 @@ func runProfile(p Profile, seed int64, o CampaignOptions, tr *obs.Tracer) (int, 
 	}
 	c.Start()
 	c.Net.Run(o.SimTime)
-	commits := c.MinCommitted(c.HonestParties())
+	commits := c.Log.Fewest(c.HonestParties()...)
 	if err := c.Judge(p.Holds); err != nil {
 		return commits, err.Error(), nil
 	}

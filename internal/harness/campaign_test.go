@@ -151,7 +151,7 @@ func TestWithholdExactlyTStillFinalizes(t *testing.T) {
 	}
 	c.Start()
 	if !c.RunUntilCommitted(8, 10*time.Second) {
-		t.Fatalf("t withholders must not break liveness: honest parties committed %d blocks", c.MinCommitted(c.HonestParties()))
+		t.Fatalf("t withholders must not break liveness: honest parties committed %d blocks", c.Log.Fewest(c.HonestParties()...))
 	}
 	judge(t, c, oracle.All)
 }
@@ -185,7 +185,7 @@ func TestWithholdTPlusOneStallsThenRecovers(t *testing.T) {
 	// Phase 2: party 1 rejoins at 3s; commits must resume and recover
 	// the stalled prefix.
 	if !c.RunUntilCommitted(8, 12*time.Second) {
-		t.Fatalf("after rejoin, honest parties only committed %d blocks", c.MinCommitted(honest))
+		t.Fatalf("after rejoin, honest parties only committed %d blocks", c.Log.Fewest(honest...))
 	}
 	judge(t, c, oracle.All)
 	// The recovery commits the stalled prefix: round 1 onwards (Chain says

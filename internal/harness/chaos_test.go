@@ -92,7 +92,7 @@ func TestLossyPartitionHealsViaResync(t *testing.T) {
 		t.Fatalf("liveness did not resume after lossy heal: %d new blocks", after-during)
 	}
 	// Everyone converges, not just the observing party.
-	if min := c.MinCommitted(c.HonestParties()); after-min > 10 {
+	if min := c.Log.Fewest(c.HonestParties()...); after-min > 10 {
 		t.Fatalf("parties diverged after heal: min %d vs %d", min, after)
 	}
 	judge(t, c, oracle.Safety)

@@ -1,7 +1,7 @@
 // Package harness assembles simulated ICC clusters — key material,
-// engines (honest or Byzantine), dissemination mode, delay model,
-// metrics, the run log — and judges each run with internal/oracle from
-// the cluster's own inputs. It is the shared chassis of the benchmark
+// engines (honest or Byzantine), dissemination mode, delay model, the run
+// log — and judges and summarizes each run with internal/oracle from the
+// cluster's own inputs. It is the shared chassis of the benchmark
 // suite (DESIGN.md §3) and of cmd/iccsim.
 package harness
 
@@ -17,7 +17,6 @@ import (
 	"icc/internal/crypto/aggsig"
 	"icc/internal/crypto/keys"
 	"icc/internal/engine"
-	"icc/internal/metrics"
 	"icc/internal/node"
 	"icc/internal/obs"
 	"icc/internal/oracle"
@@ -181,10 +180,10 @@ type Cluster struct {
 	Pub     *keys.Public
 	Privs   []keys.Private
 	Net     *simnet.Network
-	Rec     *metrics.Recorder
 	Engines []*core.Engine // inner ICC engines, indexed by party
-	// Log holds every engine's commits, round entries and notarized
-	// rounds, as Judge reads them.
+	// Log holds every engine's commits, round entries, notarized rounds
+	// and sent proposals, and the honest parties' sends: what Judge and
+	// Summarize read.
 	Log *oracle.Log
 }
 
@@ -215,10 +214,9 @@ func New(opts Options) (*Cluster, error) {
 		Opts:  opts,
 		Pub:   pub,
 		Privs: privs,
-		Rec:   metrics.NewRecorder(opts.N),
 		Log:   oracle.NewLog(opts.N),
 	}
-	simOpts := simnet.Options{Seed: opts.Seed, Delay: opts.Delay, Recorder: c.Rec}
+	simOpts := simnet.Options{Seed: opts.Seed, Delay: opts.Delay, Log: c.Log}
 	if opts.Trace != nil {
 		tr := opts.Trace
 		simOpts.Trace = func(ev simnet.TraceEvent) {
@@ -290,39 +288,67 @@ func New(opts Options) (*Cluster, error) {
 
 // byzantine is what a behaviour interposes between the engine and the
 // dissemination sub-layer: nothing for Honest, and for MuteRelay, which
-// sits outside the overlay.
+// sits outside the overlay. Below the sub-layer, whatever the behaviour,
+// the party's proposals are logged as they leave it.
 func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *adversary.Collusion) func(*core.Engine) engine.Engine {
 	opts, tuning := c.Opts, c.Opts.Tuning[pid]
 	return func(inner *core.Engine) engine.Engine {
+		var eng engine.Engine = inner
 		switch behavior {
 		case SilentLeader:
-			return adversary.NewSilentLeader(inner)
+			eng = adversary.NewSilentLeader(inner)
 		case LazyVoter:
-			return adversary.NewLazyVoter(inner)
+			eng = adversary.NewLazyVoter(inner)
 		case Equivocator:
-			return adversary.NewEquivocator(inner, opts.N, c.Privs[pid])
+			eng = adversary.NewEquivocator(inner, opts.N, c.Privs[pid])
 		case WithholdNotar:
-			return adversary.NewShareWithholder(inner, adversary.WithholdOptions{Notar: true, Until: tuning.Until})
+			eng = adversary.NewShareWithholder(inner, adversary.WithholdOptions{Notar: true, Until: tuning.Until})
 		case WithholdFinal:
-			return adversary.NewShareWithholder(inner, adversary.WithholdOptions{Final: true, Until: tuning.Until})
+			eng = adversary.NewShareWithholder(inner, adversary.WithholdOptions{Final: true, Until: tuning.Until})
 		case ClockSkewed:
 			skew := tuning.Skew
 			if skew == 0 {
 				skew = 2 * opts.DeltaBound
 			}
-			return adversary.NewClockSkew(inner, skew)
+			eng = adversary.NewClockSkew(inner, skew)
 		case RankAbuser:
 			delay := tuning.ShareDelay
 			if delay == 0 {
 				delay = opts.DeltaBound
 			}
-			return adversary.NewRankAbuser(inner, cartel, delay)
+			eng = adversary.NewRankAbuser(inner, cartel, delay)
 		}
-		return inner
+		return proposals{eng, c.Log}
 	}
 }
 
-// engineConfig builds one party's core config with metric hooks wired.
+// proposals logs each proposal its engine sends: the bundle a party
+// broadcasts with its own block first (core's propose), not a resync.
+type proposals struct {
+	engine.Engine
+	log *oracle.Log
+}
+
+func (p proposals) Init(now time.Duration) []engine.Output { return p.sent(p.Engine.Init(now), now) }
+
+func (p proposals) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	return p.sent(p.Engine.HandleMessage(from, m, now), now)
+}
+
+func (p proposals) Tick(now time.Duration) []engine.Output { return p.sent(p.Engine.Tick(now), now) }
+
+func (p proposals) sent(outs []engine.Output, now time.Duration) []engine.Output {
+	for _, o := range outs {
+		if b, ok := o.Msg.(*types.Bundle); ok && !b.Resync && len(b.Messages) > 0 {
+			if bm, ok := b.Messages[0].(*types.BlockMsg); ok && bm.Block != nil && bm.Block.Proposer == p.ID() {
+				p.log.Propose(p.ID(), bm.Block.Round, now)
+			}
+		}
+	}
+	return outs
+}
+
+// engineConfig builds one party's core config with its hooks into the log.
 func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 	cfg := core.Config{
 		Self:       pid,
@@ -342,7 +368,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 		Hooks: core.Hooks{
 			OnCommit: func(b *types.Block, now time.Duration) {
 				c.Log.Commit(pid, b, now)
-				c.Rec.Commit(b.Round, len(b.Payload), now)
 				if c.Opts.Trace != nil {
 					h := b.Hash()
 					c.Opts.Trace.Record(obs.Event{
@@ -359,12 +384,8 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 					})
 				}
 			},
-			OnPropose:    func(k types.Round, now time.Duration) { c.Rec.Propose(k, now) },
-			OnEnterRound: func(k types.Round, now time.Duration) { c.Log.Enter(pid, k, now) },
-			OnFinishRound: func(k types.Round, now time.Duration) {
-				c.Log.Notarized(pid, k, now)
-				c.Rec.FinishRound(k, now)
-			},
+			OnEnterRound:  func(k types.Round, now time.Duration) { c.Log.Enter(pid, k, now) },
+			OnFinishRound: func(k types.Round, now time.Duration) { c.Log.Notarized(pid, k, now) },
 		},
 	}
 	if c.Opts.SimBeacon {
@@ -375,18 +396,6 @@ func (c *Cluster) engineConfig(pid types.PartyID) core.Config {
 
 // Start initialises all engines.
 func (c *Cluster) Start() { c.Net.Start() }
-
-// MinCommitted returns the shortest committed-sequence length among the
-// given parties.
-func (c *Cluster) MinCommitted(parties []types.PartyID) int {
-	minLen := -1
-	for _, p := range parties {
-		if l := c.Log.Len(p); minLen < 0 || l < minLen {
-			minLen = l
-		}
-	}
-	return minLen
-}
 
 // HonestParties lists the parties with Honest behaviour.
 func (c *Cluster) HonestParties() []types.PartyID {
@@ -404,7 +413,7 @@ func (c *Cluster) HonestParties() []types.PartyID {
 func (c *Cluster) RunUntilCommitted(minBlocks int, limit time.Duration) bool {
 	honest := c.HonestParties()
 	return c.Net.RunUntil(func() bool {
-		return c.MinCommitted(honest) >= minBlocks
+		return c.Log.Fewest(honest...) >= minBlocks
 	}, limit)
 }
 

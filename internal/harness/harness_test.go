@@ -30,7 +30,7 @@ func run(t *testing.T, opts Options, minBlocks int, limit time.Duration) *Cluste
 	if !c.RunUntilCommitted(minBlocks, limit) {
 		honest := c.HonestParties()
 		t.Fatalf("%s n=%d: only %d blocks committed within %v (want %d)",
-			opts.Mode, opts.N, c.MinCommitted(honest), limit, minBlocks)
+			opts.Mode, opts.N, c.Log.Fewest(honest...), limit, minBlocks)
 	}
 	judge(t, c, oracle.Safety)
 	return c
@@ -91,6 +91,19 @@ func TestSilentLeaders(t *testing.T) {
 	}
 }
 
+// TestSilentLeaderStartsNoLatencyClock: a silent leader's block never
+// leaves it, so a round it leads is timed from the block that did, the
+// rank-1 party's at Δprop(1) = 2Δbnd, and no commit trails its round's
+// proposal by that much. On the wire the run is one with party 0
+// crashed, whose latency is 3δ in every round.
+func TestSilentLeaderStartsNoLatencyClock(t *testing.T) {
+	c := run(t, Options{N: 4, Seed: 3, SimBeacon: true, Behaviors: map[types.PartyID]Behavior{0: SilentLeader}}, 60, time.Minute)
+	prop, _ := types.StandardDelays(c.Opts.DeltaBound, c.Opts.Epsilon)
+	if s := c.Log.Summarize(); s.P99Latency >= prop(1) {
+		t.Fatalf("p99 latency %v (p50 %v), not below Δprop(1) = %v: a withheld proposal started a clock", s.P99Latency, s.P50Latency, prop(1))
+	}
+}
+
 func TestEquivocatingLeader(t *testing.T) {
 	// A Byzantine proposer sends conflicting blocks to the two halves of
 	// the cluster. Safety must hold; its rank gets disqualified by
@@ -132,7 +145,7 @@ func TestAsynchronyWindow(t *testing.T) {
 		Extra:   100 * time.Millisecond,
 	}
 	c := run(t, Options{N: 4, Seed: 11, SimBeacon: true, Delay: aw}, 20, 2*time.Minute)
-	s := c.Rec.Summarize()
+	s := c.Log.Summarize()
 	if s.CommittedBlocks < 20 {
 		t.Fatalf("committed %d blocks", s.CommittedBlocks)
 	}

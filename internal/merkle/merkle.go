@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"icc/internal/crypto/hash"
 )
@@ -93,12 +94,10 @@ func Verify(root hash.Digest, data []byte, index, leafCount int, proof []hash.Di
 	if index < 0 || index >= leafCount || leafCount < 1 {
 		return fmt.Errorf("%w: index out of range", ErrBadProof)
 	}
-	size := 1
-	depth := 0
-	for size < leafCount {
-		size <<= 1
-		depth++
-	}
+	// The tree is padded to 2^depth leaves, the least power of two that
+	// holds leafCount; counted in bits, since doubling up to a leafCount
+	// past 2^62 overflows.
+	depth := bits.Len(uint(leafCount - 1))
 	if len(proof) != depth {
 		return fmt.Errorf("%w: proof length %d, want %d", ErrBadProof, len(proof), depth)
 	}

@@ -1,9 +1,12 @@
 package merkle
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"icc/internal/crypto/hash"
 )
 
 func leaves(n int) [][]byte {
@@ -144,4 +147,51 @@ func BenchmarkBuild40Leaves64KB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzMerkleVerify builds a tree over fuzz-chosen leaves and checks Verify
+// on a valid fragment with its data, index, leaf count and proof mutated
+// by the fuzzer: Verify never panics or hangs, accepts the unmutated
+// fragment, and accepts only data that is the leaf at its index.
+func FuzzMerkleVerify(f *testing.F) {
+	f.Add([]byte("fragment"), uint8(7), uint8(3), false, []byte(nil), int64(0), int64(0), uint16(0), int8(0))
+	f.Add([]byte("fragment"), uint8(39), uint8(38), true, []byte("fragment\x26"), int64(0), int64(0), uint16(0), int8(0))
+	f.Add([]byte("fragment"), uint8(4), uint8(1), false, []byte(nil), int64(-1), int64(3), uint16(300), int8(-1))
+	f.Add([]byte{}, uint8(0), uint8(0), false, []byte(nil), int64(1), int64(1<<62), uint16(0), int8(62))
+	f.Fuzz(func(t *testing.T, seed []byte, count, at uint8, forge bool, forged []byte, dIndex, dCount int64, flip uint16, dLen int8) {
+		n := 1 + int(count)%64
+		ls := make([][]byte, n)
+		for i := range ls {
+			ls[i] = append(append([]byte(nil), seed...), byte(i))
+		}
+		tree, err := New(ls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := int(at) % n
+		proof, err := tree.Proof(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := ls[i]
+		if forge {
+			data = forged
+		}
+		index, leafCount := i+int(dIndex), n+int(dCount)
+		if dLen < 0 {
+			proof = proof[:max(0, len(proof)+int(dLen))]
+		} else {
+			proof = append(proof, make([]hash.Digest, dLen)...)
+		}
+		if bit := int(flip) - 1; bit >= 0 && len(proof) > 0 {
+			proof[bit/256%len(proof)][bit%256/8] ^= 1 << (bit % 8)
+		}
+		err = Verify(tree.Root(), data, index, leafCount, proof)
+		if intact := bytes.Equal(data, ls[i]) && index == i && leafCount == n && dLen == 0 && flip == 0; intact && err != nil {
+			t.Fatalf("leaf %d of %d refused: %v", i, n, err)
+		}
+		if err == nil && (index < 0 || index >= n || !bytes.Equal(data, ls[index])) {
+			t.Fatalf("accepted %x at index %d of a %d-leaf tree (leaf count %d)", data, index, n, leafCount)
+		}
+	})
 }

@@ -1,7 +1,10 @@
+// Package metrics holds the transport's health counters, which register
+// on an obs.Registry as the icc_transport_* families; read them from the
+// registry's Snapshot. A simulated run's measures (message complexity,
+// latency, round time) are oracle.Log's Summarize.
 package metrics
 
 import (
-	"fmt"
 	"strconv"
 
 	"icc/internal/obs"
@@ -12,12 +15,11 @@ import (
 // evictions, redial attempts, write failures and high-water queue
 // depths, plus endpoint-wide inbox-overflow discards, runner-observed
 // send errors, and socket writes against the frames they carried. The
-// counters live on an obs.Registry (a private one by
-// default, or a shared node-wide registry via NewTransportStatsOn, in
-// which case they appear in the node's Prometheus exposition as the
-// icc_transport_* families). Faults are additionally traced onto an
-// optional obs.Tracer. A nil *TransportStats is a valid no-op sink, so
-// transport and runtime code records unconditionally.
+// counters live on the registry NewTransportStatsOn is given, a node's
+// shared one in its Prometheus exposition, as the icc_transport_*
+// families. Faults are additionally traced onto an optional obs.Tracer.
+// A nil *TransportStats is a valid no-op sink, so transport and runtime
+// code records unconditionally.
 type TransportStats struct {
 	queueDropped  *obs.CounterVec
 	redials       *obs.CounterVec
@@ -28,11 +30,6 @@ type TransportStats struct {
 	socketWrites  *obs.Counter
 	framesWritten *obs.Counter
 	tracer        *obs.Tracer
-}
-
-// NewTransportStats creates a counter set on a private registry.
-func NewTransportStats() *TransportStats {
-	return NewTransportStatsOn(obs.NewRegistry(), nil)
 }
 
 // NewTransportStatsOn registers the transport families on a shared
@@ -122,71 +119,4 @@ func (s *TransportStats) SendError() {
 	}
 	s.sendErrors.Inc()
 	s.fault("send_error")
-}
-
-// TransportSnapshot is a structured point-in-time copy of the counters.
-type TransportSnapshot struct {
-	QueueDropped  map[types.PartyID]int64
-	Redials       map[types.PartyID]int64
-	WriteErrors   map[types.PartyID]int64
-	MaxQueueDepth map[types.PartyID]int64
-
-	TotalQueueDropped int64
-	TotalRedials      int64
-	TotalWriteErrors  int64
-	InboxOverflow     int64
-	SendErrors        int64
-	SocketWrites      int64
-	FramesWritten     int64
-}
-
-// Detail copies the counters into the structured per-peer form. Safe on
-// a nil receiver (empty snapshot).
-func (s *TransportStats) Detail() TransportSnapshot {
-	snap := TransportSnapshot{
-		QueueDropped:  map[types.PartyID]int64{},
-		Redials:       map[types.PartyID]int64{},
-		WriteErrors:   map[types.PartyID]int64{},
-		MaxQueueDepth: map[types.PartyID]int64{},
-	}
-	if s == nil {
-		return snap
-	}
-	peerID := func(label string) types.PartyID {
-		n, _ := strconv.Atoi(label)
-		return types.PartyID(n)
-	}
-	s.queueDropped.Each(func(lvs []string, v int64) {
-		snap.QueueDropped[peerID(lvs[0])] = v
-		snap.TotalQueueDropped += v
-	})
-	s.redials.Each(func(lvs []string, v int64) {
-		snap.Redials[peerID(lvs[0])] = v
-		snap.TotalRedials += v
-	})
-	s.writeErrors.Each(func(lvs []string, v int64) {
-		snap.WriteErrors[peerID(lvs[0])] = v
-		snap.TotalWriteErrors += v
-	})
-	s.maxQueueDepth.Each(func(lvs []string, v float64) {
-		snap.MaxQueueDepth[peerID(lvs[0])] = int64(v)
-	})
-	snap.InboxOverflow = s.inboxOverflow.Value()
-	snap.SendErrors = s.sendErrors.Value()
-	snap.SocketWrites = s.socketWrites.Value()
-	snap.FramesWritten = s.framesWritten.Value()
-	return snap
-}
-
-// String renders the snapshot as one health line.
-func (snap TransportSnapshot) String() string {
-	var maxDepth int64
-	for _, d := range snap.MaxQueueDepth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return fmt.Sprintf("queue-dropped=%d redials=%d write-errors=%d max-queue=%d inbox-overflow=%d send-errors=%d",
-		snap.TotalQueueDropped, snap.TotalRedials, snap.TotalWriteErrors,
-		maxDepth, snap.InboxOverflow, snap.SendErrors)
 }

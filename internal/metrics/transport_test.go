@@ -1,14 +1,14 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"icc/internal/obs"
 )
 
 func TestTransportStatsCounts(t *testing.T) {
-	s := NewTransportStats()
+	reg := obs.NewRegistry()
+	s := NewTransportStatsOn(reg, nil)
 	s.QueueDrop(1)
 	s.QueueDrop(1)
 	s.QueueDrop(2)
@@ -22,26 +22,20 @@ func TestTransportStatsCounts(t *testing.T) {
 	s.BurstWritten(5)
 	s.BurstWritten(1)
 
-	snap := s.Detail()
-	if snap.TotalQueueDropped != 3 || snap.QueueDropped[1] != 2 || snap.QueueDropped[2] != 1 {
-		t.Fatalf("queue drops: %+v", snap.QueueDropped)
-	}
-	if snap.TotalRedials != 1 || snap.TotalWriteErrors != 1 {
-		t.Fatalf("redials=%d write-errors=%d", snap.TotalRedials, snap.TotalWriteErrors)
-	}
-	if snap.MaxQueueDepth[1] != 5 {
-		t.Fatalf("max queue depth %d, want 5", snap.MaxQueueDepth[1])
-	}
-	if snap.InboxOverflow != 1 || snap.SendErrors != 2 {
-		t.Fatalf("overflow=%d send-errors=%d", snap.InboxOverflow, snap.SendErrors)
-	}
-	if snap.SocketWrites != 2 || snap.FramesWritten != 6 {
-		t.Fatalf("socket-writes=%d frames-written=%d, want 2 and 6", snap.SocketWrites, snap.FramesWritten)
-	}
-	line := snap.String()
-	for _, want := range []string{"queue-dropped=3", "redials=1", "write-errors=1", "max-queue=5", "inbox-overflow=1", "send-errors=2"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("health line %q missing %q", line, want)
+	snap := reg.Snapshot()
+	for key, want := range map[string]float64{
+		`icc_transport_queue_dropped_total{peer="1"}`: 2,
+		`icc_transport_queue_dropped_total{peer="2"}`: 1,
+		`icc_transport_redials_total{peer="1"}`:       1,
+		`icc_transport_write_errors_total{peer="2"}`:  1,
+		`icc_transport_max_queue_depth{peer="1"}`:     5,
+		"icc_transport_inbox_overflow_total":          1,
+		"icc_transport_send_errors_total":             2,
+		"icc_transport_socket_writes_total":           2,
+		"icc_transport_frames_written_total":          6,
+	} {
+		if got := snap.Get(key); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
 		}
 	}
 }
@@ -74,7 +68,7 @@ func TestTransportStatsOnSharedRegistry(t *testing.T) {
 
 func TestTransportStatsNilIsNoOp(t *testing.T) {
 	var s *TransportStats
-	// All recording methods and the snapshot must be safe on nil.
+	// All recording methods must be safe on nil.
 	s.QueueDrop(0)
 	s.Redial(0)
 	s.WriteError(0)
@@ -82,7 +76,4 @@ func TestTransportStatsNilIsNoOp(t *testing.T) {
 	s.InboxOverflow()
 	s.SendError()
 	s.BurstWritten(3)
-	if snap := s.Detail(); snap.TotalQueueDropped != 0 || snap.SendErrors != 0 {
-		t.Fatalf("nil stats produced counts: %+v", snap)
-	}
 }

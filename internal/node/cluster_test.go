@@ -24,18 +24,19 @@ import (
 // party the test never builds keeps its endpoint free for the test to
 // drive.
 type testCluster struct {
-	t     *testing.T
-	n     int
-	pub   *keys.Public
-	privs []keys.Private
-	hub   *transport.Inproc // nil on TCP
-	tcps  []*transport.TCP  // nil in process
-	stats []*metrics.TransportStats
-	clk   clock.Clock
-	reg   *obs.Registry
-	nodes []*node.Node
-	eps   []transport.Endpoint // what each node was built on: endpoint(i), or a fault layer over it
-	log   *oracle.Log
+	t         *testing.T
+	n         int
+	pub       *keys.Public
+	privs     []keys.Private
+	hub       *transport.Inproc         // nil on TCP
+	tcps      []*transport.TCP          // nil in process
+	stats     []*metrics.TransportStats // node i's transport counters, on transport[i]
+	transport []*obs.Registry
+	clk       clock.Clock
+	reg       *obs.Registry
+	nodes     []*node.Node
+	eps       []transport.Endpoint // what each node was built on: endpoint(i), or a fault layer over it
+	log       *oracle.Log
 }
 
 func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
@@ -46,15 +47,17 @@ func newTestCluster(t *testing.T, n int, tcp bool) *testCluster {
 	}
 	c := &testCluster{
 		t: t, n: n, pub: pub, privs: privs,
-		clk:   clock.NewWall(),
-		reg:   obs.NewRegistry(),
-		nodes: make([]*node.Node, n),
-		eps:   make([]transport.Endpoint, n),
-		stats: make([]*metrics.TransportStats, n),
-		log:   oracle.NewLog(n),
+		clk:       clock.NewWall(),
+		reg:       obs.NewRegistry(),
+		nodes:     make([]*node.Node, n),
+		eps:       make([]transport.Endpoint, n),
+		stats:     make([]*metrics.TransportStats, n),
+		transport: make([]*obs.Registry, n),
+		log:       oracle.NewLog(n),
 	}
 	for i := range c.stats {
-		c.stats[i] = metrics.NewTransportStats()
+		c.transport[i] = obs.NewRegistry()
+		c.stats[i] = metrics.NewTransportStatsOn(c.transport[i], nil)
 	}
 	if !tcp {
 		c.hub = transport.NewInproc(n)

@@ -8,9 +8,9 @@
 // Every layer of the live path records here: the core engine via
 // per-phase Hooks (see core.ObservedHooks), the runtime event loop, and
 // the transport (metrics.TransportStats registers its counters on an
-// obs.Registry). The registry and the Observer export the Snapshot map
-// view, which nodes and tests read; the simulation's metrics.Recorder has
-// its own Summary.
+// obs.Registry). The registry exports the Snapshot map view, which nodes
+// and tests read. A simulated run's §1 measures are oracle.Log's
+// Summarize instead: simnet has no registry.
 //
 // The package deliberately imports nothing outside the standard library
 // so that any layer — including the deepest protocol code — can depend
@@ -24,9 +24,8 @@ import (
 	"strings"
 )
 
-// Snapshot is a point-in-time view of a Registry (or of an Observer's
-// counters): metric name (optionally with a {label="value"} suffix) to
-// value.
+// Snapshot is a point-in-time view of a Registry: metric name (optionally
+// with a {label="value"} suffix) to value.
 type Snapshot map[string]float64
 
 // Keys returns the snapshot's keys in sorted order.

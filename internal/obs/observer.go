@@ -399,11 +399,3 @@ func (o *Observer) TickFired() {
 	}
 	o.ticks.Inc()
 }
-
-// Snapshot returns the common map view of the observer's registry.
-func (o *Observer) Snapshot() Snapshot {
-	if o == nil {
-		return Snapshot{}
-	}
-	return o.Registry.Snapshot()
-}

@@ -24,7 +24,7 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 	o.MessageReceived()
 	o.TickFired()
 
-	snap := o.Snapshot()
+	snap := o.Registry.Snapshot()
 	for key, want := range map[string]float64{
 		"icc_rounds_entered_total":                      1,
 		"icc_proposals_total":                           1,
@@ -97,7 +97,7 @@ func TestObserverSharedRegistryAggregates(t *testing.T) {
 }
 
 func TestObserverNilIsNoOp(t *testing.T) {
-	var o *Observer
+	var o *Observer // every recording method is safe on nil
 	o.BeaconRecovered(1, time.Millisecond)
 	o.EnterRound(1, 0)
 	o.Propose(1, 0)
@@ -109,9 +109,6 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	o.PayloadOffer(1, 1, 10, "sent")
 	o.MessageReceived()
 	o.TickFired()
-	if len(o.Snapshot()) != 0 {
-		t.Fatal("nil observer produced a snapshot")
-	}
 }
 
 func TestHealthTrackerStallDetection(t *testing.T) {

@@ -1,10 +1,12 @@
 // Package oracle states the properties the paper proves (§4) once, over
 // what every run produces — each party's committed blocks with times and,
-// where the protocol reports them, the rounds it entered and finished —
-// and judges a run against them. It takes no protocol type: simulated and
-// live ICC0/1/2 clusters and the baselines of internal/baseline record
-// into a Log and pass through Judge unchanged (the factoring of Bertrand
-// et al., PAPERS.md). DESIGN.md §16 derives the two liveness bounds.
+// where the protocol reports them, the rounds it entered and finished and
+// the proposals and messages it sent — and judges a run against them. It
+// takes no protocol type: simulated and live ICC0/1/2 clusters and the
+// baselines of internal/baseline record into a Log and pass through Judge
+// unchanged (the factoring of Bertrand et al., PAPERS.md). The same Log
+// yields the §1 measures, message complexity, latency and round time,
+// through Summarize. DESIGN.md §16 derives the two liveness bounds.
 package oracle
 
 import (
@@ -61,24 +63,30 @@ func ParseProperty(s string) (Property, error) {
 }
 
 // Commit is one block a party output: its round, its hash and its
-// parent's, and when. Round entries and finishes are records of Round and
-// At alone.
+// parent's, its payload's size in bytes, and when. Round entries and
+// finishes and proposals are records of Round and At alone.
 type Commit struct {
 	Round        types.Round
 	Hash, Parent hash.Digest
+	Payload      int
 	At           time.Duration
 }
 
 // Log records a run party by party. It is safe for concurrent use: live
 // nodes write it from their engine goroutines.
 type Log struct {
-	mu                          sync.Mutex
-	commits, entered, notarized [][]Commit
+	mu                                    sync.Mutex
+	commits, entered, notarized, proposed [][]Commit
+	sent                                  []traffic
+	roundMsgs                             map[types.Round]int64 // messages sent in each round
 }
 
 // NewLog returns an empty log for parties 0..n−1.
 func NewLog(n int) *Log {
-	return &Log{commits: make([][]Commit, n), entered: make([][]Commit, n), notarized: make([][]Commit, n)}
+	return &Log{
+		commits: make([][]Commit, n), entered: make([][]Commit, n), notarized: make([][]Commit, n), proposed: make([][]Commit, n),
+		sent: make([]traffic, n), roundMsgs: make(map[types.Round]int64),
+	}
 }
 
 func (l *Log) add(to [][]Commit, p types.PartyID, c Commit) {
@@ -89,7 +97,7 @@ func (l *Log) add(to [][]Commit, p types.PartyID, c Commit) {
 
 // Commit records a block party p output at time at.
 func (l *Log) Commit(p types.PartyID, b *types.Block, at time.Duration) {
-	l.add(l.commits, p, Commit{Round: b.Round, Hash: b.Hash(), Parent: b.ParentHash, At: at})
+	l.add(l.commits, p, Commit{Round: b.Round, Hash: b.Hash(), Parent: b.ParentHash, Payload: len(b.Payload), At: at})
 }
 
 // Decided returns party p's commit hook for a protocol that names a
@@ -97,7 +105,7 @@ func (l *Log) Commit(p types.PartyID, b *types.Block, at time.Duration) {
 // the record's hash covers both, and its parent is p's previous record.
 func (l *Log) Decided(p types.PartyID) func(seq uint64, payload []byte, at time.Duration) {
 	return func(seq uint64, payload []byte, at time.Duration) {
-		c := Commit{Round: types.Round(seq), Hash: hash.Sum(hash.DomainPayload, binary.BigEndian.AppendUint64(nil, seq), payload), At: at}
+		c := Commit{Round: types.Round(seq), Hash: hash.Sum(hash.DomainPayload, binary.BigEndian.AppendUint64(nil, seq), payload), Payload: len(payload), At: at}
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if prev := l.commits[p]; len(prev) > 0 {
@@ -116,6 +124,12 @@ func (l *Log) Enter(p types.PartyID, k types.Round, at time.Duration) {
 // round-k block — at time at.
 func (l *Log) Notarized(p types.PartyID, k types.Round, at time.Duration) {
 	l.add(l.notarized, p, Commit{Round: k, At: at})
+}
+
+// Propose records that party p's block proposal for round k left it at
+// time at: a proposal a Byzantine party withholds is no proposal.
+func (l *Log) Propose(p types.PartyID, k types.Round, at time.Duration) {
+	l.add(l.proposed, p, Commit{Round: k, At: at})
 }
 
 // Commits returns a copy of party p's commits, in output order.
@@ -140,6 +154,28 @@ func (l *Log) Len(p types.PartyID) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.commits[p])
+}
+
+// Fewest is the commit count of the slowest of parties, or of every party
+// when none is named.
+func (l *Log) Fewest(parties ...types.PartyID) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	least := -1
+	count := func(seq []Commit) {
+		if least < 0 || len(seq) < least {
+			least = len(seq)
+		}
+	}
+	if len(parties) == 0 {
+		for _, seq := range l.commits {
+			count(seq)
+		}
+	}
+	for _, p := range parties {
+		count(l.commits[p])
+	}
+	return least
 }
 
 // Expect is what a run is judged against: the properties, whom they speak

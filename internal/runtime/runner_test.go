@@ -9,6 +9,7 @@ import (
 	"icc/internal/clock"
 	"icc/internal/engine"
 	"icc/internal/metrics"
+	"icc/internal/obs"
 	"icc/internal/transport"
 	"icc/internal/types"
 )
@@ -122,7 +123,8 @@ func TestBroadcastContinuesPastFailingPeer(t *testing.T) {
 	const n = 4
 	hub := transport.NewInproc(n)
 	defer hub.Close()
-	stats := metrics.NewTransportStats()
+	reg := obs.NewRegistry()
+	stats := metrics.NewTransportStatsOn(reg, nil)
 	clk := clock.NewWall()
 	engines := make([]*pingEngine, n)
 	runners := make([]*Runner, n)
@@ -163,8 +165,8 @@ func TestBroadcastContinuesPastFailingPeer(t *testing.T) {
 	if r2, _ := engines[2].snapshot(); r2 != n-2 {
 		t.Fatalf("party 2 received %d, want %d (only the failing link is cut)", r2, n-2)
 	}
-	if snap := stats.Detail(); snap.SendErrors != 1 {
-		t.Fatalf("send errors = %d, want exactly 1 (party 0's broadcast to party 2)", snap.SendErrors)
+	if got := reg.Snapshot().Get("icc_transport_send_errors_total"); got != 1 {
+		t.Fatalf("send errors = %v, want exactly 1 (party 0's broadcast to party 2)", got)
 	}
 }
 

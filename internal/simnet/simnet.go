@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"icc/internal/engine"
-	"icc/internal/metrics"
+	"icc/internal/oracle"
 	"icc/internal/types"
 )
 
@@ -74,9 +74,9 @@ type TraceEvent struct {
 
 // Options configures a Network.
 type Options struct {
-	Seed     int64
-	Delay    DelayModel
-	Recorder *metrics.Recorder // optional
+	Seed  int64
+	Delay DelayModel
+	Log   *oracle.Log // optional: counts honest parties' sends
 	// Trace, if non-nil, observes every delivery and tick as it executes
 	// (after crash/partition gating, immediately before the engine call).
 	Trace func(TraceEvent)
@@ -86,7 +86,7 @@ type Options struct {
 type Network struct {
 	rng   *rand.Rand
 	delay DelayModel
-	rec   *metrics.Recorder
+	log   *oracle.Log
 	trace func(TraceEvent)
 	steps uint64
 
@@ -105,7 +105,7 @@ func New(opts Options) *Network {
 	return &Network{
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		delay: opts.Delay,
-		rec:   opts.Recorder,
+		log:   opts.Log,
 		trace: opts.Trace,
 	}
 }
@@ -199,16 +199,16 @@ func (nw *Network) dispatch(nd *node, outs []engine.Output) {
 				recipients++
 				nw.deliver(nd, other, out.Msg, size)
 			}
-			if nw.rec != nil && nd.honest {
-				nw.rec.Send(nd.eng.ID(), round, recipients, size)
+			if nw.log != nil && nd.honest {
+				nw.log.Send(nd.eng.ID(), round, recipients, size)
 			}
 		} else {
 			if int(out.To) < 0 || int(out.To) >= len(nw.nodes) || out.To == nd.eng.ID() {
 				continue
 			}
 			nw.deliver(nd, nw.nodes[out.To], out.Msg, size)
-			if nw.rec != nil && nd.honest {
-				nw.rec.Send(nd.eng.ID(), round, 1, size)
+			if nw.log != nil && nd.honest {
+				nw.log.Send(nd.eng.ID(), round, 1, size)
 			}
 		}
 	}

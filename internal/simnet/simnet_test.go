@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"icc/internal/engine"
-	"icc/internal/metrics"
+	"icc/internal/oracle"
 	"icc/internal/types"
 )
 
@@ -123,17 +123,17 @@ func TestTicksFollowNextWake(t *testing.T) {
 }
 
 func TestRecorderCountsSends(t *testing.T) {
-	rec := metrics.NewRecorder(4)
-	nw, _ := build(t, 4, Options{Seed: 1, Delay: Fixed{D: time.Millisecond}, Recorder: rec})
+	log := oracle.NewLog(4)
+	nw, _ := build(t, 4, Options{Seed: 1, Delay: Fixed{D: time.Millisecond}, Log: log})
 	nw.Start()
 	nw.Run(time.Second)
-	s := rec.Summarize()
-	// 4 nodes broadcast once each to 3 peers.
+	s := log.Summarize()
+	// 4 nodes broadcast once each to 3 peers, all in round 1.
 	if s.TotalMsgs != 12 {
 		t.Fatalf("total messages = %d, want 12", s.TotalMsgs)
 	}
-	if got := rec.RoundMsgs(1); got != 12 {
-		t.Fatalf("round-1 message complexity = %d, want 12", got)
+	if s.MaxRoundMsgs != 12 || s.MeanRoundMsgs != 12 {
+		t.Fatalf("round-1 message complexity = %d (mean %.1f), want 12", s.MaxRoundMsgs, s.MeanRoundMsgs)
 	}
 	if s.TotalBytes <= 0 || s.MaxPartyBytes <= 0 {
 		t.Fatal("byte accounting missing")
@@ -273,8 +273,8 @@ func (e *exceptEngine) Init(time.Duration) []engine.Output {
 }
 
 func TestBroadcastExceptLeavesOneOut(t *testing.T) {
-	rec := metrics.NewRecorder(4)
-	nw := New(Options{Seed: 1, Delay: Fixed{D: 10 * time.Millisecond}, Recorder: rec})
+	log := oracle.NewLog(4)
+	nw := New(Options{Seed: 1, Delay: Fixed{D: 10 * time.Millisecond}, Log: log})
 	engines := make([]*exceptEngine, 4)
 	for i := range engines {
 		engines[i] = &exceptEngine{echoEngine{id: types.PartyID(i)}}
@@ -293,7 +293,7 @@ func TestBroadcastExceptLeavesOneOut(t *testing.T) {
 			t.Errorf("engine %d received %d messages, want %d", i, e.received, want)
 		}
 	}
-	if got := rec.Summarize().TotalMsgs; got != 3+3*2 {
-		t.Errorf("recorder counted %d messages sent, want %d", got, 3+3*2)
+	if got := log.Summarize().TotalMsgs; got != 3+3*2 {
+		t.Errorf("log counted %d messages sent, want %d", got, 3+3*2)
 	}
 }

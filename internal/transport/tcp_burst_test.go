@@ -15,7 +15,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	iccmetrics "icc/internal/metrics"
 	"icc/internal/types"
 )
 
@@ -40,7 +39,7 @@ func framePayload(sender types.PartyID, seq int) []byte {
 func TestTCPBurstsArriveIntactAndInOrder(t *testing.T) {
 	const count = 1500
 	addrs := map[types.PartyID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"}
-	stats := iccmetrics.NewTransportStats()
+	stats, counter := newStats()
 	eps := make([]*TCP, 3)
 	for i := range eps {
 		ep, err := NewTCPWithOptions(types.PartyID(i), addrs, TCPOptions{sendQueue: count, Stats: stats})
@@ -86,12 +85,12 @@ func TestTCPBurstsArriveIntactAndInOrder(t *testing.T) {
 
 	// A frame is counted once the Write carrying it returns, which may
 	// be just after the receiver has it.
-	for end := time.Now().Add(5 * time.Second); stats.Detail().FramesWritten < 2*count && time.Now().Before(end); {
+	for end := time.Now().Add(5 * time.Second); counter("icc_transport_frames_written_total") < 2*count && time.Now().Before(end); {
 		time.Sleep(10 * time.Millisecond)
 	}
-	snap := stats.Detail()
-	if snap.FramesWritten != 2*count || snap.SocketWrites >= snap.FramesWritten {
-		t.Fatalf("%d frames in %d socket writes; want %d frames in fewer writes", snap.FramesWritten, snap.SocketWrites, 2*count)
+	frames, writes := counter("icc_transport_frames_written_total"), counter("icc_transport_socket_writes_total")
+	if frames != 2*count || writes >= frames {
+		t.Fatalf("%d frames in %d socket writes; want %d frames in fewer writes", frames, writes, 2*count)
 	}
 }
 
@@ -120,7 +119,7 @@ func TestTCPBurstRetriedOnFreshConnection(t *testing.T) {
 	addr := lis.Addr().String()
 
 	const count = 256
-	stats := iccmetrics.NewTransportStats()
+	stats, counter := newStats()
 	a, err := NewTCPWithOptions(0, map[types.PartyID]string{0: "127.0.0.1:0", 1: addr}, TCPOptions{
 		Stats:     stats,
 		redialMin: 10 * time.Millisecond,
@@ -159,15 +158,15 @@ func TestTCPBurstRetriedOnFreshConnection(t *testing.T) {
 		}
 	}
 	time.Sleep(100 * time.Millisecond) // let the writer block on a full window
-	if snap := stats.Detail(); snap.FramesWritten >= count {
-		t.Fatalf("all %d frames written before the reset; the writer never blocked", snap.FramesWritten)
+	if frames := counter("icc_transport_frames_written_total"); frames >= count {
+		t.Fatalf("all %d frames written before the reset; the writer never blocked", frames)
 	}
 
 	// Restart: listener down, connection reset.
 	_ = lis.Close()
 	_ = c1.SetLinger(0)
 	_ = c1.Close()
-	for end := time.Now().Add(5 * time.Second); stats.Detail().TotalWriteErrors == 0; {
+	for end := time.Now().Add(5 * time.Second); counter(`icc_transport_write_errors_total{peer="1"}`) == 0; {
 		if time.Now().After(end) {
 			t.Fatal("the reset never failed a write")
 		}
@@ -175,7 +174,7 @@ func TestTCPBurstRetriedOnFreshConnection(t *testing.T) {
 	}
 	// With no listener the writer is redialling, so nothing more can be
 	// written: the frames before `first` went out on the dead connection.
-	first := int(stats.Detail().FramesWritten)
+	first := int(counter("icc_transport_frames_written_total"))
 
 	var lis2 net.Listener
 	for i := 0; i < 50; i++ { // the port may linger briefly

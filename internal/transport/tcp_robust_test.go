@@ -8,8 +8,16 @@ import (
 	"time"
 
 	"icc/internal/metrics"
+	"icc/internal/obs"
 	"icc/internal/types"
 )
+
+// newStats is a transport counter set on a registry of its own, and a
+// reader of that registry's keys.
+func newStats() (*metrics.TransportStats, func(key string) int64) {
+	reg := obs.NewRegistry()
+	return metrics.NewTransportStatsOn(reg, nil), func(key string) int64 { return int64(reg.Snapshot().Get(key)) }
+}
 
 // TestSlowReaderDoesNotBlockOtherPeers is the regression test for the
 // pre-queue design, where one stuck peer stalled every send: party 0
@@ -17,7 +25,7 @@ import (
 // connections but never reads. The healthy peer must receive all its
 // traffic promptly while the black-hole peer's writer is wedged.
 func TestSlowReaderDoesNotBlockOtherPeers(t *testing.T) {
-	stats := metrics.NewTransportStats()
+	stats, counter := newStats()
 	slowLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +74,8 @@ func TestSlowReaderDoesNotBlockOtherPeers(t *testing.T) {
 	if enqueueTime := time.Since(start); enqueueTime > 2*time.Second {
 		t.Fatalf("enqueueing took %v; Send is blocking on the slow peer", enqueueTime)
 	}
-	if snap := stats.Detail(); snap.QueueDropped[2] == 0 {
-		t.Fatalf("expected drop-oldest evictions for the wedged peer, stats: %v", snap)
+	if counter(`icc_transport_queue_dropped_total{peer="2"}`) == 0 {
+		t.Fatal("expected drop-oldest evictions for the wedged peer")
 	}
 
 	// Phase 2: with the slow peer's writer wedged, traffic to the
@@ -242,7 +250,7 @@ func TestConcurrentCloseAndSend(t *testing.T) {
 // TestInprocInboxOverflowCounted fills an inproc inbox past capacity and
 // checks the discards are counted rather than silently dropped.
 func TestInprocInboxOverflowCounted(t *testing.T) {
-	stats := metrics.NewTransportStats()
+	stats, counter := newStats()
 	hub := NewInproc(2)
 	defer hub.Close()
 	hub.SetStats(stats)
@@ -253,7 +261,7 @@ func TestInprocInboxOverflowCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap := stats.Detail(); snap.InboxOverflow != extra {
-		t.Fatalf("inbox overflow count = %d, want %d", snap.InboxOverflow, extra)
+	if got := counter("icc_transport_inbox_overflow_total"); got != extra {
+		t.Fatalf("inbox overflow count = %d, want %d", got, extra)
 	}
 }
