@@ -43,7 +43,8 @@ type PayloadSource interface {
 // DelegatedPayloadSource is a PayloadSource that can also carry other
 // parties' commands. The engine asks GetPayload what this party would
 // propose on a block it has just notarization-shared and hands the answer
-// to the next round's leader (types.PayloadOffer); the leader passes the
+// to the next round's leader (types.PayloadOffer), and asks once more
+// halfway to that leader's cut (delegate.go); the leader passes the
 // offers cut against the very parent it builds on to GetPayloadWith, in
 // the order they should be drawn on (it rotates with the round, so no
 // sender is always last when a block fills up). A source without this
@@ -59,15 +60,16 @@ type DelegatedPayloadSource interface {
 }
 
 // Outcomes of a payload offer, as OnPayloadOffer reports them: one
-// OfferSent on the sending side, at most one of the others per offer
-// received (none for an offer its sender superseded, or addressed to a
-// round this party did not propose in).
+// OfferSent on the sending side, and exactly one of the others for each
+// offer received once its round has passed at the receiver.
 const (
-	OfferSent           = "sent"            // handed to the next round's leader
+	OfferSent           = "sent"            // handed to the round's leader
 	OfferMerged         = "merged"          // passed to GetPayloadWith for this party's proposal
 	OfferLate           = "late"            // arrived after this party proposed, or for a past round
 	OfferParentMismatch = "parent_mismatch" // cut against a block other than the one proposed on
 	OfferRefused        = "refused"         // above types.MaxPayloadBytes, or from no party of this cluster
+	OfferSuperseded     = "superseded"      // replaced by a later offer from the same sender
+	OfferExpired        = "expired"         // held until its round ended without this party proposing in it
 )
 
 // EmptyPayload proposes empty payloads (useful for protocol-only tests
@@ -156,11 +158,11 @@ type Hooks struct {
 	// peer's Status with its latest certified checkpoint (round k).
 	OnCheckpointServed func(peer types.PartyID, k types.Round, now time.Duration)
 	// OnPayloadOffer fires once for every payload offer this party sends
-	// (outcome OfferSent, peer the next round's leader) and once for every
-	// offer it receives (peer the sender), with the round the offer is for,
-	// its payload size and one of the Offer* outcomes. The ratio of
-	// OfferLate to OfferMerged is how often an offer loses the race
-	// against the leader's n−t-th notarization share.
+	// (outcome OfferSent, peer the leader of the round it is for) and once
+	// for every offer it receives (peer the sender), with the round the
+	// offer is for, its payload size and one of the Offer* outcomes. The
+	// ratio of OfferLate to OfferSent is how often an offer misses the
+	// leader's cut.
 	OnPayloadOffer func(peer types.PartyID, k types.Round, payloadBytes int, outcome string, now time.Duration)
 	// OnResyncLost fires once when the party detects that its gap to the
 	// cluster's finalization frontier exceeds PruneDepth with no

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"icc/internal/crypto/hash"
@@ -26,6 +27,17 @@ import (
 // (types.StandardDelays). A command then rides the next block, whoever
 // cuts it.
 //
+// That early offer is cut about ε before the leader's cut, and a command
+// admitted in between would wait a whole extra round. So once in round
+// k+1, halfway to the leader's cut (Δprop(0)/2 after entering the round),
+// P cuts getPayload on the block it finished round k on again and sends
+// the leader the new cut if it holds something the earlier one did not:
+// the refresh. The leader keeps the latest offer per sender, so the
+// refresh takes the early offer's place; if it arrives after the cut, the
+// early offer has already been merged. P refreshes only on the parent of
+// its earlier round-(k+1) offers, so a refresh never evicts an offer cut
+// on the block the leader may build on in favour of one it may not.
+//
 // Two rules keep this to a change of payload content and nothing else:
 //
 //  1. An offer is exactly getPayload(k+1, B): what an honest P would put
@@ -43,9 +55,10 @@ import (
 //
 // Notarization, finalization, the beacon and the WAL never see an offer:
 // it is unsigned, unlogged, kept only until its round has passed (one per
-// sender, at most types.MaxPayloadBytes each) and never sent during replay. A
-// Byzantine sender can at most fill part of one block with commands of
-// its choosing, which a Byzantine leader can do with a whole block today.
+// sender, at most types.MaxPayloadBytes each) and never cut or sent during
+// replay. A Byzantine sender can at most fill part of one block with
+// commands of its choosing, which a Byzantine leader can do with a whole
+// block today.
 
 // offerPayload runs for the block b (hash h, current round) this party
 // shares next: when another party's notarization share for b reaches it
@@ -55,7 +68,7 @@ import (
 // call, at a time of its choosing), when it is this party, or when there
 // is nothing to propose; a later call tries again.
 func (e *Engine) offerPayload(b *types.Block, h hash.Digest, now time.Duration) {
-	if e.delegate == nil || e.offered[h] {
+	if _, done := e.offered[h]; e.delegate == nil || done {
 		return
 	}
 	next := e.round + 1
@@ -67,14 +80,57 @@ func (e *Engine) offerPayload(b *types.Block, h hash.Digest, now time.Duration) 
 	if len(payload) == 0 {
 		return
 	}
-	e.offered[h] = true
-	e.out = append(e.out, engine.Unicast(leader, &types.PayloadOffer{Round: next, ParentHash: h, Payload: payload}))
-	e.noteOffer(leader, next, len(payload), OfferSent, now)
+	e.offered[h] = payload
+	e.sendOffer(leader, &types.PayloadOffer{Round: next, ParentHash: h, Payload: payload}, now)
+}
+
+// refreshOffer is the refresh of round k's offer, at refreshAt: this
+// party's getPayload(k, B) again, for B the round-(k−1) block it finished
+// on, sent to Leader(k) unless it is empty, equal to the offer already
+// sent on B, or some round-k offer went out on another parent. One cut
+// per round, sent or not.
+func (e *Engine) refreshOffer(now time.Duration) {
+	if !e.refreshPending() || now < e.refreshAt() {
+		return
+	}
+	e.refreshed = true
+	k := e.round
+	parent, ok := e.pool.NotarizedInRound(k - 1)
+	if !ok {
+		return
+	}
+	for h := range e.offeredK {
+		if h != parent {
+			return
+		}
+	}
+	payload := e.delegate.GetPayload(k, e.pool.Block(parent), e.pool.Block)
+	if len(payload) == 0 || bytes.Equal(payload, e.offeredK[parent]) {
+		return
+	}
+	e.sendOffer(e.perm[0], &types.PayloadOffer{Round: k, ParentHash: parent, Payload: payload}, now)
+}
+
+// refreshPending reports whether round k's refresh is still to come: not
+// for the round's leader, never during replay, and not at all with
+// Δprop(0) = 0, where the leader cuts its block on entering the round.
+func (e *Engine) refreshPending() bool {
+	return e.delegate != nil && e.inRound && !e.refreshed && !e.replaying &&
+		e.perm[0] != e.cfg.Self && e.dprop(0) > 0
+}
+
+// refreshAt is the refresh instant: halfway between entering the round
+// and the leader's cut.
+func (e *Engine) refreshAt() time.Duration { return e.t0 + e.dprop(0)/2 }
+
+func (e *Engine) sendOffer(leader types.PartyID, o *types.PayloadOffer, now time.Duration) {
+	e.out = append(e.out, engine.Unicast(leader, o))
+	e.noteOffer(leader, o.Round, len(o.Payload), OfferSent, now)
 }
 
 // acceptOffer keeps a received offer until this party proposes in its
 // round: the latest one per sender, so a sender holds one slot however
-// much it sends.
+// much it sends, and the one it replaces is reported superseded.
 func (e *Engine) acceptOffer(from types.PartyID, o *types.PayloadOffer, now time.Duration) {
 	if e.delegate == nil {
 		return
@@ -86,6 +142,9 @@ func (e *Engine) acceptOffer(from types.PartyID, o *types.PayloadOffer, now time
 	case o.Round < e.round || (o.Round == e.round && e.proposed):
 		e.noteOffer(from, o.Round, len(o.Payload), OfferLate, now)
 	default:
+		if old := e.offers[from]; old != nil {
+			e.noteOffer(from, old.Round, len(old.Payload), OfferSuperseded, now)
+		}
 		e.offers[from] = o
 	}
 }
@@ -114,12 +173,14 @@ func (e *Engine) delegatedFor(k types.Round, parent hash.Digest, now time.Durati
 	return delegated
 }
 
-// dropOffers forgets the offers for rounds up to k, which is finished:
-// those a sender addressed to a round this party did not propose in.
-func (e *Engine) dropOffers(k types.Round) {
+// dropOffers forgets, as expired, the offers for rounds up to k, which is
+// finished: those a sender addressed to a round this party did not
+// propose in.
+func (e *Engine) dropOffers(k types.Round, now time.Duration) {
 	for i, o := range e.offers {
 		if o != nil && o.Round <= k {
 			e.offers[i] = nil
+			e.noteOffer(types.PartyID(i), o.Round, len(o.Payload), OfferExpired, now)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 			t.Errorf("an offer from party %d for round %d outlived the round", from, o.Round)
 		}
 	}
-	want := map[string]int{OfferMerged: 4, OfferParentMismatch: 1, OfferRefused: 4, OfferLate: 2}
+	want := map[string]int{OfferMerged: 4, OfferParentMismatch: 1, OfferRefused: 4, OfferLate: 2, OfferSuperseded: 200}
 	for outcome, count := range want {
 		if outcomes[outcome] != count {
 			t.Errorf("%d offers reported %q, want %d (all: %v)", outcomes[outcome], outcome, count, outcomes)
@@ -189,18 +190,22 @@ func TestSourceWithoutDelegationNeitherOffersNorMerges(t *testing.T) {
 }
 
 // offeringSource is a DelegatedPayloadSource that always has something to
-// propose and counts how often it is asked.
+// propose — the round, then extra — counts how often it is asked and
+// keeps what it was handed to merge.
 type offeringSource struct {
 	cuts, merged int
+	extra        []byte
+	delegated    [][]byte
 }
 
 func (s *offeringSource) GetPayload(k types.Round, _ *types.Block, _ func(hash.Digest) *types.Block) []byte {
 	s.cuts++
-	return []byte{byte(k)}
+	return append([]byte{byte(k)}, s.extra...)
 }
 
 func (s *offeringSource) GetPayloadWith(k types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, delegated [][]byte) []byte {
 	s.merged += len(delegated)
+	s.delegated = append(s.delegated, delegated...)
 	return s.GetPayload(k, parent, lookup)
 }
 
@@ -261,6 +266,18 @@ func (c *choreography) offersOut() []engine.Output {
 	return out
 }
 
+// offersFor lists the payload offers for round k the engine has sent so
+// far.
+func (c *choreography) offersFor(k types.Round) []engine.Output {
+	var out []engine.Output
+	for _, o := range c.offersOut() {
+		if o.Msg.(*types.PayloadOffer).Round == k {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
 // checkOffer fails the test unless o is a round-2 offer to leader cut
 // against parent.
 func checkOffer(t *testing.T, o engine.Output, leader types.PartyID, parent *types.Block) {
@@ -279,11 +296,11 @@ func TestOfferLeavesOnAnotherPartysShare(t *testing.T) {
 	c, leader := offerRound(t, 50*time.Millisecond) // Δntry(0) = 50 ms
 	b0, bundle := c.block(0, "b0")
 	c.deliver(c.perm[0], bundle, 10*time.Millisecond)
-	if n := len(c.offersOut()); n != 0 {
+	if n := len(c.offersFor(2)); n != 0 {
 		t.Fatalf("%d offers sent on the block alone, before any share for it", n)
 	}
 	c.deliver(c.perm[1], c.nshare(b0, c.perm[1]), 20*time.Millisecond)
-	offers := c.offersOut()
+	offers := c.offersFor(2)
 	if len(offers) != 1 {
 		t.Fatalf("%d offers sent on the first share from another party, want 1", len(offers))
 	}
@@ -296,7 +313,7 @@ func TestOfferLeavesOnAnotherPartysShare(t *testing.T) {
 	if n := len(c.sharesOf()); n != 1 {
 		t.Fatalf("%d notarization shares cast once Δntry(0) expired, want 1", n)
 	}
-	if n := len(c.offersOut()); n != 1 {
+	if n := len(c.offersFor(2)); n != 1 {
 		t.Fatalf("%d offers sent after the party's own share, want the early one only", n)
 	}
 }
@@ -339,7 +356,7 @@ func TestOfferRepeatsOnTheBlockFinallyShared(t *testing.T) {
 	b1, bundle1 := c.block(1, "b1")
 	c.deliver(c.perm[1], bundle1, 10*time.Millisecond)
 	c.deliver(c.perm[3], c.nshare(b1, c.perm[3]), 20*time.Millisecond)
-	if offers := c.offersOut(); len(offers) != 1 {
+	if offers := c.offersFor(2); len(offers) != 1 {
 		t.Fatalf("%d offers sent on the rank-1 block's first share, want 1", len(offers))
 	} else {
 		checkOffer(t, offers[0], leader, b1)
@@ -350,11 +367,167 @@ func TestOfferRepeatsOnTheBlockFinallyShared(t *testing.T) {
 	if len(shares) != 1 || shares[0].BlockHash != b0.Hash() {
 		t.Fatalf("own shares %v, want one, on the rank-0 block", shares)
 	}
-	offers := c.offersOut()
+	offers := c.offersFor(2)
 	if len(offers) != 2 {
 		t.Fatalf("%d offers sent, want the early one on the rank-1 block and one on the rank-0 block", len(offers))
 	}
 	checkOffer(t, offers[1], leader, b0)
+}
+
+// refreshAt1 is the refresh instant of round 1 at ε = 50 ms, entered at
+// time 0: Δprop(0)/2 = 12.5 ms.
+const refreshAt1 = 12500 * time.Microsecond
+
+// TestOfferRefreshLeavesHalfwayToTheLeadersCut: a party that does not lead
+// the round cuts its offer for the round once more at Δprop(0)/2, and not
+// before; NextWake names that instant, and a passed one as due now.
+func TestOfferRefreshLeavesHalfwayToTheLeadersCut(t *testing.T) {
+	c, _ := offerRound(t, 50*time.Millisecond)
+	if at, ok := c.eng.NextWake(time.Millisecond); !ok || at != refreshAt1 {
+		t.Fatalf("next wake %v (%v), want the refresh at Δprop(0)/2 = %v", at, ok, refreshAt1)
+	}
+	late := refreshAt1 + time.Millisecond
+	if at, ok := c.eng.NextWake(late); !ok || at != late+1 {
+		t.Fatalf("next wake %v (%v) with the refresh instant passed and no refresh cut, want %v", at, ok, late+1)
+	}
+	c.tick(refreshAt1 - 1)
+	if n := len(c.offersFor(1)); n != 0 {
+		t.Fatalf("%d round-1 offers before Δprop(0)/2", n)
+	}
+	c.tick(refreshAt1)
+	offers := c.offersFor(1)
+	if len(offers) != 1 {
+		t.Fatalf("%d round-1 offers at Δprop(0)/2, want 1", len(offers))
+	}
+	if o, po := offers[0], offers[0].Msg.(*types.PayloadOffer); o.Broadcast || o.To != c.perm[0] || po.ParentHash != c.eng.Pool().RootHash() {
+		t.Fatalf("refresh on %s sent to %d (broadcast %v), want it on the root to the leader %d",
+			po.ParentHash.Short(), o.To, o.Broadcast, c.perm[0])
+	}
+	if at, ok := c.eng.NextWake(late); ok && at <= late+1 {
+		t.Fatalf("next wake %v after the refresh: the refresh is still reported due", at)
+	}
+	c.tick(20 * time.Millisecond)
+	if n := len(c.offersFor(1)); n != 1 {
+		t.Fatalf("%d round-1 offers, want the one refresh of the round", n)
+	}
+}
+
+// TestNoOfferRefreshAtZeroEpsilonByTheLeaderOrInReplay: at ε = 0 the
+// leader cuts its block on entering the round and nobody refreshes; the
+// leader never refreshes an offer to itself, nor wakes for one; and a
+// replaying engine neither wakes for a refresh nor cuts one.
+func TestNoOfferRefreshAtZeroEpsilonByTheLeaderOrInReplay(t *testing.T) {
+	c, _ := offerRound(t, 0)
+	for _, now := range []time.Duration{time.Millisecond, refreshAt1, 100 * time.Millisecond} {
+		c.tick(now)
+	}
+	if n := len(c.offersOut()); n != 0 {
+		t.Errorf("%d offers sent at ε = 0 with no block in the round", n)
+	}
+
+	replay, _ := offerRound(t, 50*time.Millisecond)
+	src := replay.eng.cfg.Payload.(*offeringSource)
+	replay.eng.replaying = true
+	if at, ok := replay.eng.NextWake(time.Millisecond); ok && at == refreshAt1 {
+		t.Errorf("a replaying engine wakes for the refresh at %v", at)
+	}
+	replay.tick(refreshAt1)
+	if n := len(replay.offersOut()); n != 0 || src.cuts != 0 {
+		t.Errorf("a replaying engine cut %d payloads and sent %d offers", src.cuts, n)
+	}
+
+	leader := newChoreographyWith(t, 4, 0, 100*time.Millisecond, func(cfg *Config) {
+		cfg.Epsilon = 50 * time.Millisecond
+		cfg.Payload = &offeringSource{}
+	})
+	leader.start()
+	if at, ok := leader.eng.NextWake(time.Millisecond); !ok || at != 25*time.Millisecond {
+		t.Errorf("the leader's next wake is %v (%v), want its own cut at Δprop(0) = 25ms", at, ok)
+	}
+	leader.tick(refreshAt1)
+	leader.tick(20 * time.Millisecond)
+	if n := len(leader.offersOut()); n != 0 {
+		t.Errorf("the leader sent %d offers", n)
+	}
+}
+
+// notarizeRound1On hands the engine every other party's notarization share
+// for b in one message at now: it finishes round 1 on b without sharing
+// it, and enters round 2 (offerRound gave it R_2).
+func (c *choreography) notarizeRound1On(b *types.Block, now time.Duration) {
+	c.t.Helper()
+	var shares []types.Message
+	for _, p := range c.perm {
+		if p != c.eng.ID() {
+			shares = append(shares, c.nshare(b, p))
+		}
+	}
+	c.deliver(c.perm[0], &types.Bundle{Messages: shares}, now)
+	if k := c.eng.CurrentRound(); k != 2 {
+		c.t.Fatalf("at round %d, want round 1 finished on %s", k, b.Hash().Short())
+	}
+}
+
+// TestOfferRefreshOnlyAddsToTheOfferOnItsParent: the round-2 refresh, due
+// Δprop(0)/2 after the party finished round 1 on b0, is sent when its cut
+// holds more than the early offer on b0, and not when the cut is
+// unchanged or when the early offer went out on another parent.
+func TestOfferRefreshOnlyAddsToTheOfferOnItsParent(t *testing.T) {
+	const finish = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		earlyOnRank int  // the block whose first foreign share draws the early offer
+		changed     bool // a command is admitted between the early offer and the refresh
+		wantRefresh bool
+	}{
+		{"changed cut", 0, true, true},
+		{"unchanged cut", 0, false, false},
+		{"early offer on another parent", 1, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, leader := offerRound(t, 50*time.Millisecond)
+			src := c.eng.cfg.Payload.(*offeringSource)
+			b0, bundle0 := c.block(0, "b0")
+			early, earlyBundle := b0, bundle0
+			if tc.earlyOnRank != 0 {
+				early, earlyBundle = c.block(tc.earlyOnRank, "early")
+			}
+			c.deliver(early.Proposer, earlyBundle, 5*time.Millisecond)
+			c.deliver(c.perm[3], c.nshare(early, c.perm[3]), 6*time.Millisecond)
+			if offers := c.offersFor(2); len(offers) != 1 {
+				t.Fatalf("%d early round-2 offers, want 1", len(offers))
+			} else {
+				checkOffer(t, offers[0], leader, early)
+			}
+			if early != b0 {
+				c.deliver(b0.Proposer, bundle0, 15*time.Millisecond)
+			}
+			c.notarizeRound1On(b0, finish)
+			if tc.changed {
+				src.extra = []byte("admitted since")
+			}
+			c.tick(finish + refreshAt1 - 1)
+			if n := len(c.offersFor(2)); n != 1 {
+				t.Fatalf("%d round-2 offers before Δprop(0)/2 into round 2, want the early one", n)
+			}
+			c.tick(finish + refreshAt1)
+			c.tick(finish + 20*time.Millisecond)
+			offers := c.offersFor(2)
+			if !tc.wantRefresh {
+				if len(offers) != 1 {
+					t.Fatalf("%d round-2 offers, want the early one only", len(offers))
+				}
+				return
+			}
+			if len(offers) != 2 {
+				t.Fatalf("%d round-2 offers, want the early one and its refresh", len(offers))
+			}
+			checkOffer(t, offers[1], leader, b0)
+			if got := offers[1].Msg.(*types.PayloadOffer).Payload; !bytes.Equal(got, append([]byte{2}, src.extra...)) {
+				t.Fatalf("refresh carries %q, want the new cut", got)
+			}
+		})
+	}
 }
 
 // leaderWithOffer builds a choreography around the leader of round 1,
@@ -395,6 +568,131 @@ func TestOfferAfterEntryIsMergedAtPositiveEpsilon(t *testing.T) {
 	}
 }
 
+// TestLeaderMergesTheRefreshInPlaceOfTheEarlyOffer: a sender's refresh
+// replaces its early offer at the leader, which merges the refresh alone
+// and reports the early offer superseded.
+func TestLeaderMergesTheRefreshInPlaceOfTheEarlyOffer(t *testing.T) {
+	c, src, outcomes := leaderWithOffer(t, 50*time.Millisecond)
+	fresh := []byte("offered, and since")
+	c.deliver(c.perm[1], &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: fresh}, 20*time.Millisecond)
+	c.tick(25 * time.Millisecond)
+	if n := c.proposals(); n != 1 {
+		t.Fatalf("%d proposals at Δprop(0), want 1", n)
+	}
+	if len(src.delegated) != 1 || !bytes.Equal(src.delegated[0], fresh) {
+		t.Fatalf("merged %q, want the refresh alone", src.delegated)
+	}
+	if outcomes[OfferSuperseded] != 1 || outcomes[OfferMerged] != 1 {
+		t.Fatalf("outcomes %v, want the early offer superseded and the refresh merged", outcomes)
+	}
+}
+
+// TestOfferForARoundNotProposedInExpires: an offer held for a round that
+// ends before this party proposes in it is reported expired and dropped.
+func TestOfferForARoundNotProposedInExpires(t *testing.T) {
+	outcomes := make(map[string]int)
+	c := newChoreographyWith(t, 4, 1, 100*time.Millisecond, func(cfg *Config) {
+		cfg.Payload = &offeringSource{}
+		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+			outcomes[outcome]++
+		}
+	})
+	c.start()
+	sender := c.perm[2]
+	c.deliver(sender, &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: []byte("x")}, time.Millisecond)
+	b0, bundle0 := c.block(0, "b0")
+	c.deliver(b0.Proposer, bundle0, 2*time.Millisecond)
+	c.deliver(c.perm[0], c.nshare(b0, c.perm[0]), 3*time.Millisecond)
+	c.deliver(c.perm[2], c.nshare(b0, c.perm[2]), 3*time.Millisecond)
+	if k := c.eng.CurrentRound(); k != 2 {
+		t.Fatalf("at round %d, want round 1 finished", k)
+	}
+	if c.eng.offers[sender] != nil || outcomes[OfferExpired] != 1 || len(outcomes) != 1 {
+		t.Fatalf("outcomes %v, want the one offer expired and no longer held", outcomes)
+	}
+}
+
+// freshSource cuts a different payload every time it is asked, so every
+// refresh differs from the offer before it.
+type freshSource struct{ cuts uint64 }
+
+func (s *freshSource) GetPayload(types.Round, *types.Block, func(hash.Digest) *types.Block) []byte {
+	s.cuts++
+	return binary.BigEndian.AppendUint64(nil, s.cuts)
+}
+
+func (s *freshSource) GetPayloadWith(k types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, _ [][]byte) []byte {
+	return s.GetPayload(k, parent, lookup)
+}
+
+// TestOfferOutcomesAddUp: on a cluster that loses nothing, every offer
+// sent for a round every party has finished is reported once by its
+// receiver — merged, late, parent_mismatch, refused, superseded or
+// expired — so late / sent means what it says.
+func TestOfferOutcomesAddUp(t *testing.T) {
+	const n, rounds = 4, 30
+	pub, privs, err := keys.Deal(rand.Reader, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(simnet.Options{Seed: 9, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
+	sent := make(map[types.Round]int)
+	received := make(map[types.Round]map[string]int)
+	engines := make([]*Engine, n)
+	for i := range engines {
+		engines[i] = NewEngine(Config{
+			Self: types.PartyID(i), Keys: pub, Priv: privs[i], DeltaBound: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond,
+			Beacon:  beacon.NewSimulated(n, types.PartyID(i), pub.GenesisSeed),
+			Payload: &freshSource{},
+			Hooks: Hooks{OnPayloadOffer: func(_ types.PartyID, k types.Round, _ int, outcome string, _ time.Duration) {
+				if outcome == OfferSent {
+					sent[k]++
+					return
+				}
+				if received[k] == nil {
+					received[k] = make(map[string]int)
+				}
+				received[k][outcome]++
+			}},
+		})
+		net.AddNode(engines[i], true)
+	}
+	net.Start()
+	if !net.RunUntil(func() bool {
+		for _, e := range engines {
+			if e.FinalizedRound() < rounds {
+				return false
+			}
+		}
+		return true
+	}, time.Minute) {
+		t.Fatal("no progress")
+	}
+	last := engines[0].CurrentRound()
+	for _, e := range engines {
+		last = min(last, e.CurrentRound())
+	}
+	// Offers for a round go out in that round and the one before it, and
+	// take 10 ms: those for rounds two behind every party have all landed.
+	last -= 3
+	totals := make(map[string]int)
+	for k := types.Round(1); k <= last; k++ {
+		got := 0
+		for outcome, count := range received[k] {
+			got += count
+			totals[outcome] += count
+		}
+		totals[OfferSent] += sent[k]
+		if got != sent[k] {
+			t.Errorf("round %d: %d offers sent, %d outcomes reported: %v", k, sent[k], got, received[k])
+		}
+	}
+	if totals[OfferSuperseded] == 0 || totals[OfferMerged] == 0 {
+		t.Errorf("rounds 1–%d exercised neither refreshes nor merges: %v", last, totals)
+	}
+	t.Logf("rounds 1–%d: %v", last, totals)
+}
+
 // TestLeaderProposesOnEntryAtZeroEpsilon: with ε = 0 the delays are eq. (2)
 // exactly, so the leader proposes the moment it enters the round and the
 // same offer, 10 ms later, is late.
@@ -411,8 +709,8 @@ func TestLeaderProposesOnEntryAtZeroEpsilon(t *testing.T) {
 // TestNoPayloadOfferDuringReplay runs a WAL-backed cluster whose payload
 // sources delegate, checks that offers flowed and that none reached a
 // log, then replays one party's log into a fresh engine: the replay asks
-// the beacon for no next leader, cuts no payload, reports and queues no
-// offer.
+// the beacon for no next leader, cuts no payload (neither an offer nor
+// its refresh), reports and queues no offer.
 func TestNoPayloadOfferDuringReplay(t *testing.T) {
 	const n = 4
 	var (

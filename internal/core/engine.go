@@ -30,12 +30,14 @@ type Engine struct {
 	myRank     types.Rank
 	rankOf     map[types.PartyID]types.Rank
 	proposed   bool
-	notarized  map[hash.Digest]bool // N: blocks I notarization-shared
-	rankShared map[types.Rank]bool  // ranks with a block in N
-	disq       map[types.Rank]bool  // D: disqualified ranks
-	echoed     map[hash.Digest]bool // blocks already echoed (idempotence)
-	offered    map[hash.Digest]bool // blocks a payload offer was sent on
-	waited     map[hash.Digest]bool // blocks whose share Δntry held back
+	notarized  map[hash.Digest]bool   // N: blocks I notarization-shared
+	rankShared map[types.Rank]bool    // ranks with a block in N
+	disq       map[types.Rank]bool    // D: disqualified ranks
+	echoed     map[hash.Digest]bool   // blocks already echoed (idempotence)
+	offered    map[hash.Digest][]byte // blocks an offer for round k+1 was sent on, with its payload
+	offeredK   map[hash.Digest][]byte // the same for round k's offers, sent during round k−1
+	refreshed  bool                   // round k's offer refresh is done (delegate.go)
+	waited     map[hash.Digest]bool   // blocks whose share Δntry held back
 
 	// Finalization Subprotocol state.
 	kmax    types.Round // highest finalized round output so far
@@ -126,7 +128,9 @@ func (e *Engine) resetRoundState() {
 	e.rankShared = make(map[types.Rank]bool)
 	e.disq = make(map[types.Rank]bool)
 	e.echoed = make(map[hash.Digest]bool)
-	e.offered = make(map[hash.Digest]bool)
+	e.offered = make(map[hash.Digest][]byte)
+	e.offeredK = nil
+	e.refreshed = false
 	e.waited = make(map[hash.Digest]bool)
 	e.perm = nil
 	e.rankOf = nil
@@ -312,6 +316,7 @@ func (e *Engine) progress(now time.Duration) {
 			}
 			moved = e.tryPropose(now) || moved
 			moved = e.tryEchoNotarize(now) || moved
+			e.refreshOffer(now)
 		}
 		moved = e.runFinalizer(now) || moved
 		if !moved {
@@ -484,9 +489,11 @@ func (e *Engine) tryFinishRound(now time.Duration) bool {
 		e.cfg.Hooks.OnFinishRound(k, now)
 	}
 	e.adaptDelays()
-	e.dropOffers(k)
+	e.dropOffers(k, now)
 	e.round = k + 1
+	offered := e.offered
 	e.resetRoundState()
+	e.offeredK = offered
 	e.waitSince = now
 	e.touchResync(now)
 	return true
@@ -778,7 +785,8 @@ func (e *Engine) maybePrune() {
 }
 
 // NextWake implements engine.Engine: the earliest Δprop/Δntry boundary
-// that could newly enable clause (b) or (c). A boundary already passed
+// that could newly enable clause (b) or (c), or the round's offer refresh
+// (refreshAt). A boundary already passed
 // whose clause has not run is due now: the tick for it can lose the race
 // against a message that never reaches the engine (an overlay's adverts
 // and requests), and the caller then asks again with a later now.
@@ -806,6 +814,9 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 	}
 	if !e.proposed {
 		consider(max(e.t0+e.dprop(e.myRank), now+1))
+	}
+	if e.refreshPending() {
+		consider(max(e.refreshAt(), now+1))
 	}
 	cs := e.candidates()
 	for _, c := range cs {

@@ -60,30 +60,52 @@ func (f *feeder) Tick(now time.Duration) []engine.Output {
 	return f.Engine.Tick(now)
 }
 
-// offerWatch records, from one party's outputs, the parents it sent
-// payload offers on and the blocks it notarization-shared, by round.
+// offerWatch records, from one party's outputs, the parents it sent early
+// payload offers on and the blocks it notarization-shared, by round, and
+// the refreshes it sent.
 type offerWatch struct {
 	engine.Engine
-	offeredOn map[types.Round][]hash.Digest        // round k → parents of its offers for k+1, in order
+	offeredOn map[types.Round][]hash.Digest        // round k → parents of its early offers for k+1, in order
 	shared    map[types.Round]map[hash.Digest]bool // round k → blocks it shared
+	refreshes map[*types.PayloadOffer]bool         // offers for the round the party was in
+	incoming  *types.PayloadOffer                  // the offer being handed to the party, if any
 }
 
 func newOfferWatch(inner engine.Engine) *offerWatch {
-	return &offerWatch{Engine: inner, offeredOn: make(map[types.Round][]hash.Digest), shared: make(map[types.Round]map[hash.Digest]bool)}
+	return &offerWatch{
+		Engine:    inner,
+		offeredOn: make(map[types.Round][]hash.Digest),
+		shared:    make(map[types.Round]map[hash.Digest]bool),
+		refreshes: make(map[*types.PayloadOffer]bool),
+	}
 }
 
-func (w *offerWatch) Init(now time.Duration) []engine.Output { return w.see(w.Engine.Init(now)) }
+func (w *offerWatch) Init(now time.Duration) []engine.Output {
+	return w.see(w.CurrentRound(), w.Engine.Init(now))
+}
 
 func (w *offerWatch) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
-	return w.see(w.Engine.HandleMessage(from, m, now))
+	w.incoming, _ = m.(*types.PayloadOffer)
+	defer func() { w.incoming = nil }()
+	return w.see(w.CurrentRound(), w.Engine.HandleMessage(from, m, now))
 }
 
-func (w *offerWatch) Tick(now time.Duration) []engine.Output { return w.see(w.Engine.Tick(now)) }
+func (w *offerWatch) Tick(now time.Duration) []engine.Output {
+	return w.see(w.CurrentRound(), w.Engine.Tick(now))
+}
 
-func (w *offerWatch) see(outs []engine.Output) []engine.Output {
+// see files the outputs of one call that began in round before. An early
+// offer for round k leaves during round k−1, a refresh during round k and
+// never in the call that enters k (it waits Δprop(0)/2 > 0), so an offer
+// for a round at or below before is a refresh.
+func (w *offerWatch) see(before types.Round, outs []engine.Output) []engine.Output {
 	for _, o := range outs {
 		switch m := o.Msg.(type) {
 		case *types.PayloadOffer:
+			if m.Round <= before {
+				w.refreshes[m] = true
+				continue
+			}
 			w.offeredOn[m.Round-1] = append(w.offeredOn[m.Round-1], m.ParentHash)
 		case *types.NotarizationShare:
 			if m.Signer == w.ID() {
@@ -162,6 +184,7 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	}
 	net := simnet.New(simnet.Options{Seed: 11, Delay: simnet.Uniform{Min: time.Millisecond, Max: 30 * time.Millisecond}})
 	outcomes := make(map[string]int)
+	refreshesLate := 0
 	kvs := make([]*statemachine.KV, n)
 	feeders := make([]*feeder, n)
 	watches := make([]*offerWatch, n)
@@ -181,8 +204,11 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 					}
 					q.MarkCommitted(b.Payload)
 				},
-				OnPayloadOffer: func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+				OnPayloadOffer: func(peer types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
 					outcomes[outcome]++
+					if in := watches[pid].incoming; outcome == core.OfferLate && in != nil && watches[peer].refreshes[in] {
+						refreshesLate++
+					}
 				},
 			},
 		})
@@ -229,7 +255,11 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	if reoffers == 0 {
 		t.Error("no party offered early on one block of a round and then shared, and re-offered on, another")
 	}
-	t.Logf("offer outcomes: %v; rounds with a re-offer: %d", outcomes, reoffers)
+	refreshes := 0
+	for _, w := range watches {
+		refreshes += len(w.refreshes)
+	}
+	t.Logf("offer outcomes: %v; rounds with a re-offer: %d; refreshes sent: %d, late: %d", outcomes, reoffers, refreshes, refreshesLate)
 	var total int
 	for _, f := range feeders {
 		total += int(f.sent)

@@ -166,7 +166,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		ticks:          reg.Counter("icc_runtime_ticks_total", "Timer ticks delivered to the engine event loop."),
 		ranksDisq:      reg.Counter("icc_ranks_disqualified_total", "Proposer ranks disqualified for equivocation (Fig. 1 clause (c))."),
 		rejects:        reg.CounterVec("icc_verify_rejects_total", "Inbound artifacts rejected at admission, by reason.", "reason"),
-		payloadOffers:  reg.CounterVec("icc_core_payload_offers_total", "Payload offers to and from the next round's leader, by outcome (sent, merged, late, parent_mismatch, refused).", "outcome"),
+		payloadOffers:  reg.CounterVec("icc_core_payload_offers_total", "Payload offers to and from a round's leader, by outcome (sent, merged, late, parent_mismatch, refused, superseded, expired).", "outcome"),
 		ckptCreated:    reg.Counter("icc_checkpoint_created_total", "Certified checkpoints this node assembled (own share plus t matching peer shares)."),
 		ckptInstalled:  reg.Counter("icc_checkpoint_installed_total", "Certified checkpoints installed from peers (behind-horizon restores)."),
 		ckptServed:     reg.Counter("icc_checkpoint_served_total", "Checkpoint transfers offered to peers stuck behind the prune horizon."),

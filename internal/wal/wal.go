@@ -42,6 +42,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"icc/internal/obs"
 	"icc/internal/types"
@@ -104,6 +105,7 @@ type Log struct {
 	appends     *obs.Counter
 	appendBytes *obs.Counter
 	syncs       *obs.Counter
+	syncSeconds *obs.Histogram
 	syncErrors  *obs.Counter
 	replayed    *obs.Counter
 	truncBytes  *obs.Counter
@@ -127,6 +129,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.appends = reg.Counter("icc_wal_appends_total", "Records appended to the write-ahead log.")
 		l.appendBytes = reg.Counter("icc_wal_append_bytes_total", "Payload bytes appended to the write-ahead log.")
 		l.syncs = reg.Counter("icc_wal_syncs_total", "Group-commit flushes (write+fsync batches) of the write-ahead log.")
+		l.syncSeconds = reg.Histogram("icc_wal_sync_seconds", "Time to write and fsync one non-empty group commit of the write-ahead log.", nil)
 		l.syncErrors = reg.Counter("icc_wal_sync_errors_total", "Failed WAL writes or fsyncs; each one degrades the log to memory-only.")
 		l.replayed = reg.Counter("icc_wal_replayed_records_total", "Records replayed from the write-ahead log at recovery.")
 		l.truncBytes = reg.Counter("icc_wal_truncated_bytes_total", "Torn-tail bytes truncated from the write-ahead log on open.")
@@ -316,6 +319,7 @@ func (l *Log) Flush() bool {
 		l.cur.maxRound = l.pendMax
 	}
 	l.pendMax = 0
+	start := time.Now()
 	if err := l.faultOr("write", func() error {
 		_, werr := l.f.Write(buf)
 		return werr
@@ -327,6 +331,7 @@ func (l *Log) Flush() bool {
 		l.degrade()
 		return false
 	}
+	l.syncSeconds.Observe(time.Since(start).Seconds())
 	l.cur.size += int64(len(buf))
 	l.cur.records += count
 	l.appends.Add(int64(count))

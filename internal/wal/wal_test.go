@@ -168,6 +168,33 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 }
 
+// TestSyncSecondsTimesEachGroupCommit: a flush with pending records
+// times one write+fsync into icc_wal_sync_seconds, a flush with none adds
+// no sample.
+func TestSyncSecondsTimesEachGroupCommit(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, err := Open(t.TempDir(), Options{Registry: reg})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	l.Flush()
+	if got := reg.Snapshot()["icc_wal_sync_seconds_count"]; got != 0 {
+		t.Fatalf("an empty flush recorded %v sync samples", got)
+	}
+	l.Append(share(1, 0))
+	l.Append(share(2, 0))
+	l.Flush()
+	l.Flush()
+	snap := reg.Snapshot()
+	if got := snap["icc_wal_sync_seconds_count"]; got != 1 {
+		t.Fatalf("one non-empty flush and one empty one recorded %v sync samples, want 1", got)
+	}
+	if snap["icc_wal_sync_seconds_sum"] <= 0 {
+		t.Fatal("the recorded write+fsync took no time")
+	}
+}
+
 func TestCrashLosesOnlyUnflushed(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
