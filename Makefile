@@ -98,13 +98,14 @@ assembly-check:
 # Adversary campaign under the race detector: the matrix sweep (the ICC0
 # cells of TestChaosCampaign and the ICC1 cells of TestChaosCampaignICC1,
 # which the same pattern selects), the threshold-boundary withholding
-# tests, and the delegated-payload ordering test (forked rounds, offers
-# cut against the block that lost). A failing
+# tests, the delegated-payload ordering test (forked rounds, forwards out
+# of order) and the next-leader cell (a Byzantine party that mangles the
+# forwards it is sent, or sends junk ones). A failing
 # cell prints the path of a replayable JSONL trace; re-run it with
 #   go test ./internal/harness -run TestCampaignFailureReplaysByteIdentical
 # or feed the path to harness.ReplayTrace / harness.Shrink directly.
 chaos:
-	$(GO) test -race -count=1 -timeout 30m -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds' ./internal/harness
+	$(GO) test -race -count=1 -timeout 30m -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds|TestChaosNextLeader' ./internal/harness
 
 # Tier-2 verify: static analysis and formatting, the one-assembly check, race detection
 # on the layers where goroutines, channels, and sockets actually

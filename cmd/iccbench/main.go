@@ -41,6 +41,7 @@ var registry = map[string]func(experiments.Scale) *experiments.Table{
 	"scaleout":       experiments.Scaleout,
 	"certscheme":     experiments.CertScheme,
 	"adversary":      experiments.AdversaryCampaign,
+	"twin":           experiments.Twin,
 }
 
 func main() {

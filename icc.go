@@ -183,7 +183,7 @@ func WithDeltaBound(d time.Duration) Option { return func(o *Options) { o.DeltaB
 
 // WithEpsilon sets the ε governor: a party shares the leader's block ε
 // after it enters the round, and the leader cuts that block ε/2 after it
-// enters, with the payload offers that reached it meanwhile.
+// enters, with the commands the others forwarded to it meanwhile.
 func WithEpsilon(d time.Duration) Option { return func(o *Options) { o.Epsilon = d } }
 
 // WithBehavior assigns a Byzantine role to a party.

@@ -79,6 +79,9 @@ func (f *Filter) Tick(now time.Duration) []engine.Output {
 // NextWake implements engine.Engine.
 func (f *Filter) NextWake(now time.Duration) (time.Duration, bool) { return f.Inner.NextWake(now) }
 
+// Wake implements engine.Waker for the inner engine.
+func (f *Filter) Wake() <-chan struct{} { return engine.WakeOf(f.Inner) }
+
 // CurrentRound implements engine.Engine.
 func (f *Filter) CurrentRound() types.Round { return f.Inner.CurrentRound() }
 

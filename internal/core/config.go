@@ -40,36 +40,39 @@ type PayloadSource interface {
 	GetPayload(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte
 }
 
-// DelegatedPayloadSource is a PayloadSource that can also carry other
-// parties' commands. The engine asks GetPayload what this party would
-// propose on a block it has just notarization-shared and hands the answer
-// to the next round's leader (types.PayloadOffer), and asks once more
-// halfway to that leader's cut (delegate.go); the leader passes the
-// offers cut against the very parent it builds on to GetPayloadWith, in
-// the order they should be drawn on (it rotates with the round, so no
-// sender is always last when a block fills up). A source without this
-// method neither offers nor merges: its commands wait for their own
-// party's turn to lead, as before.
+// DelegatedPayloadSource is a PayloadSource that also carries other
+// parties' commands (delegate.go, DESIGN.md §19). At the end of every
+// turn the engine asks Forward, for each party that may cut the next
+// block, what that party has not been sent yet, and hands it over in a
+// types.PayloadOffer; the receiving engine passes what arrives to Hold,
+// and the source's GetPayload draws the held commands after its own. A
+// source without these methods neither forwards nor holds: its commands
+// wait for their own party's turn to lead.
 //
-// GetPayloadWith with no delegated payloads must equal GetPayload, the
-// result must respect the same size bounds, and a delegated payload is
-// untrusted input from another party.
+// Forward returns the commands as a payload and their count, and must
+// not return a command twice for one party. Hold's input is untrusted:
+// it must keep at most one payload's worth per sender, and GetPayload
+// must never let a held command of a client overtake an earlier one that
+// is neither committed nor in the chain (the Seq rule). Settle reports,
+// per sender, the held commands merged into one of this party's payloads
+// for the first time and those dropped at commit without having been.
 type DelegatedPayloadSource interface {
 	PayloadSource
-	GetPayloadWith(round types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, delegated [][]byte) []byte
+	Forward(to types.PartyID, parent *types.Block, lookup func(hash.Digest) *types.Block) (payload []byte, cmds int)
+	Hold(from types.PartyID, payload []byte) (held, refused int)
+	Settle(report func(from types.PartyID, merged, expired int))
 }
 
-// Outcomes of a payload offer, as OnPayloadOffer reports them: one
-// OfferSent on the sending side, and exactly one of the others for each
-// offer received once its round has passed at the receiver.
+// Outcomes of forwarded commands, as OnPayloadOffer counts them: each
+// command a party sends is, at its receiver, held or refused, and each
+// held one ends merged or expired. So sent = held + refused and held =
+// merged + expired once the commands are committed everywhere.
 const (
-	OfferSent           = "sent"            // handed to the round's leader
-	OfferMerged         = "merged"          // passed to GetPayloadWith for this party's proposal
-	OfferLate           = "late"            // arrived after this party proposed, or for a past round
-	OfferParentMismatch = "parent_mismatch" // cut against a block other than the one proposed on
-	OfferRefused        = "refused"         // above types.MaxPayloadBytes, or from no party of this cluster
-	OfferSuperseded     = "superseded"      // replaced by a later offer from the same sender
-	OfferExpired        = "expired"         // held until its round ended without this party proposing in it
+	OfferSent    = "sent"    // forwarded to a party that may cut the next block
+	OfferHeld    = "held"    // kept by the receiver for its own payloads
+	OfferRefused = "refused" // not kept: committed already, a repeat, past the sender's share, or unreadable (counted as one)
+	OfferMerged  = "merged"  // a held command drawn into one of the receiver's payloads for the first time
+	OfferExpired = "expired" // a held command committed without the receiver having drawn it
 )
 
 // EmptyPayload proposes empty payloads (useful for protocol-only tests
@@ -157,13 +160,11 @@ type Hooks struct {
 	// OnCheckpointServed fires when the party answers a behind-horizon
 	// peer's Status with its latest certified checkpoint (round k).
 	OnCheckpointServed func(peer types.PartyID, k types.Round, now time.Duration)
-	// OnPayloadOffer fires once for every payload offer this party sends
-	// (outcome OfferSent, peer the leader of the round it is for) and once
-	// for every offer it receives (peer the sender), with the round the
-	// offer is for, its payload size and one of the Offer* outcomes. The
-	// ratio of OfferLate to OfferSent is how often an offer misses the
-	// leader's cut.
-	OnPayloadOffer func(peer types.PartyID, k types.Round, payloadBytes int, outcome string, now time.Duration)
+	// OnPayloadOffer counts forwarded commands (delegate.go): cmds of
+	// them, in round k, met outcome, one of the Offer* constants; peer is
+	// the receiver for OfferSent and the sender otherwise. merged / held
+	// is how much of what reaches a party rides its blocks.
+	OnPayloadOffer func(peer types.PartyID, k types.Round, cmds int, outcome string, now time.Duration)
 	// OnResyncLost fires once when the party detects that its gap to the
 	// cluster's finalization frontier exceeds PruneDepth with no
 	// checkpoint path configured: peers have pruned the artifacts it

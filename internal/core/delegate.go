@@ -1,192 +1,115 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
-	"icc/internal/crypto/hash"
 	"icc/internal/engine"
 	"icc/internal/types"
 )
 
-// Delegated payloads: getPayload(B_p) answered by every party, for the
-// party that will propose.
+// Delegated payloads: getPayload(B_p) answered with every party's
+// commands, not only the proposer's (DESIGN.md §19).
 //
 // Fig. 1 leaves the payload to the application, and a per-party command
 // queue answers it with "what this party holds", so a command admitted at
 // party P waits until the beacon ranks P first: n rounds on average. The
-// wait is not inherent. Once round k has a block B that P would share next
-// and a notarization share for B has reached P, P knows, in the normal
-// case, who leads round k+1 (precomputeBeacon), and that leader will most
-// likely propose on B once B's notarization completes. So P computes the
-// payload it would itself propose on B and sends it to that leader: on
-// that first share from another party if P still waits out Δntry for B
-// (it may see B notarized, and leave the round, before its own timer
-// fires), else just ahead of its own share. The leader merges what arrived
-// by the time it cuts its block, Δprop(0) = ε/2 after it entered round k+1
-// (types.StandardDelays). A command then rides the next block, whoever
-// cuts it.
+// wait is not inherent. At the end of every turn P hands each party that
+// may cut the next block the commands of P's it lacks — one stream, each
+// command sent to each such party once:
 //
-// That early offer is cut about ε before the leader's cut, and a command
-// admitted in between would wait a whole extra round. So once in round
-// k+1, halfway to the leader's cut (Δprop(0)/2 after entering the round),
-// P cuts getPayload on the block it finished round k on again and sends
-// the leader the new cut if it holds something the earlier one did not:
-// the refresh. The leader keeps the latest offer per sender, so the
-// refresh takes the early offer's place; if it arrives after the cut, the
-// early offer has already been merged. P refreshes only on the parent of
-// its earlier round-(k+1) offers, so a refresh never evicts an offer cut
-// on the block the leader may build on in favour of one it may not.
+//   - round k's rank-0 party, until its cut at Δprop(0), while its block
+//     has not arrived;
+//   - round k's rank-1 party, from Δprop(0)+Δbnd (the rank-0 block is
+//     overdue: its proposer may be silent) until rank 1's own cut at
+//     Δprop(1), while no rank-0 block has arrived;
+//   - Leader(k+1), once P knows it and holds a round-k block, leaving out
+//     what that block's chain carries.
 //
-// Two rules keep this to a change of payload content and nothing else:
+// The receiver holds what it was sent until it is committed and draws it
+// into its own payloads after its own commands. Nothing binds a forward
+// to a parent: the receiver's payload source admits a client's command
+// only when the client's previous one is committed, in the chain it
+// extends, or earlier in the same payload (statemachine.Queue.GetPayload),
+// so a lost or late forward delays its client's later commands and never
+// lets them overtake it.
 //
-//  1. An offer is exactly getPayload(k+1, B): what an honest P would put
-//     in a block of its own on B.
-//  2. The leader uses an offer only when it proposes on that same B. A
-//     payload cut against another chain may omit a command that is in
-//     that chain but not in this one, and a replica applying a client's
-//     later command before the omitted one would skip the earlier one
-//     for good (per-client sequence watermark).
-//
-// Neither rule asks that P has shared B itself: an offer cut on another
-// party's share is still getPayload on B, and one on a block P ends up not
-// sharing is dropped by rule 2 at a leader that builds on another, while P
-// offers again on the block it does share.
-//
-// Notarization, finalization, the beacon and the WAL never see an offer:
-// it is unsigned, unlogged, kept only until its round has passed (one per
-// sender, at most types.MaxPayloadBytes each) and never cut or sent during
-// replay. A Byzantine sender can at most fill part of one block with
-// commands of its choosing, which a Byzantine leader can do with a whole
-// block today.
+// Notarization, finalization, the beacon and the WAL never see a
+// forward: it is unsigned, unlogged and never sent during replay, and a
+// receiver holds at most one payload's worth per sender. A Byzantine
+// sender can at most fill part of a block with commands of its choosing,
+// which a Byzantine leader can do with a whole block.
 
-// offerPayload runs for the block b (hash h, current round) this party
-// shares next: when another party's notarization share for b reaches it
-// while it still waits out Δntry, or else where it casts its own. It is
-// rule 1 above, at most once per block. Nothing is sent when the next
-// leader is not known yet (never Reveal for it: that is precomputeBeacon's
-// call, at a time of its choosing), when it is this party, or when there
-// is nothing to propose; a later call tries again.
-func (e *Engine) offerPayload(b *types.Block, h hash.Digest, now time.Duration) {
-	if _, done := e.offered[h]; e.delegate == nil || done {
-		return
-	}
-	next := e.round + 1
-	leader, ok := e.cfg.Beacon.Leader(next)
-	if !ok || leader == e.cfg.Self {
-		return
-	}
-	payload := e.delegate.GetPayload(next, b, e.pool.Block)
-	if len(payload) == 0 {
-		return
-	}
-	e.offered[h] = payload
-	e.sendOffer(leader, &types.PayloadOffer{Round: next, ParentHash: h, Payload: payload}, now)
-}
-
-// refreshOffer is the refresh of round k's offer, at refreshAt: this
-// party's getPayload(k, B) again, for B the round-(k−1) block it finished
-// on, sent to Leader(k) unless it is empty, equal to the offer already
-// sent on B, or some round-k offer went out on another parent. One cut
-// per round, sent or not.
-func (e *Engine) refreshOffer(now time.Duration) {
-	if !e.refreshPending() || now < e.refreshAt() {
-		return
-	}
-	e.refreshed = true
-	k := e.round
-	parent, ok := e.pool.NotarizedInRound(k - 1)
-	if !ok {
-		return
-	}
-	for h := range e.offeredK {
-		if h != parent {
-			return
-		}
-	}
-	payload := e.delegate.GetPayload(k, e.pool.Block(parent), e.pool.Block)
-	if len(payload) == 0 || bytes.Equal(payload, e.offeredK[parent]) {
-		return
-	}
-	e.sendOffer(e.perm[0], &types.PayloadOffer{Round: k, ParentHash: parent, Payload: payload}, now)
-}
-
-// refreshPending reports whether round k's refresh is still to come: not
-// for the round's leader, never during replay, and not at all with
-// Δprop(0) = 0, where the leader cuts its block on entering the round.
-func (e *Engine) refreshPending() bool {
-	return e.delegate != nil && e.inRound && !e.refreshed && !e.replaying &&
-		e.perm[0] != e.cfg.Self && e.dprop(0) > 0
-}
-
-// refreshAt is the refresh instant: halfway between entering the round
-// and the leader's cut.
-func (e *Engine) refreshAt() time.Duration { return e.t0 + e.dprop(0)/2 }
-
-func (e *Engine) sendOffer(leader types.PartyID, o *types.PayloadOffer, now time.Duration) {
-	e.out = append(e.out, engine.Unicast(leader, o))
-	e.noteOffer(leader, o.Round, len(o.Payload), OfferSent, now)
-}
-
-// acceptOffer keeps a received offer until this party proposes in its
-// round: the latest one per sender, so a sender holds one slot however
-// much it sends, and the one it replaces is reported superseded.
-func (e *Engine) acceptOffer(from types.PartyID, o *types.PayloadOffer, now time.Duration) {
+// stream is the end of every turn: it forwards to each party that may cut
+// the next block (above) the commands it has not been sent yet. The
+// forwards go ahead of the turn's other outputs, so one leaves before a
+// share that may let its addressee finish the round and cut.
+func (e *Engine) stream(now time.Duration) {
 	if e.delegate == nil {
 		return
 	}
-	switch {
-	case from < 0 || int(from) >= len(e.offers) || from == e.cfg.Self,
-		len(o.Payload) > e.maxPayload:
-		e.noteOffer(from, o.Round, len(o.Payload), OfferRefused, now)
-	case o.Round < e.round || (o.Round == e.round && e.proposed):
-		e.noteOffer(from, o.Round, len(o.Payload), OfferLate, now)
-	default:
-		if old := e.offers[from]; old != nil {
-			e.noteOffer(from, old.Round, len(old.Payload), OfferSuperseded, now)
+	e.delegate.Settle(func(from types.PartyID, merged, expired int) {
+		e.noteOffer(from, merged, OfferMerged, now)
+		e.noteOffer(from, expired, OfferExpired, now)
+	})
+	if e.replaying || !e.inRound || e.round <= e.finalSeen {
+		return // nothing to forward in replay, or in rounds the cluster has finalized
+	}
+	var fwd []engine.Output
+	send := func(to types.PartyID, parent *types.Block) {
+		if to == e.cfg.Self {
+			return
 		}
-		e.offers[from] = o
+		payload, cmds := e.delegate.Forward(to, parent, e.pool.Block)
+		if cmds == 0 {
+			return
+		}
+		fwd = append(fwd, engine.Unicast(to, &types.PayloadOffer{Round: e.round, Payload: payload}))
+		e.noteOffer(to, cmds, OfferSent, now)
+	}
+	cs := e.candidates()
+	if rank0 := len(cs) > 0 && cs[0].rank == 0; !rank0 {
+		parentHash, _ := e.pool.NotarizedInRound(e.round - 1)
+		parent := e.pool.Block(parentHash)
+		if now < e.t0+e.dprop(0) {
+			send(e.perm[0], parent)
+		}
+		if len(e.perm) > 1 && now >= e.overdueAt() && now < e.t0+e.dprop(1) {
+			send(e.perm[1], parent)
+		}
+	}
+	if len(cs) > 0 {
+		if next, ok := e.cfg.Beacon.Leader(e.round + 1); ok {
+			send(next, e.pool.Block(cs[0].h))
+		}
+	}
+	if len(fwd) > 0 {
+		e.out = append(fwd, e.out...)
 	}
 }
 
-// delegatedFor returns the payloads offered for a round-k proposal on the
-// block parent names — rule 2 above — starting with a sender that rotates
-// with the round. Offers for round k cut against another block are
-// reported and dropped.
-func (e *Engine) delegatedFor(k types.Round, parent hash.Digest, now time.Duration) [][]byte {
-	var delegated [][]byte
-	n := len(e.offers)
-	for i := 0; i < n; i++ {
-		from := types.PartyID((uint64(k) + uint64(i)) % uint64(n))
-		o := e.offers[from]
-		if o == nil || o.Round != k {
-			continue
-		}
-		e.offers[from] = nil
-		if o.ParentHash != parent {
-			e.noteOffer(from, k, len(o.Payload), OfferParentMismatch, now)
-			continue
-		}
-		delegated = append(delegated, o.Payload)
-		e.noteOffer(from, k, len(o.Payload), OfferMerged, now)
+// overdueAt is when round k's rank-0 block is overdue, Δbnd after its
+// cut: from then until Δprop(1) the stream also feeds rank 1.
+func (e *Engine) overdueAt() time.Duration { return e.t0 + e.dprop(0) + e.cfg.DeltaBound }
+
+// holdOffer hands a received forward to the payload source, which keeps
+// it for this party's payloads until committed. A forward from no other
+// party of this cluster, or longer than a payload, is refused whole and
+// counts as one command.
+func (e *Engine) holdOffer(from types.PartyID, o *types.PayloadOffer, now time.Duration) {
+	if e.delegate == nil {
+		return
 	}
-	return delegated
+	if from < 0 || int(from) >= e.cfg.Keys.N || from == e.cfg.Self || len(o.Payload) > e.maxPayload {
+		e.noteOffer(from, 1, OfferRefused, now)
+		return
+	}
+	held, refused := e.delegate.Hold(from, o.Payload)
+	e.noteOffer(from, held, OfferHeld, now)
+	e.noteOffer(from, refused, OfferRefused, now)
 }
 
-// dropOffers forgets, as expired, the offers for rounds up to k, which is
-// finished: those a sender addressed to a round this party did not
-// propose in.
-func (e *Engine) dropOffers(k types.Round, now time.Duration) {
-	for i, o := range e.offers {
-		if o != nil && o.Round <= k {
-			e.offers[i] = nil
-			e.noteOffer(types.PartyID(i), o.Round, len(o.Payload), OfferExpired, now)
-		}
-	}
-}
-
-func (e *Engine) noteOffer(peer types.PartyID, k types.Round, payloadBytes int, outcome string, now time.Duration) {
-	if e.cfg.Hooks.OnPayloadOffer != nil {
-		e.cfg.Hooks.OnPayloadOffer(peer, k, payloadBytes, outcome, now)
+func (e *Engine) noteOffer(peer types.PartyID, cmds int, outcome string, now time.Duration) {
+	if cmds > 0 && e.cfg.Hooks.OnPayloadOffer != nil {
+		e.cfg.Hooks.OnPayloadOffer(peer, e.round, cmds, outcome, now)
 	}
 }

@@ -1,15 +1,15 @@
 package core
 
-// Tests for delegated payloads (delegate.go): what a Byzantine sender can
-// do to the party it sends offers to, and that nothing of the mechanism
-// runs during WAL replay. The ordering argument (an offer is used on the
-// parent it was cut against and on no other) is tested across forked
-// rounds in internal/harness/delegation_test.go.
+// Tests for delegated payloads (delegate.go): where the stream sends a
+// party's commands and when, what a Byzantine sender can do to the party
+// it forwards to, that the outcomes add up, and that nothing of it runs
+// during WAL replay. The Seq rule that keeps a client's commands in order
+// without binding a forward to a parent is tested in internal/statemachine
+// and across forked rounds in internal/harness/delegation_test.go.
 
 import (
 	"bytes"
 	"crypto/rand"
-	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +17,7 @@ import (
 	"icc/internal/beacon"
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
+	"icc/internal/crypto/sig"
 	"icc/internal/engine"
 	"icc/internal/simnet"
 	"icc/internal/statemachine"
@@ -28,26 +29,47 @@ func kvCommand(client, seq uint64) statemachine.Command {
 	return statemachine.Command{Client: client, Seq: seq, Op: statemachine.OpSet, Key: "k", Value: []byte{byte(seq)}}
 }
 
+func forward(cmds ...statemachine.Command) *types.PayloadOffer {
+	return &types.PayloadOffer{Round: 1, Payload: statemachine.EncodePayload(cmds)}
+}
+
+// outcomeCounter returns a hook that adds the commands of each outcome up.
+func outcomeCounter(outcomes map[string]int) func(types.PartyID, types.Round, int, string, time.Duration) {
+	return func(_ types.PartyID, _ types.Round, cmds int, outcome string, _ time.Duration) {
+		outcomes[outcome] += cmds
+	}
+}
+
+// commit hands the engine every other party's notarization and
+// finalization shares for b at now: round 1 finishes on b and b commits.
+func (c *choreography) commit(b *types.Block, now time.Duration) {
+	c.t.Helper()
+	var shares []types.Message
+	for _, p := range c.perm {
+		if p != c.eng.ID() {
+			shares = append(shares, c.nshare(b, p), c.fshare(b, p))
+		}
+	}
+	c.deliver(c.perm[0], &types.Bundle{Messages: shares}, now)
+	if c.eng.FinalizedRound() != 1 {
+		c.t.Fatalf("round 1 did not commit on %s", b.Hash().Short())
+	}
+}
+
 // TestByzantineOffersAreBoundedAndHarmless feeds the round-1 leader, before
-// it enters the round, everything a corrupt sender can put in an offer, and
-// then lets it propose.
+// it enters the round, everything a corrupt sender can forward, and then
+// lets it propose.
 func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
-	const n, maxPayload = 7, 600
+	const n = 7
 	queue := statemachine.NewQueue()
 	outcomes := make(map[string]int)
 	c := newChoreographyWith(t, n, 0, 100*time.Millisecond, func(cfg *Config) {
 		cfg.Payload = queue
-		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-			outcomes[outcome]++
-		}
+		cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
+		cfg.Hooks.OnCommit = func(b *types.Block, _ time.Duration) { queue.MarkCommitted(b.Payload) }
 	})
-	c.eng.maxPayload = maxPayload
 	self := c.eng.ID()
 	peers := c.perm[1:] // the other parties, by rank
-	root := c.eng.Pool().RootHash()
-	offer := func(k types.Round, parent hash.Digest, cmds ...statemachine.Command) *types.PayloadOffer {
-		return &types.PayloadOffer{Round: k, ParentHash: parent, Payload: statemachine.EncodePayload(cmds)}
-	}
 	for s := uint64(1); s <= 2; s++ {
 		if err := queue.TrySubmit(kvCommand(100, s)); err != nil {
 			t.Fatal(err)
@@ -55,40 +77,34 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 	}
 	c.outs = append(c.outs, c.eng.Init(0)...)
 
-	flooder, garbler, bloater, forker, stale, honest := peers[0], peers[1], peers[2], peers[3], peers[4], peers[5]
-	// A flood from one sender: only its last offer is kept.
-	for i := uint64(1); i <= 200; i++ {
-		c.deliver(flooder, offer(1, root, kvCommand(1, i)), 0)
+	flooder, garbler, gapper, repeater, stale, honest := peers[0], peers[1], peers[2], peers[3], peers[4], peers[5]
+	// A flood from one sender: it is held up to one payload's bytes, and
+	// the rest is refused.
+	huge := func(seq uint64) statemachine.Command {
+		return statemachine.Command{Client: 1, Seq: seq, Op: statemachine.OpSet, Key: "k", Value: make([]byte, 1<<20)}
 	}
-	c.deliver(flooder, offer(1, root, kvCommand(1, 1), kvCommand(1, 2)), 0)
-	// Bytes that are no payload at all, well under the size bound.
-	c.deliver(garbler, &types.PayloadOffer{Round: 1, ParentHash: root, Payload: []byte("\xff\xff\xff\xffnot commands")}, 0)
-	// Above maxPayload: refused, and the sender's earlier offer survives.
-	c.deliver(bloater, offer(1, root, kvCommand(3, 1)), 0)
-	c.deliver(bloater, &types.PayloadOffer{Round: 1, ParentHash: root, Payload: make([]byte, maxPayload+1)}, 0)
-	// Cut against a block this party will not build on.
-	c.deliver(forker, offer(1, hash.SumUint64(hash.DomainBlock, 99), kvCommand(4, 2)), 0)
-	// A round long gone, a round absurdly far ahead, and senders that are
-	// no party of this cluster, or the party itself.
-	c.deliver(stale, offer(0, root, kvCommand(5, 1)), 0)
-	c.deliver(stale, offer(1<<60, root, kvCommand(5, 2)), 0)
-	c.deliver(types.PartyID(n+5), offer(1, root, kvCommand(6, 1)), 0)
-	c.deliver(types.PartyID(-1), offer(1, root, kvCommand(6, 2)), 0)
-	c.deliver(self, offer(1, root, kvCommand(6, 3)), 0)
-	c.deliver(honest, offer(1, root, kvCommand(7, 1)), 0)
-
-	held := 0
-	for from, o := range c.eng.offers {
-		if o == nil {
-			continue
-		}
-		held++
-		if len(o.Payload) > maxPayload {
-			t.Errorf("an offer of %d bytes from party %d is held, maxPayload is %d", len(o.Payload), from, maxPayload)
-		}
+	for s := uint64(1); s <= 5; s++ {
+		c.deliver(flooder, forward(huge(s)), 0)
 	}
-	if held > n-1 {
-		t.Fatalf("%d offers held for %d possible senders", held, n-1)
+	// Bytes that are no payload at all, and bytes past any payload.
+	c.deliver(garbler, &types.PayloadOffer{Round: 1, Payload: []byte("\xff\xff\xff\xffnot commands")}, 0)
+	c.deliver(garbler, &types.PayloadOffer{Round: 1, Payload: make([]byte, types.MaxPayloadBytes+1)}, 0)
+	// A gapped Seq: 4/1 is nowhere, so 4/2 must never ride.
+	c.deliver(gapper, forward(kvCommand(4, 2)), 0)
+	// The same command twice.
+	c.deliver(repeater, forward(kvCommand(5, 1)), 0)
+	c.deliver(repeater, forward(kvCommand(5, 1)), 0)
+	// A round long gone and one absurdly far ahead: the round a forward
+	// names binds nothing.
+	c.deliver(stale, &types.PayloadOffer{Round: 0, Payload: statemachine.EncodePayload([]statemachine.Command{kvCommand(6, 1)})}, 0)
+	c.deliver(stale, &types.PayloadOffer{Round: 1 << 60, Payload: statemachine.EncodePayload([]statemachine.Command{kvCommand(6, 2)})}, 0)
+	// Senders that are no party of this cluster, or the party itself.
+	c.deliver(types.PartyID(n+5), forward(kvCommand(8, 1)), 0)
+	c.deliver(types.PartyID(-1), forward(kvCommand(8, 1)), 0)
+	c.deliver(self, forward(kvCommand(8, 1)), 0)
+	c.deliver(honest, forward(kvCommand(7, 1)), 0)
+	if want := (map[string]int{OfferHeld: 3 + 1 + 1 + 2 + 1, OfferRefused: 2 + 2 + 1 + 3}); outcomes[OfferHeld] != want[OfferHeld] || outcomes[OfferRefused] != want[OfferRefused] {
+		t.Fatalf("outcomes %v on arrival, want %v", outcomes, want)
 	}
 
 	c.enterRound1() // the beacon arrives: the engine enters the round and proposes
@@ -107,14 +123,14 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the proposed payload does not decode: %v", err)
 	}
-	if len(proposal.Payload) > maxPayload {
-		t.Fatalf("proposed %d payload bytes, peers refuse blocks above %d", len(proposal.Payload), maxPayload)
+	if len(proposal.Payload) > types.MaxPayloadBytes {
+		t.Fatalf("proposed %d payload bytes, peers refuse blocks above %d", len(proposal.Payload), types.MaxPayloadBytes)
 	}
 	got := make(map[[2]uint64]int)
 	for i, cm := range cmds {
 		got[[2]uint64{cm.Client, cm.Seq}] = i + 1
 	}
-	for _, want := range [][2]uint64{{100, 1}, {100, 2}, {1, 1}, {1, 2}, {3, 1}, {7, 1}} {
+	for _, want := range [][2]uint64{{100, 1}, {100, 2}, {1, 1}, {1, 2}, {1, 3}, {5, 1}, {6, 1}, {6, 2}, {7, 1}} {
 		if got[want] == 0 {
 			t.Errorf("command %v is missing from the proposal %v", want, got)
 		}
@@ -122,38 +138,29 @@ func TestByzantineOffersAreBoundedAndHarmless(t *testing.T) {
 	if got[[2]uint64{100, 1}] != 1 || got[[2]uint64{100, 2}] != 2 {
 		t.Errorf("the proposer's own commands do not come first: %v", got)
 	}
-	if got[[2]uint64{1, 1}] > got[[2]uint64{1, 2}] {
+	if got[[2]uint64{1, 1}] > got[[2]uint64{1, 2}] || got[[2]uint64{1, 2}] > got[[2]uint64{1, 3}] {
 		t.Errorf("a sender's commands changed order: %v", got)
 	}
-	if len(cmds) != 6 {
-		t.Errorf("%d commands proposed, want the 6 that were offered in good order: %v", len(cmds), got)
+	if len(cmds) != 9 {
+		t.Errorf("%d commands proposed, want the 9 forwarded in good order: %v", len(cmds), got)
+	}
+	if outcomes[OfferMerged] != 7 {
+		t.Errorf("%d commands reported merged, want 7 (all: %v)", outcomes[OfferMerged], outcomes)
 	}
 
-	// After the proposal an offer for the round is late, and once the
-	// round is over nothing addressed to it is held any more.
-	c.deliver(honest, offer(1, root, kvCommand(7, 2)), time.Millisecond)
-	c.deliver(c.perm[1], c.nshare(proposal, c.perm[1]), 2*time.Millisecond)
-	c.deliver(c.perm[2], c.nshare(proposal, c.perm[2]), 3*time.Millisecond)
-	c.deliver(c.perm[3], c.nshare(proposal, c.perm[3]), 3*time.Millisecond)
-	c.deliver(c.perm[4], c.nshare(proposal, c.perm[4]), 3*time.Millisecond)
-	if c.eng.CurrentRound() != 2 {
-		t.Fatalf("round 1 did not finish: at round %d", c.eng.CurrentRound())
+	// Once the block commits, what it carried is no longer held: the next
+	// cut holds the gapped command back still, and nothing else.
+	c.commit(proposal, time.Millisecond)
+	if next := queue.GetPayload(2, proposal, c.eng.Pool().Block); next != nil {
+		t.Errorf("after the commit the queue still cuts %d bytes", len(next))
 	}
-	for from, o := range c.eng.offers {
-		if o != nil && o.Round <= 1 {
-			t.Errorf("an offer from party %d for round %d outlived the round", from, o.Round)
-		}
-	}
-	want := map[string]int{OfferMerged: 4, OfferParentMismatch: 1, OfferRefused: 4, OfferLate: 2, OfferSuperseded: 200}
-	for outcome, count := range want {
-		if outcomes[outcome] != count {
-			t.Errorf("%d offers reported %q, want %d (all: %v)", outcomes[outcome], outcome, count, outcomes)
-		}
+	if outcomes[OfferExpired] != 0 {
+		t.Errorf("%d merged commands reported expired as well", outcomes[OfferExpired])
 	}
 }
 
-// plainSource has no GetPayloadWith: the engine must neither send nor
-// keep offers on its behalf.
+// plainSource has no Forward or Hold: the engine must neither send nor
+// keep forwards on its behalf.
 type plainSource struct{}
 
 func (plainSource) GetPayload(types.Round, *types.Block, func(hash.Digest) *types.Block) []byte {
@@ -167,16 +174,14 @@ func TestSourceWithoutDelegationNeitherOffersNorMerges(t *testing.T) {
 		cfg.Hooks.OnPayloadOffer = func(types.PartyID, types.Round, int, string, time.Duration) { fired++ }
 	})
 	c.outs = append(c.outs, c.eng.Init(0)...)
-	c.deliver(c.perm[1], &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: []byte("x")}, 0)
+	c.deliver(c.perm[1], forward(kvCommand(1, 1)), 0)
 	c.enterRound1()
-	for _, held := range c.eng.offers {
-		if held != nil {
-			t.Fatal("an offer is held for a source that cannot merge it")
-		}
+	if c.eng.Wake() != nil {
+		t.Error("an engine whose source does not delegate has a wake channel")
 	}
 	for _, o := range c.outs {
 		if _, ok := o.Msg.(*types.PayloadOffer); ok {
-			t.Fatal("an offer was sent for a source that does not delegate")
+			t.Fatal("a forward was sent for a source that does not delegate")
 		}
 		if b, ok := o.Msg.(*types.Bundle); ok {
 			if bm, ok := b.Messages[0].(*types.BlockMsg); ok && !bytes.Equal(bm.Block.Payload, []byte("own payload")) {
@@ -189,36 +194,17 @@ func TestSourceWithoutDelegationNeitherOffersNorMerges(t *testing.T) {
 	}
 }
 
-// offeringSource is a DelegatedPayloadSource that always has something to
-// propose — the round, then extra — counts how often it is asked and
-// keeps what it was handed to merge.
-type offeringSource struct {
-	cuts, merged int
-	extra        []byte
-	delegated    [][]byte
-}
-
-func (s *offeringSource) GetPayload(k types.Round, _ *types.Block, _ func(hash.Digest) *types.Block) []byte {
-	s.cuts++
-	return append([]byte{byte(k)}, s.extra...)
-}
-
-func (s *offeringSource) GetPayloadWith(k types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, delegated [][]byte) []byte {
-	s.merged += len(delegated)
-	s.delegated = append(s.delegated, delegated...)
-	return s.GetPayload(k, parent, lookup)
-}
-
-// offerRound builds a choreography around a delegating engine at rank 2
-// of round 1 that is not the leader of round 2, enters round 1 at time 0
-// and hands it every party's round-2 beacon share, so that it knows
-// Leader(2) — the addressee of its offers — from then on.
-func offerRound(t *testing.T, epsilon time.Duration) (*choreography, types.PartyID) {
+// streamRound builds a choreography around an engine with a Queue at
+// rank 2 of round 1 that is not the leader of round 2, enters round 1 at
+// time 0 and hands it every party's round-2 beacon share, so that it
+// knows Leader(2) from then on.
+func streamRound(t *testing.T, epsilon time.Duration) (*choreography, *statemachine.Queue, types.PartyID) {
 	t.Helper()
 	for try := 0; try < 32; try++ {
+		q := statemachine.NewQueue()
 		c := newChoreographyWith(t, 4, 2, 100*time.Millisecond, func(cfg *Config) {
 			cfg.Epsilon = epsilon
-			cfg.Payload = &offeringSource{}
+			cfg.Payload = q
 		})
 		c.start()
 		for i, b := range c.beacons {
@@ -248,81 +234,138 @@ func offerRound(t *testing.T, epsilon time.Duration) (*choreography, types.Party
 			t.Fatal("the engine does not know the leader of round 2")
 		}
 		if leader != c.eng.ID() {
-			return c, leader
+			return c, q, leader
 		}
 	}
 	t.Fatal("the party at rank 2 led round 2 for every key set dealt")
-	return nil, 0
+	return nil, nil, 0
 }
 
-// offersOut lists the payload offers the engine has sent so far.
-func (c *choreography) offersOut() []engine.Output {
-	var out []engine.Output
+// forwardsTo lists, in order, the commands forwarded to party to so far.
+func (c *choreography) forwardsTo(to types.PartyID) []statemachine.Command {
+	c.t.Helper()
+	var cmds []statemachine.Command
 	for _, o := range c.outs {
-		if _, ok := o.Msg.(*types.PayloadOffer); ok {
-			out = append(out, o)
+		if po, ok := o.Msg.(*types.PayloadOffer); ok && !o.Broadcast && o.To == to {
+			got, err := statemachine.DecodePayload(po.Payload)
+			if err != nil {
+				c.t.Fatalf("a forward to %d does not decode: %v", to, err)
+			}
+			cmds = append(cmds, got...)
 		}
 	}
-	return out
+	return cmds
 }
 
-// offersFor lists the payload offers for round k the engine has sent so
-// far.
-func (c *choreography) offersFor(k types.Round) []engine.Output {
-	var out []engine.Output
-	for _, o := range c.offersOut() {
-		if o.Msg.(*types.PayloadOffer).Round == k {
-			out = append(out, o)
+func seqsOf(cmds []statemachine.Command) []uint64 {
+	var seqs []uint64
+	for _, c := range cmds {
+		seqs = append(seqs, c.Seq)
+	}
+	return seqs
+}
+
+func (c *choreography) submit(q *statemachine.Queue, cmds ...statemachine.Command) {
+	c.t.Helper()
+	for _, cm := range cmds {
+		if err := q.TrySubmit(cm); err != nil {
+			c.t.Fatal(err)
 		}
 	}
-	return out
 }
 
-// checkOffer fails the test unless o is a round-2 offer to leader cut
-// against parent.
-func checkOffer(t *testing.T, o engine.Output, leader types.PartyID, parent *types.Block) {
-	t.Helper()
-	po := o.Msg.(*types.PayloadOffer)
-	if o.Broadcast || o.To != leader || po.Round != 2 || po.ParentHash != parent.Hash() {
-		t.Errorf("offer for round %d on %s sent to %d (broadcast %v), want round 2 on %s to the leader %d",
-			po.Round, po.ParentHash.Short(), o.To, o.Broadcast, parent.Hash().Short(), leader)
+// TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent: at ε = 50 ms
+// a command admitted before the leader's cut (Δprop(0) = 25 ms) goes to
+// rank 0 at the end of the turn, once; after the cut nothing more goes
+// there. With no rank-0 block Δbnd after the cut (NextWake names that
+// instant), everything goes to rank 1 until its own cut at Δprop(1), and
+// nothing once a rank-0 block is in.
+func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
+	c, q, next := streamRound(t, 50*time.Millisecond)
+	for try := 0; next == c.perm[1]; try++ { // rank 1 must not be Leader(2), the next target
+		if try == 32 {
+			t.Fatal("rank 1 led round 2 for every key set dealt")
+		}
+		c, q, next = streamRound(t, 50*time.Millisecond)
+	}
+	rank0, rank1 := c.perm[0], c.perm[1]
+	c.submit(q, kvCommand(1, 1))
+	c.tick(time.Millisecond)
+	c.tick(2 * time.Millisecond)
+	if got := seqsOf(c.forwardsTo(rank0)); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("forwarded %v to rank 0 before its cut, want command 1 once", got)
+	}
+	c.submit(q, kvCommand(1, 2))
+	c.tick(30 * time.Millisecond)
+	if got := seqsOf(c.forwardsTo(rank0)); len(got) != 1 {
+		t.Fatalf("forwarded %v to rank 0, want nothing after its cut at Δprop(0)", got)
+	}
+	overdue := 125 * time.Millisecond // Δprop(0) + Δbnd
+	if at, ok := c.eng.NextWake(30 * time.Millisecond); !ok || at != overdue {
+		t.Fatalf("next wake %v (%v), want the turn to rank 1 at %v", at, ok, overdue)
+	}
+	c.tick(overdue - 1)
+	if got := c.forwardsTo(rank1); len(got) != 0 {
+		t.Fatalf("forwarded %v to rank 1 before the rank-0 block was overdue", seqsOf(got))
+	}
+	c.tick(overdue)
+	if got := seqsOf(c.forwardsTo(rank1)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("forwarded %v to rank 1 once the leader was overdue, want commands 1 and 2", got)
+	}
+	_, bundle := c.block(0, "late")
+	c.deliver(rank0, bundle, 130*time.Millisecond)
+	c.submit(q, kvCommand(1, 3))
+	c.tick(140 * time.Millisecond)
+	if got := seqsOf(c.forwardsTo(rank1)); len(got) != 2 {
+		t.Fatalf("forwarded %v to rank 1 after the rank-0 block arrived", got)
 	}
 }
 
-// TestOfferLeavesOnAnotherPartysShare: with ε > 0 a party still waiting
-// out Δntry(0) sends its offer when another party's share for the block
-// reaches it, and sends none when its own share follows.
-func TestOfferLeavesOnAnotherPartysShare(t *testing.T) {
-	c, leader := offerRound(t, 50*time.Millisecond) // Δntry(0) = 50 ms
-	b0, bundle := c.block(0, "b0")
-	c.deliver(c.perm[0], bundle, 10*time.Millisecond)
-	if n := len(c.offersFor(2)); n != 0 {
-		t.Fatalf("%d offers sent on the block alone, before any share for it", n)
+// TestStreamFeedsTheNextLeaderOnceItHoldsABlock: a command admitted after
+// the leader's cut goes to Leader(2) as soon as a round-1 block is in,
+// without the commands that block carries; a later admission follows on
+// its own.
+func TestStreamFeedsTheNextLeaderOnceItHoldsABlock(t *testing.T) {
+	c, q, next := streamRound(t, 50*time.Millisecond)
+	inBlock, after := kvCommand(1, 1), kvCommand(1, 2)
+	c.submit(q, inBlock, after)
+	c.tick(30 * time.Millisecond)
+	if got := c.forwardsTo(next); len(got) != 0 {
+		t.Fatalf("forwarded %v to Leader(2) with no round-1 block held", seqsOf(got))
 	}
-	c.deliver(c.perm[1], c.nshare(b0, c.perm[1]), 20*time.Millisecond)
-	offers := c.offersFor(2)
-	if len(offers) != 1 {
-		t.Fatalf("%d offers sent on the first share from another party, want 1", len(offers))
+	b := &types.Block{Round: 1, Proposer: c.perm[0], ParentHash: c.eng.Pool().RootHash(),
+		Payload: statemachine.EncodePayload([]statemachine.Command{inBlock})}
+	c.deliver(c.perm[0], c.bundleOf(b), 40*time.Millisecond)
+	if got := seqsOf(c.forwardsTo(next)); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("forwarded %v to Leader(2) on the block's arrival, want command 2 alone", got)
 	}
-	checkOffer(t, offers[0], leader, b0)
-	if n := len(c.sharesOf()); n != 0 {
-		t.Fatalf("%d notarization shares cast before Δntry(0) expired", n)
+	c.submit(q, kvCommand(1, 3))
+	c.tick(41 * time.Millisecond)
+	if got := seqsOf(c.forwardsTo(next)); len(got) != 2 || got[1] != 3 {
+		t.Fatalf("forwarded %v to Leader(2), want command 3 after command 2", got)
 	}
-	c.deliver(c.perm[3], c.nshare(b0, c.perm[3]), 30*time.Millisecond)
-	c.tick(50 * time.Millisecond)
-	if n := len(c.sharesOf()); n != 1 {
-		t.Fatalf("%d notarization shares cast once Δntry(0) expired, want 1", n)
+}
+
+// bundleOf signs b as its proposer's and bundles it with the signature.
+func (c *choreography) bundleOf(b *types.Block) *types.Bundle {
+	auth := &types.Authenticator{
+		Round: b.Round, Proposer: b.Proposer, BlockHash: b.Hash(),
+		Sig: sig.Sign(c.privs[b.Proposer].Auth, types.DomainAuthenticator, types.SigningBytes(b.Round, b.Proposer, b.Hash())),
 	}
-	if n := len(c.offersFor(2)); n != 1 {
-		t.Fatalf("%d offers sent after the party's own share, want the early one only", n)
-	}
+	return &types.Bundle{Messages: []types.Message{&types.BlockMsg{Block: b}, auth}}
 }
 
 // TestOfferLeavesWithTheShareAtZeroEpsilon: with ε = 0 the leader's block
-// is shared the moment it arrives, and the offer leaves just ahead of that
-// share, once.
+// is shared the moment it arrives, and the forward to the next leader
+// leaves in the same turn, ahead of that share: the share may be the one
+// that lets the next leader finish the round and cut.
 func TestOfferLeavesWithTheShareAtZeroEpsilon(t *testing.T) {
-	c, leader := offerRound(t, 0)
+	c, q, next := streamRound(t, 0)
+	c.submit(q, kvCommand(1, 1))
+	c.tick(5 * time.Millisecond)
+	if n := len(c.forwardsTo(next)); n != 0 {
+		t.Fatalf("%d commands forwarded at ε = 0 with no block in the round", n)
+	}
 	b0, bundle := c.block(0, "b0")
 	before := len(c.outs)
 	c.deliver(c.perm[0], bundle, 10*time.Millisecond)
@@ -330,8 +373,9 @@ func TestOfferLeavesWithTheShareAtZeroEpsilon(t *testing.T) {
 	for i, o := range c.outs[before:] {
 		switch m := o.Msg.(type) {
 		case *types.PayloadOffer:
-			offerAt = i
-			checkOffer(t, o, leader, b0)
+			if o.To == next {
+				offerAt = i
+			}
 		case *types.NotarizationShare:
 			if m.Signer == c.eng.ID() {
 				shareAt = i
@@ -339,220 +383,35 @@ func TestOfferLeavesWithTheShareAtZeroEpsilon(t *testing.T) {
 		}
 	}
 	if offerAt < 0 || shareAt < 0 || offerAt > shareAt {
-		t.Fatalf("on the block's arrival: offer at output %d, own share at %d; want both, the offer first", offerAt, shareAt)
+		t.Fatalf("on the block's arrival: forward at output %d, own share at %d; want both, the forward first", offerAt, shareAt)
 	}
 	c.deliver(c.perm[1], c.nshare(b0, c.perm[1]), 20*time.Millisecond)
-	if n := len(c.offersOut()); n != 1 {
-		t.Fatalf("%d offers sent, want 1", n)
+	if n := len(c.forwardsTo(next)); n != 1 {
+		t.Fatalf("%d commands forwarded to Leader(2), want 1", n)
 	}
 }
 
-// TestOfferRepeatsOnTheBlockFinallyShared: an early offer on the rank-1
-// block, drawn out by another party's share, is followed by a second one
-// on the rank-0 block when that block arrives late and the party shares
-// it instead.
-func TestOfferRepeatsOnTheBlockFinallyShared(t *testing.T) {
-	c, leader := offerRound(t, 50*time.Millisecond) // Δntry(0) = 50 ms, Δntry(1) = 250 ms
-	b1, bundle1 := c.block(1, "b1")
-	c.deliver(c.perm[1], bundle1, 10*time.Millisecond)
-	c.deliver(c.perm[3], c.nshare(b1, c.perm[3]), 20*time.Millisecond)
-	if offers := c.offersFor(2); len(offers) != 1 {
-		t.Fatalf("%d offers sent on the rank-1 block's first share, want 1", len(offers))
-	} else {
-		checkOffer(t, offers[0], leader, b1)
-	}
-	b0, bundle0 := c.block(0, "b0")
-	c.deliver(c.perm[0], bundle0, 100*time.Millisecond)
-	shares := c.sharesOf()
-	if len(shares) != 1 || shares[0].BlockHash != b0.Hash() {
-		t.Fatalf("own shares %v, want one, on the rank-0 block", shares)
-	}
-	offers := c.offersFor(2)
-	if len(offers) != 2 {
-		t.Fatalf("%d offers sent, want the early one on the rank-1 block and one on the rank-0 block", len(offers))
-	}
-	checkOffer(t, offers[1], leader, b0)
-}
-
-// refreshAt1 is the refresh instant of round 1 at ε = 50 ms, entered at
-// time 0: Δprop(0)/2 = 12.5 ms.
-const refreshAt1 = 12500 * time.Microsecond
-
-// TestOfferRefreshLeavesHalfwayToTheLeadersCut: a party that does not lead
-// the round cuts its offer for the round once more at Δprop(0)/2, and not
-// before; NextWake names that instant, and a passed one as due now.
-func TestOfferRefreshLeavesHalfwayToTheLeadersCut(t *testing.T) {
-	c, _ := offerRound(t, 50*time.Millisecond)
-	if at, ok := c.eng.NextWake(time.Millisecond); !ok || at != refreshAt1 {
-		t.Fatalf("next wake %v (%v), want the refresh at Δprop(0)/2 = %v", at, ok, refreshAt1)
-	}
-	late := refreshAt1 + time.Millisecond
-	if at, ok := c.eng.NextWake(late); !ok || at != late+1 {
-		t.Fatalf("next wake %v (%v) with the refresh instant passed and no refresh cut, want %v", at, ok, late+1)
-	}
-	c.tick(refreshAt1 - 1)
-	if n := len(c.offersFor(1)); n != 0 {
-		t.Fatalf("%d round-1 offers before Δprop(0)/2", n)
-	}
-	c.tick(refreshAt1)
-	offers := c.offersFor(1)
-	if len(offers) != 1 {
-		t.Fatalf("%d round-1 offers at Δprop(0)/2, want 1", len(offers))
-	}
-	if o, po := offers[0], offers[0].Msg.(*types.PayloadOffer); o.Broadcast || o.To != c.perm[0] || po.ParentHash != c.eng.Pool().RootHash() {
-		t.Fatalf("refresh on %s sent to %d (broadcast %v), want it on the root to the leader %d",
-			po.ParentHash.Short(), o.To, o.Broadcast, c.perm[0])
-	}
-	if at, ok := c.eng.NextWake(late); ok && at <= late+1 {
-		t.Fatalf("next wake %v after the refresh: the refresh is still reported due", at)
-	}
-	c.tick(20 * time.Millisecond)
-	if n := len(c.offersFor(1)); n != 1 {
-		t.Fatalf("%d round-1 offers, want the one refresh of the round", n)
-	}
-}
-
-// TestNoOfferRefreshAtZeroEpsilonByTheLeaderOrInReplay: at ε = 0 the
-// leader cuts its block on entering the round and nobody refreshes; the
-// leader never refreshes an offer to itself, nor wakes for one; and a
-// replaying engine neither wakes for a refresh nor cuts one.
-func TestNoOfferRefreshAtZeroEpsilonByTheLeaderOrInReplay(t *testing.T) {
-	c, _ := offerRound(t, 0)
-	for _, now := range []time.Duration{time.Millisecond, refreshAt1, 100 * time.Millisecond} {
-		c.tick(now)
-	}
-	if n := len(c.offersOut()); n != 0 {
-		t.Errorf("%d offers sent at ε = 0 with no block in the round", n)
-	}
-
-	replay, _ := offerRound(t, 50*time.Millisecond)
-	src := replay.eng.cfg.Payload.(*offeringSource)
-	replay.eng.replaying = true
-	if at, ok := replay.eng.NextWake(time.Millisecond); ok && at == refreshAt1 {
-		t.Errorf("a replaying engine wakes for the refresh at %v", at)
-	}
-	replay.tick(refreshAt1)
-	if n := len(replay.offersOut()); n != 0 || src.cuts != 0 {
-		t.Errorf("a replaying engine cut %d payloads and sent %d offers", src.cuts, n)
-	}
-
-	leader := newChoreographyWith(t, 4, 0, 100*time.Millisecond, func(cfg *Config) {
-		cfg.Epsilon = 50 * time.Millisecond
-		cfg.Payload = &offeringSource{}
-	})
-	leader.start()
-	if at, ok := leader.eng.NextWake(time.Millisecond); !ok || at != 25*time.Millisecond {
-		t.Errorf("the leader's next wake is %v (%v), want its own cut at Δprop(0) = 25ms", at, ok)
-	}
-	leader.tick(refreshAt1)
-	leader.tick(20 * time.Millisecond)
-	if n := len(leader.offersOut()); n != 0 {
-		t.Errorf("the leader sent %d offers", n)
-	}
-}
-
-// notarizeRound1On hands the engine every other party's notarization share
-// for b in one message at now: it finishes round 1 on b without sharing
-// it, and enters round 2 (offerRound gave it R_2).
-func (c *choreography) notarizeRound1On(b *types.Block, now time.Duration) {
-	c.t.Helper()
-	var shares []types.Message
-	for _, p := range c.perm {
-		if p != c.eng.ID() {
-			shares = append(shares, c.nshare(b, p))
-		}
-	}
-	c.deliver(c.perm[0], &types.Bundle{Messages: shares}, now)
-	if k := c.eng.CurrentRound(); k != 2 {
-		c.t.Fatalf("at round %d, want round 1 finished on %s", k, b.Hash().Short())
-	}
-}
-
-// TestOfferRefreshOnlyAddsToTheOfferOnItsParent: the round-2 refresh, due
-// Δprop(0)/2 after the party finished round 1 on b0, is sent when its cut
-// holds more than the early offer on b0, and not when the cut is
-// unchanged or when the early offer went out on another parent.
-func TestOfferRefreshOnlyAddsToTheOfferOnItsParent(t *testing.T) {
-	const finish = 20 * time.Millisecond
-	for _, tc := range []struct {
-		name        string
-		earlyOnRank int  // the block whose first foreign share draws the early offer
-		changed     bool // a command is admitted between the early offer and the refresh
-		wantRefresh bool
-	}{
-		{"changed cut", 0, true, true},
-		{"unchanged cut", 0, false, false},
-		{"early offer on another parent", 1, true, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, leader := offerRound(t, 50*time.Millisecond)
-			src := c.eng.cfg.Payload.(*offeringSource)
-			b0, bundle0 := c.block(0, "b0")
-			early, earlyBundle := b0, bundle0
-			if tc.earlyOnRank != 0 {
-				early, earlyBundle = c.block(tc.earlyOnRank, "early")
-			}
-			c.deliver(early.Proposer, earlyBundle, 5*time.Millisecond)
-			c.deliver(c.perm[3], c.nshare(early, c.perm[3]), 6*time.Millisecond)
-			if offers := c.offersFor(2); len(offers) != 1 {
-				t.Fatalf("%d early round-2 offers, want 1", len(offers))
-			} else {
-				checkOffer(t, offers[0], leader, early)
-			}
-			if early != b0 {
-				c.deliver(b0.Proposer, bundle0, 15*time.Millisecond)
-			}
-			c.notarizeRound1On(b0, finish)
-			if tc.changed {
-				src.extra = []byte("admitted since")
-			}
-			c.tick(finish + refreshAt1 - 1)
-			if n := len(c.offersFor(2)); n != 1 {
-				t.Fatalf("%d round-2 offers before Δprop(0)/2 into round 2, want the early one", n)
-			}
-			c.tick(finish + refreshAt1)
-			c.tick(finish + 20*time.Millisecond)
-			offers := c.offersFor(2)
-			if !tc.wantRefresh {
-				if len(offers) != 1 {
-					t.Fatalf("%d round-2 offers, want the early one only", len(offers))
-				}
-				return
-			}
-			if len(offers) != 2 {
-				t.Fatalf("%d round-2 offers, want the early one and its refresh", len(offers))
-			}
-			checkOffer(t, offers[1], leader, b0)
-			if got := offers[1].Msg.(*types.PayloadOffer).Payload; !bytes.Equal(got, append([]byte{2}, src.extra...)) {
-				t.Fatalf("refresh carries %q, want the new cut", got)
-			}
-		})
-	}
-}
-
-// leaderWithOffer builds a choreography around the leader of round 1,
-// enters the round at time 0 and delivers an offer for round 1 from the
-// party ranked second at 10 ms. It returns the offer outcomes reported.
-func leaderWithOffer(t *testing.T, epsilon time.Duration) (*choreography, *offeringSource, map[string]int) {
+// leaderWithOffer builds a choreography around the leader of round 1 with
+// a Queue, enters the round at time 0 and delivers a forward from the
+// party ranked second at 10 ms. It returns the outcomes reported.
+func leaderWithOffer(t *testing.T, epsilon time.Duration) (*choreography, map[string]int) {
 	t.Helper()
-	src, outcomes := &offeringSource{}, make(map[string]int)
+	outcomes := make(map[string]int)
 	c := newChoreographyWith(t, 4, 0, 100*time.Millisecond, func(cfg *Config) {
 		cfg.Epsilon = epsilon
-		cfg.Payload = src
-		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-			outcomes[outcome]++
-		}
+		cfg.Payload = statemachine.NewQueue()
+		cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
 	})
 	c.start()
-	c.deliver(c.perm[1], &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: []byte("offered")}, 10*time.Millisecond)
-	return c, src, outcomes
+	c.deliver(c.perm[1], forward(kvCommand(1, 1)), 10*time.Millisecond)
+	return c, outcomes
 }
 
 // TestOfferAfterEntryIsMergedAtPositiveEpsilon: with ε = 50 ms the leader
-// cuts its block at Δprop(0) = 25 ms, not on entry, so an offer that
+// cuts its block at Δprop(0) = 25 ms, not on entry, so a forward that
 // reaches it 10 ms into the round rides the block.
 func TestOfferAfterEntryIsMergedAtPositiveEpsilon(t *testing.T) {
-	c, src, outcomes := leaderWithOffer(t, 50*time.Millisecond)
+	c, outcomes := leaderWithOffer(t, 50*time.Millisecond)
 	if n := c.proposals(); n != 0 {
 		t.Fatalf("%d proposals before Δprop(0)", n)
 	}
@@ -563,161 +422,167 @@ func TestOfferAfterEntryIsMergedAtPositiveEpsilon(t *testing.T) {
 	if n := c.proposals(); n != 1 {
 		t.Fatalf("%d proposals at Δprop(0), want 1", n)
 	}
-	if src.merged != 1 || outcomes[OfferMerged] != 1 || outcomes[OfferLate] != 0 {
-		t.Fatalf("%d offers merged by the source, outcomes %v; want the one offer merged", src.merged, outcomes)
+	if outcomes[OfferHeld] != 1 || outcomes[OfferMerged] != 1 {
+		t.Fatalf("outcomes %v; want the one command held and merged", outcomes)
 	}
 }
 
-// TestLeaderMergesTheRefreshInPlaceOfTheEarlyOffer: a sender's refresh
-// replaces its early offer at the leader, which merges the refresh alone
-// and reports the early offer superseded.
-func TestLeaderMergesTheRefreshInPlaceOfTheEarlyOffer(t *testing.T) {
-	c, src, outcomes := leaderWithOffer(t, 50*time.Millisecond)
-	fresh := []byte("offered, and since")
-	c.deliver(c.perm[1], &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: fresh}, 20*time.Millisecond)
-	c.tick(25 * time.Millisecond)
+// TestLeaderProposesOnEntryAtZeroEpsilon: with ε = 0 the delays are eq. (2)
+// exactly, so the leader proposes the moment it enters the round, and a
+// forward 10 ms later is held for a later block.
+func TestLeaderProposesOnEntryAtZeroEpsilon(t *testing.T) {
+	c, outcomes := leaderWithOffer(t, 0)
 	if n := c.proposals(); n != 1 {
-		t.Fatalf("%d proposals at Δprop(0), want 1", n)
+		t.Fatalf("%d proposals on entry, want 1", n)
 	}
-	if len(src.delegated) != 1 || !bytes.Equal(src.delegated[0], fresh) {
-		t.Fatalf("merged %q, want the refresh alone", src.delegated)
-	}
-	if outcomes[OfferSuperseded] != 1 || outcomes[OfferMerged] != 1 {
-		t.Fatalf("outcomes %v, want the early offer superseded and the refresh merged", outcomes)
+	if outcomes[OfferHeld] != 1 || outcomes[OfferMerged] != 0 {
+		t.Fatalf("outcomes %v; want the command held and not merged", outcomes)
 	}
 }
 
-// TestOfferForARoundNotProposedInExpires: an offer held for a round that
-// ends before this party proposes in it is reported expired and dropped.
+// TestOfferForARoundNotProposedInExpires: a command held by a party that
+// never proposes it is dropped, expired, when another party's block
+// commits it.
 func TestOfferForARoundNotProposedInExpires(t *testing.T) {
 	outcomes := make(map[string]int)
+	q := statemachine.NewQueue()
 	c := newChoreographyWith(t, 4, 1, 100*time.Millisecond, func(cfg *Config) {
-		cfg.Payload = &offeringSource{}
-		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-			outcomes[outcome]++
-		}
+		cfg.Payload = q
+		cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
+		cfg.Hooks.OnCommit = func(b *types.Block, _ time.Duration) { q.MarkCommitted(b.Payload) }
 	})
 	c.start()
-	sender := c.perm[2]
-	c.deliver(sender, &types.PayloadOffer{Round: 1, ParentHash: c.eng.Pool().RootHash(), Payload: []byte("x")}, time.Millisecond)
-	b0, bundle0 := c.block(0, "b0")
-	c.deliver(b0.Proposer, bundle0, 2*time.Millisecond)
-	c.deliver(c.perm[0], c.nshare(b0, c.perm[0]), 3*time.Millisecond)
-	c.deliver(c.perm[2], c.nshare(b0, c.perm[2]), 3*time.Millisecond)
-	if k := c.eng.CurrentRound(); k != 2 {
-		t.Fatalf("at round %d, want round 1 finished", k)
+	cmd := kvCommand(9, 1)
+	c.deliver(c.perm[2], forward(cmd), time.Millisecond)
+	b0 := &types.Block{Round: 1, Proposer: c.perm[0], ParentHash: c.eng.Pool().RootHash(),
+		Payload: statemachine.EncodePayload([]statemachine.Command{cmd})}
+	c.deliver(b0.Proposer, c.bundleOf(b0), 2*time.Millisecond)
+	c.commit(b0, 3*time.Millisecond)
+	if want := (map[string]int{OfferHeld: 1, OfferExpired: 1}); len(outcomes) != 2 || outcomes[OfferHeld] != 1 || outcomes[OfferExpired] != 1 {
+		t.Fatalf("outcomes %v, want %v", outcomes, want)
 	}
-	if c.eng.offers[sender] != nil || outcomes[OfferExpired] != 1 || len(outcomes) != 1 {
-		t.Fatalf("outcomes %v, want the one offer expired and no longer held", outcomes)
+	if next := q.GetPayload(2, b0, c.eng.Pool().Block); next != nil {
+		t.Fatal("the committed command is still held")
 	}
 }
 
-// freshSource cuts a different payload every time it is asked, so every
-// refresh differs from the offer before it.
-type freshSource struct{ cuts uint64 }
-
-func (s *freshSource) GetPayload(types.Round, *types.Block, func(hash.Digest) *types.Block) []byte {
-	s.cuts++
-	return binary.BigEndian.AppendUint64(nil, s.cuts)
+// feedingEngine admits one command of its party's own client into the
+// party's queue for every interval of virtual time that has passed, up
+// to a count, as a gateway would.
+type feedingEngine struct {
+	engine.Engine
+	q            *statemachine.Queue
+	client       uint64
+	every        time.Duration
+	sent, target uint64
 }
 
-func (s *freshSource) GetPayloadWith(k types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block, _ [][]byte) []byte {
-	return s.GetPayload(k, parent, lookup)
+func (f *feedingEngine) feed(now time.Duration) {
+	for f.sent < f.target && time.Duration(f.sent)*f.every <= now {
+		f.sent++
+		if err := f.q.TrySubmit(kvCommand(f.client, f.sent)); err != nil {
+			panic(err)
+		}
+	}
 }
 
-// TestOfferOutcomesAddUp: on a cluster that loses nothing, every offer
-// sent for a round every party has finished is reported once by its
-// receiver — merged, late, parent_mismatch, refused, superseded or
-// expired — so late / sent means what it says.
+func (f *feedingEngine) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	f.feed(now)
+	return f.Engine.HandleMessage(from, m, now)
+}
+
+func (f *feedingEngine) Tick(now time.Duration) []engine.Output {
+	f.feed(now)
+	return f.Engine.Tick(now)
+}
+
+// TestOfferOutcomesAddUp: on a cluster that loses nothing, once every
+// command is committed everywhere, every command forwarded was held or
+// refused by its receiver, and every held one was merged or expired —
+// so merged / held means what it says.
 func TestOfferOutcomesAddUp(t *testing.T) {
-	const n, rounds = 4, 30
+	const n, commands = 4, 150
 	pub, privs, err := keys.Deal(rand.Reader, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := simnet.New(simnet.Options{Seed: 9, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
-	sent := make(map[types.Round]int)
-	received := make(map[types.Round]map[string]int)
-	engines := make([]*Engine, n)
-	for i := range engines {
-		engines[i] = NewEngine(Config{
+	outcomes := make(map[string]int)
+	kvs := make([]*statemachine.KV, n)
+	for i := range kvs {
+		q, kv := statemachine.NewQueue(), statemachine.NewKV()
+		kvs[i] = kv
+		eng := NewEngine(Config{
 			Self: types.PartyID(i), Keys: pub, Priv: privs[i], DeltaBound: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond,
 			Beacon:  beacon.NewSimulated(n, types.PartyID(i), pub.GenesisSeed),
-			Payload: &freshSource{},
-			Hooks: Hooks{OnPayloadOffer: func(_ types.PartyID, k types.Round, _ int, outcome string, _ time.Duration) {
-				if outcome == OfferSent {
-					sent[k]++
-					return
-				}
-				if received[k] == nil {
-					received[k] = make(map[string]int)
-				}
-				received[k][outcome]++
-			}},
+			Payload: q,
+			Hooks: Hooks{
+				OnPayloadOffer: outcomeCounter(outcomes),
+				OnCommit: func(b *types.Block, _ time.Duration) {
+					_ = kv.Apply(b.Payload)
+					q.MarkCommitted(b.Payload)
+				},
+			},
 		})
-		net.AddNode(engines[i], true)
+		net.AddNode(&feedingEngine{Engine: eng, q: q, client: uint64(i + 1), every: 7 * time.Millisecond, target: commands}, true)
 	}
 	net.Start()
 	if !net.RunUntil(func() bool {
-		for _, e := range engines {
-			if e.FinalizedRound() < rounds {
-				return false
+		for _, kv := range kvs {
+			for c := uint64(1); c <= n; c++ {
+				if kv.AppliedSeq(c) < commands {
+					return false
+				}
 			}
 		}
 		return true
 	}, time.Minute) {
-		t.Fatal("no progress")
+		t.Fatal("not every command was committed everywhere")
 	}
-	last := engines[0].CurrentRound()
-	for _, e := range engines {
-		last = min(last, e.CurrentRound())
+	net.Run(net.Now() + time.Second) // forwards still in flight land
+	if outcomes[OfferSent] != outcomes[OfferHeld]+outcomes[OfferRefused] {
+		t.Errorf("%d commands sent, %d held + %d refused: %v", outcomes[OfferSent], outcomes[OfferHeld], outcomes[OfferRefused], outcomes)
 	}
-	// Offers for a round go out in that round and the one before it, and
-	// take 10 ms: those for rounds two behind every party have all landed.
-	last -= 3
-	totals := make(map[string]int)
-	for k := types.Round(1); k <= last; k++ {
-		got := 0
-		for outcome, count := range received[k] {
-			got += count
-			totals[outcome] += count
-		}
-		totals[OfferSent] += sent[k]
-		if got != sent[k] {
-			t.Errorf("round %d: %d offers sent, %d outcomes reported: %v", k, sent[k], got, received[k])
-		}
+	if outcomes[OfferHeld] != outcomes[OfferMerged]+outcomes[OfferExpired] {
+		t.Errorf("%d commands held, %d merged + %d expired: %v", outcomes[OfferHeld], outcomes[OfferMerged], outcomes[OfferExpired], outcomes)
 	}
-	if totals[OfferSuperseded] == 0 || totals[OfferMerged] == 0 {
-		t.Errorf("rounds 1–%d exercised neither refreshes nor merges: %v", last, totals)
+	if outcomes[OfferMerged] == 0 || outcomes[OfferExpired] == 0 {
+		t.Errorf("the run exercised neither merges nor expiry: %v", outcomes)
 	}
-	t.Logf("rounds 1–%d: %v", last, totals)
+	t.Logf("outcomes: %v", outcomes)
 }
 
-// TestLeaderProposesOnEntryAtZeroEpsilon: with ε = 0 the delays are eq. (2)
-// exactly, so the leader proposes the moment it enters the round and the
-// same offer, 10 ms later, is late.
-func TestLeaderProposesOnEntryAtZeroEpsilon(t *testing.T) {
-	c, src, outcomes := leaderWithOffer(t, 0)
-	if n := c.proposals(); n != 1 {
-		t.Fatalf("%d proposals on entry, want 1", n)
-	}
-	if src.merged != 0 || outcomes[OfferLate] != 1 {
-		t.Fatalf("%d offers merged, outcomes %v; want the offer late", src.merged, outcomes)
-	}
+// countingQueue counts the engine's cuts and non-empty forwards.
+type countingQueue struct {
+	*statemachine.Queue
+	cuts, forwards int
 }
 
-// TestNoPayloadOfferDuringReplay runs a WAL-backed cluster whose payload
-// sources delegate, checks that offers flowed and that none reached a
-// log, then replays one party's log into a fresh engine: the replay asks
-// the beacon for no next leader, cuts no payload (neither an offer nor
-// its refresh), reports and queues no offer.
+func (q *countingQueue) GetPayload(k types.Round, parent *types.Block, lookup func(hash.Digest) *types.Block) []byte {
+	q.cuts++
+	return q.Queue.GetPayload(k, parent, lookup)
+}
+
+func (q *countingQueue) Forward(to types.PartyID, parent *types.Block, lookup func(hash.Digest) *types.Block) ([]byte, int) {
+	payload, cmds := q.Queue.Forward(to, parent, lookup)
+	if cmds > 0 {
+		q.forwards++
+	}
+	return payload, cmds
+}
+
+// TestNoPayloadOfferDuringReplay runs a WAL-backed cluster whose parties
+// each admit a command of their own every round, checks that forwards flowed and were
+// merged and that none reached a log, then replays one party's log into
+// a fresh engine: the replay asks the beacon for no next leader, cuts no
+// payload, forwards nothing and wakes for no forward.
 func TestNoPayloadOfferDuringReplay(t *testing.T) {
 	const n = 4
 	var (
 		beacons []*observingSource
-		sources []*offeringSource
-		sent    []int
+		queues  []*countingQueue
 	)
+	outcomes := make(map[string]int)
 	h := newDurableHarness(t, durableOptions{
 		n: n, seed: 41,
 		wrapBeacon: func(src beacon.Source) beacon.Source {
@@ -726,31 +591,34 @@ func TestNoPayloadOfferDuringReplay(t *testing.T) {
 			return o
 		},
 		conf: func(i int, cfg *Config) {
-			src := &offeringSource{}
-			sources = append(sources, src)
-			sent = append(sent, 0)
-			build := len(sent) - 1
-			cfg.Epsilon = 50 * time.Millisecond // the next leader is known when shares are cast
-			cfg.Payload = src
-			cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-				if outcome == OfferSent {
-					sent[build]++
-				}
+			q := &countingQueue{Queue: statemachine.NewQueue()}
+			queues = append(queues, q)
+			cfg.Epsilon = 50 * time.Millisecond // rank 0 cuts after entry
+			cfg.Payload = q
+			cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
+			// A command of the party's own client every round it enters
+			// (never during replay).
+			cfg.Hooks.OnEnterRound = func(k types.Round, _ time.Duration) {
+				_ = q.TrySubmit(kvCommand(uint64(i+1), uint64(k)))
 			}
 		},
 	})
 	h.net.Start()
 	h.runUntilFinalized(t, 30, 0, 1, 2, 3)
 	for i := 0; i < n; i++ {
-		if sent[i] == 0 || sources[i].merged == 0 {
-			t.Errorf("party %d sent %d offers and merged %d in 30 rounds: the live path was not exercised", i, sent[i], sources[i].merged)
+		if queues[i].forwards == 0 {
+			t.Errorf("party %d forwarded nothing in 30 rounds: the live path was not exercised", i)
 		}
 		if beacons[i].leaderAsks == 0 {
 			t.Errorf("party %d never asked for the next round's leader", i)
 		}
 	}
+	if outcomes[OfferMerged] == 0 {
+		t.Errorf("no forwarded command was merged: %v", outcomes)
+	}
 
 	h.net.Crash(0)
+	sent := outcomes[OfferSent]
 	rec := h.recoverParty(t, 0)
 	if rec.CurrentRound() < 10 {
 		t.Fatalf("replay reached round %d only", rec.CurrentRound())
@@ -758,20 +626,20 @@ func TestNoPayloadOfferDuringReplay(t *testing.T) {
 	if b := beacons[n]; b.leaderAsks != 0 {
 		t.Errorf("%d asks for the next leader during WAL replay", b.leaderAsks)
 	}
-	if s := sources[n]; s.cuts != 0 || s.merged != 0 {
-		t.Errorf("replay cut %d payloads and merged %d offers", s.cuts, s.merged)
+	if q := queues[n]; q.cuts != 0 || q.forwards != 0 {
+		t.Errorf("replay cut %d payloads and sent %d forwards", q.cuts, q.forwards)
 	}
-	if sent[n] != 0 {
-		t.Errorf("replay reported %d offers sent", sent[n])
+	if outcomes[OfferSent] != sent {
+		t.Errorf("replay reported %d commands sent", outcomes[OfferSent]-sent)
 	}
 	for _, o := range rec.out {
 		if _, ok := o.Msg.(*types.PayloadOffer); ok {
-			t.Error("a payload offer is queued for sending after replay")
+			t.Error("a forward is queued for sending after replay")
 		}
 	}
 	if err := h.wals[0].Replay(func(m types.Message) {
 		if _, ok := m.(*types.PayloadOffer); ok {
-			t.Error("a payload offer was written to the WAL")
+			t.Error("a forward was written to the WAL")
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -831,8 +699,8 @@ func TestEchoSkipsTheProposer(t *testing.T) {
 // TestPayloadBoundOnDefaultEngine: an engine configured with no bound at
 // all enforces types.MaxPayloadBytes. A block one byte over it is
 // rejected through OnRejectedMessage and reaches neither the pool nor the
-// WAL, while a block exactly at the bound is admitted and logged; an
-// offer one byte over is refused, and one at the bound is held.
+// WAL, while a block exactly at the bound is admitted and logged; a
+// forward one byte over is refused, and one at the bound is held.
 func TestPayloadBoundOnDefaultEngine(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{})
@@ -845,9 +713,7 @@ func TestPayloadBoundOnDefaultEngine(t *testing.T) {
 		cfg.Payload = statemachine.NewQueue()
 		cfg.WAL = log
 		cfg.Hooks.OnRejectedMessage = func(types.PartyID, string) { rejects++ }
-		cfg.Hooks.OnPayloadOffer = func(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-			outcomes[outcome]++
-		}
+		cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
 	})
 	c.start()
 
@@ -866,13 +732,20 @@ func TestPayloadBoundOnDefaultEngine(t *testing.T) {
 	}
 
 	sender := c.perm[3]
-	c.deliver(sender, &types.PayloadOffer{Round: 2, ParentHash: at.Hash(), Payload: make([]byte, types.MaxPayloadBytes+1)}, 3*time.Millisecond)
-	if outcomes[OfferRefused] != 1 || c.eng.offers[sender] != nil {
-		t.Fatalf("an offer one byte over the payload bound was not refused: outcomes %v", outcomes)
+	c.deliver(sender, &types.PayloadOffer{Round: 2, Payload: make([]byte, types.MaxPayloadBytes+1)}, 3*time.Millisecond)
+	if outcomes[OfferRefused] != 1 || outcomes[OfferHeld] != 0 {
+		t.Fatalf("a forward one byte over the payload bound was not refused: outcomes %v", outcomes)
 	}
-	c.deliver(sender, &types.PayloadOffer{Round: 2, ParentHash: at.Hash(), Payload: make([]byte, types.MaxPayloadBytes)}, 4*time.Millisecond)
-	if outcomes[OfferRefused] != 1 || c.eng.offers[sender] == nil {
-		t.Fatalf("an offer at the payload bound was not held: outcomes %v", outcomes)
+	// One command that fills a payload exactly: 4 bytes of count, 25 of
+	// fixed fields, a one-byte key, the rest value.
+	full := statemachine.Command{Client: 1, Seq: 1, Op: statemachine.OpSet, Key: "k", Value: make([]byte, types.MaxPayloadBytes-30)}
+	atBound := statemachine.EncodePayload([]statemachine.Command{full})
+	if len(atBound) != types.MaxPayloadBytes {
+		t.Fatalf("the forward at the bound is %d bytes", len(atBound))
+	}
+	c.deliver(sender, &types.PayloadOffer{Round: 2, Payload: atBound}, 4*time.Millisecond)
+	if outcomes[OfferRefused] != 1 || outcomes[OfferHeld] != 1 {
+		t.Fatalf("a forward at the payload bound was not held: outcomes %v", outcomes)
 	}
 
 	if err := log.Close(); err != nil {

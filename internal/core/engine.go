@@ -30,14 +30,11 @@ type Engine struct {
 	myRank     types.Rank
 	rankOf     map[types.PartyID]types.Rank
 	proposed   bool
-	notarized  map[hash.Digest]bool   // N: blocks I notarization-shared
-	rankShared map[types.Rank]bool    // ranks with a block in N
-	disq       map[types.Rank]bool    // D: disqualified ranks
-	echoed     map[hash.Digest]bool   // blocks already echoed (idempotence)
-	offered    map[hash.Digest][]byte // blocks an offer for round k+1 was sent on, with its payload
-	offeredK   map[hash.Digest][]byte // the same for round k's offers, sent during round k−1
-	refreshed  bool                   // round k's offer refresh is done (delegate.go)
-	waited     map[hash.Digest]bool   // blocks whose share Δntry held back
+	notarized  map[hash.Digest]bool // N: blocks I notarization-shared
+	rankShared map[types.Rank]bool  // ranks with a block in N
+	disq       map[types.Rank]bool  // D: disqualified ranks
+	echoed     map[hash.Digest]bool // blocks already echoed (idempotence)
+	waited     map[hash.Digest]bool // blocks whose share Δntry held back
 
 	// Finalization Subprotocol state.
 	kmax    types.Round // highest finalized round output so far
@@ -69,10 +66,9 @@ type Engine struct {
 	ckpts     map[types.Round]*pendingCheckpoint
 	ckptPub   aggsig.Scheme // S_final keys at t+1 under DomainCheckpoint
 
-	// Delegated payloads (delegate.go): the payload source's merging half,
-	// nil when it has none, and the latest offer held per sender.
+	// Delegated payloads (delegate.go): the payload source's forwarding
+	// half, nil when it has none.
 	delegate DelegatedPayloadSource
-	offers   []*types.PayloadOffer
 
 	// maxPayload refuses larger block payloads and payload offers:
 	// types.MaxPayloadBytes, an application-specific validity condition
@@ -98,7 +94,6 @@ func NewEngine(cfg Config) *Engine {
 		catchup:        newCatchup(cfg, resync),
 		ckpts:          make(map[types.Round]*pendingCheckpoint),
 		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
-		offers:         make([]*types.PayloadOffer, cfg.Keys.N),
 	}
 	e.delayProp, e.delayNtry = types.StandardDelays(cfg.DeltaBound, cfg.Epsilon)
 	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)
@@ -128,9 +123,6 @@ func (e *Engine) resetRoundState() {
 	e.rankShared = make(map[types.Rank]bool)
 	e.disq = make(map[types.Rank]bool)
 	e.echoed = make(map[hash.Digest]bool)
-	e.offered = make(map[hash.Digest][]byte)
-	e.offeredK = nil
-	e.refreshed = false
 	e.waited = make(map[hash.Digest]bool)
 	e.perm = nil
 	e.rankOf = nil
@@ -162,6 +154,7 @@ func (e *Engine) Init(now time.Duration) []engine.Output {
 		e.t0 = now
 	}
 	e.progress(now)
+	e.stream(now)
 	return e.drain()
 }
 
@@ -169,6 +162,7 @@ func (e *Engine) Init(now time.Duration) []engine.Output {
 func (e *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
 	e.ingest(from, m, now)
 	e.progress(now)
+	e.stream(now)
 	return e.drain()
 }
 
@@ -178,6 +172,7 @@ func (e *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 func (e *Engine) Tick(now time.Duration) []engine.Output {
 	e.maybeResync(now)
 	e.progress(now)
+	e.stream(now)
 	out := e.drain()
 	e.cfg.WAL.Flush()
 	return out
@@ -203,6 +198,16 @@ func (e *Engine) logArtifact(m types.Message) {
 		return
 	}
 	e.cfg.WAL.Append(m)
+}
+
+// Wake implements engine.Waker when the payload source signals
+// admissions: a command admitted while the engine waits on a timer is
+// forwarded on the Tick that answers it, not on the next message.
+func (e *Engine) Wake() <-chan struct{} {
+	if w, ok := e.cfg.Payload.(engine.Waker); ok && e.delegate != nil {
+		return w.Wake()
+	}
+	return nil
 }
 
 // Replaying reports whether a WAL replay is in progress (Recover).
@@ -287,7 +292,7 @@ func (e *Engine) ingest(from types.PartyID, m types.Message, now time.Duration) 
 	case *types.Status:
 		e.handleStatus(from, v, now)
 	case *types.PayloadOffer:
-		e.acceptOffer(from, v, now)
+		e.holdOffer(from, v, now)
 	default:
 		// Gossip and RBC messages are handled by wrapper engines; a bare
 		// ICC0 engine ignores them.
@@ -316,7 +321,6 @@ func (e *Engine) progress(now time.Duration) {
 			}
 			moved = e.tryPropose(now) || moved
 			moved = e.tryEchoNotarize(now) || moved
-			e.refreshOffer(now)
 		}
 		moved = e.runFinalizer(now) || moved
 		if !moved {
@@ -489,11 +493,8 @@ func (e *Engine) tryFinishRound(now time.Duration) bool {
 		e.cfg.Hooks.OnFinishRound(k, now)
 	}
 	e.adaptDelays()
-	e.dropOffers(k, now)
 	e.round = k + 1
-	offered := e.offered
 	e.resetRoundState()
-	e.offeredK = offered
 	e.waitSince = now
 	e.touchResync(now)
 	return true
@@ -533,13 +534,7 @@ func (e *Engine) tryPropose(now time.Duration) bool {
 	if !ok {
 		return false // cannot happen: round k−1 finished with one
 	}
-	parent := e.pool.Block(parentHash)
-	var payload []byte
-	if e.delegate != nil {
-		payload = e.delegate.GetPayloadWith(k, parent, e.pool.Block, e.delegatedFor(k, parentHash, now))
-	} else {
-		payload = e.cfg.Payload.GetPayload(k, parent, e.pool.Block)
-	}
+	payload := e.cfg.Payload.GetPayload(k, e.pool.Block(parentHash), e.pool.Block)
 	b := &types.Block{Round: k, Proposer: e.cfg.Self, ParentHash: parentHash, Payload: payload}
 	h := b.Hash()
 	auth := &types.Authenticator{
@@ -635,17 +630,11 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			continue
 		}
 		due := e.t0 + e.dntry(c.rank)
-		b := e.pool.Block(c.h)
 		if now < due {
-			// Still waiting out Δntry for the block it would share next:
-			// another party's share for it says the round may finish
-			// before this party's timer fires, so the offer leaves now.
 			e.waited[c.h] = true
-			if e.pool.NotarShareCount(c.h) > 0 {
-				e.offerPayload(b, c.h, now)
-			}
 			continue
 		}
+		b := e.pool.Block(c.h)
 		// Echo the block (not our own proposal — we broadcast that when
 		// proposing).
 		if c.rank != e.myRank && !e.echoed[c.h] {
@@ -679,10 +668,6 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 			if added, _ := e.pool.AddNotarizationShare(ns); added {
 				e.logArtifact(ns)
 			}
-			// Ahead of the share, unless another party's share already
-			// drew it out: the share may be the one that lets the next
-			// leader finish this round and propose.
-			e.offerPayload(b, c.h, now)
 			e.emit(ns)
 			if e.cfg.Hooks.OnNotarizationShare != nil {
 				var late time.Duration // 0 when Δntry, not the block, gated the share
@@ -785,9 +770,9 @@ func (e *Engine) maybePrune() {
 }
 
 // NextWake implements engine.Engine: the earliest Δprop/Δntry boundary
-// that could newly enable clause (b) or (c), or the round's offer refresh
-// (refreshAt). A boundary already passed
-// whose clause has not run is due now: the tick for it can lose the race
+// that could newly enable clause (b) or (c), or the instant the stream
+// turns to rank 1 while the rank-0 block is missing (overdueAt). A
+// boundary already passed whose clause has not run is due now: the tick for it can lose the race
 // against a message that never reaches the engine (an overlay's adverts
 // and requests), and the caller then asks again with a later now.
 func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
@@ -815,10 +800,10 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 	if !e.proposed {
 		consider(max(e.t0+e.dprop(e.myRank), now+1))
 	}
-	if e.refreshPending() {
-		consider(max(e.refreshAt(), now+1))
-	}
 	cs := e.candidates()
+	if e.delegate != nil && !e.replaying && (len(cs) == 0 || cs[0].rank > 0) {
+		consider(e.overdueAt())
+	}
 	for _, c := range cs {
 		if e.notarized[c.h] || e.disq[c.rank] || e.blocked(cs, c) {
 			continue

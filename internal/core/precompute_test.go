@@ -311,7 +311,7 @@ type observingSource struct {
 	behindOutput int
 	beforeCommit int
 	inReplay     int
-	leaderAsks   int // Leader(round+1): the payload-offer path's one call
+	leaderAsks   int // Leader(round+1): the command stream's one call
 }
 
 func (o *observingSource) attach(e *Engine) { o.eng = e }

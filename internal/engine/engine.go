@@ -75,3 +75,20 @@ type Engine interface {
 	// metrics attribution.
 	CurrentRound() types.Round
 }
+
+// Waker is an optional extension of Engine: a channel that receives when
+// something outside the host's messages and timers — a command admitted
+// to the payload source — gives the engine work. A host answers it with
+// Tick. Wrappers forward it with WakeOf.
+type Waker interface {
+	Wake() <-chan struct{}
+}
+
+// WakeOf returns e's wake channel, or nil (which never receives) when e
+// has none.
+func WakeOf(e Engine) <-chan struct{} {
+	if w, ok := e.(Waker); ok {
+		return w.Wake()
+	}
+	return nil
+}

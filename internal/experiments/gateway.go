@@ -36,7 +36,7 @@ func Gateway(scale Scale) *Table {
 		Notes: []string{
 			"4 parties, in-process transport, Δbnd 20ms, open-loop load for the configured window",
 			"wait / order / ack: the three stages of the p50, as medians — admitted → the block that committed the command is proposed; that proposal → the admitting party commits it; that commit → the client's waiter wakes",
-			"offers: payload offers merged : late (all parties), the rounds in which a command could ride another party's block",
+			"offers: forwarded commands merged : held (all parties), how many of the commands other parties forwarded rode this party's blocks",
 			"ryw: read-your-writes probes (write via one party, read with token on every party) — violations/probes",
 			"ack<final: acked commands not present in finalized local state at ack time (must be 0)",
 			"rejected: ErrBacklogFull admission rejections (lost open-loop ticks, never queued)",
@@ -76,7 +76,7 @@ func Gateway(scale Scale) *Table {
 			fmt.Sprintf("%.1fms", st.wait.Seconds()*1000),
 			fmt.Sprintf("%.1fms", st.order.Seconds()*1000),
 			fmt.Sprintf("%.1fms", st.ack.Seconds()*1000),
-			fmt.Sprintf("%d:%d", st.merged, st.late),
+			fmt.Sprintf("%d:%d", st.merged, st.held),
 			fmt.Sprintf("%d/%d", rywViol, probes),
 			fmt.Sprintf("%d", ackViol),
 		)
@@ -197,7 +197,7 @@ func (l *stageLog) onAck(gw int, admitted time.Time, ack gateway.Ack, acked time
 
 type stageReport struct {
 	wait, order, ack time.Duration // medians
-	merged, late     int
+	merged, held     int
 }
 
 func (l *stageLog) report() stageReport {
@@ -212,7 +212,7 @@ func (l *stageLog) report() stageReport {
 	}
 	return stageReport{
 		wait: median(l.wait), order: median(l.order), ack: median(l.ack),
-		merged: l.offers[core.OfferMerged], late: l.offers[core.OfferLate],
+		merged: l.offers[core.OfferMerged], held: l.offers[core.OfferHeld],
 	}
 }
 

@@ -563,6 +563,9 @@ func (g *Engine) ID() types.PartyID { return g.inner.ID() }
 // CurrentRound implements engine.Engine.
 func (g *Engine) CurrentRound() types.Round { return g.inner.CurrentRound() }
 
+// Wake implements engine.Waker for the inner engine.
+func (g *Engine) Wake() <-chan struct{} { return engine.WakeOf(g.inner) }
+
 // NextWake implements engine.Engine: the inner engine's deadline, or
 // whichever comes first of the pending batch's flush, the moment the
 // oldest held-back item has listened long enough, and the next fetch
@@ -620,7 +623,7 @@ func (g *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 	case *types.Request:
 		g.handleRequest(from, v)
 	case *types.PayloadOffer:
-		// Point-to-point and meant for this party's next proposal only:
+		// Point-to-point and meant for this party's own proposals only:
 		// straight to the engine, never stored, relayed or deduplicated.
 		g.disseminate(g.inner.HandleMessage(from, v, now), now)
 	default:

@@ -1,7 +1,8 @@
 package harness
 
 // The safety test of delegated payloads (core/delegate.go, DESIGN.md §19):
-// a payload offer is cut against one parent and may be used on no other.
+// a client's forwarded commands commit in Seq order, whichever blocks the
+// leaders build on and in whatever order the forwards arrive.
 
 import (
 	"encoding/binary"
@@ -60,81 +61,54 @@ func (f *feeder) Tick(now time.Duration) []engine.Output {
 	return f.Engine.Tick(now)
 }
 
-// offerWatch records, from one party's outputs, the parents it sent early
-// payload offers on and the blocks it notarization-shared, by round, and
-// the refreshes it sent.
-type offerWatch struct {
+// shareWatch records, from one party's outputs, the blocks it
+// notarization-shared, by round.
+type shareWatch struct {
 	engine.Engine
-	offeredOn map[types.Round][]hash.Digest        // round k → parents of its early offers for k+1, in order
-	shared    map[types.Round]map[hash.Digest]bool // round k → blocks it shared
-	refreshes map[*types.PayloadOffer]bool         // offers for the round the party was in
-	incoming  *types.PayloadOffer                  // the offer being handed to the party, if any
+	shared map[types.Round]map[hash.Digest]bool
 }
 
-func newOfferWatch(inner engine.Engine) *offerWatch {
-	return &offerWatch{
-		Engine:    inner,
-		offeredOn: make(map[types.Round][]hash.Digest),
-		shared:    make(map[types.Round]map[hash.Digest]bool),
-		refreshes: make(map[*types.PayloadOffer]bool),
-	}
+func (w *shareWatch) Init(now time.Duration) []engine.Output { return w.see(w.Engine.Init(now)) }
+
+func (w *shareWatch) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	return w.see(w.Engine.HandleMessage(from, m, now))
 }
 
-func (w *offerWatch) Init(now time.Duration) []engine.Output {
-	return w.see(w.CurrentRound(), w.Engine.Init(now))
-}
+func (w *shareWatch) Tick(now time.Duration) []engine.Output { return w.see(w.Engine.Tick(now)) }
 
-func (w *offerWatch) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
-	w.incoming, _ = m.(*types.PayloadOffer)
-	defer func() { w.incoming = nil }()
-	return w.see(w.CurrentRound(), w.Engine.HandleMessage(from, m, now))
-}
-
-func (w *offerWatch) Tick(now time.Duration) []engine.Output {
-	return w.see(w.CurrentRound(), w.Engine.Tick(now))
-}
-
-// see files the outputs of one call that began in round before. An early
-// offer for round k leaves during round k−1, a refresh during round k and
-// never in the call that enters k (it waits Δprop(0)/2 > 0), so an offer
-// for a round at or below before is a refresh.
-func (w *offerWatch) see(before types.Round, outs []engine.Output) []engine.Output {
+func (w *shareWatch) see(outs []engine.Output) []engine.Output {
 	for _, o := range outs {
-		switch m := o.Msg.(type) {
-		case *types.PayloadOffer:
-			if m.Round <= before {
-				w.refreshes[m] = true
-				continue
+		if m, ok := o.Msg.(*types.NotarizationShare); ok && m.Signer == w.ID() {
+			if w.shared[m.Round] == nil {
+				w.shared[m.Round] = make(map[hash.Digest]bool)
 			}
-			w.offeredOn[m.Round-1] = append(w.offeredOn[m.Round-1], m.ParentHash)
-		case *types.NotarizationShare:
-			if m.Signer == w.ID() {
-				if w.shared[m.Round] == nil {
-					w.shared[m.Round] = make(map[hash.Digest]bool)
-				}
-				w.shared[m.Round][m.BlockHash] = true
-			}
+			w.shared[m.Round][m.BlockHash] = true
 		}
 	}
 	return outs
 }
 
-// reoffers counts the rounds in which the party offered early on a block
-// it never shared, then shared another block and offered on that one.
-func (w *offerWatch) reoffers() int {
-	count := 0
-	for k, parents := range w.offeredOn {
-		early := false
-		for _, p := range parents {
-			if !w.shared[k][p] {
-				early = true
-			} else if early {
-				count++
-				break
+// forkedRounds counts the rounds in which the parties' notarization
+// shares went to more than one block.
+func forkedRounds(ws []*shareWatch) int {
+	blocks := make(map[types.Round]map[hash.Digest]bool)
+	for _, w := range ws {
+		for k, hs := range w.shared {
+			if blocks[k] == nil {
+				blocks[k] = make(map[hash.Digest]bool)
+			}
+			for h := range hs {
+				blocks[k][h] = true
 			}
 		}
 	}
-	return count
+	forked := 0
+	for _, hs := range blocks {
+		if len(hs) > 1 {
+			forked++
+		}
+	}
+	return forked
 }
 
 // delayOwnProposals holds a party's own block proposals back by d: with d
@@ -158,16 +132,17 @@ func delayOwnProposals(inner *core.Engine, d time.Duration) engine.Engine {
 // TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds drives four parties,
 // each with a steady stream of commands from a client of its own, through
 // rounds in which the leader's block arrives about when the rank-1 block
-// is due to be notarization-shared. In such a round the rank-1 proposer's
-// own block carries commands the leader's block lacks, and the offer it
-// cuts over its own block for the next leader therefore starts at a later
-// sequence number. If the next leader builds on the other block, using
-// that offer would commit the later commands first and every replica's
-// per-client watermark would skip the earlier ones for good: an
-// acknowledged write nobody can read. The proposer must drop the offer
-// (parent_mismatch); the commands then ride a later block in order.
+// is due to be notarization-shared, over links whose delays reorder
+// messages. A party then forwards a command to a leader as "in the chain"
+// of a block that leader does not build on, or its forwards overtake one
+// another, and the leader holds a client's later command without the
+// earlier one. Committing the later one first would make every replica's
+// per-client watermark skip the earlier one for good: an acknowledged
+// write nobody can read. The Seq rule (statemachine.Queue.GetPayload)
+// holds the later command back until the earlier one is committed or in
+// the chain; the commands then ride in order.
 //
-// Mutation check: with the ParentHash test in core.delegatedFor removed
+// Mutation check: with the Seq rule's test in Queue.GetPayload removed
 // this test fails (writes missing on every party).
 func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	const (
@@ -184,10 +159,9 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	}
 	net := simnet.New(simnet.Options{Seed: 11, Delay: simnet.Uniform{Min: time.Millisecond, Max: 30 * time.Millisecond}})
 	outcomes := make(map[string]int)
-	refreshesLate := 0
 	kvs := make([]*statemachine.KV, n)
 	feeders := make([]*feeder, n)
-	watches := make([]*offerWatch, n)
+	watches := make([]*shareWatch, n)
 	for i := 0; i < n; i++ {
 		pid := types.PartyID(i)
 		q, kv := statemachine.NewQueue(), statemachine.NewKV()
@@ -204,11 +178,8 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 					}
 					q.MarkCommitted(b.Payload)
 				},
-				OnPayloadOffer: func(peer types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
-					outcomes[outcome]++
-					if in := watches[pid].incoming; outcome == core.OfferLate && in != nil && watches[peer].refreshes[in] {
-						refreshesLate++
-					}
+				OnPayloadOffer: func(_ types.PartyID, _ types.Round, cmds int, outcome string, _ time.Duration) {
+					outcomes[outcome] += cmds
 				},
 			},
 		})
@@ -216,12 +187,11 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 		if i == slow {
 			// Δprop(0) = ε/2 = 25 ms, Δntry(1) = 250 ms: the leader's block
 			// is cut 25 ms into the round and lands between 241 and 270 ms,
-			// so that a party that entered the round late may see another
-			// party's share for the rank-1 block, offer on it early, and
-			// then share the leader's.
+			// about when the rank-1 block is due to be shared, so parties
+			// may share different blocks of the round.
 			eng = delayOwnProposals(inner, 215*time.Millisecond)
 		}
-		watches[i] = newOfferWatch(eng)
+		watches[i] = &shareWatch{Engine: eng, shared: make(map[types.Round]map[hash.Digest]bool)}
 		feeders[i] = &feeder{Engine: watches[i], q: q, client: uint64(i + 1), every: every, stop: load}
 		net.AddNode(feeders[i], true)
 	}
@@ -242,24 +212,11 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 	}
 	net.Run(net.Now() + 3*time.Second) // every party commits what the fastest has
 
-	if outcomes[core.OfferMerged] == 0 || outcomes[core.OfferParentMismatch] == 0 {
-		t.Errorf("the run did not exercise both paths: offer outcomes %v", outcomes)
+	forked := forkedRounds(watches)
+	if outcomes[core.OfferMerged] == 0 || forked == 0 {
+		t.Errorf("the run did not exercise the stream across forked rounds: %d forked rounds, outcomes %v", forked, outcomes)
 	}
-	// A party that offered early on one block of a forked round and then
-	// shared the other re-offers on the other: the offer the next leader
-	// may merge is the one cut against the block it builds on.
-	reoffers := 0
-	for _, w := range watches {
-		reoffers += w.reoffers()
-	}
-	if reoffers == 0 {
-		t.Error("no party offered early on one block of a round and then shared, and re-offered on, another")
-	}
-	refreshes := 0
-	for _, w := range watches {
-		refreshes += len(w.refreshes)
-	}
-	t.Logf("offer outcomes: %v; rounds with a re-offer: %d; refreshes sent: %d, late: %d", outcomes, reoffers, refreshes, refreshesLate)
+	t.Logf("forwarded-command outcomes: %v; forked rounds: %d", outcomes, forked)
 	var total int
 	for _, f := range feeders {
 		total += int(f.sent)

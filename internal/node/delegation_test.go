@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/adversary"
 	"icc/internal/beacon"
 	"icc/internal/core"
 	"icc/internal/crypto/keys"
@@ -36,12 +37,12 @@ func rideCommand(s int) statemachine.Command {
 
 type rideCmd struct{ client, seq uint64 }
 
-// rideLog records every party's commits and every offer outcome.
+// rideLog records every party's commits and every forwarded-command outcome.
 type rideLog struct {
 	mu       sync.Mutex
 	proposer map[types.Round]types.PartyID // as party home committed them
 	carried  []map[rideCmd]types.Round     // per party: the round that committed a command
-	offers   map[string]int                // outcome → count, all parties
+	offers   map[string]int                // outcome → commands, all parties
 	twice    []string
 }
 
@@ -73,9 +74,9 @@ func (l *rideLog) commit(t *testing.T, i int, b *types.Block) {
 	}
 }
 
-func (l *rideLog) offer(_ types.PartyID, _ types.Round, _ int, outcome string, _ time.Duration) {
+func (l *rideLog) offer(_ types.PartyID, _ types.Round, cmds int, outcome string, _ time.Duration) {
 	l.mu.Lock()
-	l.offers[outcome]++
+	l.offers[outcome] += cmds
 	l.mu.Unlock()
 }
 
@@ -111,7 +112,7 @@ func (l *rideLog) check(t *testing.T, kvs []*statemachine.KV) {
 	}
 	t.Logf("%d of %d commands committed in other parties' blocks; offers %v", byOthers, rideCommands, l.offers)
 	if l.offers[core.OfferMerged] == 0 {
-		t.Errorf("no offer was ever merged: %v", l.offers)
+		t.Errorf("no forwarded command was ever merged: %v", l.offers)
 	}
 	// Party home leads one round in four; most commands must not have
 	// waited for that (before delegated payloads: none).
@@ -269,4 +270,177 @@ func (s *rideSubmitter) HandleMessage(from types.PartyID, m types.Message, now t
 func (s *rideSubmitter) Tick(now time.Duration) []engine.Output {
 	s.submit(now)
 	return s.Engine.Tick(now)
+}
+
+// steadySubmitter admits one command of its own client into its party's
+// queue every interval of virtual time until stop, waking for each as a
+// gateway's admission would, and records when each was admitted.
+type steadySubmitter struct {
+	engine.Engine
+	q        *statemachine.Queue
+	client   uint64
+	every    time.Duration
+	stop     time.Duration
+	admitted []time.Duration // by Seq−1
+}
+
+func (s *steadySubmitter) due() time.Duration { return time.Duration(len(s.admitted)) * s.every }
+
+func (s *steadySubmitter) submit(now time.Duration) {
+	for s.due() < s.stop && s.due() <= now {
+		seq := uint64(len(s.admitted) + 1)
+		if err := s.q.TrySubmit(statemachine.Command{Client: s.client, Seq: seq, Op: statemachine.OpSet, Key: "k", Value: []byte{byte(seq)}}); err != nil {
+			panic(err)
+		}
+		s.admitted = append(s.admitted, now)
+	}
+}
+
+func (s *steadySubmitter) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	s.submit(now)
+	return s.Engine.HandleMessage(from, m, now)
+}
+
+func (s *steadySubmitter) Tick(now time.Duration) []engine.Output {
+	s.submit(now)
+	return s.Engine.Tick(now)
+}
+
+func (s *steadySubmitter) NextWake(now time.Duration) (time.Duration, bool) {
+	at, ok := s.Engine.NextWake(now)
+	if due := max(s.due(), now+1); s.due() < s.stop && (!ok || due < at) {
+		return due, true
+	}
+	return at, ok
+}
+
+// TestCommandsAdmittedInASilentRoundRideRankOnesBlock: at n = 4, ε = 0
+// and Δbnd = 20 ms (the bench's leaderfail-n4 shape), party 3 never
+// disseminates its blocks. In a round it leads, rank 1 cuts the round's
+// block at Δprop(1) = 40 ms. A command admitted at another party in the
+// first 30 ms of that round goes to rank 1 from Δprop(0) + Δbnd = 20 ms
+// on, and rides rank 1's block, not a later one.
+func TestCommandsAdmittedInASilentRoundRideRankOnesBlock(t *testing.T) {
+	const (
+		n, silent = 4, 3
+		every     = 3 * time.Millisecond
+		load      = 5 * time.Second
+		seed      = 23
+	)
+	pub, privs, err := keys.Deal(rand.New(rand.NewSource(seed)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(simnet.Options{Seed: seed, Delay: simnet.Uniform{Min: 100 * time.Microsecond, Max: 2 * time.Millisecond}})
+	entered := make([]map[types.Round]time.Duration, n)
+	perms := make([]map[types.Round][]types.PartyID, n)
+	committedIn := make([]map[uint64]types.Round, n) // at the home party: Seq → round
+	subs := make([]*steadySubmitter, n)
+	for i := 0; i < n; i++ {
+		i, pid := i, types.PartyID(i)
+		entered[i], perms[i], committedIn[i] = make(map[types.Round]time.Duration), make(map[types.Round][]types.PartyID), make(map[uint64]types.Round)
+		q, kv := statemachine.NewQueue(), statemachine.NewKV()
+		bcn := beacon.NewSimulated(n, pid, pub.GenesisSeed)
+		var wrap func(*core.Engine) engine.Engine
+		if i == silent {
+			wrap = adversary.NewSilentLeader
+		}
+		_, eng, err := node.Stack(core.Config{
+			Self: pid, Keys: pub, Priv: privs[i],
+			Beacon: bcn, DeltaBound: 20 * time.Millisecond,
+			Payload: q,
+			Hooks: core.Hooks{
+				OnEnterRound: func(k types.Round, now time.Duration) {
+					entered[i][k] = now
+					perms[i][k], _ = bcn.Permutation(k)
+				},
+				OnCommit: func(b *types.Block, _ time.Duration) {
+					_ = kv.Apply(b.Payload)
+					q.MarkCommitted(b.Payload)
+					cmds, _ := statemachine.DecodePayload(b.Payload)
+					for _, c := range cmds {
+						if c.Client == uint64(i+1) {
+							committedIn[i][c.Seq] = b.Round
+						}
+					}
+				},
+			},
+		}, wrap, node.ICC0, node.Overlay{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != silent {
+			subs[i] = &steadySubmitter{Engine: eng, q: q, client: uint64(i + 1), every: every, stop: load}
+			eng = subs[i]
+		}
+		net.AddNode(eng, i != silent)
+	}
+	net.Start()
+	done := func() bool {
+		for i, s := range subs {
+			if s != nil && (s.due() < load || len(committedIn[i]) < len(s.admitted)) {
+				return false
+			}
+		}
+		return true
+	}
+	if !net.RunUntil(done, load+30*time.Second) {
+		t.Fatal("not every command was committed at its home party")
+	}
+	checked, late := 0, 0
+	for i, s := range subs {
+		if s == nil {
+			continue
+		}
+		for k, at := range entered[i] {
+			perm := perms[i][k]
+			if len(perm) < 2 || perm[0] != silent || perm[1] == types.PartyID(i) {
+				continue
+			}
+			for seq, a := range s.admitted {
+				if a < at || a >= at+30*time.Millisecond {
+					continue
+				}
+				checked++
+				if got := committedIn[i][uint64(seq+1)]; got != k {
+					late++
+					if late <= 5 {
+						t.Errorf("party %d admitted Seq %d %v into silent round %d; it rode round %d's block", i, seq+1, a-at, k, got)
+					}
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d commands were admitted early in a silent round led by party %d", checked, silent)
+	}
+	if late > 0 {
+		t.Errorf("%d of %d commands admitted early in a silent round missed rank 1's block", late, checked)
+	}
+	t.Logf("%d commands admitted in the first 30 ms of silent rounds rode rank 1's block", checked-late)
+}
+
+// TestStackForwardsTheAdmissionWake: whatever the mode and with a
+// Byzantine filter in between, the outermost layer of a stack over a
+// command queue hands the runner that queue's admission signal.
+func TestStackForwardsTheAdmissionWake(t *testing.T) {
+	const n = 4
+	pub, privs, err := keys.Deal(rand.New(rand.NewSource(1)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []node.Mode{node.ICC0, node.ICC1, node.ICC2} {
+		q := statemachine.NewQueue()
+		_, eng, err := node.Stack(core.Config{
+			Self: 0, Keys: pub, Priv: privs[0],
+			Beacon:  beacon.NewSimulated(n, 0, pub.GenesisSeed),
+			Payload: q,
+		}, adversary.NewSilentLeader, mode, node.Overlay{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.WakeOf(eng) != q.Wake() {
+			t.Errorf("%v: the stack does not hand out the queue's admission signal", mode)
+		}
+	}
 }

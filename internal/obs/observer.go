@@ -104,6 +104,7 @@ type Observer struct {
 	backfillDefer  *Counter
 	msgsReceived   *Counter
 	ticks          *Counter
+	wakes          *Counter
 	ranksDisq      *Counter
 	rejects        *CounterVec
 	payloadOffers  *CounterVec
@@ -120,6 +121,7 @@ type Observer struct {
 	notarShareDelay *Histogram
 	shareAfterNtry  *Histogram
 	finalShareDelay *Histogram
+	tickLate        *Histogram
 
 	mu      sync.Mutex
 	enterAt map[uint64]time.Duration // round → protocol time it was entered
@@ -164,9 +166,10 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		backfillDefer:  reg.Counter("icc_resync_backfill_rounds_deferred_total", "Catch-up share rounds handed to the async backfill worker."),
 		msgsReceived:   reg.Counter("icc_runtime_messages_received_total", "Messages delivered to the engine event loop."),
 		ticks:          reg.Counter("icc_runtime_ticks_total", "Timer ticks delivered to the engine event loop."),
+		wakes:          reg.Counter("icc_runtime_admission_wakes_total", "Ticks delivered to the engine event loop because the payload source admitted a command."),
 		ranksDisq:      reg.Counter("icc_ranks_disqualified_total", "Proposer ranks disqualified for equivocation (Fig. 1 clause (c))."),
 		rejects:        reg.CounterVec("icc_verify_rejects_total", "Inbound artifacts rejected at admission, by reason.", "reason"),
-		payloadOffers:  reg.CounterVec("icc_core_payload_offers_total", "Payload offers to and from a round's leader, by outcome (sent, merged, late, parent_mismatch, refused, superseded, expired).", "outcome"),
+		payloadOffers:  reg.CounterVec("icc_core_payload_offers_total", "Commands forwarded to and from the parties that may cut the next block, by outcome (sent; at the receiver held or refused; held ones later merged or expired).", "outcome"),
 		ckptCreated:    reg.Counter("icc_checkpoint_created_total", "Certified checkpoints this node assembled (own share plus t matching peer shares)."),
 		ckptInstalled:  reg.Counter("icc_checkpoint_installed_total", "Certified checkpoints installed from peers (behind-horizon restores)."),
 		ckptServed:     reg.Counter("icc_checkpoint_served_total", "Checkpoint transfers offered to peers stuck behind the prune horizon."),
@@ -180,6 +183,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		notarShareDelay: reg.Histogram("icc_notarization_share_delay_seconds", "Round entry to this node's notarization share.", nil),
 		shareAfterNtry:  reg.Histogram("icc_core_share_after_ntry_seconds", "How long after its own Δntry(r) this node cast a notarization share: 0 when the timer gated it, above 0 when the block arrived late.", append([]float64{0}, DefBuckets...)),
 		finalShareDelay: reg.Histogram("icc_finalization_share_delay_seconds", "Round entry to this node's finalization share.", nil),
+		tickLate:        reg.Histogram("icc_runtime_tick_late_seconds", "From the instant the engine asked to be woken (NextWake) to the Tick that woke it.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
 	}
 	return o
 }
@@ -373,15 +377,15 @@ func (o *Observer) RejectedMessage(reason string) {
 	o.rejects.With(reason).Inc()
 }
 
-// PayloadOffer records one delegated-payload offer: sent by this node to
-// the round's leader (peer), or received from peer and merged into this
-// node's proposal, late, cut against another parent, or refused.
-func (o *Observer) PayloadOffer(peer int, k uint64, payloadBytes int, outcome string) {
+// PayloadOffer records cmds forwarded commands of one outcome
+// (core.Offer*): sent by this node to peer, or received from peer and
+// held, refused, merged into this node's proposal, or expired.
+func (o *Observer) PayloadOffer(peer int, k uint64, cmds int, outcome string) {
 	if o == nil {
 		return
 	}
-	o.payloadOffers.With(outcome).Inc()
-	o.trace(KindPayloadOffer, k, outcome+": peer "+strconv.Itoa(peer)+", "+strconv.Itoa(payloadBytes)+" command bytes")
+	o.payloadOffers.With(outcome).Add(int64(cmds))
+	o.trace(KindPayloadOffer, k, outcome+": peer "+strconv.Itoa(peer)+", "+strconv.Itoa(cmds)+" commands")
 }
 
 // MessageReceived records one message delivered to the event loop.
@@ -392,10 +396,21 @@ func (o *Observer) MessageReceived() {
 	o.msgsReceived.Inc()
 }
 
-// TickFired records one timer tick delivered to the event loop.
-func (o *Observer) TickFired() {
+// TickFired records one timer tick delivered to the event loop, late
+// after the instant the engine asked for.
+func (o *Observer) TickFired(late time.Duration) {
 	if o == nil {
 		return
 	}
 	o.ticks.Inc()
+	o.tickLate.Observe(late.Seconds())
+}
+
+// AdmissionWake records one tick delivered because the payload source
+// admitted a command.
+func (o *Observer) AdmissionWake() {
+	if o == nil {
+		return
+	}
+	o.wakes.Inc()
 }

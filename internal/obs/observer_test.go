@@ -17,12 +17,13 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 	o.FinalizationShare(1, 160*time.Millisecond)
 	o.Commit(1, 64, 200*time.Millisecond)
 	o.Resync(2, 300*time.Millisecond)
-	o.PayloadOffer(2, 2, 120, "sent")
-	o.PayloadOffer(1, 2, 80, "late")
-	o.PayloadOffer(0, 2, 90, "late")
+	o.PayloadOffer(2, 2, 5, "sent")
+	o.PayloadOffer(1, 2, 3, "held")
+	o.PayloadOffer(0, 2, 4, "held")
 	o.MessageReceived()
 	o.MessageReceived()
-	o.TickFired()
+	o.TickFired(300 * time.Microsecond)
+	o.AdmissionWake()
 
 	snap := o.Registry.Snapshot()
 	for key, want := range map[string]float64{
@@ -34,10 +35,13 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 		"icc_blocks_committed_total":                    1,
 		"icc_committed_payload_bytes_total":             64,
 		"icc_resyncs_total":                             1,
-		`icc_core_payload_offers_total{outcome="sent"}`: 1,
-		`icc_core_payload_offers_total{outcome="late"}`: 2,
+		`icc_core_payload_offers_total{outcome="sent"}`: 5,
+		`icc_core_payload_offers_total{outcome="held"}`: 7,
 		"icc_runtime_messages_received_total":           2,
 		"icc_runtime_ticks_total":                       1,
+		"icc_runtime_admission_wakes_total":             1,
+		"icc_runtime_tick_late_seconds_count":           1,
+		"icc_runtime_tick_late_seconds_sum":             0.0003,
 		"icc_current_round":                             1,
 		"icc_finalized_round":                           1,
 		"icc_beacon_wait_seconds_count":                 1,
@@ -78,11 +82,11 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 		t.Fatalf("%d payload-offer events traced, want 3", kinds[KindPayloadOffer])
 	}
 	for _, e := range events {
-		if e.Kind == KindPayloadOffer && e.Round == 2 && e.Detail == "sent: peer 2, 120 command bytes" {
+		if e.Kind == KindPayloadOffer && e.Round == 2 && e.Detail == "sent: peer 2, 5 commands" {
 			return
 		}
 	}
-	t.Fatalf("no trace event names the sent offer's peer, round and size: %+v", events)
+	t.Fatalf("no trace event names the sent commands' peer, round and count: %+v", events)
 }
 
 func TestObserverSharedRegistryAggregates(t *testing.T) {
@@ -108,7 +112,8 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	o.Resync(1, 0)
 	o.PayloadOffer(1, 1, 10, "sent")
 	o.MessageReceived()
-	o.TickFired()
+	o.TickFired(0)
+	o.AdmissionWake()
 }
 
 func TestHealthTrackerStallDetection(t *testing.T) {

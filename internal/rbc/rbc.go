@@ -102,6 +102,9 @@ func (r *Engine) CurrentRound() types.Round { return r.inner.CurrentRound() }
 // NextWake implements engine.Engine.
 func (r *Engine) NextWake(now time.Duration) (time.Duration, bool) { return r.inner.NextWake(now) }
 
+// Wake implements engine.Waker for the inner engine.
+func (r *Engine) Wake() <-chan struct{} { return engine.WakeOf(r.inner) }
+
 // Init implements engine.Engine.
 func (r *Engine) Init(now time.Duration) []engine.Output {
 	r.transform(r.inner.Init(now))

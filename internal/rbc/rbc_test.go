@@ -262,7 +262,7 @@ func TestEchoKeepsItsExceptionAndOffersPassThrough(t *testing.T) {
 	const n = 4
 	b := &types.Block{Round: 1, Proposer: 2, Payload: []byte("theirs")}
 	auth := &types.Authenticator{Round: 1, Proposer: 2, BlockHash: b.Hash(), Sig: []byte{1}}
-	offer := &types.PayloadOffer{Round: 2, ParentHash: b.Hash(), Payload: []byte("commands")}
+	offer := &types.PayloadOffer{Round: 2, Payload: []byte("commands")}
 	inner := &sink{id: 0, initOut: []engine.Output{
 		engine.BroadcastExcept(2, &types.Bundle{Messages: []types.Message{&types.BlockMsg{Block: b}, auth}}),
 		engine.Unicast(3, offer),

@@ -29,6 +29,10 @@ type Runner struct {
 	pipe  *verify.Pipeline
 	bfill *backfill.Worker
 
+	// wakeAt is the instant the timer is armed for: the engine's NextWake,
+	// or the idle heartbeat.
+	wakeAt time.Duration
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -101,6 +105,10 @@ func (r *Runner) loop() {
 		verified = r.pipe.Out()
 	}
 
+	// A command admitted to the payload source while the engine waits on
+	// a timer is answered with a Tick, so the engine forwards it now.
+	wake := engine.WakeOf(r.eng)
+
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -139,8 +147,7 @@ func (r *Runner) loop() {
 						// loop.
 						r.armTimer(timer)
 					case <-timer.C:
-						r.obs.TickFired()
-						r.send(r.eng.Tick(r.clk.Now()))
+						r.tick()
 						r.noteRound()
 						r.armTimer(timer)
 					}
@@ -155,11 +162,21 @@ func (r *Runner) loop() {
 			r.send(r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
 			r.noteRound()
 		case <-timer.C:
-			r.obs.TickFired()
+			r.tick()
+			r.noteRound()
+		case <-wake:
+			r.obs.AdmissionWake()
 			r.send(r.eng.Tick(r.clk.Now()))
 			r.noteRound()
 		}
 	}
+}
+
+// tick delivers a timer tick, recording how late it came.
+func (r *Runner) tick() {
+	now := r.clk.Now()
+	r.obs.TickFired(max(now-r.wakeAt, 0))
+	r.send(r.eng.Tick(now))
 }
 
 // noteRound feeds the engine's working round to the verification
@@ -181,15 +198,12 @@ func (r *Runner) armTimer(timer *time.Timer) {
 		}
 	}
 	now := r.clk.Now()
-	if at, ok := r.eng.NextWake(now); ok {
-		d := at - now
-		if d < 0 {
-			d = 0
-		}
-		timer.Reset(d)
-		return
+	at, ok := r.eng.NextWake(now)
+	if !ok {
+		at = now + time.Hour // no pending wake: idle heartbeat
 	}
-	timer.Reset(time.Hour) // no pending wake: idle heartbeat
+	r.wakeAt = max(at, now)
+	timer.Reset(r.wakeAt - now)
 }
 
 // send pushes engine outputs into the transport. Failures are counted,

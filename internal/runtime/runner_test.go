@@ -255,3 +255,47 @@ func TestRunnerHonoursBroadcastExcept(t *testing.T) {
 		}
 	}
 }
+
+// wakingEngine is a pingEngine with a wake channel, as a core.Engine over
+// a command queue has.
+type wakingEngine struct {
+	pingEngine
+	wake chan struct{}
+}
+
+func (w *wakingEngine) Wake() <-chan struct{} { return w.wake }
+
+// TestRunnerTicksOnAnAdmissionWake: an engine that waits on no timer is
+// ticked when its wake channel fires, and the observer counts the wake
+// apart from timer ticks, whose lateness it records.
+func TestRunnerTicksOnAnAdmissionWake(t *testing.T) {
+	hub := transport.NewInproc(1)
+	defer hub.Close()
+	eng := &wakingEngine{pingEngine: pingEngine{wakeAt: time.Millisecond}, wake: make(chan struct{}, 1)}
+	reg := obs.NewRegistry()
+	r := NewRunner(eng, hub.Endpoint(0), clock.NewWall(), 1)
+	r.SetObserver(obs.NewObserver(obs.ObserverConfig{Registry: reg}))
+	r.Start()
+	defer r.Stop()
+	waitTicks := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if _, ticks := eng.snapshot(); ticks >= want {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("the engine was not ticked %d times", want)
+	}
+	waitTicks(1) // the timer tick it asked for; from then on it waits on nothing
+	eng.wake <- struct{}{}
+	waitTicks(2)
+	snap := reg.Snapshot()
+	if got := snap.Get("icc_runtime_admission_wakes_total"); got != 1 {
+		t.Fatalf("%v admission wakes counted, want 1", got)
+	}
+	if got := snap.Get("icc_runtime_tick_late_seconds_count"); got != 1 {
+		t.Fatalf("%v timer ticks timed, want the 1 timer tick", got)
+	}
+}

@@ -39,8 +39,9 @@ func TestQueueTrySubmitTypedErrors(t *testing.T) {
 	}
 }
 
-// TestQueueConcurrentSubmitAndMarkCommitted races admission against the
-// commit path the OnCommit hook drives (GetPayload → MarkCommitted),
+// TestQueueConcurrentSubmitAndMarkCommitted races admission against what
+// the event loop does with the queue — forward to a party, hold what one
+// forwarded, cut a payload, settle, commit (GetPayload → MarkCommitted) —
 // the exact interleaving a live replica runs. Run with -race.
 func TestQueueConcurrentSubmitAndMarkCommitted(t *testing.T) {
 	q := NewQueue()
@@ -74,7 +75,15 @@ func TestQueueConcurrentSubmitAndMarkCommitted(t *testing.T) {
 	go func() {
 		defer committerWg.Done()
 		for {
+			select {
+			case <-q.Wake():
+			default:
+			}
+			if fwd, n := q.Forward(1, nil, nil); n > 0 {
+				q.Hold(2, fwd)
+			}
 			payload := q.GetPayload(0, nil, nil)
+			q.Settle(func(types.PartyID, int, int) {})
 			q.MarkCommitted(payload)
 			if cmds, err := DecodePayload(payload); err == nil {
 				for _, c := range cmds {

@@ -35,7 +35,7 @@ func oneOfEachKind() []Message {
 		&CheckpointMsg{Blob: []byte("certified checkpoint")},
 		sampleShareBundle(),
 		&BeaconOutput{Round: 6, Output: []byte{5, 5, 5}},
-		&PayloadOffer{Round: 6, ParentHash: h1, Payload: []byte("cmds for the next leader")},
+		&PayloadOffer{Round: 6, Payload: []byte("cmds for the next leader")},
 	}
 }
 
@@ -57,17 +57,16 @@ func TestEveryKindRoundTrips(t *testing.T) {
 }
 
 func TestPayloadOfferRoundTrip(t *testing.T) {
-	h := hash.SumUint64(hash.DomainBlock, 7)
 	for _, m := range []*PayloadOffer{
-		{Round: 9, ParentHash: h, Payload: bytes.Repeat([]byte{0xab}, 3000)},
-		{Round: 1, ParentHash: hash.Zero, Payload: nil},
+		{Round: 9, Payload: bytes.Repeat([]byte{0xab}, 3000)},
+		{Round: 1, Payload: nil},
 	} {
 		got := roundTrip(t, m).(*PayloadOffer)
-		if got.Round != m.Round || got.ParentHash != m.ParentHash || !bytes.Equal(got.Payload, m.Payload) {
+		if got.Round != m.Round || !bytes.Equal(got.Payload, m.Payload) {
 			t.Errorf("round-trip mismatch: got %+v, want %+v", got, m)
 		}
 	}
-	enc := Marshal(&PayloadOffer{Round: 9, ParentHash: h, Payload: []byte("abc")})
+	enc := Marshal(&PayloadOffer{Round: 9, Payload: []byte("abc")})
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := Unmarshal(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", cut)

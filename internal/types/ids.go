@@ -66,7 +66,7 @@ type DelayFunc func(r Rank) time.Duration
 // Δprop(r) ≤ Δntry(r) keeps every block out no later than its rank's
 // share is due. The rank-0 leader, which would otherwise cut its block on
 // entry and idle out the ε the others wait, cuts it ε/2 later with the
-// payload offers that arrived meanwhile (DESIGN.md §2, §19).
+// commands forwarded to it meanwhile (DESIGN.md §2, §19).
 func StandardDelays(deltaBound, epsilon time.Duration) (dprop, dntry DelayFunc) {
 	dprop = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon/2 }
 	dntry = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon }

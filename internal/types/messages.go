@@ -162,17 +162,16 @@ type BeaconOutput struct {
 	Output []byte // encoded combined beacon signature
 }
 
-// PayloadOffer hands the next round's leader the payload its sender would
-// propose for Round on top of the block ParentHash names: getPayload(B_p)
-// of Fig. 1, evaluated by a party that is not the proposer. It travels
-// point to point, carries no signature (a leader may put anything in its
-// payload already; an offer only suggests content) and is never stored,
-// relayed or logged. The leader may use it only when it proposes on that
-// very parent: the payload was cut against that chain and no other.
+// PayloadOffer carries commands its sender forwards to a party that may
+// cut the next block, for that party's payloads: getPayload(B_p) of
+// Fig. 1 fed by parties other than the proposer. Round is the round the
+// sender was in. It travels point to point, carries no signature (a
+// leader may put anything in its payload already; a forward only
+// suggests content) and is never stored, relayed or logged; the receiver
+// holds the commands until they are committed.
 type PayloadOffer struct {
-	Round      Round
-	ParentHash hash.Digest
-	Payload    []byte
+	Round   Round
+	Payload []byte
 }
 
 // Bundle groups several messages into one transmission, as when a party
@@ -463,7 +462,6 @@ func (m *BeaconOutput) encodeBody(e *Encoder) {
 
 func (m *PayloadOffer) encodeBody(e *Encoder) {
 	e.U64(uint64(m.Round))
-	e.Bytes32(m.ParentHash)
 	e.VarBytes(m.Payload)
 }
 
@@ -610,7 +608,6 @@ func decodeBody(k Kind, d *Decoder) (Message, error) {
 	case KindPayloadOffer:
 		o := &PayloadOffer{}
 		o.Round = Round(d.U64())
-		o.ParentHash = d.Bytes32()
 		o.Payload = d.VarBytes()
 		m = o
 	default:
