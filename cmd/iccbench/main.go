@@ -42,6 +42,7 @@ var registry = map[string]func(experiments.Scale) *experiments.Table{
 	"certscheme":     experiments.CertScheme,
 	"adversary":      experiments.AdversaryCampaign,
 	"twin":           experiments.Twin,
+	"cutlink":        experiments.CutOnSlowLinks,
 }
 
 func main() {

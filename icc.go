@@ -182,7 +182,7 @@ func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
 func WithDeltaBound(d time.Duration) Option { return func(o *Options) { o.DeltaBound = d } }
 
 // WithEpsilon sets the ε governor: a party shares the leader's block ε
-// after it enters the round, and the leader cuts that block ε/2 after it
+// after it enters the round, and the leader cuts that block 3ε/4 after it
 // enters, with the commands the others forwarded to it meanwhile.
 func WithEpsilon(d time.Duration) Option { return func(o *Options) { o.Epsilon = d } }
 

@@ -288,21 +288,22 @@ func TestClauseCPriorityBlocksHigherRank(t *testing.T) {
 // never saw — is reported as due now until its clause has run, while a
 // block that a lower-ranked one blocks asks for no wake at all.
 func TestNextWakeKeepsPassedBoundariesDue(t *testing.T) {
-	const bound = 50 * time.Millisecond
+	const bound, epsilon = 50 * time.Millisecond, 50 * time.Millisecond
+	prop, ntry := types.StandardDelays(bound, epsilon)
 	leader := newChoreographyWith(t, 4, 0, bound, func(cfg *Config) {
-		cfg.Epsilon = 50 * time.Millisecond // Δprop(0) = 25 ms, Δntry(0) = 50 ms
+		cfg.Epsilon = epsilon
 	})
 	leader.start()
-	if at, ok := leader.eng.NextWake(10 * time.Millisecond); !ok || at != 25*time.Millisecond {
-		t.Fatalf("next wake %v (%v), want Δprop(0) = 25ms", at, ok)
+	if at, ok := leader.eng.NextWake(10 * time.Millisecond); !ok || at != prop(0) {
+		t.Fatalf("next wake %v (%v), want Δprop(0) = %v", at, ok, prop(0))
 	}
-	late := 30 * time.Millisecond
+	late := prop(0) + 5*time.Millisecond
 	if at, ok := leader.eng.NextWake(late); !ok || at != late+1 {
 		t.Fatalf("next wake %v (%v) with Δprop(0) passed and nothing proposed, want %v", at, ok, late+1)
 	}
 	leader.tick(late + 1)
-	if at, ok := leader.eng.NextWake(late + 2); !ok || at != 50*time.Millisecond {
-		t.Fatalf("next wake %v (%v) after proposing, want Δntry(0) = 50ms for the own block", at, ok)
+	if at, ok := leader.eng.NextWake(late + 2); !ok || at != ntry(0) {
+		t.Fatalf("next wake %v (%v) after proposing, want Δntry(0) = %v for the own block", at, ok, ntry(0))
 	}
 
 	c := newChoreographyWith(t, 4, 3, bound, nil)

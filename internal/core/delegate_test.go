@@ -194,6 +194,9 @@ func TestSourceWithoutDelegationNeitherOffersNorMerges(t *testing.T) {
 	}
 }
 
+// streamBound is Δbnd of streamRound's and leaderWithOffer's engines.
+const streamBound = 100 * time.Millisecond
+
 // streamRound builds a choreography around an engine with a Queue at
 // rank 2 of round 1 that is not the leader of round 2, enters round 1 at
 // time 0 and hands it every party's round-2 beacon share, so that it
@@ -202,7 +205,7 @@ func streamRound(t *testing.T, epsilon time.Duration) (*choreography, *statemach
 	t.Helper()
 	for try := 0; try < 32; try++ {
 		q := statemachine.NewQueue()
-		c := newChoreographyWith(t, 4, 2, 100*time.Millisecond, func(cfg *Config) {
+		c := newChoreographyWith(t, 4, 2, streamBound, func(cfg *Config) {
 			cfg.Epsilon = epsilon
 			cfg.Payload = q
 		})
@@ -275,19 +278,21 @@ func (c *choreography) submit(q *statemachine.Queue, cmds ...statemachine.Comman
 }
 
 // TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent: at ε = 50 ms
-// a command admitted before the leader's cut (Δprop(0) = 25 ms) goes to
-// rank 0 at the end of the turn, once; after the cut nothing more goes
-// there. With no rank-0 block Δbnd after the cut (NextWake names that
-// instant), everything goes to rank 1 until its own cut at Δprop(1), and
-// nothing once a rank-0 block is in.
+// a command admitted before the leader's cut at Δprop(0) goes to rank 0 at
+// the end of the turn, once; after the cut nothing more goes there. With
+// no rank-0 block Δbnd after the cut (NextWake names that instant),
+// everything goes to rank 1 until its own cut at Δprop(1), and nothing
+// once a rank-0 block is in.
 func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
-	c, q, next := streamRound(t, 50*time.Millisecond)
+	const epsilon = 50 * time.Millisecond
+	c, q, next := streamRound(t, epsilon)
 	for try := 0; next == c.perm[1]; try++ { // rank 1 must not be Leader(2), the next target
 		if try == 32 {
 			t.Fatal("rank 1 led round 2 for every key set dealt")
 		}
-		c, q, next = streamRound(t, 50*time.Millisecond)
+		c, q, next = streamRound(t, epsilon)
 	}
+	prop, _ := types.StandardDelays(streamBound, epsilon)
 	rank0, rank1 := c.perm[0], c.perm[1]
 	c.submit(q, kvCommand(1, 1))
 	c.tick(time.Millisecond)
@@ -296,12 +301,13 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 		t.Fatalf("forwarded %v to rank 0 before its cut, want command 1 once", got)
 	}
 	c.submit(q, kvCommand(1, 2))
-	c.tick(30 * time.Millisecond)
+	afterCut := prop(0) + 5*time.Millisecond
+	c.tick(afterCut)
 	if got := seqsOf(c.forwardsTo(rank0)); len(got) != 1 {
 		t.Fatalf("forwarded %v to rank 0, want nothing after its cut at Δprop(0)", got)
 	}
-	overdue := 125 * time.Millisecond // Δprop(0) + Δbnd
-	if at, ok := c.eng.NextWake(30 * time.Millisecond); !ok || at != overdue {
+	overdue := prop(0) + streamBound
+	if at, ok := c.eng.NextWake(afterCut); !ok || at != overdue {
 		t.Fatalf("next wake %v (%v), want the turn to rank 1 at %v", at, ok, overdue)
 	}
 	c.tick(overdue - 1)
@@ -313,9 +319,9 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 		t.Fatalf("forwarded %v to rank 1 once the leader was overdue, want commands 1 and 2", got)
 	}
 	_, bundle := c.block(0, "late")
-	c.deliver(rank0, bundle, 130*time.Millisecond)
+	c.deliver(rank0, bundle, overdue+5*time.Millisecond)
 	c.submit(q, kvCommand(1, 3))
-	c.tick(140 * time.Millisecond)
+	c.tick(overdue + 15*time.Millisecond)
 	if got := seqsOf(c.forwardsTo(rank1)); len(got) != 2 {
 		t.Fatalf("forwarded %v to rank 1 after the rank-0 block arrived", got)
 	}
@@ -326,21 +332,24 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 // without the commands that block carries; a later admission follows on
 // its own.
 func TestStreamFeedsTheNextLeaderOnceItHoldsABlock(t *testing.T) {
-	c, q, next := streamRound(t, 50*time.Millisecond)
+	const epsilon = 50 * time.Millisecond
+	c, q, next := streamRound(t, epsilon)
+	prop, _ := types.StandardDelays(streamBound, epsilon)
+	afterCut := prop(0) + 5*time.Millisecond
 	inBlock, after := kvCommand(1, 1), kvCommand(1, 2)
 	c.submit(q, inBlock, after)
-	c.tick(30 * time.Millisecond)
+	c.tick(afterCut)
 	if got := c.forwardsTo(next); len(got) != 0 {
 		t.Fatalf("forwarded %v to Leader(2) with no round-1 block held", seqsOf(got))
 	}
 	b := &types.Block{Round: 1, Proposer: c.perm[0], ParentHash: c.eng.Pool().RootHash(),
 		Payload: statemachine.EncodePayload([]statemachine.Command{inBlock})}
-	c.deliver(c.perm[0], c.bundleOf(b), 40*time.Millisecond)
+	c.deliver(c.perm[0], c.bundleOf(b), afterCut+10*time.Millisecond)
 	if got := seqsOf(c.forwardsTo(next)); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("forwarded %v to Leader(2) on the block's arrival, want command 2 alone", got)
 	}
 	c.submit(q, kvCommand(1, 3))
-	c.tick(41 * time.Millisecond)
+	c.tick(afterCut + 11*time.Millisecond)
 	if got := seqsOf(c.forwardsTo(next)); len(got) != 2 || got[1] != 3 {
 		t.Fatalf("forwarded %v to Leader(2), want command 3 after command 2", got)
 	}
@@ -397,7 +406,7 @@ func TestOfferLeavesWithTheShareAtZeroEpsilon(t *testing.T) {
 func leaderWithOffer(t *testing.T, epsilon time.Duration) (*choreography, map[string]int) {
 	t.Helper()
 	outcomes := make(map[string]int)
-	c := newChoreographyWith(t, 4, 0, 100*time.Millisecond, func(cfg *Config) {
+	c := newChoreographyWith(t, 4, 0, streamBound, func(cfg *Config) {
 		cfg.Epsilon = epsilon
 		cfg.Payload = statemachine.NewQueue()
 		cfg.Hooks.OnPayloadOffer = outcomeCounter(outcomes)
@@ -408,17 +417,19 @@ func leaderWithOffer(t *testing.T, epsilon time.Duration) (*choreography, map[st
 }
 
 // TestOfferAfterEntryIsMergedAtPositiveEpsilon: with ε = 50 ms the leader
-// cuts its block at Δprop(0) = 25 ms, not on entry, so a forward that
-// reaches it 10 ms into the round rides the block.
+// cuts its block at Δprop(0), not on entry, so a forward that reaches it
+// 10 ms into the round rides the block.
 func TestOfferAfterEntryIsMergedAtPositiveEpsilon(t *testing.T) {
-	c, outcomes := leaderWithOffer(t, 50*time.Millisecond)
+	const epsilon = 50 * time.Millisecond
+	c, outcomes := leaderWithOffer(t, epsilon)
+	prop, _ := types.StandardDelays(streamBound, epsilon)
 	if n := c.proposals(); n != 0 {
 		t.Fatalf("%d proposals before Δprop(0)", n)
 	}
-	if at, ok := c.eng.NextWake(10 * time.Millisecond); !ok || at != 25*time.Millisecond {
-		t.Fatalf("next wake %v (%v), want Δprop(0) = 25ms", at, ok)
+	if at, ok := c.eng.NextWake(10 * time.Millisecond); !ok || at != prop(0) {
+		t.Fatalf("next wake %v (%v), want Δprop(0) = %v", at, ok, prop(0))
 	}
-	c.tick(25 * time.Millisecond)
+	c.tick(prop(0))
 	if n := c.proposals(); n != 1 {
 		t.Fatalf("%d proposals at Δprop(0), want 1", n)
 	}
@@ -506,7 +517,20 @@ func TestOfferOutcomesAddUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := simnet.New(simnet.Options{Seed: 9, Delay: simnet.Fixed{D: 10 * time.Millisecond}})
+	// Party 3's links take 20 ms, more than the ε/4 between a leader's cut
+	// and its Δntry: some of its forwards land after the cut they aimed at
+	// and expire, while the others' 5 ms forwards are merged.
+	links := make([][]time.Duration, n)
+	for i := range links {
+		links[i] = make([]time.Duration, n)
+		for j := range links[i] {
+			links[i][j] = 5 * time.Millisecond
+			if i == n-1 || j == n-1 {
+				links[i][j] = 20 * time.Millisecond
+			}
+		}
+	}
+	net := simnet.New(simnet.Options{Seed: 9, Delay: &simnet.LinkMatrix{Base: links}})
 	outcomes := make(map[string]int)
 	kvs := make([]*statemachine.KV, n)
 	for i := range kvs {

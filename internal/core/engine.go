@@ -101,6 +101,13 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
+// SetProposalDelay replaces Δprop, keeping Δntry, before the engine
+// starts; the experiments use it to price another cut than
+// types.StandardDelays' (EXPERIMENTS.md E32). dprop must keep that
+// function's properties: Δprop(r) ≤ Δntry(r), strictly increasing in r,
+// and 2Δbnd + Δprop(0) ≤ Δntry(1).
+func (e *Engine) SetProposalDelay(dprop types.DelayFunc) { e.delayProp = dprop }
+
 // ID implements engine.Engine.
 func (e *Engine) ID() types.PartyID { return e.cfg.Self }
 

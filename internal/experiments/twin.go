@@ -28,20 +28,30 @@ import (
 // twinShape is one bench workload's shape, as bench/cluster.go's table
 // sets it: n, dissemination mode, Δbnd, ε and the silent party (−1 for
 // none). The DLEQ beacon of the two n = 4 ICC0 workloads is simulated
-// here, as is every link.
+// here, as is every link. E32 varies the link delay and the leader's cut.
 type twinShape struct {
 	name                string
 	n                   int
 	mode                node.Mode
 	deltaBound, epsilon time.Duration
 	silent              int
+	link                time.Duration   // mean one-way link delay, spread ±60 %; 0: the bench's twinLinks
+	prop                types.DelayFunc // Δprop in place of types.StandardDelays' (nil: the standard cut)
+}
+
+// links is the shape's delay model.
+func (s twinShape) links() simnet.DelayModel {
+	if s.link == 0 {
+		return twinLinks
+	}
+	return simnet.Uniform{Min: s.link * 2 / 5, Max: s.link * 8 / 5}
 }
 
 var twinShapes = []twinShape{
-	{"steady-n4", 4, node.ICC0, 100 * time.Millisecond, 50 * time.Millisecond, -1},
-	{"paced-n4", 4, node.ICC0, 100 * time.Millisecond, 100 * time.Millisecond, -1},
-	{"tcp-gossip-n13", 13, node.ICC1, 100 * time.Millisecond, 50 * time.Millisecond, -1},
-	{"leaderfail-n4", 4, node.ICC0, 20 * time.Millisecond, 0, 3},
+	{"steady-n4", 4, node.ICC0, 100 * time.Millisecond, 50 * time.Millisecond, -1, 0, nil},
+	{"paced-n4", 4, node.ICC0, 100 * time.Millisecond, 100 * time.Millisecond, -1, 0, nil},
+	{"tcp-gossip-n13", 13, node.ICC1, 100 * time.Millisecond, 50 * time.Millisecond, -1, 0, nil},
+	{"leaderfail-n4", 4, node.ICC0, 20 * time.Millisecond, 0, 3, 0, nil},
 }
 
 // The bench's load (bench/load.go): an open loop of 200 commands/s from 8
@@ -66,6 +76,8 @@ type twinResult struct {
 	forwards    int // PayloadOffer messages sent in the window
 	fwdBytes    int // their encoded bytes
 	commits     int // blocks the slowest honest party committed in the window
+	shares      int // notarization shares honest parties cast in the window
+	lateShares  int // of them, for a block that arrived after its Δntry
 }
 
 // twinRun is the state of one run: the load's schedule and what each
@@ -187,8 +199,9 @@ func runTwin(s twinShape, seed int64, window time.Duration, shared bool) twinRes
 		r.home[i] = r.honest[client%len(r.honest)]
 		r.homed[r.home[i]] = append(r.homed[r.home[i]], i)
 	}
+	inWindow := func(now time.Duration) bool { return now >= twinWarmUp && now < r.t1 }
 	one := statemachine.NewQueue()
-	net := simnet.New(simnet.Options{Seed: seed, Delay: twinLinks})
+	net := simnet.New(simnet.Options{Seed: seed, Delay: s.links()})
 	for p := 0; p < s.n; p++ {
 		p, pid := p, types.PartyID(p)
 		r.queues[p] = one
@@ -202,12 +215,19 @@ func runTwin(s twinShape, seed int64, window time.Duration, shared bool) twinRes
 		if p == s.silent {
 			wrap = adversary.NewSilentLeader
 		}
-		_, eng, err := node.Stack(core.Config{
+		ce, eng, err := node.Stack(core.Config{
 			Self: pid, Keys: pub, Priv: privs[p],
 			Beacon:     beacon.NewSimulated(s.n, pid, pub.GenesisSeed),
 			DeltaBound: s.deltaBound, Epsilon: s.epsilon,
 			Payload: payload,
-			Hooks: core.Hooks{OnCommit: func(b *types.Block, now time.Duration) {
+			Hooks: core.Hooks{OnNotarizationShare: func(_ types.Round, late, now time.Duration) {
+				if p != s.silent && inWindow(now) {
+					r.res.shares++
+					if late > 0 {
+						r.res.lateShares++
+					}
+				}
+			}, OnCommit: func(b *types.Block, now time.Duration) {
 				_ = kv.Apply(b.Payload)
 				q.MarkCommitted(b.Payload)
 				r.commitAt[p] = append(r.commitAt[p], now)
@@ -225,6 +245,9 @@ func runTwin(s twinShape, seed int64, window time.Duration, shared bool) twinRes
 		}, wrap, s.mode, node.Overlay{Seed: 42}, true)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: twin party %d: %v", p, err))
+		}
+		if s.prop != nil {
+			ce.SetProposalDelay(s.prop)
 		}
 		net.AddNode(&twinParty{Engine: eng, run: r, self: p}, p != s.silent)
 	}
@@ -259,7 +282,7 @@ func runTwin(s twinShape, seed int64, window time.Duration, shared bool) twinRes
 	for _, p := range r.honest {
 		count := 0
 		for _, at := range r.commitAt[p] {
-			if at >= twinWarmUp && at < t1 {
+			if inWindow(at) {
 				count++
 			}
 		}
@@ -315,4 +338,56 @@ func Twin(scale Scale) *Table {
 
 func twinMs(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
+}
+
+// cutLinkDelays are E32's mean one-way link delays: the bench's loopback,
+// then up to a fifth of Δbnd.
+var cutLinkDelays = []time.Duration{200 * time.Microsecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
+
+// cutAtHalf is Δprop(r) = 2Δbnd·r + ε/2, the leader's cut from E28 until
+// E32 moved it to types.StandardDelays' 3ε/4.
+func cutAtHalf(deltaBound, epsilon time.Duration) types.DelayFunc {
+	return func(r types.Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon/2 }
+}
+
+// CutOnSlowLinks (E32) runs the steady-n4 and tcp-gossip-n13 twins over
+// slower and slower links with the leader's cut at ε/2 and at
+// types.StandardDelays' 3ε/4. A later cut lets more commands ride the
+// round's block; once the block no longer reaches the others by their
+// Δntry(0), each round grows by the excess, and blocks/s falls.
+func CutOnSlowLinks(scale Scale) *Table {
+	t := &Table{
+		ID:    "E32",
+		Title: "the leader's cut at ε/2 and at 3ε/4 over slower links (virtual-time twin)",
+		Columns: []string{"workload", "link", "p50 ε/2", "p50 3ε/4", "p90 ε/2", "p90 3ε/4",
+			"blk/s ε/2", "blk/s 3ε/4", "late shares ε/2", "late shares 3ε/4", "failed"},
+		Notes: []string{
+			"E30's twin (bench shape and load, seed 1) with links spread ±60 % around the mean one-way delay shown",
+			"late shares: notarization shares cast for a block that arrived after the party's Δntry, of all shares",
+			"failed: measured commands never committed, both cuts",
+		},
+	}
+	window := time.Duration(float64(20*time.Second) * scaleFactor(scale))
+	for _, s := range twinShapes {
+		if s.name != "steady-n4" && s.name != "tcp-gossip-n13" {
+			continue
+		}
+		for _, link := range cutLinkDelays {
+			s := s
+			s.link = link
+			std := runTwin(s, 1, window, false)
+			s.prop = cutAtHalf(s.deltaBound, s.epsilon)
+			half := runTwin(s, 1, window, false)
+			late := func(res twinResult) string {
+				if res.shares == 0 {
+					return "–"
+				}
+				return fmt.Sprintf("%.1f%%", 100*float64(res.lateShares)/float64(res.shares))
+			}
+			t.AddRow(s.name, twinMs(link), twinMs(half.p50), twinMs(std.p50), twinMs(half.p90), twinMs(std.p90),
+				fmt.Sprintf("%.2f", half.commitsPerS), fmt.Sprintf("%.2f", std.commitsPerS),
+				late(half), late(std), fmt.Sprintf("%d", half.failed+std.failed))
+		}
+	}
+	return t
 }

@@ -27,3 +27,33 @@ func TestTwinIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCutAtThreeQuartersOnFastAndSlowLinks (E32): on the bench's links
+// the leader's cut at 3ε/4 commits steady-n4's commands sooner than a
+// cut at ε/2, at the same block rate; over 20 ms links its block reaches
+// more parties after their own Δntry(0) than the earlier cut's does.
+func TestCutAtThreeQuartersOnFastAndSlowLinks(t *testing.T) {
+	shape := twinShapes[0]
+	if shape.name != "steady-n4" || shape.epsilon == 0 {
+		t.Fatalf("twin shape %+v, want steady-n4 with ε > 0", shape)
+	}
+	for _, link := range []time.Duration{0, 20 * time.Millisecond} {
+		s := shape
+		s.link = link
+		late := runTwin(s, 1, 2*time.Second, false)
+		s.prop = cutAtHalf(s.deltaBound, s.epsilon)
+		half := runTwin(s, 1, 2*time.Second, false)
+		if late.failed != 0 || half.failed != 0 || late.shares == 0 || half.shares == 0 {
+			t.Fatalf("link %v: implausible runs\n3ε/4 %+v\nε/2  %+v", link, late, half)
+		}
+		if link == 0 {
+			if late.p50 >= half.p50 || late.commits != half.commits || late.lateShares != 0 {
+				t.Errorf("bench links: 3ε/4 p50 %v, %d commits, %d late shares; ε/2 p50 %v, %d commits", late.p50, late.commits, late.lateShares, half.p50, half.commits)
+			}
+			continue
+		}
+		if late.lateShares*half.shares <= half.lateShares*late.shares {
+			t.Errorf("20 ms links: late shares %d of %d at 3ε/4, %d of %d at ε/2; want a larger share at 3ε/4", late.lateShares, late.shares, half.lateShares, half.shares)
+		}
+	}
+}

@@ -158,6 +158,7 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := simnet.New(simnet.Options{Seed: 11, Delay: simnet.Uniform{Min: time.Millisecond, Max: 30 * time.Millisecond}})
+	prop, ntry := types.StandardDelays(deltaBound, epsilon)
 	outcomes := make(map[string]int)
 	kvs := make([]*statemachine.KV, n)
 	feeders := make([]*feeder, n)
@@ -185,11 +186,11 @@ func TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds(t *testing.T) {
 		})
 		var eng engine.Engine = inner
 		if i == slow {
-			// Δprop(0) = ε/2 = 25 ms, Δntry(1) = 250 ms: the leader's block
-			// is cut 25 ms into the round and lands between 241 and 270 ms,
-			// about when the rank-1 block is due to be shared, so parties
-			// may share different blocks of the round.
-			eng = delayOwnProposals(inner, 215*time.Millisecond)
+			// The leader's block is cut at Δprop(0) and held back so that it
+			// lands 1–30 ms after Δntry(1) − 10 ms = 240 ms, about when the
+			// rank-1 block is due to be shared, so parties may share
+			// different blocks of the round.
+			eng = delayOwnProposals(inner, ntry(1)-prop(0)-10*time.Millisecond)
 		}
 		watches[i] = &shareWatch{Engine: eng, shared: make(map[types.Round]map[hash.Digest]bool)}
 		feeders[i] = &feeder{Engine: watches[i], q: q, client: uint64(i + 1), every: every, stop: load}

@@ -420,6 +420,108 @@ func TestCommandsAdmittedInASilentRoundRideRankOnesBlock(t *testing.T) {
 	t.Logf("%d commands admitted in the first 30 ms of silent rounds rode rank 1's block", checked-late)
 }
 
+// TestCommandsAdmittedInTheThirdQuarterRideTheRoundsBlock: at n = 4,
+// ε = 50 ms and Δbnd = 100 ms (the bench's steady-n4 shape) the leader
+// cuts round k's block at Δprop(0) = 3ε/4. A command admitted at another
+// party between ε/2 and 3ε/4 into round k, less two link delays (the
+// forward's, and the leader's lead in entering the round), reaches the
+// leader before its cut and rides round k's block. With the cut at ε/2
+// every one of them waited for round k+1.
+func TestCommandsAdmittedInTheThirdQuarterRideTheRoundsBlock(t *testing.T) {
+	const (
+		n          = 4
+		deltaBound = 100 * time.Millisecond
+		epsilon    = 50 * time.Millisecond
+		maxLink    = 2 * time.Millisecond
+		every      = 3 * time.Millisecond
+		load       = 5 * time.Second
+		seed       = 29
+	)
+	pub, privs, err := keys.Deal(rand.New(rand.NewSource(seed)), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(simnet.Options{Seed: seed, Delay: simnet.Uniform{Min: 100 * time.Microsecond, Max: maxLink}})
+	entered := make([]map[types.Round]time.Duration, n)
+	leaders := make([]map[types.Round]types.PartyID, n)
+	committedIn := make([]map[uint64]types.Round, n) // at the home party: Seq → round
+	subs := make([]*steadySubmitter, n)
+	for i := 0; i < n; i++ {
+		i, pid := i, types.PartyID(i)
+		entered[i], leaders[i], committedIn[i] = make(map[types.Round]time.Duration), make(map[types.Round]types.PartyID), make(map[uint64]types.Round)
+		q, kv := statemachine.NewQueue(), statemachine.NewKV()
+		bcn := beacon.NewSimulated(n, pid, pub.GenesisSeed)
+		_, eng, err := node.Stack(core.Config{
+			Self: pid, Keys: pub, Priv: privs[i],
+			Beacon: bcn, DeltaBound: deltaBound, Epsilon: epsilon,
+			Payload: q,
+			Hooks: core.Hooks{
+				OnEnterRound: func(k types.Round, now time.Duration) {
+					entered[i][k] = now
+					if perm, ok := bcn.Permutation(k); ok {
+						leaders[i][k] = perm[0]
+					}
+				},
+				OnCommit: func(b *types.Block, _ time.Duration) {
+					_ = kv.Apply(b.Payload)
+					q.MarkCommitted(b.Payload)
+					cmds, _ := statemachine.DecodePayload(b.Payload)
+					for _, c := range cmds {
+						if c.Client == uint64(i+1) {
+							committedIn[i][c.Seq] = b.Round
+						}
+					}
+				},
+			},
+		}, nil, node.ICC0, node.Overlay{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = &steadySubmitter{Engine: eng, q: q, client: uint64(i + 1), every: every, stop: load}
+		net.AddNode(subs[i], true)
+	}
+	net.Start()
+	done := func() bool {
+		for i, s := range subs {
+			if s.due() < load || len(committedIn[i]) < len(s.admitted) {
+				return false
+			}
+		}
+		return true
+	}
+	if !net.RunUntil(done, load+30*time.Second) {
+		t.Fatal("not every command was committed at its home party")
+	}
+	from, until := epsilon/2, 3*epsilon/4-2*maxLink
+	checked, late := 0, 0
+	for i, s := range subs {
+		for k, at := range entered[i] {
+			if leader, ok := leaders[i][k]; !ok || leader == types.PartyID(i) {
+				continue
+			}
+			for seq, a := range s.admitted {
+				if a < at+from || a >= at+until {
+					continue
+				}
+				checked++
+				if got := committedIn[i][uint64(seq+1)]; got != k {
+					late++
+					if late <= 5 {
+						t.Errorf("party %d admitted Seq %d %v into round %d; it rode round %d's block", i, seq+1, a-at, k, got)
+					}
+				}
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d commands were admitted between %v and %v into a round another party led", checked, from, until)
+	}
+	if late > 0 {
+		t.Errorf("%d of %d commands admitted between %v and %v into a round missed its block", late, checked, from, until)
+	}
+	t.Logf("%d commands admitted between %v and %v into a round another party led rode its block", checked-late, from, until)
+}
+
 // TestStackForwardsTheAdmissionWake: whatever the mode and with a
 // Byzantine filter in between, the outermost layer of a stack over a
 // command queue hands the runner that queue's admission signal.

@@ -209,7 +209,7 @@ func (e Expect) growthBound(r types.Rank) time.Duration {
 
 // finalityBound is the longest after an honest leader enters a round
 // until every honest party commits it: its block leaves at Δprop(0) =
-// ε/2 ≤ Δntry(0) and is shared by all, and no other beside it, within
+// 3ε/4 ≤ Δntry(0) and is shared by all, and no other beside it, within
 // Δntry(0) plus one Reach, then one Reach for the notarization shares and
 // one for the finalization shares (DESIGN.md §16).
 func (e Expect) finalityBound() time.Duration {

@@ -55,20 +55,23 @@ func CheckpointQuorum(n int) int { return MaxFaults(n) + 1 }
 type DelayFunc func(r Rank) time.Duration
 
 // StandardDelays returns the delay functions of paper eq. (2), with the
-// leader's proposal moved to the middle of the ε governor:
+// leader's proposal moved three quarters into the ε governor:
 //
-//	Δprop(r) = 2·Δbnd·r + ε/2
+//	Δprop(r) = 2·Δbnd·r + ε − ε/4
 //	Δntry(r) = 2·Δbnd·r + ε
 //
-// The ε "governor" keeps the protocol from running too fast; it may be 0,
+// (ε − ε/4 rather than 3ε/4, so that Δntry(r) − Δprop(r) is ε/4 exactly
+// in whole nanoseconds.) The ε "governor" keeps the protocol from running too fast; it may be 0,
 // and then these are eq. (2) exactly. Liveness asks only that
-// 2·Δbnd + Δprop(0) ≤ Δntry(1) (§4), which holds for any ε/2 ≤ ε; and
-// Δprop(r) ≤ Δntry(r) keeps every block out no later than its rank's
+// 2·Δbnd + Δprop(0) ≤ Δntry(1) (§4), which holds for any cut in [0, ε];
+// and Δprop(r) ≤ Δntry(r) keeps every block out no later than its rank's
 // share is due. The rank-0 leader, which would otherwise cut its block on
-// entry and idle out the ε the others wait, cuts it ε/2 later with the
-// commands forwarded to it meanwhile (DESIGN.md §2, §19).
+// entry and idle out the ε the others wait, cuts it with the commands
+// forwarded to it meanwhile. The ε/4 it leaves before Δntry(0) is the
+// time its block needs to reach the others over the n = 13 overlay;
+// a later cut lengthens the round there (DESIGN.md §2, §19).
 func StandardDelays(deltaBound, epsilon time.Duration) (dprop, dntry DelayFunc) {
-	dprop = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon/2 }
+	dprop = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon - epsilon/4 }
 	dntry = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon }
 	return dprop, dntry
 }

@@ -46,15 +46,15 @@ func TestQuorums(t *testing.T) {
 	}
 }
 
-// TestStandardDelays pins Δprop(r) = 2Δbnd·r + ε/2 and Δntry(r) =
+// TestStandardDelays pins Δprop(r) = 2Δbnd·r + ε − ε/4 and Δntry(r) =
 // 2Δbnd·r + ε, and over a grid of (Δbnd, ε) — ε = 0, where they are eq. (2)
 // exactly, up to ε well above 4Δbnd — the properties the engine and the
-// oracle lean on: a block is out no later than its rank's share is due,
+// oracle lean on: a block is out ε/4 before its rank's share is due,
 // ranks stay strictly ordered, and §4's 2Δbnd + Δprop(0) ≤ Δntry(1).
 func TestStandardDelays(t *testing.T) {
 	dprop, dntry := StandardDelays(100*time.Millisecond, 10*time.Millisecond)
-	if dprop(0) != 5*time.Millisecond || dprop(3) != 605*time.Millisecond {
-		t.Fatalf("Δprop(0) = %v, Δprop(3) = %v; want 5ms, 605ms", dprop(0), dprop(3))
+	if dprop(0) != 7500*time.Microsecond || dprop(3) != 607500*time.Microsecond {
+		t.Fatalf("Δprop(0) = %v, Δprop(3) = %v; want 7.5ms, 607.5ms", dprop(0), dprop(3))
 	}
 	if dntry(0) != 10*time.Millisecond || dntry(3) != 610*time.Millisecond {
 		t.Fatalf("Δntry(0) = %v, Δntry(3) = %v; want 10ms, 610ms", dntry(0), dntry(3))
@@ -71,6 +71,9 @@ func TestStandardDelays(t *testing.T) {
 			for r := Rank(0); r < 40; r++ {
 				if dprop(r) > dntry(r) {
 					t.Errorf("Δbnd %v, ε %v: Δprop(%d) = %v > Δntry(%d) = %v", bnd, eps, r, dprop(r), r, dntry(r))
+				}
+				if dntry(r)-dprop(r) != eps/4 {
+					t.Errorf("Δbnd %v, ε %v: Δntry(%d) − Δprop(%d) = %v, want ε/4 = %v", bnd, eps, r, r, dntry(r)-dprop(r), eps/4)
 				}
 				if dprop(r+1) <= dprop(r) || dntry(r+1) <= dntry(r) {
 					t.Errorf("Δbnd %v, ε %v: not strictly increasing at rank %d", bnd, eps, r)

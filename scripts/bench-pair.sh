@@ -24,6 +24,12 @@
 # signature checks per commit — where the bytes went, which every change
 # to the overlay has to show.
 #
+# After the pairs, both trees run the virtual-time twin (go run
+# ./cmd/iccbench -exp twin, E30), and for each workload and side the
+# script prints the twin's p50 / p90 and the residual: the bench's median
+# minus the twin, the processor time and queueing the protocol's timers
+# do not explain.
+#
 # Everything is written under .bench_build/pair/ (git-ignored).
 set -euo pipefail
 
@@ -100,6 +106,30 @@ if [ "${TRACED:-0}" = 1 ]; then
 			awk -v w="$w" '$2 != 0 || $3 != 0 { printf "  %-16s %-44s %12.3f %12.3f\n", w, $1, $2, $3 }'
 	done
 fi
+
+twin() { # tree -> "workload p50 p90" per line, ms; nothing if the tree has no twin
+	(go run -C "$1" ./cmd/iccbench -exp twin 2>/dev/null || true) |
+		awk '$2 ~ /ms$/ && $3 ~ /ms$/ { sub(/ms$/, "", $2); sub(/ms$/, "", $3); print $1, $2, $3 }'
+}
+median() { # values, one a line -> their median
+	sort -g | awk '{ v[NR] = $1 } END { if (NR) print (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2) }'
+}
+twin "$tree" >"$out/parent-twin.txt"
+twin "$root" >"$out/change-twin.txt"
+echo
+echo "twin (E30, virtual time) and residual = bench median - twin, ms:"
+for w in $workloads; do
+	for side in parent change; do
+		if ! read -r _ tp50 tp90 < <(grep "^$w " "$out/$side-twin.txt"); then
+			echo "  $w $side: no twin row"
+			continue
+		fi
+		bp50=$(metric "$out/$side.jsonl" "$w" finality_p50_ms | median)
+		bp90=$(metric "$out/$side.jsonl" "$w" finality_p90_ms | median)
+		awk -v w="$w" -v side="$side" -v tp50="$tp50" -v tp90="$tp90" -v bp50="${bp50:-0}" -v bp90="${bp90:-0}" \
+			'BEGIN { printf "  %-16s %-6s twin p50 %7.1f  p90 %7.1f   residual p50 %7.1f  p90 %7.1f\n", w, side, tp50, tp90, bp50 - tp50, bp90 - tp90 }'
+	done
+done
 echo
 # -compare lists every workload of BENCHMARK.json; keep the ones that ran.
 "$out/bench-change" -compare "$out/parent.jsonl" "$out/change.jsonl" |
