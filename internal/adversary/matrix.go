@@ -116,7 +116,7 @@ type WithholdOptions struct {
 // the threshold-boundary experiments:
 //
 //   - shares the inner engine packs into resync Bundles or gossip
-//     ShareBundles (the stall detector re-broadcasts pool contents);
+//     ShareBundles (an answer to a peer's Status carries pool contents);
 //   - combined certificates of the withheld kind. The engine inserts its
 //     own broadcasts into its own pool regardless of what leaves the
 //     process, so a withholder whose pool holds n−t−1 honest shares plus

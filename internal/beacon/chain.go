@@ -84,7 +84,7 @@ type chain[S any] struct {
 	// perms caches round permutations.
 	perms map[types.Round][]types.PartyID
 
-	// own caches this party's signed shares so stall re-broadcasts and
+	// own caches this party's signed shares so stall Statuses and
 	// catch-up batches never repeat the signing.
 	own *shareCache
 	// prunedBefore is the Prune watermark: own-share requests below it

@@ -3,9 +3,6 @@ package core
 import (
 	"time"
 
-	"icc/internal/beacon"
-	"icc/internal/crypto/hash"
-	"icc/internal/pool"
 	"icc/internal/types"
 )
 
@@ -28,67 +25,19 @@ type CatchupProvider interface {
 	EnqueueBackfill(req BackfillRequest) bool
 }
 
-// Catchup answers lagging peers' Status messages with batches of
-// notarized rounds. It owns the per-peer rate limiter and the split
-// between the cheap inline response (pool artifacts + cached beacon
-// shares) and the expensive deferred part (threshold signing of uncached
-// shares), so the engine loop never performs EC scalar multiplication on
-// behalf of a laggard when a provider is wired.
-type Catchup struct {
-	beacon   beacon.Source
-	interval time.Duration
-	provider CatchupProvider
-	hook     func(peer types.PartyID, inline, deferred int, now time.Duration)
-
-	// repliedAt rate-limits responses per requesting peer: a Byzantine
-	// party repeating Status must not turn us into a bandwidth amplifier.
-	repliedAt map[types.PartyID]time.Duration
-}
-
-// newCatchup wires the component from an engine config (already
-// defaulted), replying to one peer at most once per interval.
-func newCatchup(cfg Config, interval time.Duration) *Catchup {
-	return &Catchup{
-		beacon:    cfg.Beacon,
-		interval:  interval,
-		provider:  cfg.Catchup,
-		hook:      cfg.Hooks.OnBackfill,
-		repliedAt: make(map[types.PartyID]time.Duration),
-	}
-}
-
-// allowReply charges the per-peer rate limiter for a reply outside
-// Respond's own accounting (the checkpoint-serving path). It returns
-// false when the peer already used its reply slot this interval.
-func (c *Catchup) allowReply(from types.PartyID, now time.Duration) bool {
-	if last, ok := c.repliedAt[from]; ok && now < last+c.interval {
-		return false
-	}
-	c.repliedAt[from] = now
-	return true
-}
-
-// Respond builds the inline portion of a catch-up response for a peer
-// whose Status reports round st.Round while we are at `round`, reading
-// artifacts from p and deferring uncached beacon-share signing to the
-// provider. It returns nil when no reply is due (peer close enough,
-// rate-limited, or nothing to send).
-func (c *Catchup) Respond(p *pool.Pool, from types.PartyID, st *types.Status, round types.Round, lastFinal hash.Digest, now time.Duration) *types.Bundle {
-	// Peers at most one round behind are healed by ordinary traffic and
-	// by the stall bundle itself; only answer real gaps.
-	if st.Round+1 >= round {
-		return nil
-	}
-	if last, ok := c.repliedAt[from]; ok && now < last+c.interval {
-		return nil
-	}
-
-	end := round
+// catchupBatch is handleStatus's answer to a peer whose Status reports
+// round st.Round, behind ours: up to resyncBatch rounds of notarized
+// blocks from st.Round on, each with its authenticator and notarization,
+// and this party's beacon share for every round the peer has not
+// finalized, up to and including ours. Shares missing from the own-share
+// cache go to the CatchupProvider, which signs them off the engine loop
+// and unicasts them itself; deferred reports that it took some.
+func (e *Engine) catchupBatch(from types.PartyID, st *types.Status, now time.Duration) (msgs []types.Message, deferred bool) {
+	end := e.round
 	if limit := st.Round + resyncBatch; end > limit {
 		end = limit
 	}
-	var msgs []types.Message
-	var deferred []types.Round
+	var rounds []types.Round
 	inlineShares := 0
 	for k := st.Round; k <= end; k++ {
 		// Our own beacon share for k lets the laggard accumulate the
@@ -96,14 +45,14 @@ func (c *Catchup) Respond(p *pool.Pool, from types.PartyID, st *types.Status, ro
 		// responding peer contributes one). Rounds the laggard has
 		// already finalized need no share: it traversed their beacons.
 		if k > st.Finalized {
-			if sh, ok := c.beacon.CachedShareForRound(k); ok {
+			if sh, ok := e.cfg.Beacon.CachedShareForRound(k); ok {
 				msgs = append(msgs, sh)
 				inlineShares++
-			} else if c.provider != nil {
-				deferred = append(deferred, k)
-			} else if sh, err := c.beacon.ShareForRound(k); err == nil {
+			} else if e.cfg.Catchup != nil {
+				rounds = append(rounds, k)
+			} else if sh, err := e.cfg.Beacon.ShareForRound(k); err == nil {
 				// Synchronous fallback: deterministic single-threaded
-				// paths (simnet, harness) sign inline as before.
+				// paths (simnet, harness) sign inline.
 				msgs = append(msgs, sh)
 				inlineShares++
 			}
@@ -111,52 +60,30 @@ func (c *Catchup) Respond(p *pool.Pool, from types.PartyID, st *types.Status, ro
 		if k == end {
 			break // shares only for the boundary round
 		}
-		h, ok := p.NotarizedInRound(k)
+		h, ok := e.pool.NotarizedInRound(k)
 		if !ok {
 			continue // pruned or unknown; the laggard will re-ask
 		}
-		if b := p.Block(h); b != nil {
+		if b := e.pool.Block(h); b != nil {
 			msgs = append(msgs, &types.BlockMsg{Block: b})
 		}
 		// The authenticator makes the block admissible (IsValid requires
 		// IsAuthentic); without it the notarization is inert.
-		if a := p.Authenticator(h); a != nil {
+		if a := e.pool.Authenticator(h); a != nil {
 			msgs = append(msgs, a)
 		}
-		if nz := p.Notarization(h); nz != nil {
+		if nz := e.pool.Notarization(h); nz != nil {
 			msgs = append(msgs, nz)
 		}
 	}
-	if lastFinal != (hash.Digest{}) {
-		if f := p.Finalization(lastFinal); f != nil {
-			msgs = append(msgs, f)
-		}
+	// A dropped request is not retried inline — the engine must not sign
+	// — and not re-deferred either: the laggard's next Status re-derives
+	// the still-missing rounds.
+	if len(rounds) > 0 && !e.cfg.Catchup.EnqueueBackfill(BackfillRequest{Peer: from, Rounds: rounds}) {
+		rounds = nil
 	}
-	if len(deferred) > 0 {
-		// Dropped requests are not retried inline — the engine must not
-		// sign — and not re-deferred either: the laggard's next Status
-		// re-derives the still-missing rounds.
-		if !c.provider.EnqueueBackfill(BackfillRequest{Peer: from, Rounds: deferred}) {
-			deferred = nil
-		}
+	if e.cfg.Hooks.OnBackfill != nil {
+		e.cfg.Hooks.OnBackfill(from, inlineShares, len(rounds), now)
 	}
-	if c.hook != nil {
-		c.hook(from, inlineShares, len(deferred), now)
-	}
-	// Charge the rate limiter only when the peer actually gets
-	// something — a bundle now or a backfill unicast shortly. A peer
-	// whose gap is fully pruned from our pool must not burn its one
-	// reply per interval on an empty answer; some other responder may
-	// still hold those rounds, and our turn should stay open for when
-	// we can contribute.
-	if len(msgs) == 0 && len(deferred) == 0 {
-		return nil
-	}
-	c.repliedAt[from] = now
-	if len(msgs) == 0 {
-		return nil
-	}
-	// Resync marks the bundle for the laggard's verify-pipeline
-	// priority lane and its chain-aware batch verification.
-	return &types.Bundle{Messages: msgs, Resync: true}
+	return msgs, len(rounds) > 0
 }

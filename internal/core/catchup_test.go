@@ -1,7 +1,8 @@
 package core
 
-// Unit tests for the Catchup component (catchup.go): the inline/deferred
-// share split, the finalized-frontier skip, and the Status frontier cap.
+// Unit tests for the catch-up answer (catchup.go): the inline/deferred
+// share split, the finalized-frontier skip, the per-peer limiter, and
+// the Status frontier cap.
 
 import (
 	"crypto/rand"
@@ -9,10 +10,8 @@ import (
 	"time"
 
 	"icc/internal/beacon"
-	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/crypto/thresig"
-	"icc/internal/pool"
 	"icc/internal/types"
 )
 
@@ -46,22 +45,32 @@ func revealedSim(t *testing.T, n int, self types.PartyID, rounds int) *beacon.Si
 	return s
 }
 
-// buildCatchup assembles a Catchup over a fresh pool with the given
-// beacon and provider.
-func buildCatchup(t *testing.T, bcn beacon.Source, provider CatchupProvider, hook func(types.PartyID, int, int, time.Duration)) (*Catchup, *pool.Pool) {
+// buildCatchup assembles an engine at round 10 with the given beacon
+// and provider, answering each peer at most once per 100 ms.
+func buildCatchup(t *testing.T, bcn beacon.Source, provider CatchupProvider, hook func(types.PartyID, int, int, time.Duration)) *Engine {
 	t.Helper()
-	pub, _, err := keys.Deal(rand.Reader, 4)
+	pub, privs, err := keys.Deal(rand.Reader, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	e := NewEngine(Config{
 		Self:    0,
 		Keys:    pub,
+		Priv:    privs[0],
 		Beacon:  bcn,
 		Catchup: provider,
 		Hooks:   Hooks{OnBackfill: hook},
-	}.withDefaults()
-	return newCatchup(cfg, 100*time.Millisecond), pool.New(pub, 0, pool.Options{})
+	})
+	e.setResyncInterval(100 * time.Millisecond)
+	e.round = 10
+	return e
+}
+
+// respond hands the engine a Status from peer `from` and returns the
+// bundle it unicasts back, nil if none.
+func respond(e *Engine, from types.PartyID, st *types.Status, now time.Duration) *types.Bundle {
+	e.handleStatus(from, st, now)
+	return answerTo(e.drain(), from)
 }
 
 func TestCatchupDefersUncachedShares(t *testing.T) {
@@ -69,11 +78,11 @@ func TestCatchupDefersUncachedShares(t *testing.T) {
 	sim.SetShareCacheSize(-1) // every share misses the cache
 	prov := &fakeProvider{accept: true}
 	var gotInline, gotDeferred int
-	c, p := buildCatchup(t, sim, prov, func(_ types.PartyID, inline, deferred int, _ time.Duration) {
+	e := buildCatchup(t, sim, prov, func(_ types.PartyID, inline, deferred int, _ time.Duration) {
 		gotInline, gotDeferred = inline, deferred
 	})
 
-	bundle := c.Respond(p, 2, &types.Status{Round: 3, Finalized: 2, Seq: 1}, 10, hash.Digest{}, 0)
+	bundle := respond(e, 2, &types.Status{Round: 3, Finalized: 2, Seq: 1}, 0)
 	if len(prov.reqs) != 1 {
 		t.Fatalf("provider saw %d requests, want 1", len(prov.reqs))
 	}
@@ -114,9 +123,9 @@ func TestCatchupServesCachedSharesInline(t *testing.T) {
 		}
 	}
 	prov := &fakeProvider{accept: true}
-	c, p := buildCatchup(t, sim, prov, nil)
+	e := buildCatchup(t, sim, prov, nil)
 
-	bundle := c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 10, hash.Digest{}, 0)
+	bundle := respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 0)
 	if bundle == nil {
 		t.Fatal("no inline bundle despite cache hits")
 	}
@@ -141,11 +150,11 @@ func TestCatchupSkipsFinalizedShareRounds(t *testing.T) {
 	sim := revealedSim(t, 4, 0, 10)
 	sim.SetShareCacheSize(-1)
 	prov := &fakeProvider{accept: true}
-	c, p := buildCatchup(t, sim, prov, nil)
+	e := buildCatchup(t, sim, prov, nil)
 
 	// The laggard reports Finalized=6: it traversed those beacons, so
 	// shares for rounds ≤ 6 are dead weight.
-	c.Respond(p, 1, &types.Status{Round: 3, Finalized: 6, Seq: 1}, 10, hash.Digest{}, 0)
+	respond(e, 1, &types.Status{Round: 3, Finalized: 6, Seq: 1}, 0)
 	if len(prov.reqs) != 1 {
 		t.Fatalf("provider saw %d requests, want 1", len(prov.reqs))
 	}
@@ -160,11 +169,11 @@ func TestCatchupDroppedEnqueueIsNotRetriedInline(t *testing.T) {
 	sim.SetShareCacheSize(-1)
 	prov := &fakeProvider{accept: false} // queue full / in flight
 	var gotDeferred = -1
-	c, p := buildCatchup(t, sim, prov, func(_ types.PartyID, _, deferred int, _ time.Duration) {
+	e := buildCatchup(t, sim, prov, func(_ types.PartyID, _, deferred int, _ time.Duration) {
 		gotDeferred = deferred
 	})
 
-	bundle := c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 10, hash.Digest{}, 0)
+	bundle := respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 0)
 	if bundle != nil {
 		for _, m := range bundle.Messages {
 			if _, ok := m.(*types.BeaconShare); ok {
@@ -181,22 +190,22 @@ func TestCatchupDroppedEnqueueIsNotRetriedInline(t *testing.T) {
 func TestCatchupRateLimitsPerPeer(t *testing.T) {
 	sim := revealedSim(t, 4, 0, 10)
 	prov := &fakeProvider{accept: true}
-	c, p := buildCatchup(t, sim, prov, nil)
+	e := buildCatchup(t, sim, prov, nil)
 
-	if c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 10, hash.Digest{}, 0) == nil && len(prov.reqs) == 0 {
+	if respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 0) == nil && len(prov.reqs) == 0 {
 		t.Fatal("first request not answered")
 	}
 	n := len(prov.reqs)
-	if c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 2}, 10, hash.Digest{}, 50*time.Millisecond) != nil || len(prov.reqs) != n {
+	if respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 2}, 50*time.Millisecond) != nil || len(prov.reqs) != n {
 		t.Fatal("repeat within the rate-limit window answered")
 	}
 	// A different peer is not limited.
-	c.Respond(p, 2, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 10, hash.Digest{}, 50*time.Millisecond)
+	respond(e, 2, &types.Status{Round: 3, Finalized: 0, Seq: 1}, 50*time.Millisecond)
 	if len(prov.reqs) != n+1 {
 		t.Fatal("second peer rate-limited by the first")
 	}
 	// After the interval the first peer is served again.
-	c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 3}, 10, hash.Digest{}, 200*time.Millisecond)
+	respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 3}, 200*time.Millisecond)
 	if len(prov.reqs) != n+2 {
 		t.Fatal("first peer not served after the window")
 	}
@@ -206,12 +215,12 @@ func TestCatchupEmptyReplyDoesNotChargeLimiter(t *testing.T) {
 	sim := revealedSim(t, 4, 0, 10)
 	sim.SetShareCacheSize(-1)
 	prov := &fakeProvider{accept: true}
-	c, p := buildCatchup(t, sim, prov, nil)
+	e := buildCatchup(t, sim, prov, nil)
 
 	// A peer that needs no shares (its gap is finalized on its side)
 	// and whose rounds we hold nothing for gets an empty answer — that
 	// must not burn its one reply per interval.
-	if b := c.Respond(p, 1, &types.Status{Round: 3, Finalized: 10, Seq: 1}, 10, hash.Digest{}, 0); b != nil {
+	if b := respond(e, 1, &types.Status{Round: 3, Finalized: 10, Seq: 1}, 0); b != nil {
 		t.Fatalf("expected empty reply, got %d messages", len(b.Messages))
 	}
 	if len(prov.reqs) != 0 {
@@ -219,13 +228,13 @@ func TestCatchupEmptyReplyDoesNotChargeLimiter(t *testing.T) {
 	}
 	// The very next Status with real needs — still inside the rate
 	// interval — is served, because the empty reply was free.
-	c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 2}, 10, hash.Digest{}, 10*time.Millisecond)
+	respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 2}, 10*time.Millisecond)
 	if len(prov.reqs) != 1 {
 		t.Fatal("peer stayed rate-limited after an empty reply")
 	}
 	// That served reply did charge the limiter: an immediate repeat is
 	// refused.
-	c.Respond(p, 1, &types.Status{Round: 3, Finalized: 0, Seq: 3}, 10, hash.Digest{}, 20*time.Millisecond)
+	respond(e, 1, &types.Status{Round: 3, Finalized: 0, Seq: 3}, 20*time.Millisecond)
 	if len(prov.reqs) != 1 {
 		t.Fatal("served reply did not charge the limiter")
 	}

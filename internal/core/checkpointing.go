@@ -257,43 +257,36 @@ type CheckpointProvider interface {
 	EnqueueCheckpoint(req CheckpointRequest) bool
 }
 
-// maybeServeCheckpoint answers a Status from a peer so far behind that
-// artifact catch-up can no longer help it: its gap starts below our
-// prune horizon, so the rounds it needs are gone from our pool, and only
-// a checkpoint install can move it. Returns true when the Status was
-// fully handled here.
-func (e *Engine) maybeServeCheckpoint(from types.PartyID, st *types.Status, now time.Duration) bool {
+// checkpointDue reports whether a Status comes from a peer so far
+// behind that artifact catch-up can no longer help it: its gap starts
+// below our prune horizon, so the rounds it needs are gone from our
+// pool, and we hold a certified checkpoint newer than its frontier.
+func (e *Engine) checkpointDue(st *types.Status) bool {
 	if e.cfg.Checkpoints == nil || e.cfg.PruneDepth <= 0 || e.kmax <= e.cfg.PruneDepth {
 		return false
 	}
-	cut := e.kmax - e.cfg.PruneDepth
-	if st.Round > cut {
-		return false // ordinary artifact catch-up still works
-	}
 	latest := e.cfg.Checkpoints.LatestRound()
-	if latest == 0 || latest <= st.Finalized {
-		return false // nothing newer than what the peer already has
-	}
-	if !e.catchup.allowReply(from, now) {
-		return true // rate-limited; swallow the Status either way
-	}
+	return st.Round <= e.kmax-e.cfg.PruneDepth && latest > 0 && latest > st.Finalized
+}
+
+// serveCheckpoint sends the peer our latest certified checkpoint,
+// through the CheckpointProvider when one is wired and inline otherwise
+// (the deterministic simnet/harness path). It reports whether anything
+// left; a dropped request is re-asked at the peer's next Status.
+func (e *Engine) serveCheckpoint(from types.PartyID, st *types.Status, now time.Duration) bool {
+	round := e.cfg.Checkpoints.LatestRound()
 	if prov, ok := e.cfg.Catchup.(CheckpointProvider); ok && prov != nil {
-		if prov.EnqueueCheckpoint(CheckpointRequest{Peer: from, MinRound: st.Round}) {
-			if e.cfg.Hooks.OnCheckpointServed != nil {
-				e.cfg.Hooks.OnCheckpointServed(from, latest, now)
-			}
-			return true
+		if !prov.EnqueueCheckpoint(CheckpointRequest{Peer: from, MinRound: st.Round}) {
+			return false
 		}
-		return true // dropped: the peer re-asks next interval
+	} else {
+		raw, r, ok := e.cfg.Checkpoints.LatestEncoded()
+		if !ok {
+			return false
+		}
+		round = r
+		e.out = append(e.out, engine.Unicast(from, &types.Bundle{Messages: []types.Message{&types.CheckpointMsg{Blob: raw}}, Resync: true}))
 	}
-	// Synchronous fallback: deterministic single-threaded paths (simnet,
-	// harness) serve inline.
-	raw, round, ok := e.cfg.Checkpoints.LatestEncoded()
-	if !ok {
-		return false
-	}
-	bundle := &types.Bundle{Messages: []types.Message{&types.CheckpointMsg{Blob: raw}}, Resync: true}
-	e.out = append(e.out, engine.Unicast(from, bundle))
 	if e.cfg.Hooks.OnCheckpointServed != nil {
 		e.cfg.Hooks.OnCheckpointServed(from, round, now)
 	}

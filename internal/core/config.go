@@ -135,8 +135,8 @@ type Hooks struct {
 	// OnCommit fires for every block the Finalization Subprotocol
 	// outputs, in chain order.
 	OnCommit func(b *types.Block, now time.Duration)
-	// OnResync fires when the stall detector re-broadcasts the party's
-	// protocol frontier (resync.go).
+	// OnResync fires when the stall detector sends the party's Status
+	// to its peers (resync.go).
 	OnResync func(k types.Round, now time.Duration)
 	// OnBackfill fires when the party answers a lagging peer's Status
 	// with a catch-up batch (catchup.go): inline is the number of beacon
@@ -245,13 +245,14 @@ type Config struct {
 // adaptiveMax caps the doublings of the working Δbnd under Config.Adaptive.
 const adaptiveMax = 6
 
-// resyncDeltas is how many Δbnd a round may stall before the engine
-// re-broadcasts its protocol frontier (a Status plus the current round's
-// artifacts) to every peer, and the least time between two catch-up
-// replies to one peer. The paper's protocol is quiescent — nothing is
-// ever retransmitted — which is safe under the eventual-delivery
-// assumption of §1 but deadlocks when the network genuinely loses
-// messages (a TCP partition, a crashed and recovered process).
+// resyncDeltas is how many Δbnd, on top of ε, a round may stall before
+// the engine sends every peer its Status (resync.go), and the least time
+// between two answers to one peer's Status. ε counts because a round
+// that only waits out a silent leader lasts Δntry(1) = 2Δbnd + ε, which
+// is no stall. The paper's protocol is quiescent — nothing is ever
+// retransmitted — which is safe under the eventual-delivery assumption
+// of §1 but deadlocks when the network genuinely loses messages (a TCP
+// partition, a crashed and recovered process).
 const resyncDeltas = 8
 
 // resyncBatch caps how many rounds of notarized blocks a single catch-up

@@ -53,12 +53,14 @@ type Engine struct {
 	waitSince time.Duration
 
 	// Resynchronisation state (resync.go, catchup.go).
-	resyncInterval time.Duration // resyncDeltas·Δbnd; tests in this package shorten it
+	resyncInterval time.Duration // resyncDeltas·Δbnd + ε; tests in this package shorten it
 	resyncAt       time.Duration // next time a stalled round triggers a Status
 	statusSeq      uint64        // distinguishes successive Status emissions
 	finalSeen      types.Round   // highest round with a finalization in the pool
 	lastFinalHash  hash.Digest   // block hash at kmax (zero until first commit)
-	catchup        *Catchup      // answers lagging peers' Status messages
+	// repliedAt is when each peer last got an answer to its Status: one
+	// an interval.
+	repliedAt map[types.PartyID]time.Duration
 
 	// Durability state (checkpointing.go, recover.go).
 	replaying bool // WAL replay in progress: suppress new signatures and sends
@@ -83,15 +85,14 @@ var _ engine.Engine = (*Engine)(nil)
 // NewEngine builds an ICC0 engine from a config.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	resync := resyncDeltas * cfg.DeltaBound
 	e := &Engine{
 		cfg:            cfg,
 		pool:           pool.New(cfg.Keys, cfg.Self, cfg.Pool),
 		round:          1,
 		pending:        make(map[types.Round]struct{}),
 		maxPayload:     types.MaxPayloadBytes,
-		resyncInterval: resync,
-		catchup:        newCatchup(cfg, resync),
+		resyncInterval: resyncDeltas*cfg.DeltaBound + cfg.Epsilon,
+		repliedAt:      make(map[types.PartyID]time.Duration),
 		ckpts:          make(map[types.Round]*pendingCheckpoint),
 		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
 	}
@@ -352,8 +353,8 @@ func (e *Engine) progress(now time.Duration) {
 // computable by anyone, once t+1 of its shares are public, so combining it
 // early reveals nothing; the pre-signed share is local state that nothing
 // sends before broadcastBeaconShare(k+2) on entering round k+1 — the
-// paper's release point — because every sending path (stall bundle,
-// catch-up reply, backfill) stops at shares for round e.round+1. If the
+// paper's release point — because every sending path (stall Status,
+// catch-up answer, backfill) stops at shares for round e.round+1. If the
 // shares come late, tryEnterRound does the work as before.
 func (e *Engine) precomputeBeacon() {
 	if !e.inRound || e.replaying || len(e.out) > 0 {

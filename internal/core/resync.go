@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"icc/internal/crypto/hash"
 	"icc/internal/engine"
 	"icc/internal/types"
 )
@@ -14,40 +13,30 @@ import (
 // paper's eventual-delivery assumption (§1) but deadlocks the moment a
 // message is genuinely lost — a TCP partition black-holes frames, a
 // crashed-and-recovered process has a hole in its pool, a chaos wrapper
-// drops packets. The protocol's only built-in redundancy is one round
-// deep (a round-k proposal bundle carries the round-(k−1) notarization),
-// so any deeper loss wedges the party, and with it potentially the whole
-// cluster.
+// drops packets. Recovery here is by pull, and it never touches safety:
+// every artifact sent carries its original signatures and re-enters the
+// receiver's pool through the ordinary verification paths.
 //
-// The mechanism here restores liveness without touching safety (all
-// retransmitted artifacts carry their original signatures and re-enter
-// pools through the same verification paths):
+//   - Stall: when the engine's round has not changed for
+//     resyncDeltas·Δbnd + ε, it sends every peer a Status — its round,
+//     its finalization frontier, and in Have the refs of every artifact
+//     it holds for its round — together with its own beacon shares for
+//     the round and, inside the round, the next one. Those shares are
+//     the only thing it sends unasked: no one else can produce them.
 //
-//   - Stall detection: whenever the engine's round has not changed for
-//     resyncDeltas·Δbnd, it sends every peer a Status (its round and
-//     finalization frontier) bundled with the artifacts of its current
-//     round — blocks, authenticators, notarization/finalization shares,
-//     its own beacon shares, the previous round's notarized block, and
-//     its latest finalization. Two halves of a healed partition unwedge
-//     each other this way within one interval.
+//   - Answer: handleStatus is the one answer to a Status, whatever the
+//     distance. A peer ahead of us gets nothing; one behind our prune
+//     horizon gets the latest certified checkpoint (checkpointing.go);
+//     one or more rounds behind, a batch of notarized blocks from its
+//     round on (catchup.go); in our round, that round's artifacts minus
+//     its Have. One per-peer limiter covers every case, charged only
+//     when something is sent. Two halves of a healed partition unwedge
+//     each other this way within one interval: each half's Status pulls
+//     what the other holds.
 //
-//   - Catch-up: a party receiving a Status from a peer that is more than
-//     one round behind answers with a batch of up to resyncBatch (128) rounds
-//     of notarized blocks (block + notarization + this party's own
-//     beacon share per round) plus its latest finalization. The laggard
-//     replays these through the ordinary clauses — a notarization in the
-//     pool finishes a round instantly — and repeats its Status while it
-//     remains behind, closing any gap batch by batch. Responses are
-//     rate-limited per requesting peer to one per that interval.
-//     Assembly is split (catchup.go): pool artifacts and cached beacon
-//     shares go out inline; share rounds missing from the own-share
-//     cache are enqueued to a CatchupProvider that signs them off the
-//     engine loop and unicasts them separately (or, with no provider,
-//     signed synchronously — the deterministic simnet/harness path).
-//
-// Everything travels as unicast bundles rather than broadcasts so that
-// content-addressed dissemination layers (gossip's seen-set) cannot
-// deduplicate the retransmission away.
+// Everything travels as unicast Resync-marked bundles, which the ICC1
+// overlay hands straight to its engine, neither deduplicated nor
+// relayed: they are for the party they were sent to.
 
 // touchResync records protocol progress: the stall timer restarts.
 func (e *Engine) touchResync(now time.Duration) {
@@ -120,7 +109,9 @@ func (e *Engine) maybeResync(now time.Duration) {
 			fin = e.round - 1
 		}
 	}
-	msgs := []types.Message{&types.Status{Round: e.round, Finalized: fin, Seq: e.statusSeq}}
+	var have []types.Ref
+	e.forEachRoundArtifact(e.round, func(m types.Message) { have = append(have, types.RefOf(m)) })
+	msgs := []types.Message{&types.Status{Round: e.round, Finalized: fin, Seq: e.statusSeq, Have: have}}
 	// Our beacon shares for the current round and (once the round's own
 	// beacon is known) the next — the pipelined share of tryEnterRound
 	// may have been lost.
@@ -132,42 +123,9 @@ func (e *Engine) maybeResync(now time.Duration) {
 			msgs = append(msgs, sh)
 		}
 	}
-	// The previous round's notarized block, for peers one round behind.
-	if h, ok := e.pool.NotarizedInRound(e.round - 1); ok {
-		if b := e.pool.Block(h); b != nil {
-			msgs = append(msgs, &types.BlockMsg{Block: b})
-		}
-		if nz := e.pool.Notarization(h); nz != nil {
-			msgs = append(msgs, nz)
-		}
-	}
-	// Everything we hold for the current round.
-	for _, h := range e.pool.BlocksInRound(e.round) {
-		if b := e.pool.Block(h); b != nil {
-			msgs = append(msgs, &types.BlockMsg{Block: b})
-		}
-		if a := e.pool.Authenticator(h); a != nil {
-			msgs = append(msgs, a)
-		}
-		if nz := e.pool.Notarization(h); nz != nil {
-			msgs = append(msgs, nz)
-		}
-		e.pool.ForEachNotarShareMessage(h, func(ns *types.NotarizationShare) {
-			msgs = append(msgs, ns)
-		})
-		e.pool.ForEachFinalShareMessage(h, func(fs *types.FinalizationShare) {
-			msgs = append(msgs, fs)
-		})
-	}
-	// Our finalization frontier, so laggards learn what is settled.
-	if e.lastFinalHash != (hash.Digest{}) {
-		if f := e.pool.Finalization(e.lastFinalHash); f != nil {
-			msgs = append(msgs, f)
-		}
-	}
 	// Resync marks the bundle for the receivers' verify-pipeline
-	// priority lane: stall re-broadcasts are recovery traffic and must
-	// not queue behind the live firehose.
+	// priority lane: recovery traffic must not queue behind the live
+	// firehose.
 	bundle := &types.Bundle{Messages: msgs, Resync: true}
 	for p := 0; p < e.cfg.Keys.N; p++ {
 		if pid := types.PartyID(p); pid != e.cfg.Self {
@@ -179,18 +137,74 @@ func (e *Engine) maybeResync(now time.Duration) {
 	}
 }
 
-// handleStatus answers a lagging peer's Status with a catch-up batch.
-// Peers stuck behind our prune horizon get the latest certified
-// checkpoint instead (checkpointing.go) — the artifacts they need are
-// gone from the pool. The heavy lifting lives in the Catchup component
-// (catchup.go): the engine clause only assembles the cheap inline
-// bundle; uncached beacon-share signing is deferred to the configured
-// CatchupProvider.
+// forEachRoundArtifact visits what the pool holds for round k: each
+// block with its authenticator, notarization, and notarization and
+// finalization shares. A Status's Have and the same-round answer both
+// read it, so what one names is what the other leaves out.
+func (e *Engine) forEachRoundArtifact(k types.Round, visit func(types.Message)) {
+	for _, h := range e.pool.BlocksInRound(k) {
+		if b := e.pool.Block(h); b != nil {
+			visit(&types.BlockMsg{Block: b})
+		}
+		if a := e.pool.Authenticator(h); a != nil {
+			visit(a)
+		}
+		if nz := e.pool.Notarization(h); nz != nil {
+			visit(nz)
+		}
+		e.pool.ForEachNotarShareMessage(h, func(s *types.NotarizationShare) { visit(s) })
+		e.pool.ForEachFinalShareMessage(h, func(s *types.FinalizationShare) { visit(s) })
+	}
+}
+
+// handleStatus is the one answer to a peer's Status: nothing to a peer
+// ahead of us, the latest checkpoint to one behind our prune horizon,
+// notarized blocks from its round on to one behind us, and our round's
+// artifacts minus its Have to one in our round. A peer that has learned
+// our finalization frontier late also gets that finalization. The
+// per-peer limiter allows one answer an interval — a Byzantine party
+// repeating Status must not turn us into a bandwidth amplifier — and is
+// charged only when something is sent, so a peer we could not help
+// keeps its turn for when we can.
 func (e *Engine) handleStatus(from types.PartyID, st *types.Status, now time.Duration) {
-	if e.maybeServeCheckpoint(from, st, now) {
+	if st.Round > e.round {
 		return
 	}
-	if bundle := e.catchup.Respond(e.pool, from, st, e.round, e.lastFinalHash, now); bundle != nil {
-		e.out = append(e.out, engine.Unicast(from, bundle))
+	if last, ok := e.repliedAt[from]; ok && now < last+e.resyncInterval {
+		return
+	}
+	if e.checkpointDue(st) {
+		if e.serveCheckpoint(from, st, now) {
+			e.repliedAt[from] = now
+		}
+		return
+	}
+	var msgs []types.Message
+	deferred := false
+	if st.Round < e.round {
+		msgs, deferred = e.catchupBatch(from, st, now)
+	} else {
+		have := make(map[types.Ref]bool, len(st.Have))
+		for _, r := range st.Have {
+			have[r] = true
+		}
+		e.forEachRoundArtifact(st.Round, func(m types.Message) {
+			if !have[types.RefOf(m)] {
+				msgs = append(msgs, m)
+			}
+		})
+	}
+	if st.Finalized < e.kmax {
+		if f := e.pool.Finalization(e.lastFinalHash); f != nil {
+			msgs = append(msgs, f)
+		}
+	}
+	if len(msgs) > 0 {
+		// Resync marks the bundle for the peer's verify-pipeline priority
+		// lane and its chain-aware batch verification.
+		e.out = append(e.out, engine.Unicast(from, &types.Bundle{Messages: msgs, Resync: true}))
+	}
+	if len(msgs) > 0 || deferred {
+		e.repliedAt[from] = now
 	}
 }

@@ -34,10 +34,11 @@ func Table1(scale Scale) *Table {
 		ID:    "E1",
 		Title: "Table 1: block rate and per-node sent traffic (5-min window)",
 		Columns: []string{"subnet", "scenario", "blocks/s", "paper blocks/s",
-			"Mb/s per node", "paper Mb/s"},
+			"Mb/s per node", "paper Mb/s", "recovery Mb/s"},
 		Notes: []string{
 			"paper traffic includes non-consensus services (key resharing, logs, metrics); this reproduction measures consensus traffic only",
 			"ε governor parametrized per subnet size to model the production block-rate configuration",
+			"recovery Mb/s: the part of Mb/s per node that was stalled parties' Statuses and the answers to them",
 		},
 	}
 	window := time.Duration(scale.scaleInt(300)) * time.Second
@@ -64,18 +65,19 @@ func Table1(scale Scale) *Table {
 			epsilon = 2300 * time.Millisecond
 		}
 		for _, sc := range scenarios {
-			rate, mbps := runTable1Cell(n, epsilon, window, sc.load, sc.failures)
+			rate, mbps, recovery := runTable1Cell(n, epsilon, window, sc.load, sc.failures)
 			t.AddRow(
 				fmt.Sprintf("%d nodes", n), sc.name,
 				fmt.Sprintf("%.2f", rate), sc.paperRate[n],
 				fmt.Sprintf("%.2f", mbps), sc.paperMbps[n],
+				fmt.Sprintf("%.2f", recovery),
 			)
 		}
 	}
 	return t
 }
 
-func runTable1Cell(n int, epsilon time.Duration, window time.Duration, load, failures bool) (blocksPerSec, mbpsPerNode float64) {
+func runTable1Cell(n int, epsilon time.Duration, window time.Duration, load, failures bool) (blocksPerSec, mbpsPerNode, recoveryMbps float64) {
 	m := simnet.NewWANMatrix(n, 6*time.Millisecond, 110*time.Millisecond, int64(n))
 	opts := harness.Options{
 		N:          n,
@@ -117,9 +119,8 @@ func runTable1Cell(n int, epsilon time.Duration, window time.Duration, load, fai
 	if failures {
 		live = n - n/3
 	}
-	bitsPerNode := float64(s.TotalBytes) * 8 / float64(live)
-	mbpsPerNode = bitsPerNode / secs / 1e6
-	return blocksPerSec, mbpsPerNode
+	perNode := func(bytes int64) float64 { return float64(bytes) * 8 / float64(live) / secs / 1e6 }
+	return blocksPerSec, perNode(s.TotalBytes), perNode(s.RecoveryBytes)
 }
 
 func boolInt(b bool) int64 {

@@ -622,10 +622,20 @@ func (g *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 		g.handleAdvert(from, v, now)
 	case *types.Request:
 		g.handleRequest(from, v)
-	case *types.PayloadOffer:
-		// Point-to-point and meant for this party's own proposals only:
-		// straight to the engine, never stored, relayed or deduplicated.
+	case *types.PayloadOffer, *types.Status:
+		// Point to point and meant for this party alone — a forward for
+		// its own proposals, a peer's Status for it to answer: straight to
+		// the engine, never stored, relayed or deduplicated.
 		g.disseminate(g.inner.HandleMessage(from, v, now), now)
+	case *types.Bundle:
+		if v.Resync {
+			// Likewise a Status with its sender's own beacon shares, or
+			// the answer to one: what this party lacked, not news for
+			// the overlay.
+			g.disseminate(g.inner.HandleMessage(from, v, now), now)
+		} else {
+			g.handleArtifact(from, m, now)
+		}
 	default:
 		g.handleArtifact(from, m, now)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/engine"
 	"icc/internal/node"
 	"icc/internal/oracle"
 	"icc/internal/simnet"
@@ -142,5 +143,68 @@ func TestCrashRecoverPartyRejoinsICC1(t *testing.T) {
 	nowAhead := c.Log.Len(0)
 	if nowAhead-caughtUp > 5 {
 		t.Fatalf("party 3 did not catch up under ICC1: %d vs %d commits", caughtUp, nowAhead)
+	}
+}
+
+// answerLog records, at the party it wraps, when each peer's answers to
+// its Statuses arrive: Resync-marked bundles that are not the peer's own
+// stall bundle (which opens with a Status).
+type answerLog struct {
+	engine.Engine
+	at map[types.PartyID][]time.Duration
+}
+
+func (a answerLog) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	if b, ok := m.(*types.Bundle); ok && b.Resync && len(b.Messages) > 0 {
+		if _, stall := b.Messages[0].(*types.Status); !stall {
+			a.at[from] = append(a.at[from], now)
+
+		}
+	}
+	return a.Engine.HandleMessage(from, m, now)
+}
+
+// TestChaosLyingStatus: a Byzantine party sends every honest party a
+// Status every millisecond — its own round with an empty Have, round 1
+// with nothing finalized, a round far ahead, always the same Seq. The
+// run must pass every oracle property with the honest parties
+// committing, and each honest party must answer the liar at most once
+// per stall interval, 8·Δbnd + ε: over a fixed-delay link the answers
+// arrive as far apart as they left.
+func TestChaosLyingStatus(t *testing.T) {
+	const liar = 3
+	for _, mode := range []node.Mode{node.ICC0, node.ICC1} {
+		t.Run(mode.String(), func(t *testing.T) {
+			answers := make(map[types.PartyID][]time.Duration)
+			c, err := New(Options{N: 4, Seed: 41, SimBeacon: true, Mode: mode,
+				Delay: simnet.Fixed{D: 10 * time.Millisecond}, Epsilon: 20 * time.Millisecond,
+				Behaviors: map[types.PartyID]Behavior{liar: StatusLiar},
+				WrapEngine: func(p types.PartyID, e engine.Engine) engine.Engine {
+					if p != liar {
+						return e
+					}
+					return answerLog{e, answers}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			if !c.RunUntilCommitted(50, 30*time.Second) {
+				t.Fatalf("honest parties committed only %d blocks under the Status flood", c.Log.Fewest(c.HonestParties()...))
+			}
+			judge(t, c, 0)
+			interval := 8*c.Opts.DeltaBound + c.Opts.Epsilon
+			for _, p := range c.HonestParties() {
+				at := answers[p]
+				if len(at) == 0 {
+					t.Errorf("party %d never answered the liar: the lies went unheard", p)
+				}
+				for i := 1; i < len(at); i++ {
+					if gap := at[i] - at[i-1]; gap < interval {
+						t.Errorf("party %d answered the liar twice %v apart, under the %v interval", p, gap, interval)
+					}
+				}
+			}
+		})
 	}
 }

@@ -40,6 +40,7 @@ const (
 	ClockSkewed            // honest, but runs against a skewed local clock
 	RankAbuser             // colluding cartel member abusing the rank permutation
 	MuteRelay              // ICC1: sends its own artifacts, relays nothing second-hand
+	StatusLiar             // honest, but floods every peer with lying Statuses
 )
 
 // behaviorNames is the canonical Behavior <-> string mapping, used by the
@@ -55,6 +56,7 @@ var behaviorNames = map[Behavior]string{
 	ClockSkewed:   "clock_skewed",
 	RankAbuser:    "rank_abuser",
 	MuteRelay:     "mute_relay",
+	StatusLiar:    "status_liar",
 }
 
 // String implements fmt.Stringer.
@@ -317,6 +319,8 @@ func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *advers
 				delay = opts.DeltaBound
 			}
 			eng = adversary.NewRankAbuser(inner, cartel, delay)
+		case StatusLiar:
+			eng = &statusLiar{Engine: inner, n: opts.N}
 		}
 		return proposals{eng, c.Log}
 	}

@@ -160,7 +160,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		finalShares:    reg.Counter("icc_finalization_shares_total", "Finalization shares issued by this node."),
 		commits:        reg.Counter("icc_blocks_committed_total", "Blocks output by the finalization subprotocol."),
 		commitBytes:    reg.Counter("icc_committed_payload_bytes_total", "Payload bytes across committed blocks."),
-		resyncs:        reg.Counter("icc_resyncs_total", "Stall-triggered resynchronisation broadcasts."),
+		resyncs:        reg.Counter("icc_resyncs_total", "Stalls: times a round outlasted 8·Δbnd + ε and this node sent its peers a Status naming what it holds."),
 		backfills:      reg.Counter("icc_resync_backfill_responses_total", "Catch-up responses sent to lagging peers."),
 		backfillInline: reg.Counter("icc_resync_backfill_shares_inline_total", "Catch-up beacon shares answered inline (cache hit or synchronous signing)."),
 		backfillDefer:  reg.Counter("icc_resync_backfill_rounds_deferred_total", "Catch-up share rounds handed to the async backfill worker."),

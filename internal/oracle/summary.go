@@ -7,18 +7,23 @@ import (
 	"icc/internal/types"
 )
 
-// traffic is what one party sent: one message per recipient, and their
-// bytes.
-type traffic struct{ msgs, bytes int64 }
+// traffic is what one party sent: one message per recipient, their
+// bytes, and the bytes of those that were recovery traffic.
+type traffic struct{ msgs, bytes, recovery int64 }
 
 // Send records that party p, working on round k, sent a message of size
-// bytes to recipients parties. The paper's message complexity counts
+// bytes to recipients parties; recovery marks a Status or an answer to
+// one (a Resync-marked bundle). The paper's message complexity counts
 // honest parties' messages only (§1), so hosts record theirs alone.
-func (l *Log) Send(p types.PartyID, k types.Round, recipients, size int) {
+func (l *Log) Send(p types.PartyID, k types.Round, recipients, size int, recovery bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	bytes := int64(size) * int64(recipients)
 	l.sent[p].msgs += int64(recipients)
-	l.sent[p].bytes += int64(size) * int64(recipients)
+	l.sent[p].bytes += bytes
+	if recovery {
+		l.sent[p].recovery += bytes
+	}
 	l.roundMsgs[k] += int64(recipients)
 }
 
@@ -29,6 +34,7 @@ type Summary struct {
 	TotalMsgs       int64
 	MaxPartyBytes   int64 // the "communication bottleneck" measure of [35]
 	MaxPartyMsgs    int64
+	RecoveryBytes   int64 // of TotalBytes, what stalled parties sent and were answered
 	CommittedBlocks int64 // rounds some party committed
 	CommittedBytes  int64 // their payloads
 
@@ -57,6 +63,7 @@ func (l *Log) Summarize() Summary {
 	for _, t := range l.sent {
 		s.TotalBytes += t.bytes
 		s.TotalMsgs += t.msgs
+		s.RecoveryBytes += t.recovery
 		s.MaxPartyBytes = max(s.MaxPartyBytes, t.bytes)
 		s.MaxPartyMsgs = max(s.MaxPartyMsgs, t.msgs)
 	}

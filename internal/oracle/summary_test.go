@@ -10,12 +10,12 @@ import (
 
 func TestSendAccounting(t *testing.T) {
 	l := NewLog(3)
-	l.Send(0, 1, 2, 100) // party 0, round 1, 2 recipients of 100 bytes
-	l.Send(1, 1, 1, 50)
-	l.Send(0, 2, 2, 10)
+	l.Send(0, 1, 2, 100, false) // party 0, round 1, 2 recipients of 100 bytes
+	l.Send(1, 1, 1, 50, false)
+	l.Send(0, 2, 2, 10, true) // a Status to two peers
 	s := l.Summarize()
-	if s.TotalBytes != 270 || s.TotalMsgs != 5 {
-		t.Fatalf("summary totals: %d bytes, %d msgs", s.TotalBytes, s.TotalMsgs)
+	if s.TotalBytes != 270 || s.TotalMsgs != 5 || s.RecoveryBytes != 20 {
+		t.Fatalf("summary totals: %d bytes (%d recovery), %d msgs", s.TotalBytes, s.RecoveryBytes, s.TotalMsgs)
 	}
 	if s.MaxPartyBytes != 220 || s.MaxPartyMsgs != 4 {
 		t.Fatalf("summary maxima: %d, %d", s.MaxPartyBytes, s.MaxPartyMsgs)
@@ -64,7 +64,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(p types.PartyID) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				l.Send(p, types.Round(i%10), 3, 64)
+				l.Send(p, types.Round(i%10), 3, 64, false)
 				l.Notarized(p, types.Round(i%10), time.Duration(i)*ms)
 			}
 		}(types.PartyID(p))

@@ -190,6 +190,9 @@ func (nw *Network) dispatch(nd *node, outs []engine.Output) {
 		raw := types.Marshal(out.Msg)
 		size := len(raw)
 		round := nd.eng.CurrentRound()
+		b, isBundle := out.Msg.(*types.Bundle)
+		_, isStatus := out.Msg.(*types.Status)
+		recovery := isStatus || isBundle && b.Resync
 		if out.Broadcast {
 			recipients := 0
 			for _, other := range nw.nodes {
@@ -200,7 +203,7 @@ func (nw *Network) dispatch(nd *node, outs []engine.Output) {
 				nw.deliver(nd, other, out.Msg, size)
 			}
 			if nw.log != nil && nd.honest {
-				nw.log.Send(nd.eng.ID(), round, recipients, size)
+				nw.log.Send(nd.eng.ID(), round, recipients, size, recovery)
 			}
 		} else {
 			if int(out.To) < 0 || int(out.To) >= len(nw.nodes) || out.To == nd.eng.ID() {
@@ -208,7 +211,7 @@ func (nw *Network) dispatch(nd *node, outs []engine.Output) {
 			}
 			nw.deliver(nd, nw.nodes[out.To], out.Msg, size)
 			if nw.log != nil && nd.honest {
-				nw.log.Send(nd.eng.ID(), round, 1, size)
+				nw.log.Send(nd.eng.ID(), round, 1, size, recovery)
 			}
 		}
 	}

@@ -31,6 +31,7 @@ func oneOfEachKind() []Message {
 			Index: 3, Sender: 4, Echo: true, Data: []byte("frag"), Proof: []hash.Digest{h1, h2}},
 		&Opaque{Tag: 3, Data: []byte("foreign")},
 		&Status{Round: 12, Finalized: 10, Seq: 77},
+		&Status{Round: 12, Finalized: 10, Seq: 78, Have: []Ref{{Kind: KindBlock, ID: h1}, {Kind: KindNotarizationShare, ID: h2}}},
 		&CheckpointShare{Round: 16, BlockHash: h1, StateHash: h2, BeaconDigest: h1, Signer: 2, Sig: []byte{1}},
 		&CheckpointMsg{Blob: []byte("certified checkpoint")},
 		sampleShareBundle(),

@@ -178,9 +178,9 @@ type PayloadOffer struct {
 // broadcasts "B, B's authenticator, and the notarization for B's parent"
 // in one step (paper Fig. 1).
 //
-// Resync marks the bundle as resynchronisation traffic — a catch-up
-// batch answering a laggard's Status, a stall re-broadcast, or an async
-// backfill reply. The verification pipeline dequeues marked bundles
+// Resync marks the bundle as resynchronisation traffic — a stalled
+// party's Status with its own beacon shares, a peer's answer to a
+// Status, or an async backfill reply. The verification pipeline dequeues marked bundles
 // from a dedicated priority lane (so a live firehose cannot starve a
 // rejoining party's catch-up) and applies chain-aware batch
 // verification to their contents. The marker is advisory: it never
@@ -218,16 +218,20 @@ type Opaque struct {
 	Data []byte
 }
 
-// Status reports a party's protocol frontier — its working round and
-// highest finalized round — for the resynchronisation layer: peers that
-// see a Status far behind their own round answer with a catch-up bundle
-// of the missing notarized blocks. Seq distinguishes successive statuses
-// from the same party (content-addressed dissemination layers would
-// otherwise deduplicate identical retransmissions).
+// Status is what a stalled party tells its peers: its working round,
+// its highest finalized round, and in Have the refs (RefOf) of every
+// block, authenticator, notarization and notarization or finalization
+// share it holds for that round. A peer answers with what the sender
+// lacks: the notarized blocks from Round on if it is behind, the
+// round's artifacts missing from Have if it is in the same round.
+// Seq distinguishes successive statuses from the same party
+// (content-addressed dissemination layers would otherwise deduplicate
+// identical retransmissions).
 type Status struct {
 	Round     Round
 	Finalized Round
 	Seq       uint64
+	Have      []Ref
 }
 
 // CheckpointShare is one party's S_final signature share over a
@@ -396,7 +400,7 @@ func encodeRefs(e *Encoder, refs []Ref) {
 
 func decodeRefs(d *Decoder) []Ref {
 	n := int(d.U16())
-	if d.Err() != nil {
+	if n == 0 || d.Err() != nil {
 		return nil
 	}
 	refs := make([]Ref, 0, n)
@@ -440,6 +444,7 @@ func (m *Status) encodeBody(e *Encoder) {
 	e.U64(uint64(m.Round))
 	e.U64(uint64(m.Finalized))
 	e.U64(m.Seq)
+	encodeRefs(e, m.Have)
 }
 
 func (m *CheckpointShare) encodeBody(e *Encoder) {
@@ -580,6 +585,7 @@ func decodeBody(k Kind, d *Decoder) (Message, error) {
 		s.Round = Round(d.U64())
 		s.Finalized = Round(d.U64())
 		s.Seq = d.U64()
+		s.Have = decodeRefs(d)
 		m = s
 	case KindCheckpointShare:
 		c := &CheckpointShare{}

@@ -7,8 +7,8 @@
 // single-threaded engine (which the determinism argument of DESIGN.md
 // depends on) only ever handles pre-verified input.
 //
-// Admission is two-laned: resynchronisation traffic (catch-up batches,
-// stall re-broadcasts, backfill replies — bundles carrying the
+// Admission is two-laned: resynchronisation traffic (stall Statuses,
+// answers to them, backfill replies — bundles carrying the
 // types.Bundle Resync marker, or recognisably stale aggregates) is
 // dequeued with strict priority over the live firehose, so a rejoining
 // party's catch-up can never be starved by tip-of-chain traffic (the
