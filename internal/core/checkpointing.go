@@ -191,7 +191,12 @@ func (e *Engine) handleCheckpointMsg(from types.PartyID, cm *types.CheckpointMsg
 		e.reject(from, err)
 		return
 	}
-	e.installCheckpoint(cp, now)
+	if e.installCheckpoint(cp, now) {
+		// The peer sent it because we were behind its prune horizon, and
+		// it has moved on since it certified it: ask for the rounds above
+		// at once rather than a stall interval later.
+		e.resyncAt = now
+	}
 }
 
 // installCheckpoint jumps the engine's frontier to a verified
@@ -271,18 +276,19 @@ func (e *Engine) checkpointDue(st *types.Status) bool {
 
 // serveCheckpoint sends the peer our latest certified checkpoint,
 // through the CheckpointProvider when one is wired and inline otherwise
-// (the deterministic simnet/harness path). It reports whether anything
-// left; a dropped request is re-asked at the peer's next Status.
-func (e *Engine) serveCheckpoint(from types.PartyID, st *types.Status, now time.Duration) bool {
+// (the deterministic simnet/harness path). It returns the checkpoint's
+// round, 0 when nothing left; a dropped request is re-asked at the
+// peer's next Status.
+func (e *Engine) serveCheckpoint(from types.PartyID, st *types.Status, now time.Duration) types.Round {
 	round := e.cfg.Checkpoints.LatestRound()
 	if prov, ok := e.cfg.Catchup.(CheckpointProvider); ok && prov != nil {
 		if !prov.EnqueueCheckpoint(CheckpointRequest{Peer: from, MinRound: st.Round}) {
-			return false
+			return 0
 		}
 	} else {
 		raw, r, ok := e.cfg.Checkpoints.LatestEncoded()
 		if !ok {
-			return false
+			return 0
 		}
 		round = r
 		e.out = append(e.out, engine.Unicast(from, &types.Bundle{Messages: []types.Message{&types.CheckpointMsg{Blob: raw}}, Resync: true}))
@@ -290,5 +296,5 @@ func (e *Engine) serveCheckpoint(from types.PartyID, st *types.Status, now time.
 	if e.cfg.Hooks.OnCheckpointServed != nil {
 		e.cfg.Hooks.OnCheckpointServed(from, round, now)
 	}
-	return true
+	return round
 }

@@ -515,6 +515,99 @@ func TestCheckpointTransferRejoin(t *testing.T) {
 	}
 }
 
+// TestCheckpointInstallAsksForTheRoundsAboveAtOnce: a party that
+// installs a peer's checkpoint is behind whoever sent it, so its Status
+// for the rounds above leaves at once, and the responders, whose
+// limiter the checkpoint charged, answer it: the party commits past the
+// checkpoint well within one stall interval of installing it.
+func TestCheckpointInstallAsksForTheRoundsAboveAtOnce(t *testing.T) {
+	const (
+		d        = 8
+		interval = 300 * time.Millisecond
+	)
+	h := newDurableHarness(t, durableOptions{
+		n: 4, seed: 16,
+		interval:   4,
+		pruneDepth: d,
+		resync:     interval,
+		segBytes:   4 << 10,
+		realBeacon: true,
+	})
+	var installed types.Round
+	var installedAt, askedAt, committedAt time.Duration
+	hooks := &h.eng[3].cfg.Hooks
+	hooks.OnCheckpointInstalled = func(k types.Round, now time.Duration) {
+		if installed == 0 {
+			installed, installedAt = k, now
+		}
+	}
+	hooks.OnResync = func(k types.Round, now time.Duration) {
+		if installed > 0 && askedAt == 0 {
+			askedAt = now
+		}
+	}
+	commit := hooks.OnCommit
+	hooks.OnCommit = func(b *types.Block, now time.Duration) {
+		commit(b, now)
+		if installed > 0 && b.Round > installed && committedAt == 0 {
+			committedAt = now
+		}
+	}
+	h.net.Start()
+	h.runUntilFinalized(t, 2, 3)
+	h.net.Crash(3)
+	h.runUntilFinalized(t, h.eng[3].CurrentRound()+3*d, 0, 1, 2)
+	h.net.Restore(3)
+	if !h.net.RunUntil(func() bool { return committedAt > 0 }, 5*time.Minute) {
+		t.Fatalf("laggard never committed past a checkpoint (installed %d, round %d)", installed, h.eng[3].CurrentRound())
+	}
+	if askedAt < installedAt || askedAt > installedAt+time.Millisecond {
+		t.Errorf("installed checkpoint %d at %v, next Status at %v: want at once", installed, installedAt, askedAt)
+	}
+	if committedAt-installedAt > interval/2 {
+		t.Errorf("committed past checkpoint %d %v after installing it, want under %v", installed, committedAt-installedAt, interval/2)
+	}
+}
+
+// TestStatusLimiterAfterACheckpoint: a checkpoint answer covers the
+// rounds up to it, so one Status from above it is answered within the
+// interval — and nothing more: a peer alternating between a round below
+// our horizon and one above the checkpoint gets two answers an interval.
+func TestStatusLimiterAfterACheckpoint(t *testing.T) {
+	const d = 8
+	h := newDurableHarness(t, durableOptions{n: 4, seed: 16, interval: 4, pruneDepth: d, resync: 300 * time.Millisecond})
+	h.net.Start()
+	h.runUntilFinalized(t, 4*d, 0)
+	e, peer := h.eng[0], types.PartyID(3)
+	ckpt := h.stores[0].LatestRound()
+	answers := func(st *types.Status, now time.Duration) int {
+		if answerTo(e.HandleMessage(peer, st, now), peer) == nil {
+			return 0
+		}
+		return 1
+	}
+	now := h.net.Now() + 300*time.Millisecond // past any answer the live run gave
+	below := &types.Status{Round: 1, Seq: 1}
+	above := &types.Status{Round: ckpt + 1, Finalized: ckpt, Seq: 1}
+	if answers(below, now) != 1 {
+		t.Fatal("a peer behind the prune horizon got no checkpoint")
+	}
+	if answers(below, now+time.Millisecond) != 0 {
+		t.Fatal("a second Status below the checkpoint was answered within the interval")
+	}
+	if answers(above, now+2*time.Millisecond) != 1 {
+		t.Fatal("the Status from above the checkpoint waited out the interval")
+	}
+	for i, st := range []*types.Status{below, above} {
+		if answers(st, now+time.Duration(3+i)*time.Millisecond) != 0 {
+			t.Fatalf("Status for round %d answered a third time within the interval", st.Round)
+		}
+	}
+	if answers(below, now+2*time.Millisecond+300*time.Millisecond) != 1 {
+		t.Fatal("no answer an interval after the last")
+	}
+}
+
 // TestWALFaultDegradesNodeNotCluster: fsync failures flip one party's
 // WAL to degraded (memory-only) without stopping it from participating;
 // the cluster keeps finalizing.

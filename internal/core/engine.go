@@ -58,9 +58,10 @@ type Engine struct {
 	statusSeq      uint64        // distinguishes successive Status emissions
 	finalSeen      types.Round   // highest round with a finalization in the pool
 	lastFinalHash  hash.Digest   // block hash at kmax (zero until first commit)
-	// repliedAt is when each peer last got an answer to its Status: one
-	// an interval.
-	repliedAt map[types.PartyID]time.Duration
+	// repliedAt is each peer's last answer to its Status (handleStatus's
+	// limiter).
+	repliedAt map[types.PartyID]reply
+	roundRefs map[any]types.Ref // RefOf of the round's artifacts by pool object (roundRef)
 
 	// Durability state (checkpointing.go, recover.go).
 	replaying bool // WAL replay in progress: suppress new signatures and sends
@@ -92,7 +93,7 @@ func NewEngine(cfg Config) *Engine {
 		pending:        make(map[types.Round]struct{}),
 		maxPayload:     types.MaxPayloadBytes,
 		resyncInterval: resyncDeltas*cfg.DeltaBound + cfg.Epsilon,
-		repliedAt:      make(map[types.PartyID]time.Duration),
+		repliedAt:      make(map[types.PartyID]reply),
 		ckpts:          make(map[types.Round]*pendingCheckpoint),
 		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
 	}
@@ -134,6 +135,7 @@ func (e *Engine) resetRoundState() {
 	e.waited = make(map[hash.Digest]bool)
 	e.perm = nil
 	e.rankOf = nil
+	e.roundRefs = nil
 }
 
 // dprop and dntry apply the adaptive multiplier, if enabled.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"icc/internal/engine"
@@ -30,9 +31,13 @@ import (
 //     one or more rounds behind, a batch of notarized blocks from its
 //     round on (catchup.go); in our round, that round's artifacts minus
 //     its Have. One per-peer limiter covers every case, charged only
-//     when something is sent. Two halves of a healed partition unwedge
-//     each other this way within one interval: each half's Status pulls
-//     what the other holds.
+//     when something is sent; a checkpoint charges it only for the
+//     rounds up to the checkpoint, and the party that installs one asks
+//     at once for the rounds above. Comparing a Have against the round
+//     costs a map lookup an artifact: roundRef hashes each artifact
+//     once a round, however often a peer repeats its Status. Two halves
+//     of a healed partition unwedge each other this way within one
+//     interval: each half's Status pulls what the other holds.
 //
 // Everything travels as unicast Resync-marked bundles, which the ICC1
 // overlay hands straight to its engine, neither deduplicated nor
@@ -92,26 +97,9 @@ func (e *Engine) maybeResync(now time.Duration) {
 	}
 	e.lost = false
 	e.statusSeq++
-	// Report the finalization frontier capped below the working round.
-	// After a jump-commit (tryCommitRound finalizing via a chain that
-	// reaches past the round being replayed) kmax can exceed round; a
-	// responder skips beacon shares for rounds ≤ Finalized (the laggard
-	// traversed those beacons), and an uncapped report would starve the
-	// beacon replay of the very shares it still needs. Round is uint64,
-	// so the cap must clamp at zero: `e.round - 1` for a party stalled
-	// before entering round 1 would wrap to 2^64−1 and make responders
-	// skip every beacon share.
-	fin := e.kmax
-	if fin >= e.round {
-		if e.round == 0 {
-			fin = 0
-		} else {
-			fin = e.round - 1
-		}
-	}
-	var have []types.Ref
-	e.forEachRoundArtifact(e.round, func(m types.Message) { have = append(have, types.RefOf(m)) })
-	msgs := []types.Message{&types.Status{Round: e.round, Finalized: fin, Seq: e.statusSeq, Have: have}}
+	st := e.Status()
+	st.Seq = e.statusSeq
+	msgs := []types.Message{st}
 	// Our beacon shares for the current round and (once the round's own
 	// beacon is known) the next — the pipelined share of tryEnterRound
 	// may have been lost.
@@ -137,24 +125,77 @@ func (e *Engine) maybeResync(now time.Duration) {
 	}
 }
 
-// forEachRoundArtifact visits what the pool holds for round k: each
-// block with its authenticator, notarization, and notarization and
-// finalization shares. A Status's Have and the same-round answer both
-// read it, so what one names is what the other leaves out.
-func (e *Engine) forEachRoundArtifact(k types.Round, visit func(types.Message)) {
-	for _, h := range e.pool.BlocksInRound(k) {
+// Status is what this party says when its round stalls: its round, its
+// finalization frontier, and in Have the ref of every artifact it holds
+// for the round. Seq is left for the sender to set.
+func (e *Engine) Status() *types.Status {
+	// Report the finalization frontier capped below the working round.
+	// After a jump-commit (tryCommitRound finalizing via a chain that
+	// reaches past the round being replayed) kmax can exceed round; a
+	// responder skips beacon shares for rounds ≤ Finalized (the laggard
+	// traversed those beacons), and an uncapped report would starve the
+	// beacon replay of the very shares it still needs. Round is uint64,
+	// so the cap must clamp at zero: `e.round - 1` for a party stalled
+	// before entering round 1 would wrap to 2^64−1 and make responders
+	// skip every beacon share.
+	fin := e.kmax
+	if fin >= e.round {
+		if e.round == 0 {
+			fin = 0
+		} else {
+			fin = e.round - 1
+		}
+	}
+	st := &types.Status{Round: e.round, Finalized: fin}
+	e.forEachRoundArtifact(func(r types.Ref, _ types.Message) { st.Have = append(st.Have, r) })
+	return st
+}
+
+// forEachRoundArtifact visits, with its ref, what the pool holds for
+// the engine's round: each block with its authenticator, notarization,
+// and notarization and finalization shares. A Status's Have and the
+// same-round answer both read it, so what one names is what the other
+// leaves out.
+func (e *Engine) forEachRoundArtifact(visit func(types.Ref, types.Message)) {
+	for _, h := range e.pool.BlocksInRound(e.round) {
 		if b := e.pool.Block(h); b != nil {
-			visit(&types.BlockMsg{Block: b})
+			m := &types.BlockMsg{Block: b}
+			visit(e.roundRef(b, m), m)
 		}
 		if a := e.pool.Authenticator(h); a != nil {
-			visit(a)
+			visit(e.roundRef(a, a), a)
 		}
 		if nz := e.pool.Notarization(h); nz != nil {
-			visit(nz)
+			visit(e.roundRef(nz, nz), nz)
 		}
-		e.pool.ForEachNotarShareMessage(h, func(s *types.NotarizationShare) { visit(s) })
-		e.pool.ForEachFinalShareMessage(h, func(s *types.FinalizationShare) { visit(s) })
+		e.pool.ForEachNotarShareMessage(h, func(s *types.NotarizationShare) { visit(e.roundRef(s, s), s) })
+		e.pool.ForEachFinalShareMessage(h, func(s *types.FinalizationShare) { visit(e.roundRef(s, s), s) })
 	}
+}
+
+// roundRef is types.RefOf(m), memoised for the round under the pool
+// object behind m. A block's ref hashes its whole encoding, payload
+// and all, and a peer may repeat its Status as often as it likes: with
+// the memo each artifact is hashed once a round, and comparing a Status
+// against the round costs a map lookup an artifact. resetRoundState
+// drops the memo.
+func (e *Engine) roundRef(key any, m types.Message) types.Ref {
+	if r, ok := e.roundRefs[key]; ok {
+		return r
+	}
+	if e.roundRefs == nil {
+		e.roundRefs = make(map[any]types.Ref)
+	}
+	r := types.RefOf(m)
+	e.roundRefs[key] = r
+	return r
+}
+
+// reply is the per-peer limiter's record of the last answer to a
+// peer's Status: when it left, and the highest Status round it covers.
+type reply struct {
+	at     time.Duration
+	covers types.Round
 }
 
 // handleStatus is the one answer to a peer's Status: nothing to a peer
@@ -165,17 +206,20 @@ func (e *Engine) forEachRoundArtifact(k types.Round, visit func(types.Message)) 
 // per-peer limiter allows one answer an interval — a Byzantine party
 // repeating Status must not turn us into a bandwidth amplifier — and is
 // charged only when something is sent, so a peer we could not help
-// keeps its turn for when we can.
+// keeps its turn for when we can. A checkpoint covers only the rounds up
+// to it: the peer's next Status, from the round above once it has
+// installed it, is answered at once, so at most two answers leave an
+// interval.
 func (e *Engine) handleStatus(from types.PartyID, st *types.Status, now time.Duration) {
 	if st.Round > e.round {
 		return
 	}
-	if last, ok := e.repliedAt[from]; ok && now < last+e.resyncInterval {
+	if last, ok := e.repliedAt[from]; ok && now < last.at+e.resyncInterval && st.Round <= last.covers {
 		return
 	}
 	if e.checkpointDue(st) {
-		if e.serveCheckpoint(from, st, now) {
-			e.repliedAt[from] = now
+		if k := e.serveCheckpoint(from, st, now); k > 0 {
+			e.repliedAt[from] = reply{at: now, covers: k}
 		}
 		return
 	}
@@ -188,8 +232,8 @@ func (e *Engine) handleStatus(from types.PartyID, st *types.Status, now time.Dur
 		for _, r := range st.Have {
 			have[r] = true
 		}
-		e.forEachRoundArtifact(st.Round, func(m types.Message) {
-			if !have[types.RefOf(m)] {
+		e.forEachRoundArtifact(func(r types.Ref, m types.Message) {
+			if !have[r] {
 				msgs = append(msgs, m)
 			}
 		})
@@ -205,6 +249,6 @@ func (e *Engine) handleStatus(from types.PartyID, st *types.Status, now time.Dur
 		e.out = append(e.out, engine.Unicast(from, &types.Bundle{Messages: msgs, Resync: true}))
 	}
 	if len(msgs) > 0 || deferred {
-		e.repliedAt[from] = now
+		e.repliedAt[from] = reply{at: now, covers: math.MaxUint64}
 	}
 }

@@ -5,7 +5,9 @@ package core
 
 import (
 	"crypto/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,6 +427,37 @@ func TestStatusSameRoundOneShareMissing(t *testing.T) {
 func TestStatusSameRoundOneBlockMissing(t *testing.T) {
 	c, b0, b1, peer := sameRound(t)
 	sameRefs(t, answerTo(c.eng.HandleMessage(peer, &types.Status{Round: 1, Seq: 1, Have: refsOf(b0)}, 10*time.Millisecond), peer), b1)
+}
+
+// TestStatusSameRoundHashesEachArtifactOnce: a peer repeating a Status
+// that names everything we hold gets no answer, so the limiter never
+// stops it, and each repeat compares its Have against our round. The
+// round's refs are memoised: a 1-MiB block is encoded and hashed once,
+// not once a Status — fifty repeats allocate far less than one copy of
+// the block.
+func TestStatusSameRoundHashesEachArtifactOnce(t *testing.T) {
+	const payload = 1 << 20
+	c := newChoreography(t, 4, 3, 100*time.Millisecond)
+	c.start()
+	_, bundle := c.block(0, strings.Repeat("x", payload))
+	c.deliver(c.perm[0], bundle, 0)
+	st := c.eng.Status()
+	if len(st.Have) != len(bundle.Messages)+1 {
+		t.Fatalf("Status names %d artifacts, want the block, its authenticator and our share", len(st.Have))
+	}
+	peer := c.perm[2]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 50; i++ {
+		now := time.Duration(i+1) * time.Millisecond
+		if b := answerTo(c.eng.HandleMessage(peer, &types.Status{Round: 1, Seq: uint64(i + 1), Have: st.Have}, now), peer); b != nil {
+			t.Fatalf("answered a peer that lacks nothing with %d messages", len(b.Messages))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > payload/2 {
+		t.Fatalf("fifty Statuses naming the round allocated %d bytes: the %d-byte block was re-encoded", got, payload)
+	}
 }
 
 // TestStallSendsOnlyStatusAndOwnShares: the stall bundle is a Status

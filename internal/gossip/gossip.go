@@ -622,25 +622,31 @@ func (g *Engine) HandleMessage(from types.PartyID, m types.Message, now time.Dur
 		g.handleAdvert(from, v, now)
 	case *types.Request:
 		g.handleRequest(from, v)
-	case *types.PayloadOffer, *types.Status:
-		// Point to point and meant for this party alone — a forward for
-		// its own proposals, a peer's Status for it to answer: straight to
-		// the engine, never stored, relayed or deduplicated.
-		g.disseminate(g.inner.HandleMessage(from, v, now), now)
-	case *types.Bundle:
-		if v.Resync {
-			// Likewise a Status with its sender's own beacon shares, or
-			// the answer to one: what this party lacked, not news for
-			// the overlay.
-			g.disseminate(g.inner.HandleMessage(from, v, now), now)
+	default:
+		if pointToPoint(m) {
+			g.disseminate(g.inner.HandleMessage(from, m, now), now)
 		} else {
 			g.handleArtifact(from, m, now)
 		}
-	default:
-		g.handleArtifact(from, m, now)
 	}
 	g.maybeFlush(now)
 	return g.drain()
+}
+
+// pointToPoint reports whether m is meant for this party alone and goes
+// straight to the engine, never stored, relayed or deduplicated: a
+// forward for its own proposals, a peer's Status for it to answer, or a
+// Resync-marked bundle — a Status with its sender's own beacon shares,
+// or the answer to one, which is what this party lacked and not news
+// for the overlay.
+func pointToPoint(m types.Message) bool {
+	switch v := m.(type) {
+	case *types.PayloadOffer, *types.Status:
+		return true
+	case *types.Bundle:
+		return v.Resync
+	}
+	return false
 }
 
 func (g *Engine) drain() []engine.Output {

@@ -166,7 +166,10 @@ func (a answerLog) HandleMessage(from types.PartyID, m types.Message, now time.D
 
 // TestChaosLyingStatus: a Byzantine party sends every honest party a
 // Status every millisecond — its own round with an empty Have, round 1
-// with nothing finalized, a round far ahead, always the same Seq. The
+// with nothing finalized, a round far ahead, its own round with a Have
+// naming everything it holds and a frontier far ahead (no answer, so
+// no charge: each is compared against the round, which roundRef keeps
+// to a lookup an artifact), always the same Seq. The
 // run must pass every oracle property with the honest parties
 // committing, and each honest party must answer the liar at most once
 // per stall interval, 8·Δbnd + ε: over a fixed-delay link the answers

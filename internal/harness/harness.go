@@ -320,7 +320,7 @@ func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *advers
 			}
 			eng = adversary.NewRankAbuser(inner, cartel, delay)
 		case StatusLiar:
-			eng = &statusLiar{Engine: inner, n: opts.N}
+			eng = &statusLiar{Engine: inner, core: inner, n: opts.N}
 		}
 		return proposals{eng, c.Log}
 	}

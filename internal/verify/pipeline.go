@@ -408,8 +408,9 @@ func (p *Pipeline) worker() {
 		// Strict priority: a queued resync envelope is always taken
 		// before any live one. The live firehose therefore cannot
 		// starve catch-up — the inverse starvation (resync swamping
-		// live) is bounded by the per-peer rate limit on catch-up
-		// responses and the size of a batch.
+		// live) is bounded by the one per-peer limit on answers to a
+		// Status (core's handleStatus: one answer an interval, charged
+		// only when something is sent) and the size of a batch.
 		select {
 		case <-p.done:
 			return
