@@ -11,6 +11,7 @@ package adversary
 import (
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/core"
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
@@ -81,6 +82,9 @@ func (f *Filter) NextWake(now time.Duration) (time.Duration, bool) { return f.In
 
 // Wake implements engine.Waker for the inner engine.
 func (f *Filter) Wake() <-chan struct{} { return engine.WakeOf(f.Inner) }
+
+// Beacon implements engine.Beaconed for the inner engine.
+func (f *Filter) Beacon() beacon.Source { return engine.BeaconOf(f.Inner) }
 
 // CurrentRound implements engine.Engine.
 func (f *Filter) CurrentRound() types.Round { return f.Inner.CurrentRound() }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/checkpoint"
 	"icc/internal/crypto"
 	"icc/internal/crypto/aggsig"
@@ -219,6 +220,9 @@ func (e *Engine) Wake() <-chan struct{} {
 	}
 	return nil
 }
+
+// Beacon implements engine.Beaconed.
+func (e *Engine) Beacon() beacon.Source { return e.cfg.Beacon }
 
 // Replaying reports whether a WAL replay is in progress (Recover).
 func (e *Engine) Replaying() bool { return e.replaying }

@@ -171,6 +171,14 @@ func (p *PublicInfo) assemble(bySigner map[int][]byte) (aggsig.Certificate, erro
 // Threshold distinct in-range signers, sorted without duplicates, each
 // signature valid.
 func (p *PublicInfo) Verify(domain hash.Domain, msg []byte, c aggsig.Certificate) error {
+	return p.VerifyKnown(domain, msg, c, nil)
+}
+
+// VerifyKnown is Verify, except that a signature for which known (nil:
+// none) reports true is taken as valid without a check: the caller vouches
+// that it has verified those very bytes from that signer on this message.
+// The structural checks apply to every signer all the same.
+func (p *PublicInfo) VerifyKnown(domain hash.Domain, msg []byte, c aggsig.Certificate, known func(signer int, sig []byte) bool) error {
 	agg, ok := c.(*Aggregate)
 	if !ok || agg == nil {
 		var got aggsig.SchemeID
@@ -192,6 +200,9 @@ func (p *PublicInfo) Verify(domain hash.Domain, msg []byte, c aggsig.Certificate
 			return fmt.Errorf("%w: signer list not strictly increasing in range", ErrBadAggregate)
 		}
 		prev = signer
+		if known != nil && known(signer, agg.Sigs[i]) {
+			continue
+		}
 		if err := p.verifiers[signer].Verify(domain, msg, agg.Sigs[i]); err != nil {
 			return fmt.Errorf("%w: signer %d: %v", ErrBadAggregate, signer, err)
 		}

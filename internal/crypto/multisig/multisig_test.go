@@ -128,6 +128,40 @@ func TestVerifyRejectsMalformedAggregates(t *testing.T) {
 	}
 }
 
+// VerifyKnown leaves out exactly the signatures the caller vouches for:
+// every structural check still holds for them, and an unvouched forged
+// signature is still refused.
+func TestVerifyKnownSkipsOnlyVouchedSignatures(t *testing.T) {
+	pub, keys := deal(t, 2, 4)
+	msg := []byte("m")
+	cert, err := pub.Combine(testDomain, msg, signAll(keys, msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := cert.(*Aggregate)
+	junk := make([]byte, 64)
+	all := func(int, []byte) bool { return true }
+	// A vouched signature is not checked: junk under it passes.
+	if err := pub.VerifyKnown(testDomain, msg, &Aggregate{Signers: agg.Signers, Sigs: [][]byte{junk, junk}}, all); err != nil {
+		t.Fatalf("vouched signatures were checked: %v", err)
+	}
+	// Structure is checked whatever the caller vouches for.
+	for name, a := range map[string]*Aggregate{
+		"too few":      {Signers: agg.Signers[:1], Sigs: agg.Sigs[:1]},
+		"unsorted":     {Signers: []int{1, 0}, Sigs: [][]byte{agg.Sigs[1], agg.Sigs[0]}},
+		"out of range": {Signers: []int{0, 9}, Sigs: [][]byte{agg.Sigs[0], agg.Sigs[1]}},
+	} {
+		if err := pub.VerifyKnown(testDomain, msg, a, all); err == nil {
+			t.Fatalf("%s: malformed aggregate accepted", name)
+		}
+	}
+	// Signer 0 vouched, signer 1 forged and not: refused.
+	first := func(signer int, _ []byte) bool { return signer == agg.Signers[0] }
+	if err := pub.VerifyKnown(testDomain, msg, &Aggregate{Signers: agg.Signers, Sigs: [][]byte{agg.Sigs[0], junk}}, first); err == nil {
+		t.Fatal("unvouched forged signature accepted")
+	}
+}
+
 func TestVerifyRejectsWrongMessage(t *testing.T) {
 	pub, keys := deal(t, 2, 3)
 	agg, err := pub.Combine(testDomain, []byte("m1"), signAll(keys, []byte("m1")))

@@ -13,6 +13,7 @@ package engine
 import (
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/types"
 )
 
@@ -89,6 +90,23 @@ type Waker interface {
 func WakeOf(e Engine) <-chan struct{} {
 	if w, ok := e.(Waker); ok {
 		return w.Wake()
+	}
+	return nil
+}
+
+// Beaconed is an optional extension of Engine: the random beacon the
+// engine reads. A dissemination layer asks it whether a round's beacon is
+// known here, and relays one verified output in place of the round's
+// shares when it is a beacon.OutputSource. Wrappers forward it with
+// BeaconOf.
+type Beaconed interface {
+	Beacon() beacon.Source
+}
+
+// BeaconOf returns e's beacon, or nil when e exposes none.
+func BeaconOf(e Engine) beacon.Source {
+	if b, ok := e.(Beaconed); ok {
+		return b.Beacon()
 	}
 	return nil
 }

@@ -62,16 +62,15 @@ func CertScheme(scale Scale) *Table {
 	for _, n := range sizes {
 		for _, scheme := range schemes {
 			commitRate, perParty, c := runOverlayCell(harness.Options{
-				N:             n,
-				Seed:          int64(14000 + n),
-				Delay:         simnet.Fixed{D: 10 * time.Millisecond},
-				DeltaBound:    50 * time.Millisecond,
-				Mode:          node.ICC1,
-				SimBeacon:     true,
-				Verify:        pool.VerifyPreVerified,
-				PruneDepth:    simPruneDepth,
-				CertScheme:    scheme,
-				BeaconOutputs: true,
+				N:          n,
+				Seed:       int64(14000 + n),
+				Delay:      simnet.Fixed{D: 10 * time.Millisecond},
+				DeltaBound: 50 * time.Millisecond,
+				Mode:       node.ICC1,
+				SimBeacon:  true,
+				Verify:     pool.VerifyPreVerified,
+				PruneDepth: simPruneDepth,
+				CertScheme: scheme,
 			}, blocks)
 			if n == sizes[0] {
 				base[scheme] = perParty

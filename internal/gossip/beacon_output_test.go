@@ -12,11 +12,14 @@ import (
 
 // feedingSink mimics the real engine's beacon handling: every delivered
 // beacon share is fed into the party's beacon source, the way the
-// consensus engine does before checking for quorum.
+// consensus engine does before checking for quorum, and the source is
+// the one the wrapper finds through engine.BeaconOf.
 type feedingSink struct {
 	sink
 	src beacon.Source
 }
+
+func (s *feedingSink) Beacon() beacon.Source { return s.src }
 
 func (s *feedingSink) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
 	if bs, ok := m.(*types.BeaconShare); ok {
@@ -63,7 +66,7 @@ func TestBeaconOutputInstalledAndRelayed(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 
 	out := recoveredOutput(t, 7, 1, seed)
 	outs := g.HandleMessage(g.Peers()[0], &types.BeaconOutput{Round: 1, Output: out}, 0)
@@ -97,7 +100,7 @@ func TestBeaconOutputForgedRejectedThenRetried(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 
 	forged := make([]byte, 32)
 	if outs := g.HandleMessage(g.Peers()[0], &types.BeaconOutput{Round: 1, Output: forged}, 0); len(outs) != 0 {
@@ -125,7 +128,7 @@ func TestBeaconOutputEmittedOnLocalRecovery(t *testing.T) {
 	seed := []byte("genesis")
 	src := beacon.NewSimulated(7, 0, seed)
 	inner := &feedingSink{sink: sink{id: 0}, src: src}
-	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1, Outputs: src}, inner)
+	g := mustNew(t, Config{Self: 0, N: 7, Fanout: 3, Seed: 1}, inner)
 
 	q := types.BeaconQuorum(7)
 	var emitted int

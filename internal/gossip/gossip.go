@@ -21,6 +21,19 @@
 // what the speaker's frame left necessary (DESIGN.md §14 has the rules
 // and the argument).
 //
+// The random beacon is a unique threshold signature (paper §2.3), so once
+// a round's value is known here its shares are news to every neighbour
+// that learns the value some other way. When the wrapped engine's beacon
+// has third-party-verifiable output (Simulated, BLS), the first party to
+// know a round gossips that one output, which every receiver verifies
+// before installing it. A beacon share this party relays (never its own)
+// is held back from every neighbour for the listening time and dropped at
+// flush once the round's beacon is known here — provided every neighbour
+// learns it without the share: from that output, or, under DLEQ, from the
+// first-hand shares of its at least 2t neighbours. The beacon comes from
+// the wrapped engine (engine.BeaconOf); an engine that exposes none gets
+// its beacon shares relayed as they come.
+//
 // Two scale-out mechanisms, both off by default, keep per-party traffic
 // sublinear as the cluster grows (§1.1 argues per-party communication
 // need not grow with n once signatures aggregate):
@@ -86,30 +99,20 @@ type Config struct {
 	// neighbour known to hold a quorum of a statement's shares is sent
 	// neither more of them nor the certificate. Requires Keys.
 	Aggregate bool
-	// TrustShares asserts that every share reaching this wrapper has
-	// already been signature-verified (a verification pipeline fronts the
-	// gossip layer, or the deployment is an honest-only simulation).
-	// Aggregation then combines without re-verifying, and beacon-share
-	// relaying for a round stops once a reconstruction quorum (t+1) has
-	// been forwarded. What a neighbour holds is then counted per signer,
-	// so that a quorum of them can be recognised; without it a share is
-	// only an opaque ref. Never set this for raw network input: a forged
-	// share would poison aggregates, the beacon cut-off and those counts.
+	// TrustShares asserts that every notarization and finalization share
+	// reaching this wrapper has already been signature-verified (a
+	// verification pipeline fronts the gossip layer, or the deployment is
+	// an honest-only simulation). Aggregation then combines without
+	// re-verifying, and what a neighbour holds is counted per signer, so
+	// that a quorum of them can be recognised; without it a share is only
+	// an opaque ref. Never set this for raw network input: a forged share
+	// would poison aggregates and those counts. Beacon shares and outputs
+	// are not covered: nothing upstream verifies them, so the beacon
+	// cut-off reads only what the beacon itself has accepted.
 	TrustShares bool
 	// Keys is the cluster's public key material, needed by Aggregate for
 	// thresholds and share verification.
 	Keys *keys.Public
-
-	// Outputs, when non-nil, enables beacon-output relaying: the first
-	// party to recover a round's beacon gossips the single verifiable
-	// output (types.BeaconOutput) and every relay forwards that one
-	// message while suppressing the round's remaining share flood.
-	// Received outputs are verified against the beacon's global key
-	// before installation unless TrustShares is set. Only beacon
-	// backends with third-party-verifiable outputs implement the
-	// capability (see beacon.OutputSource); the engine's beacon source
-	// and this field must be the same object.
-	Outputs beacon.OutputSource
 
 	// Registry receives the wrapper's instruments (nil → none):
 	// icc_gossip_frames_total, icc_gossip_fetch_total and
@@ -389,7 +392,7 @@ type item struct {
 	due  time.Duration
 }
 
-// aggRetainRounds bounds how long aggregation and beacon-relay state for
+// aggRetainRounds bounds how long aggregation and beacon-output state for
 // old rounds is kept before Tick garbage-collects it.
 const aggRetainRounds = 64
 
@@ -418,7 +421,8 @@ const (
 	// certified: a relayed share whose statement already has a
 	// certificate here.
 	certified
-	// beaconCut: a relayed beacon share past the round's output or quota.
+	// beaconCut: a relayed beacon share of a round whose beacon is known
+	// here.
 	beaconCut
 	// listened: held back because the neighbour speaks on this edge; what
 	// becomes of it then is counted as one of the above.
@@ -485,12 +489,20 @@ type Engine struct {
 	listening []item
 	batch     []item
 
-	// Per-statement state, and the count of beacon shares relayed per
-	// round (for the TrustShares t+1 cut-off).
-	agg         map[aggKey]*aggEntry
-	beaconRelay map[types.Round]int
+	// Per-statement state.
+	agg map[aggKey]*aggEntry
+	// beacon is the wrapped engine's random beacon (nil: it exposes
+	// none), and outputs the same source when its output is third-party
+	// verifiable (nil: DLEQ, or no beacon). cutKnown says whether a
+	// relayed share of a round whose beacon is known here is news to no
+	// neighbour (rule 5). everyone is the set of all neighbours, which a
+	// held-back relayed beacon share waits on.
+	beacon   beacon.Source
+	outputs  beacon.OutputSource
+	cutKnown bool
+	everyone bitset
 	// outputDone marks rounds whose beacon output has been gossiped or
-	// installed: their share flood stops here.
+	// installed here: it is sent on at most once.
 	outputDone map[types.Round]struct{}
 	// collected is the inner engine's round when gcRounds last ran.
 	collected types.Round
@@ -526,7 +538,7 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 		store:          make(map[types.Ref]*held),
 		fetch:          make(map[types.Ref]*fetchState),
 		agg:            make(map[aggKey]*aggEntry),
-		beaconRelay:    make(map[types.Round]int),
+		beacon:         engine.BeaconOf(inner),
 		outputDone:     make(map[types.Round]struct{}),
 		// Start idle: under AdaptiveBatch the very first share relays
 		// immediately instead of waiting out a full window.
@@ -535,9 +547,13 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 	for i := range g.peerAt {
 		g.peerAt[i] = -1
 	}
+	g.everyone = newBitset(len(g.peers))
 	for i, p := range g.peers {
 		g.peerAt[p] = i
+		g.everyone.add(i)
 	}
+	g.outputs, _ = g.beacon.(beacon.OutputSource)
+	g.cutKnown = g.beacon != nil && (g.outputs != nil || firstHand(topo, g.peers, cfg.N))
 	if reg := cfg.Registry; reg != nil {
 		g.framesVec = reg.CounterVec("icc_gossip_frames_total",
 			"Artifacts by kind and what became of them: pushed, advertised, peer_has, peer_quorum and listened (held back for the neighbour to speak, then counted again as what it became) count one neighbour each, certified and beacon_cut one artifact.",
@@ -996,10 +1012,16 @@ func (g *Engine) relay(it item, own bool, now time.Duration) (deliver bool) {
 			it.advert = &types.Advert{Refs: []types.Ref{it.ref}}
 		}
 	case *types.BeaconShare:
-		if !own && g.beaconCutOff(v.Round) {
+		switch {
+		case own:
+		case g.superseded(v.Round):
 			// The flood stops here, yet the local beacon still wants every
 			// share it can get.
 			g.count(it.msg.Kind(), beaconCut)
+			g.maybeEmitOutput(v.Round, now)
+			return true
+		case g.cutKnown && g.cfg.ShareBatchWindow > 0:
+			g.hold(it, now)
 			return true
 		}
 	default:
@@ -1010,29 +1032,39 @@ func (g *Engine) relay(it item, own bool, now time.Duration) (deliver bool) {
 	return true
 }
 
-// beaconCutOff reports whether round k's relayed beacon shares stop
-// here, and counts one against the quota otherwise.
-func (g *Engine) beaconCutOff(k types.Round) bool {
-	// Once the round's beacon output is known (recovered here or received
-	// as a BeaconOutput), the one relayed output supersedes the whole
-	// share flood. The output was verified before the mark was set, so
-	// this cut-off is safe even for unverified input.
-	if g.cfg.Outputs != nil {
-		if _, done := g.outputDone[k]; done {
-			return true
+// firstHand reports whether every one of peers has at least 2t
+// neighbours: with its own share, t+1 of theirs are honest, so it reveals
+// every round from shares that cross one hop and needs no relayed one.
+func firstHand(topo [][]types.PartyID, peers []types.PartyID, n int) bool {
+	for _, p := range peers {
+		if len(topo[p]) < 2*types.MaxFaults(n) {
+			return false
 		}
 	}
-	// Under TrustShares, t+1 relayed shares already let every party
-	// reconstruct the round's beacon; the rest of the O(n) flood adds
-	// nothing. Without it an adversary could spend the quota with garbage
-	// shares, so the cut-off stays off for unverified input.
-	if g.cfg.TrustShares {
-		if g.beaconRelay[k] >= types.BeaconQuorum(g.cfg.N) {
-			return true
-		}
-		g.beaconRelay[k]++
-	}
-	return false
+	return true
+}
+
+// superseded reports whether a relayed share of round k is news to no
+// neighbour (rule 5): the round's beacon is known here — revealed from
+// shares the beacon accepted, or installed from a verified output — and
+// every neighbour learns it without the share (cutKnown). The test counts
+// no share, so junk shares cannot stop the honest ones. With an output to
+// forward, the caller sends it in the share's place (maybeEmitOutput).
+func (g *Engine) superseded(k types.Round) bool {
+	return g.cutKnown && g.beacon.Have(k)
+}
+
+// hold holds one relayed beacon share back from every neighbour for the
+// listening time (rule 5): by then the round's beacon is mostly known
+// here from shares that crossed one hop, and flush drops it; otherwise it
+// goes on to every neighbour that has not sent it. Appending keeps
+// listening in due order: every item in it waits the same time from
+// when it was appended.
+func (g *Engine) hold(it item, now time.Duration) {
+	it.wait = g.everyone
+	it.due = now + listenWindows*g.cfg.ShareBatchWindow
+	g.listening = append(g.listening, it)
+	g.countN(it.msg.Kind(), listened, len(g.peers))
 }
 
 // enqueue adds one share or certificate to the pending batch. Without a
@@ -1251,12 +1283,12 @@ func (g *Engine) handleArtifact(from types.PartyID, m types.Message, now time.Du
 }
 
 // handleBeaconOutput processes a received recovered beacon value: verify
-// against the global key (unless shares are trusted), install it into
-// the local beacon source, relay it onward, and stop relaying the
-// round's shares. It is consumed here, not delivered to the inner
-// engine — installation IS the delivery.
+// it against the global key, install it into the local beacon source,
+// relay it onward, and so stop relaying the round's shares. It is
+// consumed here, not delivered to the inner engine — installation IS the
+// delivery.
 func (g *Engine) handleBeaconOutput(from types.PartyID, o *types.BeaconOutput, now time.Duration) {
-	src := g.cfg.Outputs
+	src := g.outputs
 	if src == nil {
 		// Capability off (or beacon backend not output-verifiable): an
 		// unverifiable blob from the network is dropped, and the round's
@@ -1274,13 +1306,12 @@ func (g *Engine) handleBeaconOutput(from types.PartyID, o *types.BeaconOutput, n
 		g.outputDone[o.Round] = struct{}{}
 		return
 	}
-	if !g.cfg.TrustShares {
-		if err := src.VerifyOutput(o.Round, o.Output); err != nil {
-			// Forged — or ahead of us: verification needs R_{k−1}, which
-			// we may not have yet. Not storing it lets a later copy
-			// succeed once we catch up.
-			return
-		}
+	// Always verified: TrustShares covers no beacon artifact.
+	if err := src.VerifyOutput(o.Round, o.Output); err != nil {
+		// Forged — or ahead of us: verification needs R_{k−1}, which we
+		// may not have yet. Not storing it lets a later copy succeed once
+		// we catch up.
+		return
 	}
 	if err := src.InstallOutput(o.Round, o.Output); err != nil {
 		return
@@ -1298,7 +1329,7 @@ func (g *Engine) handleBeaconOutput(from types.PartyID, o *types.BeaconOutput, n
 // maybeEmitOutput gossips round k's recovered beacon output once, if the
 // backend supports verifiable outputs and the round is recoverable.
 func (g *Engine) maybeEmitOutput(k types.Round, now time.Duration) {
-	src := g.cfg.Outputs
+	src := g.outputs
 	if src == nil {
 		return
 	}
@@ -1348,11 +1379,15 @@ func (g *Engine) flush(now time.Duration, first bool) {
 	batch := g.batch[:0]
 	keep := func(items []item) {
 		for _, it := range items {
-			if it.e != nil && !it.cert && it.e.done {
+			switch bs, _ := it.msg.(*types.BeaconShare); {
+			case it.e != nil && !it.cert && it.e.done:
 				g.count(it.msg.Kind(), certified)
-				continue
+			case bs != nil && bs.Signer != g.cfg.Self && g.superseded(bs.Round):
+				g.count(it.msg.Kind(), beaconCut)
+				g.maybeEmitOutput(bs.Round, now)
+			default:
+				batch = append(batch, it)
 			}
-			batch = append(batch, it)
 		}
 	}
 	keep(g.listening[:due])
@@ -1462,7 +1497,7 @@ func addToGroups(groups []types.ShareGroup, k types.Round, prop types.PartyID, h
 }
 
 // gcRounds drops per-statement state (each neighbour's part of it
-// included) and beacon-relay state for rounds far behind the inner
+// included) and beacon-output marks for rounds far behind the inner
 // engine's progress. Tick calls it when that round has moved: between two
 // rounds there is nothing new to collect.
 func (g *Engine) gcRounds(cur types.Round) {
@@ -1473,11 +1508,6 @@ func (g *Engine) gcRounds(cur types.Round) {
 	for k := range g.agg {
 		if k.round < cut {
 			delete(g.agg, k)
-		}
-	}
-	for k := range g.beaconRelay {
-		if k < cut {
-			delete(g.beaconRelay, k)
 		}
 	}
 	for k := range g.outputDone {

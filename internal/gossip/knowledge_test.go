@@ -244,10 +244,10 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 	g.maxStore, g.requestRetry = 4096, 10*time.Millisecond
 	peers := g.Peers()
 	sig := make([]byte, 64)
-	sizes := func() [7]int {
-		return [7]int{len(g.store), len(g.order), len(g.fetch), len(g.agg), len(g.beaconRelay), len(g.outputDone), len(g.pending) + len(g.listening)}
+	sizes := func() [6]int {
+		return [6]int{len(g.store), len(g.order), len(g.fetch), len(g.agg), len(g.outputDone), len(g.pending) + len(g.listening)}
 	}
-	var at1000 [7]int
+	var at1000 [6]int
 	now := time.Duration(0)
 	for k := types.Round(1); k <= 4000; k++ {
 		inner.round = k
@@ -273,10 +273,10 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 		}
 	}
 	if got := sizes(); got != at1000 {
-		t.Fatalf("map sizes after 4000 rounds %v, after 1000 rounds %v (store, order, fetch, agg, beaconRelay, outputDone, pending)", got, at1000)
+		t.Fatalf("map sizes after 4000 rounds %v, after 1000 rounds %v (store, order, fetch, agg, outputDone, pending)", got, at1000)
 	}
 	if at1000[0] > 4096 || at1000[2] > 4 || at1000[3] > 2*(aggRetainRounds+2) {
-		t.Fatalf("map sizes %v exceed their bounds (store, order, fetch, agg, beaconRelay, outputDone, pending)", at1000)
+		t.Fatalf("map sizes %v exceed their bounds (store, order, fetch, agg, outputDone, pending)", at1000)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
 	"icc/internal/crypto/multisig"
@@ -382,12 +383,22 @@ func TestCertificateTransitStopsShareRelay(t *testing.T) {
 	}
 }
 
+// Rule 5's cut-off is the exact test "the round's beacon is known here",
+// not a count of relayed shares: under TrustShares nothing upstream
+// verifies a beacon share, so a count let t+1 junk shares from one
+// Byzantine signer stop the honest ones. Relayed shares flow until the
+// party's own DLEQ beacon reveals the round, and then stop; its own
+// share never does.
 func TestBeaconRelayCutoffUnderTrust(t *testing.T) {
-	inner := &sink{id: 0}
+	pub, privs, err := keys.Deal(rand.Reader, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := []byte("genesis")
+	src := beacon.New(pub.Beacon, privs[0].Beacon, 0, seed)
+	inner := &feedingSink{sink: sink{id: 0}, src: src}
 	g := mustNew(t, Config{Self: 0, N: 4, Fanout: 2, Seed: 1, TrustShares: true}, inner)
-	src := g.Peers()[0]
-	// n=4 → t=1 → quorum t+1 = 2: first two shares relay, the third is
-	// delivered but not relayed.
+	from := g.Peers()[0]
 	relays := func(outs []engine.Output) int {
 		c := 0
 		for _, o := range outs {
@@ -397,27 +408,44 @@ func TestBeaconRelayCutoffUnderTrust(t *testing.T) {
 		}
 		return c
 	}
-	s := func(signer types.PartyID) *types.BeaconShare {
-		return &types.BeaconShare{Round: 9, Signer: signer, Share: []byte{byte(signer)}}
+	share := func(signer types.PartyID, seed string) *types.BeaconShare {
+		s, err := beacon.New(pub.Beacon, privs[signer].Beacon, signer, []byte(seed)).ShareForRound(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	if relays(g.HandleMessage(src, s(1), 0)) == 0 {
-		t.Fatal("first beacon share not relayed")
+	// n = 4 → t+1 = 2. Two well-formed junk shares of signer 3 (signed
+	// over another genesis) are relayed, and reveal nothing.
+	for _, junk := range []*types.BeaconShare{share(3, "junk-a"), share(3, "junk-b")} {
+		if relays(g.HandleMessage(from, junk, 0)) == 0 {
+			t.Fatal("junk beacon share not relayed before the round is known")
+		}
 	}
-	if relays(g.HandleMessage(src, s(2), 0)) == 0 {
-		t.Fatal("second beacon share not relayed")
+	if _, ok := src.Reveal(1); ok {
+		t.Fatal("junk shares revealed the round")
 	}
-	if relays(g.HandleMessage(src, s(3), 0)) != 0 {
-		t.Fatal("beacon share relayed past the t+1 quorum")
+	// The honest shares still flow.
+	for _, signer := range []types.PartyID{1, 2} {
+		if relays(g.HandleMessage(from, share(signer, "genesis"), 0)) == 0 {
+			t.Fatalf("honest share of %d not relayed after t+1 junk shares", signer)
+		}
 	}
-	if len(inner.received) != 3 {
-		t.Fatalf("inner received %d beacon shares, want all 3", len(inner.received))
+	// The engine reveals the round (core's precomputeBeacon); from then on
+	// a relayed share is delivered and goes no further.
+	if _, ok := src.Reveal(1); !ok {
+		t.Fatal("two honest shares did not reveal the round")
 	}
-	// Our own share is never suppressed, even with the quota spent.
-	g2inner := &sink{id: 0, initOut: []engine.Output{engine.Broadcast(s(0))}}
+	delivered := len(inner.received)
+	if relays(g.HandleMessage(from, share(3, "genesis"), 0)) != 0 {
+		t.Fatal("beacon share relayed once the round's beacon was known")
+	}
+	if len(inner.received) != delivered+1 {
+		t.Fatal("share of a known round not delivered")
+	}
+	// Our own share is never suppressed, even with the round known.
+	g2inner := &feedingSink{sink: sink{id: 0, initOut: []engine.Output{engine.Broadcast(share(0, "genesis"))}}, src: src}
 	g2 := mustNew(t, Config{Self: 0, N: 4, Fanout: 2, Seed: 1, TrustShares: true}, g2inner)
-	for _, signer := range []types.PartyID{1, 2, 3} {
-		g2.HandleMessage(g2.Peers()[0], s(signer), 0)
-	}
 	if relays(g2.Init(0)) == 0 {
 		t.Fatal("own beacon share suppressed by the relay cut-off")
 	}

@@ -27,12 +27,12 @@ func TestBLSCertSchemeICC0(t *testing.T) {
 func TestBLSCertSchemeICC1(t *testing.T) {
 	// The deployed overlay on top of BLS — relay-side aggregation
 	// (constant-size certs out of the gossip layer), adaptive share
-	// batching — plus single-output beacon relay.
+	// batching — plus single-output beacon relay, which the simulated
+	// beacon's verifiable output turns on.
 	run(t, Options{
 		N: 7, Seed: 42, Mode: node.ICC1, SimBeacon: true,
-		Verify:        pool.VerifyPreVerified,
-		CertScheme:    aggsig.SchemeBLS,
-		BeaconOutputs: true,
+		Verify:     pool.VerifyPreVerified,
+		CertScheme: aggsig.SchemeBLS,
 	}, 5, 2*time.Minute)
 }
 
@@ -41,7 +41,6 @@ func TestBeaconOutputsICC1Multisig(t *testing.T) {
 	// the default multisig certificates too.
 	run(t, Options{
 		N: 7, Seed: 43, Mode: node.ICC1, SimBeacon: true,
-		Verify:        pool.VerifyPreVerified,
-		BeaconOutputs: true,
+		Verify: pool.VerifyPreVerified,
 	}, 8, 2*time.Minute)
 }

@@ -41,6 +41,7 @@ const (
 	RankAbuser             // colluding cartel member abusing the rank permutation
 	MuteRelay              // ICC1: sends its own artifacts, relays nothing second-hand
 	StatusLiar             // honest, but floods every peer with lying Statuses
+	BeaconJunk             // honest, but floods every peer with junk beacon shares
 )
 
 // behaviorNames is the canonical Behavior <-> string mapping, used by the
@@ -57,6 +58,7 @@ var behaviorNames = map[Behavior]string{
 	RankAbuser:    "rank_abuser",
 	MuteRelay:     "mute_relay",
 	StatusLiar:    "status_liar",
+	BeaconJunk:    "beacon_junk",
 }
 
 // String implements fmt.Stringer.
@@ -150,10 +152,6 @@ type Options struct {
 	// GossipFanout bounds each party's gossip neighbourhood (ICC1;
 	// 0 = gossip.DefaultFanout(N)).
 	GossipFanout int
-	// BeaconOutputs lets ICC1 relays gossip one recovered, verifiable
-	// beacon output per round instead of t+1 shares. Requires a beacon
-	// backend with third-party-verifiable outputs (SimBeacon here).
-	BeaconOutputs bool
 
 	Adaptive   bool
 	PruneDepth types.Round
@@ -257,13 +255,6 @@ func New(opts Options) (*Cluster, error) {
 		}
 		ecfg := c.engineConfig(pid)
 		overlay := node.Overlay{Fanout: opts.GossipFanout, Seed: opts.Seed}
-		if opts.BeaconOutputs && opts.Mode == node.ICC1 {
-			src, ok := ecfg.Beacon.(beacon.OutputSource)
-			if !ok {
-				return nil, fmt.Errorf("harness: party %d: beacon backend has no verifiable outputs (enable SimBeacon)", pid)
-			}
-			overlay.Outputs = src
-		}
 		inner, eng, err := node.Stack(ecfg, c.byzantine(pid, behavior, cartel), opts.Mode, overlay,
 			opts.Verify == pool.VerifyPreVerified)
 		if err != nil {
@@ -321,6 +312,8 @@ func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *advers
 			eng = adversary.NewRankAbuser(inner, cartel, delay)
 		case StatusLiar:
 			eng = &statusLiar{Engine: inner, core: inner, n: opts.N}
+		case BeaconJunk:
+			eng = newBeaconJunk(inner, opts.N, opts.Seed+int64(pid))
 		}
 		return proposals{eng, c.Log}
 	}
@@ -340,6 +333,9 @@ func (p proposals) HandleMessage(from types.PartyID, m types.Message, now time.D
 }
 
 func (p proposals) Tick(now time.Duration) []engine.Output { return p.sent(p.Engine.Tick(now), now) }
+
+// Beacon implements engine.Beaconed for the wrapped engine.
+func (p proposals) Beacon() beacon.Source { return engine.BeaconOf(p.Engine) }
 
 func (p proposals) sent(outs []engine.Output, now time.Duration) []engine.Output {
 	for _, o := range outs {

@@ -80,11 +80,8 @@ const shareBatchWindow = 2 * time.Millisecond
 // Overlay is what may differ between two clusters' ICC1 overlays; all
 // parties of one cluster must agree on Fanout and Seed.
 type Overlay struct {
-	Fanout int // 0 = gossip.DefaultFanout(n)
-	Seed   int64
-	// Outputs, when set, lets relays gossip one recovered beacon output a
-	// round in place of t+1 shares; the beacon must be the engine's own.
-	Outputs  beacon.OutputSource
+	Fanout   int // 0 = gossip.DefaultFanout(n)
+	Seed     int64
 	Registry *obs.Registry
 }
 
@@ -124,7 +121,6 @@ func Stack(ecfg core.Config, wrap func(*core.Engine) engine.Engine, mode Mode, o
 			Aggregate:        true,
 			TrustShares:      verified,
 			Keys:             ecfg.Keys,
-			Outputs:          ov.Outputs,
 			Registry:         ov.Registry,
 		}, eng)
 		if err != nil {

@@ -122,6 +122,7 @@ type Observer struct {
 	shareAfterNtry  *Histogram
 	finalShareDelay *Histogram
 	tickLate        *Histogram
+	inboxWait       *Histogram
 
 	mu      sync.Mutex
 	enterAt map[uint64]time.Duration // round → protocol time it was entered
@@ -184,6 +185,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		shareAfterNtry:  reg.Histogram("icc_core_share_after_ntry_seconds", "How long after its own Δntry(r) this node cast a notarization share: 0 when the timer gated it, above 0 when the block arrived late.", append([]float64{0}, DefBuckets...)),
 		finalShareDelay: reg.Histogram("icc_finalization_share_delay_seconds", "Round entry to this node's finalization share.", nil),
 		tickLate:        reg.Histogram("icc_runtime_tick_late_seconds", "From the instant the engine asked to be woken (NextWake) to the Tick that woke it.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
+		inboxWait:       reg.Histogram("icc_runtime_inbox_wait_seconds", "From the instant the transport had decoded a message to its delivery to the engine: inbox and verify-pipeline queueing and checks.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
 	}
 	return o
 }
@@ -388,12 +390,16 @@ func (o *Observer) PayloadOffer(peer int, k uint64, cmds int, outcome string) {
 	o.trace(KindPayloadOffer, k, outcome+": peer "+strconv.Itoa(peer)+", "+strconv.Itoa(cmds)+" commands")
 }
 
-// MessageReceived records one message delivered to the event loop.
-func (o *Observer) MessageReceived() {
+// MessageReceived records one message delivered to the event loop, and
+// how long after its arrival (a zero instant: unknown, not recorded).
+func (o *Observer) MessageReceived(arrived time.Time) {
 	if o == nil {
 		return
 	}
 	o.msgsReceived.Inc()
+	if !arrived.IsZero() {
+		o.inboxWait.Observe(time.Since(arrived).Seconds())
+	}
 }
 
 // TickFired records one timer tick delivered to the event loop, late

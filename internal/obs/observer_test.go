@@ -20,8 +20,8 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 	o.PayloadOffer(2, 2, 5, "sent")
 	o.PayloadOffer(1, 2, 3, "held")
 	o.PayloadOffer(0, 2, 4, "held")
-	o.MessageReceived()
-	o.MessageReceived()
+	o.MessageReceived(time.Time{})
+	o.MessageReceived(time.Time{})
 	o.TickFired(300 * time.Microsecond)
 	o.AdmissionWake()
 
@@ -111,7 +111,7 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	o.Commit(1, 10, 0)
 	o.Resync(1, 0)
 	o.PayloadOffer(1, 1, 10, "sent")
-	o.MessageReceived()
+	o.MessageReceived(time.Time{})
 	o.TickFired(0)
 	o.AdmissionWake()
 }

@@ -5,7 +5,9 @@ import (
 
 	"icc/internal/crypto"
 	"icc/internal/crypto/aggsig"
+	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
+	"icc/internal/crypto/multisig"
 	"icc/internal/types"
 )
 
@@ -103,18 +105,7 @@ func (v *CryptoVerifier) NotarizationShare(s *types.NotarizationShare) error {
 
 // Notarization checks a combined n−t notarization aggregate.
 func (v *CryptoVerifier) Notarization(nz *types.Notarization) error {
-	if nz == nil || nz.Round == 0 {
-		return fmt.Errorf("%w: malformed notarization", crypto.ErrBadAggregate)
-	}
-	if v.policy == VerifyPreVerified {
-		return nil
-	}
-	agg, err := v.pub.Notary.Decode(nz.Agg)
-	if err != nil {
-		return err
-	}
-	msg := types.SigningBytes(nz.Round, nz.Proposer, nz.BlockHash)
-	return v.pub.Notary.Verify(types.DomainNotarization, msg, agg)
+	return v.CertificateKnown(nz, nil)
 }
 
 // FinalizationShare checks one party's S_final share.
@@ -131,16 +122,47 @@ func (v *CryptoVerifier) FinalizationShare(s *types.FinalizationShare) error {
 
 // Finalization checks a combined n−t finalization aggregate.
 func (v *CryptoVerifier) Finalization(f *types.Finalization) error {
-	if f == nil || f.Round == 0 {
-		return fmt.Errorf("%w: malformed finalization", crypto.ErrBadAggregate)
+	return v.CertificateKnown(f, nil)
+}
+
+// CertificateKnown checks a notarization or finalization certificate as
+// Notarization and Finalization do, except that a multisig signature for
+// which known (nil: none) reports true is not checked again: known vouches
+// that this very signature from that signer on this statement has
+// verified before. A BLS certificate has no signature per signer to skip.
+func (v *CryptoVerifier) CertificateKnown(m types.Message, known func(signer int, sig []byte) bool) error {
+	var (
+		scheme aggsig.Scheme
+		domain hash.Domain
+		k      types.Round
+		prop   types.PartyID
+		bh     hash.Digest
+		enc    []byte
+	)
+	switch c := m.(type) {
+	case *types.Notarization:
+		if c == nil || c.Round == 0 {
+			return fmt.Errorf("%w: malformed notarization", crypto.ErrBadAggregate)
+		}
+		scheme, domain, k, prop, bh, enc = v.pub.Notary, types.DomainNotarization, c.Round, c.Proposer, c.BlockHash, c.Agg
+	case *types.Finalization:
+		if c == nil || c.Round == 0 {
+			return fmt.Errorf("%w: malformed finalization", crypto.ErrBadAggregate)
+		}
+		scheme, domain, k, prop, bh, enc = v.pub.Final, types.DomainFinalization, c.Round, c.Proposer, c.BlockHash, c.Agg
+	default:
+		return fmt.Errorf("%w: %v is no certificate", crypto.ErrBadAggregate, m.Kind())
 	}
 	if v.policy == VerifyPreVerified {
 		return nil
 	}
-	agg, err := v.pub.Final.Decode(f.Agg)
+	agg, err := scheme.Decode(enc)
 	if err != nil {
 		return err
 	}
-	msg := types.SigningBytes(f.Round, f.Proposer, f.BlockHash)
-	return v.pub.Final.Verify(types.DomainFinalization, msg, agg)
+	msg := types.SigningBytes(k, prop, bh)
+	if ms, ok := scheme.(*multisig.PublicInfo); ok && known != nil {
+		return ms.VerifyKnown(domain, msg, agg, known)
+	}
+	return scheme.Verify(domain, msg, agg)
 }

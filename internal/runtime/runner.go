@@ -137,9 +137,7 @@ func (r *Runner) loop() {
 					case <-r.stop:
 						return
 					case v := <-verified:
-						r.obs.MessageReceived()
-						r.send(r.eng.HandleMessage(v.From, v.Msg, r.clk.Now()))
-						r.noteRound()
+						r.deliver(v)
 						// HandleMessage can pull NextWake earlier (a
 						// notarization starts a delay-bound window); with
 						// the stale deadline the tick would fire late for
@@ -154,13 +152,9 @@ func (r *Runner) loop() {
 				}
 				continue
 			}
-			r.obs.MessageReceived()
-			r.send(r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
-			r.noteRound()
+			r.deliver(env)
 		case env := <-verified:
-			r.obs.MessageReceived()
-			r.send(r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
-			r.noteRound()
+			r.deliver(env)
 		case <-timer.C:
 			r.tick()
 			r.noteRound()
@@ -170,6 +164,14 @@ func (r *Runner) loop() {
 			r.noteRound()
 		}
 	}
+}
+
+// deliver hands one received message to the engine, recording how long
+// it waited since the transport decoded it.
+func (r *Runner) deliver(env transport.Envelope) {
+	r.obs.MessageReceived(env.At)
+	r.send(r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
+	r.noteRound()
 }
 
 // tick delivers a timer tick, recording how late it came.
@@ -209,9 +211,14 @@ func (r *Runner) armTimer(timer *time.Timer) {
 // send pushes engine outputs into the transport. Failures are counted,
 // never fatal: recovery is protocol-level (echo, catch-up), and a
 // broadcast keeps attempting the remaining peers so one sick peer never
-// costs the healthy ones their copy.
+// costs the healthy ones their copy. The verify pipeline learns this
+// party's own shares from what leaves, so a certificate carrying one does
+// not check it again.
 func (r *Runner) send(outs []engine.Output) {
 	for _, o := range outs {
+		if r.pipe != nil {
+			r.pipe.NoteOwn(r.eng.ID(), o.Msg)
+		}
 		if o.Broadcast {
 			for p := 0; p < r.n; p++ {
 				pid := types.PartyID(p)

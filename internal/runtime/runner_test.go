@@ -10,8 +10,10 @@ import (
 	"icc/internal/engine"
 	"icc/internal/metrics"
 	"icc/internal/obs"
+	"icc/internal/pool"
 	"icc/internal/transport"
 	"icc/internal/types"
+	"icc/internal/verify"
 )
 
 // pingEngine broadcasts one message at Init, counts receipts, and asks
@@ -297,5 +299,50 @@ func TestRunnerTicksOnAnAdmissionWake(t *testing.T) {
 	}
 	if got := snap.Get("icc_runtime_tick_late_seconds_count"); got != 1 {
 		t.Fatalf("%v timer ticks timed, want the 1 timer tick", got)
+	}
+}
+
+// slowEngine is a pingEngine whose every message takes a while.
+type slowEngine struct{ pingEngine }
+
+func (s *slowEngine) HandleMessage(from types.PartyID, m types.Message, now time.Duration) []engine.Output {
+	time.Sleep(20 * time.Millisecond)
+	return s.pingEngine.HandleMessage(from, m, now)
+}
+
+// TestInboxWaitCountsFromArrival: icc_runtime_inbox_wait_seconds times
+// each message from the instant the transport decoded it to its delivery,
+// through the verify pipeline when there is one: three messages that
+// arrive together behind a 20 ms engine call wait 0, 20 and 40 ms.
+func TestInboxWaitCountsFromArrival(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		hub := transport.NewInproc(2)
+		eng := &slowEngine{pingEngine{id: 0, woken: true}}
+		reg := obs.NewRegistry()
+		r := NewRunner(eng, hub.Endpoint(0), clock.NewWall(), 2)
+		r.SetObserver(obs.NewObserver(obs.ObserverConfig{Registry: reg}))
+		if pipelined {
+			r.SetVerifyPipeline(verify.New(pool.NewVerifier(nil, pool.VerifyFull), verify.Options{Workers: 1}))
+		}
+		r.Start()
+		peer := hub.Endpoint(1)
+		for k := types.Round(1); k <= 3; k++ {
+			if err := peer.Send(0, &types.BeaconShare{Round: k, Signer: 1, Share: []byte{1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for recv, _ := eng.snapshot(); recv < 3 && time.Now().Before(deadline); recv, _ = eng.snapshot() {
+			time.Sleep(time.Millisecond)
+		}
+		r.Stop()
+		hub.Close()
+		snap := reg.Snapshot()
+		if got := snap.Get("icc_runtime_inbox_wait_seconds_count"); got != 3 {
+			t.Fatalf("pipelined=%v: %v messages timed, want 3", pipelined, got)
+		}
+		if got := snap.Get("icc_runtime_inbox_wait_seconds_sum"); got < 0.055 {
+			t.Fatalf("pipelined=%v: waits sum to %.3fs, want at least the 20 + 40 ms the last two queued", pipelined, got)
+		}
 	}
 }

@@ -193,7 +193,8 @@ func (f *Faulty) Send(to types.PartyID, m types.Message) error {
 }
 
 // pump forwards the inner inbox, enforcing partitions on the receive
-// side too (bidirectional cut even against unwrapped remotes).
+// side too (bidirectional cut even against unwrapped remotes). An
+// envelope keeps the arrival instant the inner transport stamped.
 func (f *Faulty) pump() {
 	defer f.wg.Done()
 	defer close(f.out)

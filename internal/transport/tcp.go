@@ -448,7 +448,7 @@ func (t *TCP) readLoop(c net.Conn) {
 		default:
 		}
 		select {
-		case t.inbox <- Envelope{From: from, Msg: m}:
+		case t.inbox <- Envelope{From: from, Msg: m, At: time.Now()}:
 		default:
 			// Drop on overload; see the inproc transport's rationale.
 			t.stats.InboxOverflow()

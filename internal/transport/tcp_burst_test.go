@@ -389,40 +389,77 @@ func heapAllocated() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// FuzzReadFrame reads arbitrary bytes as a frame stream: readFrame must
-// never panic, never allocate past maxFrame, and refuse an oversized
-// header having read nothing past it. The same bytes, cut into payloads
-// and framed by appendFrame, must read back exactly, through short
-// reads.
-func FuzzReadFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(appendFrame(appendFrame(nil, []byte("hello")), nil))
-	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1))
-	f.Add(append(binary.BigEndian.AppendUint32(nil, 3), 1, 2))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cr := &countingReader{r: bytes.NewReader(data)}
-		var promised uint64 // the lengths of the headers readFrame accepted
-		before := heapAllocated()
-		for {
-			start := cr.n
-			raw, err := readFrame(cr)
-			if cr.n-start >= 4 {
-				if n := binary.BigEndian.Uint32(data[start:]); n <= maxFrame {
-					promised += uint64(n)
-				} else if err == nil || cr.n-start != 4 {
-					t.Fatalf("a %d-byte header was not refused on its own 4 bytes", n)
-				}
-			}
-			if err != nil {
-				break
-			}
-			if len(raw) > maxFrame {
-				t.Fatalf("frame of %d bytes", len(raw))
+// readFrameSeeds is FuzzReadFrame's seed corpus: no input, two frames,
+// an oversized header, and a frame cut short. The last is a stream of
+// the shape of one a fuzzing run once failed the process-wide heap bound
+// on (the input itself was not kept): accepted headers promising 42 843
+// bytes, the last frame cut short.
+func readFrameSeeds() [][]byte {
+	var cut []byte
+	for _, n := range []int{40000, 2000} {
+		cut = appendFrame(cut, make([]byte, n))
+	}
+	cut = append(binary.BigEndian.AppendUint32(cut, 843), 1, 2, 3)
+	return [][]byte{
+		{},
+		appendFrame(appendFrame(nil, []byte("hello")), nil),
+		binary.BigEndian.AppendUint32(nil, maxFrame+1),
+		append(binary.BigEndian.AppendUint32(nil, 3), 1, 2),
+		cut,
+	}
+}
+
+// readFrames reads data as a frame stream to its end and returns the
+// total length of the headers readFrame accepted. Every frame read must
+// be exactly as large as its header said, with nothing allocated past it,
+// and an oversized header must be refused having read nothing past it.
+func readFrames(t *testing.T, data []byte) (promised uint64) {
+	cr := &countingReader{r: bytes.NewReader(data)}
+	for {
+		start := cr.n
+		raw, err := readFrame(cr)
+		var n uint32
+		if cr.n-start >= 4 {
+			if n = binary.BigEndian.Uint32(data[start:]); n <= maxFrame {
+				promised += uint64(n)
+			} else if err == nil || cr.n-start != 4 {
+				t.Fatalf("a %d-byte header was not refused on its own 4 bytes", n)
 			}
 		}
+		if err != nil {
+			return promised
+		}
+		if len(raw) != int(n) || cap(raw) != int(n) {
+			t.Fatalf("a %d-byte header read as %d bytes of a %d-byte buffer", n, len(raw), cap(raw))
+		}
+	}
+}
+
+// TestReadFrameHeapBound holds readFrame over the seed corpus to the heap
+// the headers promised, measured process-wide, which is sound only with no
+// other goroutine allocating: hence a plain test and not the fuzz target,
+// whose workers allocate beside it.
+func TestReadFrameHeapBound(t *testing.T) {
+	for _, data := range readFrameSeeds() {
+		before := heapAllocated()
+		promised := readFrames(t, data)
 		if grew := heapAllocated() - before; grew > promised+1<<20 {
 			t.Fatalf("read allocated %d bytes for headers promising %d", grew, promised)
 		}
+	}
+}
+
+// FuzzReadFrame reads arbitrary bytes as a frame stream: readFrame must
+// never panic, allocate exactly what each accepted header promised, and
+// refuse an oversized header having read nothing past it (readFrames).
+// The same bytes, cut into payloads and framed by appendFrame, must read
+// back exactly, through short reads.
+func FuzzReadFrame(f *testing.F) {
+	for _, data := range readFrameSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readFrames(t, data)
 
 		// Each byte of data, taken in turn, sets the length of the next
 		// payload, which is cut from the bytes after it.

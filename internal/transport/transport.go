@@ -8,15 +8,18 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"icc/internal/metrics"
 	"icc/internal/types"
 )
 
-// Envelope is one received message with its claimed sender.
+// Envelope is one received message with its claimed sender and the
+// instant the transport had decoded it (zero when nobody stamped it).
 type Envelope struct {
 	From types.PartyID
 	Msg  types.Message
+	At   time.Time
 }
 
 // Endpoint is one party's attachment to a transport.
@@ -101,7 +104,7 @@ func (e *inprocEndpoint) Send(to types.PartyID, m types.Message) error {
 		return ErrClosed
 	}
 	select {
-	case e.hub.boxes[to] <- Envelope{From: e.self, Msg: decoded}:
+	case e.hub.boxes[to] <- Envelope{From: e.self, Msg: decoded, At: time.Now()}:
 		return nil
 	default:
 		// Inbox full: drop. The protocol tolerates message loss from the

@@ -30,11 +30,17 @@
 // Beacon shares pass through unverified by design: checking a share for
 // round k needs the round-(k−1) beacon value, which only the engine
 // tracks, and beacon.Combine verifies lazily at threshold (t+1 shares)
-// anyway.
+// anyway. Beacon outputs pass through too, for the same reason; the ICC1
+// overlay verifies each one before it installs it.
+//
+// A multisig certificate is its signers' shares side by side: a signer
+// whose identical share this pipeline has verified, or this party sent,
+// is not checked again (processAggregate).
 package verify
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +110,11 @@ type Pipeline struct {
 
 	// cache makes re-gossiped and resync'd artifacts free: one that
 	// verified once is admitted on digest match without re-running its
-	// signature checks. stmts holds verified aggregate statements (kind,
+	// signature checks. It holds this party's own shares too (NoteOwn), and
+	// a multisig certificate's signer whose share it holds is not checked
+	// again (processAggregate). It is this party's alone: a memo shared
+	// between parties would let one party's check stand for another's.
+	// stmts holds verified aggregate statements (kind,
 	// round, proposer, blockHash), admitting signer-subset variants of an
 	// already-verified quorum certificate (see processAggregate).
 	cache *digestCache
@@ -447,7 +457,7 @@ func (p *Pipeline) handle(env transport.Envelope, ln lane) bool {
 		return true
 	}
 	select {
-	case p.out <- transport.Envelope{From: env.From, Msg: msg}:
+	case p.out <- transport.Envelope{From: env.From, Msg: msg, At: env.At}:
 		return true
 	case <-p.done:
 		return false
@@ -503,7 +513,9 @@ func (p *Pipeline) process(m types.Message) (types.Message, bool) {
 // different n−t signatures proves nothing new. As with resync chain
 // admission, the admitted bytes themselves are not attested: a party
 // re-serving spliced garbage Agg bytes is rejected by its receivers,
-// which full-verify. DESIGN.md §11 and §14 carry the argument.
+// which full-verify. DESIGN.md §11 and §14 carry the argument. The first
+// certificate of a statement is checked in full, except for the
+// signatures of shares this party has verified or signed (check).
 func (p *Pipeline) processAggregate(m types.Message) (types.Message, bool) {
 	round := types.Round(roundOf(m))
 	if stmt, ok := statementOf(m); ok && p.stmts.contains(stmt) {
@@ -545,15 +557,7 @@ func (p *Pipeline) filterShareGroups(groups []types.ShareGroup, final bool) []ty
 		signers := make([]types.PartyID, 0, len(g.Signers))
 		sigs := make([][]byte, 0, len(g.Sigs))
 		for j, signer := range g.Signers {
-			var m types.Message
-			if final {
-				m = &types.FinalizationShare{Round: g.Round, Proposer: g.Proposer,
-					BlockHash: g.BlockHash, Signer: signer, Sig: g.Sigs[j]}
-			} else {
-				m = &types.NotarizationShare{Round: g.Round, Proposer: g.Proposer,
-					BlockHash: g.BlockHash, Signer: signer, Sig: g.Sigs[j]}
-			}
-			if err := p.checkCached(m); err != nil {
+			if err := p.checkCached(shareOf(g.Round, g.Proposer, g.BlockHash, signer, g.Sigs[j], final)); err != nil {
 				p.reject(err)
 				continue
 			}
@@ -623,6 +627,14 @@ func (p *Pipeline) cacheInsert(m types.Message) {
 }
 
 func (p *Pipeline) check(m types.Message) error {
+	if cv, ok := p.verifier.(certVerifier); ok {
+		switch v := m.(type) {
+		case *types.Notarization:
+			return cv.CertificateKnown(m, p.checkedShare(v.Round, v.Proposer, v.BlockHash, false))
+		case *types.Finalization:
+			return cv.CertificateKnown(m, p.checkedShare(v.Round, v.Proposer, v.BlockHash, true))
+		}
+	}
 	switch v := m.(type) {
 	case *types.Authenticator:
 		return p.verifier.Authenticator(v)
@@ -640,6 +652,62 @@ func (p *Pipeline) check(m types.Message) error {
 }
 
 func (p *Pipeline) reject(err error) { p.rejects.With(crypto.Reason(err)).Inc() }
+
+// certVerifier is a pool.Verifier that can leave out of a certificate's
+// check the signatures already verified as shares (pool.CryptoVerifier).
+type certVerifier interface {
+	CertificateKnown(m types.Message, known func(signer int, sig []byte) bool) error
+}
+
+// checkedShare reports, for one statement, whether a signer's signature
+// is a share this pipeline has verified, or this party's own, byte for
+// byte: then a certificate that carries it needs no second check of it.
+func (p *Pipeline) checkedShare(k types.Round, prop types.PartyID, bh hash.Digest, final bool) func(int, []byte) bool {
+	return func(signer int, sig []byte) bool {
+		m := shareOf(k, prop, bh, types.PartyID(signer), sig, final)
+		return p.cache.contains(hash.Sum(hash.DomainPayload, types.Marshal(m)))
+	}
+}
+
+// shareOf is the notarization (or, final, finalization) share message
+// one signer's signature on a statement stands for.
+func shareOf(k types.Round, prop types.PartyID, bh hash.Digest, signer types.PartyID, sig []byte, final bool) types.Message {
+	if final {
+		return &types.FinalizationShare{Round: k, Proposer: prop, BlockHash: bh, Signer: signer, Sig: sig}
+	}
+	return &types.NotarizationShare{Round: k, Proposer: prop, BlockHash: bh, Signer: signer, Sig: sig}
+}
+
+// NoteOwn records the notarization and finalization shares signed by self
+// in one message this party sends — bare, in a bundle, or in a share
+// bundle — as checked: it signed them itself. The event loop calls it for
+// every message it sends.
+func (p *Pipeline) NoteOwn(self types.PartyID, m types.Message) {
+	switch v := m.(type) {
+	case *types.NotarizationShare:
+		if v.Signer == self {
+			p.cacheInsert(v)
+		}
+	case *types.FinalizationShare:
+		if v.Signer == self {
+			p.cacheInsert(v)
+		}
+	case *types.Bundle:
+		for _, sub := range v.Messages {
+			p.NoteOwn(self, sub)
+		}
+	case *types.ShareBundle:
+		own := func(groups []types.ShareGroup, final bool) {
+			for _, g := range groups {
+				if i := slices.Index(g.Signers, self); i >= 0 {
+					p.cacheInsert(shareOf(g.Round, g.Proposer, g.BlockHash, self, g.Sigs[i], final))
+				}
+			}
+		}
+		own(v.Notar, false)
+		own(v.Final, true)
+	}
+}
 
 // digestCache is a bounded FIFO set of verified artifact digests.
 // Sized so the working set (the last few rounds of shares and
