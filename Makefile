@@ -47,7 +47,7 @@ bench-scale:
 #   make bench-pair WORKLOAD=steady-n4
 #   make bench-pair WORKLOAD=steady-n4 SEED0=11 PAIRS=2   (the unseen seeds)
 #   make bench-pair WORKLOAD=all
-#   make bench-pair WORKLOAD=tcp-gossip-n13 TRACED=1   (+ a traced run a side: bytes by kind)
+#   make bench-pair WORKLOAD=tcp-gossip-n13 TRACED=1   (+ a traced run a side: bytes by kind, n = 4 layers)
 bench-pair:
 	scripts/bench-pair.sh $(WORKLOAD) $(PAIRS)
 

@@ -200,7 +200,8 @@ const streamBound = 100 * time.Millisecond
 // streamRound builds a choreography around an engine with a Queue at
 // rank 2 of round 1 that is not the leader of round 2, enters round 1 at
 // time 0 and hands it every party's round-2 beacon share, so that it
-// knows Leader(2) from then on.
+// knows Leader(2) from Δprop(0)/2 on (precomputeBeacon). The leader is
+// read from a reference beacon, which combines R_2 at once.
 func streamRound(t *testing.T, epsilon time.Duration) (*choreography, *statemachine.Queue, types.PartyID) {
 	t.Helper()
 	for try := 0; try < 32; try++ {
@@ -232,10 +233,20 @@ func streamRound(t *testing.T, epsilon time.Duration) (*choreography, *statemach
 				c.deliver(pid, s, 0)
 			}
 		}
-		leader, ok := c.eng.cfg.Beacon.Leader(2)
-		if !ok {
-			t.Fatal("the engine does not know the leader of round 2")
+		ref := c.beacons[0]
+		for _, b := range c.beacons[1:] {
+			s, err := b.ShareForRound(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.AddShare(s); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if _, ok := ref.Reveal(2); !ok {
+			t.Fatal("reveal of round 2 failed")
+		}
+		leader, _ := ref.Leader(2)
 		if leader != c.eng.ID() {
 			return c, q, leader
 		}

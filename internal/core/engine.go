@@ -341,19 +341,18 @@ func (e *Engine) progress(now time.Duration) {
 			break
 		}
 	}
-	e.precomputeBeacon()
+	e.precomputeBeacon(now)
 }
 
 // precomputeBeacon takes the next round's beacon arithmetic off the
 // critical path. Parties broadcast their share of R_{k+1} on entering
 // round k (Fig. 1) precisely so that R_{k+1} is ready when round k ends,
 // so the quorum is normally here long before the round's notarization.
-// Once round k has nothing left to do, nothing waiting to be sent and
-// round k−1 committed, combine R_{k+1} now, and sign this party's share
-// of R_{k+2} into the beacon's own-share cache: tryEnterRound(k+1) then
-// finds both done and costs two lookups, where it used to hold the queued
-// notarization and finalization share back behind a combine and a
-// signature.
+// From beaconAt on, with nothing waiting to be sent and round k−1
+// committed, combine R_{k+1}, and sign this party's share of R_{k+2} into
+// the beacon's own-share cache: tryEnterRound(k+1) then finds both done and
+// costs two lookups, where it used to hold the queued notarization and
+// finalization share back behind a combine and a signature.
 //
 // Only the timing of local arithmetic changes. R_{k+1} is fixed, and
 // computable by anyone, once t+1 of its shares are public, so combining it
@@ -362,28 +361,39 @@ func (e *Engine) progress(now time.Duration) {
 // paper's release point — because every sending path (stall Status,
 // catch-up answer, backfill) stops at shares for round e.round+1. If the
 // shares come late, tryEnterRound does the work as before.
-func (e *Engine) precomputeBeacon() {
-	if !e.inRound || e.replaying || len(e.out) > 0 {
-		return
-	}
-	if e.kmax+1 < e.round {
-		// Round k−1 is not committed yet: its finalization shares are in
-		// flight right now, and everything computed here would stand
-		// between their arrival and the commit (measured: commit spread
-		// 5 → 13 ms without this test). Wait for the commit; should it not
-		// come this round, tryEnterRound does the work as it always did.
+func (e *Engine) precomputeBeacon(now time.Duration) {
+	if len(e.out) > 0 || now < e.beaconAt() || !e.beaconDue() {
 		return
 	}
 	next := e.round + 1
-	b := e.cfg.Beacon
-	if b.Have(next) || b.ShareCount(next) < types.BeaconQuorum(e.cfg.Keys.N) {
-		return
-	}
-	if _, ok := b.Reveal(next); ok {
+	if _, ok := e.cfg.Beacon.Reveal(next); ok {
 		// The error (round pruned) would recur in tryEnterRound, which
 		// reports nothing either: a share we cannot sign is not sent.
-		_, _ = b.ShareForRound(next + 1)
+		_, _ = e.cfg.Beacon.ShareForRound(next + 1)
 	}
+}
+
+// beaconAt is the instant precomputeBeacon waits for: Δprop(0)/2 into the
+// round (3ε/8 under types.StandardDelays, the round's entry at ε = 0).
+// The milliseconds after round k−1's commit are the busiest of round k at
+// every party alike — the commit's receipts are woken, the other parties'
+// finalizations arrive — and nothing else happens before the leader's cut
+// at Δprop(0) (DESIGN.md §17).
+func (e *Engine) beaconAt() time.Duration { return e.t0 + e.dprop(0)/2 }
+
+// beaconDue reports whether precomputeBeacon has work in this round: not
+// replaying, round k−1 committed (before that, its finalization shares are
+// in flight, and everything computed here would stand between their
+// arrival and the commit; should the commit not come this round,
+// tryEnterRound does the work as it always did), R_{k+1} unknown and t+1
+// of its shares held.
+func (e *Engine) beaconDue() bool {
+	if !e.inRound || e.replaying || e.kmax+1 < e.round {
+		return false
+	}
+	next := e.round + 1
+	b := e.cfg.Beacon
+	return !b.Have(next) && b.ShareCount(next) >= types.BeaconQuorum(e.cfg.Keys.N)
 }
 
 // broadcastBeaconShare signs and broadcasts this party's share of the
@@ -784,8 +794,9 @@ func (e *Engine) maybePrune() {
 }
 
 // NextWake implements engine.Engine: the earliest Δprop/Δntry boundary
-// that could newly enable clause (b) or (c), or the instant the stream
-// turns to rank 1 while the rank-0 block is missing (overdueAt). A
+// that could newly enable clause (b) or (c), the instant the stream
+// turns to rank 1 while the rank-0 block is missing (overdueAt), or
+// beaconAt while precomputeBeacon has work. A
 // boundary already passed whose clause has not run is due now: the tick for it can lose the race
 // against a message that never reaches the engine (an overlay's adverts
 // and requests), and the caller then asks again with a later now.
@@ -810,6 +821,13 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 	}
 	if !e.inRound {
 		return earliest, have // otherwise waiting on messages only
+	}
+	if e.beaconDue() {
+		// Only while beaconAt is ahead: a Reveal that keeps failing (junk
+		// shares) must not turn a passed instant into a tick per
+		// nanosecond. A tick at the instant that finds output queued
+		// leaves the work to the next event.
+		consider(e.beaconAt())
 	}
 	if !e.proposed {
 		consider(max(e.t0+e.dprop(e.myRank), now+1))

@@ -1,9 +1,10 @@
 package core
 
 // Tests for precomputeBeacon (engine.go): the next round's beacon is
-// combined, and the share after it signed, during the current round —
-// and none of it shows outside the party before the paper's release
-// point, delays anything queued for sending, or runs during WAL replay.
+// combined, and the share after it signed, during the current round, from
+// Δprop(0)/2 on — and none of it shows outside the party before the
+// paper's release point, delays anything queued for sending, or runs
+// during WAL replay.
 
 import (
 	"crypto/rand"
@@ -296,6 +297,125 @@ func TestEarlyBeaconSharesAreCombinedDuringTheRound(t *testing.T) {
 	}
 	if !ownBeaconShares(c.outs, e.ID())[3] {
 		t.Fatal("round-3 share not broadcast on entering round 2")
+	}
+}
+
+// TestBeaconPrecomputeWaitsForTheQuietMiddle: at ε = 50 ms, with the
+// round-2 quorum held early in round 1 (round 0 committed), R_2 is not
+// combined on the share's arrival but on the tick at Δprop(0)/2, the
+// instant NextWake names; the round-3 share signed then stays in the cache
+// until round 2 is entered.
+func TestBeaconPrecomputeWaitsForTheQuietMiddle(t *testing.T) {
+	const bound, epsilon = 100 * time.Millisecond, 50 * time.Millisecond
+	c := newChoreographyWith(t, 4, 1, bound, func(cfg *Config) { cfg.Epsilon = epsilon })
+	c.start()
+	e := c.eng
+	prop, ntry := types.StandardDelays(bound, epsilon)
+	at := prop(0) / 2
+	early := c.peerShare2()
+	c.deliver(early.Signer, early, time.Millisecond)
+	if e.round != 1 || !e.inRound || e.FinalizedRound() != 0 {
+		t.Fatalf("round %d, in round %v; want inside round 1", e.round, e.inRound)
+	}
+	if got := e.cfg.Beacon.ShareCount(2); got < types.BeaconQuorum(c.n) {
+		t.Fatalf("%d round-2 shares held, want the quorum", got)
+	}
+	if e.cfg.Beacon.Have(2) {
+		t.Fatal("R_2 combined on the share's arrival, before Δprop(0)/2")
+	}
+	if next, ok := e.NextWake(time.Millisecond); !ok || next != at {
+		t.Fatalf("next wake %v (%v), want Δprop(0)/2 = %v", next, ok, at)
+	}
+	c.tick(at - 1)
+	if e.cfg.Beacon.Have(2) {
+		t.Fatal("R_2 combined before Δprop(0)/2")
+	}
+	c.tick(at)
+	if !e.cfg.Beacon.Have(2) {
+		t.Fatal("R_2 not combined on the tick at Δprop(0)/2")
+	}
+	if _, ok := e.cfg.Beacon.CachedShareForRound(3); !ok {
+		t.Fatal("round-3 share not pre-signed at Δprop(0)/2")
+	}
+	if next, ok := e.NextWake(at); ok && next <= at {
+		t.Fatalf("next wake %v once the work is done", next)
+	}
+	b0, bundle := c.block(0, "leader block")
+	c.deliver(b0.Proposer, bundle, prop(0))
+	c.deliver(c.perm[0], c.nshare(b0, c.perm[0]), prop(0)+time.Millisecond)
+	c.deliver(c.perm[2], c.nshare(b0, c.perm[2]), prop(0)+2*time.Millisecond)
+	if ownBeaconShares(c.outs, e.ID())[3] {
+		t.Fatal("round-3 share sent during round 1")
+	}
+	c.tick(ntry(0))
+	if e.round != 2 || !e.inRound {
+		t.Fatalf("round %d, in round %v; want inside round 2 after Δntry(0)", e.round, e.inRound)
+	}
+	if !ownBeaconShares(c.outs, e.ID())[3] {
+		t.Fatal("round-3 share not broadcast on entering round 2")
+	}
+}
+
+// stuckReveal is a beacon whose Reveal of round 2 keeps failing while it
+// reports that round's quorum held: junk shares that are never evicted.
+type stuckReveal struct {
+	beacon.Source
+	quorum  int
+	reveals int
+}
+
+func (s *stuckReveal) ShareCount(k types.Round) int {
+	if k == 2 {
+		return s.quorum
+	}
+	return s.Source.ShareCount(k)
+}
+
+func (s *stuckReveal) Reveal(k types.Round) (hash.Digest, bool) {
+	if k == 2 {
+		s.reveals++
+		return hash.Digest{}, false
+	}
+	return s.Source.Reveal(k)
+}
+
+// TestFailingBeaconRevealNeverWakesAPassedInstant: when the Reveal at
+// Δprop(0)/2 fails and the quorum still looks held, NextWake must not name
+// that instant again, or the runner would tick the engine once per
+// nanosecond. Following NextWake through one simulated second of round 1
+// takes a handful of ticks, each strictly later than the last.
+func TestFailingBeaconRevealNeverWakesAPassedInstant(t *testing.T) {
+	const bound, epsilon = 100 * time.Millisecond, 50 * time.Millisecond
+	var src *stuckReveal
+	c := newChoreographyWith(t, 4, 1, bound, func(cfg *Config) {
+		cfg.Epsilon = epsilon
+		src = &stuckReveal{
+			Source: beacon.New(cfg.Keys.Beacon, cfg.Priv.Beacon, cfg.Self, cfg.Keys.GenesisSeed),
+			quorum: types.BeaconQuorum(cfg.Keys.N),
+		}
+		cfg.Beacon = src
+	})
+	c.start()
+	prop, _ := types.StandardDelays(bound, epsilon)
+	now, ticks, wokeAtInstant := time.Duration(0), 0, false
+	for {
+		at, ok := c.eng.NextWake(now)
+		if !ok || at > time.Second {
+			break
+		}
+		if at <= now {
+			t.Fatalf("tick %d: next wake %v at %v, not in the future", ticks, at, now)
+		}
+		if ticks++; ticks > 50 {
+			t.Fatalf("%d ticks before %v", ticks, at)
+		}
+		wokeAtInstant = wokeAtInstant || at == prop(0)/2
+		now = at
+		c.tick(now)
+	}
+	if c.eng.round != 1 || !wokeAtInstant || src.reveals == 0 {
+		t.Fatalf("round %d, woken at Δprop(0)/2: %v, %d Reveals of round 2; want round 1, the instant, a failed Reveal",
+			c.eng.round, wokeAtInstant, src.reveals)
 	}
 }
 

@@ -123,6 +123,7 @@ type Observer struct {
 	finalShareDelay *Histogram
 	tickLate        *Histogram
 	inboxWait       *Histogram
+	turn            [len(turnCalls)]*Histogram
 
 	mu      sync.Mutex
 	enterAt map[uint64]time.Duration // round → protocol time it was entered
@@ -187,8 +188,25 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		tickLate:        reg.Histogram("icc_runtime_tick_late_seconds", "From the instant the engine asked to be woken (NextWake) to the Tick that woke it.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
 		inboxWait:       reg.Histogram("icc_runtime_inbox_wait_seconds", "From the instant the transport had decoded a message to its delivery to the engine: inbox and verify-pipeline queueing and checks.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
 	}
+	turn := reg.HistogramVec("icc_runtime_turn_seconds", "How long one engine call of the event loop took, by what called it: a message, a timer tick or an admission wake. Beside icc_runtime_inbox_wait_seconds it tells a busy loop from a busy host.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...), "call")
+	for c, name := range turnCalls {
+		o.turn[c] = turn.With(name)
+	}
 	return o
 }
+
+// Turn says what made the event loop call the engine.
+type Turn int
+
+// The engine calls of one event-loop turn.
+const (
+	TurnMessage Turn = iota // HandleMessage
+	TurnTick                // Tick at the engine's NextWake
+	TurnWake                // Tick on an admission wake
+)
+
+// turnCalls are the call label values of icc_runtime_turn_seconds.
+var turnCalls = [...]string{TurnMessage: "message", TurnTick: "tick", TurnWake: "wake"}
 
 // trace records one event stamped with this observer's party.
 func (o *Observer) trace(kind string, round uint64, detail string) {
@@ -419,4 +437,12 @@ func (o *Observer) AdmissionWake() {
 		return
 	}
 	o.wakes.Inc()
+}
+
+// EngineTurn records how long one engine call of the event loop took.
+func (o *Observer) EngineTurn(call Turn, took time.Duration) {
+	if o == nil {
+		return
+	}
+	o.turn[call].Observe(took.Seconds())
 }

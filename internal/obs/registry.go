@@ -188,6 +188,18 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return f.child(nil, func() interface{} { return newHistogram(f.buckets) }).(*Histogram)
 }
 
+// HistogramVec registers (or fetches) a labeled histogram family with the
+// given bucket upper bounds (nil selects DefBuckets).
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
+	if buckets == nil {
+		buckets = DefBuckets
+	}
+	return &HistogramVec{fam: r.getFamily(name, help, kindHistogram, labels, buckets)}
+}
+
 // Snapshot flattens every family into the common map view: scalars as
 // name or name{label="v"}, histograms as name_count and name_sum.
 func (r *Registry) Snapshot() Snapshot {
@@ -398,6 +410,19 @@ func (h *Histogram) snapshot() (uint64, float64, []uint64) {
 		cum[i] = running
 	}
 	return h.count.Load(), math.Float64frombits(h.sumBits.Load()), cum
+}
+
+// HistogramVec is a labeled histogram family.
+type HistogramVec struct {
+	fam *family
+}
+
+// With returns the histogram for one label-value combination.
+func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
+	return v.fam.child(values, func() interface{} { return newHistogram(v.fam.buckets) }).(*Histogram)
 }
 
 // Count returns how many values have been observed.

@@ -160,25 +160,35 @@ func (r *Runner) loop() {
 			r.noteRound()
 		case <-wake:
 			r.obs.AdmissionWake()
-			r.send(r.eng.Tick(r.clk.Now()))
+			r.turn(obs.TurnWake, time.Now(), r.eng.Tick(r.clk.Now()))
 			r.noteRound()
 		}
 	}
 }
 
 // deliver hands one received message to the engine, recording how long
-// it waited since the transport decoded it.
+// it waited since the transport decoded it and how long the engine took.
 func (r *Runner) deliver(env transport.Envelope) {
 	r.obs.MessageReceived(env.At)
-	r.send(r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
+	r.turn(obs.TurnMessage, time.Now(), r.eng.HandleMessage(env.From, env.Msg, r.clk.Now()))
 	r.noteRound()
 }
 
-// tick delivers a timer tick, recording how late it came.
+// tick delivers a timer tick, recording how late it came and how long the
+// engine took.
 func (r *Runner) tick() {
 	now := r.clk.Now()
 	r.obs.TickFired(max(now-r.wakeAt, 0))
-	r.send(r.eng.Tick(now))
+	r.turn(obs.TurnTick, time.Now(), r.eng.Tick(now))
+}
+
+// turn records how long one engine call took and sends its outputs. The
+// callers pass time.Now() ahead of the engine call in the argument list,
+// and Go evaluates calls among the arguments left to right, so start is
+// taken before the call.
+func (r *Runner) turn(call obs.Turn, start time.Time, outs []engine.Output) {
+	r.obs.EngineTurn(call, time.Since(start))
+	r.send(outs)
 }
 
 // noteRound feeds the engine's working round to the verification

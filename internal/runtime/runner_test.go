@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,4 +346,51 @@ func TestInboxWaitCountsFromArrival(t *testing.T) {
 			t.Fatalf("pipelined=%v: waits sum to %.3fs, want at least the 20 + 40 ms the last two queued", pipelined, got)
 		}
 	}
+}
+
+// TestTurnSecondsTimesEachEngineCall: icc_runtime_turn_seconds times the
+// engine call alone, labelled by what made it: a message whose
+// HandleMessage sleeps 20 ms lands in the 10–25 ms bucket of
+// call="message", and the one timer tick under call="tick".
+func TestTurnSecondsTimesEachEngineCall(t *testing.T) {
+	hub := transport.NewInproc(2)
+	defer hub.Close()
+	eng := &slowEngine{pingEngine{id: 0, wakeAt: time.Millisecond}}
+	reg := obs.NewRegistry()
+	r := NewRunner(eng, hub.Endpoint(0), clock.NewWall(), 2)
+	r.SetObserver(obs.NewObserver(obs.ObserverConfig{Registry: reg}))
+	r.Start()
+	if err := hub.Endpoint(1).Send(0, &types.BeaconShare{Round: 1, Signer: 1, Share: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for recv, ticks := eng.snapshot(); (recv < 1 || ticks < 1) && time.Now().Before(deadline); recv, ticks = eng.snapshot() {
+		time.Sleep(time.Millisecond)
+	}
+	r.Stop()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`icc_runtime_turn_seconds_bucket{call="message",le="0.01"} 0`,
+		`icc_runtime_turn_seconds_bucket{call="message",le="0.025"} 1`,
+		`icc_runtime_turn_seconds_count{call="message"} 1`,
+		`icc_runtime_turn_seconds_count{call="tick"} 1`,
+		`icc_runtime_turn_seconds_count{call="wake"} 0`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("no line %q in\n%s", want, grepLines(text.String(), "icc_runtime_turn_seconds"))
+		}
+	}
+}
+
+func grepLines(text, prefix string) string {
+	var keep []string
+	for _, l := range strings.Split(text, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			keep = append(keep, l)
+		}
+	}
+	return strings.Join(keep, "\n")
 }

@@ -22,7 +22,9 @@
 # (seed SEED0) and prints the two side by side: bytes sent per commit by
 # message kind, messages per commit, the gossip layer's busy share and
 # signature checks per commit — where the bytes went, which every change
-# to the overlay has to show.
+# to the overlay has to show — and the layers where an n = 4 round spends
+# its time: the beacon's busy share and reveal time, the round time, the
+# spread of one commit across parties and the gateway's ack lag.
 #
 # After the pairs, both trees run the virtual-time twin (go run
 # ./cmd/iccbench -exp twin, E30), and for each workload and side the
@@ -95,11 +97,11 @@ grep -o '"failed":[0-9]*' "$out/change.jsonl" | sort | uniq -c | sed 's/^/change
 if [ "${TRACED:-0}" = 1 ]; then
 	layers() { # file workload -> "name value" per line, sorted by name
 		grep "\"workload\":\"$2\"" "$1" |
-			grep -oE '"(transport\.bytes_per_commit\.[a-z-]+|transport\.msgs_per_commit|gossip\.busy_share|verify\.checks_per_commit)":\{"value":[^,}]*' |
+			grep -oE '"(transport\.bytes_per_commit\.[a-z-]+|transport\.msgs_per_commit|gossip\.busy_share|verify\.checks_per_commit|beacon\.busy_share|beacon\.reveal_ms|core\.round_ms|core\.commit_spread_ms|gateway\.ack_lag_ms)":\{"value":[^,}]*' |
 			sed 's/^"\([^"]*\)":{"value":/\1 /' | sort
 	}
 	echo
-	echo "traced runs (--trace 1, seed $seed0), per party and commit: parent, change"
+	echo "traced runs (--trace 1, seed $seed0), per party and commit or as named: parent, change"
 	for w in $workloads; do
 		for side in parent change; do run "$side" "$w" "$seed0" traced; done
 		join <(layers "$out/parent-traced.jsonl" "$w") <(layers "$out/change-traced.jsonl" "$w") |
