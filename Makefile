@@ -101,14 +101,16 @@ assembly-check:
 # tests, the delegated-payload ordering test (forked rounds, forwards out
 # of order) and the next-leader cell (a Byzantine party that mangles the
 # forwards it is sent, or sends junk ones), the lying-Status cell (a
-# Byzantine party that sends every peer a Status every millisecond), and the
+# Byzantine party that sends every peer a Status every millisecond), the
 # beacon-junk cell (a Byzantine party that floods every peer with well-formed
-# junk beacon shares while relays trust their shares). A failing
+# junk beacon shares while relays trust their shares), and the lying-cut
+# cell (a Byzantine party whose blocks misstate when they were cut, or
+# come late, to steer the honest leaders' measured cuts). A failing
 # cell prints the path of a replayable JSONL trace; re-run it with
 #   go test ./internal/harness -run TestCampaignFailureReplaysByteIdentical
 # or feed the path to harness.ReplayTrace / harness.Shrink directly.
 chaos:
-	$(GO) test -race -count=1 -timeout 30m -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds|TestChaosNextLeader|TestChaosLyingStatus|TestChaosBeaconJunk' ./internal/harness
+	$(GO) test -race -count=1 -timeout 30m -run 'TestChaosCampaign|TestWithholdExactlyTStillFinalizes|TestWithholdTPlusOneStallsThenRecovers|TestDelegatedPayloadsKeepSeqOrderAcrossForkedRounds|TestChaosNextLeader|TestChaosLyingStatus|TestChaosBeaconJunk|TestChaosLyingCut' ./internal/harness
 
 # Tier-2 verify: static analysis and formatting, the one-assembly check, race detection
 # on the layers where goroutines, channels, and sockets actually

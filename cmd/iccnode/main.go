@@ -49,7 +49,7 @@ func main() {
 		peers      = flag.String("peers", "", "comma-separated host:port list, one per party, in index order")
 		mode       = flag.String("mode", "icc0", "block dissemination: icc0 (direct broadcast), icc1 (gossip overlay) or icc2 (erasure-coded reliable broadcast); the same on every node")
 		bound      = flag.Duration("bound", 200*time.Millisecond, "partial-synchrony bound Δbnd")
-		epsilon    = flag.Duration("epsilon", 500*time.Millisecond, "ε governor (block-rate limiter); the leader also cuts its block 3ε/4 into the round")
+		epsilon    = flag.Duration("epsilon", 500*time.Millisecond, "ε governor (block-rate limiter); the leader cuts its block ε less the measured block lag into the round (3ε/4 until measured)")
 		load       = flag.Int("load", 10, "synthetic commands submitted per second (0 = none)")
 		quiet      = flag.Bool("quiet", false, "suppress per-block output")
 

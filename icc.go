@@ -182,8 +182,10 @@ func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
 func WithDeltaBound(d time.Duration) Option { return func(o *Options) { o.DeltaBound = d } }
 
 // WithEpsilon sets the ε governor: a party shares the leader's block ε
-// after it enters the round, and the leader cuts that block 3ε/4 after it
-// enters, with the commands the others forwarded to it meanwhile.
+// after it enters the round, and the leader cuts that block as late as it
+// can still reach a quorum by then — ε less how late the others' blocks
+// reached it, 3ε/4 until it has measured them — with the commands the
+// others forwarded to it meanwhile.
 func WithEpsilon(d time.Duration) Option { return func(o *Options) { o.Epsilon = d } }
 
 // WithBehavior assigns a Byzantine role to a party.

@@ -243,6 +243,7 @@ func NewEquivocator(inner *core.Engine, n int, priv keys.Private) engine.Engine 
 					Proposer:   blk.Proposer,
 					ParentHash: blk.ParentHash,
 					Payload:    append([]byte("equivocation:"), blk.Payload...),
+					Cut:        blk.Cut,
 				}
 				th := twin.Hash()
 				twinAuth := &types.Authenticator{

@@ -113,8 +113,13 @@ type Hooks struct {
 	// (precomputeBeacon), which is the normal case; a positive value now
 	// means the shares themselves arrived late.
 	OnBeaconRecovered func(k types.Round, waited, now time.Duration)
-	// OnPropose fires when the party broadcasts its own block proposal.
-	OnPropose func(k types.Round, now time.Duration)
+	// OnPropose fires when the party broadcasts its own block proposal,
+	// cut after its entry into round k (the block's Cut).
+	OnPropose func(k types.Round, cut, now time.Duration)
+	// OnBlockLag fires when the party takes a lag sample (cut.go): round
+	// k's rank-0 block of proposer became valid here lag after its cut,
+	// both offsets from the two parties' own round entries.
+	OnBlockLag func(k types.Round, proposer types.PartyID, lag, now time.Duration)
 	// OnNotarizationShare fires when the party issues a notarization
 	// share for a round-k block of rank r. late is how long after the
 	// party's own Δntry(r) the share was cast: 0 when the block was there

@@ -17,11 +17,13 @@ import (
 // may cut the next block the commands of P's it lacks — one stream, each
 // command sent to each such party once:
 //
-//   - round k's rank-0 party, until its cut at Δprop(0), while its block
-//     has not arrived;
-//   - round k's rank-1 party, from Δprop(0)+Δbnd (the rank-0 block is
-//     overdue: its proposer may be silent) until rank 1's own cut at
-//     Δprop(1), while no rank-0 block has arrived;
+//   - round k's rank-0 party, while its block has not arrived, until
+//     Δntry(0): the latest any honest party's measured cut can fall (a
+//     sender cannot know the leader's); a forward that lands after the
+//     cut is held for the leader's next payload;
+//   - round k's rank-1 party, from the standard Δprop(0)+Δbnd (the
+//     rank-0 block is overdue: its proposer may be silent) until rank 1's
+//     own cut at Δprop(1), while no rank-0 block has arrived;
 //   - Leader(k+1), once P knows it and holds a round-k block, leaving out
 //     what that block's chain carries.
 //
@@ -70,7 +72,7 @@ func (e *Engine) stream(now time.Duration) {
 	if rank0 := len(cs) > 0 && cs[0].rank == 0; !rank0 {
 		parentHash, _ := e.pool.NotarizedInRound(e.round - 1)
 		parent := e.pool.Block(parentHash)
-		if now < e.t0+e.dprop(0) {
+		if now < e.t0+e.dntry(0) {
 			send(e.perm[0], parent)
 		}
 		if len(e.perm) > 1 && now >= e.overdueAt() && now < e.t0+e.dprop(1) {
@@ -87,8 +89,8 @@ func (e *Engine) stream(now time.Duration) {
 	}
 }
 
-// overdueAt is when round k's rank-0 block is overdue, Δbnd after its
-// cut: from then until Δprop(1) the stream also feeds rank 1.
+// overdueAt is when round k's rank-0 block is overdue, Δbnd after the
+// standard Δprop(0): from then until Δprop(1) the stream also feeds rank 1.
 func (e *Engine) overdueAt() time.Duration { return e.t0 + e.dprop(0) + e.cfg.DeltaBound }
 
 // holdOffer hands a received forward to the payload source, which keeps

@@ -289,9 +289,10 @@ func (c *choreography) submit(q *statemachine.Queue, cmds ...statemachine.Comman
 }
 
 // TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent: at ε = 50 ms
-// a command admitted before the leader's cut at Δprop(0) goes to rank 0 at
-// the end of the turn, once; after the cut nothing more goes there. With
-// no rank-0 block Δbnd after the cut (NextWake names that instant),
+// a command admitted before Δntry(0), the latest the leader's cut can
+// fall, goes to rank 0 at the end of the turn, once; after it nothing more
+// goes there. With no rank-0 block Δbnd after the standard Δprop(0)
+// (NextWake names that instant),
 // everything goes to rank 1 until its own cut at Δprop(1), and nothing
 // once a rank-0 block is in.
 func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
@@ -303,7 +304,7 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 		}
 		c, q, next = streamRound(t, epsilon)
 	}
-	prop, _ := types.StandardDelays(streamBound, epsilon)
+	prop, ntry := types.StandardDelays(streamBound, epsilon)
 	rank0, rank1 := c.perm[0], c.perm[1]
 	c.submit(q, kvCommand(1, 1))
 	c.tick(time.Millisecond)
@@ -312,10 +313,10 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 		t.Fatalf("forwarded %v to rank 0 before its cut, want command 1 once", got)
 	}
 	c.submit(q, kvCommand(1, 2))
-	afterCut := prop(0) + 5*time.Millisecond
+	afterCut := ntry(0) + 5*time.Millisecond
 	c.tick(afterCut)
 	if got := seqsOf(c.forwardsTo(rank0)); len(got) != 1 {
-		t.Fatalf("forwarded %v to rank 0, want nothing after its cut at Δprop(0)", got)
+		t.Fatalf("forwarded %v to rank 0, want nothing after Δntry(0)", got)
 	}
 	overdue := prop(0) + streamBound
 	if at, ok := c.eng.NextWake(afterCut); !ok || at != overdue {
@@ -345,8 +346,8 @@ func TestStreamFeedsRankZeroThenRankOneWhileTheLeaderIsSilent(t *testing.T) {
 func TestStreamFeedsTheNextLeaderOnceItHoldsABlock(t *testing.T) {
 	const epsilon = 50 * time.Millisecond
 	c, q, next := streamRound(t, epsilon)
-	prop, _ := types.StandardDelays(streamBound, epsilon)
-	afterCut := prop(0) + 5*time.Millisecond
+	_, ntry := types.StandardDelays(streamBound, epsilon)
+	afterCut := ntry(0) + 5*time.Millisecond // Leader(2) may be round 1's rank 0, fed until Δntry(0)
 	inBlock, after := kvCommand(1, 1), kvCommand(1, 2)
 	c.submit(q, inBlock, after)
 	c.tick(afterCut)

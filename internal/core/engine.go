@@ -36,6 +36,8 @@ type Engine struct {
 	disq       map[types.Rank]bool  // D: disqualified ranks
 	echoed     map[hash.Digest]bool // blocks already echoed (idempotence)
 	waited     map[hash.Digest]bool // blocks whose share Δntry held back
+	lagTaken   bool                 // the round's rank-0 lag sample is taken (cut.go)
+	presigned  bool                 // precomputeBeacon signed the share for k+2
 
 	// Finalization Subprotocol state.
 	kmax    types.Round // highest finalized round output so far
@@ -43,6 +45,12 @@ type Engine struct {
 
 	// Δprop and Δntry of Fig. 1: eq. (2) over cfg.DeltaBound and cfg.Epsilon.
 	delayProp, delayNtry types.DelayFunc
+	fixedCut             bool // SetProposalDelay: rank 0 cuts at Δprop(0), unmeasured
+
+	// The leader's measured cut (cut.go): each party's latest lag sample,
+	// and which parties have one.
+	lag    []time.Duration
+	lagged []bool
 
 	// Adaptive-delay state.
 	adaptPow    int
@@ -97,6 +105,8 @@ func NewEngine(cfg Config) *Engine {
 		repliedAt:      make(map[types.PartyID]reply),
 		ckpts:          make(map[types.Round]*pendingCheckpoint),
 		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
+		lag:            make([]time.Duration, cfg.Keys.N),
+		lagged:         make([]bool, cfg.Keys.N),
 	}
 	e.delayProp, e.delayNtry = types.StandardDelays(cfg.DeltaBound, cfg.Epsilon)
 	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)
@@ -105,11 +115,12 @@ func NewEngine(cfg Config) *Engine {
 }
 
 // SetProposalDelay replaces Δprop, keeping Δntry, before the engine
-// starts; the experiments use it to price another cut than
-// types.StandardDelays' (EXPERIMENTS.md E32). dprop must keep that
-// function's properties: Δprop(r) ≤ Δntry(r), strictly increasing in r,
-// and 2Δbnd + Δprop(0) ≤ Δntry(1).
-func (e *Engine) SetProposalDelay(dprop types.DelayFunc) { e.delayProp = dprop }
+// starts, and fixes the rank-0 cut at dprop(0) in place of the measured
+// one (cut.go); the experiments use it to price a fixed cut against it
+// (EXPERIMENTS.md E32, E36). dprop must keep types.StandardDelays'
+// properties: Δprop(r) ≤ Δntry(r), strictly increasing in r, and
+// 2Δbnd + Δprop(0) ≤ Δntry(1).
+func (e *Engine) SetProposalDelay(dprop types.DelayFunc) { e.delayProp, e.fixedCut = dprop, true }
 
 // ID implements engine.Engine.
 func (e *Engine) ID() types.PartyID { return e.cfg.Self }
@@ -134,12 +145,15 @@ func (e *Engine) resetRoundState() {
 	e.disq = make(map[types.Rank]bool)
 	e.echoed = make(map[hash.Digest]bool)
 	e.waited = make(map[hash.Digest]bool)
+	e.lagTaken = false
+	e.presigned = false
 	e.perm = nil
 	e.rankOf = nil
 	e.roundRefs = nil
 }
 
-// dprop and dntry apply the adaptive multiplier, if enabled.
+// dprop and dntry apply the adaptive multiplier, if enabled. dprop is the
+// standard Δprop; rank 0 proposes at propDelay(0), the measured cut.
 func (e *Engine) dprop(r types.Rank) time.Duration {
 	return e.delayProp(r) << uint(e.adaptPow)
 }
@@ -370,11 +384,13 @@ func (e *Engine) precomputeBeacon(now time.Duration) {
 		// The error (round pruned) would recur in tryEnterRound, which
 		// reports nothing either: a share we cannot sign is not sent.
 		_, _ = e.cfg.Beacon.ShareForRound(next + 1)
+		e.presigned = true
 	}
 }
 
 // beaconAt is the instant precomputeBeacon waits for: Δprop(0)/2 into the
-// round (3ε/8 under types.StandardDelays, the round's entry at ε = 0).
+// round (3ε/8 under types.StandardDelays, the round's entry at ε = 0),
+// the standard Δprop(0) whatever the leader's measured cut.
 // The milliseconds after round k−1's commit are the busiest of round k at
 // every party alike — the commit's receipts are woken, the other parties'
 // finalizations arrive — and nothing else happens before the leader's cut
@@ -385,15 +401,21 @@ func (e *Engine) beaconAt() time.Duration { return e.t0 + e.dprop(0)/2 }
 // replaying, round k−1 committed (before that, its finalization shares are
 // in flight, and everything computed here would stand between their
 // arrival and the commit; should the commit not come this round,
-// tryEnterRound does the work as it always did), R_{k+1} unknown and t+1
-// of its shares held.
+// tryEnterRound does the work as it always did), and either R_{k+1}
+// unknown with t+1 of its shares held, or R_{k+1} known and the share for
+// k+2 not yet signed. The second half is separate because R_{k+1} may
+// become known without this party combining it: the ICC1 overlay reveals
+// it from the share that completes the quorum, to forward the output.
 func (e *Engine) beaconDue() bool {
 	if !e.inRound || e.replaying || e.kmax+1 < e.round {
 		return false
 	}
 	next := e.round + 1
 	b := e.cfg.Beacon
-	return !b.Have(next) && b.ShareCount(next) >= types.BeaconQuorum(e.cfg.Keys.N)
+	if b.Have(next) {
+		return !e.presigned
+	}
+	return b.ShareCount(next) >= types.BeaconQuorum(e.cfg.Keys.N)
 }
 
 // broadcastBeaconShare signs and broadcasts this party's share of the
@@ -550,7 +572,7 @@ func (e *Engine) adaptDelays() {
 // proposing a second, different block for the same round would be
 // equivocation.
 func (e *Engine) tryPropose(now time.Duration) bool {
-	if e.replaying || e.proposed || now < e.t0+e.dprop(e.myRank) {
+	if e.replaying || e.proposed || now < e.t0+e.propDelay(e.myRank) {
 		return false
 	}
 	k := e.round
@@ -559,7 +581,8 @@ func (e *Engine) tryPropose(now time.Duration) bool {
 		return false // cannot happen: round k−1 finished with one
 	}
 	payload := e.cfg.Payload.GetPayload(k, e.pool.Block(parentHash), e.pool.Block)
-	b := &types.Block{Round: k, Proposer: e.cfg.Self, ParentHash: parentHash, Payload: payload}
+	cut := now - e.t0
+	b := &types.Block{Round: k, Proposer: e.cfg.Self, ParentHash: parentHash, Payload: payload, Cut: cut}
 	h := b.Hash()
 	auth := &types.Authenticator{
 		Round: k, Proposer: e.cfg.Self, BlockHash: h,
@@ -578,7 +601,7 @@ func (e *Engine) tryPropose(now time.Duration) bool {
 	e.emit(bundle)
 	e.proposed = true
 	if e.cfg.Hooks.OnPropose != nil {
-		e.cfg.Hooks.OnPropose(k, now)
+		e.cfg.Hooks.OnPropose(k, cut, now)
 	}
 	return true
 }
@@ -645,6 +668,7 @@ func (e *Engine) tryEchoNotarize(now time.Duration) bool {
 		return false
 	}
 	cs := e.candidates()
+	e.noteLag(cs, now)
 	moved := false
 	for _, c := range cs {
 		if e.notarized[c.h] || e.disq[c.rank] {
@@ -830,7 +854,7 @@ func (e *Engine) NextWake(now time.Duration) (time.Duration, bool) {
 		consider(e.beaconAt())
 	}
 	if !e.proposed {
-		consider(max(e.t0+e.dprop(e.myRank), now+1))
+		consider(max(e.t0+e.propDelay(e.myRank), now+1))
 	}
 	cs := e.candidates()
 	if e.delegate != nil && !e.replaying && (len(cs) == 0 || cs[0].rank > 0) {

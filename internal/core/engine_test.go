@@ -62,7 +62,7 @@ func newHarness(t testing.TB, opts harnessOptions) *harness {
 			Adaptive:   opts.adaptive,
 			Hooks: Hooks{
 				OnCommit:      func(b *types.Block, now time.Duration) { h.log.Commit(types.PartyID(i), b, now) },
-				OnPropose:     func(k types.Round, now time.Duration) { h.log.Propose(types.PartyID(i), k, now) },
+				OnPropose:     func(k types.Round, _, now time.Duration) { h.log.Propose(types.PartyID(i), k, now) },
 				OnFinishRound: func(k types.Round, now time.Duration) { h.log.Notarized(types.PartyID(i), k, now) },
 			},
 		}

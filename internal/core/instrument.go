@@ -29,10 +29,16 @@ func ObservedHooks(ob *obs.Observer, base Hooks) Hooks {
 				base.OnBeaconRecovered(k, waited, now)
 			}
 		},
-		OnPropose: func(k types.Round, now time.Duration) {
-			ob.Propose(uint64(k), now)
+		OnPropose: func(k types.Round, cut, now time.Duration) {
+			ob.Propose(uint64(k), cut, now)
 			if base.OnPropose != nil {
-				base.OnPropose(k, now)
+				base.OnPropose(k, cut, now)
+			}
+		},
+		OnBlockLag: func(k types.Round, proposer types.PartyID, lag, now time.Duration) {
+			ob.BlockLag(lag)
+			if base.OnBlockLag != nil {
+				base.OnBlockLag(k, proposer, lag, now)
 			}
 		},
 		OnNotarizationShare: func(k types.Round, late, now time.Duration) {

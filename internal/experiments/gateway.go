@@ -181,7 +181,7 @@ func (l *stageLog) reset() {
 
 func (l *stageLog) hooks(i int) core.Hooks {
 	return core.Hooks{
-		OnPropose: func(k types.Round, _ time.Duration) {
+		OnPropose: func(k types.Round, _, _ time.Duration) {
 			now := time.Now()
 			l.mu.Lock()
 			if l.proposed[k] == nil {

@@ -28,7 +28,8 @@ import (
 // twinShape is one bench workload's shape, as bench/cluster.go's table
 // sets it: n, dissemination mode, Δbnd, ε and the silent party (−1 for
 // none). The DLEQ beacon of the two n = 4 ICC0 workloads is simulated
-// here, as is every link. E32 varies the link delay and the leader's cut.
+// here, as is every link. E32 and E36 vary the link delay and the
+// leader's cut.
 type twinShape struct {
 	name                string
 	n                   int
@@ -36,7 +37,7 @@ type twinShape struct {
 	deltaBound, epsilon time.Duration
 	silent              int
 	link                time.Duration   // mean one-way link delay, spread ±60 %; 0: the bench's twinLinks
-	prop                types.DelayFunc // Δprop in place of types.StandardDelays' (nil: the standard cut)
+	prop                types.DelayFunc // a fixed Δprop in place of the measured cut (nil: the engine's own)
 }
 
 // links is the shape's delay model.
@@ -340,31 +341,41 @@ func twinMs(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
-// cutLinkDelays are E32's mean one-way link delays: the bench's loopback,
-// then up to a fifth of Δbnd.
+// cutLinkDelays are E32's and E36's mean one-way link delays: the bench's
+// loopback, then up to a fifth of Δbnd.
 var cutLinkDelays = []time.Duration{200 * time.Microsecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
 
 // cutAtHalf is Δprop(r) = 2Δbnd·r + ε/2, the leader's cut from E28 until
-// E32 moved it to types.StandardDelays' 3ε/4.
+// E32 moved it to 3ε/4.
 func cutAtHalf(deltaBound, epsilon time.Duration) types.DelayFunc {
 	return func(r types.Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon/2 }
 }
 
-// CutOnSlowLinks (E32) runs the steady-n4 and tcp-gossip-n13 twins over
-// slower and slower links with the leader's cut at ε/2 and at
-// types.StandardDelays' 3ε/4. A later cut lets more commands ride the
-// round's block; once the block no longer reaches the others by their
-// Δntry(0), each round grows by the excess, and blocks/s falls.
+// cutAtThreeQuarters is types.StandardDelays' Δprop, whose 3ε/4 the
+// leader cut at from E32 until E36 measured its margin, fixed.
+func cutAtThreeQuarters(deltaBound, epsilon time.Duration) types.DelayFunc {
+	prop, _ := types.StandardDelays(deltaBound, epsilon)
+	return prop
+}
+
+// CutOnSlowLinks (E32, E36) runs the steady-n4 and tcp-gossip-n13 twins
+// over slower and slower links with the leader's cut fixed at ε/2 and at
+// 3ε/4, and measured (the engine's own: Δntry(0) less the quorum-rank lag
+// of the others' blocks). A later cut lets more commands ride the round's
+// block; once the block no longer reaches a quorum by their Δntry(0),
+// each round grows by the excess, and blocks/s falls. The measured cut
+// moves with the links.
 func CutOnSlowLinks(scale Scale) *Table {
 	t := &Table{
-		ID:    "E32",
-		Title: "the leader's cut at ε/2 and at 3ε/4 over slower links (virtual-time twin)",
-		Columns: []string{"workload", "link", "p50 ε/2", "p50 3ε/4", "p90 ε/2", "p90 3ε/4",
-			"blk/s ε/2", "blk/s 3ε/4", "late shares ε/2", "late shares 3ε/4", "failed"},
+		ID:    "E36",
+		Title: "the leader's cut fixed at ε/2 and 3ε/4, and measured, over slower links (virtual-time twin)",
+		Columns: []string{"workload", "link", "p50 ε/2", "p50 3ε/4", "p50 meas", "p90 ε/2", "p90 3ε/4", "p90 meas",
+			"blk/s ε/2", "blk/s 3ε/4", "blk/s meas", "late ε/2", "late 3ε/4", "late meas", "failed"},
 		Notes: []string{
 			"E30's twin (bench shape and load, seed 1) with links spread ±60 % around the mean one-way delay shown",
-			"late shares: notarization shares cast for a block that arrived after the party's Δntry, of all shares",
-			"failed: measured commands never committed, both cuts",
+			"meas: the engine's measured cut, Δntry(0) − m with m the (n−t−1)-th smallest of the other parties' latest lag samples",
+			"late: notarization shares cast for a block that arrived after the party's Δntry, of all shares",
+			"failed: measured commands never committed, all three cuts",
 		},
 	}
 	window := time.Duration(float64(20*time.Second) * scaleFactor(scale))
@@ -375,6 +386,8 @@ func CutOnSlowLinks(scale Scale) *Table {
 		for _, link := range cutLinkDelays {
 			s := s
 			s.link = link
+			meas := runTwin(s, 1, window, false)
+			s.prop = cutAtThreeQuarters(s.deltaBound, s.epsilon)
 			std := runTwin(s, 1, window, false)
 			s.prop = cutAtHalf(s.deltaBound, s.epsilon)
 			half := runTwin(s, 1, window, false)
@@ -384,9 +397,11 @@ func CutOnSlowLinks(scale Scale) *Table {
 				}
 				return fmt.Sprintf("%.1f%%", 100*float64(res.lateShares)/float64(res.shares))
 			}
-			t.AddRow(s.name, twinMs(link), twinMs(half.p50), twinMs(std.p50), twinMs(half.p90), twinMs(std.p90),
-				fmt.Sprintf("%.2f", half.commitsPerS), fmt.Sprintf("%.2f", std.commitsPerS),
-				late(half), late(std), fmt.Sprintf("%d", half.failed+std.failed))
+			blk := func(res twinResult) string { return fmt.Sprintf("%.2f", res.commitsPerS) }
+			t.AddRow(s.name, twinMs(link), twinMs(half.p50), twinMs(std.p50), twinMs(meas.p50),
+				twinMs(half.p90), twinMs(std.p90), twinMs(meas.p90),
+				blk(half), blk(std), blk(meas), late(half), late(std), late(meas),
+				fmt.Sprintf("%d", half.failed+std.failed+meas.failed))
 		}
 	}
 	return t

@@ -40,6 +40,7 @@ func TestCutAtThreeQuartersOnFastAndSlowLinks(t *testing.T) {
 	for _, link := range []time.Duration{0, 20 * time.Millisecond} {
 		s := shape
 		s.link = link
+		s.prop = cutAtThreeQuarters(s.deltaBound, s.epsilon)
 		late := runTwin(s, 1, 2*time.Second, false)
 		s.prop = cutAtHalf(s.deltaBound, s.epsilon)
 		half := runTwin(s, 1, 2*time.Second, false)
@@ -54,6 +55,39 @@ func TestCutAtThreeQuartersOnFastAndSlowLinks(t *testing.T) {
 		}
 		if late.lateShares*half.shares <= half.lateShares*late.shares {
 			t.Errorf("20 ms links: late shares %d of %d at 3ε/4, %d of %d at ε/2; want a larger share at 3ε/4", late.lateShares, late.shares, half.lateShares, half.shares)
+		}
+	}
+}
+
+// TestMeasuredCutOnFastAndSlowLinks (E36): on the bench's links the
+// measured cut commits steady-n4's commands sooner than the fixed 3ε/4
+// cut, at the same block rate; over 10 ms links, where a block takes
+// longer than ε/4 to reach the others, it commits at least as many blocks
+// as 3ε/4. Both shapes.
+func TestMeasuredCutOnFastAndSlowLinks(t *testing.T) {
+	for _, shape := range twinShapes {
+		if shape.name != "steady-n4" && shape.name != "tcp-gossip-n13" {
+			continue
+		}
+		for _, link := range []time.Duration{0, 10 * time.Millisecond} {
+			s := shape
+			s.link = link
+			meas := runTwin(s, 1, 2*time.Second, false)
+			s.prop = cutAtThreeQuarters(s.deltaBound, s.epsilon)
+			fixed := runTwin(s, 1, 2*time.Second, false)
+			if meas.failed != 0 || fixed.failed != 0 || meas.commits == 0 {
+				t.Fatalf("%s, link %v: implausible runs\nmeasured %+v\n3ε/4     %+v", s.name, link, meas, fixed)
+			}
+			t.Logf("%s, link %v: measured p50 %v, %d commits; 3ε/4 p50 %v, %d commits", s.name, link, meas.p50, meas.commits, fixed.p50, fixed.commits)
+			if link == 0 {
+				if meas.p50 >= fixed.p50 || meas.commits != fixed.commits {
+					t.Errorf("%s, bench links: measured p50 %v, %d commits; 3ε/4 p50 %v, %d commits", s.name, meas.p50, meas.commits, fixed.p50, fixed.commits)
+				}
+				continue
+			}
+			if meas.commits < fixed.commits {
+				t.Errorf("%s, 10 ms links: measured %d commits, 3ε/4 %d", s.name, meas.commits, fixed.commits)
+			}
 		}
 	}
 }

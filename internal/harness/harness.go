@@ -42,6 +42,10 @@ const (
 	MuteRelay              // ICC1: sends its own artifacts, relays nothing second-hand
 	StatusLiar             // honest, but floods every peer with lying Statuses
 	BeaconJunk             // honest, but floods every peer with junk beacon shares
+	CutZero                // honest, but its blocks claim they were cut on round entry
+	CutNtry                // honest, but its blocks claim they were cut at Δntry(0)
+	CutWild                // honest, but its blocks claim the largest or the smallest cut there is
+	CutHold                // honest, but sends each block Δntry(0) + Δbnd/2 into its round
 )
 
 // behaviorNames is the canonical Behavior <-> string mapping, used by the
@@ -59,6 +63,10 @@ var behaviorNames = map[Behavior]string{
 	MuteRelay:     "mute_relay",
 	StatusLiar:    "status_liar",
 	BeaconJunk:    "beacon_junk",
+	CutZero:       "cut_zero",
+	CutNtry:       "cut_ntry",
+	CutWild:       "cut_wild",
+	CutHold:       "cut_hold",
 }
 
 // String implements fmt.Stringer.
@@ -314,6 +322,8 @@ func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *advers
 			eng = &statusLiar{Engine: inner, core: inner, n: opts.N}
 		case BeaconJunk:
 			eng = newBeaconJunk(inner, opts.N, opts.Seed+int64(pid))
+		case CutZero, CutNtry, CutWild, CutHold:
+			eng = newCutLiar(inner, behavior, c.Privs[pid], opts.Epsilon, opts.DeltaBound)
 		}
 		return proposals{eng, c.Log}
 	}

@@ -422,7 +422,8 @@ func TestCommandsAdmittedInASilentRoundRideRankOnesBlock(t *testing.T) {
 
 // TestCommandsAdmittedInTheThirdQuarterRideTheRoundsBlock: at n = 4,
 // ε = 50 ms and Δbnd = 100 ms (the bench's steady-n4 shape) the leader
-// cuts round k's block at Δprop(0) = 3ε/4. A command admitted at another
+// cuts round k's block no earlier than 3ε/4 (Δntry(0) less its measured
+// margin, ε/4 at most on these links). A command admitted at another
 // party between ε/2 and 3ε/4 into round k, less two link delays (the
 // forward's, and the leader's lead in entering the round), reaches the
 // leader before its cut and rides round k's block. With the cut at ε/2

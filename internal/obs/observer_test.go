@@ -11,7 +11,7 @@ func TestObserverLifecycleMetrics(t *testing.T) {
 
 	o.BeaconRecovered(1, 40*time.Millisecond)
 	o.EnterRound(1, 100*time.Millisecond)
-	o.Propose(1, 110*time.Millisecond)
+	o.Propose(1, 10*time.Millisecond, 110*time.Millisecond)
 	o.NotarizationShare(1, 0, 130*time.Millisecond)
 	o.FinishRound(1, 150*time.Millisecond)
 	o.FinalizationShare(1, 160*time.Millisecond)
@@ -104,7 +104,8 @@ func TestObserverNilIsNoOp(t *testing.T) {
 	var o *Observer // every recording method is safe on nil
 	o.BeaconRecovered(1, time.Millisecond)
 	o.EnterRound(1, 0)
-	o.Propose(1, 0)
+	o.Propose(1, 0, 0)
+	o.BlockLag(time.Millisecond)
 	o.NotarizationShare(1, 0, 0)
 	o.FinalizationShare(1, 0)
 	o.FinishRound(1, 0)
@@ -162,6 +163,38 @@ func TestShareAfterNtryCountsGatedSharesAtZero(t *testing.T) {
 		`icc_core_share_after_ntry_seconds_bucket{le="0.01"} 2`,
 		`icc_core_share_after_ntry_seconds_bucket{le="0.025"} 3`,
 		`icc_core_share_after_ntry_seconds_count 3`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}
+
+// TestCutAndLagHistograms: icc_core_cut_seconds takes each proposal's
+// offset from round entry, icc_core_block_lag_seconds each lag sample,
+// a block that was there on entry in the le="0" bucket.
+func TestCutAndLagHistograms(t *testing.T) {
+	o := NewObserver(ObserverConfig{})
+	o.Propose(1, 0, 0)
+	o.Propose(2, 48*time.Millisecond, 0)
+	o.Propose(3, 37500*time.Microsecond, 0)
+	o.BlockLag(0)
+	o.BlockLag(800 * time.Microsecond)
+	o.BlockLag(4 * time.Millisecond)
+	var b strings.Builder
+	if err := o.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`icc_core_cut_seconds_bucket{le="0"} 1`,
+		`icc_core_cut_seconds_bucket{le="0.04"} 2`,
+		`icc_core_cut_seconds_bucket{le="0.0475"} 2`,
+		`icc_core_cut_seconds_bucket{le="0.05"} 3`,
+		`icc_core_cut_seconds_count 3`,
+		`icc_core_block_lag_seconds_bucket{le="0"} 1`,
+		`icc_core_block_lag_seconds_bucket{le="0.001"} 2`,
+		`icc_core_block_lag_seconds_bucket{le="0.005"} 3`,
+		`icc_core_block_lag_seconds_count 3`,
 	} {
 		if !strings.Contains(b.String(), want+"\n") {
 			t.Errorf("exposition lacks %q", want)

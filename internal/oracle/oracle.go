@@ -199,19 +199,22 @@ type Expect struct {
 // growthBound is the longest an honest party takes after GST to finish a
 // round after the one before, when the round's first honest party has
 // rank r: one Reach for everyone to enter, Δntry(r) plus one for that
-// party's block (cut at Δprop(r) ≤ Δntry(r)), one for a lower-ranked
+// party's block (cut no later than Δntry(r): at Δprop(r) for r ≥ 1, and
+// rank 0's measured cut is clamped to Δntry(0)), one for a lower-ranked
 // block shared instead to reach the rest, one for the shares (DESIGN.md
-// §16).
+// §16). Only "cut ≤ Δntry(r)" is used, so the bound holds for any margin
+// the leader measured, Byzantine lags included.
 func (e Expect) growthBound(r types.Rank) time.Duration {
 	_, ntry := types.StandardDelays(e.DeltaBound, e.Epsilon)
 	return ntry(r) + 4*e.Reach
 }
 
 // finalityBound is the longest after an honest leader enters a round
-// until every honest party commits it: its block leaves at Δprop(0) =
-// 3ε/4 ≤ Δntry(0) and is shared by all, and no other beside it, within
-// Δntry(0) plus one Reach, then one Reach for the notarization shares and
-// one for the finalization shares (DESIGN.md §16).
+// until every honest party commits it: its block leaves at the leader's
+// cut, Δntry(0) less its measured margin and never later than Δntry(0),
+// and is shared by all, and no other beside it, within Δntry(0) plus one
+// Reach, then one Reach for the notarization shares and one for the
+// finalization shares (DESIGN.md §16).
 func (e Expect) finalityBound() time.Duration {
 	_, ntry := types.StandardDelays(e.DeltaBound, e.Epsilon)
 	return ntry(0) + 3*e.Reach

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"time"
+
 	"icc/internal/crypto/hash"
 )
 
@@ -32,6 +34,12 @@ type Block struct {
 	Proposer   PartyID
 	ParentHash hash.Digest
 	Payload    []byte
+	// Cut is how long after its own entry into the round the proposer drew
+	// the payload. A receiver subtracts it from the block's arrival offset
+	// to measure transit, not the proposer's timer (core's cut estimator,
+	// DESIGN.md §2). Covered by H(B) and so by the authenticator; block
+	// validity does not read it.
+	Cut time.Duration
 }
 
 // RootBlock returns the special genesis block `root` (paper §3.4). It is
@@ -57,6 +65,7 @@ func (b *Block) encode(e *Encoder) {
 	e.U64(uint64(int64(b.Proposer)))
 	e.Bytes32(b.ParentHash)
 	e.VarBytes(b.Payload)
+	e.Varint(int64(b.Cut))
 }
 
 func decodeBlock(d *Decoder) *Block {
@@ -65,6 +74,7 @@ func decodeBlock(d *Decoder) *Block {
 	b.Proposer = PartyID(int64(d.U64()))
 	b.ParentHash = d.Bytes32()
 	b.Payload = d.VarBytes()
+	b.Cut = time.Duration(d.Varint())
 	return b
 }
 

@@ -2,8 +2,10 @@ package types
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"icc/internal/crypto/hash"
 )
@@ -13,7 +15,7 @@ import (
 func oneOfEachKind() []Message {
 	h1 := hash.SumUint64(hash.DomainBlock, 1)
 	h2 := hash.SumUint64(hash.DomainBlock, 2)
-	block := &BlockMsg{Block: &Block{Round: 5, Proposer: 3, ParentHash: h1, Payload: []byte("cmds")}}
+	block := &BlockMsg{Block: &Block{Round: 5, Proposer: 3, ParentHash: h1, Payload: []byte("cmds"), Cut: 37 * time.Millisecond}}
 	auth := &Authenticator{Round: 5, Proposer: 3, BlockHash: h1, Sig: []byte{1, 2, 3}}
 	notar := &Notarization{Round: 4, Proposer: 1, BlockHash: h2, Agg: []byte{9, 9, 9}}
 	return []Message{
@@ -102,4 +104,24 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("%s: encoding not stable: %x -> %x", m.Kind(), enc, re)
 		}
 	})
+}
+
+// TestVarintHasOneEncoding: a block's Cut decodes from Encoder.Varint's
+// bytes alone; a longer encoding of the same value, or one cut short, is
+// refused.
+func TestVarintHasOneEncoding(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 37_500_000, math.MaxInt64, math.MinInt64} {
+		e := NewEncoder(10)
+		e.Varint(v)
+		d := NewDecoder(e.Bytes())
+		if got := d.Varint(); got != v || d.Finish() != nil {
+			t.Errorf("%d decodes as %d (%v)", v, got, d.Finish())
+		}
+	}
+	for _, bad := range [][]byte{{0x80, 0x00}, {0x81}, {}} {
+		d := NewDecoder(bad)
+		if d.Varint(); d.Err() == nil {
+			t.Errorf("%x decoded", bad)
+		}
+	}
 }

@@ -55,7 +55,7 @@ func CheckpointQuorum(n int) int { return MaxFaults(n) + 1 }
 type DelayFunc func(r Rank) time.Duration
 
 // StandardDelays returns the delay functions of paper eq. (2), with the
-// leader's proposal moved three quarters into the ε governor:
+// proposals moved three quarters into the ε governor:
 //
 //	Δprop(r) = 2·Δbnd·r + ε − ε/4
 //	Δntry(r) = 2·Δbnd·r + ε
@@ -67,9 +67,11 @@ type DelayFunc func(r Rank) time.Duration
 // and Δprop(r) ≤ Δntry(r) keeps every block out no later than its rank's
 // share is due. The rank-0 leader, which would otherwise cut its block on
 // entry and idle out the ε the others wait, cuts it with the commands
-// forwarded to it meanwhile. The ε/4 it leaves before Δntry(0) is the
-// time its block needs to reach the others over the n = 13 overlay;
-// a later cut lengthens the round there (DESIGN.md §2, §19).
+// forwarded to it meanwhile: at Δntry(0) less how late the others' blocks
+// reach it, each party not yet measured counted at this Δntry(0) −
+// Δprop(0) (core's cut.go, DESIGN.md §2), so a fresh leader cuts at
+// Δprop(0). Δprop(0) still times the beacon's precomputation and the
+// rank-1 forwards.
 func StandardDelays(deltaBound, epsilon time.Duration) (dprop, dntry DelayFunc) {
 	dprop = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon - epsilon/4 }
 	dntry = func(r Rank) time.Duration { return 2*deltaBound*time.Duration(r) + epsilon }

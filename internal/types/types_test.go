@@ -90,6 +90,7 @@ func TestBlockHashDistinctness(t *testing.T) {
 		{Round: 3, Proposer: 1, ParentHash: base.ParentHash, Payload: []byte("p")},
 		{Round: 3, Proposer: 2, ParentHash: hash.SumUint64(hash.DomainBlock, 2), Payload: []byte("p")},
 		{Round: 3, Proposer: 2, ParentHash: base.ParentHash, Payload: []byte("q")},
+		{Round: 3, Proposer: 2, ParentHash: base.ParentHash, Payload: []byte("p"), Cut: 1},
 	}
 	for i, v := range variants {
 		if v.Hash() == base.Hash() {
@@ -246,8 +247,8 @@ func TestQuickBeaconShareRoundTrip(t *testing.T) {
 }
 
 func TestQuickBlockRoundTrip(t *testing.T) {
-	f := func(round uint64, proposer uint8, parent [32]byte, payload []byte) bool {
-		b := &Block{Round: Round(round), Proposer: PartyID(proposer), ParentHash: hash.Digest(parent), Payload: payload}
+	f := func(round uint64, proposer uint8, parent [32]byte, payload []byte, cut int64) bool {
+		b := &Block{Round: Round(round), Proposer: PartyID(proposer), ParentHash: hash.Digest(parent), Payload: payload, Cut: time.Duration(cut)}
 		out, err := Unmarshal(Marshal(&BlockMsg{Block: b}))
 		if err != nil {
 			return false

@@ -34,6 +34,10 @@ func (e *Encoder) U32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v
 // U64 appends a big-endian uint64.
 func (e *Encoder) U64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
+// Varint appends a zigzag varint: 1 to 10 bytes, fewer the nearer v is
+// to 0.
+func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
 // Bytes32 appends a fixed 32-byte value.
 func (e *Encoder) Bytes32(d hash.Digest) { e.buf = append(e.buf, d[:]...) }
 
@@ -126,6 +130,25 @@ func (d *Decoder) U64() uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b)
+}
+
+// Varint reads a zigzag varint, refusing any encoding longer than
+// Encoder.Varint's, so each value has one.
+func (d *Decoder) Varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	switch {
+	case n == 0:
+		d.err = ErrTruncated
+		return 0
+	case n < 0 || n != len(binary.AppendVarint(nil, v)):
+		d.err = errors.New("types: malformed varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
 }
 
 // Bytes32 reads a fixed 32-byte value.
