@@ -213,7 +213,8 @@ func TestCutIsNtryLessTheQuorumRankLag(t *testing.T) {
 // TestBlockHeldAtEntryCountsZero: a rank-0 block that is valid before the
 // party enters its round reached it in time whatever its Cut: lag 0.
 func TestBlockHeldAtEntryCountsZero(t *testing.T) {
-	c := cutChoreography(t, cutEpsilon, nil)
+	var samples []time.Duration
+	c := cutChoreography(t, cutEpsilon, &samples)
 	d := newLagDriver(c)
 	for try := 0; try < 100; try++ {
 		if d.k == 1 {
@@ -234,13 +235,37 @@ func TestBlockHeldAtEntryCountsZero(t *testing.T) {
 		}
 		b := d.block(l, 40*time.Millisecond)
 		c.deliver(l, c.bundleOf(b), d.base-5*time.Millisecond)
+		taken := len(samples)
 		d.enter()
-		if got := c.eng.Lags()[l]; got != 0 {
-			t.Fatalf("party %d's block, held on entry, gave lag %v; want 0", l, got)
+		if len(samples) != taken+1 || samples[taken] != 0 {
+			t.Fatalf("party %d's block, held on entry, gave samples %v; want one more, 0", l, samples[taken:])
 		}
 		return
 	}
 	t.Fatal("no round led by another party")
+}
+
+// TestSlotIsTheSecondLargestOfTheLatestSamples: a party's slot is its
+// only sample, then the second largest of its latest lagWindow samples,
+// so one outlier is forgotten, and so is a sample older than those.
+func TestSlotIsTheSecondLargestOfTheLatestSamples(t *testing.T) {
+	c := cutChoreography(t, cutEpsilon, nil)
+	p := otherParties(c)[0]
+	c.eng.lag[p].add(9 * time.Millisecond)
+	if got := c.eng.Lags()[p]; got != 9*time.Millisecond {
+		t.Fatalf("slot %v with one sample of 9 ms", got)
+	}
+	c.eng.lag[p].add(8 * time.Millisecond)
+	for i := 2; i < lagWindow; i++ {
+		c.eng.lag[p].add(time.Duration(i) * time.Millisecond / 2)
+	}
+	if got := c.eng.Lags()[p]; got != 8*time.Millisecond {
+		t.Fatalf("slot %v with 9 and 8 ms among the latest %d samples, want 8ms", got, lagWindow)
+	}
+	c.eng.lag[p].add(2 * time.Millisecond)
+	if want := time.Duration(lagWindow-1) * time.Millisecond / 2; c.eng.Lags()[p] != want {
+		t.Fatalf("slot %v once 9 ms is older than the latest %d samples, want %v", c.eng.Lags()[p], lagWindow, want)
+	}
 }
 
 // TestZeroEpsilonCutsAtEntry: at ε = 0, Δntry(0) = 0 bounds every sample

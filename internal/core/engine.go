@@ -47,10 +47,8 @@ type Engine struct {
 	delayProp, delayNtry types.DelayFunc
 	fixedCut             bool // SetProposalDelay: rank 0 cuts at Δprop(0), unmeasured
 
-	// The leader's measured cut (cut.go): each party's latest lag sample,
-	// and which parties have one.
-	lag    []time.Duration
-	lagged []bool
+	// The leader's measured cut (cut.go): each party's latest lag samples.
+	lag []lagSlot
 
 	// Adaptive-delay state.
 	adaptPow    int
@@ -105,8 +103,7 @@ func NewEngine(cfg Config) *Engine {
 		repliedAt:      make(map[types.PartyID]reply),
 		ckpts:          make(map[types.Round]*pendingCheckpoint),
 		ckptPub:        checkpoint.PublicInfo(cfg.Keys),
-		lag:            make([]time.Duration, cfg.Keys.N),
-		lagged:         make([]bool, cfg.Keys.N),
+		lag:            make([]lagSlot, cfg.Keys.N),
 	}
 	e.delayProp, e.delayNtry = types.StandardDelays(cfg.DeltaBound, cfg.Epsilon)
 	e.delegate, _ = cfg.Payload.(DelegatedPayloadSource)

@@ -373,7 +373,7 @@ func CutOnSlowLinks(scale Scale) *Table {
 			"blk/s ε/2", "blk/s 3ε/4", "blk/s meas", "late ε/2", "late 3ε/4", "late meas", "failed"},
 		Notes: []string{
 			"E30's twin (bench shape and load, seed 1) with links spread ±60 % around the mean one-way delay shown",
-			"meas: the engine's measured cut, Δntry(0) − m with m the (n−t−1)-th smallest of the other parties' latest lag samples",
+			"meas: the engine's measured cut, Δntry(0) − m with m the (n−t−1)-th smallest of the other parties' slots, each the second largest of that party's latest 8 lag samples",
 			"late: notarization shares cast for a block that arrived after the party's Δntry, of all shares",
 			"failed: measured commands never committed, all three cuts",
 		},

@@ -187,7 +187,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		notarShareDelay: reg.Histogram("icc_notarization_share_delay_seconds", "Round entry to this node's notarization share.", nil),
 		shareAfterNtry:  reg.Histogram("icc_core_share_after_ntry_seconds", "How long after its own Δntry(r) this node cast a notarization share: 0 when the timer gated it, above 0 when the block arrived late.", append([]float64{0}, DefBuckets...)),
 		cut:             reg.Histogram("icc_core_cut_seconds", "How long after its round entry this node cut each of its own blocks (the block's Cut): for rank 0 Δntry(0) less the measured margin, for rank r ≥ 1 Δprop(r).", cutBuckets),
-		blockLag:        reg.Histogram("icc_core_block_lag_seconds", "Each lag sample of the leader's cut: how late another party's rank-0 block became valid here after that party's cut, from the two parties' own round entries, clamped to [0, Δntry(0)].", append([]float64{0}, DefBuckets...)),
+		blockLag:        reg.Histogram("icc_core_block_lag_seconds", "Each lag sample of the leader's cut: how late another party's rank-0 block became valid here after that party's cut, from the two parties' own round entries, clamped to [0, Δntry(0)].", lagBuckets),
 		finalShareDelay: reg.Histogram("icc_finalization_share_delay_seconds", "Round entry to this node's finalization share.", nil),
 		tickLate:        reg.Histogram("icc_runtime_tick_late_seconds", "From the instant the engine asked to be woken (NextWake) to the Tick that woke it.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
 		inboxWait:       reg.Histogram("icc_runtime_inbox_wait_seconds", "From the instant the transport had decoded a message to its delivery to the engine: inbox and verify-pipeline queueing and checks.", append([]float64{0.00005, 0.0001, 0.00025}, DefBuckets...)),
@@ -259,6 +259,11 @@ func (o *Observer) EnterRound(k uint64, now time.Duration) {
 // cutBuckets resolve icc_core_cut_seconds around the cuts ε ≤ 100 ms
 // gives: entry, and every few milliseconds below Δntry(0).
 var cutBuckets = []float64{0, 0.005, 0.01, 0.02, 0.03, 0.035, 0.04, 0.045, 0.0475, 0.05, 0.06, 0.075, 0.09, 0.095, 0.1, 0.25, 0.5, 1}
+
+// lagBuckets resolve icc_core_block_lag_seconds from a block held on entry
+// through the sub-millisecond lags of loopback to the ε/4 of a fresh slot
+// and past it.
+var lagBuckets = []float64{0, 0.00025, 0.0005, 0.001, 0.0015, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.0125, 0.015, 0.02, 0.025, 0.05, 0.1, 0.25, 1}
 
 // Propose records this node broadcasting its own proposal, cut after its
 // round entry.

@@ -192,7 +192,9 @@ func TestCutAndLagHistograms(t *testing.T) {
 		`icc_core_cut_seconds_bucket{le="0.05"} 3`,
 		`icc_core_cut_seconds_count 3`,
 		`icc_core_block_lag_seconds_bucket{le="0"} 1`,
+		`icc_core_block_lag_seconds_bucket{le="0.0005"} 1`,
 		`icc_core_block_lag_seconds_bucket{le="0.001"} 2`,
+		`icc_core_block_lag_seconds_bucket{le="0.003"} 2`,
 		`icc_core_block_lag_seconds_bucket{le="0.005"} 3`,
 		`icc_core_block_lag_seconds_count 3`,
 	} {
