@@ -197,6 +197,56 @@ func NewMuteRelay(outer engine.Engine) engine.Engine {
 	}
 }
 
+// NewSelectiveSigner wraps a party's gossip wrapper — the outermost
+// engine, like NewMuteRelay — so that its own notarization and
+// finalization shares reach only half of its neighbours: those the round
+// picks (Hears), a different half each round. It chooses who hears it —
+// the message adversary of Losa and Gafni. A relay does not send a
+// signer's share on to the signer's own neighbours at once, since they
+// hear it first-hand; the half that does not must get it from relays when
+// their wait is over. Its own shares inside a ShareBundle, a completion
+// among them, are cut the same way; everything else passes.
+func NewSelectiveSigner(outer engine.Engine) engine.Engine {
+	self := outer.ID()
+	// kept reports whether m may go to party to: anything but an own
+	// share of a round in which to does not hear the signer.
+	kept := func(to types.PartyID, m types.Message) bool {
+		switch v := m.(type) {
+		case *types.NotarizationShare:
+			return v.Signer != self || Hears(v.Round, to)
+		case *types.FinalizationShare:
+			return v.Signer != self || Hears(v.Round, to)
+		}
+		return true
+	}
+	return &Filter{
+		Inner: outer,
+		Transform: func(o engine.Output) []engine.Output {
+			b, ok := o.Msg.(*types.ShareBundle)
+			if !ok {
+				if o.Broadcast || kept(o.To, o.Msg) {
+					return []engine.Output{o}
+				}
+				return nil
+			}
+			var out []engine.Output
+			for _, sub := range b.Expand() {
+				if kept(o.To, sub) {
+					out = append(out, engine.Unicast(o.To, sub))
+				}
+			}
+			return out
+		},
+	}
+}
+
+// Hears reports whether a selective signer sends its round-k shares to
+// party p: one bit of a hash of the two, so about half of any neighbour
+// list, another half each round.
+func Hears(k types.Round, p types.PartyID) bool {
+	return hash.SumUint64(hash.DomainPayload, uint64(k)<<16|uint64(p))[0]&1 == 0
+}
+
 // NewEquivocator wraps an honest engine so that whenever it proposes a
 // block, it creates a second, conflicting block for the same round and
 // sends one to the first half of the parties and the other to the second

@@ -278,3 +278,53 @@ func TestMuteRelaySendsOnlyItsOwn(t *testing.T) {
 		}
 	}
 }
+
+// A selective signer's own shares, bare or in a bundle, reach a party only
+// in the rounds Hears picks for it; about half of thirteen parties hear a
+// round, and everything else passes. (Mutation: Hears ignoring the round.)
+func TestSelectiveSignerSendsItsSharesToHalf(t *testing.T) {
+	const self = types.PartyID(2)
+	for k := types.Round(1); k <= 4; k++ {
+		hearing := 0
+		for to := types.PartyID(0); to < 13; to++ {
+			bundle := &types.ShareBundle{Final: []types.ShareGroup{{Round: k, Signers: []types.PartyID{self, 3}, Sigs: [][]byte{{1}, {2}}}}}
+			m := NewSelectiveSigner(&scripted{Silent: Silent{Self: self}, outs: []engine.Output{
+				engine.Unicast(to, &types.NotarizationShare{Round: k, Signer: self}),
+				engine.Unicast(to, &types.NotarizationShare{Round: k, Signer: 3}),
+				engine.Unicast(to, bundle),
+				engine.Unicast(to, &types.Notarization{Round: k}),
+			}})
+			own := 0
+			for _, o := range m.Init(0) {
+				switch v := o.Msg.(type) {
+				case *types.NotarizationShare:
+					if v.Signer == self {
+						own++
+					}
+				case *types.FinalizationShare:
+					if v.Signer == self {
+						own++
+					}
+				}
+			}
+			if Hears(k, to) {
+				hearing++
+				if own != 2 {
+					t.Fatalf("round %d: party %d hears the signer and got %d of its shares, want 2", k, to, own)
+				}
+			} else if own != 0 {
+				t.Fatalf("round %d: party %d does not hear the signer and got %d of its shares", k, to, own)
+			}
+		}
+		if hearing < 3 || hearing > 10 {
+			t.Fatalf("round %d: %d of 13 parties hear the signer", k, hearing)
+		}
+	}
+	same := true
+	for to := types.PartyID(0); to < 13; to++ {
+		same = same && Hears(1, to) == Hears(2, to)
+	}
+	if same {
+		t.Fatal("rounds 1 and 2 pick the same half")
+	}
+}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"icc/internal/beacon"
 	"time"
 
 	"icc/internal/clock"
@@ -77,6 +78,9 @@ func (f *TimedFilter) Tick(now time.Duration) []engine.Output {
 
 // NextWake implements engine.Engine: the earlier of the inner engine's
 // wake and the earliest held output's due time.
+// Beacon implements engine.Beaconed for the wrapped engine.
+func (f *TimedFilter) Beacon() beacon.Source { return engine.BeaconOf(f.Inner) }
+
 func (f *TimedFilter) NextWake(now time.Duration) (time.Duration, bool) {
 	at, ok := f.Inner.NextWake(now)
 	for _, h := range f.held {
@@ -254,6 +258,9 @@ func (c *ClockSkew) Tick(now time.Duration) []engine.Output {
 // NextWake implements engine.Engine: the inner engine answers in its own
 // timebase, so the wake is shifted back into host time (clamped to now —
 // a behind-clock party whose window already opened wakes immediately).
+// Beacon implements engine.Beaconed for the wrapped engine.
+func (c *ClockSkew) Beacon() beacon.Source { return engine.BeaconOf(c.Inner) }
+
 func (c *ClockSkew) NextWake(now time.Duration) (time.Duration, bool) {
 	at, ok := c.Inner.NextWake(c.local(now))
 	if !ok {

@@ -121,6 +121,10 @@ type Scheme interface {
 	// Decode parses an encoded certificate, rejecting artifacts whose
 	// tag names a different scheme with ErrBadAggregate.
 	Decode(b []byte) (Certificate, error)
+	// CertSize is the encoded size of a certificate that carries the
+	// given number of signers — the largest such, where the encoding
+	// also depends on which signers they are.
+	CertSize(signers int) int
 }
 
 // Signer is the signing side: one party's secret key for the instance.

@@ -252,6 +252,10 @@ func (p *BLSInfo) Verify(domain hash.Domain, msg []byte, c Certificate) error {
 	return nil
 }
 
+// CertSize implements Scheme: the tag, the bitmap length and a bitmap as
+// long as one naming party N−1, then one G1 point, whoever signed.
+func (p *BLSInfo) CertSize(int) int { return 3 + (p.N+7)/8 + bls.G1PointLen }
+
 // Decode implements Scheme, parsing the tagged frame Encode produces.
 func (p *BLSInfo) Decode(b []byte) (Certificate, error) {
 	body, err := CheckTag(b, SchemeBLS)

@@ -120,6 +120,10 @@ func TestBLSEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := cert.Encode()
+	// Party N−1 signed, so the bitmap is as long as it gets.
+	if want := info.CertSize(len(cert.SignerIDs())); len(enc) != want {
+		t.Fatalf("encoded %d bytes, CertSize says %d", len(enc), want)
+	}
 	dec, err := info.Decode(enc)
 	if err != nil {
 		t.Fatal(err)

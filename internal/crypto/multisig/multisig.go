@@ -229,6 +229,10 @@ func (agg *Aggregate) Encode() []byte {
 	return out
 }
 
+// CertSize implements aggsig.Scheme: the tag, the signer count and each
+// signer's id beside its signature, as Encode writes them.
+func (p *PublicInfo) CertSize(signers int) int { return 3 + signers*(2+sig.SignatureLen) }
+
 // Decode implements aggsig.Scheme, rejecting certificates tagged for a
 // different scheme.
 func (p *PublicInfo) Decode(b []byte) (aggsig.Certificate, error) {

@@ -180,6 +180,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := len(agg.Encode()), pub.CertSize(len(agg.SignerIDs())); got != want {
+		t.Fatalf("encoded %d bytes, CertSize says %d", got, want)
+	}
 	dec, err := DecodeAggregate(agg.Encode())
 	if err != nil {
 		t.Fatal(err)

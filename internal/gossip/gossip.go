@@ -15,11 +15,13 @@
 // The wrapper remembers, for each neighbour, what that neighbour is
 // known to hold — what it sent us and what we sent it — and a frame is
 // withheld from a neighbour only when the frames already exchanged with
-// it contain bytes from which its own wrapper derives the same artifact.
-// Every edge has one speaker per artifact, the same at both ends: the
-// other end holds its copy back for two batch windows and then sends only
-// what the speaker's frame left necessary (DESIGN.md §14 has the rules
-// and the argument).
+// it contain bytes from which its own wrapper derives the same artifact,
+// or its own word that it holds the certificate (a have). Every receiver
+// hears a relayed share first from one neighbour, its parent toward the
+// signer; the others hold their copy back for two batch windows and then
+// send only what is still necessary, and a certificate's completion waits
+// the same time for the receiver's have (DESIGN.md §14 has the rules and
+// the argument).
 //
 // The random beacon is a unique threshold signature (paper §2.3), so once
 // a round's value is known here its shares are news to every neighbour
@@ -264,26 +266,31 @@ func buildTopology(n, fanout int, seed int64) [][]types.PartyID {
 	return out
 }
 
-// edgeSides says, for each neighbour of self and each party s, which end
-// of that edge is nearer s in overlay hops: −1 self, +1 the neighbour, 0
-// neither. Every party computes the same topology, so both ends of an
-// edge read the same answer from opposite sides.
-func edgeSides(topo [][]types.PartyID, self types.PartyID) [][]int8 {
-	mine := hops(topo, self, nil)
-	sides := make([][]int8, len(topo[self]))
-	for pi, p := range topo[self] {
-		theirs := hops(topo, p, nil)
-		sides[pi] = make([]int8, len(topo))
-		for s := range sides[pi] {
-			switch {
-			case mine[s] < theirs[s]:
-				sides[pi][s] = -1
-			case mine[s] > theirs[s]:
-				sides[pi][s] = 1
+// feeders says, for each neighbour v of self, the signers whose shares
+// self relays to v on the first pass (rule 4): those for which self is v's
+// parent, v's lowest-id neighbour one hop nearer the signer. A signer is
+// the parent of each of its neighbours, so its own shares always go.
+// Every party computes the same topology, so v's neighbours agree on which
+// one of them is its parent.
+func feeders(topo [][]types.PartyID, self types.PartyID) []bitset {
+	feeds := make([]bitset, len(topo[self]))
+	for pi := range feeds {
+		feeds[pi] = newBitset(len(topo))
+	}
+	for s := range topo {
+		dist := hops(topo, types.PartyID(s), nil)
+		for pi, v := range topo[self] {
+			for _, w := range topo[v] { // ascending ids
+				if dist[w] == dist[v]-1 {
+					if w == self {
+						feeds[pi].add(s)
+					}
+					break
+				}
 			}
 		}
 	}
-	return sides
+	return feeds
 }
 
 // bitset is a set of indices below a size its owner fixes: signers of a
@@ -339,11 +346,13 @@ type aggKey struct {
 }
 
 // peerKnow is what one neighbour is known to hold of one statement: the
-// signers whose share it sent us or we sent it, the certificate, and our
-// advert for a certificate too large to push (told: it knows where to ask,
-// which withholds a second advert and nothing else). Signers are recorded
-// under TrustShares only, so every one of them stands for a share that
-// verified.
+// signers whose share it sent us or we sent it, and the certificate — which
+// it sent us, we sent it, or it said it holds (rule 6). told: it knows that
+// we hold the certificate, because it sent it to us or we sent it the
+// certificate, our have, or our advert for one too large to push; that
+// withholds a second have or advert and nothing else. Signers are
+// recorded under TrustShares only, so every one of them stands for a
+// share that verified.
 type peerKnow struct {
 	signers bitset
 	cert    bool
@@ -357,15 +366,20 @@ type peerKnow struct {
 type aggEntry struct {
 	key aggKey
 	// quorum is the statement's signature threshold, or 0 without
-	// Aggregate: no neighbour is then ever taken to hold a quorum.
+	// Aggregate: no neighbour is then ever taken to hold a quorum. lazy:
+	// with Aggregate, its certificate goes as an advert (lazyCert).
 	quorum int
+	lazy   bool
 	sigs   map[types.PartyID][]byte
 	done   bool
 	// verified: the certificate is known to be valid — TrustShares, or
 	// our own verifying Combine produced it. Sending a neighbour anything
 	// else proves nothing about what it can use.
 	verified bool
-	peers    []peerKnow
+	// ref is the certificate's statement ref (types.RefOf), under which
+	// it is stored and a neighbour's have names it.
+	ref   types.Ref
+	peers []peerKnow
 }
 
 // item is one artifact on its way through the wrapper: the message, its
@@ -379,15 +393,13 @@ type item struct {
 	e    *aggEntry
 	cert bool
 	sig  []byte
-	// signer is who signed a share, −1 for everything else; tie is the
-	// statement's bit of the speaker tie-break (speaks).
+	// signer is who signed a share, −1 for everything else.
 	signer types.PartyID
-	tie    bool
 	// advert stands in for a certificate too large to push.
 	advert *types.Advert
-	// wait is the set of neighbours the item is held back from until due,
-	// because on their edge the other end speaks; nil before the item's
-	// first flush. One slab per batch backs every item's set.
+	// wait is the set of neighbours the item is held back from until due
+	// (rule 4); nil before the item's first flush. One slab per batch
+	// backs every item's set.
 	wait bitset
 	due  time.Duration
 }
@@ -424,12 +436,20 @@ const (
 	// beaconCut: a relayed beacon share of a round whose beacon is known
 	// here.
 	beaconCut
-	// listened: held back because the neighbour speaks on this edge; what
+	// listened: held back for the neighbour's own frame (rule 4); what
 	// becomes of it then is counted as one of the above.
 	listened
+	// have: the neighbour was told that this party holds the certificate
+	// (rule 6), besides what becomes of the certificate for it.
+	have
 )
 
-var decisionNames = [...]string{"pushed", "advertised", "peer_has", "peer_quorum", "certified", "beacon_cut", "listened"}
+var decisionNames = [...]string{"pushed", "advertised", "peer_has", "peer_quorum", "certified", "beacon_cut", "listened", "have"}
+
+// receiptNames label what a received notarization or finalization share
+// was here (icc_gossip_received_total): the first copy, a copy of one
+// already held, or a copy that came once the statement was certified.
+var receiptNames = [...]string{"new", "duplicate", "after_certificate"}
 
 type frameKey struct {
 	kind types.Kind
@@ -443,9 +463,16 @@ type Engine struct {
 	peers []types.PartyID
 	// peerAt maps a party to its position in peers, −1 for the rest.
 	peerAt []int
-	// sides[i][s] is which end of the edge to neighbour i is nearer
-	// party s (edgeSides).
-	sides [][]int8
+	// feeds[i] is the signers whose shares this party relays to neighbour
+	// i on the first pass (feeders); degree[i] is how many neighbours
+	// neighbour i has.
+	feeds  []bitset
+	degree []int
+	// lazyCert says, for notarization [0] and finalization [1], whether a
+	// certificate goes as an advert: under Aggregate, whether one of a
+	// quorum of signers encodes above eagerThreshold, which the keys fix
+	// alike at both ends of an edge.
+	lazyCert [2]bool
 
 	// requestRetry is how long a lazy fetch waits for the requested
 	// artifact before asking the next advertiser (150 ms). One request is
@@ -489,8 +516,9 @@ type Engine struct {
 	listening []item
 	batch     []item
 
-	// Per-statement state.
-	agg map[aggKey]*aggEntry
+	// Per-statement state, and the same entries by certificate ref.
+	agg   map[aggKey]*aggEntry
+	certs map[types.Ref]*aggEntry
 	// beacon is the wrapped engine's random beacon (nil: it exposes
 	// none), and outputs the same source when its output is third-party
 	// verifiable (nil: DLEQ, or no beacon). cutKnown says whether a
@@ -514,6 +542,9 @@ type Engine struct {
 	// and one for an artifact no longer (or never) held.
 	requested, reserved, retried, served, missed *obs.Counter
 	bundleShares                                 *obs.Histogram
+	// received counts the notarization [0] and finalization [1] shares
+	// that arrive, by outcome (receipt).
+	received [2][3]*obs.Counter
 
 	out []engine.Output
 }
@@ -533,11 +564,12 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 		maxBatchShares: max(64, 2*cfg.N),
 		peers:          topo[cfg.Self],
 		peerAt:         make([]int, cfg.N),
-		sides:          edgeSides(topo, cfg.Self),
+		feeds:          feeders(topo, cfg.Self),
 		fetchWake:      noFetch,
 		store:          make(map[types.Ref]*held),
 		fetch:          make(map[types.Ref]*fetchState),
 		agg:            make(map[aggKey]*aggEntry),
+		certs:          make(map[types.Ref]*aggEntry),
 		beacon:         engine.BeaconOf(inner),
 		outputDone:     make(map[types.Round]struct{}),
 		// Start idle: under AdaptiveBatch the very first share relays
@@ -551,12 +583,19 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 	for i, p := range g.peers {
 		g.peerAt[p] = i
 		g.everyone.add(i)
+		g.degree = append(g.degree, len(topo[p]))
+	}
+	if cfg.Aggregate {
+		for i, scheme := range []aggsig.Scheme{cfg.Keys.Notary, cfg.Keys.Final} {
+			cert := types.Notarization{Agg: make([]byte, scheme.CertSize(scheme.Quorum()))}
+			g.lazyCert[i] = cert.WireSize() > eagerThreshold
+		}
 	}
 	g.outputs, _ = g.beacon.(beacon.OutputSource)
 	g.cutKnown = g.beacon != nil && (g.outputs != nil || firstHand(topo, g.peers, cfg.N))
 	if reg := cfg.Registry; reg != nil {
 		g.framesVec = reg.CounterVec("icc_gossip_frames_total",
-			"Artifacts by kind and what became of them: pushed, advertised, peer_has, peer_quorum and listened (held back for the neighbour to speak, then counted again as what it became) count one neighbour each, certified and beacon_cut one artifact.",
+			"Artifacts by kind and what became of them: pushed, advertised, peer_has, peer_quorum, listened (held back for the neighbour's own frames, then counted again as what it became) and have (the neighbour told that this party holds the certificate) count one neighbour each, certified and beacon_cut one artifact.",
 			"kind", "decision")
 		g.frames = make(map[frameKey]*obs.Counter)
 		fetch := reg.CounterVec("icc_gossip_fetch_total",
@@ -566,6 +605,14 @@ func New(cfg Config, inner engine.Engine) (*Engine, error) {
 		g.served, g.missed = fetch.With("served"), fetch.With("missed")
 		g.bundleShares = reg.Histogram("icc_gossip_bundle_shares",
 			"Shares per ShareBundle sent.", []float64{2, 3, 4, 6, 8, 12, 16, 24, 32, 64})
+		received := reg.CounterVec("icc_gossip_received_total",
+			"Notarization and finalization shares received, by whether the share was new here, a copy of one already held, or arrived once the statement was certified here.",
+			"kind", "outcome")
+		for i, kind := range []types.Kind{types.KindNotarizationShare, types.KindFinalizationShare} {
+			for o, outcome := range receiptNames {
+				g.received[i][o] = received.With(kind.String(), outcome)
+			}
+		}
 	}
 	return g, nil
 }
@@ -740,12 +787,18 @@ func (g *Engine) entry(key aggKey) *aggEntry {
 			}
 		}
 		if g.cfg.Aggregate {
-			e.quorum = g.cfg.Keys.Notary.Quorum()
+			e.quorum, e.lazy = g.cfg.Keys.Notary.Quorum(), g.lazyCert[0]
 			if key.final {
-				e.quorum = g.cfg.Keys.Final.Quorum()
+				e.quorum, e.lazy = g.cfg.Keys.Final.Quorum(), g.lazyCert[1]
 			}
 		}
+		var cert types.Message = &types.Notarization{Round: key.round, Proposer: key.proposer, BlockHash: key.blockHash}
+		if key.final {
+			cert = &types.Finalization{Round: key.round, Proposer: key.proposer, BlockHash: key.blockHash}
+		}
+		e.ref = types.RefOf(cert)
 		g.agg[key] = e
+		g.certs[e.ref] = e
 	}
 	return e
 }
@@ -772,9 +825,8 @@ func (g *Engine) file(m types.Message) (it item, fresh bool) {
 	return it, fresh
 }
 
-// describe finds the statement of a stored share or certificate, the
-// signer of a share, and the bit that breaks a speaker tie: one both ends
-// of an edge read off the artifact, and that no party can count on.
+// describe finds the statement of a stored share or certificate, and the
+// signer of a share.
 func (g *Engine) describe(m types.Message, ref types.Ref, h *held) item {
 	it := item{msg: m, ref: ref, h: h, signer: -1}
 	var key aggKey
@@ -788,13 +840,12 @@ func (g *Engine) describe(m types.Message, ref types.Ref, h *held) item {
 	case *types.Finalization:
 		key, it.cert = aggKey{final: true, round: v.Round, proposer: v.Proposer, blockHash: v.BlockHash}, true
 	case *types.BeaconShare:
-		it.signer, it.tie = v.Signer, v.Round&1 == 1
+		it.signer = v.Signer
 		return it
 	default:
 		return it
 	}
 	it.e = g.entry(key)
-	it.tie = (key.blockHash[0]^byte(key.round))&1 == 1 != key.final
 	return it
 }
 
@@ -814,9 +865,13 @@ func (g *Engine) learn(pi int, it item, sent bool) {
 	case it.cert:
 		// A certificate relayed unverified may be a forgery its receiver
 		// throws away; only the neighbour's own word, or a certificate
-		// known to verify, says that it holds one.
+		// known to verify, says that it holds one. Sent, the neighbour
+		// knows that we hold one.
 		if !sent || it.e.verified {
 			it.e.peers[pi].cert = true
+		}
+		if sent {
+			it.e.peers[pi].told = true
 		}
 	case g.bySigner(it):
 		it.e.peers[pi].signers.add(int(it.signer))
@@ -857,21 +912,44 @@ func (g *Engine) owed(pi int, it item) decision {
 	return pushed
 }
 
-// speaks reports whether this end of the edge to neighbour pi is the
-// item's speaker (rule 4). For a share it is the end nearer the signer in
-// overlay hops — the signer itself at distance 0, so a party's own shares
-// are never held back, and shares flow away from their signer as fast as
-// ever. At equal distance, and for a certificate (with the shares complete
-// sends in its place), the lower id speaks or the higher, by the
-// artifact's tie bit. The other end computes the opposite answer from the
-// same topology and the same bytes.
+// speaks reports whether this party sends a share to neighbour pi on the
+// first pass (rule 4): only as the neighbour's parent toward the share's
+// signer (feeders), so that one of the neighbour's neighbours speaks and
+// the rest listen. A signer is the parent of all its neighbours: its own
+// shares are never held back.
 func (g *Engine) speaks(pi int, it item) bool {
-	if it.signer >= 0 && int(it.signer) < g.cfg.N {
-		if side := g.sides[pi][it.signer]; side != 0 {
-			return side < 0
-		}
+	return it.signer >= 0 && int(it.signer) < g.cfg.N && g.feeds[pi].has(int(it.signer))
+}
+
+// listens decides, on an item's first pass, whether what rules 1–3 leave
+// owed to neighbour pi is held back for the listening time (rule 4). A
+// share is, unless this party speaks for it. A certificate small enough
+// to push is held back for the neighbour's have (rule 6) if the neighbour
+// can reach the statement's quorum from its own neighbours' shares, as it
+// then mostly does within the listening time.
+func (g *Engine) listens(pi int, it item) bool {
+	switch {
+	case g.cfg.ShareBatchWindow == 0:
+		return false
+	case !it.cert:
+		return !g.speaks(pi, it)
 	}
-	return (g.cfg.Self < g.peers[pi]) != it.tie
+	return it.advert == nil && it.e.quorum > 0 && g.degree[pi]+1 >= it.e.quorum
+}
+
+// tell sends neighbour pi a have for a finalization this party holds (rule
+// 6), once: when the certificate is held back from pi for pi's own have,
+// or when pi has said that it holds one and so may be holding one back
+// from us. A notarization needs none: this party's own finalization share
+// of the block says the same (handleArtifact).
+func (g *Engine) tell(pi int, it item) {
+	pk := &it.e.peers[pi]
+	if !it.e.key.final || it.advert != nil || it.e.quorum == 0 || pk.told {
+		return
+	}
+	pk.told = true
+	g.send(g.peers[pi], &types.Advert{Refs: []types.Ref{it.ref}})
+	g.count(it.msg.Kind(), have)
 }
 
 // complete settles a certificate owed to neighbour pi without sending
@@ -1008,9 +1086,22 @@ func (g *Engine) relay(it item, own bool, now time.Duration) (deliver bool) {
 		if g.cfg.TrustShares {
 			it.e.verified = true
 		}
-		if g.lazy(it.msg) {
+		lazy := it.e.lazy
+		if it.e.quorum == 0 {
+			lazy = g.lazy(it.msg)
+		}
+		if lazy {
 			it.advert = &types.Advert{Refs: []types.Ref{it.ref}}
 		}
+		g.enqueue(it, now)
+		if !it.e.key.final && !lazy && it.e.quorum > 0 && len(g.peers)+1 >= it.e.quorum {
+			// Our neighbours hold their completions to us back for our
+			// word that we hold the notarization (rule 6), which is the
+			// finalization share the engine casts on it: the batch leaves
+			// at once, with the share, before those waits run out.
+			g.flushAt = now
+		}
+		return true
 	case *types.BeaconShare:
 		switch {
 		case own:
@@ -1141,12 +1232,25 @@ func (g *Engine) holds(h *held, pi int) {
 	h.peers.add(pi)
 }
 
+// handleAdvert learns from a neighbour's advert what it holds and asks it
+// for what is missing here, one request in flight per ref. An advert of a
+// certificate small enough to push, for a statement known here, is a have
+// (rule 6): it says that the neighbour holds the certificate, and nothing
+// is fetched — the neighbour sends what completes our quorum if we do not
+// say that we hold it too.
 func (g *Engine) handleAdvert(from types.PartyID, adv *types.Advert, now time.Duration) {
 	var want []types.Ref
+	pi := g.peerIndex(from)
 	for _, ref := range adv.Refs {
 		if h := g.store[ref]; h != nil {
-			g.learn(g.peerIndex(from), g.describe(h.msg, ref, h), false)
+			g.learn(pi, g.describe(h.msg, ref, h), false)
 			continue
+		}
+		if e := g.certs[ref]; e != nil && pi >= 0 {
+			e.peers[pi].cert = true
+			if e.quorum > 0 && !e.lazy {
+				continue
+			}
 		}
 		f := g.fetch[ref]
 		if f == nil {
@@ -1263,7 +1367,21 @@ func (g *Engine) handleArtifact(from types.PartyID, m types.Message, now time.Du
 		return
 	}
 	it, fresh := g.file(m)
-	g.learn(g.peerIndex(from), it, false)
+	pi := g.peerIndex(from)
+	g.learn(pi, it, false)
+	switch {
+	case it.e == nil:
+	case !it.cert:
+		g.receipt(it, fresh)
+	case pi >= 0:
+		// It sent the certificate, so it knows that we hold one.
+		it.e.peers[pi].told = true
+	}
+	if fs, ok := m.(*types.FinalizationShare); ok && fs.Signer == from && pi >= 0 {
+		// Its own finalization share of a block is its word that it holds
+		// the block's notarization (rule 6).
+		g.entry(aggKey{round: fs.Round, proposer: fs.Proposer, blockHash: fs.BlockHash}).peers[pi].cert = true
+	}
 	if !fresh {
 		return
 	}
@@ -1280,6 +1398,23 @@ func (g *Engine) handleArtifact(from types.PartyID, m types.Message, now time.Du
 	if bs, ok := m.(*types.BeaconShare); ok {
 		g.maybeEmitOutput(bs.Round, now)
 	}
+}
+
+// receipt counts one received notarization or finalization share on
+// icc_gossip_received_total.
+func (g *Engine) receipt(it item, fresh bool) {
+	o := 0
+	switch _, certified := g.store[it.e.ref]; {
+	case certified:
+		o = 2
+	case !fresh:
+		o = 1
+	}
+	final := 0
+	if it.e.key.final {
+		final = 1
+	}
+	g.received[final][o].Inc()
 }
 
 // handleBeaconOutput processes a received recovered beacon value: verify
@@ -1360,44 +1495,44 @@ func (g *Engine) maybeFlush(now time.Duration) {
 // to hold and two sets of items: the held-back ones now due, and (first)
 // the pending batch. A neighbour's shares leave as one ShareBundle, a
 // certificate it still needs as a frame of its own — or as the few shares
-// that complete its quorum. An item of the pending batch that is owed to
-// a neighbour which speaks on that edge (speaks) is held back from it for
-// listenWindows more windows; when they have passed, the same rules are
-// read against the table again, and whatever the neighbour's own frame
-// has made unnecessary by then is never sent. A silent speaker so costs
-// that wait, never a stall, and nothing is withheld on a guess: only
-// deferred, and decided on bytes this edge carried. Shares whose statement
+// that complete its quorum. An item of the pending batch that listens
+// says must wait for the neighbour's own frames is held back from it;
+// when the wait is over, the same rules are read against the table again,
+// and whatever the neighbour's frames have made unnecessary by then is
+// never sent. A silent neighbour so costs that wait, never a stall, and
+// nothing is withheld on a guess: only deferred, and decided on bytes this
+// edge carried and the neighbour's own word. Shares whose statement
 // gained a certificate while they waited are dropped for everyone —
 // whoever still needs it is served through the certificate. A batch that
 // collapses to a single share for some peer goes out as the bare share —
 // bundle framing would only add bytes.
 func (g *Engine) flush(now time.Duration, first bool) {
-	due := 0
-	for due < len(g.listening) && g.listening[due].due <= now {
-		due++
-	}
 	batch := g.batch[:0]
-	keep := func(items []item) {
-		for _, it := range items {
-			switch bs, _ := it.msg.(*types.BeaconShare); {
-			case it.e != nil && !it.cert && it.e.done:
-				g.count(it.msg.Kind(), certified)
-			case bs != nil && bs.Signer != g.cfg.Self && g.superseded(bs.Round):
-				g.count(it.msg.Kind(), beaconCut)
-				g.maybeEmitOutput(bs.Round, now)
-			default:
-				batch = append(batch, it)
-			}
+	keep := func(it item) {
+		switch bs, _ := it.msg.(*types.BeaconShare); {
+		case it.e != nil && !it.cert && it.e.done:
+			g.count(it.msg.Kind(), certified)
+		case bs != nil && bs.Signer != g.cfg.Self && g.superseded(bs.Round):
+			g.count(it.msg.Kind(), beaconCut)
+			g.maybeEmitOutput(bs.Round, now)
+		default:
+			batch = append(batch, it)
 		}
 	}
-	keep(g.listening[:due])
+	due := 0
+	for due < len(g.listening) && g.listening[due].due <= now {
+		keep(g.listening[due])
+		due++
+	}
 	rest := copy(g.listening, g.listening[due:])
 	clear(g.listening[rest:])
 	g.listening = g.listening[:rest]
 	// batch[:second] are on their second pass, the rest on their first.
 	second := len(batch)
 	if first {
-		keep(g.pending)
+		for _, it := range g.pending {
+			keep(it)
+		}
 		clear(g.pending)
 		g.pending = g.pending[:0]
 	}
@@ -1412,9 +1547,16 @@ func (g *Engine) flush(now time.Duration, first bool) {
 				continue
 			}
 			d := g.owed(pi, *it)
+			hold := false
+			if i >= second {
+				hold = d == pushed && g.listens(pi, *it)
+				if it.cert && (hold || d == peerHas) {
+					g.tell(pi, *it)
+				}
+			}
 			switch {
 			case d != pushed:
-			case i >= second && g.cfg.ShareBatchWindow > 0 && !g.speaks(pi, *it):
+			case hold:
 				if slab == nil {
 					// One allocation for the batch, not one per item.
 					slab = make(bitset, w*(len(batch)-second))
@@ -1505,9 +1647,10 @@ func (g *Engine) gcRounds(cur types.Round) {
 		return
 	}
 	cut := cur - aggRetainRounds
-	for k := range g.agg {
+	for k, e := range g.agg {
 		if k.round < cut {
 			delete(g.agg, k)
+			delete(g.certs, e.ref)
 		}
 	}
 	for k := range g.outputDone {

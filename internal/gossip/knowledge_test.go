@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +20,17 @@ const window = 2 * time.Millisecond
 // sentTo collects what one flush sent to one party, bundles exploded.
 type sentTo struct {
 	notar, final []types.PartyID // signers of the shares
-	certs        int
+	certs, haves int
+}
+
+// add counts in what another sentTo holds.
+func (s *sentTo) add(o *sentTo) {
+	if o != nil {
+		s.notar = append(s.notar, o.notar...)
+		s.final = append(s.final, o.final...)
+		s.certs += o.certs
+		s.haves += o.haves
+	}
 }
 
 func sent(outs []engine.Output) map[types.PartyID]*sentTo {
@@ -42,6 +53,8 @@ func sent(outs []engine.Output) map[types.PartyID]*sentTo {
 			s.final = append(s.final, v.Signer)
 		case *types.Notarization, *types.Finalization:
 			s.certs++
+		case *types.Advert:
+			s.haves += len(v.Refs)
 		}
 	}
 	for _, o := range outs {
@@ -280,20 +293,20 @@ func TestMapsStayFlatOverThousandsOfRounds(t *testing.T) {
 	}
 }
 
-// Rule 4: one speaker per edge and artifact. Each test below was checked
-// against the mutation it names (DESIGN.md §14 lists them).
+// Rules 4 and 6: one first-pass speaker per receiver, and the haves that
+// cancel a completion. Each test below was checked against the mutation it
+// names (DESIGN.md §14 lists them).
 
 // pair is two adjacent wrappers of the overlay node.New builds at n = 13
 // (eight or more neighbours each), wired back to back: what one sends the
-// other arrives half a window later, what it sends anybody else is
+// other arrives a quarter of a window later, what it sends anybody else is
 // dropped.
 type pair struct {
 	t      *testing.T
 	a, b   *Engine
 	flight []frame
-	// ab and ba are the signers of the notarization shares that crossed
-	// the edge in each direction.
-	ab, ba []types.PartyID
+	// ab and ba are what crossed the edge in each direction.
+	ab, ba sentTo
 }
 
 type frame struct {
@@ -302,19 +315,26 @@ type frame struct {
 	msg  types.Message
 }
 
-// newPair picks the first edge and signer for which want holds: side is
-// −1, 0 or +1 as a is nearer the signer, neither is, or b is.
-func newPair(t *testing.T, cfg Config, want func(side int8) bool) (*pair, types.PartyID) {
+// newPair picks the first edge and signer for which want holds, given
+// whether a is b's parent toward the signer and whether b is a's.
+func newPair(t *testing.T, cfg Config, want func(aFeedsB, bFeedsA bool) bool) (*pair, types.PartyID) {
 	t.Helper()
 	cfg.N, cfg.Fanout, cfg.Seed, cfg.ShareBatchWindow = 13, DefaultFanout(13), 42, window
+	topo, err := cfg.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for a := types.PartyID(0); a < 13; a++ {
-		cfg.Self = a
-		ga := mustNew(t, cfg, &sink{id: a})
-		for bi, b := range ga.Peers() {
+		fa := feeders(topo, a)
+		for bi, b := range topo[a] {
+			fb := feeders(topo, b)
+			ai := slices.Index(topo[b], a)
 			for s := types.PartyID(0); s < 13; s++ {
-				if s == a || s == b || !want(ga.sides[bi][s]) {
+				if s == a || s == b || !want(fa[bi].has(int(s)), fb[ai].has(int(s))) {
 					continue
 				}
+				cfg.Self = a
+				ga := mustNew(t, cfg, &sink{id: a})
 				cfg.Self = b
 				return &pair{t: t, a: ga, b: mustNew(t, cfg, &sink{id: b})}, s
 			}
@@ -352,7 +372,7 @@ func (p *pair) hand(g *Engine, m types.Message, now time.Duration) {
 func (p *pair) post(from *Engine, outs []engine.Output, now time.Duration) {
 	for _, o := range outs {
 		if o.To == p.other(from).cfg.Self {
-			p.flight = append(p.flight, frame{at: now + window/2, from: from, msg: o.Msg})
+			p.flight = append(p.flight, frame{at: now + window/4, from: from, msg: o.Msg})
 		}
 	}
 }
@@ -376,7 +396,7 @@ func (p *pair) run(now time.Duration) time.Duration {
 					crossed = &p.ba
 				}
 				to := p.other(fr.from)
-				*crossed = append(*crossed, sent([]engine.Output{{To: to.cfg.Self, Msg: fr.msg}})[to.cfg.Self].notar...)
+				crossed.add(sent([]engine.Output{{To: to.cfg.Self, Msg: fr.msg}})[to.cfg.Self])
 				p.post(to, to.HandleMessage(fr.from.cfg.Self, fr.msg, fr.at), fr.at)
 			})
 		}
@@ -393,41 +413,42 @@ func (p *pair) run(now time.Duration) time.Duration {
 	}
 }
 
-// Two neighbours equally far from a share's signer learn it in the same
-// window, each from somebody else. Before rule 4 each sent it to the
-// other; now exactly one copy crosses their edge, whichever end the tie
-// bit names. (Mutation: speaks always true.)
+// A receiver hears a relayed share on the first pass from its parent
+// toward the signer alone. When both ends of an edge learn a share in the
+// same window, each from somebody else, and one is the other's parent, the
+// parent's copy crosses with the flush, and the child, which listened,
+// finds that it need not send one back: exactly one copy crosses, from the
+// parent. (Mutation: speaks always true.)
 func TestCrossingShareTravelsOneWay(t *testing.T) {
 	for _, trust := range []bool{true, false} {
-		p, signer := newPair(t, Config{TrustShares: trust}, func(side int8) bool { return side == 0 })
+		p, signer := newPair(t, Config{TrustShares: trust}, func(aFeedsB, _ bool) bool { return aFeedsB })
 		now := time.Duration(0)
 		for round := types.Round(1); round <= 8; round++ {
 			share := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: hash.SumUint64(hash.DomainBlock, uint64(round)), Signer: signer, Sig: []byte{byte(round)}}
-			p.ab, p.ba = nil, nil
+			p.ab, p.ba = sentTo{}, sentTo{}
 			now += time.Second
 			p.hand(p.a, share, now)
 			p.hand(p.b, share, now)
 			now = p.run(now)
-			if len(p.ab)+len(p.ba) != 1 {
-				t.Fatalf("trust=%v round %d: %d copies crossed one way and %d the other, want one in all", trust, round, len(p.ab), len(p.ba))
+			if len(p.ab.notar) != 1 || len(p.ba.notar) != 0 {
+				t.Fatalf("trust=%v round %d: %d copies crossed from the parent and %d back, want one and none", trust, round, len(p.ab.notar), len(p.ba.notar))
 			}
 		}
 	}
 }
 
-// The end nearer the signer relays in the window it always did, and a
-// party's own share leaves with the flush to every neighbour, also to one
-// that the tie bit would let speak: distance 0 beats every tie. (Mutation:
-// speaks without the distance table.)
+// The parent relays in the window it always did, and a party's own share
+// leaves with the flush to every neighbour: a signer is the parent of each
+// of its neighbours. (Mutation: speaks without the parent table.)
 func TestSharesFlowAwayFromTheirSignerWithoutDelay(t *testing.T) {
-	p, signer := newPair(t, Config{TrustShares: true}, func(side int8) bool { return side < 0 })
+	p, signer := newPair(t, Config{TrustShares: true}, func(aFeedsB, _ bool) bool { return aFeedsB })
 	for round := types.Round(1); round <= 8; round++ {
 		h := hash.SumUint64(hash.DomainBlock, uint64(round))
 		share := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: signer, Sig: []byte{1}}
 		now := time.Duration(round) * time.Second
 		p.a.HandleMessage(p.outsider(p.a), share, now)
 		if s := sent(p.a.Tick(now + window))[p.b.cfg.Self]; s == nil || len(s.notar) != 1 {
-			t.Fatalf("round %d: the farther neighbour was sent %+v when the window closed, want the share", round, s)
+			t.Fatalf("round %d: the child was sent %+v when the window closed, want the share", round, s)
 		}
 		own := &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: p.a.cfg.Self, Sig: []byte{2}}
 		p.a.disseminate([]engine.Output{engine.Broadcast(own)}, now+window)
@@ -441,36 +462,36 @@ func TestSharesFlowAwayFromTheirSignerWithoutDelay(t *testing.T) {
 	}
 }
 
-// The listening end sends nothing while the speaker may still speak,
-// NextWake names the moment its patience ends, and at that moment — not
-// a tick later — the share goes out if the speaker stayed silent, and
-// does not if the speaker's copy came in meanwhile. The item is delivered
-// to the engine once and settled once per neighbour. (Mutations: due
-// never reached — the listener waits for the speaker's frame; listening
-// not surfaced by NextWake.)
+// The listening end sends nothing while the receiver's parent may still
+// speak, NextWake names the moment its patience ends, and at that moment —
+// not a tick later — the share goes out if the neighbour stayed silent,
+// and does not if its copy came in meanwhile. The item is delivered to the
+// engine once and settled once per neighbour. (Mutations: due never
+// reached — the listener waits for the speaker's frame; listening not
+// surfaced by NextWake.)
 func TestListenerSpeaksAfterTheListeningTimeWhenTheSpeakerIsSilent(t *testing.T) {
 	reg := obs.NewRegistry()
-	p, signer := newPair(t, Config{TrustShares: true, Registry: reg}, func(side int8) bool { return side > 0 })
+	p, signer := newPair(t, Config{TrustShares: true, Registry: reg}, func(aFeedsB, _ bool) bool { return !aFeedsB })
 	g, speaker := p.a, p.b.cfg.Self
 	silent := &types.NotarizationShare{Round: 1, Proposer: 1, BlockHash: hash.Digest{1}, Signer: signer, Sig: []byte{1}}
 	spoken := &types.NotarizationShare{Round: 2, Proposer: 1, BlockHash: hash.Digest{2}, Signer: signer, Sig: []byte{2}}
 	g.HandleMessage(p.outsider(g), silent, 0)
 	g.HandleMessage(p.outsider(g), spoken, 0)
 	if s := sent(g.Tick(window))[speaker]; s != nil {
-		t.Fatalf("the nearer neighbour was sent %+v before it had a chance to speak", s)
+		t.Fatalf("the neighbour was sent %+v before its parent had a chance to speak", s)
 	}
 	due := window + listenWindows*window
 	if wake, ok := g.NextWake(window); !ok || wake != due {
 		t.Fatalf("NextWake = %v, %v; want the end of the listening time %v", wake, ok, due)
 	}
 	if outs := g.HandleMessage(speaker, spoken, due-2); len(outs) != 0 {
-		t.Fatalf("the speaker's copy produced %d frames", len(outs))
+		t.Fatalf("the neighbour's copy produced %d frames", len(outs))
 	}
 	if outs := g.Tick(due - 1); len(outs) != 0 {
 		t.Fatalf("%d frames left before the listening time had passed", len(outs))
 	}
 	if s := sent(g.Tick(due))[speaker]; s == nil || len(s.notar) != 1 {
-		t.Fatalf("when the listening time had passed, the speaker was sent %+v, want the one share it did not send", s)
+		t.Fatalf("when the listening time had passed, the neighbour was sent %+v, want the one share it did not send", s)
 	}
 	if _, ok := g.NextWake(due); ok {
 		t.Fatal("a timer is armed with nothing pending and nothing held back")
@@ -487,12 +508,12 @@ func TestListenerSpeaksAfterTheListeningTimeWhenTheSpeakerIsSilent(t *testing.T)
 	}
 }
 
-// Both ends of every edge of the overlays node.New builds at n = 13 and
-// n = 100 name the same speaker for every kind of item, signer and
-// statement, and no party is the listener on much more or less than half
-// of the items its id and the tie bit decide. (Mutations: the tie bit
-// dropped, so that the lower id always speaks; sides not negated between
-// the ends.)
+// Every receiver of the overlays node.New builds at n = 13 and n = 100
+// has exactly one first-pass speaker for every other signer's shares, a
+// neighbour one hop nearer the signer, and it is the signer itself where
+// the receiver is adjacent to it. (Mutations: the parent chosen without
+// the lowest-id rule, so that two neighbours claim one receiver; the
+// distance condition dropped.)
 func TestBothEndsAgreeOnTheSpeaker(t *testing.T) {
 	for _, n := range []int{13, 100} {
 		engines := make([]*Engine, n)
@@ -500,81 +521,128 @@ func TestBothEndsAgreeOnTheSpeaker(t *testing.T) {
 			engines[i] = mustNew(t, Config{Self: types.PartyID(i), N: n, Fanout: DefaultFanout(n), Seed: 42,
 				ShareBatchWindow: window, TrustShares: true}, &sink{id: types.PartyID(i)})
 		}
-		var msgs []types.Message
-		for round := types.Round(1); round <= 16; round++ {
-			h := hash.SumUint64(hash.DomainBlock, uint64(round))
-			msgs = append(msgs, &types.Notarization{Round: round, Proposer: 1, BlockHash: h}, &types.Finalization{Round: round, Proposer: 1, BlockHash: h})
-			for s := types.PartyID(0); int(s) < n; s++ {
-				msgs = append(msgs, &types.NotarizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: s},
-					&types.FinalizationShare{Round: round, Proposer: 1, BlockHash: h, Signer: s},
-					&types.BeaconShare{Round: round, Signer: s})
-			}
-		}
-		ties, listens := make([]int, n), make([]int, n)
-		for _, m := range msgs {
-			ref := types.RefOf(m)
-			for a, ga := range engines {
-				ita := ga.describe(m, ref, nil)
-				for bi, b := range ga.Peers() {
-					gb := engines[b]
-					speaks := ga.speaks(bi, ita)
-					if int(b) > a && speaks == gb.speaks(gb.peerAt[a], gb.describe(m, ref, nil)) {
-						t.Fatalf("n=%d: parties %d and %d both say speaks=%v for %T %+v", n, a, b, speaks, m, m)
-					}
-					if ita.signer == types.PartyID(a) && !speaks {
-						t.Fatalf("n=%d: party %d holds back its own %T", n, a, m)
-					}
-					if ita.signer < 0 || ga.sides[bi][ita.signer] == 0 {
-						ties[a]++
-						if !speaks {
-							listens[a]++
-						}
+		topo, _ := engines[0].cfg.Topology()
+		for s := 0; s < n; s++ {
+			dist := hops(topo, types.PartyID(s), nil)
+			for v := 0; v < n; v++ {
+				if v == s {
+					continue
+				}
+				var speakers []types.PartyID
+				for _, u := range topo[v] {
+					gu := engines[u]
+					share := gu.describe(&types.FinalizationShare{Round: 1, Proposer: 1, Signer: types.PartyID(s)}, types.Ref{}, nil)
+					if gu.speaks(gu.peerAt[v], share) {
+						speakers = append(speakers, u)
 					}
 				}
-			}
-		}
-		for a := range engines {
-			if share := float64(listens[a]) / float64(ties[a]); share < 0.4 || share > 0.6 {
-				t.Errorf("n=%d: party %d listens on %.0f %% of its %d tie-broken items, want 40–60 %%", n, a, 100*share, ties[a])
+				switch {
+				case len(speakers) != 1:
+					t.Fatalf("n=%d: receiver %d has first-pass speakers %v for signer %d, want one", n, v, speakers, s)
+				case dist[speakers[0]] != dist[v]-1:
+					t.Fatalf("n=%d: receiver %d hears signer %d first from %d, %d hops from the signer against its own %d", n, v, s, speakers[0], dist[speakers[0]], dist[v])
+				case dist[v] == 1 && speakers[0] != types.PartyID(s):
+					t.Fatalf("n=%d: receiver %d is next to signer %d and hears it first from %d", n, v, s, speakers[0])
+				}
 			}
 		}
 	}
 }
 
-// Two neighbours that reach a statement's quorum in the same window owe
-// each other the certificate, and each would serve it as the shares the
-// other is not known to hold. With one speaker, quorum − known shares
-// cross in all, not in each direction, and the listener finds that what
-// the speaker sent has settled its own debt. (Mutation: speaks always
-// true.)
+// Two neighbours that reach a finalization's quorum in the same window owe
+// each other the certificate. Each holds the completion back for the
+// other's have, the haves cross, and no completion does. A neighbour that
+// has not said it holds the certificate gets the completion from a
+// certificate holder once the wait is over, quorum − known shares one way.
+// (Mutations: tell sends nothing; listens never holds a certificate back.)
 func TestCompletionIsOneWay(t *testing.T) {
 	f := newAggFixture(t, 13)
-	p, _ := newPair(t, Config{Aggregate: true, TrustShares: true, Keys: f.pub}, func(int8) bool { return true })
-	quorum := f.pub.Notary.Quorum()
-	// Three shares cross the edge first, so that each end knows the other
-	// to hold them.
-	for signer := types.PartyID(0); signer < 3; signer++ {
-		p.hand(p.a, f.nshare(signer), 0)
-	}
-	now := p.run(0)
-	if known := len(p.ab) + len(p.ba); known != 3 {
-		t.Fatalf("%d shares crossed the edge, want each of the three once", known)
-	}
-	// The rest of a quorum reaches both ends at once, from elsewhere.
-	p.ab, p.ba = nil, nil
-	now += time.Second
-	for signer := types.PartyID(3); int(signer) < quorum; signer++ {
-		p.hand(p.a, f.nshare(signer), now)
-		p.hand(p.b, f.nshare(signer), now)
+	p, _ := newPair(t, Config{Aggregate: true, TrustShares: true, Keys: f.pub}, func(bool, bool) bool { return true })
+	quorum := f.pub.Final.Quorum()
+	// A quorum reaches both ends at once, from elsewhere.
+	now := time.Second
+	for signer := types.PartyID(0); int(signer) < quorum; signer++ {
+		p.hand(p.a, f.fshare(signer), now)
+		p.hand(p.b, f.fshare(signer), now)
 	}
 	for _, g := range []*Engine{p.a, p.b} {
-		if !g.agg[aggKey{round: 1, blockHash: f.h}].done {
+		if !g.agg[aggKey{final: true, round: 1, blockHash: f.h}].done {
 			t.Fatalf("party %d did not certify the statement", g.cfg.Self)
 		}
 	}
+	now = p.run(now)
+	if len(p.ab.final)+len(p.ba.final) != 0 || p.ab.certs+p.ba.certs != 0 || p.ab.haves != 1 || p.ba.haves != 1 {
+		t.Fatalf("crossed: %+v one way, %+v the other; want one have each way and nothing else", p.ab, p.ba)
+	}
+	// A second statement reaches a alone: b has said nothing of it, so
+	// after the wait a sends what completes b's quorum, and b sends
+	// nothing back.
+	g := &aggFixture{pub: f.pub, privs: f.privs, h: hash.Digest{0xbb}}
+	p.ab, p.ba = sentTo{}, sentTo{}
+	now += time.Second
+	for signer := types.PartyID(0); int(signer) < quorum; signer++ {
+		p.hand(p.a, g.fshare(signer), now)
+	}
 	p.run(now)
-	if len(p.ab) != 0 && len(p.ba) != 0 || len(p.ab)+len(p.ba) != quorum-3 {
-		t.Fatalf("%d shares crossed one way and %d the other, want %d one way and none the other", len(p.ab), len(p.ba), quorum-3)
+	if len(p.ab.final)+p.ab.certs == 0 || len(p.ba.final)+p.ba.certs+p.ba.haves != 0 {
+		t.Fatalf("crossed: %+v from the holder, %+v back; want the completion one way only", p.ab, p.ba)
+	}
+}
+
+// A neighbour's own finalization share of a block is its word that it
+// holds the block's notarization: the notarization owed to it is not sent,
+// nor any further share of it. (Mutation: the finalization share not read
+// as a have.)
+func TestFinalizationShareIsAHave(t *testing.T) {
+	f := newAggFixture(t, 13)
+	g := mustNew(t, Config{Self: 0, N: 13, Fanout: DefaultFanout(13), Seed: 42, ShareBatchWindow: window,
+		Aggregate: true, TrustShares: true, Keys: f.pub}, &sink{id: 0})
+	c := g.Peers()[0]
+	for _, q := range g.Peers()[1:] {
+		g.HandleMessage(q, f.nshare(q), 0)
+	}
+	g.HandleMessage(c, f.fshare(c), 0)
+	for signer := types.PartyID(1); !g.agg[aggKey{round: 1, blockHash: f.h}].done; signer++ {
+		if signer != c {
+			g.HandleMessage(g.Peers()[1], f.nshare(signer), 0)
+		}
+	}
+	for at := time.Duration(0); at <= 4*window; at += window / 4 {
+		if s := sent(g.Tick(at))[c]; s != nil && (len(s.notar) > 0 || s.certs > 0) {
+			t.Fatalf("a neighbour that sent its own finalization share was sent %+v", s)
+		}
+	}
+}
+
+// A have names a statement known here, and nothing is fetched for it: the
+// neighbour completes our quorum if we do not say that we hold the
+// certificate too. A certificate too large to push is still fetched, and
+// an advert of an unknown statement is fetched as before. (Mutation: a
+// have fetched like any advert.)
+func TestHaveIsNotFetched(t *testing.T) {
+	f := newAggFixture(t, 13)
+	cfg := Config{Self: 0, N: 13, Fanout: DefaultFanout(13), Seed: 42, ShareBatchWindow: window,
+		Aggregate: true, TrustShares: true, Keys: f.pub}
+	g := mustNew(t, cfg, &sink{id: 0})
+	a := g.Peers()[0]
+	g.HandleMessage(a, f.fshare(a), 0)
+	known := g.agg[aggKey{final: true, round: 1, blockHash: f.h}]
+	for _, o := range g.HandleMessage(a, &types.Advert{Refs: []types.Ref{known.ref}}, 0) {
+		t.Fatalf("a have of a known statement sent %T", o.Msg)
+	}
+	if !known.peers[0].cert {
+		t.Fatal("the have was not recorded")
+	}
+	unknown := types.RefOf(&types.Finalization{Round: 2, BlockHash: f.h})
+	if outs := g.HandleMessage(a, &types.Advert{Refs: []types.Ref{unknown}}, 0); len(outs) != 1 {
+		t.Fatalf("an advert of an unknown statement sent %d frames, want its request", len(outs))
+	}
+	g.lazyCert = [2]bool{true, true}
+	g.HandleMessage(a, f.fshare(2), time.Second)
+	lazy := g.agg[aggKey{final: true, round: 1, proposer: 0, blockHash: f.h}]
+	lazy.lazy = true
+	if outs := g.HandleMessage(a, &types.Advert{Refs: []types.Ref{lazy.ref}}, time.Second); len(outs) != 1 {
+		t.Fatalf("an advert of a certificate too large to push sent %d frames, want its request", len(outs))
 	}
 }
 
@@ -598,6 +666,35 @@ func TestAdvertIsRecordedAsSent(t *testing.T) {
 	for _, o := range flushed(g, time.Second+window) {
 		if _, ok := o.Msg.(*types.Advert); ok {
 			t.Fatalf("neighbour %d was told of the certificate twice", o.To)
+		}
+	}
+}
+
+// Every notarization and finalization share received is counted once on
+// icc_gossip_received_total: new, a copy of one held, or come once its
+// statement was certified here. (Mutation: receipt not called on a copy.)
+func TestReceivedSharesAreCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := newAggFixture(t, 13)
+	g := mustNew(t, Config{Self: 0, N: 13, Fanout: 4, Seed: 1, ShareBatchWindow: window,
+		Aggregate: true, TrustShares: true, Keys: f.pub, Registry: reg}, &sink{id: 0})
+	a, b := g.Peers()[0], g.Peers()[1]
+	for signer := types.PartyID(1); signer <= 9; signer++ {
+		g.HandleMessage(a, f.nshare(signer), 0)
+	}
+	g.HandleMessage(b, f.nshare(1), 0)  // a copy, after the certificate
+	g.HandleMessage(b, f.nshare(10), 0) // new to us, after the certificate
+	g.HandleMessage(b, f.fshare(3), 0)
+	g.HandleMessage(a, f.fshare(3), 0)
+	snap := reg.Snapshot()
+	for key, want := range map[string]float64{
+		`icc_gossip_received_total{kind="notarization-share",outcome="new"}`:               9,
+		`icc_gossip_received_total{kind="notarization-share",outcome="after_certificate"}`: 2,
+		`icc_gossip_received_total{kind="finalization-share",outcome="new"}`:               1,
+		`icc_gossip_received_total{kind="finalization-share",outcome="duplicate"}`:         1,
+	} {
+		if snap[key] != want {
+			t.Errorf("%s = %v, want %v", key, snap[key], want)
 		}
 	}
 }

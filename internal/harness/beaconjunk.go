@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/crypto/thresig"
 	"icc/internal/engine"
 	"icc/internal/types"
@@ -40,6 +41,9 @@ func newBeaconJunk(eng engine.Engine, n int, seed int64) *beaconJunk {
 	}
 	return &beaconJunk{Engine: eng, n: n, pub: pub, key: keys[eng.ID()], rng: rng}
 }
+
+// Beacon implements engine.Beaconed for the wrapped engine.
+func (j *beaconJunk) Beacon() beacon.Source { return engine.BeaconOf(j.Engine) }
 
 func (j *beaconJunk) junk(now time.Duration) []engine.Output {
 	if now < j.next {

@@ -110,6 +110,11 @@ func icc1Profiles() []Profile {
 			// honest end must stop listening in time. One alone, and t.
 			{Name: "mute-relay", Behaviors: map[types.PartyID]Behavior{0: MuteRelay}},
 			{Name: "mute-relay-t", Behaviors: assign(MuteRelay)},
+			// t parties that send their own shares to half their
+			// neighbours, another half each round: the other half must
+			// get them from relays, which hold a signer's share back from
+			// its neighbours for a while and then send it.
+			{Name: "selective-signer", Behaviors: assign(SelectiveSigner)},
 		}
 		for _, verify := range []pool.VerifyPolicy{pool.VerifyFull, pool.VerifyPreVerified} {
 			for _, p := range cells {
@@ -123,7 +128,7 @@ func icc1Profiles() []Profile {
 }
 
 // TestChaosCampaignICC1 sweeps the ICC1 cells under the ICC0 cells' pass
-// conditions, on one seed and half the virtual time: twenty-four cells of
+// conditions, on one seed and half the virtual time: twenty-eight cells of
 // up to thirteen parties are what `make chaos` can afford under -race. The
 // finality bound the oracle derives for a round with an honest leader sits
 // below the engines' resync interval (8 Δbnd = 800 ms): the simnet loses

@@ -30,43 +30,45 @@ type Behavior int
 
 // Supported behaviours.
 const (
-	Honest        Behavior = iota + 1
-	Crash                  // silent from birth
-	SilentLeader           // honest except never proposes
-	LazyVoter              // honest except never contributes shares
-	Equivocator            // forks blocks AND notarization shares to different halves
-	WithholdNotar          // honest except withholds its own notarization shares
-	WithholdFinal          // honest except withholds its own finalization shares
-	ClockSkewed            // honest, but runs against a skewed local clock
-	RankAbuser             // colluding cartel member abusing the rank permutation
-	MuteRelay              // ICC1: sends its own artifacts, relays nothing second-hand
-	StatusLiar             // honest, but floods every peer with lying Statuses
-	BeaconJunk             // honest, but floods every peer with junk beacon shares
-	CutZero                // honest, but its blocks claim they were cut on round entry
-	CutNtry                // honest, but its blocks claim they were cut at Δntry(0)
-	CutWild                // honest, but its blocks claim the largest or the smallest cut there is
-	CutHold                // honest, but sends each block Δntry(0) + Δbnd/2 into its round
+	Honest          Behavior = iota + 1
+	Crash                    // silent from birth
+	SilentLeader             // honest except never proposes
+	LazyVoter                // honest except never contributes shares
+	Equivocator              // forks blocks AND notarization shares to different halves
+	WithholdNotar            // honest except withholds its own notarization shares
+	WithholdFinal            // honest except withholds its own finalization shares
+	ClockSkewed              // honest, but runs against a skewed local clock
+	RankAbuser               // colluding cartel member abusing the rank permutation
+	MuteRelay                // ICC1: sends its own artifacts, relays nothing second-hand
+	StatusLiar               // honest, but floods every peer with lying Statuses
+	BeaconJunk               // honest, but floods every peer with junk beacon shares
+	CutZero                  // honest, but its blocks claim they were cut on round entry
+	CutNtry                  // honest, but its blocks claim they were cut at Δntry(0)
+	CutWild                  // honest, but its blocks claim the largest or the smallest cut there is
+	CutHold                  // honest, but sends each block Δntry(0) + Δbnd/2 into its round
+	SelectiveSigner          // ICC1: sends its own notarization and finalization shares to half its neighbours
 )
 
 // behaviorNames is the canonical Behavior <-> string mapping, used by the
 // campaign driver to persist behaviour sets in trace headers.
 var behaviorNames = map[Behavior]string{
-	Honest:        "honest",
-	Crash:         "crash",
-	SilentLeader:  "silent_leader",
-	LazyVoter:     "lazy_voter",
-	Equivocator:   "equivocator",
-	WithholdNotar: "withhold_notar",
-	WithholdFinal: "withhold_final",
-	ClockSkewed:   "clock_skewed",
-	RankAbuser:    "rank_abuser",
-	MuteRelay:     "mute_relay",
-	StatusLiar:    "status_liar",
-	BeaconJunk:    "beacon_junk",
-	CutZero:       "cut_zero",
-	CutNtry:       "cut_ntry",
-	CutWild:       "cut_wild",
-	CutHold:       "cut_hold",
+	Honest:          "honest",
+	Crash:           "crash",
+	SilentLeader:    "silent_leader",
+	LazyVoter:       "lazy_voter",
+	Equivocator:     "equivocator",
+	WithholdNotar:   "withhold_notar",
+	WithholdFinal:   "withhold_final",
+	ClockSkewed:     "clock_skewed",
+	RankAbuser:      "rank_abuser",
+	MuteRelay:       "mute_relay",
+	StatusLiar:      "status_liar",
+	BeaconJunk:      "beacon_junk",
+	CutZero:         "cut_zero",
+	CutNtry:         "cut_ntry",
+	CutWild:         "cut_wild",
+	CutHold:         "cut_hold",
+	SelectiveSigner: "selective_signer",
 }
 
 // String implements fmt.Stringer.
@@ -269,12 +271,17 @@ func New(opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("harness: party %d: %w", pid, err)
 		}
 		c.Engines = append(c.Engines, inner)
-		if behavior == MuteRelay {
-			// Outside the overlay: it is the relaying it withholds.
+		switch behavior {
+		case MuteRelay, SelectiveSigner:
+			// Outside the overlay: it is the overlay's frames it withholds.
 			if opts.Mode != node.ICC1 {
 				return nil, fmt.Errorf("harness: party %d: %v needs the ICC1 overlay", pid, behavior)
 			}
-			eng = adversary.NewMuteRelay(eng)
+			if behavior == MuteRelay {
+				eng = adversary.NewMuteRelay(eng)
+			} else {
+				eng = adversary.NewSelectiveSigner(eng)
+			}
 		}
 		if w, ok := opts.CrashRecoveries[pid]; ok {
 			eng = adversary.NewCrashRecover(eng, w.Down, w.Up)
@@ -288,8 +295,8 @@ func New(opts Options) (*Cluster, error) {
 }
 
 // byzantine is what a behaviour interposes between the engine and the
-// dissemination sub-layer: nothing for Honest, and for MuteRelay, which
-// sits outside the overlay. Below the sub-layer, whatever the behaviour,
+// dissemination sub-layer: nothing for Honest, and for MuteRelay and
+// SelectiveSigner, which sit outside the overlay. Below the sub-layer, whatever the behaviour,
 // the party's proposals are logged as they leave it.
 func (c *Cluster) byzantine(pid types.PartyID, behavior Behavior, cartel *adversary.Collusion) func(*core.Engine) engine.Engine {
 	opts, tuning := c.Opts, c.Opts.Tuning[pid]

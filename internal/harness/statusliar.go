@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"icc/internal/beacon"
 	"icc/internal/core"
 	"icc/internal/engine"
 	"icc/internal/types"
@@ -28,6 +29,9 @@ type statusLiar struct {
 	next time.Duration
 	lies uint64
 }
+
+// Beacon implements engine.Beaconed for the wrapped engine.
+func (l *statusLiar) Beacon() beacon.Source { return engine.BeaconOf(l.Engine) }
 
 func (l *statusLiar) lie(now time.Duration) []engine.Output {
 	if now < l.next {

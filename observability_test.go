@@ -271,6 +271,13 @@ func TestGossipDecisionsOnMetrics(t *testing.T) {
 	if bundles == 0 || bundled < 2*bundles {
 		t.Errorf("icc_gossip_bundle_shares: %.0f shares in %.0f bundles, want at least two a bundle", bundled, bundles)
 	}
+	// Every share received is counted at the wrapper, the first copy of
+	// each as new.
+	for _, kind := range []string{"notarization-share", "finalization-share"} {
+		if snap.Get(fmt.Sprintf("icc_gossip_received_total{kind=%q,outcome=\"new\"}", kind)) == 0 {
+			t.Errorf("icc_gossip_received_total{kind=%q,outcome=\"new\"} is zero (gossip metrics: %v)", kind, gossipMetrics(snap))
+		}
+	}
 	saved := frames("notarization", "peer_quorum") + frames("finalization", "peer_quorum")
 	sent := frames("notarization", "pushed") + frames("finalization", "pushed")
 	t.Logf("certificates: %.0f withheld by the quorum rule, %.0f pushed (%.1f %% withheld)", saved, sent, 100*saved/(saved+sent))

@@ -32,7 +32,10 @@
 # minus the twin, the processor time and queueing the protocol's timers
 # do not explain.
 #
-# Everything is written under .bench_build/pair/ (git-ignored).
+# Everything is written under .bench_build/pair/ (git-ignored). A run
+# first clears what an earlier one left there: the .jsonl records and the
+# per-seed and traced .log files, so that what the directory holds after a
+# run is that run's alone.
 set -euo pipefail
 
 workload=${1:?usage: scripts/bench-pair.sh <workload|all> [pairs]}
@@ -45,7 +48,7 @@ root=$(git rev-parse --show-toplevel)
 out=$root/.bench_build/pair
 tree=$out/parent-tree
 mkdir -p "$out"
-rm -f "$out"/parent.jsonl "$out"/change.jsonl "$out"/parent-traced.jsonl "$out"/change-traced.jsonl
+rm -f "$out"/parent.jsonl "$out"/change.jsonl "$out"/parent-traced.jsonl "$out"/change-traced.jsonl "$out"/*.log
 
 workloads=$workload
 if [ "$workload" = all ]; then
